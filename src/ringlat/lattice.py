@@ -213,8 +213,9 @@ def intermediate_algebras(
 ) -> LatticeReport:
     """All subalgebras between the image of the base and the top ring.
 
-    Computed as the fixpoint of single-element adjunction starting from the
-    image; the node set is independent of the adjunction order."""
+    Computed as the join closure of the atoms, the subalgebras generated by
+    the image and one more element (see enumerate_closed_subsets); the node
+    set and order do not depend on element_order."""
     top = ext.top
     if top.order > lattice_limit(max_order):
         raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
@@ -247,9 +248,12 @@ def poset_structure(
     sizes = mat.sum(axis=1)
     dist = np.full(n, -1, dtype=int)
     pred = np.full(n, -1, dtype=int)
+    below: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        below[b].append(a)
     dist[bottom] = 0
     for j in sorted(range(n), key=lambda i: int(sizes[i])):
-        for a in (a for a, b in edges if b == j):
+        for a in below[j]:
             if dist[a] >= 0 and dist[a] + 1 > dist[j]:
                 dist[j] = dist[a] + 1
                 pred[j] = a

@@ -213,7 +213,7 @@ class SubmoduleLattice:
 
 def submodules(m: FiniteModule, max_order: Optional[int] = None,
                element_order: Optional[Sequence[int]] = None) -> SubmoduleLattice:
-    """Fixpoint of single-element adjunction from the zero submodule."""
+    """All submodules, as the join closure of the cyclic submodules."""
     if m.order > lattice_limit(max_order):
         raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
     masks = enumerate_closed_subsets(

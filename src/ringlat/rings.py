@@ -74,9 +74,13 @@ class FiniteRing:
         return int(self.add[a, self.neg[b]])
 
     def power(self, a: int, k: int) -> int:
+        """a^k by square-and-multiply; a^0 is one."""
         out = self.one
-        for _ in range(k):
-            out = int(self.mul[out, a])
+        while k > 0:
+            if k & 1:
+                out = int(self.mul[out, a])
+            a = int(self.mul[a, a])
+            k >>= 1
         return out
 
     def elements(self) -> range:
@@ -240,26 +244,25 @@ def extend_closure_mask(
     internal tables are applied to pairs of members (the operations must be
     commutative); absorbing tables are applied to (anything, member) pairs.
     In a finite additive group closure under + alone yields the generated
-    subgroup, so no explicit negation table is needed.
+    subgroup, so no explicit negation table is needed.  Each round scatters
+    the products of the frontier into a boolean hit array; the hits outside
+    the mask are the next frontier.
     """
     mask = np.zeros(order, dtype=bool) if base_mask is None else base_mask.copy()
-    frontier = np.asarray(sorted(set(int(s) for s in new_indices)), dtype=np.intp)
-    frontier = frontier[~mask[frontier]]
-    mask[frontier] = True
-    while frontier.size:
+    hit = np.zeros(order, dtype=bool)
+    hit[new_indices if isinstance(new_indices, np.ndarray)
+        else np.fromiter(new_indices, dtype=np.intp)] = True
+    while True:
+        frontier = np.flatnonzero(hit & ~mask)
+        mask[frontier] = True
+        if not frontier.size or not (internal or absorbing):
+            return mask
         members = np.flatnonzero(mask)
-        produced = []
+        hit[:] = False
         for t in internal:
-            produced.append(t[np.ix_(frontier, members)].ravel())
+            hit[t[frontier][:, members]] = True
         for t in absorbing:
-            produced.append(t[:, frontier].ravel())
-        if not produced:
-            break
-        new = np.unique(np.concatenate(produced))
-        fresh = new[~mask[new]]
-        mask[fresh] = True
-        frontier = fresh
-    return mask
+            hit[t[:, frontier]] = True
 
 
 def closure_mask(
@@ -279,30 +282,34 @@ def enumerate_closed_subsets(
     absorbing: Sequence[Table] = (),
     element_order: Optional[Sequence[int]] = None,
 ) -> list[np.ndarray]:
-    """All closed subsets reachable from seed by single-element adjunction.
+    """All closed subsets that contain seed, sorted by (size, elements).
 
-    FIFO worklist over (subset, element) pairs; the result set does not
-    depend on the element order.
+    Every such subset is the join of the atoms closure(seed + {s}) of its
+    elements, so the subsets are the join closure of the atoms: a FIFO
+    worklist from the bottom closure(seed) joins each node with every atom
+    not already inside it.  The result does not depend on element_order.
     """
     first = closure_mask(order, seed, internal, absorbing)
+    elems: Sequence[int] = element_order if element_order is not None else range(order)
+    atoms: dict[bytes, np.ndarray] = {}
+    for s in elems:
+        if not first[s]:
+            atom = extend_closure_mask(order, first, [s], internal, absorbing)
+            atoms.setdefault(atom.tobytes(), atom)
     nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
     queue = deque([first])
-    elems: Sequence[int] = element_order if element_order is not None else range(order)
     while queue:
         cur = queue.popleft()
-        for s in elems:
-            if cur[s]:
+        for atom in atoms.values():
+            extra = np.flatnonzero(atom & ~cur)
+            if not extra.size:
                 continue
-            new = extend_closure_mask(order, cur, [s], internal, absorbing)
+            new = extend_closure_mask(order, cur, extra, internal, absorbing)
             key = new.tobytes()
             if key not in nodes:
                 nodes[key] = new
                 queue.append(new)
     return sorted(nodes.values(), key=lambda m: (int(m.sum()), mask_elements(m)))
-
-
-def subring_closure_mask(ring: FiniteRing, seed: Iterable[int]) -> np.ndarray:
-    return closure_mask(ring.order, list(seed) + [ring.zero, ring.one], internal=(ring.add, ring.mul))
 
 
 def additive_closure_mask(ring: FiniteRing, seed: Iterable[int]) -> np.ndarray:
@@ -384,12 +391,18 @@ def find_irreducible(p: int, k: int) -> list[int]:
 def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     """The field with p^k elements, built as Z/p[x]/(f) for the first monic
     irreducible f found by exhaustive search."""
+    limit = arith_limit(max_order)
+    # bound p and k before the primality test and before forming p**k
+    if p > limit:
+        raise SizeLimitError(f"characteristic {p} exceeds the arithmetic bound")
     if not _is_prime(p):
         raise PreconditionError(f"invalid characteristic {p}")
     if k < 1:
         raise PreconditionError(f"invalid extension degree {k}")
+    if k > limit.bit_length():
+        raise SizeLimitError(f"order {p}^{k} exceeds the arithmetic bound")
     q = p**k
-    if q > arith_limit(max_order):
+    if q > limit:
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
     if k == 1:
         r = make_zmod(p, max_order)

@@ -176,3 +176,19 @@ def test_exit_code_size_limit(capsys):
     code, _, err = run(capsys, ["lattice", "GF(2)", "GF(2^44)"])
     assert code == 3
     assert "size limit" in err
+
+
+@pytest.mark.parametrize("top", ["GF(1000000000000000000000000000057)", "GF(2^99999999999)"])
+def test_exit_code_size_limit_huge_field(capsys, top):
+    # bounded before the primality test and before forming p^k
+    code, _, err = run(capsys, ["lattice", "Z/2", top])
+    assert code == 3
+    assert "size limit" in err
+
+
+def test_huge_exponent_in_relation(capsys):
+    # t^999999999999 = 0 in Z/2[t]/(t^2), so the second quotient is by zero
+    code, data = run_json(capsys, ["lattice", "Z/2", "Z/2[t]/(t^2)/(t^999999999999)"])
+    assert code == 0
+    assert data["top_order"] == 4
+    assert data["count"] == 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat.errors import InternalCheckError, PreconditionError, SizeLimitError
 
@@ -156,6 +157,64 @@ def test_closed_subset_enumeration_is_order_independent(z8):
         assert {rg.mask_elements(m) for m in again} == {rg.mask_elements(m) for m in base}
 
     check()
+
+
+def _brute_force_closed_subsets(order, seed, internal=(), absorbing=()):
+    """Every subset containing seed that the tables map into itself, sorted
+    by (size, elements): an oracle independent of the closure engine."""
+    rest = [x for x in range(order) if x not in set(seed)]
+    found = []
+    for bits in range(1 << len(rest)):
+        mask = np.zeros(order, dtype=bool)
+        mask[list(seed)] = True
+        mask[[x for i, x in enumerate(rest) if bits >> i & 1]] = True
+        idx = np.flatnonzero(mask)
+        if all(mask[t[np.ix_(idx, idx)]].all() for t in internal) and \
+                all(mask[t[:, idx]].all() for t in absorbing):
+            found.append(mask)
+    return sorted(found, key=lambda m: (int(m.sum()), rg.mask_elements(m)))
+
+
+def _subalgebra_system(ring):
+    return ring.order, [ring.zero, ring.one], (ring.add, ring.mul), ()
+
+
+def _subgroup_system(ring):
+    return ring.order, [ring.zero], (ring.add,), ()
+
+
+def _submodule_system(mod):
+    return mod.order, [mod.zero], (mod.add,), (mod.action,)
+
+
+def _dual_numbers_plus_residue_field():
+    # Z/2[t]/(t^2) (+) Z/2 over Z/2[t]/(t^2): t acts, so not every subgroup is a submodule
+    ring = rg.poly_quotient(rg.make_gf(2), [0, 0, 1], var="t").ring
+    t = next(x for x in range(ring.order) if ring.nilpotents[x] and x != ring.zero)
+    return md.module_from_cyclics(ring, [[ring.zero], [t]])
+
+
+@pytest.mark.parametrize("system", [
+    lambda: _subalgebra_system(rg.product([rg.make_gf(2)] * 3).ring),  # Z/2 in (Z/2)^3
+    lambda: _subalgebra_system(rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring),
+    lambda: _subalgebra_system(rg.make_zmod(9)),
+    lambda: _subgroup_system(rg.product([rg.make_zmod(3)] * 2).ring),
+    lambda: _subgroup_system(rg.make_zmod(8)),
+    lambda: _submodule_system(md.module_from_cyclics(rg.make_zmod(4), [[0], [2]])),  # Z/4 (+) Z/2
+    lambda: _submodule_system(_dual_numbers_plus_residue_field()),
+    lambda: _submodule_system(md.module_from_ring(rg.product([rg.make_gf(2)] * 3).ring)),
+], ids=["Z2-in-Z2^3", "Z2[t]/(t^3)", "Z9", "add-Z3^2", "add-Z8", "Z4+Z2-module",
+        "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3"])
+def test_closed_subset_enumeration_matches_brute_force(system):
+    order, seed, internal, absorbing = system()
+    got = rg.enumerate_closed_subsets(order, seed, internal=internal, absorbing=absorbing)
+    want = _brute_force_closed_subsets(order, seed, internal, absorbing)
+    assert [rg.mask_elements(m) for m in got] == [rg.mask_elements(m) for m in want]
+
+
+def test_power_is_square_and_multiply(z12):
+    assert [z12.power(2, k) for k in range(6)] == [1, 2, 4, 8, 4, 8]
+    assert z12.power(2, 10**12) == 4  # 2^k = 4 in Z/12 for every even k >= 2
 
 
 def test_hom_validation(z4, f2):

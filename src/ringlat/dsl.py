@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from .config import arith_limit
 from .errors import ParseError, PreconditionError, SizeLimitError
 from .modules import FiniteModule, module_from_cyclics
 from .rings import FiniteRing, make_gf, make_zmod, poly_quotient, product, quotient
@@ -412,8 +413,12 @@ def eval_element(ring: FiniteRing, names: dict[str, int], p: Poly,
 
 
 def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly,
-                       var: str) -> list[int]:
-    """Little-endian coefficient indices of a poly in the named variable."""
+                       var: str, max_order: Optional[int] = None) -> list[int]:
+    """Little-endian coefficient indices of a poly in the named variable.
+
+    The list has degree + 1 entries, so an exponent of the variable above
+    the arithmetic bound is refused before the list is built."""
+    limit = arith_limit(max_order)
     coeffs: dict[int, int] = {}
     for t in p.terms:
         exp = 0
@@ -421,6 +426,8 @@ def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly,
         for f in t.factors:
             if isinstance(f, NameF) and f.name == var:
                 exp += f.exp
+                if exp > limit:
+                    raise SizeLimitError(f"exponent {exp} of {var} exceeds the arithmetic bound")
             else:
                 val = int(ring.mul[val, _eval_factor(ring, names, f, f"coefficient of {var}")])
         if t.sign < 0:
@@ -435,9 +442,10 @@ def build_step(base: BuildResult, expr: RingExpr,
     """One suffix construction (poly quotient, quotient, idealization) over an
     already built base, together with the map from the base into the result."""
     if isinstance(expr, PolyQuotE):
-        monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var)
+        monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var, max_order)
         relations = [
-            _poly_coefficients(base.ring, base.names, q, expr.var) for q in expr.polys[1:]
+            _poly_coefficients(base.ring, base.names, q, expr.var, max_order)
+            for q in expr.polys[1:]
         ]
         pq = poly_quotient(base.ring, monic, relations=relations, var=expr.var,
                            max_order=max_order)

@@ -1,4 +1,4 @@
-"""Ideal arithmetic, spectra, conductors and extension support."""
+"""Ideal arithmetic, spectra and conductors."""
 
 from __future__ import annotations
 
@@ -13,11 +13,8 @@ from .rings import (
     FiniteRing,
     Ideal,
     closure_mask,
-    is_field,
-    is_local,
-    local_decomposition,
     mask_elements,
-    quotient,
+    primitive_idempotents,
     subgroup_sum_mask,
 )
 
@@ -141,24 +138,19 @@ class SpectrumReport:
         return tuple(p for p in self.primes if contains(p, ideal))
 
 
-def spectrum(ring: FiniteRing, max_order: Optional[int] = None) -> SpectrumReport:
-    ideals = all_ideals(ring, max_order)
-    primes = []
-    maximals = []
-    for ideal in ideals:
-        if ideal.is_whole:
-            continue
-        comp = np.flatnonzero(~ideal.mask)
-        if not ideal.mask[ring.mul[np.ix_(comp, comp)]].any():
-            primes.append(ideal)
-        if is_field(quotient(ring, ideal).ring):
-            maximals.append(ideal)
-    nilradical = Ideal(ring, tuple(int(i) for i in np.flatnonzero(ring.nilpotents)))
-    jac = np.ones(ring.order, dtype=bool)
-    for m in maximals:
-        jac &= m.mask
-    jacobson = Ideal(ring, tuple(int(i) for i in np.flatnonzero(jac)))
-    return SpectrumReport(ring, tuple(primes), tuple(maximals), nilradical, jacobson)
+def spectrum(ring: FiniteRing) -> SpectrumReport:
+    """Primes, maximals, nilradical and Jacobson radical, from structure.
+
+    A finite ring is Artinian, so it is the product of the local rings eR
+    over its primitive idempotents e (Atiyah-Macdonald, Thm 8.7).  Every
+    prime is therefore maximal, the one over e is {x : e*x nilpotent}, and
+    the Jacobson radical equals the nilradical.  No ideal is enumerated.
+    Primes are ordered by cardinality, then by element tuple."""
+    nil = ring.nilpotents
+    primes = [Ideal(ring, mask_elements(nil[ring.mul[e]])) for e in primitive_idempotents(ring)]
+    primes.sort(key=lambda i: (i.order, i.elements))
+    nilradical = Ideal(ring, mask_elements(nil))
+    return SpectrumReport(ring, tuple(primes), tuple(primes), nilradical, nilradical)
 
 
 def conductor(ext) -> Ideal:
@@ -172,44 +164,3 @@ def conductor(ext) -> Ideal:
     if not Ideal.from_indices(top, cond_in_top, validate=False)._is_valid():
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
     return cond
-
-
-def _primitive_idempotents(ring: FiniteRing, dec) -> list[int]:
-    """One primitive idempotent per local factor, in factor order."""
-    out = []
-    for i, (fring, proj) in enumerate(dec.factors):
-        cand = proj.map == fring.one
-        for j, (oring, oproj) in enumerate(dec.factors):
-            if j != i:
-                cand &= oproj.map == oring.zero
-        out.append(int(np.flatnonzero(cand)[0]))
-    return out
-
-
-def maximal_of_local_factor(ring: FiniteRing, dec, factor_index: int) -> Ideal:
-    """Pull the maximal ideal of one local factor back to the whole ring."""
-    fring, proj = dec.factors[factor_index]
-    m = is_local(fring)
-    if m is None:
-        raise InternalCheckError("local factor is not local")
-    bad = np.isin(proj.map, np.asarray(m.elements))
-    return Ideal(ring, tuple(int(i) for i in np.flatnonzero(bad)))
-
-
-def support_of_extension(ext) -> list[Ideal]:
-    """Maximal ideals M of the base where the localizations differ.
-
-    Localization at M is projection onto the matching local factor; for the
-    top ring the matching factor is e'S where e' is the image of the base
-    factor's primitive idempotent."""
-    base, top, embed = ext.base, ext.top, ext.embed
-    dec = local_decomposition(base)
-    idems = _primitive_idempotents(base, dec)
-    out = []
-    for i, (fring, _) in enumerate(dec.factors):
-        e_top = int(embed.map[idems[i]])
-        top_factor_size = len(np.unique(top.mul[e_top]))
-        if top_factor_size != fring.order:
-            out.append(maximal_of_local_factor(base, dec, i))
-    out.sort(key=lambda ideal: ideal.elements)
-    return out

@@ -332,29 +332,25 @@ def is_integral(ext: Extension) -> bool:
     return True
 
 
-def _prime_pullbacks(ext: Extension):
-    top_spec = spectrum(ext.top)
-    out = []
-    for q in top_spec.primes:
-        pull = q.mask[ext.embed.map]
-        out.append((q, pull))
-    return top_spec, out
+def _prime_pullbacks(ext: Extension) -> list[tuple[Ideal, np.ndarray]]:
+    """Each prime of the top with the mask of its contraction to the base."""
+    return [(q, q.mask[ext.embed.map]) for q in spectrum(ext.top).primes]
+
+
+def _residues_trivial(ext: Extension, pulls) -> bool:
+    return all(ext.top.order // q.order == ext.base.order // int(pull.sum()) for q, pull in pulls)
 
 
 def is_infra_integral(ext: Extension) -> bool:
     """Residue field extensions are trivial at every prime of the top."""
-    _, pulls = _prime_pullbacks(ext)
-    for q, pull in pulls:
-        if ext.top.order // q.order != ext.base.order // int(pull.sum()):
-            return False
-    return True
+    return _residues_trivial(ext, _prime_pullbacks(ext))
 
 
 def is_subintegral(ext: Extension) -> bool:
     """Infra-integral with a bijective spectral map."""
-    if not is_infra_integral(ext):
+    pulls = _prime_pullbacks(ext)
+    if not _residues_trivial(ext, pulls):
         return False
-    _, pulls = _prime_pullbacks(ext)
     base_primes = {p.elements for p in spectrum(ext.base).primes}
     seen = {tuple(int(i) for i in np.flatnonzero(pull)) for _, pull in pulls}
     return len(seen) == len(pulls) and seen == base_primes
@@ -429,8 +425,12 @@ def _quotient_module_tables(ext: Extension):
 def is_delta0(ext: Extension) -> bool:
     """Every base-submodule of S containing R is multiplicatively closed.
 
-    Submodules containing R correspond to submodules of the quotient module
-    S/R; each is pulled back and tested."""
+    Each span R + Rt is such a submodule, so Delta0 implies quadratic and a
+    failed is_quadratic answers False exactly.  Otherwise the submodules
+    containing R, which correspond to the submodules of the quotient module
+    S/R, are enumerated, pulled back and tested."""
+    if not is_quadratic(ext):
+        return False
     top = ext.top
     n, add, action, zero, coset_of = _quotient_module_tables(ext)
     subs = enumerate_closed_subsets(n, [zero], internal=(add,), absorbing=(action,))

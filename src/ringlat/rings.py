@@ -465,12 +465,15 @@ def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> P
         strides.append(s)
     idx = np.arange(total)
     digits = [(idx // strides[i]) % orders[i] for i in range(len(factors))]
-    add = np.zeros((total, total), dtype=np.int64)
-    mul = np.zeros((total, total), dtype=np.int64)
+    # every entry is below total <= arith_limit, so int32 is exact
+    add = np.zeros((total, total), dtype=np.int32)
+    mul = np.zeros((total, total), dtype=np.int32)
     for i, r in enumerate(factors):
         d = digits[i]
-        add += strides[i] * r.add[np.ix_(d, d)].astype(np.int64)
-        mul += strides[i] * r.mul[np.ix_(d, d)].astype(np.int64)
+        for out, t in ((add, r.add), (mul, r.mul)):
+            part = t[np.ix_(d, d)]
+            part *= strides[i]
+            out += part
     zero = sum(strides[i] * factors[i].zero for i in range(len(factors)))
     one = sum(strides[i] * factors[i].one for i in range(len(factors)))
     label = " x ".join(f"({r.label})" if " x " in r.label else r.label for r in factors)
@@ -651,6 +654,16 @@ def idempotents(ring: FiniteRing) -> list[RingElem]:
     return [RingElem(ring, int(i)) for i in np.flatnonzero(mask)]
 
 
+def primitive_idempotents(ring: FiniteRing) -> list[int]:
+    """The nonzero idempotents e with e*f != f for every other nonzero
+    idempotent f, in index order; one per local factor eR."""
+    idem = np.flatnonzero(ring.mul.diagonal() == np.arange(ring.order))
+    idem = idem[idem != ring.zero]
+    # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
+    below = ring.mul[np.ix_(idem, idem)] == idem[None, :]
+    return [int(e) for e in idem[below.sum(axis=1) == 1]]
+
+
 def is_connected(ring: FiniteRing) -> bool:
     """True when 0 and 1 are the only idempotents."""
     return len(idempotents(ring)) == 2
@@ -719,13 +732,7 @@ class LocalDecomposition:
 
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    idem = [e.index for e in idempotents(ring) if e.index != ring.zero]
-    atoms = []
-    for e in idem:
-        below = [f for f in idem if f != e and ring.mul[e, f] == f]
-        if not below:
-            atoms.append(e)
-    atoms.sort()
+    atoms = primitive_idempotents(ring)
     for a, b in itertools.combinations(atoms, 2):
         if ring.mul[a, b] != ring.zero:
             raise InternalCheckError("primitive idempotents are not orthogonal")

@@ -186,6 +186,20 @@ def test_exit_code_size_limit_huge_field(capsys, top):
     assert "size limit" in err
 
 
+@pytest.mark.parametrize("top", ["Z/2[t]/(t^2, t^99999999999)", "Z/2[t]/(t^99999999999)"])
+def test_exit_code_size_limit_huge_variable_exponent(capsys, top):
+    # bounded before the coefficient list of degree + 1 entries is built
+    code, _, err = run(capsys, ["lattice", "Z/2", top])
+    assert code == 3
+    assert "size limit" in err
+
+
+def test_relation_of_higher_degree_than_the_modulus(capsys):
+    code, data = run_json(capsys, ["lattice", "Z/2", "Z/2[t]/(t^2, t^5)"])
+    assert code == 0
+    assert data["top_order"] == 4
+
+
 def test_huge_exponent_in_relation(capsys):
     # t^999999999999 = 0 in Z/2[t]/(t^2), so the second quotient is by zero
     code, data = run_json(capsys, ["lattice", "Z/2", "Z/2[t]/(t^2)/(t^999999999999)"])

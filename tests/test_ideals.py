@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlat import dsl
 from ringlat import ideals as il
 from ringlat import rings as rg
 from ringlat.errors import PreconditionError
@@ -52,6 +54,43 @@ def test_spectrum_of_field(f4):
     spec = il.spectrum(f4)
     assert len(spec.primes) == 1
     assert spec.primes[0].is_zero
+
+
+def _spectrum_by_enumeration(ring):
+    """Reference: test every proper ideal from all_ideals."""
+    primes, maximals = [], []
+    for ideal in il.all_ideals(ring):
+        if ideal.is_whole:
+            continue
+        comp = np.flatnonzero(~ideal.mask)
+        if not ideal.mask[ring.mul[np.ix_(comp, comp)]].any():
+            primes.append(ideal)
+        if rg.is_field(rg.quotient(ring, ideal).ring):
+            maximals.append(ideal)
+    jac = np.logical_and.reduce([m.mask for m in maximals])
+    return tuple(primes), tuple(maximals), rg.Ideal(ring, rg.mask_elements(jac))
+
+
+SPECTRUM_RINGS = [f"Z/{n}" for n in range(2, 65)] + [
+    "Z/2 x Z/2", "Z/4 x Z/2", "Z/6 x Z/4", "GF(2^2) x Z/9", "Z/2 x Z/3 x Z/2",
+    "Z/4 x Z/2 x Z/3", "Z/2[t]/(t^2) x GF(2^2)", "Z/3 x Z/2[t]/(t^2) x Z/2",
+    "GF(2^3)", "GF(3^2)", "GF(2^4)", "GF(5^2)",
+    "Z/2[t]/(t^3)", "Z/3[t]/(t^2)", "Z/2[t]/(t^2+t)", "Z/2[t]/(t^3+1)",
+    "Z/4[t]/(t^2+1)", "(Z/2[t]/(t^2))[x]/(x^2-t, x*t)", "Z/2[t]/(t^2, t^5)",
+    "idealize(Z/4, (2) + ())", "idealize(Z/6, (2))",
+]
+
+
+@pytest.mark.parametrize("text", SPECTRUM_RINGS)
+def test_spectrum_matches_ideal_enumeration(text):
+    ring = dsl.build_text(text).ring
+    spec = il.spectrum(ring)
+    primes, maximals, jacobson = _spectrum_by_enumeration(ring)
+    assert spec.primes == primes
+    assert spec.maximals == maximals
+    assert spec.jacobson == jacobson
+    nil = np.logical_and.reduce([p.mask for p in primes])
+    assert spec.nilradical == rg.Ideal(ring, rg.mask_elements(nil))
 
 
 def test_ideal_validation(z12, z4):

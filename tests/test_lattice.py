@@ -168,3 +168,46 @@ def test_subalgebra_navigation(f2_cube):
     assert up.base.order == 2 and up.top.order == 8
     real = lt.realize(node)
     rg.check_ring_axioms(real.ring)
+
+
+def _delta0_by_enumeration(ext):
+    """Reference: every base-submodule of the top containing the image is a
+    ring, with the submodules enumerated directly in the top."""
+    top = ext.top
+    subs = rg.enumerate_closed_subsets(
+        top.order, list(ext.image), internal=(top.add,), absorbing=(top.mul[ext.embed.map],))
+    for sm in subs:
+        idx = np.flatnonzero(sm)
+        if not sm[top.mul[np.ix_(idx, idx)]].all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("base, top, quadratic, delta0", [
+    ("Z/2", "Z/2 x Z/2 x Z/2", True, True),
+    ("Z/2", "Z/2 x Z/2 x Z/2 x Z/2", True, False),
+    ("Z/2", "Z/2 x Z/2 x Z/2 x Z/2 x Z/2", True, False),
+    ("Z/4", "Z/4 x Z/4", True, True),
+    ("GF(2)", "GF(2^2)", True, True),
+    ("Z/4", "Z/4[t]/(t^2)", True, True),
+    ("Z/4", "Z/4[t]/(t^2-2, 2*t)", True, True),
+    ("GF(2)", "GF(2^3)", False, False),
+    ("Z/2", "Z/2[t]/(t^3)", False, False),
+    ("Z/2", "Z/2[t]/(t^2) x Z/2", False, False),
+    ("Z/2", "Z/2[t]/(t^2) x Z/2[t]/(t^2)", False, False),
+    ("Z/3", "GF(3^2) x Z/3", False, False),
+])
+def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0):
+    from ringlat.cli import resolve_extension
+
+    ext = resolve_extension(base, top, None)
+    assert lt.is_quadratic(ext) is quadratic
+    assert _delta0_by_enumeration(ext) is delta0
+    assert lt.is_delta0(ext) is delta0
+
+
+def test_spectral_predicates_past_the_lattice_bound():
+    # order 729 exceeds the ideal-enumeration bound of 512
+    ext = lt.power_extension(rg.make_zmod(27), 2)
+    assert lt.is_infra_integral(ext) is True
+    assert lt.is_subintegral(ext) is False

@@ -22,14 +22,14 @@ from .ideals import (all_ideals, annihilator, colon, conductor, ideal_generated,
 from .lattice import (Extension, LatticeReport, MinimalClassification,
                       Subalgebra, classify_minimal, gilbert_bijection,
                       intermediate_algebras, irreducible_decomposition,
-                      is_delta, is_delta0, is_infra_integral, is_integral,
+                      is_delta, is_delta0, is_infra_integral,
                       is_minimal, is_pointwise_minimal, is_quadratic,
                       is_seminormal, is_special_minimal_ramified,
                       is_subintegral, is_tclosed, lower_extension,
                       power_extension, predicate_battery, product_extension,
                       realize, upper_extension)
 from .closures import (CanonicalDecomposition, canonical_decomposition,
-                       integral_closure, seminormalization, t_closure,
+                       seminormalization, t_closure,
                        verify_diagonal_formulas)
 from .crt import (CrtExtension, SeparatingFamily, conductor_by_formula,
                   is_minimal_crt, is_minimal_crt2, make_crt, make_family,

@@ -50,29 +50,18 @@ def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
     return lt.Extension(base.ring, top.ring, hom)
 
 
-def _product_strides(orders: list[int]) -> list[int]:
-    total = 1
-    for o in orders:
-        total *= o
-    strides = []
-    s = total
-    for o in orders:
-        s //= o
-        strides.append(s)
-    return strides
-
-
 def _diagonal_extension(base: dsl.BuildResult, top_ast: dsl.RingExpr,
-                        max_order: Optional[int]) -> lt.Extension:
+                        max_order: Optional[int]) -> Optional[lt.Extension]:
+    """The diagonal of the base into a top product of copies of it; None for
+    any other top."""
     if not isinstance(top_ast, dsl.ProductE):
-        raise PreconditionError("the diagonal embedding needs a product top expression")
+        return None
     factors = [dsl.build(f, max_order=max_order).ring for f in top_ast.factors]
     if not all(rg.same_tables(f, base.ring) for f in factors):
-        raise PreconditionError("the diagonal embedding needs every top factor equal "
-                                "to the base ring")
+        return None
     pr = rg.product(factors, max_order=max_order)
-    hom = rg.RingHom(base.ring, pr.ring, pr.diagonal.map)
-    return lt.Extension(base.ring, pr.ring, hom)
+    ident = np.arange(base.ring.order)
+    return lt.Extension(base.ring, pr.ring, rg.pair_homs(base.ring, pr, [ident] * len(factors)))
 
 
 def _first_factor_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
@@ -94,16 +83,8 @@ def _first_factor_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
         raise PreconditionError("no compatible identity: the first-factor embedding "
                                 "needs equal factors and at least as many on top")
     pr = rg.product(top_factors, max_order=max_order)
-    strides = _product_strides([f.order for f in top_factors])
-    if p == 1:
-        digits = [np.arange(base.ring.order)]
-    else:
-        base_pr = rg.product(base_factors, max_order=max_order)
-        digits = [proj.map for proj in base_pr.projections]
-    emb = np.zeros(base.ring.order, dtype=np.int64)
-    for k in range(n):
-        emb += strides[k] * digits[min(k, p - 1)].astype(np.int64)
-    hom = rg.RingHom(base.ring, pr.ring, emb)
+    comps = rg.product_components([f.order for f in base_factors], np.arange(base.ring.order))
+    hom = rg.pair_homs(base.ring, pr, [comps[min(k, p - 1)] for k in range(n)])
     return lt.Extension(base.ring, pr.ring, hom)
 
 
@@ -122,22 +103,11 @@ def _structural_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
 
 
 def _prime_extension(base: dsl.BuildResult, top: dsl.BuildResult) -> lt.Extension:
-    gen = rg.additive_closure_mask(base.ring, [base.ring.one])
-    if int(gen.sum()) != base.ring.order:
-        raise PreconditionError("cannot infer an embedding: the base is not generated "
-                                "by 1; pass --embed explicit:<map>")
-    emb = np.zeros(base.ring.order, dtype=np.int64)
-    r, s = base.ring.zero, top.ring.zero
-    for _ in range(base.ring.order):
-        emb[r] = s
-        r = int(base.ring.add[r, base.ring.one])
-        s = int(top.ring.add[s, top.ring.one])
     try:
-        hom = rg.RingHom(base.ring, top.ring, emb)
-        return lt.Extension(base.ring, top.ring, hom)
-    except PreconditionError:
-        raise PreconditionError("cannot infer an embedding: no unital map of the base "
-                                "into the top; pass --embed explicit:<map>")
+        return lt.Extension(base.ring, top.ring, rg.prime_hom(base.ring, top.ring))
+    except PreconditionError as e:
+        raise PreconditionError(f"cannot infer an embedding: {e}; pass --embed "
+                                "explicit:<map>")
 
 
 def resolve_extension(base_text: str, top_text: str, embed: Optional[str],
@@ -155,7 +125,11 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str],
     if embed is not None and embed.startswith("explicit:"):
         return _explicit_extension(base, dsl.build(top_ast, max_order=max_order), embed)
     if embed == "diagonal":
-        return _diagonal_extension(base, top_ast, max_order)
+        diagonal = _diagonal_extension(base, top_ast, max_order)
+        if diagonal is None:
+            raise PreconditionError("the diagonal embedding needs a product top expression "
+                                    "with every factor equal to the base ring")
+        return diagonal
     if embed == "first-factor":
         return _first_factor_extension(base, base_ast, top_ast, max_order)
     if embed is not None:
@@ -164,13 +138,8 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str],
     structural = _structural_extension(base, base_ast, top_ast, max_order)
     if structural is not None:
         return structural
-    if isinstance(top_ast, dsl.ProductE):
-        factors = [dsl.build(f, max_order=max_order).ring for f in top_ast.factors]
-        if all(rg.same_tables(f, base.ring) for f in factors):
-            pr = rg.product(factors, max_order=max_order)
-            return lt.Extension(base.ring, pr.ring,
-                                rg.RingHom(base.ring, pr.ring, pr.diagonal.map))
-    return _prime_extension(base, dsl.build(top_ast, max_order=max_order))
+    return (_diagonal_extension(base, top_ast, max_order)
+            or _prime_extension(base, dsl.build(top_ast, max_order=max_order)))
 
 
 # ---------------------------------------------------------------------------

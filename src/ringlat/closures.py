@@ -1,5 +1,6 @@
-"""Seminormalization, t-closure, integral closure and the canonical
-decomposition of a finite ring extension."""
+"""Seminormalization, t-closure and the canonical decomposition of a finite
+ring extension.  A finite extension is integral, so the integral closure is
+always the whole top and is not computed."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .rings import (
     extend_closure_mask,
     is_local,
     mask_elements,
+    pair_homs,
     product,
     subgroup_sum_mask,
 )
@@ -81,28 +83,6 @@ def t_closure(ext: Extension, _order: Optional[Sequence[int]] = None) -> Subalge
                 mask = extend_closure_mask(top.order, mask, [int(b)], internal=(top.add, top.mul))
                 changed = True
     return Subalgebra(ext, mask_elements(mask))
-
-
-def integral_closure(ext: Extension) -> Subalgebra:
-    """Integral closure of the image in the top ring.
-
-    Every element of a finite ring satisfies a monic relation: its power
-    sequence repeats, and x^i = x^j yields one.  The search is still run
-    per element rather than assumed."""
-    top = ext.top
-    members = []
-    for s in range(top.order):
-        seen = {}
-        x = top.one
-        k = 0
-        while x not in seen:
-            seen[x] = k
-            x = int(top.mul[x, s])
-            k += 1
-        members.append(s)
-    if len(members) != top.order:
-        raise InternalCheckError("element of a finite ring with no monic relation")
-    return Subalgebra(ext, tuple(range(top.order)))
 
 
 @dataclass(frozen=True)
@@ -183,12 +163,7 @@ def diagonal_into_factors(
         if e.base is not base:
             raise PreconditionError("factor extension does not start at the given base")
     pr = product([e.top for e in parts], max_order=max_order)
-    emb = np.zeros(base.order, dtype=np.int64)
-    s = pr.ring.order
-    for e in parts:
-        s //= e.top.order
-        emb += s * e.embed.map.astype(np.int64)
-    return Extension(base, pr.ring, RingHom(base, pr.ring, emb)), pr
+    return Extension(base, pr.ring, pair_homs(base, pr, [e.embed.map for e in parts])), pr
 
 
 def verify_diagonal_formulas(
@@ -210,15 +185,15 @@ def verify_diagonal_formulas(
     top = ext.top
 
     prod_n = np.ones(top.order, dtype=bool)
-    for n_i, proj in zip(maximals, pr.projections):
-        prod_n &= n_i.mask[proj.map]
+    for n_i, comp in zip(maximals, pr.components):
+        prod_n &= n_i.mask[comp]
     expected_plus = mask_elements(subgroup_sum_mask(top, ext.image_mask, prod_n))
     actual_plus = seminormalization(ext).elements
 
     prod_t = np.ones(top.order, dtype=bool)
-    for e, proj in zip(parts, pr.projections):
+    for e, comp in zip(parts, pr.components):
         t_i = t_closure(e)
-        prod_t &= t_i.mask[proj.map]
+        prod_t &= t_i.mask[comp]
     expected_t = mask_elements(prod_t)
     actual_t = t_closure(ext).elements
 

@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
-from .rings import FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product
+from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product,
+                    product_components, product_index)
 
 PARTITION_BOUND = 12
 
@@ -102,15 +103,12 @@ def partition_to_subalgebra(ext: Extension, part: Partition) -> Subalgebra:
     n = part.n
     if base.order ** n != top.order:
         raise PreconditionError("extension is not a matching n-th power")
-    idx = np.arange(top.order)
-    digits = np.empty((top.order, n), dtype=np.int64)
-    for i in range(n):
-        digits[:, i] = (idx // base.order ** (n - 1 - i)) % base.order
+    comps = product_components([base.order] * n, np.arange(top.order))
     ok = np.ones(top.order, dtype=bool)
     for block in part.blocks:
-        ref = digits[:, block[0] - 1]
+        ref = comps[block[0] - 1]
         for i in block[1:]:
-            ok &= digits[:, i - 1] == ref
+            ok &= comps[i - 1] == ref
     return Subalgebra(ext, mask_elements(ok))
 
 
@@ -180,33 +178,22 @@ def enumerate_homal(ring: FiniteRing, p: int, n: int,
     return [LambdaMatrix(ring, combo) for combo in iproduct(rows, repeat=n)]
 
 
-def _power_digits(order: int, base: int, k: int) -> np.ndarray:
-    idx = np.arange(order)
-    out = np.empty((order, k), dtype=np.intp)
-    for j in range(k):
-        out[:, j] = (idx // base ** (k - 1 - j)) % base
-    return out
-
-
 def homal_to_hom(mat: LambdaMatrix, source: FiniteRing, target: FiniteRing) -> RingHom:
-    """The morphism with phi(f_j) = sum_i a_{i,j} e_i, as a map of product
-    rings built with the standard stride layout."""
+    """The morphism with phi(f_j) = sum_i a_{i,j} e_i, as a map of the
+    product rings R^p -> R^n built by rings.product."""
     r = mat.ring
     p, n = mat.p, mat.n
     if source.order != r.order ** p or target.order != r.order ** n:
         raise PreconditionError("product rings do not match the matrix shape")
-    digits = _power_digits(source.order, r.order, p)
-    comp = np.zeros((source.order, n), dtype=np.int64)
+    digits = product_components([r.order] * p, np.arange(source.order))
+    comp = []
     for i in range(n):
         acc = np.full(source.order, r.zero, dtype=np.intp)
         for j in range(p):
-            term = r.mul[mat.entries[i][j], digits[:, j]]
+            term = r.mul[mat.entries[i][j], digits[j]]
             acc = r.add[acc, term]
-        comp[:, i] = acc
-    emb = np.zeros(source.order, dtype=np.int64)
-    for i in range(n):
-        emb += comp[:, i] * r.order ** (n - 1 - i)
-    return RingHom(source, target, emb)
+        comp.append(acc)
+    return RingHom(source, target, product_index([r.order] * n, comp))
 
 
 def lambda_of_hom(hom: RingHom, ring: FiniteRing, p: int, n: int) -> LambdaMatrix:
@@ -215,10 +202,8 @@ def lambda_of_hom(hom: RingHom, ring: FiniteRing, p: int, n: int) -> LambdaMatri
     entries = []
     cols = []
     for j in range(p):
-        f_j = ring.one * ring.order ** (p - 1 - j)
-        val = int(hom.map[f_j])
-        col = [(val // ring.order ** (n - 1 - i)) % ring.order for i in range(n)]
-        cols.append(col)
+        f_j = product_index([ring.order] * p, [ring.one if k == j else ring.zero for k in range(p)])
+        cols.append([int(c) for c in product_components([ring.order] * n, int(hom.map[f_j]))])
     for i in range(n):
         entries.append(tuple(cols[j][i] for j in range(p)))
     return LambdaMatrix(ring, tuple(entries))

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
 from .ideals import (
@@ -27,6 +25,7 @@ from .rings import (
     is_field,
     is_local,
     mask_elements,
+    pair_homs,
     product,
     quotient,
     subgroup_sum_mask,
@@ -113,12 +112,7 @@ def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike], max_order: Optional[
     base = fam.ring
     qs = [quotient(base, i, max_order=max_order) for i in fam.ideals]
     pr = product([q.ring for q in qs], max_order=max_order)
-    emb = np.zeros(base.order, dtype=np.int64)
-    s = pr.ring.order
-    for q in qs:
-        s //= q.ring.order
-        emb += s * q.projection.map.astype(np.int64)
-    hom = RingHom(base, pr.ring, emb)
+    hom = pair_homs(base, pr, [q.projection.map for q in qs])
     if not hom.is_injective:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
     ext = Extension(base, pr.ring, hom)

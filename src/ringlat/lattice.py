@@ -16,14 +16,17 @@ from .rings import (
     FiniteRing,
     RingHom,
     closure_mask,
+    cosets,
     enumerate_closed_subsets,
     extend_closure_mask,
     is_field,
     is_local,
     mask_elements,
+    pair_homs,
     product,
     quotient,
     subgroup_sum_mask,
+    subset_ring,
 )
 
 
@@ -69,16 +72,8 @@ def product_extension(parts: Sequence[Extension], max_order: Optional[int] = Non
         raise PreconditionError("product of no extensions")
     base_pr = product([e.base for e in parts], max_order=max_order)
     top_pr = product([e.top for e in parts], max_order=max_order)
-    base, top = base_pr.ring, top_pr.ring
-    strides = []
-    s = top.order
-    for e in parts:
-        s //= e.top.order
-        strides.append(s)
-    emb = np.zeros(base.order, dtype=np.int64)
-    for i, e in enumerate(parts):
-        emb += strides[i] * e.embed.map[base_pr.projections[i].map].astype(np.int64)
-    return Extension(base, top, RingHom(base, top, emb))
+    maps = [e.embed.map[c] for e, c in zip(parts, base_pr.components)]
+    return Extension(base_pr.ring, top_pr.ring, pair_homs(base_pr.ring, top_pr, maps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +121,7 @@ def realize(sub: Subalgebra) -> SubalgebraRealization:
     ext = sub.extension
     top = ext.top
     elems = np.asarray(sub.elements, dtype=np.intp)
-    pos = {int(x): i for i, x in enumerate(elems)}
-    k = len(elems)
-    lookup = np.full(top.order, -1, dtype=np.int32)
-    lookup[elems] = np.arange(k)
-    add = lookup[top.add[np.ix_(elems, elems)]]
-    mul = lookup[top.mul[np.ix_(elems, elems)]]
-    ring = FiniteRing(k, add, mul, pos[top.zero], pos[top.one], f"{top.label}|{k}")
+    ring, lookup = subset_ring(top, elems, top.one, f"{top.label}|{len(elems)}")
     include = RingHom(ring, top, elems.astype(np.int32))
     from_base = RingHom(ext.base, ring, lookup[ext.embed.map])
     return SubalgebraRealization(ring, include, from_base)
@@ -318,20 +307,6 @@ def length_and_chains(report: LatticeReport, cap: int = CHAIN_CAP) -> ChainRepor
 # ---------------------------------------------------------------------------
 # extension predicates
 
-def is_integral(ext: Extension) -> bool:
-    """Every element satisfies a monic relation; witnessed by a repeat in its
-    power sequence (x^i = x^j gives the monic x^j - x^i)."""
-    top = ext.top
-    for s in range(top.order):
-        seen = set()
-        x = top.one
-        while x not in seen:
-            seen.add(x)
-            x = int(top.mul[x, s])
-        # a repeat always exists in a finite ring
-    return True
-
-
 def _prime_pullbacks(ext: Extension) -> list[tuple[Ideal, np.ndarray]]:
     """Each prime of the top with the mask of its contraction to the base."""
     return [(q, q.mask[ext.embed.map]) for q in spectrum(ext.top).primes]
@@ -382,13 +357,18 @@ def is_tclosed(ext: Extension) -> bool:
     return not bool((c1 & c2).any())
 
 
+def _span(top: FiniteRing, img: np.ndarray, coeffs: np.ndarray, t: int) -> np.ndarray:
+    """The elements of R + Jt, for R and J given by their top indices img and
+    coeffs."""
+    return np.unique(top.add[np.ix_(img, np.unique(top.mul[coeffs, t]))])
+
+
 def is_quadratic(ext: Extension) -> bool:
     """Every module span R + Rt is multiplicatively closed."""
     top = ext.top
     img = np.asarray(ext.image, dtype=np.intp)
     for t in range(top.order):
-        rt = np.unique(top.mul[img, t])
-        span = np.unique(top.add[np.ix_(img, rt)].ravel())
+        span = _span(top, img, img, t)
         smask = np.zeros(top.order, dtype=bool)
         smask[span] = True
         if not smask[top.mul[np.ix_(span, span)]].all():
@@ -408,32 +388,24 @@ def is_delta(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
     return True
 
 
-def _quotient_module_tables(ext: Extension):
-    """S/R as a base-module: coset add table, action table, coset map."""
-    top = ext.top
-    img = np.asarray(ext.image, dtype=np.intp)
-    reps = top.add[:, img].min(axis=1)
-    rep_sorted = np.unique(reps)
-    coset_of = np.searchsorted(rep_sorted, reps)
-    n = len(rep_sorted)
-    add = coset_of[top.add[np.ix_(rep_sorted, rep_sorted)]]
-    action = coset_of[top.mul[np.ix_(ext.embed.map, rep_sorted)]]
-    zero = int(coset_of[top.zero])
-    return n, add, action, zero, coset_of
-
-
 def is_delta0(ext: Extension) -> bool:
     """Every base-submodule of S containing R is multiplicatively closed.
 
     Each span R + Rt is such a submodule, so Delta0 implies quadratic and a
-    failed is_quadratic answers False exactly.  Otherwise the submodules
-    containing R, which correspond to the submodules of the quotient module
-    S/R, are enumerated, pulled back and tested."""
-    if not is_quadratic(ext):
-        return False
+    failed is_quadratic answers False exactly."""
+    return is_quadratic(ext) and _submodules_over_base_closed(ext)
+
+
+def _submodules_over_base_closed(ext: Extension) -> bool:
+    """Delta0 for a quadratic extension: the submodules containing R, which
+    correspond to the submodules of the quotient module S/R, are enumerated,
+    pulled back and tested."""
     top = ext.top
-    n, add, action, zero, coset_of = _quotient_module_tables(ext)
-    subs = enumerate_closed_subsets(n, [zero], internal=(add,), absorbing=(action,))
+    coset_of, reps = cosets(top.add, np.asarray(ext.image, dtype=np.intp))
+    add = coset_of[top.add[np.ix_(reps, reps)]]
+    action = coset_of[top.mul[np.ix_(ext.embed.map, reps)]]
+    subs = enumerate_closed_subsets(len(reps), [coset_of[top.zero]], internal=(add,),
+                                    absorbing=(action,))
     for sm in subs:
         pull = sm[coset_of]
         idx = np.flatnonzero(pull)
@@ -473,8 +445,6 @@ def classify_minimal(
     report = report or intermediate_algebras(ext, max_order=max_order)
     if report.count != 2:
         return MinimalClassification("not_minimal", None, ())
-    if not is_integral(ext):
-        raise InternalCheckError("unreachable: minimal extension of finite rings is not integral")
     base, top = ext.base, ext.top
     m = conductor(ext)
     if not is_field(quotient(base, m).ring):
@@ -559,13 +529,7 @@ def gilbert_bijection(ext: Extension, report: Optional[LatticeReport] = None) ->
     report = report or intermediate_algebras(ext)
     top = ext.top
     img = np.asarray(ext.image, dtype=np.intp)
-    t_found = None
-    for t in range(top.order):
-        rt = np.unique(top.mul[img, t])
-        span = np.unique(top.add[np.ix_(img, rt)].ravel())
-        if len(span) == top.order:
-            t_found = t
-            break
+    t_found = next((t for t in range(top.order) if len(_span(top, img, img, t)) == top.order), None)
     if t_found is None:
         raise NotApplicableError("extension is not of the form R + Rt")
     cond = conductor(ext)
@@ -574,9 +538,8 @@ def gilbert_bijection(ext: Extension, report: Optional[LatticeReport] = None) ->
     for j in all_ideals(ext.base):
         if not contains(j, cond):
             continue
-        jt = np.unique(top.mul[ext.embed.map[np.asarray(j.elements, dtype=np.intp)], t_found])
-        node = np.unique(top.add[np.ix_(img, jt)].ravel())
-        idx = report.node_index(node)
+        j_top = ext.embed.map[np.asarray(j.elements, dtype=np.intp)]
+        idx = report.node_index(_span(top, img, j_top, t_found))
         if idx is None:
             raise InternalCheckError("R + Jt is not a lattice node")
         if idx in seen:
@@ -688,14 +651,17 @@ def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None)
 def predicate_battery(ext: Extension, report: Optional[LatticeReport] = None) -> dict:
     """All boolean extension predicates at once (CLI support)."""
     report = report or intermediate_algebras(ext)
+    quadratic = is_quadratic(ext)
     return {
-        "integral": is_integral(ext),
+        # every element of a finite ring has a repeating power sequence,
+        # and x^i = x^j is a monic relation
+        "integral": True,
         "infra_integral": is_infra_integral(ext),
         "subintegral": is_subintegral(ext),
         "seminormal": is_seminormal(ext),
         "t_closed": is_tclosed(ext),
-        "quadratic": is_quadratic(ext),
+        "quadratic": quadratic,
         "delta": is_delta(ext, report),
-        "delta0": is_delta0(ext),
+        "delta0": quadratic and _submodules_over_base_closed(ext),
         "pointwise_minimal": is_pointwise_minimal(ext, report),
     }

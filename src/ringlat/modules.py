@@ -26,9 +26,14 @@ from .rings import (
     Ideal,
     RingHom,
     closure_mask,
+    cosets,
     enumerate_closed_subsets,
     is_local,
     mask_elements,
+    pair_homs,
+    product,
+    product_components,
+    product_index,
     quotient,
 )
 
@@ -95,60 +100,15 @@ def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike],
             ids.append(s)
         else:
             ids.append(ideal_generated(ring, s))
-    comps = []
-    total = 1
-    for i in ids:
-        if i.is_whole:
-            comps.append(None)  # zero component R/R
-            continue
-        q = quotient(ring, i, max_order=max_order)
-        comps.append(q)
-        total *= q.ring.order
-    if total > arith_limit(max_order):
-        raise SizeLimitError(f"module order {total} exceeds bound")
-    live = [c for c in comps if c is not None]
+    # the zero summands R/R drop out
+    live = [quotient(ring, i, max_order=max_order) for i in ids if not i.is_whole]
     if not live:
         return module_from_cyclics(ring, [], max_order=max_order)
-    n = total
-    digits = []
-    stride = n
-    for c in live:
-        stride //= c.ring.order
-        digits.append((c, stride))
-    idx = np.arange(n)
-    comp_vals = []
-    for c, stride in digits:
-        comp_vals.append((idx // stride) % c.ring.order)
-    add = np.zeros((n, n), dtype=np.int64)
-    for (c, stride), v in zip(digits, comp_vals):
-        add += stride * c.ring.add[np.ix_(v, v)].astype(np.int64)
-    action = np.zeros((ring.order, n), dtype=np.int64)
-    for (c, stride), v in zip(digits, comp_vals):
-        action += stride * c.ring.mul[np.ix_(c.projection.map, v)].astype(np.int64)
-    zero = 0
-    for (c, stride), _ in zip(digits, comp_vals):
-        zero += stride * c.ring.zero
-    label = "(+)".join(c.ring.label for c, _ in digits)
-    return FiniteModule(ring, n, add.astype(np.int32), int(zero), action.astype(np.int32), label)
-
-
-def module_from_algebra(ext: Extension) -> FiniteModule:
-    """The top of an extension as a module over the base."""
-    top = ext.top
-    return FiniteModule(ext.base, top.order, top.add, top.zero,
-                        top.mul[ext.embed.map], top.label)
-
-
-def submodule_as_module(m: FiniteModule, elements: Sequence[int]) -> FiniteModule:
-    elems = np.asarray(sorted(int(x) for x in elements), dtype=np.intp)
-    lookup = np.full(m.order, -1, dtype=np.int32)
-    lookup[elems] = np.arange(len(elems))
-    add = lookup[m.add[np.ix_(elems, elems)]]
-    action = lookup[m.action[:, elems]]
-    if (add < 0).any() or (action < 0).any():
-        raise PreconditionError("subset is not a submodule")
-    return FiniteModule(m.ring, len(elems), add, int(lookup[m.zero]), action,
-                        f"{m.label}|{len(elems)}")
+    pr = product([q.ring for q in live], max_order=max_order)
+    pair = pair_homs(ring, pr, [q.projection.map for q in live])
+    label = "(+)".join(q.ring.label for q in live)
+    return FiniteModule(ring, pr.ring.order, pr.ring.add, pr.ring.zero, pr.ring.mul[pair.map],
+                        label)
 
 
 @dataclass(frozen=True)
@@ -162,13 +122,10 @@ def quotient_module(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult
     sub_idx = np.asarray(sorted(int(x) for x in sub), dtype=np.intp)
     if m.zero not in set(int(x) for x in sub_idx):
         raise PreconditionError("submodule must contain zero")
-    reps = m.add[:, sub_idx].min(axis=1)
-    rep_sorted = np.unique(reps)
-    coset_of = np.searchsorted(rep_sorted, reps).astype(np.int32)
-    n = len(rep_sorted)
-    add = coset_of[m.add[np.ix_(rep_sorted, rep_sorted)]]
-    action = coset_of[m.action[:, rep_sorted]]
-    mod = FiniteModule(m.ring, n, add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub_idx)}")
+    coset_of, reps = cosets(m.add, sub_idx)
+    add = coset_of[m.add[np.ix_(reps, reps)]]
+    action = coset_of[m.action[:, reps]]
+    mod = FiniteModule(m.ring, len(reps), add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub_idx)}")
     return QuotientModuleResult(mod, coset_of)
 
 
@@ -288,10 +245,11 @@ class IdealizationResult:
     module: FiniteModule
 
     def pair_index(self, r: int, x: int) -> int:
-        return r * self.module.order + x
+        return int(product_index((self.module.ring.order, self.module.order), (r, x)))
 
     def split_index(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.module.order)
+        r, x = product_components((self.module.ring.order, self.module.order), i)
+        return int(r), int(x)
 
 
 def idealize(ring: FiniteRing, m: FiniteModule, max_order: Optional[int] = None) -> IdealizationResult:
@@ -300,18 +258,16 @@ def idealize(ring: FiniteRing, m: FiniteModule, max_order: Optional[int] = None)
     n = ring.order * m.order
     if n > arith_limit(max_order):
         raise SizeLimitError(f"idealization order {n} exceeds bound")
-    idx = np.arange(n)
-    r = (idx // m.order).astype(np.intp)
-    x = (idx % m.order).astype(np.intp)
-    add = (ring.add[r[:, None], r[None, :]].astype(np.int64) * m.order
-           + m.add[x[:, None], x[None, :]])
+    # the underlying set is R x M, laid out as a product
+    orders = (ring.order, m.order)
+    r, x = product_components(orders, np.arange(n))
+    add = product_index(orders, (ring.add[r[:, None], r[None, :]], m.add[x[:, None], x[None, :]]))
     mixed = m.add[m.action[r[:, None], x[None, :]], m.action[r[None, :], x[:, None]]]
-    mul = ring.mul[r[:, None], r[None, :]].astype(np.int64) * m.order + mixed
-    zero = ring.zero * m.order + m.zero
-    one = ring.one * m.order + m.zero
-    out = FiniteRing(n, add.astype(np.int32), mul.astype(np.int32), int(zero), int(one),
-                     f"{ring.label}(+){m.label}")
-    emb = (np.arange(ring.order, dtype=np.int64) * m.order + m.zero).astype(np.int32)
+    mul = product_index(orders, (ring.mul[r[:, None], r[None, :]], mixed))
+    zero = product_index(orders, (ring.zero, m.zero))
+    one = product_index(orders, (ring.one, m.zero))
+    out = FiniteRing(n, add, mul, int(zero), int(one), f"{ring.label}(+){m.label}")
+    emb = product_index(orders, (np.arange(ring.order), m.zero))
     return IdealizationResult(out, RingHom(ring, out, emb), m)
 
 
@@ -319,6 +275,12 @@ def idealization_extension(ring: FiniteRing, m: FiniteModule,
                            max_order: Optional[int] = None) -> tuple[Extension, IdealizationResult]:
     idl = idealize(ring, m, max_order=max_order)
     return Extension(ring, idl.ring, idl.embed), idl
+
+
+def _idealization_members(ring: FiniteRing, m: FiniteModule, sub: Sequence[int]) -> np.ndarray:
+    """The indices of R(+)N in R(+)M for a submodule N."""
+    orders = (ring.order, m.order)
+    return product_index(orders, (np.arange(ring.order)[:, None], np.asarray(sub)[None, :])).ravel()
 
 
 @dataclass(frozen=True)
@@ -339,8 +301,7 @@ def idealization_lattice_bijection(ring: FiniteRing, m: FiniteModule,
     pairs = []
     seen = set()
     for si, sub in enumerate(lat.nodes):
-        members = (np.arange(ring.order, dtype=np.int64)[:, None] * m.order
-                   + np.asarray(sub, dtype=np.int64)[None, :]).ravel()
+        members = _idealization_members(ring, m, sub)
         ni = report.node_index(sorted(int(v) for v in members))
         if ni is None or ni in seen:
             return BijectionReport(lat.count, report.count, tuple(pairs), False)
@@ -370,8 +331,7 @@ def interval_length(ring: FiniteRing, m: FiniteModule, sub: Sequence[int],
     """Compare the interval above R(+)N in [R, R(+)M] with L(M/N), nu(M/N)."""
     ext, idl = idealization_extension(ring, m, max_order=max_order)
     sub_sorted = tuple(sorted(int(x) for x in sub))
-    members = (np.arange(ring.order, dtype=np.int64)[:, None] * m.order
-               + np.asarray(sub_sorted, dtype=np.int64)[None, :]).ravel()
+    members = _idealization_members(ring, m, sub_sorted)
     node = Subalgebra(ext, tuple(int(v) for v in np.sort(members)))
     upper = intermediate_algebras(upper_extension(node), max_order=max_order)
     q = quotient_module(m, sub_sorted).module
@@ -441,8 +401,6 @@ class CensusResult:
 
 
 def componentwise_census(field: FiniteRing, n: int, max_order: Optional[int] = None) -> CensusResult:
-    from .rings import product
-
     pr = product([field] * n, max_order=max_order)
     m = module_from_ring(pr.ring)
     lat = submodules(m, max_order=max_order)

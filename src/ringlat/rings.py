@@ -9,6 +9,7 @@ all pairs at construction time.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -437,53 +438,83 @@ def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     return FiniteRing(q, add, mul, 0, 1, f"GF({q})")
 
 
-@dataclass(frozen=True)
+def product_components(orders: Sequence[int], x):
+    """Components of the element x (an index or an index array) of a product
+    of rings with the given orders: the index is a mixed-radix number whose
+    most significant digit is the first component."""
+    out = []
+    for o in reversed(orders):
+        x, d = divmod(x, o)
+        out.append(d)
+    return out[::-1]
+
+
+def product_index(orders: Sequence[int], parts):
+    """The element with the given components (indices or broadcastable index
+    arrays); inverse of product_components."""
+    x = np.int64(0)
+    for o, c in zip(orders, parts):
+        x = x * o + c
+    return x
+
+
+@dataclass(frozen=True, eq=False)
 class ProductResult:
-    """A finite product ring with its projections and, when every factor has
-    identical tables, the diagonal embedding."""
+    """A finite product ring; components[i][x] is the i-th component of the
+    element x.  The projections and, when every factor has identical tables,
+    the diagonal embedding are built on first read."""
 
     ring: FiniteRing
-    projections: tuple[RingHom, ...]
-    diagonal: Optional[RingHom]
+    factors: tuple[FiniteRing, ...]
+    components: tuple[np.ndarray, ...]
+
+    @property
+    def orders(self) -> list[int]:
+        return [f.order for f in self.factors]
+
+    @cached_property
+    def projections(self) -> tuple[RingHom, ...]:
+        return tuple(RingHom(self.ring, f, c) for f, c in zip(self.factors, self.components))
+
+    @cached_property
+    def diagonal(self) -> Optional[RingHom]:
+        first = self.factors[0]
+        if not all(same_tables(r, first) for r in self.factors[1:]):
+            return None
+        return pair_homs(first, self, [np.arange(first.order)] * len(self.factors))
 
 
 def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> ProductResult:
-    """Direct product with componentwise operations; first factor is the most
-    significant digit of the element index."""
+    """Direct product with componentwise operations, laid out as in
+    product_components."""
     if not factors:
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
-    total = 1
-    for o in orders:
-        total *= o
+    total = math.prod(orders)
     if total > arith_limit(max_order):
         raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
-    strides = []
-    s = total
-    for o in orders:
-        s //= o
-        strides.append(s)
-    idx = np.arange(total)
-    digits = [(idx // strides[i]) % orders[i] for i in range(len(factors))]
+    comps = tuple(_as_table(c) for c in product_components(orders, np.arange(total)))
     # every entry is below total <= arith_limit, so int32 is exact
     add = np.zeros((total, total), dtype=np.int32)
     mul = np.zeros((total, total), dtype=np.int32)
-    for i, r in enumerate(factors):
-        d = digits[i]
+    for r, c in zip(factors, comps):
         for out, t in ((add, r.add), (mul, r.mul)):
-            part = t[np.ix_(d, d)]
-            part *= strides[i]
-            out += part
-    zero = sum(strides[i] * factors[i].zero for i in range(len(factors)))
-    one = sum(strides[i] * factors[i].one for i in range(len(factors)))
+            out *= r.order
+            out += t[np.ix_(c, c)]
+    zero = int(product_index(orders, [r.zero for r in factors]))
+    one = int(product_index(orders, [r.one for r in factors]))
     label = " x ".join(f"({r.label})" if " x " in r.label else r.label for r in factors)
-    ring = FiniteRing(total, add, mul, int(zero), int(one), label)
-    projections = tuple(RingHom(ring, factors[i], digits[i]) for i in range(len(factors)))
-    diagonal = None
-    if all(same_tables(r, factors[0]) for r in factors[1:]):
-        dmap = np.arange(factors[0].order) * sum(strides)
-        diagonal = RingHom(factors[0], ring, dmap)
-    return ProductResult(ring, projections, diagonal)
+    return ProductResult(FiniteRing(total, add, mul, zero, one, label), tuple(factors), comps)
+
+
+def pair_homs(source: FiniteRing, pr: ProductResult, maps: Sequence[np.ndarray]) -> RingHom:
+    """The hom source -> pr.ring whose i-th component is maps[i], a hom table
+    source -> pr.factors[i] (the universal property of the product)."""
+    maps = [np.asarray(m) for m in maps]
+    if len(maps) != len(pr.factors) or any(
+            m.min(initial=0) < 0 or m.max(initial=0) >= f.order for m, f in zip(maps, pr.factors)):
+        raise PreconditionError("component maps do not match the product factors")
+    return RingHom(source, pr.ring, product_index(pr.orders, maps))
 
 
 @dataclass(frozen=True)
@@ -503,21 +534,27 @@ def _ideal_indices(ring: FiniteRing, ideal) -> np.ndarray:
     return np.asarray(checked.elements, dtype=np.intp)
 
 
+def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
+    """Cosets x + N of the additive subgroup N (its element indices) of the
+    group with table add: the coset number of every element, and the least
+    element of each coset in increasing order."""
+    least = add[:, sub].min(axis=1)
+    reps = np.unique(least)
+    return np.searchsorted(reps, least).astype(np.int32), reps
+
+
 def quotient(ring: FiniteRing, ideal, max_order: Optional[int] = None) -> QuotientResult:
     """R/I with cosets represented by their least element index."""
     idx = _ideal_indices(ring, ideal)
     if len(idx) == ring.order:
         raise PreconditionError("trivial quotient by the whole ring")
-    reps = ring.add[:, idx].min(axis=1)
-    rep_sorted = np.unique(reps)
-    proj = np.searchsorted(rep_sorted, reps)
-    n = len(rep_sorted)
-    add = proj[ring.add[np.ix_(rep_sorted, rep_sorted)]]
-    mul = proj[ring.mul[np.ix_(rep_sorted, rep_sorted)]]
+    proj, reps = cosets(ring.add, idx)
+    add = proj[ring.add[np.ix_(reps, reps)]]
+    mul = proj[ring.mul[np.ix_(reps, reps)]]
     zero = int(proj[ring.zero])
     one = int(proj[ring.one])
     gens = "{" + ",".join(str(int(i)) for i in idx[:4]) + (",..." if len(idx) > 4 else "") + "}"
-    q = FiniteRing(n, add, mul, zero, one, f"{ring.label}/{gens}")
+    q = FiniteRing(len(reps), add, mul, zero, one, f"{ring.label}/{gens}")
     return QuotientResult(q, RingHom(ring, q, proj))
 
 
@@ -721,6 +758,31 @@ def is_spir(ring: FiniteRing) -> Optional[SpirWitness]:
     return None
 
 
+def subset_ring(ring: FiniteRing, elems: np.ndarray, one: int,
+                label: str) -> tuple[FiniteRing, np.ndarray]:
+    """The sorted subset elems, closed under + and *, as a ring with unit one,
+    and the lookup array from ring indices to its indices (-1 off the subset)."""
+    lookup = np.full(ring.order, -1, dtype=np.int32)
+    lookup[elems] = np.arange(len(elems))
+    add = lookup[ring.add[np.ix_(elems, elems)]]
+    mul = lookup[ring.mul[np.ix_(elems, elems)]]
+    return FiniteRing(len(elems), add, mul, int(lookup[ring.zero]), int(lookup[one]), label), lookup
+
+
+def prime_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
+    """The map k*1 -> k*1 out of a ring whose additive group is generated by 1
+    (Z/n, GF(p)); PreconditionError when 1 does not generate it or the map is
+    not a ring hom."""
+    emb = np.full(source.order, -1, dtype=np.int64)
+    r, s = source.zero, target.zero
+    while emb[r] < 0:
+        emb[r] = s
+        r, s = int(source.add[r, source.one]), int(target.add[s, target.one])
+    if (emb < 0).any():
+        raise PreconditionError("the base is not generated by 1")
+    return RingHom(source, target, emb)
+
+
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Local factors eR for the primitive idempotents e, with projections and
@@ -743,30 +805,12 @@ def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
         raise InternalCheckError("primitive idempotents do not sum to one")
     factors = []
     for e in atoms:
-        elems = np.unique(ring.mul[e])
-        pos = {int(x): i for i, x in enumerate(elems)}
-        k = len(elems)
-        sub_add = np.empty((k, k), dtype=np.int32)
-        sub_mul = np.empty((k, k), dtype=np.int32)
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                sub_add[i, j] = pos[int(ring.add[x, y])]
-                sub_mul[i, j] = pos[int(ring.mul[x, y])]
-        fring = FiniteRing(k, sub_add, sub_mul, pos[ring.zero], pos[int(e)], f"{ring.label}.e{e}")
-        proj = RingHom(ring, fring, np.array([pos[int(ring.mul[e, r])] for r in range(ring.order)]))
-        factors.append((fring, proj))
+        fring, lookup = subset_ring(ring, np.unique(ring.mul[e]), e, f"{ring.label}.e{e}")
+        factors.append((fring, RingHom(ring, fring, lookup[ring.mul[e]])))
     prod = product([f for f, _ in factors])
-    strides = []
-    s = prod.ring.order
-    for f, _ in factors:
-        s //= f.order
-        strides.append(s)
-    iso_map = np.zeros(ring.order, dtype=np.int64)
-    for i, (_, proj) in enumerate(factors):
-        iso_map += strides[i] * proj.map.astype(np.int64)
-    if len(np.unique(iso_map)) != ring.order or prod.ring.order != ring.order:
+    iso = pair_homs(ring, prod, [proj.map for _, proj in factors])
+    if not iso.is_injective or prod.ring.order != ring.order:
         raise InternalCheckError("local decomposition is not an isomorphism")
-    iso = RingHom(ring, prod.ring, iso_map)
     return LocalDecomposition(tuple(factors), prod.ring, iso)
 
 

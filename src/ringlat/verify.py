@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from . import closures as cl
 from . import combinatorics as cb
 from . import crt as cr
@@ -68,24 +66,13 @@ def _named_rings() -> dict[str, rg.FiniteRing]:
     return out
 
 
-def _prime_field_embedding(base: rg.FiniteRing, top: rg.FiniteRing) -> rg.RingHom:
-    """The unital map on a base generated by 1."""
-    emb = np.zeros(base.order, dtype=np.int32)
-    r, s = base.zero, top.zero
-    for _ in range(base.order):
-        emb[r] = s
-        r = int(base.add[r, base.one])
-        s = int(top.add[s, top.one])
-    return rg.RingHom(base, top, emb)
-
-
 @lru_cache(maxsize=None)
 def _named_extensions() -> list[tuple[str, lt.Extension]]:
     """The minimal-extension showcase: one of each kind plus a CRT case."""
     rings = _named_rings()
     f2 = rings["F2"]
     out = []
-    out.append(("F2 in F4", lt.Extension(f2, rings["F4"], _prime_field_embedding(f2, rings["F4"]))))
+    out.append(("F2 in F4", lt.Extension(f2, rings["F4"], rg.prime_hom(f2, rings["F4"]))))
     out.append(("F2 in F2^2", lt.power_extension(f2, 2)))
     eps = rg.poly_quotient(f2, [0, 0, 1], var="t")
     out.append(("F2 in F2[t]/(t^2)", lt.Extension(f2, eps.ring, eps.to_quotient)))

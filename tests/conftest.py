@@ -37,3 +37,14 @@ def z12():
 def f2_eps(f2):
     # F2[t]/(t^2), the smallest non-reduced ring
     return rg.poly_quotient(f2, [0, 0, 1], var="t").ring
+
+
+@pytest.fixture(scope="session")
+def brute_force_cosets():
+    """Oracle for least-representative quotients: the distinct sets x + N
+    (N given by its element indices) of the group with table add, ordered
+    by least element."""
+    def cosets(add, sub):
+        classes = {frozenset(int(add[x, s]) for s in sub) for x in range(len(add))}
+        return sorted(classes, key=min)
+    return cosets

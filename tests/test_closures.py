@@ -64,11 +64,6 @@ def test_canonical_decomposition_chain(z4_square):
     assert list(data["seminormalization"]) == list(Z4_SQUARE_PLUS)
 
 
-def test_integral_closure_is_whole_top(f2, f4):
-    ext = lt.Extension(f2, f4, rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
-    assert cl.integral_closure(ext).order == 4
-
-
 def test_diagonal_formulas_pass(z4):
     eps = rg.poly_quotient(z4, [0, 0, 1], var="u")
     fac = lt.Extension(z4, eps.ring, eps.to_quotient)

@@ -197,13 +197,21 @@ def _delta0_by_enumeration(ext):
     ("Z/2", "Z/2[t]/(t^2) x Z/2[t]/(t^2)", False, False),
     ("Z/3", "GF(3^2) x Z/3", False, False),
 ])
-def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0):
+def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0, brute_force_cosets):
     from ringlat.cli import resolve_extension
 
     ext = resolve_extension(base, top, None)
     assert lt.is_quadratic(ext) is quadratic
     assert _delta0_by_enumeration(ext) is delta0
     assert lt.is_delta0(ext) is delta0
+    battery = lt.predicate_battery(ext)
+    assert (battery["quadratic"], battery["delta0"]) == (quadratic, delta0)
+    # the coset step that turns S into the base-module S/R
+    classes = brute_force_cosets(ext.top.add, ext.image)
+    coset_of, reps = rg.cosets(ext.top.add, np.asarray(ext.image))
+    assert list(reps) == [min(c) for c in classes]
+    assert [set(np.flatnonzero(coset_of == k).tolist()) for k in range(len(classes))] \
+        == [set(c) for c in classes]
 
 
 def test_spectral_predicates_past_the_lattice_bound():

@@ -73,6 +73,59 @@ def test_quotient_module(z8):
     md.check_module(out.module)
 
 
+def _direct_sum_oracle(ring, gens):
+    """The direct sum of the cyclic modules R/(g), built element by
+    element over component tuples, first summand most significant."""
+    from itertools import product as tuples
+
+    from ringlat.ideals import ideal_generated
+
+    qs = [rg.quotient(ring, ideal_generated(ring, g)) for g in gens
+          if not ideal_generated(ring, g).is_whole]
+    elems = list(tuples(*(range(q.ring.order) for q in qs)))
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[tuple(int(q.ring.add[a, b]) for q, a, b in zip(qs, x, y))] for y in elems]
+           for x in elems]
+    action = [[index[tuple(int(q.ring.mul[q.projection.map[r], a]) for q, a in zip(qs, x))]
+               for x in elems] for r in range(ring.order)]
+    return add, action, index[tuple(q.ring.zero for q in qs)], "(+)".join(q.ring.label for q in qs)
+
+
+@pytest.mark.parametrize("n, gens", [
+    (4, [[2], [0]]),
+    (12, [[4], [3], [3]]),
+    (8, [[4], [0]]),
+    (6, [[3], [2]]),
+    (4, [[1], [2], [0]]),
+])
+def test_cyclic_sum_matches_componentwise_oracle(n, gens):
+    ring = rg.make_zmod(n)
+    mod = md.module_from_cyclics(ring, gens)
+    add, action, zero, label = _direct_sum_oracle(ring, gens)
+    assert mod.add.tolist() == add
+    assert mod.action.tolist() == action
+    assert (mod.zero, mod.label) == (zero, label)
+
+
+@pytest.mark.parametrize("build, seed", [
+    (lambda: md.module_from_ring(rg.make_zmod(8)), [4]),
+    (lambda: md.module_from_cyclics(rg.make_zmod(4), [[2], [0]]), [1]),
+    (lambda: md.module_from_cyclics(rg.make_zmod(12), [[4], [3], [3]]), [5]),
+    (lambda: md.module_from_cyclics(rg.make_zmod(6), [[3], [2]]), [2]),
+])
+def test_quotient_module_matches_brute_force_cosets(build, seed, brute_force_cosets):
+    mod = build()
+    sub = md.submodule_closure(mod, seed)
+    classes = brute_force_cosets(mod.add, sub)
+    q = md.quotient_module(mod, sub)
+    assert q.module.order == len(classes)
+    assert [set(np.flatnonzero(q.projection == k).tolist()) for k in range(len(classes))] \
+        == [set(c) for c in classes]
+    reps = [min(c) for c in classes]
+    assert q.module.add.tolist() == [[int(q.projection[mod.add[a, b]]) for b in reps] for a in reps]
+    md.check_module(q.module)
+
+
 def test_idealization_of_free_line(f2, f2_eps):
     idl = md.idealize(f2, md.module_from_ring(f2))
     assert idl.ring.order == 4

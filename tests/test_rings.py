@@ -66,6 +66,74 @@ def test_product_projections_and_diagonal(z4, f3):
     assert same.diagonal.is_injective
 
 
+@pytest.mark.parametrize("source, factors", [
+    ("Z/60", ["Z/4", "Z/3", "Z/5"]),
+    ("Z/6", ["Z/3", "Z/2"]),
+    ("Z/12", ["Z/4", "Z/3", "Z/3"]),
+    ("Z/2", ["GF(2^2)", "Z/2", "Z/2[t]/(t^2)"]),
+])
+def test_product_layout_matches_oracle(source, factors):
+    from itertools import product as tuples
+
+    from ringlat.dsl import build_text
+
+    src = build_text(source).ring
+    rings = [build_text(f).ring for f in factors]
+    pr = rg.product(rings)
+    # the first factor is the most significant digit of the element index
+    want = list(tuples(*(range(r.order) for r in rings)))
+    assert [tuple(int(c[x]) for c in pr.components) for x in range(pr.ring.order)] == want
+    assert rg.product_components(pr.orders, 7 % pr.ring.order) == list(want[7 % pr.ring.order])
+    for x, y in [(1, 2), (pr.ring.order - 1, 3 % pr.ring.order)]:
+        for table, name in ((pr.ring.add, "add"), (pr.ring.mul, "mul")):
+            assert want[table[x, y]] == tuple(int(getattr(r, name)[a, b])
+                                              for r, a, b in zip(rings, want[x], want[y]))
+    maps = [rg.prime_hom(src, r).map for r in rings]
+    paired = rg.pair_homs(src, pr, maps)
+    for c, m in zip(pr.components, maps):
+        assert np.array_equal(c[paired.map], m)
+    ident = rg.pair_homs(pr.ring, pr, pr.components)
+    assert np.array_equal(ident.map, np.arange(pr.ring.order))
+    with pytest.raises(PreconditionError):
+        rg.pair_homs(src, pr, maps[:-1])
+    # a component outside its factor would alias: these pack to the identity
+    c = pr.components
+    with pytest.raises(PreconditionError):
+        rg.pair_homs(pr.ring, pr, [0 * c[0], c[1] + c[0] * rings[1].order, *c[2:]])
+
+
+def test_prime_hom_needs_a_base_generated_by_one(f2, f4):
+    assert list(rg.prime_hom(rg.make_zmod(6), f2).map) == [0, 1, 0, 1, 0, 1]
+    square = rg.product([f2, f2]).ring
+    with pytest.raises(PreconditionError, match="not generated by 1"):
+        rg.prime_hom(square, square)
+    with pytest.raises(PreconditionError):
+        rg.prime_hom(rg.make_zmod(3), f4)  # 3*1 = 1 in GF(4)
+
+
+@pytest.mark.parametrize("ring, gens", [
+    ("Z/12", [4]),
+    ("Z/12", [6]),
+    ("Z/4 x Z/3 x Z/5", [30]),  # (2, 0, 0)
+    ("Z/2[t]/(t^3)", [4]),  # t^2
+    ("GF(2^2) x Z/4", [2]),  # (0, 2)
+])
+def test_quotient_matches_brute_force_cosets(ring, gens, brute_force_cosets):
+    from ringlat.dsl import build_text
+    from ringlat.ideals import ideal_generated
+
+    r = build_text(ring).ring
+    ideal = ideal_generated(r, gens)
+    classes = brute_force_cosets(r.add, ideal.elements)
+    qr = rg.quotient(r, ideal)
+    assert qr.ring.order == len(classes)
+    assert [set(np.flatnonzero(qr.projection.map == k).tolist()) for k in range(len(classes))] \
+        == [set(c) for c in classes]
+    coset_of, reps = rg.cosets(r.add, np.asarray(ideal.elements))
+    assert list(reps) == [min(c) for c in classes]
+    assert np.array_equal(coset_of, qr.projection.map)
+
+
 def test_quotient_of_zmod(z12):
     from ringlat.ideals import ideal_generated
 

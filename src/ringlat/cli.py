@@ -263,22 +263,29 @@ def _cmd_idealize(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(f"not an integer: {text!r}") from None
+
+
 def _cmd_count(args) -> int:
     if args.what == "bell":
         if len(args.rest) != 1:
             raise PreconditionError("usage: count bell <n>")
-        print(cb.bell(int(args.rest[0])))
+        print(cb.bell(_int_arg(args.rest[0])))
         return 0
     if args.what == "stirling":
         if len(args.rest) != 2:
             raise PreconditionError("usage: count stirling <n> <p>")
-        print(cb.stirling2(int(args.rest[0]), int(args.rest[1])))
+        print(cb.stirling2(_int_arg(args.rest[0]), _int_arg(args.rest[1])))
         return 0
     if args.what == "exal":
         if len(args.rest) != 3:
             raise PreconditionError("usage: count exal <ring> <p> <n>")
         ring = dsl.build_text(args.rest[0]).ring
-        print(cb.enumerate_exal(ring, int(args.rest[1]), int(args.rest[2])).count)
+        print(cb.enumerate_exal(ring, _int_arg(args.rest[1]), _int_arg(args.rest[2])).count)
         return 0
     raise PreconditionError(f"unknown count {args.what!r}; use bell, stirling or exal")
 

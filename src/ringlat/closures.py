@@ -5,7 +5,7 @@ always the whole top and is not computed."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .lattice import (
     is_subintegral,
     is_tclosed,
     realize,
+    seminormal_candidates,
+    tclosed_candidates,
 )
 from .rings import (
     FiniteRing,
@@ -33,56 +35,33 @@ from .rings import (
 )
 
 
-def seminormalization(ext: Extension, _order: Optional[Sequence[int]] = None) -> Subalgebra:
-    """Largest T in [R,S] with R in T subintegral.
+def _fixpoint(ext: Extension, candidates: Callable[[FiniteRing, np.ndarray], np.ndarray]) -> Subalgebra:
+    """Adjoin every candidate of a round at once and take the subring
+    closure, until a round finds none.
 
-    Fixpoint: adjoin any b with b^2 and b^3 already in T, take the subring
-    closure, repeat to stability.  The result does not depend on the
-    adjunction order."""
+    A candidate b of T is still a candidate of every larger subring that
+    misses b, so every adjunction order stops at the same subring: the
+    least one above R without candidates."""
     top = ext.top
     mask = ext.image_mask.copy()
-    idx = np.arange(top.order)
-    sq = top.mul.diagonal()
-    cube = top.mul[sq, idx]
-    order = idx if _order is None else np.asarray(list(_order), dtype=np.intp)
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            if mask[b]:
-                continue
-            if mask[sq[b]] and mask[cube[b]]:
-                mask = extend_closure_mask(top.order, mask, [int(b)], internal=(top.add, top.mul))
-                changed = True
-    return Subalgebra(ext, mask_elements(mask))
+    while True:
+        new = candidates(top, mask)
+        if not new.size:
+            return Subalgebra(ext, mask_elements(mask))
+        mask = extend_closure_mask(top.order, mask, new, internal=(top.add, top.mul))
 
 
-def t_closure(ext: Extension, _order: Optional[Sequence[int]] = None) -> Subalgebra:
-    """Largest T in [R,S] with R in T infra-integral.
+def seminormalization(ext: Extension) -> Subalgebra:
+    """Largest T in [R,S] with R in T subintegral: the fixpoint of adjoining
+    each b with b^2 and b^3 already in T."""
+    return _fixpoint(ext, seminormal_candidates)
 
-    Fixpoint: adjoin any b admitting r in the current T with b^2 - rb and
+
+def t_closure(ext: Extension) -> Subalgebra:
+    """Largest T in [R,S] with R in T infra-integral: the fixpoint of
+    adjoining each b admitting r in the current T with b^2 - rb and
     b^3 - rb^2 in T; r ranges over T, not over R."""
-    top = ext.top
-    mask = ext.image_mask.copy()
-    idx = np.arange(top.order)
-    sq = top.mul.diagonal()
-    cube = top.mul[sq, idx]
-    order = idx if _order is None else np.asarray(list(_order), dtype=np.intp)
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            if mask[b]:
-                continue
-            members = np.flatnonzero(mask)
-            rb = top.mul[members, b]
-            rb2 = top.mul[members, sq[b]]
-            c1 = mask[top.add[sq[b], top.neg[rb]]]
-            c2 = mask[top.add[cube[b], top.neg[rb2]]]
-            if bool((c1 & c2).any()):
-                mask = extend_closure_mask(top.order, mask, [int(b)], internal=(top.add, top.mul))
-                changed = True
-    return Subalgebra(ext, mask_elements(mask))
+    return _fixpoint(ext, tclosed_candidates)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import arith_limit
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
 from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product,
@@ -239,6 +240,10 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int,
     Two injective morphisms have the same image exactly when they differ by
     an algebra automorphism of the source, so the class count is the count
     of embedded copies of R^p."""
+    # bound p and n before the rows are enumerated and before forming the powers
+    k, limit = max(p, n), arith_limit()
+    if k > limit.bit_length() or ring.order ** k > limit:
+        raise SizeLimitError(f"order {ring.order}^{k} exceeds the arithmetic bound")
     mats = enumerate_homal(ring, p, n, max_matrices=max_matrices)
     source = product([ring] * p).ring
     target = product([ring] * n).ring

@@ -13,6 +13,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     closure_mask,
+    enumerate_submodules,
     mask_elements,
     primitive_idempotents,
     subgroup_sum_mask,
@@ -92,35 +93,14 @@ def _same_ring(a: Ideal, b: Ideal) -> None:
 
 
 def all_ideals(ring: FiniteRing, max_order: Optional[int] = None) -> list[Ideal]:
-    """Every ideal, as the join closure of the principal ideals.
+    """Every ideal: the submodules of R over itself, as the sumset join
+    closure of the principal ideals.
 
     Ordered by cardinality, then lexicographically on the element tuple.
     """
     if ring.order > lattice_limit(max_order):
         raise SizeLimitError(f"ideal enumeration bound exceeded for order {ring.order}")
-    masks: dict[bytes, np.ndarray] = {}
-    principals = []
-    for x in range(ring.order):
-        m = np.zeros(ring.order, dtype=bool)
-        m[np.unique(ring.mul[:, x])] = True
-        key = m.tobytes()
-        if key not in masks:
-            masks[key] = m
-            principals.append(m)
-    frontier = list(masks.values())
-    while frontier:
-        fresh = []
-        for cur in frontier:
-            for p in principals:
-                s = subgroup_sum_mask(ring, cur, p)
-                key = s.tobytes()
-                if key not in masks:
-                    masks[key] = s
-                    fresh.append(s)
-        frontier = fresh
-    out = [Ideal(ring, mask_elements(m)) for m in masks.values()]
-    out.sort(key=lambda i: (i.order, i.elements))
-    return out
+    return [Ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
 
 
 @dataclass(frozen=True)
@@ -132,10 +112,6 @@ class SpectrumReport:
     maximals: tuple[Ideal, ...]
     nilradical: Ideal
     jacobson: Ideal
-
-    def vanishing(self, ideal: Ideal) -> tuple[Ideal, ...]:
-        """V(I): the primes containing the given ideal."""
-        return tuple(p for p in self.primes if contains(p, ideal))
 
 
 def spectrum(ring: FiniteRing) -> SpectrumReport:

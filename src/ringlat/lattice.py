@@ -15,9 +15,11 @@ from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spect
 from .rings import (
     FiniteRing,
     RingHom,
+    _is_prime,
     closure_mask,
     cosets,
     enumerate_closed_subsets,
+    enumerate_submodules,
     extend_closure_mask,
     is_field,
     is_local,
@@ -195,25 +197,15 @@ class LatticeReport:
         return "\n".join(lines) + "\n"
 
 
-def intermediate_algebras(
-    ext: Extension,
-    max_order: Optional[int] = None,
-    element_order: Optional[Sequence[int]] = None,
-) -> LatticeReport:
+def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> LatticeReport:
     """All subalgebras between the image of the base and the top ring.
 
     Computed as the join closure of the atoms, the subalgebras generated by
-    the image and one more element (see enumerate_closed_subsets); the node
-    set and order do not depend on element_order."""
+    the image and one more element (see enumerate_closed_subsets)."""
     top = ext.top
     if top.order > lattice_limit(max_order):
         raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
-    masks = enumerate_closed_subsets(
-        top.order,
-        list(ext.image),
-        internal=(top.add, top.mul),
-        element_order=element_order,
-    )
+    masks = enumerate_closed_subsets(top.order, list(ext.image), internal=(top.add, top.mul))
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
     bottom = next(i for i, node in enumerate(nodes) if node.is_base)
     top_i = next(i for i, node in enumerate(nodes) if node.is_top)
@@ -331,30 +323,33 @@ def is_subintegral(ext: Extension) -> bool:
     return len(seen) == len(pulls) and seen == base_primes
 
 
-def is_seminormal(ext: Extension) -> bool:
-    """No b outside R has both b^2 and b^3 in R."""
-    top = ext.top
-    idx = np.arange(top.order)
+def seminormal_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """The b outside the subring T (given by its mask) with b^2 and b^3 in T."""
     sq = top.mul.diagonal()
-    cube = top.mul[sq, idx]
-    bad = ext.image_mask[sq] & ext.image_mask[cube] & ~ext.image_mask
-    return not bool(bad.any())
+    cube = top.mul[sq, np.arange(top.order)]
+    return np.flatnonzero(mask[sq] & mask[cube] & ~mask)
+
+
+def tclosed_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
+    """The b outside the subring T (given by its mask) admitting r in T with
+    b^2 - rb and b^3 - rb^2 in T, tested on all pairs (r, b) at once."""
+    inside = np.flatnonzero(mask)
+    outside = np.flatnonzero(~mask)
+    sq = top.mul.diagonal()[outside]
+    cube = top.mul[sq, outside]
+    c1 = mask[top.add[sq, top.neg[top.mul[np.ix_(inside, outside)]]]]
+    c2 = mask[top.add[cube, top.neg[top.mul[np.ix_(inside, sq)]]]]
+    return outside[(c1 & c2).any(axis=0)]
+
+
+def is_seminormal(ext: Extension) -> bool:
+    """The seminormalization step adjoins nothing to R."""
+    return not seminormal_candidates(ext.top, ext.image_mask).size
 
 
 def is_tclosed(ext: Extension) -> bool:
-    """No b outside R admits r in R with b^2 - rb and b^3 - rb^2 in R."""
-    top = ext.top
-    outside = np.flatnonzero(~ext.image_mask)
-    if outside.size == 0:
-        return True
-    img = np.asarray(ext.image, dtype=np.intp)
-    sq = top.mul.diagonal()[outside]
-    cube = top.mul[sq, outside]
-    rb = top.mul[np.ix_(img, outside)]
-    rb2 = top.mul[np.ix_(img, sq)]
-    c1 = ext.image_mask[top.add[sq[None, :], top.neg[rb]]]
-    c2 = ext.image_mask[top.add[cube[None, :], top.neg[rb2]]]
-    return not bool((c1 & c2).any())
+    """The t-closure step adjoins nothing to R."""
+    return not tclosed_candidates(ext.top, ext.image_mask).size
 
 
 def _span(top: FiniteRing, img: np.ndarray, coeffs: np.ndarray, t: int) -> np.ndarray:
@@ -404,8 +399,7 @@ def _submodules_over_base_closed(ext: Extension) -> bool:
     coset_of, reps = cosets(top.add, np.asarray(ext.image, dtype=np.intp))
     add = coset_of[top.add[np.ix_(reps, reps)]]
     action = coset_of[top.mul[np.ix_(ext.embed.map, reps)]]
-    subs = enumerate_closed_subsets(len(reps), [coset_of[top.zero]], internal=(add,),
-                                    absorbing=(action,))
+    subs = enumerate_submodules(add, action, coset_of[top.zero])
     for sm in subs:
         pull = sm[coset_of]
         idx = np.flatnonzero(pull)
@@ -466,7 +460,7 @@ def classify_minimal(
             while val < q_s:
                 val *= q_r
                 d += 1
-            if val == q_s and d >= 2 and _is_prime_int(d):
+            if val == q_s and d >= 2 and _is_prime(d):
                 matches.append(("inert", (q,), d))
 
     # decomposed: two maximals with intersection M and trivial residue moves
@@ -505,12 +499,6 @@ def classify_minimal(
         )
     kind, witness, degree = matches[0]
     return MinimalClassification(kind, m, witness, degree)
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ import numpy as np
 
 from .config import arith_limit, lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
-from .ideals import all_ideals, annihilator, zero_ideal
+from .ideals import all_ideals, annihilator
 from .lattice import (
     Extension,
-    LatticeReport,
     Subalgebra,
     intermediate_algebras,
     maximal_chain_lengths,
@@ -27,7 +26,7 @@ from .rings import (
     RingHom,
     closure_mask,
     cosets,
-    enumerate_closed_subsets,
+    enumerate_submodules,
     is_local,
     mask_elements,
     pair_homs,
@@ -168,14 +167,11 @@ class SubmoduleLattice:
         }
 
 
-def submodules(m: FiniteModule, max_order: Optional[int] = None,
-               element_order: Optional[Sequence[int]] = None) -> SubmoduleLattice:
-    """All submodules, as the join closure of the cyclic submodules."""
+def submodules(m: FiniteModule, max_order: Optional[int] = None) -> SubmoduleLattice:
+    """All submodules, as the sumset join closure of the cyclic submodules."""
     if m.order > lattice_limit(max_order):
         raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
-    masks = enumerate_closed_subsets(
-        m.order, [m.zero], internal=(m.add,), absorbing=(m.action,), element_order=element_order
-    )
+    masks = enumerate_submodules(m.add, m.action, m.zero)
     nodes = tuple(mask_elements(mk) for mk in masks)
     bottom = nodes.index((m.zero,))
     top = next(i for i, n in enumerate(nodes) if len(n) == m.order)
@@ -197,16 +193,8 @@ def module_length(m: FiniteModule) -> int:
     cur = m
     length = 0
     while cur.order > 1:
-        best: Optional[tuple[int, ...]] = None
-        for x in range(cur.order):
-            if x == cur.zero:
-                continue
-            sub = submodule_closure(cur, [x])
-            if best is None or len(sub) < len(best):
-                best = sub
-                if len(sub) == 2:
-                    break
-        assert best is not None
+        # the cyclic submodules are the orbits Rx; the first smallest nonzero one
+        best = min((np.unique(cur.action[:, x]) for x in range(cur.order) if x != cur.zero), key=len)
         cur = quotient_module(cur, best).module
         length += 1
     return length
@@ -246,10 +234,6 @@ class IdealizationResult:
 
     def pair_index(self, r: int, x: int) -> int:
         return int(product_index((self.module.ring.order, self.module.order), (r, x)))
-
-    def split_index(self, i: int) -> tuple[int, int]:
-        r, x = product_components((self.module.ring.order, self.module.order), i)
-        return int(r), int(x)
 
 
 def idealize(ring: FiniteRing, m: FiniteModule, max_order: Optional[int] = None) -> IdealizationResult:

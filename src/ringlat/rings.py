@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -232,6 +232,12 @@ class SpirWitness:
 # ---------------------------------------------------------------------------
 # closure engine
 
+# Table entries gathered at once by extend_closure_mask: 64 KiB of int32,
+# below glibc's default mmap threshold (128 KiB), so each round's temporaries
+# reuse heap memory instead of mapping and faulting in fresh pages.
+_GATHER_ENTRIES = 1 << 14
+
+
 def extend_closure_mask(
     order: int,
     base_mask: Optional[np.ndarray],
@@ -246,13 +252,14 @@ def extend_closure_mask(
     commutative); absorbing tables are applied to (anything, member) pairs.
     In a finite additive group closure under + alone yields the generated
     subgroup, so no explicit negation table is needed.  Each round scatters
-    the products of the frontier into a boolean hit array; the hits outside
-    the mask are the next frontier.
+    the products of the frontier, a block of rows at a time, into a boolean
+    hit array; the hits outside the mask are the next frontier.
     """
     mask = np.zeros(order, dtype=bool) if base_mask is None else base_mask.copy()
     hit = np.zeros(order, dtype=bool)
     hit[new_indices if isinstance(new_indices, np.ndarray)
         else np.fromiter(new_indices, dtype=np.intp)] = True
+    step = max(1, _GATHER_ENTRIES // order)
     while True:
         frontier = np.flatnonzero(hit & ~mask)
         mask[frontier] = True
@@ -261,7 +268,8 @@ def extend_closure_mask(
         members = np.flatnonzero(mask)
         hit[:] = False
         for t in internal:
-            hit[t[frontier][:, members]] = True
+            for i in range(0, frontier.size, step):
+                hit[t[frontier[i:i + step]][:, members]] = True
         for t in absorbing:
             hit[t[:, frontier]] = True
 
@@ -276,36 +284,21 @@ def closure_mask(
     return extend_closure_mask(order, None, seed, internal, absorbing)
 
 
-def enumerate_closed_subsets(
-    order: int,
-    seed: Iterable[int],
-    internal: Sequence[Table] = (),
-    absorbing: Sequence[Table] = (),
-    element_order: Optional[Sequence[int]] = None,
-) -> list[np.ndarray]:
-    """All closed subsets that contain seed, sorted by (size, elements).
-
-    Every such subset is the join of the atoms closure(seed + {s}) of its
-    elements, so the subsets are the join closure of the atoms: a FIFO
-    worklist from the bottom closure(seed) joins each node with every atom
-    not already inside it.  The result does not depend on element_order.
-    """
-    first = closure_mask(order, seed, internal, absorbing)
-    elems: Sequence[int] = element_order if element_order is not None else range(order)
-    atoms: dict[bytes, np.ndarray] = {}
-    for s in elems:
-        if not first[s]:
-            atom = extend_closure_mask(order, first, [s], internal, absorbing)
-            atoms.setdefault(atom.tobytes(), atom)
+def _join_closure(first: np.ndarray, atoms: Iterable[np.ndarray],
+                  join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """The join closure of the distinct atoms over first, sorted by (size,
+    elements): a FIFO worklist joins each node with every atom not inside it,
+    and join(node, extra) gets the atom's elements outside the node."""
+    distinct = list({atom.tobytes(): atom for atom in atoms}.values())
     nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
     queue = deque([first])
     while queue:
         cur = queue.popleft()
-        for atom in atoms.values():
+        for atom in distinct:
             extra = np.flatnonzero(atom & ~cur)
             if not extra.size:
                 continue
-            new = extend_closure_mask(order, cur, extra, internal, absorbing)
+            new = join(cur, extra)
             key = new.tobytes()
             if key not in nodes:
                 nodes[key] = new
@@ -313,8 +306,42 @@ def enumerate_closed_subsets(
     return sorted(nodes.values(), key=lambda m: (int(m.sum()), mask_elements(m)))
 
 
-def additive_closure_mask(ring: FiniteRing, seed: Iterable[int]) -> np.ndarray:
-    return closure_mask(ring.order, list(seed) + [ring.zero], internal=(ring.add,))
+def enumerate_closed_subsets(
+    order: int,
+    seed: Iterable[int],
+    internal: Sequence[Table] = (),
+    absorbing: Sequence[Table] = (),
+) -> list[np.ndarray]:
+    """All closed subsets that contain seed, sorted by (size, elements).
+
+    Every such subset is the join of the atoms closure(seed + {s}) of its
+    elements, so the subsets are the join closure of the atoms over
+    closure(seed).
+    """
+    first = closure_mask(order, seed, internal, absorbing)
+    atoms = (extend_closure_mask(order, first, [s], internal, absorbing)
+             for s in range(order) if not first[s])
+    return _join_closure(
+        first, atoms, lambda cur, extra: extend_closure_mask(order, cur, extra, internal, absorbing)
+    )
+
+
+def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarray]:
+    """All submodules of the module with tables add and action (ring x
+    module), sorted by (size, elements): the sumset join closure of the
+    orbits Rx = action[:, x], which are already submodules."""
+    order = len(add)
+    orbits = np.zeros((order, order), dtype=bool)
+    orbits[np.arange(order)[:, None], action.T] = True
+
+    def join(cur: np.ndarray, extra: np.ndarray) -> np.ndarray:
+        # cur is a subgroup, so cur + Rx is cur and its sums with Rx outside cur
+        out = cur.copy()
+        out[add[np.ix_(np.flatnonzero(cur), extra)]] = True
+        return out
+
+    # the orbit of zero is {zero}
+    return _join_closure(orbits[zero], orbits, join)
 
 
 def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:

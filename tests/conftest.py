@@ -1,5 +1,8 @@
 import pytest
 
+from ringlat import crt as cr
+from ringlat import lattice as lt
+from ringlat import modules as md
 from ringlat import rings as rg
 
 
@@ -48,3 +51,36 @@ def brute_force_cosets():
         classes = {frozenset(int(add[x, s]) for s in sub) for x in range(len(add))}
         return sorted(classes, key=min)
     return cosets
+
+
+def _over_quotient(ring, relation):
+    pq = rg.poly_quotient(ring, relation, var="u")
+    return lt.Extension(ring, pq.ring, pq.to_quotient)
+
+
+def _over_f2(top):
+    f2 = rg.make_gf(2)
+    return lt.Extension(f2, top, rg.prime_hom(f2, top))
+
+
+def _idealization(ring, summands):
+    return md.idealization_extension(ring, md.module_from_cyclics(ring, summands))[0]
+
+
+_EXTENSIONS = {
+    "F2-in-F2^4": lambda: lt.power_extension(rg.make_gf(2), 4),
+    # F2 in F2[u]/(u^2), F2 in F2^2 and F2 in F4 side by side: R < +R < tR < S
+    "mixed-product": lambda: lt.product_extension([
+        _over_quotient(rg.make_gf(2), [0, 0, 1]), lt.power_extension(rg.make_gf(2), 2),
+        _over_f2(rg.make_gf(2, 2))]),
+    "Z4[u]/(u^2)": lambda: _over_quotient(rg.make_zmod(4), [0, 0, 1]),
+    "F2-in-F16": lambda: _over_f2(rg.make_gf(2, 4)),
+    "idealization": lambda: _idealization(rg.make_zmod(4), [[2], [2]]),
+    "crt-Z12": lambda: cr.make_crt(rg.make_zmod(12), [[4], [3], [6]]).extension,
+}
+
+
+@pytest.fixture(scope="session")
+def extension_zoo():
+    """Extensions by name, built afresh on each call."""
+    return lambda name: _EXTENSIONS[name]()

@@ -40,6 +40,22 @@ def test_count_usage_error(capsys):
     assert "usage: count bell" in err
 
 
+@pytest.mark.parametrize("argv", [["bell", "abc"], ["stirling", "3", "x"], ["exal", "Z/4", "2", "q"]])
+def test_count_non_integer_argument(capsys, argv):
+    code, out, err = run(capsys, ["count", *argv])
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
+def test_count_exal_huge_power(capsys):
+    # refused before the idempotent rows are enumerated, which would recurse p deep
+    code, out, err = run(capsys, ["count", "exal", "Z/4", "99999999", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("size limit:")
+
+
 def test_lattice_diagonal(capsys):
     code, doc = run_json(capsys, ["lattice", "Z/4", "Z/4 x Z/4", "--embed", "diagonal"])
     assert code == 0

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ringlat import closures as cl
 from ringlat import lattice as lt
@@ -28,13 +26,23 @@ def test_seminormalization_of_z4_square(z4_square):
     assert plus.elements == best.elements
 
 
-def test_seminormalization_is_order_independent(z4_square):
-    @given(st.permutations(list(range(16))))
-    @settings(max_examples=15, deadline=None)
-    def check(perm):
-        assert cl.seminormalization(z4_square, _order=perm).elements == Z4_SQUARE_PLUS
+@pytest.mark.parametrize("name", ["mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization",
+                                  "crt-Z12"])
+def test_closures_are_the_largest_lattice_nodes(extension_zoo, name):
+    # the oracle of verify.criterion_08: the largest subintegral and the
+    # largest infra-integral node of the lattice
+    ext = extension_zoo(name)
+    rep = lt.intermediate_algebras(ext)
+    lower = [(node, lt.lower_extension(node)) for node in rep.nodes]
+    best_sub = max((node for node, e in lower if lt.is_subintegral(e)), key=lambda n: n.order)
+    best_infra = max((node for node, e in lower if lt.is_infra_integral(e)), key=lambda n: n.order)
+    assert cl.seminormalization(ext).elements == best_sub.elements
+    assert cl.t_closure(ext).elements == best_infra.elements
 
-    check()
+
+def test_closures_separate_the_mixed_product(extension_zoo):
+    dec = cl.canonical_decomposition(extension_zoo("mixed-product"))
+    assert [dec.base.order, dec.seminormalization.order, dec.tclosure.order, dec.top.order] == [8, 16, 32, 64]
 
 
 def test_seminormalization_is_idempotent(z4_square):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from ringlat import closures as cl
 from ringlat import lattice as lt
+from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat.errors import (NotApplicableError, PreconditionError,
                             SizeLimitError)
+from ringlat.ideals import all_ideals
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +39,45 @@ def test_lattice_respects_bound(f3):
         lt.intermediate_algebras(ext, max_order=16)
 
 
-def test_node_order_invariance(f2_cube):
-    ext, rep = f2_cube
-    want = {n.elements for n in rep.nodes}
+def _relabel(ext, perm):
+    """The same extension with each top element x renamed perm[x]."""
+    top = ext.top
+    inv = np.argsort(perm)
+    moved = rg.FiniteRing(top.order, perm[top.add[np.ix_(inv, inv)]], perm[top.mul[np.ix_(inv, inv)]],
+                          int(perm[top.zero]), int(perm[top.one]), top.label)
+    return lt.Extension(ext.base, moved, rg.RingHom(ext.base, moved, perm[ext.embed.map]))
 
-    @given(st.permutations(list(range(8))))
-    @settings(max_examples=15, deadline=None)
-    def check(perm):
-        again = lt.intermediate_algebras(ext, element_order=perm)
-        assert {n.elements for n in again.nodes} == want
 
-    check()
+def _over_base(ext):
+    """The top as a module over the base."""
+    top = ext.top
+    return md.FiniteModule(ext.base, top.order, top.add, top.zero, top.mul[ext.embed.map])
+
+
+@pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16",
+                                  "idealization", "crt-Z12"])
+def test_relabeling_carries_everything_over(extension_zoo, name):
+    ext = extension_zoo(name)
+    perm = np.random.default_rng(ext.top.order).permutation(ext.top.order).astype(np.int32)
+    moved = _relabel(ext, perm)
+
+    def carry(elements):
+        return tuple(sorted(int(perm[x]) for x in elements))
+
+    rep, rep2 = lt.intermediate_algebras(ext), lt.intermediate_algebras(moved)
+    to_new = [rep2.node_index(carry(n.elements)) for n in rep.nodes]
+    assert sorted(to_new) == list(range(rep2.count))
+    assert {(to_new[a], to_new[b]) for a, b in rep.hasse_edges} == set(rep2.hasse_edges)
+    assert (to_new[rep.bottom_index], to_new[rep.top_index]) == (rep2.bottom_index, rep2.top_index)
+    assert (rep.count, rep.length) == (rep2.count, rep2.length)
+    assert lt.classify_minimal(ext, rep).kind == lt.classify_minimal(moved, rep2).kind
+    assert carry(cl.seminormalization(ext).elements) == cl.seminormalization(moved).elements
+    assert carry(cl.t_closure(ext).elements) == cl.t_closure(moved).elements
+    assert lt.predicate_battery(ext, rep) == lt.predicate_battery(moved, rep2)
+    assert ({carry(i.elements) for i in all_ideals(ext.top)}
+            == {i.elements for i in all_ideals(moved.top)})
+    assert ({carry(n) for n in md.submodules(_over_base(ext)).nodes}
+            == set(md.submodules(_over_base(moved)).nodes))
 
 
 def test_diagonal_square_of_z4(z4):

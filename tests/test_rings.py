@@ -212,21 +212,6 @@ def test_env_override(monkeypatch):
         rg.make_zmod(5000)
 
 
-def test_closed_subset_enumeration_is_order_independent(z8):
-    # additive subgroups of Z/8: one per divisor
-    base = rg.enumerate_closed_subsets(z8.order, [z8.zero], internal=(z8.add,))
-    assert len(base) == 4
-
-    @given(st.permutations(list(range(8))))
-    @settings(max_examples=20, deadline=None)
-    def check(perm):
-        again = rg.enumerate_closed_subsets(z8.order, [z8.zero], internal=(z8.add,),
-                                            element_order=perm)
-        assert {rg.mask_elements(m) for m in again} == {rg.mask_elements(m) for m in base}
-
-    check()
-
-
 def _brute_force_closed_subsets(order, seed, internal=(), absorbing=()):
     """Every subset containing seed that the tables map into itself, sorted
     by (size, elements): an oracle independent of the closure engine."""
@@ -262,15 +247,23 @@ def _dual_numbers_plus_residue_field():
     return md.module_from_cyclics(ring, [[ring.zero], [t]])
 
 
+def _z4_plus_z2():
+    return md.module_from_cyclics(rg.make_zmod(4), [[0], [2]])
+
+
+def _ideals_of(ring):
+    return md.module_from_ring(ring)
+
+
 @pytest.mark.parametrize("system", [
     lambda: _subalgebra_system(rg.product([rg.make_gf(2)] * 3).ring),  # Z/2 in (Z/2)^3
     lambda: _subalgebra_system(rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring),
     lambda: _subalgebra_system(rg.make_zmod(9)),
     lambda: _subgroup_system(rg.product([rg.make_zmod(3)] * 2).ring),
     lambda: _subgroup_system(rg.make_zmod(8)),
-    lambda: _submodule_system(md.module_from_cyclics(rg.make_zmod(4), [[0], [2]])),  # Z/4 (+) Z/2
+    lambda: _submodule_system(_z4_plus_z2()),
     lambda: _submodule_system(_dual_numbers_plus_residue_field()),
-    lambda: _submodule_system(md.module_from_ring(rg.product([rg.make_gf(2)] * 3).ring)),
+    lambda: _submodule_system(_ideals_of(rg.product([rg.make_gf(2)] * 3).ring)),
 ], ids=["Z2-in-Z2^3", "Z2[t]/(t^3)", "Z9", "add-Z3^2", "add-Z8", "Z4+Z2-module",
         "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3"])
 def test_closed_subset_enumeration_matches_brute_force(system):
@@ -278,6 +271,20 @@ def test_closed_subset_enumeration_matches_brute_force(system):
     got = rg.enumerate_closed_subsets(order, seed, internal=internal, absorbing=absorbing)
     want = _brute_force_closed_subsets(order, seed, internal, absorbing)
     assert [rg.mask_elements(m) for m in got] == [rg.mask_elements(m) for m in want]
+
+
+@pytest.mark.parametrize("module", [
+    _z4_plus_z2,
+    _dual_numbers_plus_residue_field,
+    lambda: _ideals_of(rg.product([rg.make_gf(2)] * 3).ring),
+    lambda: _ideals_of(rg.make_zmod(12)),
+    lambda: _ideals_of(rg.poly_quotient(rg.make_zmod(4), [0, 0, 1], var="u").ring),
+], ids=["Z4+Z2-module", "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3", "ideals-Z12", "ideals-Z4[u]/(u^2)"])
+def test_submodule_enumeration_matches_brute_force(module):
+    m = module()
+    got = rg.enumerate_submodules(m.add, m.action, m.zero)
+    want = _brute_force_closed_subsets(*_submodule_system(m))
+    assert [rg.mask_elements(x) for x in got] == [rg.mask_elements(x) for x in want]
 
 
 def test_power_is_square_and_multiply(z12):

@@ -43,8 +43,7 @@ from .modules import (FiniteModule, check_module, componentwise_census,
                       submodules, uniserial_structure_check)
 from .combinatorics import (LambdaMatrix, Partition, bell, enumerate_exal,
                             enumerate_homal, exal_bound_check,
-                            partition_to_subalgebra, partitions,
-                            partitions_into, stirling2)
+                            partition_to_subalgebra, partitions, stirling2)
 from .dsl import build, build_text, parse, print_expr
 
 __version__ = "0.1.0"

@@ -50,38 +50,34 @@ def _rgs_to_partition(n: int, rgs: Sequence[int]) -> Partition:
     return Partition(n, tuple(tuple(b) for b in blocks))
 
 
+def _growth_strings(n: int) -> np.ndarray:
+    """The restricted-growth strings of length n, one per row, in
+    lexicographic order: a string with largest letter m goes on with each of
+    0..m+1."""
+    _check_bound(n)
+    rows = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(n - 1):
+        width = rows.max(axis=1) + 2
+        parent = np.repeat(np.arange(len(rows)), width)
+        letter = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        rows = np.column_stack([rows[parent], letter.astype(np.int8)])
+    return rows
+
+
 def partitions(n: int) -> list[Partition]:
-    """All partitions of {1..n}, generated as restricted-growth strings in
+    """All partitions of {1..n}, from their restricted-growth strings in
     lexicographic order; that order is the canonical one."""
-    _check_bound(n)
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], top: int) -> None:
-        if len(prefix) == n:
-            out.append(_rgs_to_partition(n, prefix))
-            return
-        for b in range(top + 2):
-            prefix.append(b)
-            rec(prefix, max(top, b))
-            prefix.pop()
-
-    rec([0], 0)
-    return out
-
-
-def partitions_into(n: int, p: int) -> list[Partition]:
-    _check_bound(n)
-    return [q for q in partitions(n) if q.block_count == p]
+    return [_rgs_to_partition(n, s) for s in _growth_strings(n).tolist()]
 
 
 def bell(n: int) -> int:
-    return len(partitions(n))
+    return len(_growth_strings(n))
 
 
 def stirling2(n: int, p: int) -> int:
     if p < 0 or p > n:
         return 0
-    return len(partitions_into(n, p))
+    return int((_growth_strings(n).max(axis=1) == p - 1).sum())
 
 
 def stirling2_by_recurrence(n: int, p: int) -> int:
@@ -171,6 +167,10 @@ def enumerate_homal(ring: FiniteRing, p: int, n: int,
     """All algebra morphisms R^p -> R^n, as their lambda-matrices.  The three
     row conditions are independent across rows, so matrices are cartesian
     products of row choices."""
+    # bound p and n before the rows are enumerated, p deep, and before forming the powers
+    k, limit = max(p, n), arith_limit()
+    if k > limit.bit_length() or ring.order ** k > limit:
+        raise SizeLimitError(f"order {ring.order}^{k} exceeds the arithmetic bound")
     if p < 1 or n < 1:
         raise PreconditionError("need p, n >= 1")
     rows = _orthogonal_rows(ring, p)
@@ -240,10 +240,6 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int,
     Two injective morphisms have the same image exactly when they differ by
     an algebra automorphism of the source, so the class count is the count
     of embedded copies of R^p."""
-    # bound p and n before the rows are enumerated and before forming the powers
-    k, limit = max(p, n), arith_limit()
-    if k > limit.bit_length() or ring.order ** k > limit:
-        raise SizeLimitError(f"order {ring.order}^{k} exceeds the arithmetic bound")
     mats = enumerate_homal(ring, p, n, max_matrices=max_matrices)
     source = product([ring] * p).ring
     target = product([ring] * n).ring

@@ -10,8 +10,6 @@ import os
 DEFAULT_ARITH_LIMIT = 4096
 DEFAULT_LATTICE_LIMIT = 512
 
-CHAIN_CAP = 10000
-
 
 def _env_override() -> int | None:
     raw = os.environ.get("RINGLAT_MAX_ORDER")

@@ -132,9 +132,9 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # str.isdigit also takes digits int() refuses, such as "²"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             out.append(Token("INT", text[i:j], line, col))
             col += j - i
@@ -177,6 +177,13 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.column)
         return self.next()
+
+    def integer(self) -> int:
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise SizeLimitError(f"integer literal of {len(tok.text)} digits") from None
 
     def fail(self, message: str):
         tok = self.peek()
@@ -231,16 +238,16 @@ class _Parser:
         if tok.kind == "IDENT" and tok.text == "Z":
             self.next()
             self.expect("/")
-            n = int(self.expect("INT").text)
+            n = self.integer()
             return ZModE(n)
         if tok.kind == "IDENT" and tok.text == "GF":
             self.next()
             self.expect("(")
-            p = int(self.expect("INT").text)
+            p = self.integer()
             k = 1
             if self.peek().kind == "^":
                 self.next()
-                k = int(self.expect("INT").text)
+                k = self.integer()
             self.expect(")")
             return GFE(p, k)
         if tok.kind == "IDENT" and tok.text == "idealize":
@@ -291,14 +298,13 @@ class _Parser:
     def factor(self) -> Factor:
         tok = self.peek()
         if tok.kind == "INT":
-            self.next()
-            return IntF(int(tok.text))
+            return IntF(self.integer())
         if tok.kind == "IDENT":
             self.next()
             exp = 1
             if self.peek().kind == "^":
                 self.next()
-                exp = int(self.expect("INT").text)
+                exp = self.integer()
             return NameF(tok.text, exp)
         self.fail(f"expected a coefficient or variable, found {tok.text or 'end of input'!r}")
 

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import CHAIN_CAP, lattice_limit
+from .config import lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
 from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spectrum
 from .rings import (
@@ -216,34 +216,28 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
 def poset_structure(
     masks: Sequence[np.ndarray], bottom: int, top: int
 ) -> tuple[tuple[tuple[int, int], ...], int, tuple[int, ...]]:
-    """Hasse edges, longest-chain length and a witness chain for a family of
-    subsets ordered by inclusion."""
-    n = len(masks)
-    mat = np.stack(masks).astype(np.int32)
-    # missing[i, j]: how many elements of subset i lie outside subset j
-    missing = mat @ (1 - mat.T)
-    proper = (missing == 0) & (np.arange(n)[:, None] != np.arange(n)[None, :])
-    between = (proper.astype(np.int32) @ proper.astype(np.int32)) > 0
-    edge_mask = proper & ~between
-    edges = tuple((int(a), int(b)) for a, b in np.argwhere(edge_mask))
-    sizes = mat.sum(axis=1)
-    dist = np.full(n, -1, dtype=int)
-    pred = np.full(n, -1, dtype=int)
-    below: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        below[b].append(a)
-    dist[bottom] = 0
-    for j in sorted(range(n), key=lambda i: int(sizes[i])):
-        for a in below[j]:
-            if dist[a] >= 0 and dist[a] + 1 > dist[j]:
-                dist[j] = dist[a] + 1
-                pred[j] = a
-    length = int(dist[top])
-    chain = [top]
-    while chain[-1] != bottom:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    return edges, length, tuple(chain)
+    """Hasse edges in row-major order, longest-chain length and a witness
+    chain for distinct subsets listed by size and ordered by inclusion.
+
+    The edges are the transitive reduction of the inclusion order (Aho,
+    Garey, Ullman 1972): walking the strict supersets of a node in index
+    order, a superset is a cover unless it contains a cover found before
+    it."""
+    packed = np.packbits(np.stack(masks), axis=1)
+    outside = ~packed
+    # inc[i, j]: subset i lies inside subset j
+    inc = np.stack([~(row & outside).any(axis=1) for row in packed])
+    edges = []
+    for i in range(len(packed)):
+        cand = inc[i].copy()
+        cand[: i + 1] = False
+        j = int(cand.argmax())
+        while cand[j]:
+            edges.append((i, j))
+            cand &= ~inc[j]
+            j = int(cand.argmax())
+    lengths, chain = maximal_chain_lengths(edges, bottom, top)
+    return tuple(edges), max(lengths), chain
 
 
 @dataclass(frozen=True)
@@ -253,47 +247,41 @@ class ChainReport:
     length: int
     witness: tuple[int, ...]
     chain_count: int
-    truncated: bool
     graded: bool
     lengths: dict[int, int]
 
 
 def maximal_chain_lengths(
-    edges: Sequence[tuple[int, int]], bottom: int, top: int, cap: int = CHAIN_CAP
-) -> tuple[dict[int, int], int, bool]:
-    """Multiset of maximal-chain lengths bottom-to-top: (lengths -> how many,
-    total count, truncated-at-cap flag)."""
-    succ: dict[int, list[int]] = {}
+    edges: Sequence[tuple[int, int]], bottom: int, top: int
+) -> tuple[dict[int, int], tuple[int, ...]]:
+    """How many maximal bottom-to-top chains have each length, and a longest
+    chain, from the Hasse edges of a poset with least element bottom, in
+    row-major order and going up in index order.
+
+    One pass over the edges: the lower covers of a node have smaller
+    indices, so its counts are complete before its own row starts.  The
+    witness steps down from each node to its lowest-index lower cover of
+    greatest distance."""
+    counts = {bottom: {0: 1}}
+    pred: dict[int, int] = {}
     for a, b in edges:
-        succ.setdefault(a, []).append(b)
-    lengths: dict[int, int] = {}
-    count = 0
-    truncated = False
-    if bottom == top:
-        return {0: 1}, 1, False
-    path_stack = [(bottom, 0)]
-    while path_stack:
-        node, depth = path_stack.pop()
-        if node == top:
-            count += 1
-            lengths[depth] = lengths.get(depth, 0) + 1
-            if count >= cap:
-                truncated = True
-                break
-            continue
-        for nxt in succ.get(node, []):
-            path_stack.append((nxt, depth + 1))
-    return lengths, count, truncated
+        above = counts.setdefault(b, {})
+        for k, c in counts[a].items():
+            above[k + 1] = above.get(k + 1, 0) + c
+        if b not in pred or max(counts[a]) > max(counts[pred[b]]):
+            pred[b] = a
+    chain = [top]
+    while chain[-1] != bottom:
+        chain.append(pred[chain[-1]])
+    chain.reverse()
+    return counts[top], tuple(chain)
 
 
-def length_and_chains(report: LatticeReport, cap: int = CHAIN_CAP) -> ChainReport:
-    """Enumerate maximal chains bottom-to-top; flags any whose length differs
-    from the lattice length."""
-    lengths, count, truncated = maximal_chain_lengths(
-        report.hasse_edges, report.bottom_index, report.top_index, cap
-    )
-    graded = set(lengths) == {report.length}
-    return ChainReport(report.length, report.maximal_chain, count, truncated, graded, lengths)
+def length_and_chains(report: LatticeReport) -> ChainReport:
+    """Count the maximal chains bottom-to-top by length; graded when they
+    all share the lattice length."""
+    lengths, witness = maximal_chain_lengths(report.hasse_edges, report.bottom_index, report.top_index)
+    return ChainReport(report.length, witness, sum(lengths.values()), len(lengths) == 1, lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,10 @@ def submodules(m: FiniteModule, max_order: Optional[int] = None) -> SubmoduleLat
     return SubmoduleLattice(m, nodes, edges, len(nodes), length, bottom, top)
 
 
-def jordan_holder_check(lat: SubmoduleLattice, cap: int = 10000) -> bool:
-    """All maximal chains share the lattice length."""
-    lengths, _, truncated = maximal_chain_lengths(
-        lat.hasse_edges, lat.bottom_index, lat.top_index, cap
-    )
-    return not truncated and set(lengths) == {lat.length}
+def jordan_holder_check(lat: SubmoduleLattice) -> bool:
+    """All maximal chains share one length."""
+    lengths, _ = maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index)
+    return len(lengths) == 1
 
 
 def module_length(m: FiniteModule) -> int:

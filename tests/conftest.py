@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from ringlat import crt as cr
@@ -51,6 +54,44 @@ def brute_force_cosets():
         classes = {frozenset(int(add[x, s]) for s in sub) for x in range(len(add))}
         return sorted(classes, key=min)
     return cosets
+
+
+@pytest.fixture(scope="session")
+def brute_force_hasse():
+    """Oracle for Hasse diagrams: the pairs (i, j), in row-major order, with
+    subset i strictly inside subset j and no subset strictly between them,
+    from dense inclusion counts."""
+    def hasse(masks):
+        n = len(masks)
+        mat = np.stack(masks).astype(np.int64)
+        # missing[i, j]: how many elements of subset i lie outside subset j
+        missing = mat @ (1 - mat.T)
+        proper = (missing == 0) & ~np.eye(n, dtype=bool)
+        between = (proper.astype(np.int64) @ proper.astype(np.int64)) > 0
+        return [(int(a), int(b)) for a, b in np.argwhere(proper & ~between)]
+    return hasse
+
+
+@pytest.fixture(scope="session")
+def brute_force_chains():
+    """Oracle for maximal chains: every bottom-to-top path of a Hasse
+    diagram, walked one by one.  Gives how many paths have each length and
+    the longest path that, read from the top down, always steps to the
+    lowest-index lower cover it can."""
+    def chains(edges, bottom, top):
+        up = {}
+        for a, b in edges:
+            up.setdefault(a, []).append(b)
+        paths, stack = [], [(bottom,)]
+        while stack:
+            path = stack.pop()
+            if path[-1] == top:
+                paths.append(path)
+            stack.extend(path + (b,) for b in up.get(path[-1], []))
+        longest = max(len(p) for p in paths)
+        witness = min((p for p in paths if len(p) == longest), key=lambda p: p[::-1])
+        return dict(Counter(len(p) - 1 for p in paths)), witness
+    return chains
 
 
 def _over_quotient(ring, relation):

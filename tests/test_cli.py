@@ -56,6 +56,20 @@ def test_count_exal_huge_power(capsys):
     assert err.startswith("size limit:")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["lattice", "Z/\u00b2", "Z/4"], 2),
+    (["lattice", "Z/4", "Z/" + "9" * 5000], 3),
+    (["lattice", "Z/4", "Z/4[t]/(t^2 + " + "9" * 5000 + ")"], 3),
+])
+def test_generated_input_regressions(capsys, argv, code):
+    assert run(capsys, argv)[0] == code
+
+
+def test_count_at_the_partition_bound(capsys):
+    assert run(capsys, ["count", "bell", "12"])[1].strip() == "4213597"
+    assert run(capsys, ["count", "stirling", "12", "5"])[1].strip() == "1379400"
+
+
 def test_lattice_diagonal(capsys):
     code, doc = run_json(capsys, ["lattice", "Z/4", "Z/4 x Z/4", "--embed", "diagonal"])
     assert code == 0

@@ -125,3 +125,11 @@ def test_exal_equality_check_for_connected(z4):
 def test_dimension_bound():
     with pytest.raises(SizeLimitError):
         cb.enumerate_exal(rg.make_gf(2), 2, cb.PARTITION_BOUND + 1)
+
+
+def test_homal_is_bounded_before_its_rows(z4):
+    # the rows recurse once per source factor; a huge p is refused first
+    with pytest.raises(SizeLimitError):
+        cb.enumerate_homal(z4, 99999999, 2)
+    with pytest.raises(SizeLimitError):
+        cb.enumerate_homal(z4, 2, 99999999)

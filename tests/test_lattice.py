@@ -33,6 +33,50 @@ def test_field_cube_lattice(f2_cube):
     assert chains.lengths == {2: 3}  # graded: every maximal chain has two covers
 
 
+def test_partition_lattice_chain_count(f2):
+    rep = lt.intermediate_algebras(lt.power_extension(f2, 5))
+    chains = lt.length_and_chains(rep)
+    # the partition lattice of 5 points has 5!4!/2^4 maximal chains (OEIS A006472)
+    assert rep.count == 52
+    assert (chains.chain_count, chains.lengths, chains.graded) == (180, {4: 180}, True)
+
+
+def test_chain_lengths_of_a_pentagon():
+    # N5: 0 < 1 < 4 and 0 < 2 < 3 < 4
+    edges = [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
+    assert lt.maximal_chain_lengths(edges, 0, 4) == ({2: 1, 3: 1}, (0, 2, 3, 4))
+
+
+_ZOO = ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization", "crt-Z12"]
+
+
+def _assert_poset_matches_oracle(masks, bottom, top, structure, brute_force_hasse, brute_force_chains):
+    edges, length, chain = structure
+    assert list(edges) == brute_force_hasse(masks)
+    lengths, witness = brute_force_chains(edges, bottom, top)
+    assert (length, chain) == (max(lengths), witness)
+    assert lt.maximal_chain_lengths(edges, bottom, top) == (lengths, witness)
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_lattice_poset_matches_oracle(extension_zoo, name, brute_force_hasse, brute_force_chains):
+    rep = lt.intermediate_algebras(extension_zoo(name))
+    structure = (rep.hasse_edges, rep.length, rep.maximal_chain)
+    _assert_poset_matches_oracle([n.mask for n in rep.nodes], rep.bottom_index, rep.top_index,
+                                 structure, brute_force_hasse, brute_force_chains)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rg.product([rg.make_zmod(16)] * 2).ring,
+    lambda: rg.product([rg.make_gf(2)] * 5).ring,
+], ids=["Z16xZ16", "F2^5"])
+def test_ideal_poset_matches_oracle(build, brute_force_hasse, brute_force_chains):
+    masks = [i.mask for i in all_ideals(build())]
+    bottom, top = 0, len(masks) - 1
+    _assert_poset_matches_oracle(masks, bottom, top, lt.poset_structure(masks, bottom, top),
+                                 brute_force_hasse, brute_force_chains)
+
+
 def test_lattice_respects_bound(f3):
     ext = lt.power_extension(f3, 4, max_order=128)
     with pytest.raises(SizeLimitError):
@@ -54,8 +98,7 @@ def _over_base(ext):
     return md.FiniteModule(ext.base, top.order, top.add, top.zero, top.mul[ext.embed.map])
 
 
-@pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16",
-                                  "idealization", "crt-Z12"])
+@pytest.mark.parametrize("name", _ZOO)
 def test_relabeling_carries_everything_over(extension_zoo, name):
     ext = extension_zoo(name)
     perm = np.random.default_rng(ext.top.order).permutation(ext.top.order).astype(np.int32)

@@ -43,13 +43,30 @@ def test_cyclic_sum_construction(z4):
     (lambda: md.module_from_ring(rg.make_zmod(8)), 4, 3),
     (lambda: md.module_from_ring(rg.make_zmod(6)), 4, 2),
 ])
-def test_submodule_counts_and_lengths(build, count, length):
+def test_submodule_counts_and_lengths(build, count, length, brute_force_hasse, brute_force_chains):
     mod = build()
     lat = md.submodules(mod)
     assert lat.count == count
     assert lat.length == length
     assert md.module_length(mod) == length
     assert md.jordan_holder_check(lat)
+    assert list(lat.hasse_edges) == brute_force_hasse([np.isin(np.arange(mod.order), n) for n in lat.nodes])
+    lengths, witness = brute_force_chains(lat.hasse_edges, lat.bottom_index, lat.top_index)
+    assert lengths == {length: sum(lengths.values())}
+    assert lt.maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index) == (lengths, witness)
+
+
+@pytest.mark.parametrize("build, length, chains", [
+    # the Boolean lattice B_8: 8! chains of subsets
+    (lambda: md.module_from_ring(rg.product([rg.make_gf(2)] * 8).ring), 8, 40320),
+    # complete flags of GF(q)^n: prod (q^i - 1)/(q - 1) for i = 1..n
+    (lambda: md.module_from_cyclics(rg.make_gf(2), [[0]] * 5), 5, 9765),
+    (lambda: md.module_from_cyclics(rg.make_gf(3), [[0]] * 3), 3, 52),
+], ids=["B8", "GF2^5", "GF3^3"])
+def test_maximal_chains_are_counted_exactly(build, length, chains):
+    lat = md.submodules(build())
+    assert md.jordan_holder_check(lat)
+    assert lt.maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index)[0] == {length: chains}
 
 
 def test_cyclic_and_uniserial(z8, f2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -267,6 +268,9 @@ def _int_arg(text: str) -> int:
     try:
         return int(text)
     except ValueError:
+        # int()'s own decimal syntax: a match was refused for its digit count
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+            raise SizeLimitError(f"integer argument of {len(text)} characters") from None
         raise PreconditionError(f"not an integer: {text!r}") from None
 
 

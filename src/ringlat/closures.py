@@ -13,6 +13,7 @@ from .errors import InternalCheckError, PreconditionError
 from .lattice import (
     Extension,
     Subalgebra,
+    SubalgebraRealization,
     is_infra_integral,
     is_seminormal,
     is_subintegral,
@@ -83,35 +84,43 @@ class CanonicalDecomposition:
             "top": list(self.top.elements),
         }
 
+    def segments(self) -> dict[str, Extension]:
+        """The extensions R in +R, +R in tR, +R in S and tR in S, on one
+        realization per distinct node (each copies its node's tables; tR = S
+        is common).  An inclusion lists its node's elements in increasing
+        order, so a lower node's element embeds at its rank in the upper one."""
+        nodes = (self.base, self.seminormalization, self.tclosure, self.top)
+        distinct = {n.elements: n for n in nodes}
+        real = {elems: realize(n) for elems, n in distinct.items()}
+        base, plus, tcl, top = (real[n.elements] for n in nodes)
 
-def _segment_extension(lower: Subalgebra, upper: Subalgebra) -> Extension:
-    """The extension T1 in T2 for nested nodes, realized on re-indexed rings."""
-    low = realize(lower)
-    up = realize(upper)
-    lookup = {int(x): i for i, x in enumerate(upper.elements)}
-    emb = np.asarray([lookup[int(x)] for x in low.include.map], dtype=np.int32)
-    return Extension(low.ring, up.ring, RingHom(low.ring, up.ring, emb))
+        def segment(lower: SubalgebraRealization, upper: SubalgebraRealization) -> Extension:
+            emb = np.searchsorted(upper.include.map, lower.include.map).astype(np.int32)
+            return Extension(lower.ring, upper.ring, RingHom(lower.ring, upper.ring, emb))
+
+        return {"R<+R": segment(base, plus), "+R<tR": segment(plus, tcl),
+                "+R<S": segment(plus, top), "tR<S": segment(tcl, top)}
 
 
 def canonical_decomposition(ext: Extension) -> CanonicalDecomposition:
     """Both closures, with every chain invariant asserted."""
     plus = seminormalization(ext)
     tcl = t_closure(ext)
-    base = Subalgebra(ext, ext.image)
-    top = Subalgebra(ext, tuple(range(ext.top.order)))
-    if not (set(base.elements) <= set(plus.elements) <= set(tcl.elements)):
+    dec = CanonicalDecomposition(Subalgebra(ext, ext.image), plus, tcl,
+                                 Subalgebra(ext, tuple(range(ext.top.order))))
+    if not (set(dec.base.elements) <= set(plus.elements) <= set(tcl.elements)):
         raise InternalCheckError("canonical chain is not nested")
-    if not is_subintegral(_segment_extension(base, plus)):
+    seg = dec.segments()
+    if not is_subintegral(seg["R<+R"]):
         raise InternalCheckError("R in +R is not subintegral")
-    if plus.elements != tcl.elements:
-        seg = _segment_extension(plus, tcl)
-        if not (is_seminormal(seg) and is_infra_integral(seg)):
-            raise InternalCheckError("+R in tR is not seminormal infra-integral")
-    if not is_seminormal(_segment_extension(plus, top)):
+    if plus.elements != tcl.elements and not (is_seminormal(seg["+R<tR"])
+                                              and is_infra_integral(seg["+R<tR"])):
+        raise InternalCheckError("+R in tR is not seminormal infra-integral")
+    if not is_seminormal(seg["+R<S"]):
         raise InternalCheckError("+R in S is not seminormal")
-    if not is_tclosed(_segment_extension(tcl, top)):
+    if not is_tclosed(seg["tR<S"]):
         raise InternalCheckError("tR in S is not t-closed")
-    return CanonicalDecomposition(base, plus, tcl, top)
+    return dec
 
 
 @dataclass(frozen=True)

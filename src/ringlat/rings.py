@@ -513,7 +513,10 @@ class ProductResult:
 
 def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> ProductResult:
     """Direct product with componentwise operations, laid out as in
-    product_components."""
+    product_components.  That is the Kronecker layout: with P the table of
+    the first factors (order m) and t that of the next (order k), the table
+    of their product holds P[a, c] * k + t[b, d] at row a*k + b and column
+    c*k + d, so one broadcast per factor writes it, with no gathers."""
     if not factors:
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
@@ -522,12 +525,11 @@ def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> P
         raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
     comps = tuple(_as_table(c) for c in product_components(orders, np.arange(total)))
     # every entry is below total <= arith_limit, so int32 is exact
-    add = np.zeros((total, total), dtype=np.int32)
-    mul = np.zeros((total, total), dtype=np.int32)
-    for r, c in zip(factors, comps):
-        for out, t in ((add, r.add), (mul, r.mul)):
-            out *= r.order
-            out += t[np.ix_(c, c)]
+    add = mul = np.zeros((1, 1), dtype=np.int32)
+    for r in factors:
+        n = len(add) * r.order
+        add = (add[:, None, :, None] * r.order + r.add[None, :, None, :]).reshape(n, n)
+        mul = (mul[:, None, :, None] * r.order + r.mul[None, :, None, :]).reshape(n, n)
     zero = int(product_index(orders, [r.zero for r in factors]))
     one = int(product_index(orders, [r.one for r in factors]))
     label = " x ".join(f"({r.label})" if " x " in r.label else r.label for r in factors)

@@ -94,6 +94,25 @@ def brute_force_chains():
     return chains
 
 
+@pytest.fixture(scope="session")
+def brute_force_product_tables():
+    """Oracle for product tables: the add and mul tables of the product of
+    the factors, accumulated digit by digit with the first factor most
+    significant, by one gather of each factor's table at the components of
+    every pair of elements."""
+    def tables(factors):
+        orders = [r.order for r in factors]
+        comps = np.unravel_index(np.arange(int(np.prod(orders))), orders)
+        add = np.zeros((len(comps[0]), len(comps[0])), dtype=np.int64)
+        mul = np.zeros_like(add)
+        for r, c in zip(factors, comps):
+            for out, t in ((add, r.add), (mul, r.mul)):
+                out *= r.order
+                out += t[np.ix_(c, c)]
+        return add, mul
+    return tables
+
+
 def _over_quotient(ring, relation):
     pq = rg.poly_quotient(ring, relation, var="u")
     return lt.Extension(ring, pq.ring, pq.to_quotient)

@@ -60,6 +60,7 @@ def test_count_exal_huge_power(capsys):
     (["lattice", "Z/\u00b2", "Z/4"], 2),
     (["lattice", "Z/4", "Z/" + "9" * 5000], 3),
     (["lattice", "Z/4", "Z/4[t]/(t^2 + " + "9" * 5000 + ")"], 3),
+    (["count", "bell", "9" * 5000], 3),
 ])
 def test_generated_input_regressions(capsys, argv, code):
     assert run(capsys, argv)[0] == code

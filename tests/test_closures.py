@@ -40,6 +40,27 @@ def test_closures_are_the_largest_lattice_nodes(extension_zoo, name):
     assert cl.t_closure(ext).elements == best_infra.elements
 
 
+@pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16",
+                                  "idealization", "crt-Z12"])
+def test_segments_match_realizing_each_from_scratch(extension_zoo, name):
+    dec = cl.canonical_decomposition(extension_zoo(name))
+    seg = dec.segments()
+    ends = {"R<+R": (dec.base, dec.seminormalization), "+R<tR": (dec.seminormalization, dec.tclosure),
+            "+R<S": (dec.seminormalization, dec.top), "tR<S": (dec.tclosure, dec.top)}
+    assert seg.keys() == ends.keys()
+    ring_of = {}
+    for key, (lower, upper) in ends.items():
+        # the oracle realizes both ends afresh and looks each element up by value
+        low, up = lt.realize(lower), lt.realize(upper)
+        lookup = {int(x): i for i, x in enumerate(upper.elements)}
+        for got, want in ((seg[key].base, low.ring), (seg[key].top, up.ring)):
+            assert rg.same_tables(got, want) and got.label == want.label
+        assert list(seg[key].embed.map) == [lookup[int(x)] for x in low.include.map]
+        # one ring object per distinct node, shared by every segment at it
+        for node, ring in ((lower, seg[key].base), (upper, seg[key].top)):
+            assert ring_of.setdefault(node.elements, ring) is ring
+
+
 def test_closures_separate_the_mixed_product(extension_zoo):
     dec = cl.canonical_decomposition(extension_zoo("mixed-product"))
     assert [dec.base.order, dec.seminormalization.order, dec.tclosure.order, dec.top.order] == [8, 16, 32, 64]

@@ -71,8 +71,9 @@ def test_product_projections_and_diagonal(z4, f3):
     ("Z/6", ["Z/3", "Z/2"]),
     ("Z/12", ["Z/4", "Z/3", "Z/3"]),
     ("Z/2", ["GF(2^2)", "Z/2", "Z/2[t]/(t^2)"]),
+    ("Z/60", ["Z/12", "Z/10", "Z/15"]),
 ])
-def test_product_layout_matches_oracle(source, factors):
+def test_product_layout_matches_oracle(source, factors, brute_force_product_tables):
     from itertools import product as tuples
 
     from ringlat.dsl import build_text
@@ -88,6 +89,13 @@ def test_product_layout_matches_oracle(source, factors):
         for table, name in ((pr.ring.add, "add"), (pr.ring.mul, "mul")):
             assert want[table[x, y]] == tuple(int(getattr(r, name)[a, b])
                                               for r, a, b in zip(rings, want[x], want[y]))
+    add, mul = brute_force_product_tables(rings)
+    assert pr.ring.add.dtype == pr.ring.mul.dtype == np.int32
+    assert np.array_equal(pr.ring.add, add) and np.array_equal(pr.ring.mul, mul)
+    # grouping the first two factors into one ring keeps every element's index
+    if len(rings) > 2:
+        nested = rg.product([rg.product(rings[:2]).ring, *rings[2:]]).ring
+        assert rg.same_tables(nested, pr.ring)
     maps = [rg.prime_hom(src, r).map for r in rings]
     paired = rg.pair_homs(src, pr, maps)
     for c, m in zip(pr.components, maps):

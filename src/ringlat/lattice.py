@@ -15,6 +15,7 @@ from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spect
 from .rings import (
     FiniteRing,
     RingHom,
+    _close_rows,
     _is_prime,
     closure_mask,
     cosets,
@@ -614,14 +615,15 @@ def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None)
     report = report or intermediate_algebras(ext)
     top = ext.top
     base_mask = report.nodes[report.bottom_index].mask
-    covers = {report.nodes[b].elements for a, b in report.hasse_edges if a == report.bottom_index}
-    for t in range(top.order):
-        if base_mask[t]:
-            continue
-        adjoined = extend_closure_mask(top.order, base_mask, [t], internal=(top.add, top.mul))
-        if mask_elements(adjoined) not in covers:
-            return False
-    return True
+    covers = {report.nodes[b].mask.tobytes() for a, b in report.hasse_edges if a == report.bottom_index}
+    # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batch
+    _, reps = cosets(top.add, np.flatnonzero(base_mask))
+    reps = reps[~base_mask[reps]]
+    adjoined = np.repeat(base_mask[None], len(reps), axis=0)
+    hit = np.zeros_like(adjoined)
+    hit[np.arange(len(reps)), reps] = True
+    _close_rows(adjoined, hit, (top.add, top.mul), ())
+    return all(row.tobytes() in covers for row in adjoined)
 
 
 def predicate_battery(ext: Extension, report: Optional[LatticeReport] = None) -> dict:

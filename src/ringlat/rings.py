@@ -232,10 +232,50 @@ class SpirWitness:
 # ---------------------------------------------------------------------------
 # closure engine
 
-# Table entries gathered at once by extend_closure_mask: 64 KiB of int32,
+# Table entries gathered at once by the closure kernel: 64 KiB of int32,
 # below glibc's default mmap threshold (128 KiB), so each round's temporaries
 # reuse heap memory instead of mapping and faulting in fresh pages.
 _GATHER_ENTRIES = 1 << 14
+
+
+def _close_rows(mask: np.ndarray, hit: np.ndarray, internal: Sequence[Table],
+                absorbing: Sequence[Table]) -> None:
+    """Close every row of the C-contiguous B x order boolean array mask, in
+    place, after adding the True cells of hit (same shape, used as scratch).
+
+    Each row is closed on its own: internal tables are applied to pairs of
+    the row's members (the operations must be commutative), absorbing tables
+    to (anything, member) pairs.  A round takes the new cells of all rows as
+    one frontier (one flatnonzero over the batch), gathers the table rows
+    t[frontier], keeps a product only where the frontier cell's own row holds
+    the other member, and scatters it into hit at the flat int32 index
+    row * order + product; the hits outside the mask are the next frontier.
+    The frontier is taken in blocks, so every temporary of a round stays
+    within _GATHER_ENTRIES entries.
+    """
+    order = mask.shape[1]
+    flat_mask = mask.reshape(-1)
+    flat_hit = hit.reshape(-1)
+    while True:
+        frontier = np.flatnonzero(flat_hit & ~flat_mask)
+        flat_mask[frontier] = True
+        if not frontier.size or not (internal or absorbing):
+            return
+        rows, cols = np.divmod(frontier, order)
+        base = (frontier - cols).astype(np.int32)
+        flat_hit[:] = False
+        for t in internal:
+            step = max(1, _GATHER_ENTRIES // order)
+            for i in range(0, frontier.size, step):
+                block = slice(i, i + step)
+                prods = t[cols[block]]
+                prods += base[block, None]
+                flat_hit[prods[mask[rows[block]]]] = True
+        for t in absorbing:
+            step = max(1, _GATHER_ENTRIES // len(t))
+            for i in range(0, frontier.size, step):
+                block = slice(i, i + step)
+                flat_hit[base[None, block] + t[:, cols[block]]] = True
 
 
 def extend_closure_mask(
@@ -246,32 +286,19 @@ def extend_closure_mask(
     absorbing: Sequence[Table] = (),
 ) -> np.ndarray:
     """Close base_mask (already closed, or None) plus new_indices under the
-    given operations.
+    given operations: the one-row call of _close_rows.
 
-    internal tables are applied to pairs of members (the operations must be
-    commutative); absorbing tables are applied to (anything, member) pairs.
     In a finite additive group closure under + alone yields the generated
-    subgroup, so no explicit negation table is needed.  Each round scatters
-    the products of the frontier, a block of rows at a time, into a boolean
-    hit array; the hits outside the mask are the next frontier.
+    subgroup, so no explicit negation table is needed.
     """
-    mask = np.zeros(order, dtype=bool) if base_mask is None else base_mask.copy()
-    hit = np.zeros(order, dtype=bool)
-    hit[new_indices if isinstance(new_indices, np.ndarray)
+    mask = np.zeros((1, order), dtype=bool)
+    if base_mask is not None:
+        mask[0] = base_mask
+    hit = np.zeros((1, order), dtype=bool)
+    hit[0, new_indices if isinstance(new_indices, np.ndarray)
         else np.fromiter(new_indices, dtype=np.intp)] = True
-    step = max(1, _GATHER_ENTRIES // order)
-    while True:
-        frontier = np.flatnonzero(hit & ~mask)
-        mask[frontier] = True
-        if not frontier.size or not (internal or absorbing):
-            return mask
-        members = np.flatnonzero(mask)
-        hit[:] = False
-        for t in internal:
-            for i in range(0, frontier.size, step):
-                hit[t[frontier[i:i + step]][:, members]] = True
-        for t in absorbing:
-            hit[t[:, frontier]] = True
+    _close_rows(mask, hit, internal, absorbing)
+    return mask[0]
 
 
 def closure_mask(
@@ -284,21 +311,37 @@ def closure_mask(
     return extend_closure_mask(order, None, seed, internal, absorbing)
 
 
-def _join_closure(first: np.ndarray, atoms: Iterable[np.ndarray],
+def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.ndarray]],
                   join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
-    """The join closure of the distinct atoms over first, sorted by (size,
-    elements): a FIFO worklist joins each node with every atom not inside it,
-    and join(node, extra) gets the atom's elements outside the node."""
-    distinct = list({atom.tobytes(): atom for atom in atoms}.values())
+    """The join closure over first of the distinct atoms, each given with an
+    element s that generates it over first; sorted by (size, elements).
+
+    Every node is an additive subgroup (add is the group law) that contains
+    first, so its join with the atom of s is the closed set generated by the
+    node and s, which depends only on the coset of s.  A FIFO worklist joins
+    each node at once with one atom per coset among the atoms not inside it:
+    join(node, extra) gets a B x order array whose rows are those atoms'
+    elements outside the node, and returns the B joins as rows.
+    """
+    gens, distinct = [], {}
+    for s, atom in atoms:
+        key = atom.tobytes()
+        if key not in distinct:
+            distinct[key] = atom
+            gens.append(s)
+    gens = np.array(gens, dtype=np.intp)
+    stacked = np.array(list(distinct.values()), dtype=bool).reshape(-1, len(first))
     nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
     queue = deque([first])
     while queue:
         cur = queue.popleft()
-        for atom in distinct:
-            extra = np.flatnonzero(atom & ~cur)
-            if not extra.size:
-                continue
-            new = join(cur, extra)
+        outside = np.flatnonzero(~cur[gens])
+        if not outside.size:
+            continue
+        # the least element of each generator's coset of cur
+        least = add[gens[outside, None], np.flatnonzero(cur)].min(axis=1)
+        _, pick = np.unique(least, return_index=True)
+        for new in join(cur, stacked[outside[pick]] & ~cur):
             key = new.tobytes()
             if key not in nodes:
                 nodes[key] = new
@@ -314,16 +357,26 @@ def enumerate_closed_subsets(
 ) -> list[np.ndarray]:
     """All closed subsets that contain seed, sorted by (size, elements).
 
-    Every such subset is the join of the atoms closure(seed + {s}) of its
-    elements, so the subsets are the join closure of the atoms over
-    closure(seed).
+    Contract: seed is not empty and internal[0] is the additive group law,
+    so every closed subset is an additive subgroup.  Every such subset is
+    the join of the atoms closure(seed + {s}) of its elements, so the subsets
+    are the join closure (_join_closure) of the atoms over first =
+    closure(seed), and each node's joins are one _close_rows call on copies
+    of the node.  As first is a subgroup, closure(first + {s}) =
+    closure(first + {s + r}) for r in first, so one atom is computed per
+    coset of first, at its least element.
     """
     first = closure_mask(order, seed, internal, absorbing)
-    atoms = (extend_closure_mask(order, first, [s], internal, absorbing)
-             for s in range(order) if not first[s])
-    return _join_closure(
-        first, atoms, lambda cur, extra: extend_closure_mask(order, cur, extra, internal, absorbing)
-    )
+    _, reps = cosets(internal[0], np.flatnonzero(first))
+    atoms = ((s, extend_closure_mask(order, first, [s], internal, absorbing))
+             for s in reps if not first[s])
+
+    def join(cur: np.ndarray, extra: np.ndarray) -> np.ndarray:
+        out = np.repeat(cur[None], len(extra), axis=0)
+        _close_rows(out, extra, internal, absorbing)
+        return out
+
+    return _join_closure(first, internal[0], atoms, join)
 
 
 def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarray]:
@@ -333,15 +386,20 @@ def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarra
     order = len(add)
     orbits = np.zeros((order, order), dtype=bool)
     orbits[np.arange(order)[:, None], action.T] = True
+    step = max(1, _GATHER_ENTRIES // order)
 
     def join(cur: np.ndarray, extra: np.ndarray) -> np.ndarray:
         # cur is a subgroup, so cur + Rx is cur and its sums with Rx outside cur
-        out = cur.copy()
-        out[add[np.ix_(np.flatnonzero(cur), extra)]] = True
+        out = np.repeat(cur[None], len(extra), axis=0)
+        rows, cols = np.nonzero(extra)
+        cur_idx = np.flatnonzero(cur)
+        for i in range(0, cols.size, step):
+            block = slice(i, i + step)
+            out[rows[block, None], add[cols[block]][:, cur_idx]] = True
         return out
 
     # the orbit of zero is {zero}
-    return _join_closure(orbits[zero], orbits, join)
+    return _join_closure(orbits[zero], add, enumerate(orbits), join)
 
 
 def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
@@ -418,7 +476,12 @@ def find_irreducible(p: int, k: int) -> list[int]:
 
 def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     """The field with p^k elements, built as Z/p[x]/(f) for the first monic
-    irreducible f found by exhaustive search."""
+    irreducible f found by exhaustive search; the element sum c_i x^i has
+    index sum c_i p^i.
+
+    add is the sum of k copies of Z/p, one digit at a time.  mul is read off
+    the logarithms to a primitive element g: mul[a, b] = exp[(log a + log b)
+    mod (q - 1)] for nonzero a and b, and zero otherwise."""
     limit = arith_limit(max_order)
     # bound p and k before the primality test and before forming p**k
     if p > limit:
@@ -432,37 +495,48 @@ def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     q = p**k
     if q > limit:
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
+    zp = make_zmod(p, max_order)
     if k == 1:
-        r = make_zmod(p, max_order)
-        return FiniteRing(p, r.add, r.mul, 0, 1, f"GF({p})")
-    f = find_irreducible(p, k)
-    dig = np.empty((q, k), dtype=np.int64)
-    idx = np.arange(q)
-    for i in range(k):
-        dig[:, i] = (idx // p**i) % p
-    powers = p ** np.arange(k)
-    add = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
-    # reduction vectors: x^m = sum red[m][t] x^t for m in 0..2k-2
-    red = [[1 if t == m else 0 for t in range(k)] for m in range(k)]
-    for m in range(k, 2 * k - 1):
-        vec = [0] * k
-        for i in range(k):
-            c = (-f[i]) % p
-            if c:
-                prev = red[m - k + i]
-                for t in range(k):
-                    vec[t] = (vec[t] + c * prev[t]) % p
-        red.append(vec)
-    res = [np.zeros((q, q), dtype=np.int64) for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            pij = np.multiply.outer(dig[:, i], dig[:, j])
-            for t in range(k):
-                c = red[i + j][t]
-                if c:
-                    res[t] += c * pij
-    mul = sum((res[t] % p) * int(powers[t]) for t in range(k))
+        return FiniteRing(p, zp.add, zp.mul, 0, 1, f"GF({p})")
+    add = np.zeros((1, 1), dtype=np.int32)
+    for _ in range(k):
+        add = _kronecker(add, zp.add)
+    exp = _primitive_powers(p, k, find_irreducible(p, k))
+    log = np.zeros(q, dtype=np.int32)
+    log[exp] = np.arange(q - 1, dtype=np.int32)
+    exponents = np.add.outer(log, log)
+    exponents %= q - 1
+    mul = exp[exponents]
+    mul[0, :] = mul[:, 0] = 0
     return FiniteRing(q, add, mul, 0, 1, f"GF({q})")
+
+
+def _primitive_powers(p: int, k: int, f: list[int]) -> np.ndarray:
+    """exp[i] = g^i, i < p^k - 1, for the least-index primitive element g of
+    Z/p[x]/(f), elements indexed as in make_gf."""
+    q = p**k
+    powers = p ** np.arange(k)
+    dig = (np.arange(q)[:, None] // powers) % p
+
+    def times_x(v: np.ndarray) -> np.ndarray:
+        # x^k = -(f_0 + ... + f_{k-1} x^{k-1})
+        return (np.concatenate(([0], v[:-1])) - v[-1] * np.asarray(f[:k])) % p
+
+    for g in range(2, q):
+        # x^i * g for i < k: the rows of the matrix of a -> a * g on digits
+        basis = [dig[g]]
+        for _ in range(k - 1):
+            basis.append(times_x(basis[-1]))
+        step = (((dig @ np.array(basis)) % p) @ powers).astype(np.int32)
+        # exp doubles in length: exp[n:2n] = g^n * exp[:n], step becomes a -> a * g^2n
+        exp = np.ones(1, dtype=np.int32)
+        while len(exp) < q - 1:
+            exp = np.concatenate((exp, step[exp]))
+            step = step[step]
+        exp = exp[:q - 1]
+        if np.count_nonzero(exp == 1) == 1:
+            return exp
+    raise InternalCheckError(f"no primitive element in GF({q})")
 
 
 def product_components(orders: Sequence[int], x):
@@ -511,12 +585,18 @@ class ProductResult:
         return pair_homs(first, self, [np.arange(first.order)] * len(self.factors))
 
 
+def _kronecker(prev: Table, t: Table) -> Table:
+    """The table of the product of two rings from the tables prev (order m,
+    the more significant digit) and t (order k): prev[a, c] * k + t[b, d] at
+    row a*k + b and column c*k + d."""
+    n = len(prev) * len(t)
+    return (prev[:, None, :, None] * len(t) + t[None, :, None, :]).reshape(n, n)
+
+
 def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> ProductResult:
     """Direct product with componentwise operations, laid out as in
-    product_components.  That is the Kronecker layout: with P the table of
-    the first factors (order m) and t that of the next (order k), the table
-    of their product holds P[a, c] * k + t[b, d] at row a*k + b and column
-    c*k + d, so one broadcast per factor writes it, with no gathers."""
+    product_components.  That is the Kronecker layout of _kronecker, so one
+    broadcast per factor writes each table, with no gathers."""
     if not factors:
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
@@ -527,9 +607,8 @@ def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> P
     # every entry is below total <= arith_limit, so int32 is exact
     add = mul = np.zeros((1, 1), dtype=np.int32)
     for r in factors:
-        n = len(add) * r.order
-        add = (add[:, None, :, None] * r.order + r.add[None, :, None, :]).reshape(n, n)
-        mul = (mul[:, None, :, None] * r.order + r.mul[None, :, None, :]).reshape(n, n)
+        add = _kronecker(add, r.add)
+        mul = _kronecker(mul, r.mul)
     zero = int(product_index(orders, [r.zero for r in factors]))
     one = int(product_index(orders, [r.one for r in factors]))
     label = " x ".join(f"({r.label})" if " x " in r.label else r.label for r in factors)
@@ -790,7 +869,11 @@ def is_spir(ring: FiniteRing) -> Optional[SpirWitness]:
 def subset_ring(ring: FiniteRing, elems: np.ndarray, one: int,
                 label: str) -> tuple[FiniteRing, np.ndarray]:
     """The sorted subset elems, closed under + and *, as a ring with unit one,
-    and the lookup array from ring indices to its indices (-1 off the subset)."""
+    and the lookup array from ring indices to its indices (-1 off the subset).
+    The whole ring keeps its indices, so it shares the ring's tables."""
+    if len(elems) == ring.order:
+        return (FiniteRing(ring.order, ring.add, ring.mul, ring.zero, int(one), label),
+                np.arange(ring.order, dtype=np.int32))
     lookup = np.full(ring.order, -1, dtype=np.int32)
     lookup[elems] = np.arange(len(elems))
     add = lookup[ring.add[np.ix_(elems, elems)]]

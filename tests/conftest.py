@@ -113,6 +113,45 @@ def brute_force_product_tables():
     return tables
 
 
+@pytest.fixture(scope="session")
+def brute_force_gf_tables():
+    """Oracle for finite-field tables: the add and mul tables of
+    Z/p[x]/(f), f = rg.find_irreducible(p, k), with the element sum c_i x^i
+    at index sum c_i p^i, by digitwise addition and by schoolbook products
+    of the digits reduced with the powers x^m, m <= 2k - 2."""
+    def tables(p, k):
+        f = rg.find_irreducible(p, k)
+        q = p**k
+        dig = np.empty((q, k), dtype=np.int64)
+        idx = np.arange(q)
+        for i in range(k):
+            dig[:, i] = (idx // p**i) % p
+        powers = p ** np.arange(k)
+        add = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
+        # reduction vectors: x^m = sum red[m][t] x^t for m in 0..2k-2
+        red = [[1 if t == m else 0 for t in range(k)] for m in range(k)]
+        for m in range(k, 2 * k - 1):
+            vec = [0] * k
+            for i in range(k):
+                c = (-f[i]) % p
+                if c:
+                    prev = red[m - k + i]
+                    for t in range(k):
+                        vec[t] = (vec[t] + c * prev[t]) % p
+            red.append(vec)
+        res = [np.zeros((q, q), dtype=np.int64) for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                pij = np.multiply.outer(dig[:, i], dig[:, j])
+                for t in range(k):
+                    c = red[i + j][t]
+                    if c:
+                        res[t] += c * pij
+        mul = sum((res[t] % p) * int(powers[t]) for t in range(k))
+        return add, mul
+    return tables
+
+
 def _over_quotient(ring, relation):
     pq = rg.poly_quotient(ring, relation, var="u")
     return lt.Extension(ring, pq.ring, pq.to_quotient)

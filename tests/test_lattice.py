@@ -286,6 +286,33 @@ def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0, brut
         == [set(c) for c in classes]
 
 
+@pytest.mark.parametrize("name", _ZOO)
+def test_one_atom_per_coset_of_the_bottom(extension_zoo, name):
+    ext = extension_zoo(name)
+    top = ext.top
+    ops = (top.add, top.mul)
+    first = rg.closure_mask(top.order, list(ext.image), ops)
+
+    def atoms(elements):
+        return {rg.extend_closure_mask(top.order, first, [s], ops).tobytes()
+                for s in elements if not first[s]}
+
+    _, reps = rg.cosets(top.add, np.flatnonzero(first))
+    assert atoms(reps) == atoms(range(top.order))
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_pointwise_minimal_matches_every_element(extension_zoo, name):
+    ext = extension_zoo(name)
+    top = ext.top
+    rep = lt.intermediate_algebras(ext)
+    base = rep.nodes[rep.bottom_index].mask
+    covers = {rep.nodes[b].elements for a, b in rep.hasse_edges if a == rep.bottom_index}
+    want = all(rg.mask_elements(rg.extend_closure_mask(top.order, base, [t], (top.add, top.mul)))
+               in covers for t in range(top.order) if not base[t])
+    assert lt.is_pointwise_minimal(ext, rep) is want
+
+
 def test_spectral_predicates_past_the_lattice_bound():
     # order 729 exceeds the ideal-enumeration bound of 512
     ext = lt.power_extension(rg.make_zmod(27), 2)

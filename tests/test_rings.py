@@ -40,6 +40,15 @@ def test_gf_is_a_field(p, k):
     assert rg.is_field(ring)
 
 
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 257) if rg._is_prime(p)
+                                 for k in range(1, 9) if p ** k <= 256])
+def test_gf_tables_match_the_polynomial_oracle(p, k, brute_force_gf_tables):
+    ring = rg.make_gf(p, k)
+    add, mul = brute_force_gf_tables(p, k)
+    assert np.array_equal(ring.add, add)
+    assert np.array_equal(ring.mul, mul)
+
+
 def test_gf_rejects_composite_characteristic():
     with pytest.raises(PreconditionError):
         rg.make_gf(6)
@@ -263,7 +272,7 @@ def _ideals_of(ring):
     return md.module_from_ring(ring)
 
 
-@pytest.mark.parametrize("system", [
+_CLOSURE_SYSTEMS = pytest.mark.parametrize("system", [
     lambda: _subalgebra_system(rg.product([rg.make_gf(2)] * 3).ring),  # Z/2 in (Z/2)^3
     lambda: _subalgebra_system(rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring),
     lambda: _subalgebra_system(rg.make_zmod(9)),
@@ -274,11 +283,35 @@ def _ideals_of(ring):
     lambda: _submodule_system(_ideals_of(rg.product([rg.make_gf(2)] * 3).ring)),
 ], ids=["Z2-in-Z2^3", "Z2[t]/(t^3)", "Z9", "add-Z3^2", "add-Z8", "Z4+Z2-module",
         "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3"])
+
+
+@_CLOSURE_SYSTEMS
 def test_closed_subset_enumeration_matches_brute_force(system):
     order, seed, internal, absorbing = system()
     got = rg.enumerate_closed_subsets(order, seed, internal=internal, absorbing=absorbing)
     want = _brute_force_closed_subsets(order, seed, internal, absorbing)
     assert [rg.mask_elements(m) for m in got] == [rg.mask_elements(m) for m in want]
+
+
+@_CLOSURE_SYSTEMS
+def test_close_rows_closes_each_row_as_if_alone(system):
+    order, seed, internal, absorbing = system()
+    rng = np.random.default_rng(order)
+
+    def closure(cells):
+        # the least closed superset is the first closed superset in size order
+        return _brute_force_closed_subsets(order, sorted(set(cells)), internal, absorbing)[0]
+
+    # closed starts of every kind: empty, the system's own, one random generator
+    starts = [[], seed] + [[int(rng.integers(order))] for _ in range(4)]
+    news = [rng.choice(order, size=int(rng.integers(1, 4)), replace=False) for _ in starts]
+    mask = np.array([closure(s) for s in starts])
+    hit = np.zeros_like(mask)
+    for row, cells in enumerate(news):
+        hit[row, cells] = True
+    rg._close_rows(mask, hit, internal, absorbing)
+    want = [closure(list(s) + cells.tolist()) for s, cells in zip(starts, news)]
+    assert [rg.mask_elements(m) for m in mask] == [rg.mask_elements(m) for m in want]
 
 
 @pytest.mark.parametrize("module", [
@@ -293,6 +326,18 @@ def test_submodule_enumeration_matches_brute_force(module):
     got = rg.enumerate_submodules(m.add, m.action, m.zero)
     want = _brute_force_closed_subsets(*_submodule_system(m))
     assert [rg.mask_elements(x) for x in got] == [rg.mask_elements(x) for x in want]
+
+
+def test_whole_ring_subset_shares_the_tables(z4, f3):
+    ring = rg.product([z4, f3]).ring  # one is index 4, not 1
+    elems = np.arange(ring.order)
+    sub, lookup = rg.subset_ring(ring, elems, ring.one, "whole")
+    assert np.shares_memory(sub.add, ring.add) and np.shares_memory(sub.mul, ring.mul)
+    # the tables the gather of a proper subset would give
+    assert np.array_equal(lookup, elems)
+    assert np.array_equal(sub.add, lookup[ring.add[np.ix_(elems, elems)]])
+    assert np.array_equal(sub.mul, lookup[ring.mul[np.ix_(elems, elems)]])
+    assert (sub.order, sub.zero, sub.one, sub.label) == (ring.order, ring.zero, ring.one, "whole")
 
 
 def test_power_is_square_and_multiply(z12):

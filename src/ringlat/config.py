@@ -1,11 +1,15 @@
 """Size bounds for constructions and enumerations.
 
-RINGLAT_MAX_ORDER overrides both bounds from the environment.
+RINGLAT_MAX_ORDER overrides both bounds from the environment.  It must be a
+positive integer: any other value raises PreconditionError (CLI exit 2)
+when a bound is read.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import PreconditionError
 
 DEFAULT_ARITH_LIMIT = 4096
 DEFAULT_LATTICE_LIMIT = 512
@@ -18,8 +22,10 @@ def _env_override() -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = 0
+    if value < 1:
+        raise PreconditionError(f"RINGLAT_MAX_ORDER must be a positive integer, got {raw!r}")
+    return value
 
 
 def arith_limit(explicit: int | None = None) -> int:

@@ -377,28 +377,12 @@ class BuildResult:
     names: dict[str, int] = field(default_factory=dict)
 
 
-def _int_element(ring: FiniteRing, value: int) -> int:
-    out = ring.zero
-    step = ring.one if value >= 0 else int(ring.neg[ring.one])
-    for _ in range(abs(value) % _additive_order(ring)):
-        out = int(ring.add[out, step])
-    return out
-
-
-def _additive_order(ring: FiniteRing) -> int:
-    # order of 1 in (R, +); literals reduce mod this
-    seen = 1
-    cur = ring.one
-    while cur != ring.zero:
-        cur = int(ring.add[cur, ring.one])
-        seen += 1
-    return seen
-
-
 def _eval_factor(ring: FiniteRing, names: dict[str, int], f: Factor,
                  where: str) -> int:
     if isinstance(f, IntF):
-        return _int_element(ring, f.value)
+        # a literal k is k * 1, so it reduces mod the additive order of one
+        mults = ring.multiples_of_one
+        return int(mults[f.value % len(mults)])
     if f.name not in names:
         raise PreconditionError(f"unknown name {f.name!r} in {where}")
     return ring.power(names[f.name], f.exp)

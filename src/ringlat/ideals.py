@@ -16,6 +16,7 @@ from .rings import (
     enumerate_submodules,
     mask_elements,
     primitive_idempotents,
+    span_of_products,
     subgroup_sum_mask,
 )
 
@@ -52,11 +53,8 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """Additive span of the pairwise products; it absorbs automatically."""
     _same_ring(a, b)
     ring = a.ring
-    ai = np.asarray(a.elements, dtype=np.intp)
-    bi = np.asarray(b.elements, dtype=np.intp)
-    prods = np.unique(ring.mul[np.ix_(ai, bi)])
-    mask = closure_mask(ring.order, list(prods) + [ring.zero], internal=(ring.add,))
-    return Ideal(ring, mask_elements(mask))
+    span = span_of_products(ring.add, ring.mul, ring.zero, a.elements, b.elements)
+    return Ideal(ring, mask_elements(span))
 
 
 def ideal_power(a: Ideal, e: int) -> Ideal:

@@ -17,7 +17,6 @@ from .rings import (
     RingHom,
     _close_rows,
     _is_prime,
-    closure_mask,
     cosets,
     enumerate_closed_subsets,
     enumerate_submodules,
@@ -28,6 +27,7 @@ from .rings import (
     pair_homs,
     product,
     quotient,
+    span_of_products,
     subgroup_sum_mask,
     subset_ring,
 )
@@ -598,16 +598,15 @@ def is_special_minimal_ramified(ext: Extension, report: Optional[LatticeReport] 
     m_top = ext.embed.map[np.asarray(m.elements, dtype=np.intp)]
     n_idx = np.asarray(n.elements, dtype=np.intp)
 
-    def span_of_products(a, b) -> tuple[int, ...]:
-        prods = np.unique(top.mul[np.ix_(a, b)])
-        return mask_elements(closure_mask(top.order, list(prods) + [top.zero], internal=(top.add,)))
+    def span(a, b) -> tuple[int, ...]:
+        return mask_elements(span_of_products(top.add, top.mul, top.zero, a, b))
 
     zero_only = (top.zero,)
-    if span_of_products(m_top, m_top) != zero_only:
+    if span(m_top, m_top) != zero_only:
         return False
-    if span_of_products(m_top, n_idx) != zero_only:
+    if span(m_top, n_idx) != zero_only:
         return False
-    return span_of_products(n_idx, n_idx) == tuple(sorted(int(i) for i in m_top))
+    return span(n_idx, n_idx) == tuple(sorted(int(i) for i in m_top))
 
 
 def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> bool:

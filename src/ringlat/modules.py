@@ -34,6 +34,7 @@ from .rings import (
     product_components,
     product_index,
     quotient,
+    span_of_products,
 )
 
 IdealLike = Union[Ideal, Sequence[int]]
@@ -354,10 +355,7 @@ def uniserial_structure_check(ring: FiniteRing, m: FiniteModule,
         chain.append(tuple(sorted(cur)))
         if cur == (m.zero,) or len(cur) == 1:
             break
-        prods = np.unique(m.action[np.ix_(p_idx, np.asarray(cur, dtype=np.intp))])
-        nxt = mask_elements(
-            closure_mask(m.order, list(prods) + [m.zero], internal=(m.add,))
-        )
+        nxt = mask_elements(span_of_products(m.add, m.action, m.zero, p_idx, cur))
         if nxt == tuple(sorted(cur)):
             raise InternalCheckError("powers of the maximal ideal fail to shrink a cyclic module")
         cur = nxt

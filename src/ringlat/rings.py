@@ -65,6 +65,14 @@ class FiniteRing:
             y = self.mul[y, y]
         return y == self.zero
 
+    @cached_property
+    def multiples_of_one(self) -> np.ndarray:
+        """k * 1 at position k, for k below the additive order of one."""
+        out = [self.zero]
+        while (nxt := int(self.add[out[-1], self.one])) != self.zero:
+            out.append(nxt)
+        return np.array(out, dtype=np.int32)
+
     def plus(self, a: int, b: int) -> int:
         return int(self.add[a, b])
 
@@ -411,6 +419,14 @@ def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) 
     return out
 
 
+def span_of_products(add: Table, mul: Table, zero: int, a, b) -> np.ndarray:
+    """Mask of the additive subgroup (group law add) generated by the products
+    mul[x, y], x in a, y in b; mul is a ring's multiplication or a module's
+    action (ring x module)."""
+    prods = np.unique(mul[np.ix_(a, b)])
+    return closure_mask(len(add), np.append(prods, zero), internal=(add,))
+
+
 def mask_elements(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.flatnonzero(mask))
 
@@ -455,7 +471,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
         for m in range(p**d):
-            g = [(m // p**i) % p for i in range(d)] + [1]
+            g = product_components([p] * d, m)[::-1] + [1]
             if not any(_poly_mod(f, g, p)):
                 return False
     return True
@@ -467,8 +483,8 @@ def find_irreducible(p: int, k: int) -> list[int]:
     Candidates are ordered by the coefficient vector (c_{k-1},...,c_0).
     """
     for m in range(p**k):
-        # base-p digits of m, read most significant first, are (c_{k-1},...,c_0)
-        f = [(m // p**i) % p for i in range(k)] + [1]
+        # the base-p digits of m, most significant first, are (c_{k-1},...,c_0)
+        f = product_components([p] * k, m)[::-1] + [1]
         if _is_irreducible(f, p):
             return f
     raise InternalCheckError(f"no irreducible polynomial of degree {k} over Z/{p}")
@@ -476,12 +492,14 @@ def find_irreducible(p: int, k: int) -> list[int]:
 
 def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     """The field with p^k elements, built as Z/p[x]/(f) for the first monic
-    irreducible f found by exhaustive search; the element sum c_i x^i has
-    index sum c_i p^i.
+    irreducible f found by exhaustive search, on the layout of poly_quotient:
+    the element sum c_i x^i has index sum c_i p^i.
 
-    add is the sum of k copies of Z/p, one digit at a time.  mul is read off
-    the logarithms to a primitive element g: mul[a, b] = exp[(log a + log b)
-    mod (q - 1)] for nonzero a and b, and zero otherwise."""
+    add is the layout's, the sum of k copies of Z/p.  mul is read off the
+    logarithms to the least-index primitive element g: mul[a, b] =
+    exp[(log a + log b) mod (q - 1)] for nonzero a and b, and zero otherwise.
+    The powers exp[i] = g^i come from the layout's map a -> a * g, doubled:
+    exp[m:2m] = g^m * exp[:m]."""
     limit = arith_limit(max_order)
     # bound p and k before the primality test and before forming p**k
     if p > limit:
@@ -498,45 +516,24 @@ def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     zp = make_zmod(p, max_order)
     if k == 1:
         return FiniteRing(p, zp.add, zp.mul, 0, 1, f"GF({p})")
-    add = np.zeros((1, 1), dtype=np.int32)
-    for _ in range(k):
-        add = _kronecker(add, zp.add)
-    exp = _primitive_powers(p, k, find_irreducible(p, k))
+    layout = _poly_layout(zp, find_irreducible(p, k))
+    for g in range(2, q):
+        exp, step = np.array([layout.one], dtype=np.int32), layout.times(g)
+        while len(exp) < q - 1:
+            exp = np.concatenate((exp, step[exp]))
+            step = step[step]
+        exp = exp[:q - 1]
+        if np.count_nonzero(exp == layout.one) == 1:
+            break
+    else:
+        raise InternalCheckError(f"no primitive element in GF({q})")
     log = np.zeros(q, dtype=np.int32)
     log[exp] = np.arange(q - 1, dtype=np.int32)
     exponents = np.add.outer(log, log)
     exponents %= q - 1
     mul = exp[exponents]
     mul[0, :] = mul[:, 0] = 0
-    return FiniteRing(q, add, mul, 0, 1, f"GF({q})")
-
-
-def _primitive_powers(p: int, k: int, f: list[int]) -> np.ndarray:
-    """exp[i] = g^i, i < p^k - 1, for the least-index primitive element g of
-    Z/p[x]/(f), elements indexed as in make_gf."""
-    q = p**k
-    powers = p ** np.arange(k)
-    dig = (np.arange(q)[:, None] // powers) % p
-
-    def times_x(v: np.ndarray) -> np.ndarray:
-        # x^k = -(f_0 + ... + f_{k-1} x^{k-1})
-        return (np.concatenate(([0], v[:-1])) - v[-1] * np.asarray(f[:k])) % p
-
-    for g in range(2, q):
-        # x^i * g for i < k: the rows of the matrix of a -> a * g on digits
-        basis = [dig[g]]
-        for _ in range(k - 1):
-            basis.append(times_x(basis[-1]))
-        step = (((dig @ np.array(basis)) % p) @ powers).astype(np.int32)
-        # exp doubles in length: exp[n:2n] = g^n * exp[:n], step becomes a -> a * g^2n
-        exp = np.ones(1, dtype=np.int32)
-        while len(exp) < q - 1:
-            exp = np.concatenate((exp, step[exp]))
-            step = step[step]
-        exp = exp[:q - 1]
-        if np.count_nonzero(exp == 1) == 1:
-            return exp
-    raise InternalCheckError(f"no primitive element in GF({q})")
+    return FiniteRing(q, layout.add, mul, 0, 1, f"GF({q})")
 
 
 def product_components(orders: Sequence[int], x):
@@ -675,6 +672,67 @@ class PolyQuotientResult:
     var_index: int
 
 
+@dataclass(frozen=True)
+class _PolyLayout:
+    """R[x]/(f), deg f = d, as the free R-module on 1, x, ..., x^(d-1): the
+    product of d copies of R (product_components) whose least significant
+    component is the constant term, so sum c_i x^i has index sum c_i n^i.
+
+    add is the d-fold _kronecker of the add table of R, scale[c, a] = c * a
+    for c in R, and times_x[a] = x * a."""
+
+    degree: int
+    add: Table
+    scale: Table
+    times_x: np.ndarray
+    zero: int
+    one: int
+
+    def horner(self, coeffs):
+        """sum_i coeffs[i] x^i (coeffs little-endian), by Horner with times_x;
+        each coefficient is an element or an array of elements."""
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = self.add[self.times_x[acc], c]
+        return acc
+
+    def times(self, b: int) -> np.ndarray:
+        """The map a -> a * b = sum_i (b_i a) x^i."""
+        return self.horner(self.scale[product_components([len(self.scale)] * self.degree, b)[::-1]])
+
+    def mul(self) -> Table:
+        """The mul table: a * b = sum_i b_i (x^i a), one coefficient of b at a
+        time.  After step i, out[a, c] = a * c for every c of degree <= i, the
+        coefficient of x^i its most significant digit."""
+        q = len(self.add)
+        out = np.full((q, 1), self.zero, dtype=np.int32)
+        xa = np.arange(q)
+        for _ in range(self.degree):
+            # scale.T[xa][a, c] = c * (x^i a)
+            out = self.add[self.scale.T[xa][:, :, None], out[:, None, :]].reshape(q, -1)
+            xa = self.times_x[xa]
+        return out
+
+
+def _poly_layout(ring: FiniteRing, monic: Sequence[int]) -> _PolyLayout:
+    """The layout of R[x]/(monic), monic of degree d >= 1 with leading
+    coefficient one; its tables have n^d entries per row."""
+    n, d = ring.order, len(monic) - 1
+    add = np.zeros((1, 1), dtype=np.int32)
+    scale = np.zeros((n, 1), dtype=np.int32)
+    for _ in range(d):
+        add = _kronecker(add, ring.add)
+        scale = (scale[:, :, None] * n + ring.mul[:, None, :]).reshape(n, -1)
+    q = len(add)
+    # x * a: shift the coefficients of a up, then fold x^d = -(f_0 + ... + f_{d-1} x^(d-1)) back in
+    top, rest = product_components((n, q // n), np.arange(q))
+    minus_f = product_index([n] * d, ring.neg[list(monic[d - 1::-1])])
+    times_x = add[product_index((q // n, n), (rest, ring.zero)), scale[top, minus_f]]
+    zero = int(product_index([n] * d, [ring.zero] * d))
+    one = int(product_index([n] * d, [ring.zero] * (d - 1) + [ring.one]))
+    return _PolyLayout(d, add, scale, times_x, zero, one)
+
+
 def poly_quotient(
     ring: FiniteRing,
     monic: Sequence[int],
@@ -685,7 +743,11 @@ def poly_quotient(
     """Quotient of R[x] by a monic polynomial and further relations.
 
     Polynomials are little-endian element-index lists; monic must have
-    degree >= 1 and leading coefficient one.
+    degree d >= 1 and leading coefficient one.  R[x]/(monic) is built on
+    _poly_layout: the element sum c_i x^i of the free R-module on 1, x, ...,
+    x^(d-1) has index sum c_i n^i, R embeds as the constants c * 1 and x is
+    x * 1.  Relations are evaluated by Horner with the map a -> x * a, and
+    the ideal they generate is divided out by quotient.
     """
     monic = [int(c) for c in monic]
     if len(monic) < 2:
@@ -694,70 +756,23 @@ def poly_quotient(
         raise PreconditionError("polynomial coefficient out of range")
     if monic[-1] != ring.one:
         raise PreconditionError("not monic: leading coefficient is not one")
-    d = len(monic) - 1
-    q = ring.order**d
+    q = ring.order**(len(monic) - 1)
     if q > arith_limit(max_order):
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
 
-    n = ring.order
-    idx = np.arange(q)
-    dig = np.empty((q, d), dtype=np.intp)
-    for i in range(d):
-        dig[:, i] = (idx // n**i) % n
-    powers = n ** np.arange(d, dtype=np.int64)
-
-    add = np.zeros((q, q), dtype=np.int64)
-    for i in range(d):
-        add += powers[i] * ring.add[np.ix_(dig[:, i], dig[:, i])].astype(np.int64)
-
-    # x^m as a vector of ring elements over the basis 1..x^{d-1}
-    red: list[list[int]] = [[ring.one if t == m else ring.zero for t in range(d)] for m in range(d)]
-    for m in range(d, 2 * d - 1):
-        vec = [ring.zero] * d
-        for i in range(d):
-            c = int(ring.neg[monic[i]])
-            if c != ring.zero:
-                prev = red[m - d + i]
-                for t in range(d):
-                    vec[t] = int(ring.add[vec[t], ring.mul[c, prev[t]]])
-        red.append(vec)
-
-    res = [np.full((q, q), ring.zero, dtype=np.int32) for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            pij = ring.mul[np.ix_(dig[:, i], dig[:, j])]
-            for t in range(d):
-                c = red[i + j][t]
-                if c == ring.zero:
-                    continue
-                term = pij if c == ring.one else ring.mul[c][pij]
-                res[t] = ring.add[res[t], term]
-    mul = np.zeros((q, q), dtype=np.int64)
-    for t in range(d):
-        mul += powers[t] * res[t].astype(np.int64)
-
-    def pack(vec: Sequence[int]) -> int:
-        return int(sum(int(vec[i]) * int(powers[i]) for i in range(d)))
-
-    zero = pack([ring.zero] * d)
-    one = pack([ring.one] + [ring.zero] * (d - 1))
+    layout = _poly_layout(ring, monic)
     mstr = _poly_label(ring, monic, var)
     label = f"{ring.label}[{var}]/({mstr}" + ("" if not relations else ",...") + ")"
-    free = FiniteRing(q, add, mul, zero, one, label)
-    embed = RingHom(ring, free, np.array([pack([r] + [ring.zero] * (d - 1)) for r in range(n)]))
-    x_index = pack([ring.zero, ring.one] + [ring.zero] * (d - 2)) if d >= 2 else pack([ring.neg[monic[0]]])
+    free = FiniteRing(q, layout.add, layout.mul(), layout.zero, layout.one, label)
+    embed = RingHom(ring, free, layout.scale[:, layout.one])
+    x_index = int(layout.times_x[layout.one])
 
     rel_elems = []
     for rel in relations:
         rel = [int(c) for c in rel]
         if any(c < 0 or c >= ring.order for c in rel):
             raise PreconditionError("polynomial coefficient out of range")
-        acc = free.zero
-        xp = free.one
-        for c in rel:
-            acc = int(free.add[acc, free.mul[embed.map[c], xp]])
-            xp = int(free.mul[xp, x_index])
-        rel_elems.append(acc)
+        rel_elems.append(int(layout.horner(embed.map[rel])))
     if not rel_elems or all(e == free.zero for e in rel_elems):
         return PolyQuotientResult(free, embed, x_index)
     imask = closure_mask(q, rel_elems + [free.zero], internal=(free.add,), absorbing=(free.mul,))
@@ -835,10 +850,7 @@ def nilpotency_index(ring: FiniteRing) -> int:
     cur = m.mask
     n = 1
     while cur.sum() > 1 or not cur[ring.zero]:
-        a = np.flatnonzero(cur)
-        b = np.asarray(m.elements, dtype=np.intp)
-        prods = np.unique(ring.mul[np.ix_(a, b)])
-        cur = closure_mask(ring.order, list(prods) + [ring.zero], internal=(ring.add,))
+        cur = span_of_products(ring.add, ring.mul, ring.zero, np.flatnonzero(cur), m.elements)
         n += 1
         if n > ring.order + 1:
             raise InternalCheckError("maximal ideal is not nilpotent")
@@ -885,13 +897,11 @@ def prime_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     """The map k*1 -> k*1 out of a ring whose additive group is generated by 1
     (Z/n, GF(p)); PreconditionError when 1 does not generate it or the map is
     not a ring hom."""
-    emb = np.full(source.order, -1, dtype=np.int64)
-    r, s = source.zero, target.zero
-    while emb[r] < 0:
-        emb[r] = s
-        r, s = int(source.add[r, source.one]), int(target.add[s, target.one])
-    if (emb < 0).any():
+    src, tgt = source.multiples_of_one, target.multiples_of_one
+    if len(src) != source.order:
         raise PreconditionError("the base is not generated by 1")
+    emb = np.empty(source.order, dtype=np.int32)
+    emb[src] = tgt[np.arange(len(src)) % len(tgt)]
     return RingHom(source, target, emb)
 
 

@@ -113,43 +113,53 @@ def brute_force_product_tables():
     return tables
 
 
+def _poly_oracle(ring, monic):
+    n, d = ring.order, len(monic) - 1
+    idx = np.arange(n**d)
+    # little-endian coefficient arrays of every element
+    dig = [(idx // n**i) % n for i in range(d)]
+
+    def index(coeffs):
+        return sum(np.asarray(c, dtype=np.int64) * n**i for i, c in enumerate(coeffs))
+
+    def reduce(coeffs):
+        # long division by monic from the top degree down: c x^m = -c (f_0 + ... + f_{d-1} x^(d-1)) x^(m-d)
+        coeffs = list(coeffs) + [ring.zero] * (d - len(coeffs))
+        for m in range(len(coeffs) - 1, d - 1, -1):
+            for i in range(d):
+                coeffs[m - d + i] = ring.add[coeffs[m - d + i], ring.mul[ring.neg[monic[i]], coeffs[m]]]
+        return coeffs[:d]
+
+    a = [c[:, None] for c in dig]
+    b = [c[None, :] for c in dig]
+    add = index([ring.add[x, y] for x, y in zip(a, b)])
+    prod = [ring.zero] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            prod[i + j] = ring.add[prod[i + j], ring.mul[a[i], b[j]]]
+    mul = index(reduce(prod))
+    embed = np.array([index(reduce([r])) for r in range(n)])
+    return (add, mul, int(index(reduce([ring.zero]))), int(index(reduce([ring.one]))), embed,
+            int(index(reduce([ring.zero, ring.one]))))
+
+
+@pytest.fixture(scope="session")
+def brute_force_poly_quotient_tables():
+    """Oracle for R[x]/(monic), monic of degree d over the ring R (any
+    tables): the element sum c_i x^i at index sum c_i n^i.  Gives add, mul,
+    zero, one, the embedding of R as constants and the index of x.  add is
+    digitwise; mul is the schoolbook product of the coefficient lists, of
+    degree up to 2d - 2, reduced by long division by monic; every
+    coefficient operation is a lookup in R's tables."""
+    return _poly_oracle
+
+
 @pytest.fixture(scope="session")
 def brute_force_gf_tables():
     """Oracle for finite-field tables: the add and mul tables of
-    Z/p[x]/(f), f = rg.find_irreducible(p, k), with the element sum c_i x^i
-    at index sum c_i p^i, by digitwise addition and by schoolbook products
-    of the digits reduced with the powers x^m, m <= 2k - 2."""
-    def tables(p, k):
-        f = rg.find_irreducible(p, k)
-        q = p**k
-        dig = np.empty((q, k), dtype=np.int64)
-        idx = np.arange(q)
-        for i in range(k):
-            dig[:, i] = (idx // p**i) % p
-        powers = p ** np.arange(k)
-        add = ((dig[:, None, :] + dig[None, :, :]) % p) @ powers
-        # reduction vectors: x^m = sum red[m][t] x^t for m in 0..2k-2
-        red = [[1 if t == m else 0 for t in range(k)] for m in range(k)]
-        for m in range(k, 2 * k - 1):
-            vec = [0] * k
-            for i in range(k):
-                c = (-f[i]) % p
-                if c:
-                    prev = red[m - k + i]
-                    for t in range(k):
-                        vec[t] = (vec[t] + c * prev[t]) % p
-            red.append(vec)
-        res = [np.zeros((q, q), dtype=np.int64) for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                pij = np.multiply.outer(dig[:, i], dig[:, j])
-                for t in range(k):
-                    c = red[i + j][t]
-                    if c:
-                        res[t] += c * pij
-        mul = sum((res[t] % p) * int(powers[t]) for t in range(k))
-        return add, mul
-    return tables
+    Z/p[x]/(f), f = rg.find_irreducible(p, k), from the polynomial-quotient
+    oracle."""
+    return lambda p, k: _poly_oracle(rg.make_zmod(p), rg.find_irreducible(p, k))[:2]
 
 
 def _over_quotient(ring, relation):

@@ -237,3 +237,11 @@ def test_huge_exponent_in_relation(capsys):
     assert code == 0
     assert data["top_order"] == 4
     assert data["count"] == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_exit_code_malformed_max_order(capsys, monkeypatch, value):
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", value)
+    code, _, err = run(capsys, ["lattice", "Z/2", "Z/2 x Z/2"])
+    assert code == 2
+    assert "RINGLAT_MAX_ORDER" in err

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports (the package
-__init__ re-exports its imports, so it is not scanned)."""
+__init__ re-exports its imports, so it is not scanned), and every private
+module-level name of the package is read by some module of it."""
 
 import ast
 from pathlib import Path
@@ -22,11 +23,50 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name for each single-underscore function, class or constant
+    defined at the top level of one of the sources (module name -> source)
+    that no source reads, as a name, an attribute or an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom typing import Optional, Sequence\nx: Sequence = np.zeros(1)\n"
     assert unused_imports(source) == ["Optional", "os"]
 
 
+def test_scan_finds_an_orphaned_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_UNREAD = 4\ndef _helper():\n    return _LIMIT\nclass _Gone:\n    pass\n",
+        "b": "from .a import _helper\n",
+        "c": "import a\ndef _orphan():\n    a._helper()\ndef public():\n    pass\n",
+    }
+    assert orphaned_private_names(sources) == ["a._Gone", "a._UNREAD", "c._orphan"]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_its_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_every_private_name_is_read():
+    assert orphaned_private_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

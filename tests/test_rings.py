@@ -176,6 +176,74 @@ def test_poly_quotient_with_relations(f2):
     rg.check_ring_axioms(pq.ring)
 
 
+def _relabeled(ring, perm):
+    """The same ring with each element x renamed perm[x]."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return rg.FiniteRing(ring.order, perm[ring.add[np.ix_(inv, inv)]], perm[ring.mul[np.ix_(inv, inv)]],
+                         int(perm[ring.zero]), int(perm[ring.one]), ring.label)
+
+
+def _gf4_case():
+    f4 = rg.make_gf(2, 2)
+    return f4, [2, 1, 1], ()  # x^2 + x + w, w the class of x in GF(4)
+
+
+def _z2_z3_case():
+    ring = rg.product([rg.make_zmod(2), rg.make_zmod(3)]).ring
+    return ring, [ring.one, ring.zero, ring.one], ()
+
+
+def _relabeled_z4_case():
+    ring = _relabeled(rg.make_zmod(4), [2, 0, 3, 1])  # zero is index 2, one is index 0
+    assert ring.zero != 0
+    return ring, [ring.one, ring.one, ring.one], ()  # x^2 + x + 1
+
+
+_POLY_QUOTIENTS = {
+    "Z/2[t]/(t^6)": lambda: (rg.make_zmod(2), [0] * 6 + [1], ()),
+    "Z/2[t]/(t^8)": lambda: (rg.make_zmod(2), [0] * 8 + [1], ()),
+    "Z/4[t]/(t^3)": lambda: (rg.make_zmod(4), [0, 0, 0, 1], ()),
+    "Z/9[t]/(t^2)": lambda: (rg.make_zmod(9), [0, 0, 1], ()),
+    "Z/6[x]/(x+5)": lambda: (rg.make_zmod(6), [5, 1], ()),
+    "Z/3[t]/(t^2+1)": lambda: (rg.make_zmod(3), [1, 0, 1], ()),
+    "GF(4)[x]/(x^2+x+w)": _gf4_case,
+    "(Z/2 x Z/3)[x]/(x^2+1)": _z2_z3_case,
+    "relabeled Z/4[x]/(x^2+x+1)": _relabeled_z4_case,
+    "Z/4[x]/(x^2, 2x)": lambda: (rg.make_zmod(4), [0, 0, 1], [[0, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_POLY_QUOTIENTS))
+def test_poly_quotient_matches_the_schoolbook_oracle(case, brute_force_poly_quotient_tables):
+    ring, monic, relations = _POLY_QUOTIENTS[case]()
+    add, mul, zero, one, embed, x = brute_force_poly_quotient_tables(ring, monic)
+    free = rg.FiniteRing(len(add), add, mul, zero, one, "oracle")
+    proj = rg.identity_hom(free)
+    if relations:
+        # the relations, evaluated in the oracle's tables, generate the ideal divided out
+        gens = [zero]
+        for rel in relations:
+            acc, xp = zero, one
+            for c in rel:
+                acc, xp = free.add[acc, free.mul[embed[c], xp]], free.mul[xp, x]
+            gens.append(int(acc))
+        ideal = rg.closure_mask(free.order, gens, (free.add,), (free.mul,))
+        proj = rg.quotient(free, np.flatnonzero(ideal)).projection
+    pq = rg.poly_quotient(ring, monic, relations)
+    assert np.array_equal(pq.ring.add, proj.target.add)
+    assert np.array_equal(pq.ring.mul, proj.target.mul)
+    assert (pq.ring.zero, pq.ring.one) == (proj.target.zero, proj.target.one)
+    assert np.array_equal(pq.to_quotient.map, proj.map[embed])
+    assert pq.var_index == proj.map[x]
+
+
+def test_multiples_of_one(f4):
+    assert rg.make_zmod(6).multiples_of_one.tolist() == [0, 1, 2, 3, 4, 5]
+    assert f4.multiples_of_one.tolist() == [0, 1]
+    assert _relabeled(rg.make_zmod(4), [2, 0, 3, 1]).multiples_of_one.tolist() == [2, 0, 3, 1]
+
+
 def test_poly_quotient_requires_monic(f2):
     with pytest.raises(PreconditionError):
         rg.poly_quotient(f2, [1])  # constant

@@ -51,31 +51,29 @@ def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
     return lt.Extension(base.ring, top.ring, hom)
 
 
-def _diagonal_extension(base: dsl.BuildResult, top_ast: dsl.RingExpr,
-                        max_order: Optional[int]) -> Optional[lt.Extension]:
+def _diagonal_extension(base: dsl.BuildResult, top_ast: dsl.RingExpr) -> Optional[lt.Extension]:
     """The diagonal of the base into a top product of copies of it; None for
     any other top."""
     if not isinstance(top_ast, dsl.ProductE):
         return None
-    factors = [dsl.build(f, max_order=max_order).ring for f in top_ast.factors]
+    factors = [dsl.build(f).ring for f in top_ast.factors]
     if not all(rg.same_tables(f, base.ring) for f in factors):
         return None
-    pr = rg.product(factors, max_order=max_order)
+    pr = rg.product(factors)
     ident = np.arange(base.ring.order)
     return lt.Extension(base.ring, pr.ring, rg.pair_homs(base.ring, pr, [ident] * len(factors)))
 
 
 def _first_factor_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
-                            top_ast: dsl.RingExpr,
-                            max_order: Optional[int]) -> lt.Extension:
+                            top_ast: dsl.RingExpr) -> lt.Extension:
     """Base R^p into top R^n along the partition {1},...,{p-1},{p,...,n}: the
     last base component rides the identity of the tail block."""
     if not isinstance(top_ast, dsl.ProductE):
         raise PreconditionError("no compatible identity: the first-factor embedding "
                                 "needs a product top expression")
-    top_factors = [dsl.build(f, max_order=max_order).ring for f in top_ast.factors]
+    top_factors = [dsl.build(f).ring for f in top_ast.factors]
     if isinstance(base_ast, dsl.ProductE):
-        base_factors = [dsl.build(f, max_order=max_order).ring for f in base_ast.factors]
+        base_factors = [dsl.build(f).ring for f in base_ast.factors]
     else:
         base_factors = [base.ring]
     p, n = len(base_factors), len(top_factors)
@@ -83,22 +81,21 @@ def _first_factor_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
     if not same or n < p:
         raise PreconditionError("no compatible identity: the first-factor embedding "
                                 "needs equal factors and at least as many on top")
-    pr = rg.product(top_factors, max_order=max_order)
+    pr = rg.product(top_factors)
     comps = rg.product_components([f.order for f in base_factors], np.arange(base.ring.order))
     hom = rg.pair_homs(base.ring, pr, [comps[min(k, p - 1)] for k in range(n)])
     return lt.Extension(base.ring, pr.ring, hom)
 
 
 def _structural_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
-                          top_ast: dsl.RingExpr,
-                          max_order: Optional[int]) -> Optional[lt.Extension]:
+                          top_ast: dsl.RingExpr) -> Optional[lt.Extension]:
     chain = dsl.suffix_chain(top_ast, base_ast)
     if chain is None:
         return None
     built = base
     hom = rg.identity_hom(base.ring)
     for step in chain:
-        built, step_hom = dsl.build_step(built, step, max_order=max_order)
+        built, step_hom = dsl.build_step(built, step)
         hom = rg.compose(hom, step_hom)
     return lt.Extension(base.ring, built.ring, hom)
 
@@ -111,8 +108,7 @@ def _prime_extension(base: dsl.BuildResult, top: dsl.BuildResult) -> lt.Extensio
                                 "explicit:<map>")
 
 
-def resolve_extension(base_text: str, top_text: str, embed: Optional[str],
-                      max_order: Optional[int] = None) -> lt.Extension:
+def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt.Extension:
     """Build both rings and an injective unital map between them.
 
     Without --embed: a top expression built over the base by quotient or
@@ -122,25 +118,24 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str],
     """
     base_ast = dsl.parse(base_text)
     top_ast = dsl.parse(top_text)
-    base = dsl.build(base_ast, max_order=max_order)
+    base = dsl.build(base_ast)
     if embed is not None and embed.startswith("explicit:"):
-        return _explicit_extension(base, dsl.build(top_ast, max_order=max_order), embed)
+        return _explicit_extension(base, dsl.build(top_ast), embed)
     if embed == "diagonal":
-        diagonal = _diagonal_extension(base, top_ast, max_order)
+        diagonal = _diagonal_extension(base, top_ast)
         if diagonal is None:
             raise PreconditionError("the diagonal embedding needs a product top expression "
                                     "with every factor equal to the base ring")
         return diagonal
     if embed == "first-factor":
-        return _first_factor_extension(base, base_ast, top_ast, max_order)
+        return _first_factor_extension(base, base_ast, top_ast)
     if embed is not None:
         raise PreconditionError(f"unknown embedding {embed!r}; use diagonal, "
                                 "first-factor or explicit:<map>")
-    structural = _structural_extension(base, base_ast, top_ast, max_order)
+    structural = _structural_extension(base, base_ast, top_ast)
     if structural is not None:
         return structural
-    return (_diagonal_extension(base, top_ast, max_order)
-            or _prime_extension(base, dsl.build(top_ast, max_order=max_order)))
+    return _diagonal_extension(base, top_ast) or _prime_extension(base, dsl.build(top_ast))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("verify", help="run the structural check corpus")
-    p.add_argument("--suite", default="all", choices=["all", "s2", "s3", "s4", "s5", "s6"])
+    p.add_argument("--suite", default="all", choices=vf.SUITE_CHOICES)
     p.set_defaults(fn=_cmd_verify)
     return ap
 

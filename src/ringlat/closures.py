@@ -5,7 +5,7 @@ always the whole top and is not computed."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,22 +141,18 @@ class DiagonalFormulasReport:
         return self.seminorm_ok and self.tclosure_ok
 
 
-def diagonal_into_factors(
-    base: FiniteRing, parts: Sequence[Extension], max_order: Optional[int] = None
-) -> tuple[Extension, ProductResult]:
+def diagonal_into_factors(base: FiniteRing, parts: Sequence[Extension]) -> tuple[Extension, ProductResult]:
     """The embedding r -> (f_1(r), ..., f_n(r)) into the product of tops."""
     if not parts:
         raise PreconditionError("diagonal into no factors")
     for e in parts:
         if e.base is not base:
             raise PreconditionError("factor extension does not start at the given base")
-    pr = product([e.top for e in parts], max_order=max_order)
+    pr = product([e.top for e in parts])
     return Extension(base, pr.ring, pair_homs(base, pr, [e.embed.map for e in parts])), pr
 
 
-def verify_diagonal_formulas(
-    base: FiniteRing, parts: Sequence[Extension], max_order: Optional[int] = None
-) -> DiagonalFormulasReport:
+def verify_diagonal_formulas(base: FiniteRing, parts: Sequence[Extension]) -> DiagonalFormulasReport:
     """Check +R = R + (N_1 x ... x N_n) and tR = product of per-factor
     t-closures for the diagonal of subintegral extensions of a local ring."""
     if is_local(base) is None:
@@ -169,7 +165,7 @@ def verify_diagonal_formulas(
         if n_i is None:
             raise InternalCheckError("subintegral extension of a local ring has a non-local top")
         maximals.append(n_i)
-    ext, pr = diagonal_into_factors(base, parts, max_order=max_order)
+    ext, pr = diagonal_into_factors(base, parts)
     top = ext.top
 
     prod_n = np.ones(top.order, dtype=bool)

@@ -17,6 +17,7 @@ from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_
                     product_components, product_index)
 
 PARTITION_BOUND = 12
+MATRIX_BOUND = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,7 @@ def _orthogonal_rows(ring: FiniteRing, p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def enumerate_homal(ring: FiniteRing, p: int, n: int,
-                    max_matrices: int = 2_000_000) -> list[LambdaMatrix]:
+def enumerate_homal(ring: FiniteRing, p: int, n: int) -> list[LambdaMatrix]:
     """All algebra morphisms R^p -> R^n, as their lambda-matrices.  The three
     row conditions are independent across rows, so matrices are cartesian
     products of row choices."""
@@ -174,7 +174,7 @@ def enumerate_homal(ring: FiniteRing, p: int, n: int,
     if p < 1 or n < 1:
         raise PreconditionError("need p, n >= 1")
     rows = _orthogonal_rows(ring, p)
-    if len(rows) ** n > max_matrices:
+    if len(rows) ** n > MATRIX_BOUND:
         raise SizeLimitError(f"{len(rows)}^{n} matrices exceed the enumeration bound")
     return [LambdaMatrix(ring, combo) for combo in iproduct(rows, repeat=n)]
 
@@ -233,14 +233,13 @@ class ExalReport:
         return len(self.classes)
 
 
-def enumerate_exal(ring: FiniteRing, p: int, n: int,
-                   max_matrices: int = 2_000_000) -> ExalReport:
+def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
     """Injective morphisms R^p -> R^n, grouped by image.
 
     Two injective morphisms have the same image exactly when they differ by
     an algebra automorphism of the source, so the class count is the count
     of embedded copies of R^p."""
-    mats = enumerate_homal(ring, p, n, max_matrices=max_matrices)
+    mats = enumerate_homal(ring, p, n)
     source = product([ring] * p).ring
     target = product([ring] * n).ring
     by_image: dict[tuple[int, ...], list[LambdaMatrix]] = {}
@@ -268,11 +267,10 @@ class ExalBoundReport:
     connected: bool
 
 
-def exal_bound_check(ring: FiniteRing, p: int, n: int,
-                     max_matrices: int = 2_000_000) -> ExalBoundReport:
+def exal_bound_check(ring: FiniteRing, p: int, n: int) -> ExalBoundReport:
     """|Exal| against S(n,p)^(number of minimal primes); equality demanded
     for connected rings."""
-    rep = enumerate_exal(ring, p, n, max_matrices=max_matrices)
+    rep = enumerate_exal(ring, p, n)
     m = len(local_decomposition(ring).factors)
     s = stirling2(n, p)
     bound = s ** m

@@ -1,8 +1,10 @@
 """Size bounds for constructions and enumerations.
 
-RINGLAT_MAX_ORDER overrides both bounds from the environment.  It must be a
-positive integer: any other value raises PreconditionError (CLI exit 2)
-when a bound is read.
+Every constructor reads arith_limit and every enumerator lattice_limit;
+only lattice.intermediate_algebras takes a per-call max_order in place of
+lattice_limit.  RINGLAT_MAX_ORDER overrides both bounds from the
+environment.  It must be a positive integer: any other value raises
+PreconditionError (CLI exit 2) when a bound is read.
 """
 
 from __future__ import annotations
@@ -28,13 +30,9 @@ def _env_override() -> int | None:
     return value
 
 
-def arith_limit(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def arith_limit() -> int:
     return _env_override() or DEFAULT_ARITH_LIMIT
 
 
-def lattice_limit(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def lattice_limit() -> int:
     return _env_override() or DEFAULT_LATTICE_LIMIT

@@ -13,6 +13,7 @@ from .ideals import (
     all_ideals,
     colon,
     conductor,
+    ideal_generated,
     ideal_intersection,
     ideal_sum,
     zero_ideal,
@@ -58,8 +59,6 @@ def _coerce_ideal(ring: FiniteRing, spec: IdealLike) -> Ideal:
         if spec.ring is not ring:
             raise PreconditionError("ideal belongs to a different ring")
         return spec
-    from .ideals import ideal_generated
-
     return ideal_generated(ring, spec)
 
 
@@ -106,12 +105,12 @@ class CrtExtension:
         return self.extension.top.order == self.family.ring.order
 
 
-def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike], max_order: Optional[int] = None) -> CrtExtension:
+def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     """Quotients, their product, and the componentwise embedding."""
     fam = ideals if isinstance(ideals, SeparatingFamily) else make_family(ring, ideals)
     base = fam.ring
-    qs = [quotient(base, i, max_order=max_order) for i in fam.ideals]
-    pr = product([q.ring for q in qs], max_order=max_order)
+    qs = [quotient(base, i) for i in fam.ideals]
+    pr = product([q.ring for q in qs])
     hom = pair_homs(base, pr, [q.projection.map for q in qs])
     if not hom.is_injective:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
@@ -273,8 +272,6 @@ def seminormalization_of_crt(crt: CrtExtension) -> CrtSeminormalization:
         raise PreconditionError("seminormalization formula needs a zero conductor")
     ext = crt.extension
     top = ext.top
-    from .ideals import ideal_generated
-
     gens = [int(ext.embed.map[x]) for x in m.elements]
     m_top = ideal_generated(top, gens)
     t_mask = subgroup_sum_mask(top, ext.image_mask, m_top.mask)

@@ -29,7 +29,8 @@ from typing import Optional, Union
 
 from .config import arith_limit
 from .errors import ParseError, PreconditionError, SizeLimitError
-from .modules import FiniteModule, module_from_cyclics
+from .ideals import ideal_generated
+from .modules import FiniteModule, idealize, module_from_cyclics
 from .rings import FiniteRing, make_gf, make_zmod, poly_quotient, product, quotient
 
 MAX_INPUT = 64 * 1024
@@ -402,13 +403,12 @@ def eval_element(ring: FiniteRing, names: dict[str, int], p: Poly,
     return total
 
 
-def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly,
-                       var: str, max_order: Optional[int] = None) -> list[int]:
+def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly, var: str) -> list[int]:
     """Little-endian coefficient indices of a poly in the named variable.
 
     The list has degree + 1 entries, so an exponent of the variable above
     the arithmetic bound is refused before the list is built."""
-    limit = arith_limit(max_order)
+    limit = arith_limit()
     coeffs: dict[int, int] = {}
     for t in p.terms:
         exp = 0
@@ -427,51 +427,42 @@ def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly,
     return [coeffs.get(i, ring.zero) for i in range(deg + 1)]
 
 
-def build_step(base: BuildResult, expr: RingExpr,
-               max_order: Optional[int] = None) -> tuple[BuildResult, RingHom]:
+def build_step(base: BuildResult, expr: RingExpr) -> tuple[BuildResult, RingHom]:
     """One suffix construction (poly quotient, quotient, idealization) over an
     already built base, together with the map from the base into the result."""
     if isinstance(expr, PolyQuotE):
-        monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var, max_order)
-        relations = [
-            _poly_coefficients(base.ring, base.names, q, expr.var, max_order)
-            for q in expr.polys[1:]
-        ]
-        pq = poly_quotient(base.ring, monic, relations=relations, var=expr.var,
-                           max_order=max_order)
+        monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var)
+        relations = [_poly_coefficients(base.ring, base.names, q, expr.var) for q in expr.polys[1:]]
+        pq = poly_quotient(base.ring, monic, relations=relations, var=expr.var)
         names = {k: int(pq.to_quotient.map[v]) for k, v in base.names.items()}
         names[expr.var] = pq.var_index
         return BuildResult(pq.ring, names), pq.to_quotient
     if isinstance(expr, QuotE):
         gens = [eval_element(base.ring, base.names, g, "ideal generator") for g in expr.gens]
-        from .ideals import ideal_generated
-
-        qr = quotient(base.ring, ideal_generated(base.ring, gens), max_order=max_order)
+        qr = quotient(base.ring, ideal_generated(base.ring, gens))
         names = {k: int(qr.projection.map[v]) for k, v in base.names.items()}
         return BuildResult(qr.ring, names), qr.projection
     if isinstance(expr, IdealizeE):
-        from .modules import idealize
-
-        mod = build_module(base, expr.cyclics, max_order=max_order)
-        idl = idealize(base.ring, mod, max_order=max_order)
+        mod = build_module(base, expr.cyclics)
+        idl = idealize(base.ring, mod)
         names = {k: int(idl.embed.map[v]) for k, v in base.names.items()}
         return BuildResult(idl.ring, names), idl.embed
     raise PreconditionError(f"expression node {expr!r} is not a suffix construction")
 
 
-def build(expr: RingExpr, max_order: Optional[int] = None) -> BuildResult:
+def build(expr: RingExpr) -> BuildResult:
     """Construct the ring, threading bound names through each step."""
     if isinstance(expr, ZModE):
-        return BuildResult(make_zmod(expr.n, max_order=max_order))
+        return BuildResult(make_zmod(expr.n))
     if isinstance(expr, GFE):
-        return BuildResult(make_gf(expr.p, expr.k, max_order=max_order))
+        return BuildResult(make_gf(expr.p, expr.k))
     if isinstance(expr, ProductE):
-        parts = [build(f, max_order=max_order) for f in expr.factors]
-        pr = product([b.ring for b in parts], max_order=max_order)
+        parts = [build(f) for f in expr.factors]
+        pr = product([b.ring for b in parts])
         return BuildResult(pr.ring)  # names have no canonical product image
     if isinstance(expr, (PolyQuotE, QuotE, IdealizeE)):
-        base = build(expr.base, max_order=max_order)
-        return build_step(base, expr, max_order=max_order)[0]
+        base = build(expr.base)
+        return build_step(base, expr)[0]
     raise PreconditionError(f"unknown expression node {expr!r}")
 
 
@@ -490,17 +481,16 @@ def suffix_chain(top: RingExpr, base: RingExpr) -> Optional[list[RingExpr]]:
     return chain
 
 
-def build_module(base: BuildResult, cyclics: tuple[tuple[Poly, ...], ...],
-                 max_order: Optional[int] = None) -> FiniteModule:
+def build_module(base: BuildResult, cyclics: tuple[tuple[Poly, ...], ...]) -> FiniteModule:
     """Direct sum of cyclics R/(gens) from a parsed module spec."""
     ideal_gens = []
     for c in cyclics:
         ideal_gens.append([eval_element(base.ring, base.names, g, "module spec") for g in c])
-    return module_from_cyclics(base.ring, ideal_gens, max_order=max_order)
+    return module_from_cyclics(base.ring, ideal_gens)
 
 
-def build_text(text: str, max_order: Optional[int] = None) -> BuildResult:
-    return build(parse(text), max_order=max_order)
+def build_text(text: str) -> BuildResult:
+    return build(parse(text))
 
 
 def parse_module_spec(text: str) -> tuple[tuple[Poly, ...], ...]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -90,13 +90,13 @@ def _same_ring(a: Ideal, b: Ideal) -> None:
         raise PreconditionError("ideals belong to different rings")
 
 
-def all_ideals(ring: FiniteRing, max_order: Optional[int] = None) -> list[Ideal]:
+def all_ideals(ring: FiniteRing) -> list[Ideal]:
     """Every ideal: the submodules of R over itself, as the sumset join
     closure of the principal ideals.
 
     Ordered by cardinality, then lexicographically on the element tuple.
     """
-    if ring.order > lattice_limit(max_order):
+    if ring.order > lattice_limit():
         raise SizeLimitError(f"ideal enumeration bound exceeded for order {ring.order}")
     return [Ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
 

@@ -61,20 +61,20 @@ class Extension:
         return f"Extension({self.base.label} in {self.top.label})"
 
 
-def power_extension(ring: FiniteRing, n: int, max_order: Optional[int] = None) -> Extension:
+def power_extension(ring: FiniteRing, n: int) -> Extension:
     """The diagonal embedding of R into R^n."""
     if n < 1:
         raise PreconditionError("power extension needs n >= 1")
-    pr = product([ring] * n, max_order=max_order)
+    pr = product([ring] * n)
     return Extension(ring, pr.ring, pr.diagonal)
 
 
-def product_extension(parts: Sequence[Extension], max_order: Optional[int] = None) -> Extension:
+def product_extension(parts: Sequence[Extension]) -> Extension:
     """Componentwise product of extensions."""
     if not parts:
         raise PreconditionError("product of no extensions")
-    base_pr = product([e.base for e in parts], max_order=max_order)
-    top_pr = product([e.top for e in parts], max_order=max_order)
+    base_pr = product([e.base for e in parts])
+    top_pr = product([e.top for e in parts])
     maps = [e.embed.map[c] for e, c in zip(parts, base_pr.components)]
     return Extension(base_pr.ring, top_pr.ring, pair_homs(base_pr.ring, top_pr, maps))
 
@@ -202,16 +202,17 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
     """All subalgebras between the image of the base and the top ring.
 
     Computed as the join closure of the atoms, the subalgebras generated by
-    the image and one more element (see enumerate_closed_subsets)."""
+    the image and one more element (see enumerate_closed_subsets).  The nodes
+    are sorted by size, then elements, so the image is node 0 and the top is
+    the last node.  max_order replaces the lattice bound for this call only."""
     top = ext.top
-    if top.order > lattice_limit(max_order):
+    if top.order > (lattice_limit() if max_order is None else max_order):
         raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
     masks = enumerate_closed_subsets(top.order, list(ext.image), internal=(top.add, top.mul))
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
-    bottom = next(i for i, node in enumerate(nodes) if node.is_base)
-    top_i = next(i for i, node in enumerate(nodes) if node.is_top)
-    edges, length, chain = poset_structure([node.mask for node in nodes], bottom, top_i)
-    return LatticeReport(ext, nodes, edges, len(nodes), length, chain, bottom, top_i)
+    top_i = len(nodes) - 1
+    edges, length, chain = poset_structure([node.mask for node in nodes], 0, top_i)
+    return LatticeReport(ext, nodes, edges, len(nodes), length, chain, 0, top_i)
 
 
 def poset_structure(
@@ -410,22 +411,18 @@ class MinimalClassification:
     residue_degree: Optional[int] = None
 
 
-def is_minimal(ext: Extension, report: Optional[LatticeReport] = None, max_order: Optional[int] = None) -> bool:
-    report = report or intermediate_algebras(ext, max_order=max_order)
+def is_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
+    report = report or intermediate_algebras(ext)
     return report.count == 2
 
 
-def classify_minimal(
-    ext: Extension,
-    report: Optional[LatticeReport] = None,
-    max_order: Optional[int] = None,
-) -> MinimalClassification:
+def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> MinimalClassification:
     """Classify a minimal extension as inert, decomposed or ramified.
 
     The crucial ideal is the conductor M = (R:S), a maximal ideal of R; the
     three cases are distinguished by the maximal ideals of S over M.  An
     inconsistent case match raises InternalCheckError."""
-    report = report or intermediate_algebras(ext, max_order=max_order)
+    report = report or intermediate_algebras(ext)
     if report.count != 2:
         return MinimalClassification("not_minimal", None, ())
     base, top = ext.base, ext.top

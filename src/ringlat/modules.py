@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import arith_limit, lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
-from .ideals import all_ideals, annihilator
+from .ideals import all_ideals, annihilator, ideal_generated
 from .lattice import (
     Extension,
     Subalgebra,
@@ -84,11 +84,8 @@ def module_from_ring(ring: FiniteRing) -> FiniteModule:
     return FiniteModule(ring, ring.order, ring.add, ring.zero, ring.mul, ring.label)
 
 
-def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike],
-                        max_order: Optional[int] = None) -> FiniteModule:
+def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike]) -> FiniteModule:
     """Direct sum of cyclic modules R/I_j with componentwise action."""
-    from .ideals import ideal_generated
-
     if not ideals:
         return FiniteModule(ring, 1, np.zeros((1, 1), dtype=np.int32), 0,
                             np.zeros((ring.order, 1), dtype=np.int32), "0")
@@ -101,10 +98,10 @@ def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike],
         else:
             ids.append(ideal_generated(ring, s))
     # the zero summands R/R drop out
-    live = [quotient(ring, i, max_order=max_order) for i in ids if not i.is_whole]
+    live = [quotient(ring, i) for i in ids if not i.is_whole]
     if not live:
-        return module_from_cyclics(ring, [], max_order=max_order)
-    pr = product([q.ring for q in live], max_order=max_order)
+        return module_from_cyclics(ring, [])
+    pr = product([q.ring for q in live])
     pair = pair_homs(ring, pr, [q.projection.map for q in live])
     label = "(+)".join(q.ring.label for q in live)
     return FiniteModule(ring, pr.ring.order, pr.ring.add, pr.ring.zero, pr.ring.mul[pair.map],
@@ -168,16 +165,17 @@ class SubmoduleLattice:
         }
 
 
-def submodules(m: FiniteModule, max_order: Optional[int] = None) -> SubmoduleLattice:
-    """All submodules, as the sumset join closure of the cyclic submodules."""
-    if m.order > lattice_limit(max_order):
+def submodules(m: FiniteModule) -> SubmoduleLattice:
+    """All submodules, as the sumset join closure of the cyclic submodules,
+    sorted by size, then elements: the zero submodule is node 0 and M is
+    the last node."""
+    if m.order > lattice_limit():
         raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
     masks = enumerate_submodules(m.add, m.action, m.zero)
     nodes = tuple(mask_elements(mk) for mk in masks)
-    bottom = nodes.index((m.zero,))
-    top = next(i for i, n in enumerate(nodes) if len(n) == m.order)
-    edges, length, _ = poset_structure(list(masks), bottom, top)
-    return SubmoduleLattice(m, nodes, edges, len(nodes), length, bottom, top)
+    top = len(nodes) - 1
+    edges, length, _ = poset_structure(list(masks), 0, top)
+    return SubmoduleLattice(m, nodes, edges, len(nodes), length, 0, top)
 
 
 def jordan_holder_check(lat: SubmoduleLattice) -> bool:
@@ -235,11 +233,11 @@ class IdealizationResult:
         return int(product_index((self.module.ring.order, self.module.order), (r, x)))
 
 
-def idealize(ring: FiniteRing, m: FiniteModule, max_order: Optional[int] = None) -> IdealizationResult:
+def idealize(ring: FiniteRing, m: FiniteModule) -> IdealizationResult:
     if m.ring is not ring:
         raise PreconditionError("module is over a different ring")
     n = ring.order * m.order
-    if n > arith_limit(max_order):
+    if n > arith_limit():
         raise SizeLimitError(f"idealization order {n} exceeds bound")
     # the underlying set is R x M, laid out as a product
     orders = (ring.order, m.order)
@@ -254,9 +252,8 @@ def idealize(ring: FiniteRing, m: FiniteModule, max_order: Optional[int] = None)
     return IdealizationResult(out, RingHom(ring, out, emb), m)
 
 
-def idealization_extension(ring: FiniteRing, m: FiniteModule,
-                           max_order: Optional[int] = None) -> tuple[Extension, IdealizationResult]:
-    idl = idealize(ring, m, max_order=max_order)
+def idealization_extension(ring: FiniteRing, m: FiniteModule) -> tuple[Extension, IdealizationResult]:
+    idl = idealize(ring, m)
     return Extension(ring, idl.ring, idl.embed), idl
 
 
@@ -276,11 +273,10 @@ class BijectionReport:
     ok: bool
 
 
-def idealization_lattice_bijection(ring: FiniteRing, m: FiniteModule,
-                                   max_order: Optional[int] = None) -> BijectionReport:
-    ext, idl = idealization_extension(ring, m, max_order=max_order)
-    report = intermediate_algebras(ext, max_order=max_order)
-    lat = submodules(m, max_order=max_order)
+def idealization_lattice_bijection(ring: FiniteRing, m: FiniteModule) -> BijectionReport:
+    ext, idl = idealization_extension(ring, m)
+    report = intermediate_algebras(ext)
+    lat = submodules(m)
     pairs = []
     seen = set()
     for si, sub in enumerate(lat.nodes):
@@ -309,16 +305,15 @@ class IntervalReport:
                 and self.interval_count == self.quotient_count)
 
 
-def interval_length(ring: FiniteRing, m: FiniteModule, sub: Sequence[int],
-                    max_order: Optional[int] = None) -> IntervalReport:
+def interval_length(ring: FiniteRing, m: FiniteModule, sub: Sequence[int]) -> IntervalReport:
     """Compare the interval above R(+)N in [R, R(+)M] with L(M/N), nu(M/N)."""
-    ext, idl = idealization_extension(ring, m, max_order=max_order)
+    ext, idl = idealization_extension(ring, m)
     sub_sorted = tuple(sorted(int(x) for x in sub))
     members = _idealization_members(ring, m, sub_sorted)
     node = Subalgebra(ext, tuple(int(v) for v in np.sort(members)))
-    upper = intermediate_algebras(upper_extension(node), max_order=max_order)
+    upper = intermediate_algebras(upper_extension(node))
     q = quotient_module(m, sub_sorted).module
-    q_lat = submodules(q, max_order=max_order)
+    q_lat = submodules(q)
     return IntervalReport(upper.length, upper.count, module_length(q), q_lat.count)
 
 
@@ -334,8 +329,7 @@ class UniserialReport:
     order_ideal: Ideal
 
 
-def uniserial_structure_check(ring: FiniteRing, m: FiniteModule,
-                              max_order: Optional[int] = None) -> UniserialReport:
+def uniserial_structure_check(ring: FiniteRing, m: FiniteModule) -> UniserialReport:
     p = is_local(ring)
     if p is None:
         raise PreconditionError("uniserial structure needs a local ring")
@@ -347,7 +341,7 @@ def uniserial_structure_check(ring: FiniteRing, m: FiniteModule,
     if c.is_whole:
         nu_rc = 1
     else:
-        nu_rc = len(all_ideals(quotient(ring, c).ring, max_order=max_order))
+        nu_rc = len(all_ideals(quotient(ring, c).ring))
     p_idx = np.asarray(p.elements, dtype=np.intp)
     chain = []
     cur = tuple(range(m.order))
@@ -359,7 +353,7 @@ def uniserial_structure_check(ring: FiniteRing, m: FiniteModule,
         if nxt == tuple(sorted(cur)):
             raise InternalCheckError("powers of the maximal ideal fail to shrink a cyclic module")
         cur = nxt
-    lat = submodules(m, max_order=max_order)
+    lat = submodules(m)
     passed = set(lat.nodes) == set(chain) and lat.count == nu_rc
     return UniserialReport(passed, tuple(chain), lat.count, nu_rc, e, c)
 
@@ -380,12 +374,12 @@ class CensusResult:
         return not self.lattice_checked or self.lattice_count == self.nu
 
 
-def componentwise_census(field: FiniteRing, n: int, max_order: Optional[int] = None) -> CensusResult:
-    pr = product([field] * n, max_order=max_order)
+def componentwise_census(field: FiniteRing, n: int) -> CensusResult:
+    pr = product([field] * n)
     m = module_from_ring(pr.ring)
-    lat = submodules(m, max_order=max_order)
+    lat = submodules(m)
     expected = 2 ** n
-    if pr.ring.order * m.order <= lattice_limit(max_order):
-        bij = idealization_lattice_bijection(pr.ring, m, max_order=max_order)
+    if pr.ring.order * m.order <= lattice_limit():
+        bij = idealization_lattice_bijection(pr.ring, m)
         return CensusResult(lat.count, expected, True, bij.lattice_count)
     return CensusResult(lat.count, expected, False, None)

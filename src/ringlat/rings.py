@@ -434,11 +434,11 @@ def mask_elements(mask: np.ndarray) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # constructors
 
-def make_zmod(n: int, max_order: Optional[int] = None) -> FiniteRing:
+def make_zmod(n: int) -> FiniteRing:
     """The ring Z/n."""
     if n < 2:
         raise PreconditionError(f"invalid order {n} for Z/n")
-    if n > arith_limit(max_order):
+    if n > arith_limit():
         raise SizeLimitError(f"order {n} exceeds the arithmetic bound")
     idx = np.arange(n)
     return FiniteRing(n, np.add.outer(idx, idx) % n, np.multiply.outer(idx, idx) % n, 0, 1, f"Z/{n}")
@@ -490,7 +490,7 @@ def find_irreducible(p: int, k: int) -> list[int]:
     raise InternalCheckError(f"no irreducible polynomial of degree {k} over Z/{p}")
 
 
-def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
+def make_gf(p: int, k: int = 1) -> FiniteRing:
     """The field with p^k elements, built as Z/p[x]/(f) for the first monic
     irreducible f found by exhaustive search, on the layout of poly_quotient:
     the element sum c_i x^i has index sum c_i p^i.
@@ -500,7 +500,7 @@ def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     exp[(log a + log b) mod (q - 1)] for nonzero a and b, and zero otherwise.
     The powers exp[i] = g^i come from the layout's map a -> a * g, doubled:
     exp[m:2m] = g^m * exp[:m]."""
-    limit = arith_limit(max_order)
+    limit = arith_limit()
     # bound p and k before the primality test and before forming p**k
     if p > limit:
         raise SizeLimitError(f"characteristic {p} exceeds the arithmetic bound")
@@ -513,7 +513,7 @@ def make_gf(p: int, k: int = 1, max_order: Optional[int] = None) -> FiniteRing:
     q = p**k
     if q > limit:
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
-    zp = make_zmod(p, max_order)
+    zp = make_zmod(p)
     if k == 1:
         return FiniteRing(p, zp.add, zp.mul, 0, 1, f"GF({p})")
     layout = _poly_layout(zp, find_irreducible(p, k))
@@ -590,7 +590,7 @@ def _kronecker(prev: Table, t: Table) -> Table:
     return (prev[:, None, :, None] * len(t) + t[None, :, None, :]).reshape(n, n)
 
 
-def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> ProductResult:
+def product(factors: Sequence[FiniteRing]) -> ProductResult:
     """Direct product with componentwise operations, laid out as in
     product_components.  That is the Kronecker layout of _kronecker, so one
     broadcast per factor writes each table, with no gathers."""
@@ -598,7 +598,7 @@ def product(factors: Sequence[FiniteRing], max_order: Optional[int] = None) -> P
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
     total = math.prod(orders)
-    if total > arith_limit(max_order):
+    if total > arith_limit():
         raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
     comps = tuple(_as_table(c) for c in product_components(orders, np.arange(total)))
     # every entry is below total <= arith_limit, so int32 is exact
@@ -648,7 +648,7 @@ def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(reps, least).astype(np.int32), reps
 
 
-def quotient(ring: FiniteRing, ideal, max_order: Optional[int] = None) -> QuotientResult:
+def quotient(ring: FiniteRing, ideal) -> QuotientResult:
     """R/I with cosets represented by their least element index."""
     idx = _ideal_indices(ring, ideal)
     if len(idx) == ring.order:
@@ -738,7 +738,6 @@ def poly_quotient(
     monic: Sequence[int],
     relations: Sequence[Sequence[int]] = (),
     var: str = "x",
-    max_order: Optional[int] = None,
 ) -> PolyQuotientResult:
     """Quotient of R[x] by a monic polynomial and further relations.
 
@@ -757,7 +756,7 @@ def poly_quotient(
     if monic[-1] != ring.one:
         raise PreconditionError("not monic: leading coefficient is not one")
     q = ring.order**(len(monic) - 1)
-    if q > arith_limit(max_order):
+    if q > arith_limit():
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
 
     layout = _poly_layout(ring, monic)

@@ -16,7 +16,7 @@ from . import ideals as il
 from . import lattice as lt
 from . import modules as md
 from . import rings as rg
-from .errors import RinglatError
+from .errors import PreconditionError, RinglatError
 
 SEED = 96321
 
@@ -117,7 +117,7 @@ def _spir_lattices() -> list[tuple[str, lt.Extension, lt.LatticeReport, int]]:
         ring = _named_rings()[label]
         wit = rg.is_spir(ring)
         assert wit is not None
-        ext = lt.power_extension(ring, 2, max_order=1024)
+        ext = lt.power_extension(ring, 2)
         rep = lt.intermediate_algebras(ext, max_order=1024)
         out.append((label, ext, rep, wit.index))
     return out
@@ -709,17 +709,17 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
            check_uniserial_structure],
     "s6": [criterion_12_property_suites],
 }
+SUITE_CHOICES = ("all", *SUITES)
 
 
 def run_suite(suite: str = "all") -> list[CheckResult]:
     if suite == "all":
-        names = ["s2", "s3", "s4", "s5", "s6"]
+        names = list(SUITES)
     elif suite in SUITES:
         names = [suite]
     else:
-        from .errors import PreconditionError
-
-        raise PreconditionError(f"unknown suite {suite!r}; pick all, s2, s3, s4, s5 or s6")
+        raise PreconditionError(f"unknown suite {suite!r}; pick {', '.join(SUITE_CHOICES[:-1])} "
+                                f"or {SUITE_CHOICES[-1]}")
     out = []
     for name in names:
         for fn in SUITES[name]:

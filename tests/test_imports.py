@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports (the package
-__init__ re-exports its imports, so it is not scanned), and every private
-module-level name of the package is read by some module of it."""
+__init__ re-exports its imports, so it is not scanned), imports its package
+siblings at module level, and every private module-level name of the
+package is read by some module of it.  One size bound: the only per-call
+bound parameter of the package is intermediate_algebras' max_order."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,29 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
+def function_level_imports(source: str) -> list[str]:
+    """function: .module for each relative import inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(f"{fn.name}: .{node.module or ''}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level)
+    return sorted(found)
+
+
+def function_parameters(sources: dict[str, str]) -> dict[str, list[str]]:
+    """module.function -> parameter names, for every function of the
+    sources (module name -> source), methods and nested functions included."""
+    params = {}
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = fn.args
+                params[f"{module}.{fn.name}"] = [
+                    p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+    return params
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom typing import Optional, Sequence\nx: Sequence = np.zeros(1)\n"
     assert unused_imports(source) == ["Optional", "os"]
@@ -70,3 +95,28 @@ def test_module_uses_its_imports(module):
 
 def test_every_private_name_is_read():
     assert orphaned_private_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_scan_finds_a_function_level_import():
+    source = ("from .a import x\nimport os\n"
+              "def f():\n    from .b import y\n    import json\n    return x, y, os, json\n"
+              "class C:\n    def m(self):\n        from . import c\n        return c\n")
+    assert function_level_imports(source) == ["f: .b", "m: ."]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_imports_its_siblings_at_module_level(module):
+    assert function_level_imports((PACKAGE / module).read_text()) == []
+
+
+def test_scan_finds_size_parameters():
+    params = function_parameters({"m": "def f(a, *, max_order=None):\n    def g(b, **kw):\n        pass\n"})
+    assert params == {"m.f": ["a", "max_order"], "m.g": ["b", "kw"]}
+
+
+def test_one_size_bound():
+    params = function_parameters({p.stem: p.read_text() for p in PACKAGE.glob("*.py")})
+    sized = sorted(f"{fn}({p})" for fn, names in params.items()
+                   for p in names if p in ("max_order", "max_matrices"))
+    assert sized == ["lattice.intermediate_algebras(max_order)"]
+    assert params["config.arith_limit"] == params["config.lattice_limit"] == []

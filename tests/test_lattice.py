@@ -78,9 +78,61 @@ def test_ideal_poset_matches_oracle(build, brute_force_hasse, brute_force_chains
 
 
 def test_lattice_respects_bound(f3):
-    ext = lt.power_extension(f3, 4, max_order=128)
+    ext = lt.power_extension(f3, 4)
     with pytest.raises(SizeLimitError):
         lt.intermediate_algebras(ext, max_order=16)
+
+
+def _bounded_calls():
+    """For each layer, a function that builds an input of order 25-32 and
+    returns the call that checks it against RINGLAT_MAX_ORDER."""
+    def product():
+        f5 = rg.make_gf(5)
+        return lambda: rg.product([f5, f5])
+
+    def idealize():
+        f5 = rg.make_gf(5)
+        m = md.module_from_ring(f5)
+        return lambda: md.idealize(f5, m)
+
+    def ideals():
+        z27 = rg.make_zmod(27)
+        return lambda: all_ideals(z27)
+
+    def submodules():
+        m = md.module_from_ring(rg.make_zmod(32))
+        return lambda: md.submodules(m)
+
+    def intermediate_algebras():
+        ext = lt.power_extension(rg.make_gf(3), 3)
+        return lambda: lt.intermediate_algebras(ext)
+
+    return {f.__name__: f for f in (product, idealize, ideals, submodules, intermediate_algebras)}
+
+
+@pytest.mark.parametrize("layer", sorted(_bounded_calls()))
+def test_env_bound_applies_in_every_layer(monkeypatch, layer):
+    call = _bounded_calls()[layer]()
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", "16")
+    with pytest.raises(SizeLimitError):
+        call()
+    monkeypatch.delenv("RINGLAT_MAX_ORDER")
+    call()
+
+
+def test_max_order_overrides_the_env_bound_for_one_lattice(monkeypatch):
+    ext = lt.power_extension(rg.make_gf(3), 3)
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", "16")
+    assert lt.intermediate_algebras(ext, max_order=27).count == 5  # Bell(3)
+    with pytest.raises(SizeLimitError):
+        lt.intermediate_algebras(ext)
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_bottom_is_node_zero_and_top_the_last_node(extension_zoo, name):
+    rep = lt.intermediate_algebras(extension_zoo(name))
+    assert (rep.bottom_index, rep.top_index) == (0, rep.count - 1)
+    assert rep.nodes[0].is_base and rep.nodes[-1].is_top
 
 
 def _relabel(ext, perm):

@@ -56,6 +56,19 @@ def test_submodule_counts_and_lengths(build, count, length, brute_force_hasse, b
     assert lt.maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index) == (lengths, witness)
 
 
+def test_submodule_bottom_and_top_are_first_and_last(z4):
+    # Z/4 over itself with each element x renamed 3 - x, so zero is element 3
+    perm = np.array([3, 2, 1, 0])
+    inv = np.argsort(perm)
+    mod = md.module_from_ring(z4)
+    moved = md.FiniteModule(z4, 4, perm[mod.add[np.ix_(inv, inv)]], int(perm[mod.zero]),
+                            perm[mod.action[:, inv]], "moved")
+    md.check_module(moved)
+    lat = md.submodules(moved)
+    assert lat.nodes == ((3,), (1, 3), (0, 1, 2, 3))
+    assert (lat.bottom_index, lat.top_index) == (0, 2)
+
+
 @pytest.mark.parametrize("build, length, chains", [
     # the Boolean lattice B_8: 8! chains of subsets
     (lambda: md.module_from_ring(rg.product([rg.make_gf(2)] * 8).ring), 8, 40320),

@@ -10,7 +10,9 @@ from typing import Optional, Sequence, Union
 from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
 from .ideals import (
+    IdealLike,
     all_ideals,
+    coerce_ideal,
     colon,
     conductor,
     ideal_generated,
@@ -32,9 +34,6 @@ from .rings import (
     subgroup_sum_mask,
 )
 
-IdealLike = Union[Ideal, Sequence[int]]
-
-
 @dataclass(frozen=True)
 class SeparatingFamily:
     """Ideals I_1..I_n of R, none equal to R, with zero intersection.
@@ -54,18 +53,10 @@ class SeparatingFamily:
         return len(self.ideals)
 
 
-def _coerce_ideal(ring: FiniteRing, spec: IdealLike) -> Ideal:
-    if isinstance(spec, Ideal):
-        if spec.ring is not ring:
-            raise PreconditionError("ideal belongs to a different ring")
-        return spec
-    return ideal_generated(ring, spec)
-
-
 def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFamily:
     if len(ideals) < 2:
         raise PreconditionError("separating family needs at least two ideals")
-    ids = tuple(_coerce_ideal(ring, s) for s in ideals)
+    ids = tuple(coerce_ideal(ring, s) for s in ideals)
     for i in ids:
         if i.is_whole:
             raise PreconditionError("invalid family: some ideal is the whole ring")

@@ -430,24 +430,24 @@ def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly, var: st
 def build_step(base: BuildResult, expr: RingExpr) -> tuple[BuildResult, RingHom]:
     """One suffix construction (poly quotient, quotient, idealization) over an
     already built base, together with the map from the base into the result."""
+    adjoined: dict[str, int] = {}
     if isinstance(expr, PolyQuotE):
         monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var)
         relations = [_poly_coefficients(base.ring, base.names, q, expr.var) for q in expr.polys[1:]]
         pq = poly_quotient(base.ring, monic, relations=relations, var=expr.var)
-        names = {k: int(pq.to_quotient.map[v]) for k, v in base.names.items()}
-        names[expr.var] = pq.var_index
-        return BuildResult(pq.ring, names), pq.to_quotient
-    if isinstance(expr, QuotE):
+        ring, hom, adjoined = pq.ring, pq.to_quotient, {expr.var: pq.var_index}
+    elif isinstance(expr, QuotE):
         gens = [eval_element(base.ring, base.names, g, "ideal generator") for g in expr.gens]
         qr = quotient(base.ring, ideal_generated(base.ring, gens))
-        names = {k: int(qr.projection.map[v]) for k, v in base.names.items()}
-        return BuildResult(qr.ring, names), qr.projection
-    if isinstance(expr, IdealizeE):
-        mod = build_module(base, expr.cyclics)
-        idl = idealize(base.ring, mod)
-        names = {k: int(idl.embed.map[v]) for k, v in base.names.items()}
-        return BuildResult(idl.ring, names), idl.embed
-    raise PreconditionError(f"expression node {expr!r} is not a suffix construction")
+        ring, hom = qr.ring, qr.projection
+    elif isinstance(expr, IdealizeE):
+        idl = idealize(base.ring, build_module(base, expr.cyclics))
+        ring, hom = idl.ring, idl.embed
+    else:
+        raise PreconditionError(f"expression node {expr!r} is not a suffix construction")
+    names = {k: int(hom.map[v]) for k, v in base.names.items()}
+    names.update(adjoined)
+    return BuildResult(ring, names), hom
 
 
 def build(expr: RingExpr) -> BuildResult:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .rings import (
     span_of_products,
     subgroup_sum_mask,
 )
+
+IdealLike = Union[Ideal, Sequence[int]]
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
@@ -37,6 +39,15 @@ def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     mask = closure_mask(ring.order, list(gens) + [ring.zero], internal=(ring.add,), absorbing=(ring.mul,))
     return Ideal(ring, mask_elements(mask))
+
+
+def coerce_ideal(ring: FiniteRing, spec: IdealLike) -> Ideal:
+    """spec itself if it is an Ideal of ring, else the ideal its elements generate."""
+    if isinstance(spec, Ideal):
+        if spec.ring is not ring:
+            raise PreconditionError("ideal belongs to a different ring")
+        return spec
+    return ideal_generated(ring, spec)
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:

@@ -437,6 +437,11 @@ def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> 
 
     matches: list[tuple[str, tuple[Ideal, ...], Optional[int]]] = []
 
+    def lies_over_m(q: Ideal) -> bool:
+        """q contracts to M and |S/q| = |R/M|."""
+        kernel = tuple(int(i) for i in np.flatnonzero(q.mask[ext.embed.map]))
+        return kernel == m.elements and top.order // q.order == q_r
+
     # inert: M stays maximal and R/M -> S/M is a minimal field extension
     for q in over:
         if q.elements == m_top_elems:
@@ -454,14 +459,7 @@ def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> 
         for j in range(i + 1, len(over)):
             m1, m2 = over[i], over[j]
             inter = tuple(int(x) for x in np.flatnonzero(m1.mask & m2.mask))
-            if inter != m_top_elems:
-                continue
-            ok = True
-            for q in (m1, m2):
-                kernel = tuple(int(i2) for i2 in np.flatnonzero(q.mask[ext.embed.map]))
-                if kernel != m.elements or top.order // q.order != q_r:
-                    ok = False
-            if ok:
+            if inter == m_top_elems and lies_over_m(m1) and lies_over_m(m2):
                 matches.append(("decomposed", (m1, m2), None))
 
     # ramified: one maximal M' with M'^2 inside M, residue isomorphism, and
@@ -472,8 +470,7 @@ def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> 
         sq = ideal_product(q, q)
         if not contains(m_top, sq):
             continue
-        kernel = tuple(int(i2) for i2 in np.flatnonzero(q.mask[ext.embed.map]))
-        if kernel != m.elements or top.order // q.order != q_r:
+        if not lies_over_m(q):
             continue
         if top.order // len(m_top_elems) != q_r * q_r:
             continue

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import arith_limit, lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
-from .ideals import all_ideals, annihilator, ideal_generated
+from .ideals import IdealLike, all_ideals, annihilator, coerce_ideal
 from .lattice import (
     Extension,
     Subalgebra,
@@ -36,9 +36,6 @@ from .rings import (
     quotient,
     span_of_products,
 )
-
-IdealLike = Union[Ideal, Sequence[int]]
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteModule:
@@ -89,14 +86,7 @@ def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike]) -> Finite
     if not ideals:
         return FiniteModule(ring, 1, np.zeros((1, 1), dtype=np.int32), 0,
                             np.zeros((ring.order, 1), dtype=np.int32), "0")
-    ids = []
-    for s in ideals:
-        if isinstance(s, Ideal):
-            if s.ring is not ring:
-                raise PreconditionError("cyclic component over a different ring")
-            ids.append(s)
-        else:
-            ids.append(ideal_generated(ring, s))
+    ids = [coerce_ideal(ring, s) for s in ideals]
     # the zero summands R/R drop out
     live = [quotient(ring, i) for i in ids if not i.is_whole]
     if not live:

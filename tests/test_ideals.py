@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlat import crt as cr
 from ringlat import dsl
 from ringlat import ideals as il
+from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat.errors import PreconditionError
 
@@ -99,6 +101,20 @@ def test_ideal_validation(z12, z4):
     crossed = il.principal_ideal(z4, 2)
     with pytest.raises(PreconditionError):
         il.ideal_sum(crossed, il.principal_ideal(z12, 2))
+
+
+def test_coerce_ideal(z12, z4):
+    i4 = il.principal_ideal(z12, 4)
+    assert il.coerce_ideal(z12, i4) is i4
+    assert il.coerce_ideal(z12, [8]) == i4
+    with pytest.raises(PreconditionError, match="ideal belongs to a different ring"):
+        il.coerce_ideal(z12, il.principal_ideal(z4, 2))
+
+
+@pytest.mark.parametrize("build", [cr.make_family, md.module_from_cyclics])
+def test_ideal_of_another_ring_is_refused(build, z12, z4):
+    with pytest.raises(PreconditionError, match="ideal belongs to a different ring"):
+        build(z12, [il.principal_ideal(z4, 2), [0]])
 
 
 def test_conductor_of_diagonal(z4):

@@ -1,0 +1,95 @@
+"""The verify runner: each check is declared once by @_check(suite, name),
+which registers it in SUITES and turns a RinglatError into a failed
+CheckResult; every check of the module is registered exactly once."""
+
+import inspect
+
+import pytest
+
+import test_acceptance
+from ringlat import verify as vf
+from ringlat.errors import PreconditionError, SizeLimitError
+
+SUITE_ORDER = {
+    "s2": ["criterion_01_bell_counts", "criterion_04_trichotomy", "criterion_08_closure_oracles",
+           "criterion_09_special_ramified", "check_product_length_additivity",
+           "check_partition_bijection", "check_canonical_chain"],
+    "s3": ["criterion_02_spir_counts", "criterion_05_conductor_formula",
+           "criterion_06_crt_minimality", "check_crt_reduction_poset", "check_crt_infra_integral",
+           "check_crt2_count_prediction", "check_gilbert_correspondence"],
+    "s4": ["criterion_03_stirling_exal"],
+    "s5": ["criterion_07_idealization", "criterion_10_pointwise_minimal", "criterion_11_census",
+           "check_uniserial_structure"],
+    "s6": ["criterion_12_property_suites"],
+}
+
+
+def module_checks() -> dict[str, object]:
+    """Every module-level criterion_*/check_* function of verify, by name."""
+    return {name: fn for name, fn in vars(vf).items()
+            if inspect.isfunction(fn) and name.startswith(("criterion_", "check_"))}
+
+
+def test_suites_keep_their_checks_in_order():
+    assert {suite: [fn.__name__ for fn in fns] for suite, fns in vf.SUITES.items()} == SUITE_ORDER
+    assert list(vf.SUITES) == list(SUITE_ORDER)
+    assert vf.SUITE_CHOICES == ("all", "s2", "s3", "s4", "s5", "s6")
+
+
+def test_every_check_is_in_exactly_one_suite():
+    registered = [fn for fns in vf.SUITES.values() for fn in fns]
+    checks = module_checks()
+    assert len(checks) == 20
+    assert sorted(fn.__name__ for fn in registered) == sorted(checks)
+    for fn in registered:
+        assert checks[fn.__name__] is fn
+
+
+def test_acceptance_runs_every_registered_criterion_in_number_order():
+    registered = [fn for fns in vf.SUITES.values() for fn in fns
+                  if fn.__name__.startswith("criterion_")]
+    assert test_acceptance.CRITERIA == sorted(registered, key=lambda fn: fn.__name__)
+
+
+def test_ringlat_error_is_a_failed_check(monkeypatch):
+    def refuse():
+        raise SizeLimitError("x")
+
+    monkeypatch.setattr(vf, "_bell_lattices", refuse)
+    result = vf.criterion_01_bell_counts()
+    assert result == vf.CheckResult("bell_counts_for_field_powers", False, "SizeLimitError: x")
+
+
+def test_other_errors_propagate(monkeypatch):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(vf, "_bell_lattices", broken)
+    with pytest.raises(ValueError, match="boom"):
+        vf.criterion_01_bell_counts()
+
+
+def test_decorator_registers_in_definition_order(monkeypatch):
+    monkeypatch.setattr(vf, "SUITES", {})
+
+    @vf._check("t1", "first_check")
+    def check_first():
+        """Docstring kept."""
+        return 1, "one"
+
+    @vf._check("t1", "second_check")
+    def check_second():
+        return [], "empty"
+
+    assert vf.SUITES == {"t1": [check_first, check_second]}
+    assert check_first.__name__ == "check_first"
+    assert check_first.__doc__ == "Docstring kept."
+    assert check_first() == vf.CheckResult("first_check", True, "one")
+    assert check_first().passed is True
+    assert check_second() == vf.CheckResult("second_check", False, "empty")
+
+
+def test_unknown_suite_message():
+    with pytest.raises(PreconditionError) as info:
+        vf.run_suite("nope")
+    assert str(info.value) == "unknown suite 'nope'; pick all, s2, s3, s4, s5 or s6"

@@ -10,7 +10,7 @@ to Bell and Stirling numbers.
 from .config import arith_limit, lattice_limit
 from .errors import (InternalCheckError, NotApplicableError, ParseError,
                      PreconditionError, RinglatError, SizeLimitError)
-from .rings import (FiniteRing, Ideal, ProductResult, QuotientResult, RingElem,
+from .rings import (FiniteRing, Ideal, ProductResult, QuotientResult,
                     RingHom, check_ring_axioms, compose, identity_hom,
                     idempotents, is_connected, is_field, is_isomorphic,
                     is_local, is_spir, local_decomposition, make_gf, make_zmod,

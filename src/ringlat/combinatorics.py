@@ -147,7 +147,7 @@ class LambdaMatrix:
 
 def _orthogonal_rows(ring: FiniteRing, p: int) -> list[tuple[int, ...]]:
     """Ordered p-tuples of pairwise-orthogonal idempotents summing to 1."""
-    idems = [e.index for e in idempotents(ring)]
+    idems = idempotents(ring)
     rows: list[tuple[int, ...]] = []
 
     def rec(chosen: list[int], total: int) -> None:

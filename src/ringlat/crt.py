@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
@@ -24,6 +24,7 @@ from .lattice import Extension, Subalgebra, lower_extension
 from .rings import (
     FiniteRing,
     Ideal,
+    QuotientResult,
     RingHom,
     is_field,
     is_local,
@@ -67,19 +68,21 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
     if not inter.is_zero:
         qr = quotient(ring, inter)
         proj = qr.projection
-        images = []
-        for i in ids:
-            img = sorted({int(proj.map[x]) for x in i.elements})
-            images.append(Ideal.from_indices(qr.ring, img, validate=False))
         original = ring
         ring = qr.ring
-        ids = tuple(images)
+        ids = _images(qr, ids)
         normalized = True
     comps = []
     for j in range(len(ids)):
         others = [ids[k] for k in range(len(ids)) if k != j]
         comps.append(reduce(ideal_intersection, others))
     return SeparatingFamily(ring, ids, tuple(comps), normalized, original, proj)
+
+
+def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
+    """The images of ideals of R in the quotient R/I."""
+    return tuple(Ideal.from_indices(qr.ring, qr.projection.map[list(i.elements)], validate=False)
+                 for i in ideals)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class CrtExtension:
 
 def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     """Quotients, their product, and the componentwise embedding."""
-    fam = ideals if isinstance(ideals, SeparatingFamily) else make_family(ring, ideals)
+    fam = make_family(ring, ideals)
     base = fam.ring
     qs = [quotient(base, i) for i in fam.ideals]
     pr = product([q.ring for q in qs])
@@ -109,11 +112,9 @@ def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     return CrtExtension(fam, ext, conductor(ext), tuple(q.projection for q in qs))
 
 
-def conductor_by_formula(crt: Union[CrtExtension, SeparatingFamily]) -> Ideal:
+def conductor_by_formula(crt: CrtExtension) -> Ideal:
     """Conductor as sum(J_j), cross-checked against intersect(I_j + J_j) and
     the direct computation; any mismatch is an implementation bug."""
-    if isinstance(crt, SeparatingFamily):
-        crt = make_crt(crt.ring, crt)
     fam = crt.family
     by_sum = reduce(ideal_sum, fam.complements, zero_ideal(fam.ring))
     by_meet = reduce(ideal_intersection, [ideal_sum(i, j) for i, j in zip(fam.ideals, fam.complements)])
@@ -138,12 +139,11 @@ class MinimalCrtResult:
     witness: Optional[tuple[int, int]]
 
 
-def is_minimal_crt(fam: Union[SeparatingFamily, CrtExtension]) -> MinimalCrtResult:
+def is_minimal_crt(crt: CrtExtension) -> MinimalCrtResult:
     """Minimality of R in prod(R/I_j) for n > 2: exactly one pair of ideals
     with maximal sum, every other pair comaximal.  Witness indices are
     0-based and lexicographically least."""
-    if isinstance(fam, CrtExtension):
-        fam = fam.family
+    fam = crt.family
     if fam.n <= 2:
         raise PreconditionError("pair families need the two-ideal test (is_minimal_crt2)")
     maximal_pairs = []
@@ -168,12 +168,11 @@ class Crt2Result:
     predicted_count: int
 
 
-def is_minimal_crt2(fam: Union[SeparatingFamily, CrtExtension]) -> Crt2Result:
+def is_minimal_crt2(crt: CrtExtension) -> Crt2Result:
     """Two-ideal test: with zero intersection, R in R/I x R/J is minimal
     exactly when I + J is maximal.  The predicted node count is the ideal
     count of R/(I+J); the field case (count 2) is flagged."""
-    if isinstance(fam, CrtExtension):
-        fam = fam.family
+    fam = crt.family
     if fam.n != 2:
         raise PreconditionError("two-ideal test needs exactly two ideals")
     s = ideal_sum(fam.ideals[0], fam.ideals[1])
@@ -184,10 +183,9 @@ def is_minimal_crt2(fam: Union[SeparatingFamily, CrtExtension]) -> Crt2Result:
     return Crt2Result(field, field, len(all_ideals(q)))
 
 
-def weak_crt_check(fam: Union[SeparatingFamily, CrtExtension]) -> tuple[bool, ...]:
+def weak_crt_check(crt: CrtExtension) -> tuple[bool, ...]:
     """Per j: I_j + intersect_{k!=j} I_k = intersect_{k!=j} (I_j + I_k)."""
-    if isinstance(fam, CrtExtension):
-        fam = fam.family
+    fam = crt.family
     out = []
     for j in range(fam.n):
         lhs = ideal_sum(fam.ideals[j], fam.complements[j])
@@ -210,9 +208,8 @@ class ReductionResult:
     projection: Optional[RingHom]
 
 
-def reduce_to_zero_conductor(fam: Union[SeparatingFamily, CrtExtension]) -> ReductionResult:
-    if isinstance(fam, CrtExtension):
-        fam = fam.family
+def reduce_to_zero_conductor(crt: CrtExtension) -> ReductionResult:
+    fam = crt.family
     c = reduce(ideal_sum, fam.complements, zero_ideal(fam.ring))
     kept: list[int] = []
     sums: list[Ideal] = []
@@ -231,11 +228,7 @@ def reduce_to_zero_conductor(fam: Union[SeparatingFamily, CrtExtension]) -> Redu
     if c.is_whole:
         raise InternalCheckError("conductor is the whole ring but some factor survived")
     qr = quotient(fam.ring, c)
-    images = []
-    for s in sums:
-        img = sorted({int(qr.projection.map[x]) for x in s.elements})
-        images.append(Ideal.from_indices(qr.ring, img, validate=False))
-    reduced = make_crt(qr.ring, images)
+    reduced = make_crt(qr.ring, _images(qr, sums))
     if reduced.family.normalized:
         raise InternalCheckError("reduced family is not separating")
     if not reduced.conductor.is_zero:

@@ -25,13 +25,13 @@ no canonical image in a product."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import arith_limit
 from .errors import ParseError, PreconditionError, SizeLimitError
 from .ideals import ideal_generated
 from .modules import FiniteModule, idealize, module_from_cyclics
-from .rings import FiniteRing, make_gf, make_zmod, poly_quotient, product, quotient
+from .rings import FiniteRing, RingHom, make_gf, make_zmod, poly_quotient, product, quotient
 
 MAX_INPUT = 64 * 1024
 
@@ -186,6 +186,14 @@ class _Parser:
         except ValueError:  # more digits than the interpreter converts
             raise SizeLimitError(f"integer literal of {len(tok.text)} digits") from None
 
+    def separated(self, item: Callable[[], object], sep: str) -> tuple:
+        """item {sep item}: one or more items, sep between each two."""
+        items = [item()]
+        while self.peek().kind == sep:
+            self.next()
+            items.append(item())
+        return tuple(items)
+
     def fail(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
@@ -211,21 +219,15 @@ class _Parser:
                 self.expect("]")
                 self.expect("/")
                 self.expect("(")
-                polys = [self.poly()]
-                while self.peek().kind == ",":
-                    self.next()
-                    polys.append(self.poly())
+                polys = self.separated(self.poly, ",")
                 self.expect(")")
-                node = PolyQuotE(node, var, tuple(polys))
+                node = PolyQuotE(node, var, polys)
             elif tok.kind == "/":
                 self.next()
                 self.expect("(")
-                gens = [self.poly()]
-                while self.peek().kind == ",":
-                    self.next()
-                    gens.append(self.poly())
+                gens = self.separated(self.poly, ",")
                 self.expect(")")
-                node = QuotE(node, tuple(gens))
+                node = QuotE(node, gens)
             else:
                 return node
 
@@ -256,12 +258,9 @@ class _Parser:
             self.expect("(")
             base = self.expr()
             self.expect(",")
-            cyclics = [self.cyclic()]
-            while self.peek().kind == "+":
-                self.next()
-                cyclics.append(self.cyclic())
+            cyclics = self.separated(self.cyclic, "+")
             self.expect(")")
-            return IdealizeE(base, tuple(cyclics))
+            return IdealizeE(base, cyclics)
         self.fail(f"expected a ring expression, found {tok.text or 'end of input'!r}")
 
     def cyclic(self) -> tuple[Poly, ...]:
@@ -269,12 +268,9 @@ class _Parser:
         if self.peek().kind == ")":
             self.next()
             return ()
-        gens = [self.poly()]
-        while self.peek().kind == ",":
-            self.next()
-            gens.append(self.poly())
+        gens = self.separated(self.poly, ",")
         self.expect(")")
-        return tuple(gens)
+        return gens
 
     # poly := ["-"] mono { ("+"|"-") mono }
     def poly(self) -> Poly:
@@ -499,13 +495,10 @@ def parse_module_spec(text: str) -> tuple[tuple[Poly, ...], ...]:
     if len(text) > MAX_INPUT:
         raise SizeLimitError("module spec too long")
     p = _Parser(tokenize(text))
-    cyclics = [p.cyclic()]
-    while p.peek().kind == "+":
-        p.next()
-        cyclics.append(p.cyclic())
+    cyclics = p.separated(p.cyclic, "+")
     if p.peek().kind != "EOF":
         p.fail("expected '+' or end of module spec")
-    return tuple(cyclics)
+    return cyclics
 
 
 def parse_poly_list(text: str) -> tuple[Poly, ...]:
@@ -513,10 +506,7 @@ def parse_poly_list(text: str) -> tuple[Poly, ...]:
     if len(text) > MAX_INPUT:
         raise SizeLimitError("generator list too long")
     p = _Parser(tokenize(text))
-    polys = [p.poly()]
-    while p.peek().kind == ",":
-        p.next()
-        polys.append(p.poly())
+    polys = p.separated(p.poly, ",")
     if p.peek().kind != "EOF":
         p.fail("expected ',' or end of generator list")
     return tuple(polys)

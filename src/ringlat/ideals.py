@@ -83,13 +83,13 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     ring = a.ring
     bi = np.asarray(b.elements, dtype=np.intp)
     good = a.mask[ring.mul[:, bi]].all(axis=1)
-    return Ideal(ring, tuple(int(i) for i in np.flatnonzero(good)))
+    return Ideal(ring, mask_elements(good))
 
 
 def annihilator(ring: FiniteRing, module) -> Ideal:
     """(0 : M) for a module given by its action table."""
     good = (module.action == module.zero).all(axis=1)
-    return Ideal(ring, tuple(int(i) for i in np.flatnonzero(good)))
+    return Ideal(ring, mask_elements(good))
 
 
 def contains(outer: Ideal, inner: Ideal) -> bool:
@@ -144,7 +144,7 @@ def conductor(ext) -> Ideal:
     base, top, embed = ext.base, ext.top, ext.embed
     rows = top.mul[embed.map]
     inside = ext.image_mask[rows].all(axis=1)
-    cond = Ideal(base, tuple(int(i) for i in np.flatnonzero(inside)))
+    cond = Ideal(base, mask_elements(inside))
     cond_in_top = embed.map[np.asarray(cond.elements, dtype=np.intp)]
     if not Ideal.from_indices(top, cond_in_top, validate=False)._is_valid():
         raise InternalCheckError("conductor image is not an ideal of the extension ring")

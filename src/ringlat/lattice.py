@@ -143,17 +143,36 @@ def upper_extension(sub: Subalgebra) -> Extension:
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeReport:
-    """The full intermediate-subalgebra lattice of an extension."""
+class Poset:
+    """Distinct subsets ordered by inclusion, listed by size, then elements:
+    node 0 is the bottom and the last node the top."""
+
+    nodes: tuple
+    hasse_edges: tuple[tuple[int, int], ...]
+    chain_lengths: dict[int, int]  # maximal-chain length -> how many chains have it
+    maximal_chain: tuple[int, ...]  # a longest bottom-to-top chain
+
+    @property
+    def count(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def length(self) -> int:
+        return max(self.chain_lengths)
+
+    def upper_covers(self, i: int) -> list[int]:
+        return [b for a, b in self.hasse_edges if a == i]
+
+    def lower_covers(self, i: int) -> list[int]:
+        return [a for a, b in self.hasse_edges if b == i]
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeReport(Poset):
+    """The full intermediate-subalgebra lattice of an extension; the nodes
+    are Subalgebras."""
 
     extension: Extension
-    nodes: tuple[Subalgebra, ...]
-    hasse_edges: tuple[tuple[int, int], ...]
-    count: int
-    length: int
-    maximal_chain: tuple[int, ...]
-    bottom_index: int
-    top_index: int
 
     @cached_property
     def _index_of(self) -> dict[tuple[int, ...], int]:
@@ -163,12 +182,6 @@ class LatticeReport:
         if isinstance(elements, np.ndarray) and elements.dtype == bool:
             elements = mask_elements(elements)
         return self._index_of.get(tuple(int(e) for e in elements))
-
-    def upper_covers(self, i: int) -> list[int]:
-        return [b for a, b in self.hasse_edges if a == i]
-
-    def lower_covers(self, i: int) -> list[int]:
-        return [a for a, b in self.hasse_edges if b == i]
 
     def to_json(self) -> dict:
         return {
@@ -183,14 +196,14 @@ class LatticeReport:
             "nodes": [list(n.elements) for n in self.nodes],
             "hasse_edges": [list(e) for e in self.hasse_edges],
             "maximal_chain": list(self.maximal_chain),
-            "bottom": self.bottom_index,
-            "top_node": self.top_index,
+            "bottom": 0,
+            "top_node": self.count - 1,
         }
 
     def to_dot(self) -> str:
         lines = ["digraph lattice {", "  rankdir=BT;"]
         for i, n in enumerate(self.nodes):
-            shape = "box" if i in (self.bottom_index, self.top_index) else "ellipse"
+            shape = "box" if i in (0, self.count - 1) else "ellipse"
             lines.append(f'  n{i} [label="n{i} (order {n.order})", shape={shape}];')
         for a, b in self.hasse_edges:
             lines.append(f"  n{a} -> n{b};")
@@ -210,80 +223,50 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
         raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
     masks = enumerate_closed_subsets(top.order, list(ext.image), internal=(top.add, top.mul))
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
-    top_i = len(nodes) - 1
-    edges, length, chain = poset_structure([node.mask for node in nodes], 0, top_i)
-    return LatticeReport(ext, nodes, edges, len(nodes), length, chain, 0, top_i)
+    return LatticeReport(nodes, *poset_structure(masks), ext)
 
 
 def poset_structure(
-    masks: Sequence[np.ndarray], bottom: int, top: int
-) -> tuple[tuple[tuple[int, int], ...], int, tuple[int, ...]]:
-    """Hasse edges in row-major order, longest-chain length and a witness
-    chain for distinct subsets listed by size and ordered by inclusion.
+    masks: Sequence[np.ndarray],
+) -> tuple[tuple[tuple[int, int], ...], dict[int, int], tuple[int, ...]]:
+    """Hasse edges in row-major order, how many maximal chains have each
+    length, and a longest chain, for distinct subsets listed by size and
+    ordered by inclusion, with the least subset first and the greatest last.
 
     The edges are the transitive reduction of the inclusion order (Aho,
     Garey, Ullman 1972): walking the strict supersets of a node in index
     order, a superset is a cover unless it contains a cover found before
-    it."""
+    it.  The chains are counted in the same pass: the lower covers of a node
+    have smaller indices, so its counts are complete before its own row
+    starts.  The longest chain steps down from each node to its lowest-index
+    lower cover of greatest distance."""
     packed = np.packbits(np.stack(masks), axis=1)
     outside = ~packed
     # inc[i, j]: subset i lies inside subset j
     inc = np.stack([~(row & outside).any(axis=1) for row in packed])
+    n = len(packed)
+    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
+    pred, depth_of_pred = [0] * n, [-1] * n
     edges = []
-    for i in range(len(packed)):
+    for i in range(n):
+        below = counts[i]
+        depth = max(below)
         cand = inc[i].copy()
         cand[: i + 1] = False
         j = int(cand.argmax())
         while cand[j]:
             edges.append((i, j))
+            above = counts[j]
+            for k, c in below.items():
+                above[k + 1] = above.get(k + 1, 0) + c
+            if depth > depth_of_pred[j]:
+                pred[j], depth_of_pred[j] = i, depth
             cand &= ~inc[j]
             j = int(cand.argmax())
-    lengths, chain = maximal_chain_lengths(edges, bottom, top)
-    return tuple(edges), max(lengths), chain
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Maximal chains of a lattice, with a gradedness flag."""
-
-    length: int
-    witness: tuple[int, ...]
-    chain_count: int
-    graded: bool
-    lengths: dict[int, int]
-
-
-def maximal_chain_lengths(
-    edges: Sequence[tuple[int, int]], bottom: int, top: int
-) -> tuple[dict[int, int], tuple[int, ...]]:
-    """How many maximal bottom-to-top chains have each length, and a longest
-    chain, from the Hasse edges of a poset with least element bottom, in
-    row-major order and going up in index order.
-
-    One pass over the edges: the lower covers of a node have smaller
-    indices, so its counts are complete before its own row starts.  The
-    witness steps down from each node to its lowest-index lower cover of
-    greatest distance."""
-    counts = {bottom: {0: 1}}
-    pred: dict[int, int] = {}
-    for a, b in edges:
-        above = counts.setdefault(b, {})
-        for k, c in counts[a].items():
-            above[k + 1] = above.get(k + 1, 0) + c
-        if b not in pred or max(counts[a]) > max(counts[pred[b]]):
-            pred[b] = a
-    chain = [top]
-    while chain[-1] != bottom:
+    chain = [n - 1]
+    while chain[-1]:
         chain.append(pred[chain[-1]])
-    chain.reverse()
-    return counts[top], tuple(chain)
-
-
-def length_and_chains(report: LatticeReport) -> ChainReport:
-    """Count the maximal chains bottom-to-top by length; graded when they
-    all share the lattice length."""
-    lengths, witness = maximal_chain_lengths(report.hasse_edges, report.bottom_index, report.top_index)
-    return ChainReport(report.length, witness, sum(lengths.values()), len(lengths) == 1, lengths)
+    return tuple(edges), counts[-1], tuple(reversed(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +292,7 @@ def is_subintegral(ext: Extension) -> bool:
     if not _residues_trivial(ext, pulls):
         return False
     base_primes = {p.elements for p in spectrum(ext.base).primes}
-    seen = {tuple(int(i) for i in np.flatnonzero(pull)) for _, pull in pulls}
+    seen = {mask_elements(pull) for _, pull in pulls}
     return len(seen) == len(pulls) and seen == base_primes
 
 
@@ -439,7 +422,7 @@ def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> 
 
     def lies_over_m(q: Ideal) -> bool:
         """q contracts to M and |S/q| = |R/M|."""
-        kernel = tuple(int(i) for i in np.flatnonzero(q.mask[ext.embed.map]))
+        kernel = mask_elements(q.mask[ext.embed.map])
         return kernel == m.elements and top.order // q.order == q_r
 
     # inert: M stays maximal and R/M -> S/M is a minimal field extension
@@ -458,7 +441,7 @@ def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> 
     for i in range(len(over)):
         for j in range(i + 1, len(over)):
             m1, m2 = over[i], over[j]
-            inter = tuple(int(x) for x in np.flatnonzero(m1.mask & m2.mask))
+            inter = mask_elements(m1.mask & m2.mask)
             if inter == m_top_elems and lies_over_m(m1) and lies_over_m(m2):
                 matches.append(("decomposed", (m1, m2), None))
 
@@ -530,11 +513,11 @@ class IrreducibleDecomposition:
 
 
 def meet_irreducible_nodes(report: LatticeReport) -> set[int]:
-    return {i for i in range(report.count) if i == report.top_index or len(report.upper_covers(i)) == 1}
+    return {i for i in range(report.count) if i == report.count - 1 or len(report.upper_covers(i)) == 1}
 
 
 def join_irreducible_nodes(report: LatticeReport) -> set[int]:
-    return {i for i in range(report.count) if i == report.bottom_index or len(report.lower_covers(i)) == 1}
+    return {i for i in range(report.count) if i == 0 or len(report.lower_covers(i)) == 1}
 
 
 def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDecomposition:
@@ -562,7 +545,7 @@ def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDe
         (i for i in join_irreducible_nodes(report) if bool((report.nodes[i].mask & ~target).sum() == 0)),
         key=lambda i: -report.nodes[i].order,
     )
-    cur_mask = report.nodes[report.bottom_index].mask.copy()
+    cur_mask = report.nodes[0].mask.copy()
     join_used = []
     for i in join_cands:
         if np.array_equal(cur_mask, target):
@@ -607,8 +590,8 @@ def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None)
     """R[t] covers R for every t outside the image."""
     report = report or intermediate_algebras(ext)
     top = ext.top
-    base_mask = report.nodes[report.bottom_index].mask
-    covers = {report.nodes[b].mask.tobytes() for a, b in report.hasse_edges if a == report.bottom_index}
+    base_mask = report.nodes[0].mask
+    covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers(0)}
     # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batch
     _, reps = cosets(top.add, np.flatnonzero(base_mask))
     reps = reps[~base_mask[reps]]

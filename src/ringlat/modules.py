@@ -4,7 +4,6 @@ lattice/length/count identities relating them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,8 +14,8 @@ from .ideals import IdealLike, all_ideals, annihilator, coerce_ideal
 from .lattice import (
     Extension,
     Subalgebra,
+    Poset,
     intermediate_algebras,
-    maximal_chain_lengths,
     poset_structure,
     upper_extension,
 )
@@ -124,23 +123,11 @@ def submodule_closure(m: FiniteModule, seed: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class SubmoduleLattice:
-    """All submodules of a finite module, ordered by inclusion."""
+class SubmoduleLattice(Poset):
+    """All submodules of a finite module, ordered by inclusion; the nodes are
+    sorted element tuples."""
 
     module: FiniteModule
-    nodes: tuple[tuple[int, ...], ...]
-    hasse_edges: tuple[tuple[int, int], ...]
-    count: int
-    length: int
-    bottom_index: int
-    top_index: int
-
-    @cached_property
-    def _index_of(self) -> dict[tuple[int, ...], int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    def node_index(self, elements) -> Optional[int]:
-        return self._index_of.get(tuple(sorted(int(x) for x in elements)))
 
     def to_json(self) -> dict:
         return {
@@ -162,16 +149,12 @@ def submodules(m: FiniteModule) -> SubmoduleLattice:
     if m.order > lattice_limit():
         raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
     masks = enumerate_submodules(m.add, m.action, m.zero)
-    nodes = tuple(mask_elements(mk) for mk in masks)
-    top = len(nodes) - 1
-    edges, length, _ = poset_structure(list(masks), 0, top)
-    return SubmoduleLattice(m, nodes, edges, len(nodes), length, 0, top)
+    return SubmoduleLattice(tuple(mask_elements(mk) for mk in masks), *poset_structure(masks), m)
 
 
 def jordan_holder_check(lat: SubmoduleLattice) -> bool:
     """All maximal chains share one length."""
-    lengths, _ = maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index)
-    return len(lengths) == 1
+    return len(lat.chain_lengths) == 1
 
 
 def module_length(m: FiniteModule) -> int:
@@ -197,10 +180,10 @@ def is_cyclic(m: FiniteModule) -> Optional[int]:
 
 
 def is_uniserial(m: FiniteModule, lat: Optional[SubmoduleLattice] = None) -> bool:
-    """Submodule lattice linearly ordered."""
+    """Submodule lattice linearly ordered: a longest chain holds every node
+    exactly when the order is total."""
     lat = lat or submodules(m)
-    sets = [set(n) for n in sorted(lat.nodes, key=len)]
-    return all(sets[i] <= sets[i + 1] for i in range(len(sets) - 1))
+    return lat.count == lat.length + 1
 
 
 def is_faithful(m: FiniteModule) -> bool:

@@ -99,17 +99,6 @@ class FiniteRing:
         return f"FiniteRing({self.label}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a specific ring, by index."""
-
-    ring: FiniteRing
-    index: int
-
-    def __repr__(self):
-        return f"<{self.index} in {self.ring.label}>"
-
-
 @dataclass(frozen=True, eq=False)
 class RingHom:
     """A unital ring homomorphism given by its full index table.
@@ -233,7 +222,7 @@ class Ideal:
 class SpirWitness:
     """Least-index generator t of the maximal ideal and its nilpotency index."""
 
-    generator: RingElem
+    generator: int
     index: int
 
 
@@ -808,16 +797,15 @@ def same_tables(a: FiniteRing, b: FiniteRing) -> bool:
     )
 
 
-def idempotents(ring: FiniteRing) -> list[RingElem]:
-    mask = ring.mul.diagonal() == np.arange(ring.order)
-    return [RingElem(ring, int(i)) for i in np.flatnonzero(mask)]
+def idempotents(ring: FiniteRing) -> list[int]:
+    """The indices e with e*e = e, in index order."""
+    return list(mask_elements(ring.mul.diagonal() == np.arange(ring.order)))
 
 
 def primitive_idempotents(ring: FiniteRing) -> list[int]:
     """The nonzero idempotents e with e*f != f for every other nonzero
     idempotent f, in index order; one per local factor eR."""
-    idem = np.flatnonzero(ring.mul.diagonal() == np.arange(ring.order))
-    idem = idem[idem != ring.zero]
+    idem = np.array([e for e in idempotents(ring) if e != ring.zero], dtype=np.intp)
     # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
     below = ring.mul[np.ix_(idem, idem)] == idem[None, :]
     return [int(e) for e in idem[below.sum(axis=1) == 1]]
@@ -873,7 +861,7 @@ def is_spir(ring: FiniteRing) -> Optional[SpirWitness]:
                 p += 1
                 if p > ring.order + 1:
                     return None
-            return SpirWitness(RingElem(ring, int(t)), p)
+            return SpirWitness(t, p)
     return None
 
 

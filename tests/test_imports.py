@@ -2,9 +2,13 @@
 __init__ re-exports its imports, so it is not scanned), imports its package
 siblings at module level, and every private module-level name of the
 package is read by some module of it.  One size bound: the only per-call
-bound parameter of the package is intermediate_algebras' max_order."""
+bound parameter of the package is intermediate_algebras' max_order.  Every
+annotation of the package resolves to a name its module binds."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,44 @@ def test_one_size_bound():
                    for p in names if p in ("max_order", "max_matrices"))
     assert sized == ["lattice.intermediate_algebras(max_order)"]
     assert params["config.arith_limit"] == params["config.lattice_limit"] == []
+
+
+def annotated_objects(module) -> list:
+    """The classes and functions a module defines, with the methods,
+    properties and cached properties of each class."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found.append(obj)
+        elif inspect.isclass(obj):
+            found.append(obj)
+            for attr in vars(obj).values():
+                fn = getattr(attr, "fget", None) or getattr(attr, "func", None) or getattr(attr, "__func__", attr)
+                if inspect.isfunction(fn):
+                    found.append(fn)
+    return found
+
+
+def test_scan_finds_annotated_objects():
+    module = type(typing)("scanned")
+    exec("import functools\n"
+         "def f(x: int) -> int:\n    return x\n"
+         "class C:\n    def m(self) -> 'C':\n        return self\n"
+         "    @property\n    def p(self) -> int:\n        return 1\n"
+         "    @functools.cached_property\n    def q(self) -> int:\n        return 2\n"
+         "    @staticmethod\n    def s() -> None:\n        pass\n", vars(module))
+    names = sorted(o.__qualname__ for o in annotated_objects(module))
+    assert names == ["C", "C.m", "C.p", "C.q", "C.s", "f"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_type_hints_resolve(module):
+    unresolved = []
+    for obj in annotated_objects(importlib.import_module(f"ringlat.{module}")):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as e:
+            unresolved.append(f"{obj.__qualname__}: {e}")
+    assert unresolved == []

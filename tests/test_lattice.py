@@ -27,43 +27,42 @@ def test_field_cube_lattice(f2_cube):
     ext, rep = f2_cube
     assert rep.count == 5
     assert rep.length == 2
-    assert len(rep.nodes[rep.bottom_index].elements) == 2
-    assert rep.nodes[rep.top_index].is_top
-    chains = lt.length_and_chains(rep)
-    assert chains.lengths == {2: 3}  # graded: every maximal chain has two covers
+    assert len(rep.nodes[0].elements) == 2
+    assert rep.nodes[-1].is_top
+    assert rep.chain_lengths == {2: 3}  # graded: every maximal chain has two covers
 
 
 def test_partition_lattice_chain_count(f2):
     rep = lt.intermediate_algebras(lt.power_extension(f2, 5))
-    chains = lt.length_and_chains(rep)
     # the partition lattice of 5 points has 5!4!/2^4 maximal chains (OEIS A006472)
     assert rep.count == 52
-    assert (chains.chain_count, chains.lengths, chains.graded) == (180, {4: 180}, True)
+    assert (rep.chain_lengths, rep.length) == ({4: 180}, 4)
 
 
 def test_chain_lengths_of_a_pentagon():
-    # N5: 0 < 1 < 4 and 0 < 2 < 3 < 4
-    edges = [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)]
-    assert lt.maximal_chain_lengths(edges, 0, 4) == ({2: 1, 3: 1}, (0, 2, 3, 4))
+    # N5 on {a, b, c}: {} < {a} < {a,b,c} and {} < {b} < {b,c} < {a,b,c}
+    sets = [(), (0,), (1,), (1, 2), (0, 1, 2)]
+    masks = [np.isin(np.arange(3), s) for s in sets]
+    edges = ((0, 1), (0, 2), (1, 4), (2, 3), (3, 4))
+    assert lt.poset_structure(masks) == (edges, {2: 1, 3: 1}, (0, 2, 3, 4))
 
 
 _ZOO = ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization", "crt-Z12"]
 
 
-def _assert_poset_matches_oracle(masks, bottom, top, structure, brute_force_hasse, brute_force_chains):
-    edges, length, chain = structure
+def _assert_poset_matches_oracle(masks, structure, brute_force_hasse, brute_force_chains):
+    edges, chain_lengths, chain = structure
     assert list(edges) == brute_force_hasse(masks)
-    lengths, witness = brute_force_chains(edges, bottom, top)
-    assert (length, chain) == (max(lengths), witness)
-    assert lt.maximal_chain_lengths(edges, bottom, top) == (lengths, witness)
+    assert (chain_lengths, chain) == brute_force_chains(edges, 0, len(masks) - 1)
 
 
 @pytest.mark.parametrize("name", _ZOO)
 def test_lattice_poset_matches_oracle(extension_zoo, name, brute_force_hasse, brute_force_chains):
     rep = lt.intermediate_algebras(extension_zoo(name))
-    structure = (rep.hasse_edges, rep.length, rep.maximal_chain)
-    _assert_poset_matches_oracle([n.mask for n in rep.nodes], rep.bottom_index, rep.top_index,
-                                 structure, brute_force_hasse, brute_force_chains)
+    structure = (rep.hasse_edges, rep.chain_lengths, rep.maximal_chain)
+    _assert_poset_matches_oracle([n.mask for n in rep.nodes], structure, brute_force_hasse,
+                                 brute_force_chains)
+    assert rep.length == max(rep.chain_lengths) == len(rep.maximal_chain) - 1
 
 
 @pytest.mark.parametrize("build", [
@@ -72,9 +71,7 @@ def test_lattice_poset_matches_oracle(extension_zoo, name, brute_force_hasse, br
 ], ids=["Z16xZ16", "F2^5"])
 def test_ideal_poset_matches_oracle(build, brute_force_hasse, brute_force_chains):
     masks = [i.mask for i in all_ideals(build())]
-    bottom, top = 0, len(masks) - 1
-    _assert_poset_matches_oracle(masks, bottom, top, lt.poset_structure(masks, bottom, top),
-                                 brute_force_hasse, brute_force_chains)
+    _assert_poset_matches_oracle(masks, lt.poset_structure(masks), brute_force_hasse, brute_force_chains)
 
 
 def test_lattice_respects_bound(f3):
@@ -131,8 +128,10 @@ def test_max_order_overrides_the_env_bound_for_one_lattice(monkeypatch):
 @pytest.mark.parametrize("name", _ZOO)
 def test_bottom_is_node_zero_and_top_the_last_node(extension_zoo, name):
     rep = lt.intermediate_algebras(extension_zoo(name))
-    assert (rep.bottom_index, rep.top_index) == (0, rep.count - 1)
     assert rep.nodes[0].is_base and rep.nodes[-1].is_top
+    data = rep.to_json()
+    assert (data["bottom"], data["top_node"]) == (0, rep.count - 1)
+    assert rep.maximal_chain[0] == 0 and rep.maximal_chain[-1] == rep.count - 1
 
 
 def _relabel(ext, perm):
@@ -163,8 +162,8 @@ def test_relabeling_carries_everything_over(extension_zoo, name):
     to_new = [rep2.node_index(carry(n.elements)) for n in rep.nodes]
     assert sorted(to_new) == list(range(rep2.count))
     assert {(to_new[a], to_new[b]) for a, b in rep.hasse_edges} == set(rep2.hasse_edges)
-    assert (to_new[rep.bottom_index], to_new[rep.top_index]) == (rep2.bottom_index, rep2.top_index)
-    assert (rep.count, rep.length) == (rep2.count, rep2.length)
+    assert (to_new[0], to_new[-1]) == (0, rep2.count - 1)
+    assert (rep.count, rep.chain_lengths) == (rep2.count, rep2.chain_lengths)
     assert lt.classify_minimal(ext, rep).kind == lt.classify_minimal(moved, rep2).kind
     assert carry(cl.seminormalization(ext).elements) == cl.seminormalization(moved).elements
     assert carry(cl.t_closure(ext).elements) == cl.t_closure(moved).elements
@@ -237,7 +236,7 @@ def test_irreducible_decompositions_recompose(f2_cube):
     for i in range(rep.count):
         dec = lt.irreducible_decomposition(rep, i)
         assert dec.node == i
-    bottom = lt.irreducible_decomposition(rep, rep.bottom_index)
+    bottom = lt.irreducible_decomposition(rep, 0)
     assert len(bottom.meet_factors) >= 2  # the base is the meet of proper nodes here
 
 
@@ -285,7 +284,7 @@ def test_product_extension_combines(f2, z4):
 
 def test_subalgebra_navigation(f2_cube):
     ext, rep = f2_cube
-    node = rep.nodes[rep.bottom_index]
+    node = rep.nodes[0]
     low = lt.lower_extension(node)
     assert low.top.order == 2
     up = lt.upper_extension(node)
@@ -358,8 +357,8 @@ def test_pointwise_minimal_matches_every_element(extension_zoo, name):
     ext = extension_zoo(name)
     top = ext.top
     rep = lt.intermediate_algebras(ext)
-    base = rep.nodes[rep.bottom_index].mask
-    covers = {rep.nodes[b].elements for a, b in rep.hasse_edges if a == rep.bottom_index}
+    base = rep.nodes[0].mask
+    covers = {rep.nodes[b].elements for a, b in rep.hasse_edges if a == 0}
     want = all(rg.mask_elements(rg.extend_closure_mask(top.order, base, [t], (top.add, top.mul)))
                in covers for t in range(top.order) if not base[t])
     assert lt.is_pointwise_minimal(ext, rep) is want

@@ -51,9 +51,9 @@ def test_submodule_counts_and_lengths(build, count, length, brute_force_hasse, b
     assert md.module_length(mod) == length
     assert md.jordan_holder_check(lat)
     assert list(lat.hasse_edges) == brute_force_hasse([np.isin(np.arange(mod.order), n) for n in lat.nodes])
-    lengths, witness = brute_force_chains(lat.hasse_edges, lat.bottom_index, lat.top_index)
+    lengths, witness = brute_force_chains(lat.hasse_edges, 0, lat.count - 1)
     assert lengths == {length: sum(lengths.values())}
-    assert lt.maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index) == (lengths, witness)
+    assert (lat.chain_lengths, lat.maximal_chain) == (lengths, witness)
 
 
 def test_submodule_bottom_and_top_are_first_and_last(z4):
@@ -66,7 +66,8 @@ def test_submodule_bottom_and_top_are_first_and_last(z4):
     md.check_module(moved)
     lat = md.submodules(moved)
     assert lat.nodes == ((3,), (1, 3), (0, 1, 2, 3))
-    assert (lat.bottom_index, lat.top_index) == (0, 2)
+    assert lat.hasse_edges == ((0, 1), (1, 2))
+    assert (lat.chain_lengths, lat.maximal_chain) == ({2: 1}, (0, 1, 2))
 
 
 @pytest.mark.parametrize("build, length, chains", [
@@ -79,7 +80,15 @@ def test_submodule_bottom_and_top_are_first_and_last(z4):
 def test_maximal_chains_are_counted_exactly(build, length, chains):
     lat = md.submodules(build())
     assert md.jordan_holder_check(lat)
-    assert lt.maximal_chain_lengths(lat.hasse_edges, lat.bottom_index, lat.top_index)[0] == {length: chains}
+    assert lat.chain_lengths == {length: chains}
+
+
+def test_jordan_holder_check_fails_when_chain_lengths_differ(z4):
+    # the pentagon N5 is no submodule lattice; its maximal chains have lengths 2 and 3
+    sets = ((), (0,), (1,), (1, 2), (0, 1, 2))
+    lat = md.SubmoduleLattice(sets, *lt.poset_structure([np.isin(np.arange(3), s) for s in sets]),
+                              md.module_from_ring(z4))
+    assert not md.jordan_holder_check(lat)
 
 
 def test_cyclic_and_uniserial(z8, f2):
@@ -88,6 +97,33 @@ def test_cyclic_and_uniserial(z8, f2):
     plane = md.module_from_cyclics(f2, [[0], [0]])
     assert md.is_cyclic(plane) is None
     assert not md.is_uniserial(plane)
+
+
+_MODULES = {
+    "Z8": lambda: md.module_from_ring(rg.make_zmod(8)),
+    "Z6": lambda: md.module_from_ring(rg.make_zmod(6)),
+    "Z9/(3)+Z9": lambda: md.module_from_cyclics(rg.make_zmod(9), [[3], [0]]),
+    "F2[t]/(t^3)": lambda: md.module_from_ring(rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1]).ring),
+    "F2+F2": lambda: md.module_from_cyclics(rg.make_gf(2), [[0], [0]]),
+    "zero": lambda: md.module_from_cyclics(rg.make_gf(2), []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_uniserial_means_every_two_submodules_compare(name):
+    lat = md.submodules(_MODULES[name]())
+    sets = [set(n) for n in lat.nodes]
+    assert md.is_uniserial(lat.module, lat) is all(a <= b or b <= a for a in sets for b in sets)
+
+
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_idealization_lattice_has_the_submodule_chains(name):
+    mod = _MODULES[name]()
+    lat = md.submodules(mod)
+    rep = lt.intermediate_algebras(md.idealization_extension(mod.ring, mod)[0])
+    pairs = dict(md.idealization_lattice_bijection(mod.ring, mod).pairs)
+    assert {(pairs[a], pairs[b]) for a, b in lat.hasse_edges} == set(rep.hasse_edges)
+    assert (lat.count, lat.chain_lengths) == (rep.count, rep.chain_lengths)
 
 
 def test_faithful(z4):

@@ -10,10 +10,11 @@ inconsistency, 2 bad input or unmet precondition, 3 size bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,58 +52,21 @@ def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
     return lt.Extension(base.ring, top.ring, hom)
 
 
-def _diagonal_extension(base: dsl.BuildResult, top_ast: dsl.RingExpr) -> Optional[lt.Extension]:
-    """The diagonal of the base into a top product of copies of it; None for
-    any other top."""
-    if not isinstance(top_ast, dsl.ProductE):
-        return None
-    factors = [dsl.build(f).ring for f in top_ast.factors]
-    if not all(rg.same_tables(f, base.ring) for f in factors):
-        return None
-    pr = rg.product(factors)
-    ident = np.arange(base.ring.order)
-    return lt.Extension(base.ring, pr.ring, rg.pair_homs(base.ring, pr, [ident] * len(factors)))
-
-
-def _first_factor_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
-                            top_ast: dsl.RingExpr) -> lt.Extension:
-    """Base R^p into top R^n along the partition {1},...,{p-1},{p,...,n}: the
-    last base component rides the identity of the tail block."""
-    if not isinstance(top_ast, dsl.ProductE):
-        raise PreconditionError("no compatible identity: the first-factor embedding "
-                                "needs a product top expression")
-    top_factors = [dsl.build(f).ring for f in top_ast.factors]
-    if isinstance(base_ast, dsl.ProductE):
-        base_factors = [dsl.build(f).ring for f in base_ast.factors]
-    else:
-        base_factors = [base.ring]
-    p, n = len(base_factors), len(top_factors)
-    same = all(rg.same_tables(f, base_factors[0]) for f in base_factors + top_factors)
-    if not same or n < p:
-        raise PreconditionError("no compatible identity: the first-factor embedding "
-                                "needs equal factors and at least as many on top")
+def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing],
+                       top_factors: Sequence[rg.FiniteRing]) -> lt.Extension:
+    """Base R^p into the product of the top factors: top component k is base
+    component min(k, p - 1).  With p = 1 this is the diagonal; otherwise the
+    last base component rides the identity of the tail block {p,...,n}."""
+    p = len(base_factors)
+    comps = rg.product_components([f.order for f in base_factors], np.arange(base.order))
     pr = rg.product(top_factors)
-    comps = rg.product_components([f.order for f in base_factors], np.arange(base.ring.order))
-    hom = rg.pair_homs(base.ring, pr, [comps[min(k, p - 1)] for k in range(n)])
-    return lt.Extension(base.ring, pr.ring, hom)
+    hom = rg.pair_homs(base, pr, [comps[min(k, p - 1)] for k in range(len(top_factors))])
+    return lt.Extension(base, pr.ring, hom)
 
 
-def _structural_extension(base: dsl.BuildResult, base_ast: dsl.RingExpr,
-                          top_ast: dsl.RingExpr) -> Optional[lt.Extension]:
-    chain = dsl.suffix_chain(top_ast, base_ast)
-    if chain is None:
-        return None
-    built = base
-    hom = rg.identity_hom(base.ring)
-    for step in chain:
-        built, step_hom = dsl.build_step(built, step)
-        hom = rg.compose(hom, step_hom)
-    return lt.Extension(base.ring, built.ring, hom)
-
-
-def _prime_extension(base: dsl.BuildResult, top: dsl.BuildResult) -> lt.Extension:
+def _prime_extension(base: rg.FiniteRing, top: rg.FiniteRing) -> lt.Extension:
     try:
-        return lt.Extension(base.ring, top.ring, rg.prime_hom(base.ring, top.ring))
+        return lt.Extension(base, top, rg.prime_hom(base, top))
     except PreconditionError as e:
         raise PreconditionError(f"cannot infer an embedding: {e}; pass --embed "
                                 "explicit:<map>")
@@ -114,28 +78,42 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt
     Without --embed: a top expression built over the base by quotient or
     idealization suffixes uses the construction maps; a product of copies of
     the base uses the diagonal; a base generated by 1 uses repeated addition
-    of 1.  Anything else needs an explicit table.
+    of 1.  Anything else needs an explicit table.  The factors of a product
+    top are built, and checked against the embedding asked for, before their
+    product is taken.
     """
     base_ast = dsl.parse(base_text)
     top_ast = dsl.parse(top_text)
     base = dsl.build(base_ast)
     if embed is not None and embed.startswith("explicit:"):
         return _explicit_extension(base, dsl.build(top_ast), embed)
-    if embed == "diagonal":
-        diagonal = _diagonal_extension(base, top_ast)
-        if diagonal is None:
-            raise PreconditionError("the diagonal embedding needs a product top expression "
-                                    "with every factor equal to the base ring")
-        return diagonal
-    if embed == "first-factor":
-        return _first_factor_extension(base, base_ast, top_ast)
-    if embed is not None:
+    if embed not in (None, "diagonal", "first-factor"):
         raise PreconditionError(f"unknown embedding {embed!r}; use diagonal, "
                                 "first-factor or explicit:<map>")
-    structural = _structural_extension(base, base_ast, top_ast)
-    if structural is not None:
-        return structural
-    return _diagonal_extension(base, top_ast) or _prime_extension(base, dsl.build(top_ast))
+    chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
+    if chain is not None:
+        built, homs = base, []
+        for step in chain:
+            built, hom = dsl.build_step(built, step)
+            homs.append(hom)
+        hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
+        return lt.Extension(base.ring, built.ring, hom)
+    tops = [dsl.build(f).ring for f in top_ast.factors] if isinstance(top_ast, dsl.ProductE) else None
+    if embed == "first-factor":
+        if tops is None:
+            raise PreconditionError("no compatible identity: the first-factor embedding "
+                                    "needs a product top expression")
+        parts = base.factors or (base.ring,)
+        if len(tops) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in (*parts, *tops)):
+            raise PreconditionError("no compatible identity: the first-factor embedding "
+                                    "needs equal factors and at least as many on top")
+        return _product_extension(base.ring, parts, tops)
+    if tops is not None and all(rg.same_tables(f, base.ring) for f in tops):
+        return _product_extension(base.ring, [base.ring], tops)
+    if embed == "diagonal":
+        raise PreconditionError("the diagonal embedding needs a product top expression "
+                                "with every factor equal to the base ring")
+    return _prime_extension(base.ring, dsl.build(top_ast).ring if tops is None else rg.product(tops).ring)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +160,9 @@ def _cmd_closures(args) -> int:
     return 0
 
 
-def _parse_ideal_groups(text: str) -> list[tuple]:
-    groups = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise PreconditionError(f"ideal group {chunk!r} is not parenthesized")
-        inner = chunk[1:-1].strip()
-        groups.append(dsl.parse_poly_list(inner) if inner else ())
-    return groups
-
-
 def _cmd_crt(args) -> int:
     base = dsl.build_text(args.ring)
-    groups = _parse_ideal_groups(args.ideals)
+    groups = dsl.parse_groups(args.ideals, ";", "ideal list")
     gens = [[dsl.eval_element(base.ring, base.names, g, "ideal generator") for g in grp]
             for grp in groups]
     crt = cr.make_crt(base.ring, gens)
@@ -237,7 +204,7 @@ def _cmd_crt(args) -> int:
 
 def _cmd_idealize(args) -> int:
     base = dsl.build_text(args.ring)
-    mod = dsl.build_module(base, dsl.parse_module_spec(args.module))
+    mod = dsl.build_module(base, dsl.parse_groups(args.module, "+", "module spec"))
     ext, idl = md.idealization_extension(base.ring, mod)
     lat = md.submodules(mod)
     bij = md.idealization_lattice_bijection(base.ring, mod)

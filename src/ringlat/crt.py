@@ -46,8 +46,6 @@ class SeparatingFamily:
     ideals: tuple[Ideal, ...]
     complements: tuple[Ideal, ...]
     normalized: bool = False
-    original_ring: Optional[FiniteRing] = None
-    to_normalized: Optional[RingHom] = None
 
     @property
     def n(self) -> int:
@@ -62,21 +60,16 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
         if i.is_whole:
             raise PreconditionError("invalid family: some ideal is the whole ring")
     inter = reduce(ideal_intersection, ids)
-    normalized = False
-    original = None
-    proj = None
-    if not inter.is_zero:
+    normalized = not inter.is_zero
+    if normalized:
         qr = quotient(ring, inter)
-        proj = qr.projection
-        original = ring
         ring = qr.ring
         ids = _images(qr, ids)
-        normalized = True
     comps = []
     for j in range(len(ids)):
         others = [ids[k] for k in range(len(ids)) if k != j]
         comps.append(reduce(ideal_intersection, others))
-    return SeparatingFamily(ring, ids, tuple(comps), normalized, original, proj)
+    return SeparatingFamily(ring, ids, tuple(comps), normalized)
 
 
 def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
@@ -92,7 +85,6 @@ class CrtExtension:
     family: SeparatingFamily
     extension: Extension
     conductor: Ideal
-    factor_projections: tuple[RingHom, ...]
 
     @property
     def is_isomorphism(self) -> bool:
@@ -109,7 +101,7 @@ def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     if not hom.is_injective:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
     ext = Extension(base, pr.ring, hom)
-    return CrtExtension(fam, ext, conductor(ext), tuple(q.projection for q in qs))
+    return CrtExtension(fam, ext, conductor(ext))
 
 
 def conductor_by_formula(crt: CrtExtension) -> Ideal:

@@ -12,6 +12,7 @@ Grammar (tokens are case-sensitive; whitespace separates freely):
              | "(" expr ")"
     modspec := cyc { "+" cyc }                      direct sum of cyclics R/I
     cyc     := "(" [elem {"," elem}] ")"            ideal generators
+    groups  := cyc { SEP cyc }                      --module (SEP "+"), --ideals (SEP ";")
     poly    := ["-"] mono { ("+"|"-") mono }
     mono    := factor { "*" factor }
     factor  := INT | IDENT ["^" INT]
@@ -113,7 +114,7 @@ class Token:
     column: int
 
 
-_SYMBOLS = ("[", "]", "(", ")", "/", ",", "+", "-", "*", "^")
+_SYMBOLS = ("[", "]", "(", ")", "/", ",", "+", "-", "*", "^", ";")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -372,6 +373,7 @@ def print_expr(e: RingExpr) -> str:
 class BuildResult:
     ring: FiniteRing
     names: dict[str, int] = field(default_factory=dict)
+    factors: tuple[FiniteRing, ...] = ()  # the factor rings of a product expression
 
 
 def _eval_factor(ring: FiniteRing, names: dict[str, int], f: Factor,
@@ -453,9 +455,9 @@ def build(expr: RingExpr) -> BuildResult:
     if isinstance(expr, GFE):
         return BuildResult(make_gf(expr.p, expr.k))
     if isinstance(expr, ProductE):
-        parts = [build(f) for f in expr.factors]
-        pr = product([b.ring for b in parts])
-        return BuildResult(pr.ring)  # names have no canonical product image
+        factors = tuple(build(f).ring for f in expr.factors)
+        # names have no canonical product image
+        return BuildResult(product(factors).ring, factors=factors)
     if isinstance(expr, (PolyQuotE, QuotE, IdealizeE)):
         base = build(expr.base)
         return build_step(base, expr)[0]
@@ -489,24 +491,11 @@ def build_text(text: str) -> BuildResult:
     return build(parse(text))
 
 
-def parse_module_spec(text: str) -> tuple[tuple[Poly, ...], ...]:
-    """Cyclic summands '(g,...) + (g,...) + ...'; an empty group '()' is a
-    free rank-one summand."""
-    if len(text) > MAX_INPUT:
-        raise SizeLimitError("module spec too long")
+def parse_groups(text: str, sep: str, what: str) -> tuple[tuple[Poly, ...], ...]:
+    """Generator groups '(g,...) sep (g,...) sep ...'; an empty group '()'
+    generates the zero ideal."""
     p = _Parser(tokenize(text))
-    cyclics = p.separated(p.cyclic, "+")
+    groups = p.separated(p.cyclic, sep)
     if p.peek().kind != "EOF":
-        p.fail("expected '+' or end of module spec")
-    return cyclics
-
-
-def parse_poly_list(text: str) -> tuple[Poly, ...]:
-    """Comma-separated element expressions, e.g. ideal generators."""
-    if len(text) > MAX_INPUT:
-        raise SizeLimitError("generator list too long")
-    p = _Parser(tokenize(text))
-    polys = p.separated(p.poly, ",")
-    if p.peek().kind != "EOF":
-        p.fail("expected ',' or end of generator list")
-    return tuple(polys)
+        p.fail(f"expected {sep!r} or end of {what}")
+    return groups

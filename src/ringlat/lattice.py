@@ -66,7 +66,7 @@ def power_extension(ring: FiniteRing, n: int) -> Extension:
     if n < 1:
         raise PreconditionError("power extension needs n >= 1")
     pr = product([ring] * n)
-    return Extension(ring, pr.ring, pr.diagonal)
+    return Extension(ring, pr.ring, pair_homs(ring, pr, [np.arange(ring.order)] * n))
 
 
 def product_extension(parts: Sequence[Extension]) -> Extension:
@@ -160,11 +160,23 @@ class Poset:
     def length(self) -> int:
         return max(self.chain_lengths)
 
-    def upper_covers(self, i: int) -> list[int]:
-        return [b for a, b in self.hasse_edges if a == i]
+    @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """upper_covers[i]: the nodes covering node i, in edge order."""
+        return _group_covers(self.count, self.hasse_edges)
 
-    def lower_covers(self, i: int) -> list[int]:
-        return [a for a, b in self.hasse_edges if b == i]
+    @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """lower_covers[i]: the nodes node i covers, in edge order."""
+        return _group_covers(self.count, [(b, a) for a, b in self.hasse_edges])
+
+
+def _group_covers(count: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The heads of the edges (tail, head), grouped by tail."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for a, b in edges:
+        out[a].append(b)
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,11 +525,11 @@ class IrreducibleDecomposition:
 
 
 def meet_irreducible_nodes(report: LatticeReport) -> set[int]:
-    return {i for i in range(report.count) if i == report.count - 1 or len(report.upper_covers(i)) == 1}
+    return {i for i, up in enumerate(report.upper_covers) if i == report.count - 1 or len(up) == 1}
 
 
 def join_irreducible_nodes(report: LatticeReport) -> set[int]:
-    return {i for i in range(report.count) if i == 0 or len(report.lower_covers(i)) == 1}
+    return {i for i, down in enumerate(report.lower_covers) if i == 0 or len(down) == 1}
 
 
 def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDecomposition:
@@ -591,7 +603,7 @@ def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None)
     report = report or intermediate_algebras(ext)
     top = ext.top
     base_mask = report.nodes[0].mask
-    covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers(0)}
+    covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers[0]}
     # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batch
     _, reps = cosets(top.add, np.flatnonzero(base_mask))
     reps = reps[~base_mask[reps]]

@@ -548,8 +548,7 @@ def product_index(orders: Sequence[int], parts):
 @dataclass(frozen=True, eq=False)
 class ProductResult:
     """A finite product ring; components[i][x] is the i-th component of the
-    element x.  The projections and, when every factor has identical tables,
-    the diagonal embedding are built on first read."""
+    element x."""
 
     ring: FiniteRing
     factors: tuple[FiniteRing, ...]
@@ -558,17 +557,6 @@ class ProductResult:
     @property
     def orders(self) -> list[int]:
         return [f.order for f in self.factors]
-
-    @cached_property
-    def projections(self) -> tuple[RingHom, ...]:
-        return tuple(RingHom(self.ring, f, c) for f, c in zip(self.factors, self.components))
-
-    @cached_property
-    def diagonal(self) -> Optional[RingHom]:
-        first = self.factors[0]
-        if not all(same_tables(r, first) for r in self.factors[1:]):
-            return None
-        return pair_homs(first, self, [np.arange(first.order)] * len(self.factors))
 
 
 def _kronecker(prev: Table, t: Table) -> Table:

@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import pytest
 
-from ringlat import cli
+from ringlat import cli, dsl
+from ringlat import rings as rg
 
 
 def run(capsys, argv):
@@ -195,6 +197,53 @@ def test_exit_code_first_factor_needs_product(capsys):
     code, _, err = run(capsys, ["lattice", "Z/2", "Z/4", "--embed", "first-factor"])
     assert code == 2
     assert "no compatible identity" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # each top is also over the size bound: the shape and the factors are
+    # checked before the product or the field is built
+    ["lattice", "Z/2", "Z/64 x Z/128", "--embed", "diagonal"],
+    ["lattice", "Z/2", "GF(2^13)", "--embed", "first-factor"],
+    ["lattice", "Z/2", "GF(2^13)", "--embed", "diagonal"],
+    ["lattice", "Z/2 x Z/2", "Z/2 x Z/2 x Z/4", "--embed", "first-factor"],
+    ["crt", "Z/12", "--ideals", "4;(3)"],
+    ["crt", "Z/12", "--ideals", "(4);"],
+])
+def test_exit_code_malformed_before_oversize(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (2, "")
+
+
+def test_product_embeddings_map_component_k_to_base_component_min_k_p():
+    # (a, b) in Z/3 x Z/3 has index 3a + b; its image (a, b, b) in (Z/3)^3 has 9a + 4b
+    first = cli.resolve_extension("Z/3 x Z/3", "Z/3 x Z/3 x Z/3", "first-factor")
+    assert first.embed.map.tolist() == [9 * a + 4 * b for a in range(3) for b in range(3)]
+    for embed in ("diagonal", None):
+        assert cli.resolve_extension("Z/3", "Z/3 x Z/3 x Z/3", embed).embed.map.tolist() == [0, 13, 26]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "Z/2", "GF(2^2) x Z/2[t]/(t^2)"],
+    ["lattice", "Z/2 x Z/2", "Z/2 x Z/2 x Z/2", "--embed", "first-factor"],
+])
+def test_each_ring_is_built_once(capsys, argv):
+    built, multiplied = [], []
+    real_build, real_product = dsl.build, rg.product
+
+    def build(expr):
+        built.append(expr)  # kept alive, so no two ids of this list coincide
+        return real_build(expr)
+
+    def product(factors):
+        multiplied.append(tuple(factors))
+        return real_product(factors)
+
+    with mock.patch.object(dsl, "build", build), mock.patch.object(dsl, "product", product), \
+            mock.patch.object(rg, "product", product):
+        code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len({id(e) for e in built}) == len(built)
+    assert len({tuple(map(id, f)) for f in multiplied}) == len(multiplied)
 
 
 def test_exit_code_composite_field_order(capsys):

@@ -126,7 +126,7 @@ def test_input_size_limit():
 
 
 def test_parse_module_spec_groups():
-    cyclics = dsl.parse_module_spec("(2) + ()")
+    cyclics = dsl.parse_groups("(2) + ()", "+", "module spec")
     assert len(cyclics) == 2
     assert cyclics[1] == ()
     assert len(cyclics[0]) == 1
@@ -134,17 +134,29 @@ def test_parse_module_spec_groups():
 
 def test_parse_module_spec_rejects_stray_tokens():
     with pytest.raises(ParseError, match=r"expected '\+' or end of module spec"):
-        dsl.parse_module_spec("(2) (3)")
+        dsl.parse_groups("(2) (3)", "+", "module spec")
 
 
 def test_parse_poly_list_and_eval(z12):
-    polys = dsl.parse_poly_list("4, 3")
-    assert [dsl.eval_element(z12, {}, p) for p in polys] == [4, 3]
+    groups = dsl.parse_groups("(4, 3); (); (2*3)", ";", "ideal list")
+    assert [[dsl.eval_element(z12, {}, p) for p in g] for g in groups] == [[4, 3], [], [6]]
 
 
 def test_parse_poly_list_rejects_missing_comma():
-    with pytest.raises(ParseError, match="expected ',' or end of generator list"):
-        dsl.parse_poly_list("4 3")
+    for text, message in [
+        ("(4 3)", "expected '\\)', found '3'"),  # no comma inside a group
+        ("(4) (3)", "expected ';' or end of ideal list"),  # no separator between groups
+        ("(4) + (3)", "expected ';' or end of ideal list"),  # the module separator
+        ("4; (3)", "expected '\\(', found '4'"),
+        ("(4);", "expected '\\(', found 'end of input'"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            dsl.parse_groups(text, ";", "ideal list")
+
+
+def test_group_separator_is_not_a_ring_expression():
+    with pytest.raises(ParseError, match="trailing input ';'"):
+        dsl.parse("Z/4; Z/2")
 
 
 def test_suffix_chain_peels_constructions():

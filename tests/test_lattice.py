@@ -240,6 +240,23 @@ def test_irreducible_decompositions_recompose(f2_cube):
     assert len(bottom.meet_factors) >= 2  # the base is the meet of proper nodes here
 
 
+@pytest.mark.parametrize("poset", [
+    lambda: lt.intermediate_algebras(lt.power_extension(rg.make_gf(2), 4)),
+    lambda: md.submodules(md.module_from_cyclics(rg.make_zmod(4), [[2], [], [0]])),
+], ids=["F2^4 subalgebras", "Z/4 module submodules"])
+def test_grouped_covers_match_an_edge_scan(poset):
+    rep = poset()
+    assert rep.count > 10
+    for i in range(rep.count):
+        assert rep.upper_covers[i] == tuple(b for a, b in rep.hasse_edges if a == i)
+        assert rep.lower_covers[i] == tuple(a for a, b in rep.hasse_edges if b == i)
+    assert lt.meet_irreducible_nodes(rep) == {
+        i for i in range(rep.count)
+        if i == rep.count - 1 or sum(a == i for a, _ in rep.hasse_edges) == 1}
+    assert lt.join_irreducible_nodes(rep) == {
+        i for i in range(rep.count) if i == 0 or sum(b == i for _, b in rep.hasse_edges) == 1}
+
+
 def test_special_minimal_ramified(f2):
     base = rg.poly_quotient(f2, [0, 0, 1], var="t").ring
     t = next(i for i in range(4) if i not in (base.zero, base.one)

@@ -67,12 +67,14 @@ def test_product_projections_and_diagonal(z4, f3):
     assert pr.ring.order == 12
     rg.check_ring_axioms(pr.ring)
     for i in range(pr.ring.order):
-        a, b = int(pr.projections[0].map[i]), int(pr.projections[1].map[i])
+        a, b = int(pr.components[0][i]), int(pr.components[1][i])
         assert i == a * 3 + b
-    assert pr.diagonal is None
+    for f, c in zip(pr.factors, pr.components):
+        rg.RingHom(pr.ring, f, c)  # each component table is a projection hom
+    with pytest.raises(PreconditionError):  # Z/4 has no diagonal into Z/4 x F3
+        rg.pair_homs(z4, pr, [np.arange(4)] * 2)
     same = rg.product([z4, z4])
-    assert same.diagonal is not None
-    assert same.diagonal.is_injective
+    assert rg.pair_homs(z4, same, [np.arange(4)] * 2).is_injective
 
 
 @pytest.mark.parametrize("source, factors", [
@@ -423,5 +425,7 @@ def test_hom_validation(z4, f2):
 def test_compose_and_identity(z4):
     ident = rg.identity_hom(z4)
     sq = rg.product([z4, z4])
-    comp = rg.compose(ident, sq.diagonal)
-    assert np.array_equal(comp.map, sq.diagonal.map)
+    diagonal = rg.pair_homs(z4, sq, [np.arange(4)] * 2)
+    assert np.array_equal(rg.compose(ident, diagonal).map, diagonal.map)
+    for c in sq.components:  # either projection undoes the diagonal
+        assert np.array_equal(rg.compose(diagonal, rg.RingHom(sq.ring, z4, c)).map, ident.map)

@@ -23,7 +23,7 @@ from .lattice import (Extension, LatticeReport, MinimalClassification,
                       Subalgebra, classify_minimal, gilbert_bijection,
                       intermediate_algebras, irreducible_decomposition,
                       is_delta, is_delta0, is_infra_integral,
-                      is_minimal, is_pointwise_minimal, is_quadratic,
+                      is_pointwise_minimal, is_quadratic,
                       is_seminormal, is_special_minimal_ramified,
                       is_subintegral, is_tclosed, lower_extension,
                       power_extension, predicate_battery, product_extension,

@@ -48,8 +48,7 @@ def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
     if len(entries) != base.ring.order:
         raise PreconditionError(f"explicit embedding lists {len(entries)} images for a "
                                 f"base of order {base.ring.order}")
-    hom = rg.RingHom(base.ring, top.ring, np.asarray(entries))
-    return lt.Extension(base.ring, top.ring, hom)
+    return lt.Extension(rg.RingHom(base.ring, top.ring, np.asarray(entries)))
 
 
 def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing],
@@ -61,12 +60,12 @@ def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing
     comps = rg.product_components([f.order for f in base_factors], np.arange(base.order))
     pr = rg.product(top_factors)
     hom = rg.pair_homs(base, pr, [comps[min(k, p - 1)] for k in range(len(top_factors))])
-    return lt.Extension(base, pr.ring, hom)
+    return lt.Extension(hom)
 
 
 def _prime_extension(base: rg.FiniteRing, top: rg.FiniteRing) -> lt.Extension:
     try:
-        return lt.Extension(base, top, rg.prime_hom(base, top))
+        return lt.Extension(rg.prime_hom(base, top))
     except PreconditionError as e:
         raise PreconditionError(f"cannot infer an embedding: {e}; pass --embed "
                                 "explicit:<map>")
@@ -97,7 +96,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt
             built, hom = dsl.build_step(built, step)
             homs.append(hom)
         hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
-        return lt.Extension(base.ring, built.ring, hom)
+        return lt.Extension(hom)
     tops = [dsl.build(f).ring for f in top_ast.factors] if isinstance(top_ast, dsl.ProductE) else None
     if embed == "first-factor":
         if tops is None:
@@ -140,10 +139,10 @@ def _cmd_classify(args) -> int:
         "lattice_count": report.count,
         "minimal": report.count == 2,
         "classification": None,
-        "predicates": lt.predicate_battery(ext, report),
+        "predicates": lt.predicate_battery(report),
     }
     if report.count == 2:
-        res = lt.classify_minimal(ext, report)
+        res = lt.classify_minimal(report)
         out["classification"] = {
             "class": res.kind,
             "crucial_ideal": list(res.crucial.elements),
@@ -163,8 +162,7 @@ def _cmd_closures(args) -> int:
 def _cmd_crt(args) -> int:
     base = dsl.build_text(args.ring)
     groups = dsl.parse_groups(args.ideals, ";", "ideal list")
-    gens = [[dsl.eval_element(base.ring, base.names, g, "ideal generator") for g in grp]
-            for grp in groups]
+    gens = [[dsl.eval_element(base, g, "ideal generator") for g in grp] for grp in groups]
     crt = cr.make_crt(base.ring, gens)
     fam = crt.family
     out = {
@@ -205,9 +203,9 @@ def _cmd_crt(args) -> int:
 def _cmd_idealize(args) -> int:
     base = dsl.build_text(args.ring)
     mod = dsl.build_module(base, dsl.parse_groups(args.module, "+", "module spec"))
-    ext, idl = md.idealization_extension(base.ring, mod)
+    idl = md.idealize(mod)
     lat = md.submodules(mod)
-    bij = md.idealization_lattice_bijection(base.ring, mod)
+    bij = md.idealization_lattice_bijection(lat)
     out = {
         "schema": 1,
         "kind": "idealize",
@@ -217,7 +215,7 @@ def _cmd_idealize(args) -> int:
         "nu": lat.count,
         "module_length": md.module_length(mod),
         "cyclic": md.is_cyclic(mod) is not None,
-        "uniserial": md.is_uniserial(mod, lat),
+        "uniserial": md.is_uniserial(lat),
         "faithful": md.is_faithful(mod),
         "lattice_bijection": bij.ok,
         "extension_lattice_count": bij.lattice_count,

@@ -96,7 +96,7 @@ class CanonicalDecomposition:
 
         def segment(lower: SubalgebraRealization, upper: SubalgebraRealization) -> Extension:
             emb = np.searchsorted(upper.include.map, lower.include.map).astype(np.int32)
-            return Extension(lower.ring, upper.ring, RingHom(lower.ring, upper.ring, emb))
+            return Extension(RingHom(lower.ring, upper.ring, emb))
 
         return {"R<+R": segment(base, plus), "+R<tR": segment(plus, tcl),
                 "+R<S": segment(plus, top), "tR<S": segment(tcl, top)}
@@ -141,21 +141,28 @@ class DiagonalFormulasReport:
         return self.seminorm_ok and self.tclosure_ok
 
 
-def diagonal_into_factors(base: FiniteRing, parts: Sequence[Extension]) -> tuple[Extension, ProductResult]:
-    """The embedding r -> (f_1(r), ..., f_n(r)) into the product of tops."""
+def _shared_base(parts: Sequence[Extension]) -> FiniteRing:
+    """The base that every part starts at."""
     if not parts:
         raise PreconditionError("diagonal into no factors")
-    for e in parts:
-        if e.base is not base:
-            raise PreconditionError("factor extension does not start at the given base")
+    base = parts[0].base
+    if any(e.base is not base for e in parts):
+        raise PreconditionError("factor extensions do not all share one base")
+    return base
+
+
+def diagonal_into_factors(parts: Sequence[Extension]) -> tuple[Extension, ProductResult]:
+    """The embedding r -> (f_1(r), ..., f_n(r)) of the shared base into the
+    product of tops."""
+    base = _shared_base(parts)
     pr = product([e.top for e in parts])
-    return Extension(base, pr.ring, pair_homs(base, pr, [e.embed.map for e in parts])), pr
+    return Extension(pair_homs(base, pr, [e.embed.map for e in parts])), pr
 
 
-def verify_diagonal_formulas(base: FiniteRing, parts: Sequence[Extension]) -> DiagonalFormulasReport:
+def verify_diagonal_formulas(parts: Sequence[Extension]) -> DiagonalFormulasReport:
     """Check +R = R + (N_1 x ... x N_n) and tR = product of per-factor
     t-closures for the diagonal of subintegral extensions of a local ring."""
-    if is_local(base) is None:
+    if is_local(_shared_base(parts)) is None:
         raise PreconditionError("diagonal formulas need a local base")
     maximals: list[Ideal] = []
     for e in parts:
@@ -165,7 +172,7 @@ def verify_diagonal_formulas(base: FiniteRing, parts: Sequence[Extension]) -> Di
         if n_i is None:
             raise InternalCheckError("subintegral extension of a local ring has a non-local top")
         maximals.append(n_i)
-    ext, pr = diagonal_into_factors(base, parts)
+    ext, pr = diagonal_into_factors(parts)
     top = ext.top
 
     prod_n = np.ones(top.order, dtype=bool)

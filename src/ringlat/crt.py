@@ -100,7 +100,7 @@ def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     hom = pair_homs(base, pr, [q.projection.map for q in qs])
     if not hom.is_injective:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
-    ext = Extension(base, pr.ring, hom)
+    ext = Extension(hom)
     return CrtExtension(fam, ext, conductor(ext))
 
 

@@ -376,36 +376,29 @@ class BuildResult:
     factors: tuple[FiniteRing, ...] = ()  # the factor rings of a product expression
 
 
-def _eval_factor(ring: FiniteRing, names: dict[str, int], f: Factor,
-                 where: str) -> int:
+def _eval_factor(base: BuildResult, f: Factor, where: str) -> int:
+    ring = base.ring
     if isinstance(f, IntF):
         # a literal k is k * 1, so it reduces mod the additive order of one
         mults = ring.multiples_of_one
         return int(mults[f.value % len(mults)])
-    if f.name not in names:
+    if f.name not in base.names:
         raise PreconditionError(f"unknown name {f.name!r} in {where}")
-    return ring.power(names[f.name], f.exp)
+    return ring.power(base.names[f.name], f.exp)
 
 
-def eval_element(ring: FiniteRing, names: dict[str, int], p: Poly,
-                 where: str = "element expression") -> int:
+def eval_element(base: BuildResult, p: Poly, where: str = "element expression") -> int:
     """A poly with no free variable, evaluated to a ring element index."""
-    total = ring.zero
-    for t in p.terms:
-        val = ring.one
-        for f in t.factors:
-            val = int(ring.mul[val, _eval_factor(ring, names, f, where)])
-        if t.sign < 0:
-            val = int(ring.neg[val])
-        total = int(ring.add[total, val])
-    return total
+    return _poly_coefficients(base, p, where)[0]
 
 
-def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly, var: str) -> list[int]:
-    """Little-endian coefficient indices of a poly in the named variable.
+def _poly_coefficients(base: BuildResult, p: Poly, where: str, var: Optional[str] = None) -> list[int]:
+    """Little-endian coefficient indices of a poly in the named variable;
+    with no variable, the one entry is the poly's value.
 
     The list has degree + 1 entries, so an exponent of the variable above
     the arithmetic bound is refused before the list is built."""
+    ring = base.ring
     limit = arith_limit()
     coeffs: dict[int, int] = {}
     for t in p.terms:
@@ -417,7 +410,7 @@ def _poly_coefficients(ring: FiniteRing, names: dict[str, int], p: Poly, var: st
                 if exp > limit:
                     raise SizeLimitError(f"exponent {exp} of {var} exceeds the arithmetic bound")
             else:
-                val = int(ring.mul[val, _eval_factor(ring, names, f, f"coefficient of {var}")])
+                val = int(ring.mul[val, _eval_factor(base, f, where)])
         if t.sign < 0:
             val = int(ring.neg[val])
         coeffs[exp] = int(ring.add[coeffs.get(exp, ring.zero), val])
@@ -430,16 +423,16 @@ def build_step(base: BuildResult, expr: RingExpr) -> tuple[BuildResult, RingHom]
     already built base, together with the map from the base into the result."""
     adjoined: dict[str, int] = {}
     if isinstance(expr, PolyQuotE):
-        monic = _poly_coefficients(base.ring, base.names, expr.polys[0], expr.var)
-        relations = [_poly_coefficients(base.ring, base.names, q, expr.var) for q in expr.polys[1:]]
+        monic, *relations = (_poly_coefficients(base, q, f"coefficient of {expr.var}", expr.var)
+                             for q in expr.polys)
         pq = poly_quotient(base.ring, monic, relations=relations, var=expr.var)
         ring, hom, adjoined = pq.ring, pq.to_quotient, {expr.var: pq.var_index}
     elif isinstance(expr, QuotE):
-        gens = [eval_element(base.ring, base.names, g, "ideal generator") for g in expr.gens]
+        gens = [eval_element(base, g, "ideal generator") for g in expr.gens]
         qr = quotient(base.ring, ideal_generated(base.ring, gens))
         ring, hom = qr.ring, qr.projection
     elif isinstance(expr, IdealizeE):
-        idl = idealize(base.ring, build_module(base, expr.cyclics))
+        idl = idealize(build_module(base, expr.cyclics))
         ring, hom = idl.ring, idl.embed
     else:
         raise PreconditionError(f"expression node {expr!r} is not a suffix construction")
@@ -483,7 +476,7 @@ def build_module(base: BuildResult, cyclics: tuple[tuple[Poly, ...], ...]) -> Fi
     """Direct sum of cyclics R/(gens) from a parsed module spec."""
     ideal_gens = []
     for c in cyclics:
-        ideal_gens.append([eval_element(base.ring, base.names, g, "module spec") for g in c])
+        ideal_gens.append([eval_element(base, g, "module spec") for g in c])
     return module_from_cyclics(base.ring, ideal_gens)
 
 

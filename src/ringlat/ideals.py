@@ -86,10 +86,10 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(ring, mask_elements(good))
 
 
-def annihilator(ring: FiniteRing, module) -> Ideal:
-    """(0 : M) for a module given by its action table."""
+def annihilator(module) -> Ideal:
+    """(0 : M), an ideal of the module's ring, read off its action table."""
     good = (module.action == module.zero).all(axis=1)
-    return Ideal(ring, mask_elements(good))
+    return Ideal(module.ring, mask_elements(good))
 
 
 def contains(outer: Ideal, inner: Ideal) -> bool:

@@ -35,17 +35,22 @@ from .rings import (
 
 @dataclass(frozen=True, eq=False)
 class Extension:
-    """An injective unital embedding of one finite ring into another."""
+    """An injective unital embedding of one finite ring into another; the
+    base and top are the embedding's source and target."""
 
-    base: FiniteRing
-    top: FiniteRing
     embed: RingHom
 
     def __post_init__(self):
-        if self.embed.source is not self.base or self.embed.target is not self.top:
-            raise PreconditionError("invalid extension: embedding endpoints do not match")
         if not self.embed.is_injective:
             raise PreconditionError("invalid extension: embedding is not injective")
+
+    @property
+    def base(self) -> FiniteRing:
+        return self.embed.source
+
+    @property
+    def top(self) -> FiniteRing:
+        return self.embed.target
 
     @cached_property
     def image(self) -> tuple[int, ...]:
@@ -66,7 +71,7 @@ def power_extension(ring: FiniteRing, n: int) -> Extension:
     if n < 1:
         raise PreconditionError("power extension needs n >= 1")
     pr = product([ring] * n)
-    return Extension(ring, pr.ring, pair_homs(ring, pr, [np.arange(ring.order)] * n))
+    return Extension(pair_homs(ring, pr, [np.arange(ring.order)] * n))
 
 
 def product_extension(parts: Sequence[Extension]) -> Extension:
@@ -76,7 +81,7 @@ def product_extension(parts: Sequence[Extension]) -> Extension:
     base_pr = product([e.base for e in parts])
     top_pr = product([e.top for e in parts])
     maps = [e.embed.map[c] for e, c in zip(parts, base_pr.components)]
-    return Extension(base_pr.ring, top_pr.ring, pair_homs(base_pr.ring, top_pr, maps))
+    return Extension(pair_homs(base_pr.ring, top_pr, maps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,14 +137,12 @@ def realize(sub: Subalgebra) -> SubalgebraRealization:
 
 def lower_extension(sub: Subalgebra) -> Extension:
     """The extension base -> T for a node T."""
-    real = realize(sub)
-    return Extension(sub.extension.base, real.ring, real.from_base)
+    return Extension(realize(sub).from_base)
 
 
 def upper_extension(sub: Subalgebra) -> Extension:
     """The extension T -> top for a node T."""
-    real = realize(sub)
-    return Extension(real.ring, sub.extension.top, real.include)
+    return Extension(realize(sub).include)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +194,6 @@ class LatticeReport(Poset):
         return {n.elements: i for i, n in enumerate(self.nodes)}
 
     def node_index(self, elements) -> Optional[int]:
-        if isinstance(elements, np.ndarray) and elements.dtype == bool:
-            elements = mask_elements(elements)
         return self._index_of.get(tuple(int(e) for e in elements))
 
     def to_json(self) -> dict:
@@ -356,13 +357,13 @@ def is_quadratic(ext: Extension) -> bool:
     return True
 
 
-def is_delta(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
+def is_delta(report: LatticeReport) -> bool:
     """The node set is closed under pairwise module sums."""
-    report = report or intermediate_algebras(ext)
+    top = report.extension.top
     keys = {n.elements for n in report.nodes}
     for i in range(report.count):
         for j in range(i + 1, report.count):
-            s = subgroup_sum_mask(ext.top, report.nodes[i].mask, report.nodes[j].mask)
+            s = subgroup_sum_mask(top, report.nodes[i].mask, report.nodes[j].mask)
             if mask_elements(s) not in keys:
                 return False
     return True
@@ -406,20 +407,15 @@ class MinimalClassification:
     residue_degree: Optional[int] = None
 
 
-def is_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
-    report = report or intermediate_algebras(ext)
-    return report.count == 2
-
-
-def classify_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> MinimalClassification:
+def classify_minimal(report: LatticeReport) -> MinimalClassification:
     """Classify a minimal extension as inert, decomposed or ramified.
 
     The crucial ideal is the conductor M = (R:S), a maximal ideal of R; the
     three cases are distinguished by the maximal ideals of S over M.  An
     inconsistent case match raises InternalCheckError."""
-    report = report or intermediate_algebras(ext)
     if report.count != 2:
         return MinimalClassification("not_minimal", None, ())
+    ext = report.extension
     base, top = ext.base, ext.top
     m = conductor(ext)
     if not is_field(quotient(base, m).ring):
@@ -491,8 +487,8 @@ class GilbertReport:
     pairs: tuple[tuple[Ideal, int], ...]
 
 
-def gilbert_bijection(ext: Extension, report: Optional[LatticeReport] = None) -> GilbertReport:
-    report = report or intermediate_algebras(ext)
+def gilbert_bijection(report: LatticeReport) -> GilbertReport:
+    ext = report.extension
     top = ext.top
     img = np.asarray(ext.image, dtype=np.intp)
     t_found = next((t for t in range(top.order) if len(_span(top, img, img, t)) == top.order), None)
@@ -572,17 +568,15 @@ def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDe
     return IrreducibleDecomposition(node, tuple(meet_used), tuple(join_used))
 
 
-def is_special_minimal_ramified(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
+def is_special_minimal_ramified(report: LatticeReport) -> bool:
     """Minimal ramified with M^2 = MN = 0 and N^2 = M, products taken in S."""
+    ext = report.extension
     base, top = ext.base, ext.top
     m = is_local(base)
     n = is_local(top)
     if m is None or n is None:
         raise PreconditionError("special minimal ramified test needs local rings")
-    report = report or intermediate_algebras(ext)
-    if report.count != 2:
-        return False
-    if classify_minimal(ext, report).kind != "ramified":
+    if classify_minimal(report).kind != "ramified":
         return False
     m_top = ext.embed.map[np.asarray(m.elements, dtype=np.intp)]
     n_idx = np.asarray(n.elements, dtype=np.intp)
@@ -598,10 +592,9 @@ def is_special_minimal_ramified(ext: Extension, report: Optional[LatticeReport] 
     return span(n_idx, n_idx) == tuple(sorted(int(i) for i in m_top))
 
 
-def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
+def is_pointwise_minimal(report: LatticeReport) -> bool:
     """R[t] covers R for every t outside the image."""
-    report = report or intermediate_algebras(ext)
-    top = ext.top
+    top = report.extension.top
     base_mask = report.nodes[0].mask
     covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers[0]}
     # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batch
@@ -614,9 +607,9 @@ def is_pointwise_minimal(ext: Extension, report: Optional[LatticeReport] = None)
     return all(row.tobytes() in covers for row in adjoined)
 
 
-def predicate_battery(ext: Extension, report: Optional[LatticeReport] = None) -> dict:
+def predicate_battery(report: LatticeReport) -> dict:
     """All boolean extension predicates at once (CLI support)."""
-    report = report or intermediate_algebras(ext)
+    ext = report.extension
     quadratic = is_quadratic(ext)
     return {
         # every element of a finite ring has a repeating power sequence,
@@ -627,7 +620,7 @@ def predicate_battery(ext: Extension, report: Optional[LatticeReport] = None) ->
         "seminormal": is_seminormal(ext),
         "t_closed": is_tclosed(ext),
         "quadratic": quadratic,
-        "delta": is_delta(ext, report),
+        "delta": is_delta(report),
         "delta0": quadratic and _submodules_over_base_closed(ext),
-        "pointwise_minimal": is_pointwise_minimal(ext, report),
+        "pointwise_minimal": is_pointwise_minimal(report),
     }

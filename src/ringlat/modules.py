@@ -179,15 +179,14 @@ def is_cyclic(m: FiniteModule) -> Optional[int]:
     return None
 
 
-def is_uniserial(m: FiniteModule, lat: Optional[SubmoduleLattice] = None) -> bool:
+def is_uniserial(lat: SubmoduleLattice) -> bool:
     """Submodule lattice linearly ordered: a longest chain holds every node
     exactly when the order is total."""
-    lat = lat or submodules(m)
     return lat.count == lat.length + 1
 
 
 def is_faithful(m: FiniteModule) -> bool:
-    ann = annihilator(m.ring, m)
+    ann = annihilator(m)
     return ann.is_zero
 
 
@@ -206,9 +205,8 @@ class IdealizationResult:
         return int(product_index((self.module.ring.order, self.module.order), (r, x)))
 
 
-def idealize(ring: FiniteRing, m: FiniteModule) -> IdealizationResult:
-    if m.ring is not ring:
-        raise PreconditionError("module is over a different ring")
+def idealize(m: FiniteModule) -> IdealizationResult:
+    ring = m.ring
     n = ring.order * m.order
     if n > arith_limit():
         raise SizeLimitError(f"idealization order {n} exceeds bound")
@@ -225,15 +223,15 @@ def idealize(ring: FiniteRing, m: FiniteModule) -> IdealizationResult:
     return IdealizationResult(out, RingHom(ring, out, emb), m)
 
 
-def idealization_extension(ring: FiniteRing, m: FiniteModule) -> tuple[Extension, IdealizationResult]:
-    idl = idealize(ring, m)
-    return Extension(ring, idl.ring, idl.embed), idl
+def idealization_extension(m: FiniteModule) -> tuple[Extension, IdealizationResult]:
+    idl = idealize(m)
+    return Extension(idl.embed), idl
 
 
-def _idealization_members(ring: FiniteRing, m: FiniteModule, sub: Sequence[int]) -> np.ndarray:
+def _idealization_members(m: FiniteModule, sub: Sequence[int]) -> np.ndarray:
     """The indices of R(+)N in R(+)M for a submodule N."""
-    orders = (ring.order, m.order)
-    return product_index(orders, (np.arange(ring.order)[:, None], np.asarray(sub)[None, :])).ravel()
+    orders = (m.ring.order, m.order)
+    return product_index(orders, (np.arange(orders[0])[:, None], np.asarray(sub)[None, :])).ravel()
 
 
 @dataclass(frozen=True)
@@ -246,14 +244,12 @@ class BijectionReport:
     ok: bool
 
 
-def idealization_lattice_bijection(ring: FiniteRing, m: FiniteModule) -> BijectionReport:
-    ext, idl = idealization_extension(ring, m)
-    report = intermediate_algebras(ext)
-    lat = submodules(m)
+def idealization_lattice_bijection(lat: SubmoduleLattice) -> BijectionReport:
+    report = intermediate_algebras(idealization_extension(lat.module)[0])
     pairs = []
     seen = set()
     for si, sub in enumerate(lat.nodes):
-        members = _idealization_members(ring, m, sub)
+        members = _idealization_members(lat.module, sub)
         ni = report.node_index(sorted(int(v) for v in members))
         if ni is None or ni in seen:
             return BijectionReport(lat.count, report.count, tuple(pairs), False)
@@ -278,11 +274,11 @@ class IntervalReport:
                 and self.interval_count == self.quotient_count)
 
 
-def interval_length(ring: FiniteRing, m: FiniteModule, sub: Sequence[int]) -> IntervalReport:
+def interval_length(m: FiniteModule, sub: Sequence[int]) -> IntervalReport:
     """Compare the interval above R(+)N in [R, R(+)M] with L(M/N), nu(M/N)."""
-    ext, idl = idealization_extension(ring, m)
+    ext, _ = idealization_extension(m)
     sub_sorted = tuple(sorted(int(x) for x in sub))
-    members = _idealization_members(ring, m, sub_sorted)
+    members = _idealization_members(m, sub_sorted)
     node = Subalgebra(ext, tuple(int(v) for v in np.sort(members)))
     upper = intermediate_algebras(upper_extension(node))
     q = quotient_module(m, sub_sorted).module
@@ -302,7 +298,8 @@ class UniserialReport:
     order_ideal: Ideal
 
 
-def uniserial_structure_check(ring: FiniteRing, m: FiniteModule) -> UniserialReport:
+def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
+    ring = m.ring
     p = is_local(ring)
     if p is None:
         raise PreconditionError("uniserial structure needs a local ring")
@@ -353,6 +350,6 @@ def componentwise_census(field: FiniteRing, n: int) -> CensusResult:
     lat = submodules(m)
     expected = 2 ** n
     if pr.ring.order * m.order <= lattice_limit():
-        bij = idealization_lattice_bijection(pr.ring, m)
+        bij = idealization_lattice_bijection(lat)
         return CensusResult(lat.count, expected, True, bij.lattice_count)
     return CensusResult(lat.count, expected, False, None)

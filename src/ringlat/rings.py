@@ -829,7 +829,7 @@ def nilpotency_index(ring: FiniteRing) -> int:
         n += 1
         if n > ring.order + 1:
             raise InternalCheckError("maximal ideal is not nilpotent")
-    return n if m.order > 1 else 1
+    return n
 
 
 def is_spir(ring: FiniteRing) -> Optional[SpirWitness]:

@@ -87,19 +87,19 @@ def _named_extensions() -> list[tuple[str, lt.Extension]]:
     rings = _named_rings()
     f2 = rings["F2"]
     out = []
-    out.append(("F2 in F4", lt.Extension(f2, rings["F4"], rg.prime_hom(f2, rings["F4"]))))
+    out.append(("F2 in F4", lt.Extension(rg.prime_hom(f2, rings["F4"]))))
     out.append(("F2 in F2^2", lt.power_extension(f2, 2)))
     eps = rg.poly_quotient(f2, [0, 0, 1], var="t")
-    out.append(("F2 in F2[t]/(t^2)", lt.Extension(f2, eps.ring, eps.to_quotient)))
+    out.append(("F2 in F2[t]/(t^2)", lt.Extension(eps.to_quotient)))
     crt12 = cr.make_crt(rings["Z/12"], [[4], [3], [3]])
     out.append(("Z/12 in Z/4xZ/3xZ/3", crt12.extension))
     return out
 
 
 @lru_cache(maxsize=None)
-def _special_ramified() -> tuple[lt.Extension, lt.Extension]:
-    """K[t]/(t^2) inside its order-8 ramified cover, and the perturbed
-    variant that drops the xt relation."""
+def _special_ramified() -> tuple[lt.LatticeReport, lt.LatticeReport]:
+    """The lattices of K[t]/(t^2) inside its order-8 ramified cover, and of
+    the perturbed variant that drops the xt relation."""
     f2 = _named_rings()["F2"]
     base = rg.poly_quotient(f2, [0, 0, 1], var="t").ring
     t = next(i for i in range(base.order)
@@ -107,18 +107,17 @@ def _special_ramified() -> tuple[lt.Extension, lt.Extension]:
              and base.add[i, i] == base.zero)
     good = rg.poly_quotient(base, [int(base.neg[t]), 0, 1], relations=[[0, t]], var="x")
     bad = rg.poly_quotient(base, [int(base.neg[t]), 0, 1], var="x")
-    return (lt.Extension(base, good.ring, good.to_quotient),
-            lt.Extension(base, bad.ring, bad.to_quotient))
+    return (lt.intermediate_algebras(lt.Extension(good.to_quotient)),
+            lt.intermediate_algebras(lt.Extension(bad.to_quotient)))
 
 
 @lru_cache(maxsize=None)
-def _bell_lattices() -> list[tuple[str, int, lt.Extension, lt.LatticeReport]]:
+def _bell_lattices() -> list[tuple[str, int, lt.LatticeReport]]:
     out = []
     for label in ("F2", "F3", "F4"):
         k = _named_rings()[label]
         for n in (2, 3, 4):
-            ext = lt.power_extension(k, n)
-            out.append((label, n, ext, lt.intermediate_algebras(ext)))
+            out.append((label, n, lt.intermediate_algebras(lt.power_extension(k, n))))
     return out
 
 
@@ -126,44 +125,42 @@ _SPIR_SQUARES = ("Z/4", "Z/8", "Z/9", "Z/27", "F2[t]/(t^3)")
 
 
 @lru_cache(maxsize=None)
-def _spir_lattices() -> list[tuple[str, lt.Extension, lt.LatticeReport, int]]:
+def _spir_lattices() -> list[tuple[str, lt.LatticeReport, int]]:
     out = []
     for label in _SPIR_SQUARES:
         ring = _named_rings()[label]
         wit = rg.is_spir(ring)
         assert wit is not None
-        ext = lt.power_extension(ring, 2)
-        rep = lt.intermediate_algebras(ext, max_order=1024)
-        out.append((label, ext, rep, wit.index))
+        rep = lt.intermediate_algebras(lt.power_extension(ring, 2), max_order=1024)
+        out.append((label, rep, wit.index))
     return out
 
 
 @lru_cache(maxsize=None)
-def _idealization_pairs() -> list[tuple[str, rg.FiniteRing, md.FiniteModule]]:
+def _idealization_pairs() -> list[tuple[str, md.FiniteModule]]:
     rings = _named_rings()
     f2, f3, f4 = rings["F2"], rings["F3"], rings["F4"]
     z4, z6, z8, z9 = rings["Z/4"], rings["Z/6"], rings["Z/8"], rings["Z/9"]
     t2 = rings["F2[t]/(t^2)"]
-    pairs: list[tuple[str, rg.FiniteRing, md.FiniteModule]] = [
-        ("F2, F2", f2, md.module_from_cyclics(f2, [[0]])),
-        ("F2, F2^2", f2, md.module_from_cyclics(f2, [[0], [0]])),
-        ("F2, F2^3", f2, md.module_from_cyclics(f2, [[0], [0], [0]])),
-        ("F3, F3", f3, md.module_from_cyclics(f3, [[0]])),
-        ("F3, F3^2", f3, md.module_from_cyclics(f3, [[0], [0]])),
-        ("F4, F4", f4, md.module_from_ring(f4)),
-        ("Z/4, Z/4", z4, md.module_from_ring(z4)),
-        ("Z/4, Z/2", z4, md.module_from_cyclics(z4, [[2]])),
-        ("Z/4, Z/4+Z/2", z4, md.module_from_cyclics(z4, [[0], [2]])),
-        ("Z/4, Z/2+Z/2", z4, md.module_from_cyclics(z4, [[2], [2]])),
-        ("Z/6, Z/6", z6, md.module_from_ring(z6)),
-        ("Z/6, Z/3", z6, md.module_from_cyclics(z6, [[3]])),
-        ("Z/8, Z/8", z8, md.module_from_ring(z8)),
-        ("Z/8, Z/4", z8, md.module_from_cyclics(z8, [[4]])),
-        ("Z/9, Z/9", z9, md.module_from_ring(z9)),
-        ("Z/9, Z/3", z9, md.module_from_cyclics(z9, [[3]])),
-        ("F2[t]/(t^2), itself", t2, md.module_from_ring(t2)),
+    return [
+        ("F2, F2", md.module_from_cyclics(f2, [[0]])),
+        ("F2, F2^2", md.module_from_cyclics(f2, [[0], [0]])),
+        ("F2, F2^3", md.module_from_cyclics(f2, [[0], [0], [0]])),
+        ("F3, F3", md.module_from_cyclics(f3, [[0]])),
+        ("F3, F3^2", md.module_from_cyclics(f3, [[0], [0]])),
+        ("F4, F4", md.module_from_ring(f4)),
+        ("Z/4, Z/4", md.module_from_ring(z4)),
+        ("Z/4, Z/2", md.module_from_cyclics(z4, [[2]])),
+        ("Z/4, Z/4+Z/2", md.module_from_cyclics(z4, [[0], [2]])),
+        ("Z/4, Z/2+Z/2", md.module_from_cyclics(z4, [[2], [2]])),
+        ("Z/6, Z/6", md.module_from_ring(z6)),
+        ("Z/6, Z/3", md.module_from_cyclics(z6, [[3]])),
+        ("Z/8, Z/8", md.module_from_ring(z8)),
+        ("Z/8, Z/4", md.module_from_cyclics(z8, [[4]])),
+        ("Z/9, Z/9", md.module_from_ring(z9)),
+        ("Z/9, Z/3", md.module_from_cyclics(z9, [[3]])),
+        ("F2[t]/(t^2), itself", md.module_from_ring(t2)),
     ]
-    return pairs
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +202,7 @@ def _random_families() -> list[tuple[str, cr.CrtExtension]]:
 @_check("s2", "bell_counts_for_field_powers")
 def criterion_01_bell_counts() -> tuple[bool, str]:
     bad = []
-    for label, n, _, rep in _bell_lattices():
+    for label, n, rep in _bell_lattices():
         want = cb.bell(n)
         if rep.count != want or want != cb.bell_by_recurrence(n):
             bad.append(f"{label}^{n}: {rep.count} vs {want}")
@@ -219,10 +216,11 @@ def criterion_01_bell_counts() -> tuple[bool, str]:
 @_check("s3", "spir_square_counts_and_nodes")
 def criterion_02_spir_counts() -> tuple[bool, str]:
     bad = []
-    for label, ext, rep, idx in _spir_lattices():
+    for label, rep, idx in _spir_lattices():
         if rep.count != idx + 1:
             bad.append(f"{label}: count {rep.count} != {idx + 1}")
             continue
+        ext = rep.extension
         ring = ext.base
         top = ext.top
         m = rg.is_local(ring)
@@ -270,23 +268,22 @@ def criterion_03_stirling_exal() -> tuple[bool, str]:
 
 
 @lru_cache(maxsize=None)
-def _trichotomy_corpus() -> list[tuple[str, lt.Extension, lt.LatticeReport]]:
-    seen: list[tuple[str, lt.Extension, lt.LatticeReport]] = []
-    for label, n, ext, rep in _bell_lattices():
-        seen.append((f"{label}^{n}", ext, rep))
-    for label, ext, rep, _ in _spir_lattices():
-        seen.append((f"{label}^2", ext, rep))
+def _trichotomy_corpus() -> list[tuple[str, lt.LatticeReport]]:
+    seen: list[tuple[str, lt.LatticeReport]] = []
+    for label, n, rep in _bell_lattices():
+        seen.append((f"{label}^{n}", rep))
+    for label, rep, _ in _spir_lattices():
+        seen.append((f"{label}^2", rep))
     for label, ext in _named_extensions():
-        seen.append((label, ext, lt.intermediate_algebras(ext)))
+        seen.append((label, lt.intermediate_algebras(ext)))
     for label, crt in _random_families():
         if crt.extension.top.order <= 256:
-            seen.append((f"crt {label}", crt.extension, lt.intermediate_algebras(crt.extension)))
-    for label, ring, mod in _idealization_pairs():
-        ext, _ = md.idealization_extension(ring, mod)
+            seen.append((f"crt {label}", lt.intermediate_algebras(crt.extension)))
+    for label, mod in _idealization_pairs():
+        ext, _ = md.idealization_extension(mod)
         if ext.top.order <= 256:
-            seen.append((f"idealize {label}", ext, lt.intermediate_algebras(ext)))
-    good, _ = _special_ramified()
-    seen.append(("special ramified", good, lt.intermediate_algebras(good)))
+            seen.append((f"idealize {label}", lt.intermediate_algebras(ext)))
+    seen.append(("special ramified", _special_ramified()[0]))
     return seen
 
 
@@ -295,12 +292,12 @@ def criterion_04_trichotomy() -> tuple[bool, str]:
     total = 0
     kinds = {"inert": 0, "decomposed": 0, "ramified": 0}
     bad = []
-    for label, ext, rep in _trichotomy_corpus():
+    for label, rep in _trichotomy_corpus():
         if rep.count != 2:
             continue
         total += 1
         try:
-            res = lt.classify_minimal(ext, rep)
+            res = lt.classify_minimal(rep)
         except RinglatError as e:
             bad.append(f"{label}: {e}")
             continue
@@ -309,7 +306,7 @@ def criterion_04_trichotomy() -> tuple[bool, str]:
             continue
         kinds[res.kind] += 1
         m = res.crucial
-        if m is None or not rg.is_field(rg.quotient(ext.base, m).ring):
+        if m is None or not rg.is_field(rg.quotient(rep.extension.base, m).ring):
             bad.append(f"{label}: crucial ideal not maximal")
     enough = total >= 3 and all(v > 0 for v in kinds.values())
     if not enough:
@@ -356,16 +353,16 @@ def criterion_06_crt_minimality() -> tuple[bool, str]:
 def criterion_07_idealization() -> tuple[bool, str]:
     bad = []
     frozen = {"F2, F2^2": 5, "Z/4, Z/4": 3, "Z/8, Z/8": 4}
-    for label, ring, mod in _idealization_pairs():
-        bij = md.idealization_lattice_bijection(ring, mod)
+    for label, mod in _idealization_pairs():
+        lat = md.submodules(mod)
+        bij = md.idealization_lattice_bijection(lat)
         if not bij.ok:
             bad.append(f"{label}: bijection fails")
             continue
         if label in frozen and bij.nu != frozen[label]:
             bad.append(f"{label}: nu {bij.nu} != {frozen[label]}")
-        lat = md.submodules(mod)
         for node in lat.nodes:
-            iv = md.interval_length(ring, mod, node)
+            iv = md.interval_length(mod, node)
             if not iv.ok:
                 bad.append(f"{label}: interval over |N|={len(node)} mismatches")
                 break
@@ -379,10 +376,10 @@ def criterion_07_idealization() -> tuple[bool, str]:
 def criterion_08_closure_oracles() -> tuple[bool, str]:
     bad = []
     checked = 0
-    for label, ext, rep in _trichotomy_corpus():
+    for label, rep in _trichotomy_corpus():
         checked += 1
-        plus = cl.seminormalization(ext)
-        tcl = cl.t_closure(ext)
+        plus = cl.seminormalization(rep.extension)
+        tcl = cl.t_closure(rep.extension)
         sub_nodes = [node for node in rep.nodes
                      if lt.is_subintegral(lt.lower_extension(node))]
         infra_nodes = [node for node in rep.nodes
@@ -397,8 +394,8 @@ def criterion_08_closure_oracles() -> tuple[bool, str]:
     for label in ("Z/4", "Z/8", "F2[t]/(t^2)"):
         ring = rings[label]
         eps = rg.poly_quotient(ring, [0, 0, 1], var="u")
-        fac = lt.Extension(ring, eps.ring, eps.to_quotient)
-        if not cl.verify_diagonal_formulas(ring, [fac, fac]).passed:
+        fac = lt.Extension(eps.to_quotient)
+        if not cl.verify_diagonal_formulas([fac, fac]).passed:
             bad.append(f"{label}: diagonal formula fails")
     for label, gens in (("Z/4", [[0], [0]]), ("Z/8", [[0], [0]]), ("Z/9", [[0], [0], [0]])):
         crt = cr.make_crt(rings[label], gens)
@@ -409,9 +406,9 @@ def criterion_08_closure_oracles() -> tuple[bool, str]:
 
 @_check("s2", "special_minimal_ramified_example")
 def criterion_09_special_ramified() -> tuple[bool, str]:
-    good, bad_ext = _special_ramified()
+    good, bad_rep = _special_ramified()
     ok1 = lt.is_special_minimal_ramified(good)
-    ok2 = not lt.is_special_minimal_ramified(bad_ext)
+    ok2 = not lt.is_special_minimal_ramified(bad_rep)
     detail = f"constructed passes: {ok1}; perturbed (no xt relation) passes: {not ok2}"
     return ok1 and ok2, detail
 
@@ -420,12 +417,10 @@ def criterion_09_special_ramified() -> tuple[bool, str]:
 def criterion_10_pointwise_minimal() -> tuple[bool, str]:
     f4 = _named_rings()["F4"]
     f2 = _named_rings()["F2"]
-    e1 = lt.power_extension(f4, 2)
-    r1 = lt.intermediate_algebras(e1)
-    e2 = lt.power_extension(f2, 3)
-    r2 = lt.intermediate_algebras(e2)
-    ok = (lt.is_pointwise_minimal(e1, r1) and r1.count == 2
-          and lt.is_pointwise_minimal(e2, r2) and r2.count != 2)
+    r1 = lt.intermediate_algebras(lt.power_extension(f4, 2))
+    r2 = lt.intermediate_algebras(lt.power_extension(f2, 3))
+    ok = (lt.is_pointwise_minimal(r1) and r1.count == 2
+          and lt.is_pointwise_minimal(r2) and r2.count != 2)
     return ok, (f"F4 in F4^2: pointwise and minimal (count {r1.count}); "
                 f"F2 in F2^3: pointwise, not minimal (count {r2.count})")
 
@@ -454,28 +449,29 @@ def criterion_12_property_suites() -> tuple[bool, str]:
             axioms += 1
     for extra in (rg.product([_named_rings()["Z/4"], _named_rings()["F3"]]).ring,
                   rg.quotient(_named_rings()["Z/12"], il.ideal_generated(_named_rings()["Z/12"], [4])).ring,
-                  md.idealize(_named_rings()["Z/4"], md.module_from_ring(_named_rings()["Z/4"])).ring):
+                  md.idealize(md.module_from_ring(_named_rings()["Z/4"])).ring):
         rg.check_ring_axioms(extra)
         axioms += 1
 
     delta_checked = 0
-    for label, ext, rep in _trichotomy_corpus():
+    for label, rep in _trichotomy_corpus():
+        ext = rep.extension
         if ext.top.order > 64:
             continue
         delta_checked += 1
         lhs = lt.is_delta0(ext)
-        rhs = lt.is_quadratic(ext) and lt.is_delta(ext, rep)
+        rhs = lt.is_quadratic(ext) and lt.is_delta(rep)
         if lhs != rhs:
             bad.append(f"{label}: delta0 {lhs} vs quadratic&delta {rhs}")
 
     recompose = 0
-    for label, ext, rep in _trichotomy_corpus():
+    for label, rep in _trichotomy_corpus():
         for i in range(rep.count):
             lt.irreducible_decomposition(rep, i)  # raises if recomposition fails
             recompose += 1
 
     jh = 0
-    for label, ring, mod in _idealization_pairs():
+    for label, mod in _idealization_pairs():
         lat = md.submodules(mod)
         jh += 1
         if not md.jordan_holder_check(lat):
@@ -495,7 +491,7 @@ def check_product_length_additivity() -> tuple[bool, str]:
     f2 = _named_rings()["F2"]
     z4 = _named_rings()["Z/4"]
     eps = rg.poly_quotient(z4, [0, 0, 1], var="u")
-    parts = [lt.power_extension(f2, 2), lt.Extension(z4, eps.ring, eps.to_quotient)]
+    parts = [lt.power_extension(f2, 2), lt.Extension(eps.to_quotient)]
     lens = [lt.intermediate_algebras(e).length for e in parts]
     prod_ext = lt.product_extension(parts)
     total = lt.intermediate_algebras(prod_ext).length
@@ -560,10 +556,10 @@ def check_crt2_count_prediction() -> tuple[bool, str]:
 @_check("s2", "partition_subalgebra_bijection")
 def check_partition_bijection() -> tuple[bool, str]:
     bad = []
-    for label, n, ext, rep in _bell_lattices():
+    for label, n, rep in _bell_lattices():
         keys = set()
         for part in cb.partitions(n):
-            keys.add(cb.partition_to_subalgebra(ext, part).elements)
+            keys.add(cb.partition_to_subalgebra(rep.extension, part).elements)
         if keys != {node.elements for node in rep.nodes}:
             bad.append(f"{label}^{n}")
     return not bad, "; ".join(bad) or "partitions match lattice nodes on 9 powers"
@@ -572,8 +568,8 @@ def check_partition_bijection() -> tuple[bool, str]:
 @_check("s2", "canonical_decomposition_chain")
 def check_canonical_chain() -> tuple[bool, str]:
     count = 0
-    for label, ext, rep in _trichotomy_corpus():
-        cl.canonical_decomposition(ext)  # raises if any chain invariant fails
+    for label, rep in _trichotomy_corpus():
+        cl.canonical_decomposition(rep.extension)  # raises if any chain invariant fails
         count += 1
     return True, f"chain invariants hold on {count} extensions"
 
@@ -582,14 +578,13 @@ def check_canonical_chain() -> tuple[bool, str]:
 def check_gilbert_correspondence() -> tuple[bool, str]:
     bad = []
     done = 0
-    for label, ext, rep, _ in _spir_lattices():
-        gb = lt.gilbert_bijection(ext, rep)
+    for label, rep, _ in _spir_lattices():
+        gb = lt.gilbert_bijection(rep)
         done += 1
         if len(gb.pairs) != rep.count:
             bad.append(label)
     f3 = _named_rings()["F3"]
-    e = lt.power_extension(f3, 2)
-    gb = lt.gilbert_bijection(e)
+    gb = lt.gilbert_bijection(lt.intermediate_algebras(lt.power_extension(f3, 2)))
     if len(gb.pairs) != 2:
         bad.append("F3^2")
     return not bad, "; ".join(bad) or f"R + Jt spans match on {done + 1} cases"
@@ -607,7 +602,7 @@ def check_uniserial_structure() -> tuple[bool, str]:
         ("F2[t]/(t^3)", md.module_from_ring(rings["F2[t]/(t^3)"])),
     ]
     for label, mod in cases:
-        rep = md.uniserial_structure_check(mod.ring, mod)
+        rep = md.uniserial_structure_check(mod)
         if not rep.passed:
             bad.append(label)
     return not bad, "; ".join(bad) or f"{len(cases)} cyclic chains {{P^j e}} verified"

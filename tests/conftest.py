@@ -164,16 +164,16 @@ def brute_force_gf_tables():
 
 def _over_quotient(ring, relation):
     pq = rg.poly_quotient(ring, relation, var="u")
-    return lt.Extension(ring, pq.ring, pq.to_quotient)
+    return lt.Extension(pq.to_quotient)
 
 
 def _over_f2(top):
     f2 = rg.make_gf(2)
-    return lt.Extension(f2, top, rg.prime_hom(f2, top))
+    return lt.Extension(rg.prime_hom(f2, top))
 
 
 def _idealization(ring, summands):
-    return md.idealization_extension(ring, md.module_from_cyclics(ring, summands))[0]
+    return md.idealization_extension(md.module_from_cyclics(ring, summands))[0]
 
 
 _EXTENSIONS = {

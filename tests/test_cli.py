@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from ringlat import cli, dsl
+from ringlat import modules as md
 from ringlat import rings as rg
 
 
@@ -294,3 +295,10 @@ def test_exit_code_malformed_max_order(capsys, monkeypatch, value):
     code, _, err = run(capsys, ["lattice", "Z/2", "Z/2 x Z/2"])
     assert code == 2
     assert "RINGLAT_MAX_ORDER" in err
+
+
+def test_idealize_enumerates_the_submodule_lattice_once(capsys):
+    with mock.patch.object(md, "submodules", wraps=md.submodules) as submodules:
+        code, doc = run_json(capsys, ["idealize", "Z/4", "--module", "(2) + ()"])
+    assert (code, doc["nu"], doc["lattice_bijection"]) == (0, 8, True)
+    assert submodules.call_count == 1

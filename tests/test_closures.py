@@ -73,7 +73,7 @@ def test_seminormalization_is_idempotent(z4_square):
 
 
 def test_t_closure_of_inert_is_trivial(f2, f4):
-    ext = lt.Extension(f2, f4, rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
+    ext = lt.Extension(rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
     assert cl.t_closure(ext).order == 2
     assert cl.seminormalization(ext).order == 2
 
@@ -95,8 +95,8 @@ def test_canonical_decomposition_chain(z4_square):
 
 def test_diagonal_formulas_pass(z4):
     eps = rg.poly_quotient(z4, [0, 0, 1], var="u")
-    fac = lt.Extension(z4, eps.ring, eps.to_quotient)
-    rep = cl.verify_diagonal_formulas(z4, [fac, fac])
+    fac = lt.Extension(eps.to_quotient)
+    rep = cl.verify_diagonal_formulas([fac, fac])
     assert rep.passed
     assert rep.seminorm_ok and rep.tclosure_ok
     assert rep.seminorm_expected == rep.seminorm_actual
@@ -105,12 +105,19 @@ def test_diagonal_formulas_pass(z4):
 def test_diagonal_formulas_need_local_base(f2):
     z6 = rg.make_zmod(6)
     eps = rg.poly_quotient(z6, [0, 0, 1], var="u")
-    fac = lt.Extension(z6, eps.ring, eps.to_quotient)
+    fac = lt.Extension(eps.to_quotient)
     with pytest.raises(PreconditionError):
-        cl.verify_diagonal_formulas(z6, [fac])
+        cl.verify_diagonal_formulas([fac])
+
+
+def test_diagonal_needs_one_shared_base(z4, f2):
+    with pytest.raises(PreconditionError, match="share one base"):
+        cl.diagonal_into_factors([lt.power_extension(z4, 2), lt.power_extension(f2, 2)])
+    with pytest.raises(PreconditionError, match="no factors"):
+        cl.verify_diagonal_formulas([])
 
 
 def test_diagonal_formulas_need_subintegral_factors(f2, f4):
-    inert = lt.Extension(f2, f4, rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
+    inert = lt.Extension(rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
     with pytest.raises(PreconditionError):
-        cl.verify_diagonal_formulas(f2, [inert, inert])
+        cl.verify_diagonal_formulas([inert, inert])

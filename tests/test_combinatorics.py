@@ -66,7 +66,7 @@ def test_partition_to_subalgebra(f2):
 def test_partition_to_subalgebra_needs_power(f2, f4):
     import numpy as np
 
-    ext = lt.Extension(f2, f4, rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
+    ext = lt.Extension(rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
     with pytest.raises(PreconditionError):
         cb.partition_to_subalgebra(ext, cb.partitions(3)[0])  # 4 is not 2^3
 

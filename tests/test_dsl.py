@@ -97,6 +97,16 @@ def test_products_clear_names():
         dsl.build_text("(Z/4[t]/(t^2) x Z/2)/(t)")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("Z/4/(y)", "ideal generator"),
+    ("idealize(Z/4, (y))", "module spec"),
+    ("Z/4[t]/(t^2 + y*t)", "coefficient of t"),
+])
+def test_unknown_name_says_where(text, where):
+    with pytest.raises(PreconditionError, match=f"^unknown name 'y' in {where}$"):
+        dsl.build_text(text)
+
+
 def test_unexpected_character_position():
     with pytest.raises(ParseError) as exc:
         dsl.parse("Z/2[t]/(t@)")
@@ -139,7 +149,7 @@ def test_parse_module_spec_rejects_stray_tokens():
 
 def test_parse_poly_list_and_eval(z12):
     groups = dsl.parse_groups("(4, 3); (); (2*3)", ";", "ideal list")
-    assert [[dsl.eval_element(z12, {}, p) for p in g] for g in groups] == [[4, 3], [], [6]]
+    assert [[dsl.eval_element(dsl.BuildResult(z12), p) for p in g] for g in groups] == [[4, 3], [], [6]]
 
 
 def test_parse_poly_list_rejects_missing_comma():

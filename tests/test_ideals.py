@@ -128,7 +128,7 @@ def test_annihilator(z4):
     from ringlat.modules import module_from_cyclics
 
     mod = module_from_cyclics(z4, [[2]])
-    ann = il.annihilator(z4, mod)
+    ann = il.annihilator(mod)
     assert sorted(ann.elements) == [0, 2]
 
 

@@ -3,15 +3,23 @@ __init__ re-exports its imports, so it is not scanned), imports its package
 siblings at module level, and every private module-level name of the
 package is read by some module of it.  One size bound: the only per-call
 bound parameter of the package is intermediate_algebras' max_order.  Every
-annotation of the package resolves to a name its module binds."""
+annotation of the package resolves to a name its module binds.  One handle
+per structure: no function takes a structure together with the context it
+already holds, and an extension is its embedding alone."""
 
 import ast
 import importlib
 import inspect
+import types
 import typing
 from pathlib import Path
+from typing import Optional
 
 import pytest
+
+from ringlat.lattice import Extension, LatticeReport
+from ringlat.modules import FiniteModule, SubmoduleLattice
+from ringlat.rings import FiniteRing
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ringlat"
 
@@ -165,3 +173,81 @@ def test_type_hints_resolve(module):
         except NameError as e:
             unresolved.append(f"{obj.__qualname__}: {e}")
     assert unresolved == []
+
+
+# a lattice holds its extension or module, and a module its ring
+OPTIONAL_HANDLES = (LatticeReport, SubmoduleLattice)
+SPLIT_HANDLES = ((Extension, LatticeReport), (FiniteRing, FiniteModule))
+
+
+def split_handles(fn) -> list[str]:
+    """The ways fn takes one structure in two pieces, from its resolved
+    parameter types: an optional lattice parameter, or a structure beside
+    the context it holds."""
+    found, taken = [], set()
+    for param, hint in typing.get_type_hints(fn).items():
+        if param == "return":
+            continue
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        classes = typing.get_args(hint) if union else (hint,)
+        taken.update(classes)
+        if type(None) in classes:
+            found += [f"{param}: Optional[{c.__name__}]" for c in classes if c in OPTIONAL_HANDLES]
+    found += [f"{a.__name__} with {b.__name__}" for a, b in SPLIT_HANDLES if a in taken and b in taken]
+    return found
+
+
+def test_scan_finds_structures_split_in_two():
+    def with_report(ext: Extension, report: Optional[LatticeReport] = None) -> bool:
+        pass
+
+    def with_lattice(m: FiniteModule, lat: "SubmoduleLattice | None" = None) -> bool:
+        pass
+
+    def with_ring(ring: FiniteRing, m: FiniteModule) -> Optional[LatticeReport]:
+        pass
+
+    def whole(report: LatticeReport, m: FiniteModule) -> Extension:
+        pass
+
+    assert [split_handles(fn) for fn in (with_report, with_lattice, with_ring, whole)] == [
+        ["report: Optional[LatticeReport]", "Extension with LatticeReport"],
+        ["lat: Optional[SubmoduleLattice]"],
+        ["FiniteRing with FiniteModule"],
+        [],
+    ]
+
+
+def test_each_structure_is_passed_whole():
+    scanned, found = set(), {}
+    for name in sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"):
+        module = importlib.import_module(f"ringlat.{name}")
+        for fn in annotated_objects(module):
+            # a dataclass's generated __init__ lists its fields, not a call's arguments
+            if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                scanned.add(f"{name}.{fn.__qualname__}")
+                if split_handles(fn):
+                    found[f"{name}.{fn.__qualname__}"] = split_handles(fn)
+    assert {"lattice.classify_minimal", "modules.idealize", "closures.diagonal_into_factors"} <= scanned
+    assert found == {}
+
+
+def class_fields(source: str, cls: str) -> list[str]:
+    """The names annotated in the body of the top-level class cls."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return [s.target.id for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    raise LookupError(cls)
+
+
+def test_scan_finds_class_fields():
+    source = ("class A:\n    x: int\n    y: str = ''\n    z = 3\n"
+              "    def f(self) -> int:\n        w: int = 1\n        return w\n"
+              "class B:\n    q: int\n")
+    assert class_fields(source, "A") == ["x", "y"]
+    assert class_fields(source, "B") == ["q"]
+
+
+def test_an_extension_is_its_embedding():
+    assert class_fields((PACKAGE / "lattice.py").read_text(), "Extension") == ["embed"]

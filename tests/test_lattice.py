@@ -20,7 +20,13 @@ def f2_cube():
 def test_extension_rejects_non_injective(z4, f2):
     collapse = rg.RingHom(z4, f2, np.array([0, 1, 0, 1]))
     with pytest.raises(PreconditionError):
-        lt.Extension(z4, f2, collapse)
+        lt.Extension(collapse)
+
+
+def test_extension_reads_its_rings_from_the_embedding(z4):
+    ext = lt.power_extension(z4, 2)
+    assert ext.base is ext.embed.source is z4
+    assert ext.top is ext.embed.target
 
 
 def test_field_cube_lattice(f2_cube):
@@ -90,7 +96,7 @@ def _bounded_calls():
     def idealize():
         f5 = rg.make_gf(5)
         m = md.module_from_ring(f5)
-        return lambda: md.idealize(f5, m)
+        return lambda: md.idealize(m)
 
     def ideals():
         z27 = rg.make_zmod(27)
@@ -140,7 +146,7 @@ def _relabel(ext, perm):
     inv = np.argsort(perm)
     moved = rg.FiniteRing(top.order, perm[top.add[np.ix_(inv, inv)]], perm[top.mul[np.ix_(inv, inv)]],
                           int(perm[top.zero]), int(perm[top.one]), top.label)
-    return lt.Extension(ext.base, moved, rg.RingHom(ext.base, moved, perm[ext.embed.map]))
+    return lt.Extension(rg.RingHom(ext.base, moved, perm[ext.embed.map]))
 
 
 def _over_base(ext):
@@ -164,10 +170,10 @@ def test_relabeling_carries_everything_over(extension_zoo, name):
     assert {(to_new[a], to_new[b]) for a, b in rep.hasse_edges} == set(rep2.hasse_edges)
     assert (to_new[0], to_new[-1]) == (0, rep2.count - 1)
     assert (rep.count, rep.chain_lengths) == (rep2.count, rep2.chain_lengths)
-    assert lt.classify_minimal(ext, rep).kind == lt.classify_minimal(moved, rep2).kind
+    assert lt.classify_minimal(rep).kind == lt.classify_minimal(rep2).kind
     assert carry(cl.seminormalization(ext).elements) == cl.seminormalization(moved).elements
     assert carry(cl.t_closure(ext).elements) == cl.t_closure(moved).elements
-    assert lt.predicate_battery(ext, rep) == lt.predicate_battery(moved, rep2)
+    assert lt.predicate_battery(rep) == lt.predicate_battery(rep2)
     assert ({carry(i.elements) for i in all_ideals(ext.top)}
             == {i.elements for i in all_ideals(moved.top)})
     assert ({carry(n) for n in md.submodules(_over_base(ext)).nodes}
@@ -178,7 +184,7 @@ def test_diagonal_square_of_z4(z4):
     ext = lt.power_extension(z4, 2)
     rep = lt.intermediate_algebras(ext)
     assert rep.count == 3
-    battery = lt.predicate_battery(ext, rep)
+    battery = lt.predicate_battery(rep)
     assert battery == {
         "integral": True,
         "infra_integral": True,
@@ -193,42 +199,41 @@ def test_diagonal_square_of_z4(z4):
 
 
 def test_trichotomy_of_the_three_quadratic_covers(f2, f4, f2_eps):
-    decomposed = lt.power_extension(f2, 2)
-    res = lt.classify_minimal(decomposed)
+    def classify(ext):
+        return lt.classify_minimal(lt.intermediate_algebras(ext))
+
+    res = classify(lt.power_extension(f2, 2))
     assert res.kind == "decomposed"
     assert res.crucial.is_zero
 
-    inert = lt.Extension(f2, f4, rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
-    res = lt.classify_minimal(inert)
+    res = classify(lt.Extension(rg.RingHom(f2, f4, np.array([f4.zero, f4.one]))))
     assert res.kind == "inert"
     assert res.residue_degree == 2
 
     pq = rg.poly_quotient(f2, [0, 0, 1], var="t")
-    ramified = lt.Extension(f2, pq.ring, pq.to_quotient)
-    res = lt.classify_minimal(ramified)
+    res = classify(lt.Extension(pq.to_quotient))
     assert res.kind == "ramified"
 
 
 def test_classify_needs_two_nodes(f2_cube):
-    ext, rep = f2_cube
-    assert not lt.is_minimal(ext, rep)
-    res = lt.classify_minimal(ext, rep)
+    _, rep = f2_cube
+    assert rep.count != 2
+    res = lt.classify_minimal(rep)
     assert res.kind == "not_minimal"
     assert res.crucial is None
 
 
 def test_gilbert_bijection(f3):
-    ext = lt.power_extension(f3, 2)
-    gb = lt.gilbert_bijection(ext)
+    gb = lt.gilbert_bijection(lt.intermediate_algebras(lt.power_extension(f3, 2)))
     assert len(gb.pairs) == 2
     ideal_orders = sorted(j.order for j, _ in gb.pairs)
     assert ideal_orders[-1] == 3
 
 
 def test_gilbert_needs_single_generator(f2_cube):
-    ext, rep = f2_cube
+    _, rep = f2_cube
     with pytest.raises(NotApplicableError):
-        lt.gilbert_bijection(ext, rep)
+        lt.gilbert_bijection(rep)
 
 
 def test_irreducible_decompositions_recompose(f2_cube):
@@ -262,20 +267,18 @@ def test_special_minimal_ramified(f2):
     t = next(i for i in range(4) if i not in (base.zero, base.one)
              and base.mul[i, i] == base.zero)
     with_rel = rg.poly_quotient(base, [int(base.neg[t]), 0, 1], relations=[[0, t]], var="x")
-    assert lt.is_special_minimal_ramified(
-        lt.Extension(base, with_rel.ring, with_rel.to_quotient))
+    assert lt.is_special_minimal_ramified(lt.intermediate_algebras(lt.Extension(with_rel.to_quotient)))
     without = rg.poly_quotient(base, [int(base.neg[t]), 0, 1], var="x")
-    assert not lt.is_special_minimal_ramified(
-        lt.Extension(base, without.ring, without.to_quotient))
+    assert not lt.is_special_minimal_ramified(lt.intermediate_algebras(lt.Extension(without.to_quotient)))
 
 
 def test_pointwise_minimal_cases(f2, f4):
-    sq = lt.power_extension(f4, 2)
+    sq = lt.intermediate_algebras(lt.power_extension(f4, 2))
     assert lt.is_pointwise_minimal(sq)
-    assert lt.is_minimal(sq)
-    cube = lt.power_extension(f2, 3)
+    assert sq.count == 2
+    cube = lt.intermediate_algebras(lt.power_extension(f2, 3))
     assert lt.is_pointwise_minimal(cube)
-    assert not lt.is_minimal(cube)
+    assert cube.count != 2
 
 
 def test_report_serialization(f2_cube):
@@ -291,7 +294,7 @@ def test_report_serialization(f2_cube):
 
 def test_product_extension_combines(f2, z4):
     eps = rg.poly_quotient(z4, [0, 0, 1], var="u")
-    parts = [lt.power_extension(f2, 2), lt.Extension(z4, eps.ring, eps.to_quotient)]
+    parts = [lt.power_extension(f2, 2), lt.Extension(eps.to_quotient)]
     ext = lt.product_extension(parts)
     assert ext.base.order == 8
     assert ext.top.order == 64
@@ -344,7 +347,7 @@ def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0, brut
     assert lt.is_quadratic(ext) is quadratic
     assert _delta0_by_enumeration(ext) is delta0
     assert lt.is_delta0(ext) is delta0
-    battery = lt.predicate_battery(ext)
+    battery = lt.predicate_battery(lt.intermediate_algebras(ext))
     assert (battery["quadratic"], battery["delta0"]) == (quadratic, delta0)
     # the coset step that turns S into the base-module S/R
     classes = brute_force_cosets(ext.top.add, ext.image)
@@ -378,7 +381,7 @@ def test_pointwise_minimal_matches_every_element(extension_zoo, name):
     covers = {rep.nodes[b].elements for a, b in rep.hasse_edges if a == 0}
     want = all(rg.mask_elements(rg.extend_closure_mask(top.order, base, [t], (top.add, top.mul)))
                in covers for t in range(top.order) if not base[t])
-    assert lt.is_pointwise_minimal(ext, rep) is want
+    assert lt.is_pointwise_minimal(rep) is want
 
 
 def test_spectral_predicates_past_the_lattice_bound():

@@ -93,10 +93,10 @@ def test_jordan_holder_check_fails_when_chain_lengths_differ(z4):
 
 def test_cyclic_and_uniserial(z8, f2):
     assert md.is_cyclic(md.module_from_ring(z8)) is not None
-    assert md.is_uniserial(md.module_from_ring(z8))
+    assert md.is_uniserial(md.submodules(md.module_from_ring(z8)))
     plane = md.module_from_cyclics(f2, [[0], [0]])
     assert md.is_cyclic(plane) is None
-    assert not md.is_uniserial(plane)
+    assert not md.is_uniserial(md.submodules(plane))
 
 
 _MODULES = {
@@ -113,15 +113,15 @@ _MODULES = {
 def test_uniserial_means_every_two_submodules_compare(name):
     lat = md.submodules(_MODULES[name]())
     sets = [set(n) for n in lat.nodes]
-    assert md.is_uniserial(lat.module, lat) is all(a <= b or b <= a for a in sets for b in sets)
+    assert md.is_uniserial(lat) is all(a <= b or b <= a for a in sets for b in sets)
 
 
 @pytest.mark.parametrize("name", sorted(_MODULES))
 def test_idealization_lattice_has_the_submodule_chains(name):
     mod = _MODULES[name]()
     lat = md.submodules(mod)
-    rep = lt.intermediate_algebras(md.idealization_extension(mod.ring, mod)[0])
-    pairs = dict(md.idealization_lattice_bijection(mod.ring, mod).pairs)
+    rep = lt.intermediate_algebras(md.idealization_extension(mod)[0])
+    pairs = dict(md.idealization_lattice_bijection(lat).pairs)
     assert {(pairs[a], pairs[b]) for a, b in lat.hasse_edges} == set(rep.hasse_edges)
     assert (lat.count, lat.chain_lengths) == (rep.count, rep.chain_lengths)
 
@@ -193,19 +193,19 @@ def test_quotient_module_matches_brute_force_cosets(build, seed, brute_force_cos
 
 
 def test_idealization_of_free_line(f2, f2_eps):
-    idl = md.idealize(f2, md.module_from_ring(f2))
+    idl = md.idealize(md.module_from_ring(f2))
     assert idl.ring.order == 4
     assert rg.is_isomorphic(idl.ring, f2_eps) is not None
 
 
 def test_idealization_of_zero_module(z4):
-    idl = md.idealize(z4, md.module_from_cyclics(z4, []))
+    idl = md.idealize(md.module_from_cyclics(z4, []))
     assert rg.is_isomorphic(idl.ring, z4) is not None
 
 
 def test_idealization_product_rule(z4):
     mod = md.module_from_ring(z4)
-    idl = md.idealize(z4, mod)
+    idl = md.idealize(mod)
     r1, m1 = 3, 2
     r2, m2 = 2, 1
     lhs = idl.ring.mul[idl.pair_index(r1, m1), idl.pair_index(r2, m2)]
@@ -218,13 +218,13 @@ def test_idealization_conductor_is_annihilator(z4):
     from ringlat.ideals import annihilator, conductor
 
     mod = md.module_from_cyclics(z4, [[2]])
-    ext, _ = md.idealization_extension(z4, mod)
-    assert conductor(ext) == annihilator(z4, mod)
+    ext, _ = md.idealization_extension(mod)
+    assert conductor(ext) == annihilator(mod)
 
 
 def test_lattice_bijection_node_for_node(f2):
     mod = md.module_from_cyclics(f2, [[0], [0]])
-    bij = md.idealization_lattice_bijection(f2, mod)
+    bij = md.idealization_lattice_bijection(md.submodules(mod))
     assert bij.ok
     assert bij.nu == 5
     assert bij.lattice_count == 5
@@ -234,7 +234,7 @@ def test_lattice_bijection_node_for_node(f2):
 def test_interval_matches_quotient(z8):
     mod = md.module_from_ring(z8)
     sub = md.submodule_closure(mod, [4])
-    iv = md.interval_length(z8, mod, sub)
+    iv = md.interval_length(mod, sub)
     assert iv.ok
     assert iv.interval_length == iv.quotient_length == 2
     assert iv.interval_count == iv.quotient_count
@@ -242,7 +242,7 @@ def test_interval_matches_quotient(z8):
 
 def test_uniserial_structure_chain(z4):
     mod = md.module_from_cyclics(z4, [[2]])
-    rep = md.uniserial_structure_check(z4, mod)
+    rep = md.uniserial_structure_check(mod)
     assert rep.passed
     assert rep.nu == 2
     assert rep.nu_of_quotient == 2
@@ -251,10 +251,10 @@ def test_uniserial_structure_chain(z4):
 def test_uniserial_structure_preconditions(f2):
     plane = md.module_from_cyclics(f2, [[0], [0]])
     with pytest.raises(NotApplicableError):
-        md.uniserial_structure_check(f2, plane)
+        md.uniserial_structure_check(plane)
     z6 = rg.make_zmod(6)
     with pytest.raises(PreconditionError):
-        md.uniserial_structure_check(z6, md.module_from_ring(z6))
+        md.uniserial_structure_check(md.module_from_ring(z6))
 
 
 def test_componentwise_census(f3):

@@ -36,7 +36,7 @@ from .crt import (CrtExtension, SeparatingFamily, conductor_by_formula,
                   reduce_to_zero_conductor, seminormalization_of_crt,
                   weak_crt_check)
 from .modules import (FiniteModule, check_module, componentwise_census,
-                      idealization_extension, idealization_lattice_bijection,
+                      idealization_lattice_bijection,
                       idealize, interval_length, is_cyclic, is_faithful,
                       is_uniserial, jordan_holder_check, module_from_cyclics,
                       module_from_ring, module_length, quotient_module,

@@ -181,14 +181,14 @@ def _cmd_crt(args) -> int:
         two = cr.is_minimal_crt2(crt)
         out["minimal"] = {
             "minimal": two.minimal,
-            "quotient_is_field": two.quotient_is_field,
+            "quotient_is_field": two.minimal,
             "predicted_count": two.predicted_count,
         }
     else:
-        res = cr.is_minimal_crt(crt)
+        witness = cr.is_minimal_crt(crt)
         out["minimal"] = {
-            "minimal": res.minimal,
-            "witness_pair": None if res.witness is None else list(res.witness),
+            "minimal": witness is not None,
+            "witness_pair": None if witness is None else list(witness),
         }
     red = cr.reduce_to_zero_conductor(crt)
     out["reduction"] = {
@@ -203,7 +203,6 @@ def _cmd_crt(args) -> int:
 def _cmd_idealize(args) -> int:
     base = dsl.build_text(args.ring)
     mod = dsl.build_module(base, dsl.parse_groups(args.module, "+", "module spec"))
-    idl = md.idealize(mod)
     lat = md.submodules(mod)
     bij = md.idealization_lattice_bijection(lat)
     out = {
@@ -211,7 +210,7 @@ def _cmd_idealize(args) -> int:
         "kind": "idealize",
         "ring": base.ring.label,
         "module_order": mod.order,
-        "idealization_order": idl.ring.order,
+        "idealization_order": bij.report.extension.top.order,
         "nu": lat.count,
         "module_length": md.module_length(mod),
         "cyclic": md.is_cyclic(mod) is not None,

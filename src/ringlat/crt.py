@@ -74,7 +74,7 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
 
 def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
     """The images of ideals of R in the quotient R/I."""
-    return tuple(Ideal.from_indices(qr.ring, qr.projection.map[list(i.elements)], validate=False)
+    return tuple(Ideal(qr.ring, tuple(sorted(set(qr.projection.map[list(i.elements)].tolist()))))
                  for i in ideals)
 
 
@@ -125,16 +125,10 @@ def _is_maximal(ring: FiniteRing, ideal: Ideal) -> bool:
     return is_field(quotient(ring, ideal).ring)
 
 
-@dataclass(frozen=True)
-class MinimalCrtResult:
-    minimal: bool
-    witness: Optional[tuple[int, int]]
-
-
-def is_minimal_crt(crt: CrtExtension) -> MinimalCrtResult:
+def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
     """Minimality of R in prod(R/I_j) for n > 2: exactly one pair of ideals
-    with maximal sum, every other pair comaximal.  Witness indices are
-    0-based and lexicographically least."""
+    with maximal sum, every other pair comaximal.  Returns that pair, 0-based,
+    when R in prod(R/I_j) is minimal, else None."""
     fam = crt.family
     if fam.n <= 2:
         raise PreconditionError("pair families need the two-ideal test (is_minimal_crt2)")
@@ -147,32 +141,28 @@ def is_minimal_crt(crt: CrtExtension) -> MinimalCrtResult:
             if _is_maximal(fam.ring, s):
                 maximal_pairs.append((j, k))
             else:
-                return MinimalCrtResult(False, None)
-    if len(maximal_pairs) == 1:
-        return MinimalCrtResult(True, maximal_pairs[0])
-    return MinimalCrtResult(False, None)
+                return None
+    return maximal_pairs[0] if len(maximal_pairs) == 1 else None
 
 
 @dataclass(frozen=True)
 class Crt2Result:
-    minimal: bool
-    quotient_is_field: bool
+    minimal: bool  # R/(I+J) is a field
     predicted_count: int
 
 
 def is_minimal_crt2(crt: CrtExtension) -> Crt2Result:
     """Two-ideal test: with zero intersection, R in R/I x R/J is minimal
     exactly when I + J is maximal.  The predicted node count is the ideal
-    count of R/(I+J); the field case (count 2) is flagged."""
+    count of R/(I+J), which is 2 exactly in the minimal case."""
     fam = crt.family
     if fam.n != 2:
         raise PreconditionError("two-ideal test needs exactly two ideals")
     s = ideal_sum(fam.ideals[0], fam.ideals[1])
     if s.is_whole:
-        return Crt2Result(False, False, 1)
+        return Crt2Result(False, 1)
     q = quotient(fam.ring, s).ring
-    field = is_field(q)
-    return Crt2Result(field, field, len(all_ideals(q)))
+    return Crt2Result(is_field(q), len(all_ideals(q)))
 
 
 def weak_crt_check(crt: CrtExtension) -> tuple[bool, ...]:

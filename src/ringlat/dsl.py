@@ -432,8 +432,8 @@ def build_step(base: BuildResult, expr: RingExpr) -> tuple[BuildResult, RingHom]
         qr = quotient(base.ring, ideal_generated(base.ring, gens))
         ring, hom = qr.ring, qr.projection
     elif isinstance(expr, IdealizeE):
-        idl = idealize(build_module(base, expr.cyclics))
-        ring, hom = idl.ring, idl.embed
+        ext = idealize(build_module(base, expr.cyclics))
+        ring, hom = ext.top, ext.embed
     else:
         raise PreconditionError(f"expression node {expr!r} is not a suffix construction")
     names = {k: int(hom.map[v]) for k, v in base.names.items()}

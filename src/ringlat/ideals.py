@@ -114,17 +114,16 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Primes, maximals, nilradical and Jacobson radical of a finite ring."""
+    """Primes and nilradical of a finite ring.  Every prime of a finite ring
+    is maximal, and the nilradical is the Jacobson radical."""
 
     ring: FiniteRing
     primes: tuple[Ideal, ...]
-    maximals: tuple[Ideal, ...]
     nilradical: Ideal
-    jacobson: Ideal
 
 
 def spectrum(ring: FiniteRing) -> SpectrumReport:
-    """Primes, maximals, nilradical and Jacobson radical, from structure.
+    """Primes and nilradical, from structure.
 
     A finite ring is Artinian, so it is the product of the local rings eR
     over its primitive idempotents e (Atiyah-Macdonald, Thm 8.7).  Every
@@ -134,8 +133,7 @@ def spectrum(ring: FiniteRing) -> SpectrumReport:
     nil = ring.nilpotents
     primes = [Ideal(ring, mask_elements(nil[ring.mul[e]])) for e in primitive_idempotents(ring)]
     primes.sort(key=lambda i: (i.order, i.elements))
-    nilradical = Ideal(ring, mask_elements(nil))
-    return SpectrumReport(ring, tuple(primes), tuple(primes), nilradical, nilradical)
+    return SpectrumReport(ring, tuple(primes), Ideal(ring, mask_elements(nil)))
 
 
 def conductor(ext) -> Ideal:
@@ -145,7 +143,7 @@ def conductor(ext) -> Ideal:
     rows = top.mul[embed.map]
     inside = ext.image_mask[rows].all(axis=1)
     cond = Ideal(base, mask_elements(inside))
-    cond_in_top = embed.map[np.asarray(cond.elements, dtype=np.intp)]
-    if not Ideal.from_indices(top, cond_in_top, validate=False)._is_valid():
+    cond_in_top = tuple(sorted(int(i) for i in embed.map[list(cond.elements)]))
+    if not Ideal(top, cond_in_top)._is_valid():
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
     return cond

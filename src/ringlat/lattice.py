@@ -422,9 +422,9 @@ def classify_minimal(report: LatticeReport) -> MinimalClassification:
         raise InternalCheckError("classification failure: conductor of a minimal extension is not maximal")
     q_r = base.order // m.order
     m_top_elems = tuple(sorted(int(i) for i in ext.embed.map[np.asarray(m.elements, dtype=np.intp)]))
-    m_top = Ideal.from_indices(top, m_top_elems, validate=False)
-    spect = spectrum(top)
-    over = [q for q in spect.maximals if contains(q, m_top)]
+    m_top = Ideal(top, m_top_elems)
+    # every prime of a finite ring is maximal
+    over = [q for q in spectrum(top).primes if contains(q, m_top)]
 
     matches: list[tuple[str, tuple[Ideal, ...], Optional[int]]] = []
 

@@ -13,7 +13,7 @@ from .errors import InternalCheckError, NotApplicableError, PreconditionError, S
 from .ideals import IdealLike, all_ideals, annihilator, coerce_ideal
 from .lattice import (
     Extension,
-    Subalgebra,
+    LatticeReport,
     Poset,
     intermediate_algebras,
     poset_structure,
@@ -193,24 +193,13 @@ def is_faithful(m: FiniteModule) -> bool:
 # ---------------------------------------------------------------------------
 # idealization
 
-@dataclass(frozen=True)
-class IdealizationResult:
-    """The ring R(+)M on pairs (r, m) with (r,m)(s,n) = (rs, rn+sm)."""
-
-    ring: FiniteRing
-    embed: RingHom
-    module: FiniteModule
-
-    def pair_index(self, r: int, x: int) -> int:
-        return int(product_index((self.module.ring.order, self.module.order), (r, x)))
-
-
-def idealize(m: FiniteModule) -> IdealizationResult:
+def idealize(m: FiniteModule) -> Extension:
+    """R in R(+)M, the ring on pairs (r, m) with (r,m)(s,n) = (rs, rn+sm),
+    laid out as the product R x M."""
     ring = m.ring
     n = ring.order * m.order
     if n > arith_limit():
         raise SizeLimitError(f"idealization order {n} exceeds bound")
-    # the underlying set is R x M, laid out as a product
     orders = (ring.order, m.order)
     r, x = product_components(orders, np.arange(n))
     add = product_index(orders, (ring.add[r[:, None], r[None, :]], m.add[x[:, None], x[None, :]]))
@@ -220,43 +209,48 @@ def idealize(m: FiniteModule) -> IdealizationResult:
     one = product_index(orders, (ring.one, m.zero))
     out = FiniteRing(n, add, mul, int(zero), int(one), f"{ring.label}(+){m.label}")
     emb = product_index(orders, (np.arange(ring.order), m.zero))
-    return IdealizationResult(out, RingHom(ring, out, emb), m)
-
-
-def idealization_extension(m: FiniteModule) -> tuple[Extension, IdealizationResult]:
-    idl = idealize(m)
-    return Extension(idl.embed), idl
-
-
-def _idealization_members(m: FiniteModule, sub: Sequence[int]) -> np.ndarray:
-    """The indices of R(+)N in R(+)M for a submodule N."""
-    orders = (m.ring.order, m.order)
-    return product_index(orders, (np.arange(orders[0])[:, None], np.asarray(sub)[None, :])).ravel()
+    return Extension(RingHom(ring, out, emb))
 
 
 @dataclass(frozen=True)
 class BijectionReport:
-    """N -> R(+)N matching submodules of M with the nodes of [R, R(+)M]."""
+    """N -> R(+)N matching the submodules of M with the nodes of [R, R(+)M]."""
 
-    nu: int
-    lattice_count: int
+    lattice: SubmoduleLattice
+    report: LatticeReport  # the lattice of R in R(+)M
     pairs: tuple[tuple[int, int], ...]  # (submodule index, lattice node index)
-    ok: bool
+
+    @property
+    def nu(self) -> int:
+        return self.lattice.count
+
+    @property
+    def lattice_count(self) -> int:
+        return self.report.count
+
+    @property
+    def ok(self) -> bool:
+        return len(self.pairs) == self.report.count == self.lattice.count
 
 
 def idealization_lattice_bijection(lat: SubmoduleLattice) -> BijectionReport:
-    report = intermediate_algebras(idealization_extension(lat.module)[0])
+    """The lattice of R in R(+)M, its nodes matched with the submodules in
+    lat.  The pairs stop at the first submodule whose R(+)N is not a node, or
+    is the node of an earlier submodule, and ok is then False."""
+    m = lat.module
+    report = intermediate_algebras(idealize(m))
+    orders = (m.ring.order, m.order)
     pairs = []
     seen = set()
     for si, sub in enumerate(lat.nodes):
-        members = _idealization_members(lat.module, sub)
-        ni = report.node_index(sorted(int(v) for v in members))
+        # R(+)N is the product of R and N in the layout of R(+)M
+        members = product_index(orders, (np.arange(orders[0])[:, None], np.asarray(sub)[None, :]))
+        ni = report.node_index(np.sort(members.ravel()))
         if ni is None or ni in seen:
-            return BijectionReport(lat.count, report.count, tuple(pairs), False)
+            break
         seen.add(ni)
         pairs.append((si, ni))
-    ok = len(pairs) == report.count == lat.count
-    return BijectionReport(lat.count, report.count, tuple(pairs), ok)
+    return BijectionReport(lat, report, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -274,16 +268,14 @@ class IntervalReport:
                 and self.interval_count == self.quotient_count)
 
 
-def interval_length(m: FiniteModule, sub: Sequence[int]) -> IntervalReport:
-    """Compare the interval above R(+)N in [R, R(+)M] with L(M/N), nu(M/N)."""
-    ext, _ = idealization_extension(m)
-    sub_sorted = tuple(sorted(int(x) for x in sub))
-    members = _idealization_members(m, sub_sorted)
-    node = Subalgebra(ext, tuple(int(v) for v in np.sort(members)))
-    upper = intermediate_algebras(upper_extension(node))
-    q = quotient_module(m, sub_sorted).module
-    q_lat = submodules(q)
-    return IntervalReport(upper.length, upper.count, module_length(q), q_lat.count)
+def interval_length(bij: BijectionReport, i: int) -> IntervalReport:
+    """Compare the interval above R(+)N in [R, R(+)M], for the submodule N
+    of index i, with L(M/N) and nu(M/N)."""
+    if not 0 <= i < len(bij.pairs):
+        raise PreconditionError(f"no lattice node is matched with submodule {i}")
+    upper = intermediate_algebras(upper_extension(bij.report.nodes[bij.pairs[i][1]]))
+    q = quotient_module(bij.lattice.module, bij.lattice.nodes[i]).module
+    return IntervalReport(upper.length, upper.count, module_length(q), submodules(q).count)
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,7 @@ def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
     if e is None:
         raise NotApplicableError("module is not cyclic")
     c_elems = [r for r in range(ring.order) if m.action[r, e] == m.zero]
-    c = Ideal.from_indices(ring, c_elems, validate=True)
+    c = Ideal.from_indices(ring, c_elems)
     if c.is_whole:
         nu_rc = 1
     else:
@@ -330,26 +322,23 @@ def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
 
 @dataclass(frozen=True)
 class CensusResult:
-    """nu of the componentwise module k^n over the ring k^n, against 2^n."""
+    """nu of the componentwise module k^n over the ring k^n, against 2^n;
+    lattice_count is the node count of [k^n, k^n(+)k^n], when that lattice
+    is small enough to check."""
 
     nu: int
     expected: int
-    lattice_checked: bool
     lattice_count: Optional[int]
 
     @property
     def ok(self) -> bool:
-        if self.nu != self.expected:
-            return False
-        return not self.lattice_checked or self.lattice_count == self.nu
+        return self.nu == self.expected and self.lattice_count in (None, self.nu)
 
 
 def componentwise_census(field: FiniteRing, n: int) -> CensusResult:
     pr = product([field] * n)
     m = module_from_ring(pr.ring)
     lat = submodules(m)
-    expected = 2 ** n
-    if pr.ring.order * m.order <= lattice_limit():
-        bij = idealization_lattice_bijection(lat)
-        return CensusResult(lat.count, expected, True, bij.lattice_count)
-    return CensusResult(lat.count, expected, False, None)
+    checked = pr.ring.order * m.order <= lattice_limit()
+    count = idealization_lattice_bijection(lat).lattice_count if checked else None
+    return CensusResult(lat.count, 2 ** n, count)

@@ -163,10 +163,10 @@ class Ideal:
     elements: tuple[int, ...]
 
     @staticmethod
-    def from_indices(ring: FiniteRing, indices: Iterable[int], validate: bool = True) -> "Ideal":
+    def from_indices(ring: FiniteRing, indices: Iterable[int]) -> "Ideal":
         elems = tuple(sorted(set(int(i) for i in indices)))
         ideal = Ideal(ring, elems)
-        if validate and not ideal._is_valid():
+        if not ideal._is_valid():
             raise PreconditionError("subset is not an ideal")
         return ideal
 
@@ -814,7 +814,7 @@ def is_local(ring: FiniteRing) -> Optional[Ideal]:
     closed = ring.units[ring.add[np.ix_(nu, nu)]]
     if closed.any():
         return None
-    return Ideal.from_indices(ring, nu, validate=False)
+    return Ideal(ring, tuple(int(i) for i in nu))
 
 
 def nilpotency_index(ring: FiniteRing) -> int:
@@ -1000,7 +1000,8 @@ def is_isomorphic(a: FiniteRing, b: FiniteRing) -> Optional[np.ndarray]:
     """Search for a ring isomorphism a -> b; returns the index map or None.
 
     Test oracle: backtracking over images of a small generating set, with
-    element-invariant pruning.  Not intended to be fast on large rings.
+    element-invariant pruning; a bijective candidate is a RingHom or is
+    refused by its validation.  Not intended to be fast on large rings.
     """
     if a.order != b.order:
         return None
@@ -1028,10 +1029,9 @@ def is_isomorphic(a: FiniteRing, b: FiniteRing) -> Optional[np.ndarray]:
             return None
         out = np.empty(a.order, dtype=np.int32)
         out[elems] = bvals
-        img = out
-        if not np.array_equal(b.add[np.ix_(img, img)], img[a.add]):
-            return None
-        if not np.array_equal(b.mul[np.ix_(img, img)], img[a.mul]):
+        try:
+            RingHom(a, b, out)
+        except PreconditionError:
             return None
         return out
 

@@ -25,6 +25,8 @@ from . import rings as rg
 from .errors import PreconditionError, RinglatError
 
 SEED = 96321
+# the largest top whose intermediate lattice a random family is checked against
+_LATTICE_CHECK_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -137,12 +139,14 @@ def _spir_lattices() -> list[tuple[str, lt.LatticeReport, int]]:
 
 
 @lru_cache(maxsize=None)
-def _idealization_pairs() -> list[tuple[str, md.FiniteModule]]:
+def _idealizations() -> list[tuple[str, md.BijectionReport]]:
+    """The idealization corpus: each module's submodule lattice matched with
+    the lattice of R in R(+)M."""
     rings = _named_rings()
     f2, f3, f4 = rings["F2"], rings["F3"], rings["F4"]
     z4, z6, z8, z9 = rings["Z/4"], rings["Z/6"], rings["Z/8"], rings["Z/9"]
     t2 = rings["F2[t]/(t^2)"]
-    return [
+    modules = [
         ("F2, F2", md.module_from_cyclics(f2, [[0]])),
         ("F2, F2^2", md.module_from_cyclics(f2, [[0], [0]])),
         ("F2, F2^3", md.module_from_cyclics(f2, [[0], [0], [0]])),
@@ -161,6 +165,7 @@ def _idealization_pairs() -> list[tuple[str, md.FiniteModule]]:
         ("Z/9, Z/3", md.module_from_cyclics(z9, [[3]])),
         ("F2[t]/(t^2), itself", md.module_from_ring(t2)),
     ]
+    return [(label, md.idealization_lattice_bijection(md.submodules(mod))) for label, mod in modules]
 
 
 @lru_cache(maxsize=None)
@@ -188,12 +193,19 @@ def _random_families() -> list[tuple[str, cr.CrtExtension]]:
             top_order = 1
             for idl in fam_ids:
                 top_order *= ring.order // idl.order
-            if top_order > (256 if made == 0 else 2048):
+            if top_order > (_LATTICE_CHECK_ORDER if made == 0 else 2048):
                 continue
             crt = cr.make_crt(ring, fam_ids)
             out.append((f"{label}:{'|'.join(str(i.order) for i in fam_ids)}", crt))
             made += 1
     return out
+
+
+@lru_cache(maxsize=None)
+def _random_lattices() -> list[tuple[str, cr.CrtExtension, lt.LatticeReport]]:
+    """The random families small enough to check against their lattice."""
+    return [(label, crt, lt.intermediate_algebras(crt.extension)) for label, crt in _random_families()
+            if crt.extension.top.order <= _LATTICE_CHECK_ORDER]
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +288,11 @@ def _trichotomy_corpus() -> list[tuple[str, lt.LatticeReport]]:
         seen.append((f"{label}^2", rep))
     for label, ext in _named_extensions():
         seen.append((label, lt.intermediate_algebras(ext)))
-    for label, crt in _random_families():
-        if crt.extension.top.order <= 256:
-            seen.append((f"crt {label}", lt.intermediate_algebras(crt.extension)))
-    for label, mod in _idealization_pairs():
-        ext, _ = md.idealization_extension(mod)
-        if ext.top.order <= 256:
-            seen.append((f"idealize {label}", lt.intermediate_algebras(ext)))
+    for label, _, rep in _random_lattices():
+        seen.append((f"crt {label}", rep))
+    for label, bij in _idealizations():
+        if bij.report.extension.top.order <= _LATTICE_CHECK_ORDER:
+            seen.append((f"idealize {label}", bij.report))
     seen.append(("special ramified", _special_ramified()[0]))
     return seen
 
@@ -327,21 +337,21 @@ def criterion_05_conductor_formula() -> tuple[bool, str]:
 def criterion_06_crt_minimality() -> tuple[bool, str]:
     bad = []
     compared = 0
+    lattice_of = {id(crt): rep for _, crt, rep in _random_lattices()}
     for label, crt in _random_families():
         if crt.family.n <= 2:
             continue
-        verdict = cr.is_minimal_crt(crt)
-        if crt.extension.top.order <= 256:
+        minimal = cr.is_minimal_crt(crt) is not None
+        rep = lattice_of.get(id(crt))
+        if rep is not None:
             compared += 1
-            count = lt.intermediate_algebras(crt.extension).count
-            if verdict.minimal != (count == 2):
-                bad.append(f"{label}: criterion {verdict.minimal} vs lattice {count}")
+            if minimal != (rep.count == 2):
+                bad.append(f"{label}: criterion {minimal} vs lattice {rep.count}")
     z12 = _named_rings()["Z/12"]
     v1 = cr.is_minimal_crt(cr.make_crt(z12, [[4], [3], [3]]))
-    if not (v1.minimal and v1.witness == (1, 2)):
-        bad.append(f"Z/12 (4),(3),(3): {v1}")
-    v2 = cr.is_minimal_crt(cr.make_crt(z12, [[4], [3], [6]]))
-    if v2.minimal:
+    if v1 != (1, 2):
+        bad.append(f"Z/12 (4),(3),(3): witness {v1}")
+    if cr.is_minimal_crt(cr.make_crt(z12, [[4], [3], [6]])) is not None:
         bad.append("Z/12 (4),(3),(6) flagged minimal")
     if compared == 0:
         bad.append("no family compared against the lattice")
@@ -353,20 +363,17 @@ def criterion_06_crt_minimality() -> tuple[bool, str]:
 def criterion_07_idealization() -> tuple[bool, str]:
     bad = []
     frozen = {"F2, F2^2": 5, "Z/4, Z/4": 3, "Z/8, Z/8": 4}
-    for label, mod in _idealization_pairs():
-        lat = md.submodules(mod)
-        bij = md.idealization_lattice_bijection(lat)
+    for label, bij in _idealizations():
         if not bij.ok:
             bad.append(f"{label}: bijection fails")
             continue
         if label in frozen and bij.nu != frozen[label]:
             bad.append(f"{label}: nu {bij.nu} != {frozen[label]}")
-        for node in lat.nodes:
-            iv = md.interval_length(mod, node)
-            if not iv.ok:
+        for i, node in enumerate(bij.lattice.nodes):
+            if not md.interval_length(bij, i).ok:
                 bad.append(f"{label}: interval over |N|={len(node)} mismatches")
                 break
-    n_pairs = len(_idealization_pairs())
+    n_pairs = len(_idealizations())
     if n_pairs < 15:
         bad.append(f"only {n_pairs} pairs")
     return not bad, "; ".join(bad) or f"{n_pairs} pairs: nu = node count, intervals = L(M/N)"
@@ -380,10 +387,9 @@ def criterion_08_closure_oracles() -> tuple[bool, str]:
         checked += 1
         plus = cl.seminormalization(rep.extension)
         tcl = cl.t_closure(rep.extension)
-        sub_nodes = [node for node in rep.nodes
-                     if lt.is_subintegral(lt.lower_extension(node))]
-        infra_nodes = [node for node in rep.nodes
-                       if lt.is_infra_integral(lt.lower_extension(node))]
+        lowers = [lt.lower_extension(node) for node in rep.nodes]
+        sub_nodes = [node for node, low in zip(rep.nodes, lowers) if lt.is_subintegral(low)]
+        infra_nodes = [node for node, low in zip(rep.nodes, lowers) if lt.is_infra_integral(low)]
         best_sub = max(sub_nodes, key=lambda s: s.order)
         best_infra = max(infra_nodes, key=lambda s: s.order)
         if plus.elements != best_sub.elements:
@@ -449,7 +455,7 @@ def criterion_12_property_suites() -> tuple[bool, str]:
             axioms += 1
     for extra in (rg.product([_named_rings()["Z/4"], _named_rings()["F3"]]).ring,
                   rg.quotient(_named_rings()["Z/12"], il.ideal_generated(_named_rings()["Z/12"], [4])).ring,
-                  md.idealize(md.module_from_ring(_named_rings()["Z/4"])).ring):
+                  md.idealize(md.module_from_ring(_named_rings()["Z/4"])).top):
         rg.check_ring_axioms(extra)
         axioms += 1
 
@@ -471,12 +477,12 @@ def criterion_12_property_suites() -> tuple[bool, str]:
             recompose += 1
 
     jh = 0
-    for label, mod in _idealization_pairs():
-        lat = md.submodules(mod)
+    for label, bij in _idealizations():
+        lat = bij.lattice
         jh += 1
         if not md.jordan_holder_check(lat):
             bad.append(f"{label}: unequal maximal chain lengths")
-        if lat.length != md.module_length(mod):
+        if lat.length != md.module_length(lat.module):
             bad.append(f"{label}: lattice length != composition length")
     return not bad, ("; ".join(bad) or
                      f"axioms on {axioms} rings; delta0 iff quadratic+delta on {delta_checked}; "
@@ -507,18 +513,16 @@ def _degree_multiset(rep: lt.LatticeReport) -> list[tuple[int, int]]:
 def check_crt_reduction_poset() -> tuple[bool, str]:
     bad = []
     done = 0
-    for label, crt in _random_families() + [
-        ("Z/12:(4)(3)(3)", cr.make_crt(_named_rings()["Z/12"], [[4], [3], [3]]))
+    z12 = cr.make_crt(_named_rings()["Z/12"], [[4], [3], [3]])
+    for label, crt, orig in _random_lattices() + [
+        ("Z/12:(4)(3)(3)", z12, lt.intermediate_algebras(z12.extension))
     ]:
-        if crt.extension.top.order > 256:
-            continue
         red = cr.reduce_to_zero_conductor(crt)
-        orig = lt.intermediate_algebras(crt.extension)
         if red.crt_isomorphism:
             if orig.count != 1:
                 bad.append(f"{label}: flagged isomorphism but {orig.count} nodes")
             continue
-        if red.crt.extension.top.order > 256:
+        if red.crt.extension.top.order > _LATTICE_CHECK_ORDER:
             continue
         done += 1
         new = lt.intermediate_algebras(red.crt.extension)
@@ -532,20 +536,17 @@ def check_crt_reduction_poset() -> tuple[bool, str]:
 
 @_check("s3", "crt_extensions_infra_integral")
 def check_crt_infra_integral() -> tuple[bool, str]:
-    bad = [label for label, crt in _random_families()
-           if crt.extension.top.order <= 256 and not lt.is_infra_integral(crt.extension)]
+    bad = [label for label, crt, _ in _random_lattices() if not lt.is_infra_integral(crt.extension)]
     return not bad, "; ".join(bad) or "all sampled families infra-integral"
 
 
 @_check("s3", "two_ideal_count_prediction")
 def check_crt2_count_prediction() -> tuple[bool, str]:
     bad = []
-    for label, crt in _random_families():
-        fam = crt.family
-        if fam.n != 2 or crt.extension.top.order > 256:
+    for label, crt, rep in _random_lattices():
+        if crt.family.n != 2:
             continue
         pred = cr.is_minimal_crt2(crt)
-        rep = lt.intermediate_algebras(crt.extension)
         if pred.predicted_count != rep.count:
             bad.append(f"{label}: predicted {pred.predicted_count}, lattice {rep.count}")
         if not lt.is_delta0(crt.extension):

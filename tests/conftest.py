@@ -173,7 +173,7 @@ def _over_f2(top):
 
 
 def _idealization(ring, summands):
-    return md.idealization_extension(md.module_from_cyclics(ring, summands))[0]
+    return md.idealize(md.module_from_cyclics(ring, summands))
 
 
 _EXTENSIONS = {

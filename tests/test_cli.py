@@ -302,3 +302,17 @@ def test_idealize_enumerates_the_submodule_lattice_once(capsys):
         code, doc = run_json(capsys, ["idealize", "Z/4", "--module", "(2) + ()"])
     assert (code, doc["nu"], doc["lattice_bijection"]) == (0, 8, True)
     assert submodules.call_count == 1
+
+
+def test_idealize_builds_the_idealization_once(capsys):
+    with mock.patch.object(md, "idealize", wraps=md.idealize) as idealize:
+        code, doc = run_json(capsys, ["idealize", "Z/4", "--module", "(2) + ()"])
+    assert (code, doc["idealization_order"], doc["extension_lattice_count"]) == (0, 32, 8)
+    assert idealize.call_count == 1
+
+
+def test_idealize_reports_the_submodule_bound_first(capsys):
+    # M = (Z/2)^10 has 1024 elements and Z/32 (+) M has 32768
+    code, _, err = run(capsys, ["idealize", "Z/32", "--module", " + ".join(["(2)"] * 10)])
+    assert code == 3
+    assert "submodule enumeration bound exceeded for order 1024" in err

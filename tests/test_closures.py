@@ -98,8 +98,8 @@ def test_diagonal_formulas_pass(z4):
     fac = lt.Extension(eps.to_quotient)
     rep = cl.verify_diagonal_formulas([fac, fac])
     assert rep.passed
-    assert rep.seminorm_ok and rep.tclosure_ok
     assert rep.seminorm_expected == rep.seminorm_actual
+    assert rep.tclosure_expected == rep.tclosure_actual
 
 
 def test_diagonal_formulas_need_local_base(f2):

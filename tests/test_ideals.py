@@ -1,4 +1,6 @@
+import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from ringlat import dsl
 from ringlat import ideals as il
 from ringlat import modules as md
 from ringlat import rings as rg
-from ringlat.errors import PreconditionError
+from ringlat.errors import InternalCheckError, PreconditionError
 
 
 def test_all_ideals_of_z12(z12):
@@ -49,7 +51,7 @@ def test_spectrum_of_z12(z12):
     assert sorted(sorted(p.elements) for p in spec.primes) == [
         [0, 2, 4, 6, 8, 10], [0, 3, 6, 9]]
     assert sorted(spec.nilradical.elements) == [0, 6]
-    assert spec.primes == spec.maximals
+    assert all(rg.is_field(rg.quotient(z12, p).ring) for p in spec.primes)
 
 
 def test_spectrum_of_field(f4):
@@ -88,9 +90,8 @@ def test_spectrum_matches_ideal_enumeration(text):
     ring = dsl.build_text(text).ring
     spec = il.spectrum(ring)
     primes, maximals, jacobson = _spectrum_by_enumeration(ring)
-    assert spec.primes == primes
-    assert spec.maximals == maximals
-    assert spec.jacobson == jacobson
+    assert spec.primes == primes == maximals
+    assert spec.nilradical == jacobson
     nil = np.logical_and.reduce([p.mask for p in primes])
     assert spec.nilradical == rg.Ideal(ring, rg.mask_elements(nil))
 
@@ -98,6 +99,7 @@ def test_spectrum_matches_ideal_enumeration(text):
 def test_ideal_validation(z12, z4):
     with pytest.raises(PreconditionError):
         rg.Ideal.from_indices(z12, [1])  # contains a unit but misses most of R
+    assert list(inspect.signature(rg.Ideal.from_indices).parameters) == ["ring", "indices"]
     crossed = il.principal_ideal(z4, 2)
     with pytest.raises(PreconditionError):
         il.ideal_sum(crossed, il.principal_ideal(z12, 2))
@@ -122,6 +124,18 @@ def test_conductor_of_diagonal(z4):
 
     ext = power_extension(z4, 2)
     assert il.conductor(ext).is_zero
+
+
+def test_conductor_refuses_an_image_that_is_not_an_ideal(f2):
+    from ringlat.lattice import power_extension
+
+    ext = power_extension(f2, 2)
+    # an image mask of all of F2^2 puts 1 in the conductor, and the diagonal
+    # {0, 1} of F2^2 is not an ideal
+    forged = SimpleNamespace(base=ext.base, top=ext.top, embed=ext.embed,
+                             image_mask=np.ones(ext.top.order, dtype=bool))
+    with pytest.raises(InternalCheckError, match="not an ideal"):
+        il.conductor(forged)
 
 
 def test_annihilator(z4):

@@ -5,7 +5,8 @@ package is read by some module of it.  One size bound: the only per-call
 bound parameter of the package is intermediate_algebras' max_order.  Every
 annotation of the package resolves to a name its module binds.  One handle
 per structure: no function takes a structure together with the context it
-already holds, and an extension is its embedding alone."""
+already holds, an extension is its embedding alone, and no function returns
+an extension in a tuple beside a piece of it."""
 
 import ast
 import importlib
@@ -218,18 +219,60 @@ def test_scan_finds_structures_split_in_two():
     ]
 
 
-def test_each_structure_is_passed_whole():
-    scanned, found = set(), {}
+def package_functions() -> dict:
+    """module.qualname -> function, for the functions and methods written in
+    the modules of the package; a dataclass's generated __init__ lists its
+    fields, not a call's arguments, and is left out."""
+    found = {}
     for name in sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"):
         module = importlib.import_module(f"ringlat.{name}")
         for fn in annotated_objects(module):
-            # a dataclass's generated __init__ lists its fields, not a call's arguments
             if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
-                scanned.add(f"{name}.{fn.__qualname__}")
-                if split_handles(fn):
-                    found[f"{name}.{fn.__qualname__}"] = split_handles(fn)
-    assert {"lattice.classify_minimal", "modules.idealize", "closures.diagonal_into_factors"} <= scanned
-    assert found == {}
+                found[f"{name}.{fn.__qualname__}"] = fn
+    return found
+
+
+def test_each_structure_is_passed_whole():
+    scanned = package_functions()
+    assert {"lattice.classify_minimal", "modules.idealize", "closures.diagonal_into_factors"} <= set(scanned)
+    assert {name: split_handles(fn) for name, fn in scanned.items() if split_handles(fn)} == {}
+
+
+def returns_extension_in_tuple(fn) -> bool:
+    """fn's resolved return type is a tuple holding an Extension, at any
+    depth of its type arguments."""
+    hint = typing.get_type_hints(fn).get("return")
+
+    def holds(h) -> bool:
+        return h is Extension or any(holds(a) for a in typing.get_args(h))
+
+    return typing.get_origin(hint) is tuple and holds(hint)
+
+
+def test_scan_finds_an_extension_returned_in_a_tuple():
+    def pair() -> tuple[Extension, FiniteRing]:
+        pass
+
+    def nested() -> "tuple[int, Optional[Extension]]":
+        pass
+
+    def alone() -> Extension:
+        pass
+
+    def listed() -> list[Extension]:
+        pass
+
+    def unannotated():
+        pass
+
+    assert [returns_extension_in_tuple(fn) for fn in (pair, nested, alone, listed, unannotated)] == [
+        True, True, False, False, False]
+
+
+def test_an_extension_is_returned_alone():
+    scanned = package_functions()
+    assert {"modules.idealize", "closures.diagonal_into_factors"} <= set(scanned)
+    assert sorted(name for name, fn in scanned.items() if returns_extension_in_tuple(fn)) == []
 
 
 def class_fields(source: str, cls: str) -> list[str]:

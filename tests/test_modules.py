@@ -120,8 +120,9 @@ def test_uniserial_means_every_two_submodules_compare(name):
 def test_idealization_lattice_has_the_submodule_chains(name):
     mod = _MODULES[name]()
     lat = md.submodules(mod)
-    rep = lt.intermediate_algebras(md.idealization_extension(mod)[0])
-    pairs = dict(md.idealization_lattice_bijection(lat).pairs)
+    bij = md.idealization_lattice_bijection(lat)
+    rep, pairs = bij.report, dict(bij.pairs)
+    assert rep.extension.top.order == mod.ring.order * mod.order
     assert {(pairs[a], pairs[b]) for a, b in lat.hasse_edges} == set(rep.hasse_edges)
     assert (lat.count, lat.chain_lengths) == (rep.count, rep.chain_lengths)
 
@@ -193,33 +194,37 @@ def test_quotient_module_matches_brute_force_cosets(build, seed, brute_force_cos
 
 
 def test_idealization_of_free_line(f2, f2_eps):
-    idl = md.idealize(md.module_from_ring(f2))
-    assert idl.ring.order == 4
-    assert rg.is_isomorphic(idl.ring, f2_eps) is not None
+    ext = md.idealize(md.module_from_ring(f2))
+    assert ext.top.order == 4
+    assert rg.is_isomorphic(ext.top, f2_eps) is not None
 
 
 def test_idealization_of_zero_module(z4):
-    idl = md.idealize(md.module_from_cyclics(z4, []))
-    assert rg.is_isomorphic(idl.ring, z4) is not None
+    ext = md.idealize(md.module_from_cyclics(z4, []))
+    assert rg.is_isomorphic(ext.top, z4) is not None
 
 
 def test_idealization_product_rule(z4):
     mod = md.module_from_ring(z4)
-    idl = md.idealize(mod)
+    ext = md.idealize(mod)
+
+    def pair(r, x):  # R(+)M is laid out as the product R x M
+        return int(rg.product_index((z4.order, mod.order), (r, x)))
+
     r1, m1 = 3, 2
     r2, m2 = 2, 1
-    lhs = idl.ring.mul[idl.pair_index(r1, m1), idl.pair_index(r2, m2)]
+    lhs = ext.top.mul[pair(r1, m1), pair(r2, m2)]
     rs = int(z4.mul[r1, r2])
     cross = int(mod.add[mod.action[r1, m2], mod.action[r2, m1]])
-    assert int(lhs) == idl.pair_index(rs, cross)
+    assert int(lhs) == pair(rs, cross)
+    assert ext.embed.map.tolist() == [pair(r, mod.zero) for r in range(z4.order)]
 
 
 def test_idealization_conductor_is_annihilator(z4):
     from ringlat.ideals import annihilator, conductor
 
     mod = md.module_from_cyclics(z4, [[2]])
-    ext, _ = md.idealization_extension(mod)
-    assert conductor(ext) == annihilator(mod)
+    assert conductor(md.idealize(mod)) == annihilator(mod)
 
 
 def test_lattice_bijection_node_for_node(f2):
@@ -234,10 +239,13 @@ def test_lattice_bijection_node_for_node(f2):
 def test_interval_matches_quotient(z8):
     mod = md.module_from_ring(z8)
     sub = md.submodule_closure(mod, [4])
-    iv = md.interval_length(mod, sub)
+    bij = md.idealization_lattice_bijection(md.submodules(mod))
+    iv = md.interval_length(bij, bij.lattice.nodes.index(sub))
     assert iv.ok
     assert iv.interval_length == iv.quotient_length == 2
     assert iv.interval_count == iv.quotient_count
+    with pytest.raises(PreconditionError, match="submodule 4"):
+        md.interval_length(bij, bij.nu)
 
 
 def test_uniserial_structure_chain(z4):
@@ -261,7 +269,9 @@ def test_componentwise_census(f3):
     res = md.componentwise_census(f3, 2)
     assert res.ok
     assert res.nu == 4
-    assert res.lattice_checked
+    assert res.lattice_count == 4
+    big = md.componentwise_census(f3, 3)  # F3^3 (+) F3^3 has order 729
+    assert big.ok and big.nu == 8 and big.lattice_count is None
 
 
 def test_submodule_lattice_serialization(z4):

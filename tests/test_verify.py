@@ -1,12 +1,16 @@
 """The verify runner: each check is declared once by @_check(suite, name),
 which registers it in SUITES and turns a RinglatError into a failed
-CheckResult; every check of the module is registered exactly once."""
+CheckResult; every check of the module is registered exactly once.  The
+cached corpora build each structure once."""
 
 import inspect
+import sys
 
 import pytest
 
 import test_acceptance
+from ringlat import lattice as lt
+from ringlat import modules as md
 from ringlat import verify as vf
 from ringlat.errors import PreconditionError, SizeLimitError
 
@@ -93,3 +97,51 @@ def test_unknown_suite_message():
     with pytest.raises(PreconditionError) as info:
         vf.run_suite("nope")
     assert str(info.value) == "unknown suite 'nope'; pick all, s2, s3, s4, s5 or s6"
+
+
+def fresh_corpora():
+    """Empty every lru_cache of verify, so the next check builds its corpus."""
+    for fn in vars(vf).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def count_calls(monkeypatch, module, name) -> list[tuple]:
+    """The positional arguments of each call to module.name, through every
+    binding of that function in the package."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if (key == "ringlat" or key.startswith("ringlat.")) and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_s5_builds_each_idealization_once(monkeypatch):
+    fresh_corpora()
+    calls = count_calls(monkeypatch, md, "idealize")
+    assert all(r.passed for r in vf.run_suite("s5"))
+    # 17 corpus modules and 3 census modules small enough for the lattice check
+    assert len(calls) <= 20
+
+
+def test_s3_enumerates_each_extension_once(monkeypatch):
+    fresh_corpora()
+    calls = count_calls(monkeypatch, lt, "intermediate_algebras")
+    assert all(r.passed for r in vf.run_suite("s3"))
+    # the recorded arguments keep each extension alive, so no id is reused
+    assert len({id(args[0]) for args in calls}) == len(calls)
+
+
+def test_closure_oracles_realize_each_node_once(monkeypatch):
+    fresh_corpora()
+    calls = count_calls(monkeypatch, lt, "realize")
+    assert vf.criterion_08_closure_oracles().passed
+    nodes = sum(rep.count for _, rep in vf._trichotomy_corpus())
+    # one realization per corpus node, and one in each of 3 crt seminormalizations
+    assert len(calls) <= nodes + 3

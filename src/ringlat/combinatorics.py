@@ -13,8 +13,8 @@ import numpy as np
 from .config import arith_limit
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
-from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product,
-                    product_components, product_index)
+from .rings import (FiniteRing, RingHom, distinct, idempotents, local_decomposition, mask_elements,
+                    product, product_components, product_index)
 
 PARTITION_BOUND = 12
 MATRIX_BOUND = 2_000_000
@@ -249,7 +249,7 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
         if not hom.is_injective:
             continue
         injective += 1
-        key = tuple(int(v) for v in np.unique(hom.map))
+        key = tuple(int(v) for v in distinct(hom.map, target.order))
         by_image.setdefault(key, []).append(mat)
     classes = tuple(
         ExalClass(members[0], image, len(members))

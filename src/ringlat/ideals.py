@@ -13,6 +13,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     closure_mask,
+    distinct,
     enumerate_submodules,
     mask_elements,
     primitive_idempotents,
@@ -33,7 +34,7 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
     # Rx is already closed under addition: r1 x + r2 x = (r1 + r2) x
-    return Ideal(ring, tuple(int(i) for i in np.unique(ring.mul[:, x])))
+    return Ideal(ring, tuple(int(i) for i in distinct(ring.mul[:, x], ring.order)))
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:

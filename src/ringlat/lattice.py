@@ -15,9 +15,10 @@ from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spect
 from .rings import (
     FiniteRing,
     RingHom,
-    _close_rows,
     _is_prime,
+    adjoin,
     cosets,
+    distinct,
     enumerate_closed_subsets,
     enumerate_submodules,
     extend_closure_mask,
@@ -227,14 +228,14 @@ class LatticeReport(Poset):
 def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> LatticeReport:
     """All subalgebras between the image of the base and the top ring.
 
-    Computed as the join closure of the atoms, the subalgebras generated by
-    the image and one more element (see enumerate_closed_subsets).  The nodes
+    Computed as the join closure of the atoms, the adjunctions R[s] of one
+    more element to the image (see enumerate_closed_subsets).  The nodes
     are sorted by size, then elements, so the image is node 0 and the top is
     the last node.  max_order replaces the lattice bound for this call only."""
     top = ext.top
     if top.order > (lattice_limit() if max_order is None else max_order):
         raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
-    masks = enumerate_closed_subsets(top.order, list(ext.image), internal=(top.add, top.mul))
+    masks = enumerate_closed_subsets(top, ext.image)
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
     return LatticeReport(nodes, *poset_structure(masks), ext)
 
@@ -341,7 +342,8 @@ def is_tclosed(ext: Extension) -> bool:
 def _span(top: FiniteRing, img: np.ndarray, coeffs: np.ndarray, t: int) -> np.ndarray:
     """The elements of R + Jt, for R and J given by their top indices img and
     coeffs."""
-    return np.unique(top.add[np.ix_(img, np.unique(top.mul[coeffs, t]))])
+    n = top.order
+    return distinct(top.add[np.ix_(img, distinct(top.mul[coeffs, t], n))], n)
 
 
 def is_quadratic(ext: Extension) -> bool:
@@ -597,14 +599,9 @@ def is_pointwise_minimal(report: LatticeReport) -> bool:
     top = report.extension.top
     base_mask = report.nodes[0].mask
     covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers[0]}
-    # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batch
+    # R[t + r] = R[t] for r in R, so one t per coset of R
     _, reps = cosets(top.add, np.flatnonzero(base_mask))
-    reps = reps[~base_mask[reps]]
-    adjoined = np.repeat(base_mask[None], len(reps), axis=0)
-    hit = np.zeros_like(adjoined)
-    hit[np.arange(len(reps)), reps] = True
-    _close_rows(adjoined, hit, (top.add, top.mul), ())
-    return all(row.tobytes() in covers for row in adjoined)
+    return all(adjoin(top, base_mask, t).tobytes() in covers for t in reps if not base_mask[t])
 
 
 def predicate_battery(report: LatticeReport) -> dict:

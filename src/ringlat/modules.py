@@ -25,6 +25,7 @@ from .rings import (
     RingHom,
     closure_mask,
     cosets,
+    distinct,
     enumerate_submodules,
     is_local,
     mask_elements,
@@ -164,7 +165,8 @@ def module_length(m: FiniteModule) -> int:
     length = 0
     while cur.order > 1:
         # the cyclic submodules are the orbits Rx; the first smallest nonzero one
-        best = min((np.unique(cur.action[:, x]) for x in range(cur.order) if x != cur.zero), key=len)
+        best = min((distinct(cur.action[:, x], cur.order) for x in range(cur.order) if x != cur.zero),
+                   key=len)
         cur = quotient_module(cur, best).module
         length += 1
     return length
@@ -174,7 +176,7 @@ def is_cyclic(m: FiniteModule) -> Optional[int]:
     """A generator index, if M = Rx for some x.  The orbit Rx is already a
     submodule, so no closure pass is needed."""
     for x in range(m.order):
-        if len(np.unique(m.action[:, x])) == m.order:
+        if len(distinct(m.action[:, x], m.order)) == m.order:
             return x
     return None
 

@@ -135,7 +135,7 @@ class RingHom:
 
     @cached_property
     def is_injective(self) -> bool:
-        return len(np.unique(self.map)) == self.source.order
+        return len(distinct(self.map, self.target.order)) == self.source.order
 
     def apply(self, index: int) -> int:
         return int(self.map[index])
@@ -309,7 +309,7 @@ def closure_mask(
 
 
 def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.ndarray]],
-                  join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+                  join: Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]) -> list[np.ndarray]:
     """The join closure over first of the distinct atoms, each given with an
     element s that generates it over first; sorted by (size, elements).
 
@@ -317,17 +317,15 @@ def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.n
     first, so its join with the atom of s is the closed set generated by the
     node and s, which depends only on the coset of s.  A FIFO worklist joins
     each node at once with one atom per coset among the atoms not inside it:
-    join(node, extra) gets a B x order array whose rows are those atoms'
-    elements outside the node, and returns the B joins as rows.
+    join(node, gens) gets those atoms' generators and returns the joins.
     """
-    gens, distinct = [], {}
+    gens, seen = [], set()
     for s, atom in atoms:
         key = atom.tobytes()
-        if key not in distinct:
-            distinct[key] = atom
+        if key not in seen:
+            seen.add(key)
             gens.append(s)
     gens = np.array(gens, dtype=np.intp)
-    stacked = np.array(list(distinct.values()), dtype=bool).reshape(-1, len(first))
     nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
     queue = deque([first])
     while queue:
@@ -338,7 +336,7 @@ def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.n
         # the least element of each generator's coset of cur
         least = add[gens[outside, None], np.flatnonzero(cur)].min(axis=1)
         _, pick = np.unique(least, return_index=True)
-        for new in join(cur, stacked[outside[pick]] & ~cur):
+        for new in join(cur, gens[outside[pick]]):
             key = new.tobytes()
             if key not in nodes:
                 nodes[key] = new
@@ -346,34 +344,46 @@ def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.n
     return sorted(nodes.values(), key=lambda m: (int(m.sum()), mask_elements(m)))
 
 
-def enumerate_closed_subsets(
-    order: int,
-    seed: Iterable[int],
-    internal: Sequence[Table] = (),
-    absorbing: Sequence[Table] = (),
-) -> list[np.ndarray]:
-    """All closed subsets that contain seed, sorted by (size, elements).
+def adjoin(ring: FiniteRing, base_mask: np.ndarray, s: int) -> np.ndarray:
+    """The mask of B[s], the least subring containing the subring B (given
+    by its mask) and the element s.
 
-    Contract: seed is not empty and internal[0] is the additive group law,
-    so every closed subset is an additive subgroup.  Every such subset is
-    the join of the atoms closure(seed + {s}) of its elements, so the subsets
-    are the join closure (_join_closure) of the atoms over first =
-    closure(seed), and each node's joins are one _close_rows call on copies
-    of the node.  As first is a subgroup, closure(first + {s}) =
-    closure(first + {s + r}) for r in first, so one atom is computed per
-    coset of first, at its least element.
+    B[s] = B + Bs + Bs^2 + ..., and each Bs^i, the image of B under
+    x -> x s^i, is an additive subgroup.  So a = B grows by one sumset
+    a + Bp per power p = s^i, until the first power already in a.  Then a
+    is a B-module that holds s^(i+1) and every lower power, so it is closed
+    under multiplication by s: it is B[s].  a grows strictly at each step,
+    as it gains p, so the loop ends.  When s is in B, B[s] is base_mask
+    itself."""
+    b_idx = base_mask.nonzero()[0]
+    a = base_mask
+    p = int(s)
+    while not a[p]:
+        a = _add_cosets(ring.add, a, ring.mul[b_idx, p])
+        p = int(ring.mul[p, s])
+    return a
+
+
+def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.ndarray]:
+    """All subrings of ring that contain seed, sorted by (size, elements).
+
+    The least one, first, is the prime subring (the multiples of one) with
+    the elements of seed adjoined one at a time.  Every subring above first
+    is the join of the atoms first[s] of its elements, so the subrings are
+    the join closure (_join_closure) of the atoms, and the join of a node
+    with the atom of s is node[s] (adjoin).  As first[s] = first[s + r] for
+    r in first, one atom is computed per coset of first, at its least
+    element.
     """
-    first = closure_mask(order, seed, internal, absorbing)
-    _, reps = cosets(internal[0], np.flatnonzero(first))
-    atoms = ((s, extend_closure_mask(order, first, [s], internal, absorbing))
-             for s in reps if not first[s])
-
-    def join(cur: np.ndarray, extra: np.ndarray) -> np.ndarray:
-        out = np.repeat(cur[None], len(extra), axis=0)
-        _close_rows(out, extra, internal, absorbing)
-        return out
-
-    return _join_closure(first, internal[0], atoms, join)
+    first = np.zeros(ring.order, dtype=bool)
+    first[ring.multiples_of_one] = True
+    for x in seed:
+        if not first[x]:
+            first = adjoin(ring, first, x)
+    _, reps = cosets(ring.add, np.flatnonzero(first))
+    atoms = ((s, adjoin(ring, first, s)) for s in reps if not first[s])
+    return _join_closure(first, ring.add, atoms,
+                         lambda cur, gens: [adjoin(ring, cur, s) for s in gens])
 
 
 def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarray]:
@@ -385,10 +395,10 @@ def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarra
     orbits[np.arange(order)[:, None], action.T] = True
     step = max(1, _GATHER_ENTRIES // order)
 
-    def join(cur: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    def join(cur: np.ndarray, gens: np.ndarray) -> np.ndarray:
         # cur is a subgroup, so cur + Rx is cur and its sums with Rx outside cur
-        out = np.repeat(cur[None], len(extra), axis=0)
-        rows, cols = np.nonzero(extra)
+        out = np.repeat(cur[None], len(gens), axis=0)
+        rows, cols = np.nonzero(orbits[gens] & ~cur)
         cur_idx = np.flatnonzero(cur)
         for i in range(0, cols.size, step):
             block = slice(i, i + step)
@@ -399,21 +409,43 @@ def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarra
     return _join_closure(orbits[zero], add, enumerate(orbits), join)
 
 
+def _add_cosets(add: Table, a_mask: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The union of the additive subgroup A (its mask) and its cosets x + A
+    for the elements x of xs (group law add), as a new mask.  One coset is
+    one gathered row; the rows are taken in blocks, so that every gather
+    stays within _GATHER_ENTRIES entries, and each block skips the x that
+    earlier blocks already covered."""
+    a_idx = a_mask.nonzero()[0]
+    out = a_mask.copy()
+    step = max(1, _GATHER_ENTRIES // len(a_idx))
+    xs = xs[~out[xs]]
+    while xs.size:
+        out[add[xs[:step, None], a_idx]] = True
+        xs = xs[step:]
+        xs = xs[~out[xs]]
+    return out
+
+
 def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
     """Elementwise sumset of two additive subgroups (already a subgroup)."""
-    ai = np.flatnonzero(a_mask)
-    bi = np.flatnonzero(b_mask)
-    out = np.zeros(ring.order, dtype=bool)
-    out[np.unique(ring.add[np.ix_(ai, bi)])] = True
-    return out
+    return _add_cosets(ring.add, a_mask, np.flatnonzero(b_mask))
 
 
 def span_of_products(add: Table, mul: Table, zero: int, a, b) -> np.ndarray:
     """Mask of the additive subgroup (group law add) generated by the products
     mul[x, y], x in a, y in b; mul is a ring's multiplication or a module's
     action (ring x module)."""
-    prods = np.unique(mul[np.ix_(a, b)])
+    prods = mul[np.ix_(a, b)].ravel()
     return closure_mask(len(add), np.append(prods, zero), internal=(add,))
+
+
+def distinct(values, size: int) -> np.ndarray:
+    """The distinct entries of the index array values, each below size, in
+    increasing order.  A mask, not np.unique, whose first plain call imports
+    numpy.ma (about 14 ms) into every CLI process."""
+    mask = np.zeros(size, dtype=bool)
+    mask[values] = True
+    return np.flatnonzero(mask)
 
 
 def mask_elements(mask: np.ndarray) -> tuple[int, ...]:
@@ -621,7 +653,7 @@ def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
     group with table add: the coset number of every element, and the least
     element of each coset in increasing order."""
     least = add[:, sub].min(axis=1)
-    reps = np.unique(least)
+    reps = distinct(least, len(add))
     return np.searchsorted(reps, least).astype(np.int32), reps
 
 
@@ -902,7 +934,7 @@ def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
         raise InternalCheckError("primitive idempotents do not sum to one")
     factors = []
     for e in atoms:
-        fring, lookup = subset_ring(ring, np.unique(ring.mul[e]), e, f"{ring.label}.e{e}")
+        fring, lookup = subset_ring(ring, distinct(ring.mul[e], ring.order), e, f"{ring.label}.e{e}")
         factors.append((fring, RingHom(ring, fring, lookup[ring.mul[e]])))
     prod = product([f for f, _ in factors])
     iso = pair_homs(ring, prod, [proj.map for _, proj in factors])

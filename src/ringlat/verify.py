@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable
 
+import numpy as np
+
 from . import closures as cl
 from . import combinatorics as cb
 from . import crt as cr
@@ -27,6 +29,8 @@ from .errors import PreconditionError, RinglatError
 SEED = 96321
 # the largest top whose intermediate lattice a random family is checked against
 _LATTICE_CHECK_ORDER = 256
+# the largest top whose lattice is certified against the pair-closure kernel
+_CERTIFICATE_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -573,6 +577,45 @@ def check_canonical_chain() -> tuple[bool, str]:
         cl.canonical_decomposition(rep.extension)  # raises if any chain invariant fails
         count += 1
     return True, f"chain invariants hold on {count} extensions"
+
+
+def lattice_certificate(rep: lt.LatticeReport) -> str:
+    """Why the nodes of rep are not exactly the subalgebras of its extension,
+    or "" when they are.
+
+    Each node must contain the image and be closed under + and x on all
+    pairs; the closure of the image, and the closure of each node with one
+    more element, must be nodes.  Every subalgebra is the closure of the
+    image with its elements added one at a time, so it is then a node.  The
+    closures come from extend_closure_mask, the pair-closure kernel, not from
+    the adjunctions that enumerate the lattice."""
+    ext = rep.extension
+    top = ext.top
+    ops = (top.add, top.mul)
+    keys = {node.mask.tobytes() for node in rep.nodes}
+    if rg.closure_mask(top.order, ext.image, ops).tobytes() not in keys:
+        return "the closure of the image is not a node"
+    for i, node in enumerate(rep.nodes):
+        idx = np.flatnonzero(node.mask)
+        if not (node.mask[ext.embed.map].all() and node.mask[top.add[np.ix_(idx, idx)]].all()
+                and node.mask[top.mul[np.ix_(idx, idx)]].all()):
+            return f"node {i} is not a subalgebra over the image"
+        for s in np.flatnonzero(~node.mask):
+            if rg.extend_closure_mask(top.order, node.mask, [s], ops).tobytes() not in keys:
+                return f"node {i} with element {s} closes to no node"
+    return ""
+
+
+@_check("s2", "lattice_nodes_are_the_subalgebras")
+def check_lattice_certificate() -> tuple[bool, str]:
+    bad = []
+    count = 0
+    for label, rep in _trichotomy_corpus():
+        if rep.extension.top.order <= _CERTIFICATE_ORDER:
+            count += 1
+            if why := lattice_certificate(rep):
+                bad.append(f"{label}: {why}")
+    return not bad, "; ".join(bad) or f"nodes = subalgebras on {count} lattices"
 
 
 @_check("s3", "single_generator_ideal_correspondence")

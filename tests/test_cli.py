@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -316,3 +320,22 @@ def test_idealize_reports_the_submodule_bound_first(capsys):
     code, _, err = run(capsys, ["idealize", "Z/32", "--module", " + ".join(["(2)"] * 10)])
     assert code == 3
     assert "submodule enumeration bound exceeded for order 1024" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "Z/2", "Z/2 x Z/2 x Z/2"],
+    ["classify", "Z/2", "GF(2^2)"],
+    ["closures", "Z/4", "Z/4 x Z/4"],
+    ["crt", "Z/12", "--ideals", "(4);(3)"],
+    ["idealize", "Z/4", "--module", "(2)"],
+    ["count", "exal", "Z/4", "2", "3"],
+], ids=lambda argv: argv[0])
+def test_query_leaves_numpy_ma_unimported(argv):
+    # a plain np.unique imports numpy.ma on its first call, about 14 ms of a process
+    code = ("import contextlib, io, sys\nfrom ringlat import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.split() == ["0", "False"], out.stderr

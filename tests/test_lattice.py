@@ -315,11 +315,12 @@ def test_subalgebra_navigation(f2_cube):
 
 def _delta0_by_enumeration(ext):
     """Reference: every base-submodule of the top containing the image is a
-    ring, with the submodules enumerated directly in the top."""
+    ring, with the base-submodules enumerated directly in the top."""
     top = ext.top
-    subs = rg.enumerate_closed_subsets(
-        top.order, list(ext.image), internal=(top.add,), absorbing=(top.mul[ext.embed.map],))
+    subs = rg.enumerate_submodules(top.add, top.mul[ext.embed.map], top.zero)
     for sm in subs:
+        if not sm[ext.embed.map].all():
+            continue
         idx = np.flatnonzero(sm)
         if not sm[top.mul[np.ix_(idx, idx)]].all():
             return False
@@ -370,6 +371,39 @@ def test_one_atom_per_coset_of_the_bottom(extension_zoo, name):
 
     _, reps = rg.cosets(top.add, np.flatnonzero(first))
     assert atoms(reps) == atoms(range(top.order))
+
+
+# (base, top) pairs on which the adjunction kernel is checked node by node
+_ADJOIN_CASES = [
+    ("Z/2", "Z/2 x Z/2 x Z/2 x Z/2"), ("Z/2", "GF(2^4)"), ("Z/2", "Z/2[t]/(t^4)"),
+    ("Z/4", "Z/4[t]/(t^2)"), ("Z/9", "Z/9[t]/(t^2)"), ("Z/4", "idealize(Z/4, (2) + (2))"),
+    ("Z/4", "Z/4 x Z/2[t]/(t^2)"),
+]
+
+
+@pytest.mark.parametrize("base, top", _ADJOIN_CASES)
+def test_adjoin_matches_the_pair_closure(base, top):
+    from ringlat.cli import resolve_extension
+
+    ext = resolve_extension(base, top, None)
+    ring = ext.top
+    for node in lt.intermediate_algebras(ext).nodes:
+        for s in np.flatnonzero(~node.mask):
+            want = rg.extend_closure_mask(ring.order, node.mask, [s], (ring.add, ring.mul))
+            assert rg.mask_elements(rg.adjoin(ring, node.mask, s)) == rg.mask_elements(want)
+
+
+@pytest.mark.parametrize("base, top", _ADJOIN_CASES)
+def test_lattice_is_invariant_under_relabeling(base, top):
+    from ringlat.cli import resolve_extension
+
+    ext = resolve_extension(base, top, None)
+    perm = np.random.default_rng(ext.top.order).permutation(ext.top.order)
+    rep, moved = lt.intermediate_algebras(ext), lt.intermediate_algebras(_relabel(ext, perm))
+    to_new = [moved.node_index(sorted(perm[list(n.elements)])) for n in rep.nodes]
+    assert sorted(to_new) == list(range(moved.count))
+    assert moved.chain_lengths == rep.chain_lengths
+    assert sorted((to_new[a], to_new[b]) for a, b in rep.hasse_edges) == sorted(moved.hasse_edges)
 
 
 @pytest.mark.parametrize("name", _ZOO)

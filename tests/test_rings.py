@@ -341,24 +341,41 @@ def _ideals_of(ring):
     return md.module_from_ring(ring)
 
 
+_SUBALGEBRA_RINGS = [
+    lambda: rg.product([rg.make_gf(2)] * 3).ring,  # Z/2 in (Z/2)^3
+    lambda: rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring,
+    lambda: rg.make_zmod(9),
+]
+_SUBALGEBRA_IDS = ["Z2-in-Z2^3", "Z2[t]/(t^3)", "Z9"]
+
 _CLOSURE_SYSTEMS = pytest.mark.parametrize("system", [
-    lambda: _subalgebra_system(rg.product([rg.make_gf(2)] * 3).ring),  # Z/2 in (Z/2)^3
-    lambda: _subalgebra_system(rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring),
-    lambda: _subalgebra_system(rg.make_zmod(9)),
+    *(lambda make=make: _subalgebra_system(make()) for make in _SUBALGEBRA_RINGS),
     lambda: _subgroup_system(rg.product([rg.make_zmod(3)] * 2).ring),
     lambda: _subgroup_system(rg.make_zmod(8)),
     lambda: _submodule_system(_z4_plus_z2()),
     lambda: _submodule_system(_dual_numbers_plus_residue_field()),
     lambda: _submodule_system(_ideals_of(rg.product([rg.make_gf(2)] * 3).ring)),
-], ids=["Z2-in-Z2^3", "Z2[t]/(t^3)", "Z9", "add-Z3^2", "add-Z8", "Z4+Z2-module",
-        "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3"])
+], ids=[*_SUBALGEBRA_IDS, "add-Z3^2", "add-Z8", "Z4+Z2-module", "Z2[t]/(t^2)+Z2-module",
+        "ideals-Z2^3"])
 
 
 @_CLOSURE_SYSTEMS
 def test_closed_subset_enumeration_matches_brute_force(system):
     order, seed, internal, absorbing = system()
-    got = rg.enumerate_closed_subsets(order, seed, internal=internal, absorbing=absorbing)
+    # every closed subset is its own closure, so the closures of seed plus
+    # each subset of the elements are all of them
+    closures = {rg.mask_elements(rg.closure_mask(
+        order, [*seed, *(x for x in range(order) if bits >> x & 1)], internal, absorbing))
+        for bits in range(1 << order)}
     want = _brute_force_closed_subsets(order, seed, internal, absorbing)
+    assert sorted(closures, key=lambda e: (len(e), e)) == [rg.mask_elements(m) for m in want]
+
+
+@pytest.mark.parametrize("make", _SUBALGEBRA_RINGS, ids=_SUBALGEBRA_IDS)
+def test_subring_enumeration_matches_brute_force(make):
+    ring = make()
+    got = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
+    want = _brute_force_closed_subsets(*_subalgebra_system(ring))
     assert [rg.mask_elements(m) for m in got] == [rg.mask_elements(m) for m in want]
 
 
@@ -384,12 +401,16 @@ def test_close_rows_closes_each_row_as_if_alone(system):
 
 
 @pytest.mark.parametrize("module", [
+    # the additive subgroups of Z/3 x Z/3 and of Z/8, as modules over Z/3 and Z/8
+    lambda: md.module_from_cyclics(rg.make_zmod(3), [[0], [0]]),
+    lambda: _ideals_of(rg.make_zmod(8)),
     _z4_plus_z2,
     _dual_numbers_plus_residue_field,
     lambda: _ideals_of(rg.product([rg.make_gf(2)] * 3).ring),
     lambda: _ideals_of(rg.make_zmod(12)),
     lambda: _ideals_of(rg.poly_quotient(rg.make_zmod(4), [0, 0, 1], var="u").ring),
-], ids=["Z4+Z2-module", "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3", "ideals-Z12", "ideals-Z4[u]/(u^2)"])
+], ids=["add-Z3^2", "add-Z8", "Z4+Z2-module", "Z2[t]/(t^2)+Z2-module", "ideals-Z2^3", "ideals-Z12",
+        "ideals-Z4[u]/(u^2)"])
 def test_submodule_enumeration_matches_brute_force(module):
     m = module()
     got = rg.enumerate_submodules(m.add, m.action, m.zero)

@@ -3,6 +3,7 @@ which registers it in SUITES and turns a RinglatError into a failed
 CheckResult; every check of the module is registered exactly once.  The
 cached corpora build each structure once."""
 
+import dataclasses
 import inspect
 import sys
 
@@ -11,13 +12,14 @@ import pytest
 import test_acceptance
 from ringlat import lattice as lt
 from ringlat import modules as md
+from ringlat import rings as rg
 from ringlat import verify as vf
 from ringlat.errors import PreconditionError, SizeLimitError
 
 SUITE_ORDER = {
     "s2": ["criterion_01_bell_counts", "criterion_04_trichotomy", "criterion_08_closure_oracles",
            "criterion_09_special_ramified", "check_product_length_additivity",
-           "check_partition_bijection", "check_canonical_chain"],
+           "check_partition_bijection", "check_canonical_chain", "check_lattice_certificate"],
     "s3": ["criterion_02_spir_counts", "criterion_05_conductor_formula",
            "criterion_06_crt_minimality", "check_crt_reduction_poset", "check_crt_infra_integral",
            "check_crt2_count_prediction", "check_gilbert_correspondence"],
@@ -43,7 +45,7 @@ def test_suites_keep_their_checks_in_order():
 def test_every_check_is_in_exactly_one_suite():
     registered = [fn for fns in vf.SUITES.values() for fn in fns]
     checks = module_checks()
-    assert len(checks) == 20
+    assert len(checks) == 21
     assert sorted(fn.__name__ for fn in registered) == sorted(checks)
     for fn in registered:
         assert checks[fn.__name__] is fn
@@ -145,3 +147,19 @@ def test_closure_oracles_realize_each_node_once(monkeypatch):
     nodes = sum(rep.count for _, rep in vf._trichotomy_corpus())
     # one realization per corpus node, and one in each of 3 crt seminormalizations
     assert len(calls) <= nodes + 3
+
+
+def test_lattice_certificate_rejects_a_missing_or_foreign_node():
+    rep = lt.intermediate_algebras(lt.power_extension(rg.make_gf(2), 3))
+    assert vf.lattice_certificate(rep) == ""
+    without = [rep.nodes[:i] + rep.nodes[i + 1:] for i in range(rep.count)]
+    assert vf.lattice_certificate(dataclasses.replace(rep, nodes=without[0])) \
+        == "the closure of the image is not a node"
+    for nodes in without[1:]:
+        assert "closes to no node" in vf.lattice_certificate(dataclasses.replace(rep, nodes=nodes))
+    # the image with one more element is not closed under +
+    ext = rep.extension
+    extra = next(x for x in range(ext.top.order) if x not in ext.image)
+    foreign = lt.Subalgebra(ext, tuple(sorted((*ext.image, extra))))
+    assert vf.lattice_certificate(dataclasses.replace(rep, nodes=rep.nodes + (foreign,))) \
+        == f"node {rep.count} is not a subalgebra over the image"

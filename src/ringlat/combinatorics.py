@@ -13,11 +13,13 @@ import numpy as np
 from .config import arith_limit
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
-from .rings import (FiniteRing, RingHom, distinct, idempotents, local_decomposition, mask_elements,
-                    product, product_components, product_index)
+from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product,
+                    product_components, product_index)
 
 PARTITION_BOUND = 12
 MATRIX_BOUND = 2_000_000
+# entries of one block of exal maps, the budget of RingHom validation
+EXAL_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,9 @@ def _orthogonal_rows(ring: FiniteRing, p: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def enumerate_homal(ring: FiniteRing, p: int, n: int) -> list[LambdaMatrix]:
-    """All algebra morphisms R^p -> R^n, as their lambda-matrices.  The three
-    row conditions are independent across rows, so matrices are cartesian
-    products of row choices."""
+def _homal_rows(ring: FiniteRing, p: int, n: int) -> list[tuple[int, ...]]:
+    """The lambda-rows of R^p -> R, after the size checks of an n-row
+    enumeration."""
     # bound p and n before the rows are enumerated, p deep, and before forming the powers
     k, limit = max(p, n), arith_limit()
     if k > limit.bit_length() or ring.order ** k > limit:
@@ -176,7 +177,23 @@ def enumerate_homal(ring: FiniteRing, p: int, n: int) -> list[LambdaMatrix]:
     rows = _orthogonal_rows(ring, p)
     if len(rows) ** n > MATRIX_BOUND:
         raise SizeLimitError(f"{len(rows)}^{n} matrices exceed the enumeration bound")
-    return [LambdaMatrix(ring, combo) for combo in iproduct(rows, repeat=n)]
+    return rows
+
+
+def enumerate_homal(ring: FiniteRing, p: int, n: int) -> list[LambdaMatrix]:
+    """All algebra morphisms R^p -> R^n, as their lambda-matrices.  The three
+    row conditions are independent across rows, so matrices are cartesian
+    products of row choices."""
+    return [LambdaMatrix(ring, combo) for combo in iproduct(_homal_rows(ring, p, n), repeat=n)]
+
+
+def _row_map(ring: FiniteRing, row: Sequence[int], digits: Sequence[np.ndarray]) -> np.ndarray:
+    """The map R^p -> R, x -> sum_j row[j] x_j, on the elements of R^p with
+    the given components."""
+    acc = np.full(len(digits[0]), ring.zero, dtype=np.intp)
+    for a, d in zip(row, digits):
+        acc = ring.add[acc, ring.mul[a, d]]
+    return acc
 
 
 def homal_to_hom(mat: LambdaMatrix, source: FiniteRing, target: FiniteRing) -> RingHom:
@@ -187,13 +204,7 @@ def homal_to_hom(mat: LambdaMatrix, source: FiniteRing, target: FiniteRing) -> R
     if source.order != r.order ** p or target.order != r.order ** n:
         raise PreconditionError("product rings do not match the matrix shape")
     digits = product_components([r.order] * p, np.arange(source.order))
-    comp = []
-    for i in range(n):
-        acc = np.full(source.order, r.zero, dtype=np.intp)
-        for j in range(p):
-            term = r.mul[mat.entries[i][j], digits[j]]
-            acc = r.add[acc, term]
-        comp.append(acc)
+    comp = [_row_map(r, row, digits) for row in mat.entries]
     return RingHom(source, target, product_index([r.order] * n, comp))
 
 
@@ -233,29 +244,52 @@ class ExalReport:
         return len(self.classes)
 
 
+def _group_images(images: np.ndarray, firsts: np.ndarray, sizes: np.ndarray):
+    """The distinct rows of images in sorted order, with the least first and
+    the total size of each; firsts must be increasing."""
+    uniq, pick, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
+    total = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(total, inverse.reshape(-1), sizes)
+    return uniq, firsts[pick], total
+
+
 def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
     """Injective morphisms R^p -> R^n, grouped by image.
 
     Two injective morphisms have the same image exactly when they differ by
     an algebra automorphism of the source, so the class count is the count
-    of embedded copies of R^p."""
-    mats = enumerate_homal(ring, p, n)
+    of embedded copies of R^p.
+
+    A map into R^n is a morphism exactly when each of its n components is,
+    so each lambda-row's map R^p -> R is validated once as a RingHom, and
+    the maps of all matrices, in enumeration order, are laid out from them
+    as rows of one array, EXAL_CHUNK entries at a time.  A map is injective
+    when its sorted row has no repeat, and that sorted row is its image."""
+    rows = _homal_rows(ring, p, n)
     source = product([ring] * p).ring
-    target = product([ring] * n).ring
-    by_image: dict[tuple[int, ...], list[LambdaMatrix]] = {}
+    digits = product_components([ring.order] * p, np.arange(source.order))
+    comps = np.stack([RingHom(source, ring, _row_map(ring, row, digits)).map for row in rows])
+    radix = [len(rows)] * n  # matrix k has rows product_components(radix, k)
+    total = len(rows) ** n
+    per = max(1, EXAL_CHUNK // source.order)
+    images = np.zeros((0, source.order), dtype=np.int64)
+    firsts = sizes = np.zeros(0, dtype=np.int64)
     injective = 0
-    for mat in mats:
-        hom = homal_to_hom(mat, source, target)
-        if not hom.is_injective:
-            continue
-        injective += 1
-        key = tuple(int(v) for v in distinct(hom.map, target.order))
-        by_image.setdefault(key, []).append(mat)
+    for lo in range(0, total, per):
+        index = np.arange(lo, min(lo + per, total))
+        maps = product_index([ring.order] * n, (comps[c] for c in product_components(radix, index)))
+        maps.sort(axis=1)
+        keep = np.flatnonzero((maps[:, 1:] != maps[:, :-1]).all(axis=1))
+        injective += len(keep)
+        images, firsts, sizes = _group_images(
+            np.concatenate([images, maps[keep]]), np.concatenate([firsts, index[keep]]),
+            np.concatenate([sizes, np.ones(len(keep), dtype=np.int64)]))
     classes = tuple(
-        ExalClass(members[0], image, len(members))
-        for image, members in sorted(by_image.items())
+        ExalClass(LambdaMatrix(ring, tuple(rows[int(c)] for c in product_components(radix, first))),
+                  tuple(int(v) for v in image), int(size))
+        for image, first, size in zip(images, firsts, sizes)
     )
-    return ExalReport(ring, p, n, classes, injective, len(mats))
+    return ExalReport(ring, p, n, classes, injective, total)
 
 
 @dataclass(frozen=True)
@@ -267,18 +301,17 @@ class ExalBoundReport:
     connected: bool
 
 
-def exal_bound_check(ring: FiniteRing, p: int, n: int) -> ExalBoundReport:
+def exal_bound_check(rep: ExalReport) -> ExalBoundReport:
     """|Exal| against S(n,p)^(number of minimal primes); equality demanded
     for connected rings."""
-    rep = enumerate_exal(ring, p, n)
-    m = len(local_decomposition(ring).factors)
-    s = stirling2(n, p)
+    m = len(local_decomposition(rep.ring).factors)
+    s = stirling2(rep.n, rep.p)
     bound = s ** m
     if rep.count > bound:
         raise InternalCheckError(f"|Exal| = {rep.count} exceeds the bound {bound}")
     connected = m == 1
     if connected and rep.count != s:
         raise InternalCheckError(
-            f"connected ring with |Exal| = {rep.count} != S({n},{p}) = {s}"
+            f"connected ring with |Exal| = {rep.count} != S({rep.n},{rep.p}) = {s}"
         )
     return ExalBoundReport(rep.count, s, m, bound, connected)

@@ -276,7 +276,7 @@ def criterion_03_stirling_exal() -> tuple[bool, str]:
         if not (s <= rep.count <= s * s):
             bad.append(f"F2xF2 ({p},{n}): {rep.count} outside [{s},{s * s}]")
         ff_exact.append(f"({p},{n})={rep.count}")
-        cb.exal_bound_check(ff, p, n)
+        cb.exal_bound_check(rep)
     if not ff_exact[0].endswith("=9"):
         bad.append(f"F2xF2 (2,3) brute-force value changed: {ff_exact[0]}")
     return not bad, ("; ".join(bad) or

@@ -122,8 +122,11 @@ def _cmd_lattice(args) -> int:
     ext = resolve_extension(args.base, args.top, args.embed)
     report = lt.intermediate_algebras(ext)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(report.to_dot())
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(report.to_dot())
+        except OSError as e:
+            raise PreconditionError(f"cannot write DOT file {args.dot}: {e.strerror}") from None
     _emit(report.to_json())
     return 0
 
@@ -314,8 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once per process: main() may be called many times in one.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SizeLimitError as e:

@@ -1,3 +1,5 @@
+import argparse
+import errno
 import json
 import os
 import subprocess
@@ -339,3 +341,91 @@ def test_query_leaves_numpy_ma_unimported(argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+def run_any(capsys, argv):
+    """run, with an argparse exit (an error, or --help) taken as its code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_runs(argvs, **env):
+    """(exit code, stdout) of each argv, each run by `python -m ringlat.cli`
+    in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = [subprocess.run([sys.executable, "-m", "ringlat.cli", *argv], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": src, **env}, timeout=120)
+            for argv in argvs]
+    return [(p.returncode, p.stdout) for p in done]
+
+
+def test_repeated_calls_carry_no_state(capsys, tmp_path):
+    # one process, one parser: each call answers as a fresh process does
+    dot, fresh_dot = tmp_path / "hasse.dot", tmp_path / "fresh.dot"
+    lattice = ["lattice", "Z/4", "Z/4 x Z/4"]
+    calls = [
+        ["count", "bell", "4"],
+        [*lattice, "--dot", str(dot)],
+        ["count", "bell"],
+        ["lattice", "Z/2"],
+        lattice,
+        ["lattice", "Z/2", "Z/2 x Z/2", "--embed", "explicit:0,1"],
+        ["lattice", "Z/2", "Z/2 x Z/2"],
+        ["classify", "GF(2)", "GF(2^2)"],
+        ["verify", "--suite", "s4"],
+        ["closures", "Z/4", "Z/4 x Z/4"],
+        ["count", "bell", "4"],
+        ["crt", "Z/12", "--ideals", "(4);(3)"],
+        ["idealize", "Z/4", "--module", "(2) + ()"],
+        ["count", "bell"],
+    ]
+    distinct = list(dict.fromkeys(map(tuple, calls)))
+    fresh = dict(zip(distinct, fresh_runs(
+        [[str(fresh_dot) if a == str(dot) else a for a in argv] for argv in distinct])))
+    assert [code for code, _ in fresh.values()] == [0, 0, 2, 2, 0, 2, 0, 0, 0, 0, 0, 0]
+
+    results = []
+    for argv in calls:
+        code, out, err = run_any(capsys, argv)
+        results.append((code, out))
+        if argv[0] == "count" and code == 2:
+            assert "usage: count bell" in err
+        # written by the --dot call alone, not again by the same query without it
+        assert dot.exists() == (str(dot) in argv), argv
+        if dot.exists():
+            assert dot.read_text() == fresh_dot.read_text()
+            dot.unlink()
+    assert results == [fresh[tuple(argv)] for argv in calls]
+    assert results[0] == (0, "15\n")
+    assert results[3] == (2, "")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built after import")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    for argv in (["lattice", "Z/2", "Z/2 x Z/2"], ["classify", "GF(2)", "GF(2^2)"],
+                 ["closures", "Z/4", "Z/4 x Z/4"], ["crt", "Z/12", "--ideals", "(4);(3)"],
+                 ["idealize", "Z/4", "--module", "(2)"], ["count", "bell", "4"],
+                 ["verify", "--suite", "s4"]):
+        assert run(capsys, argv)[0] == 0, argv
+
+    # the help text is formatted when asked for, at the width asked for
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = [["--help"], ["lattice", "--help"]]
+    assert [run_any(capsys, argv)[:2] for argv in helps] == fresh_runs(helps, COLUMNS="80")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_lattice_dot_to_an_unwritable_path(capsys, tmp_path, where):
+    path, errno_code = ((tmp_path, errno.EISDIR) if where == "directory"
+                        else (tmp_path / "missing" / "x.dot", errno.ENOENT))
+    code, out, err = run(capsys, ["lattice", "Z/2", "Z/2 x Z/2", "--dot", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write DOT file {path}: {os.strerror(errno_code)}\n"

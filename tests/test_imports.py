@@ -6,7 +6,8 @@ bound parameter of the package is intermediate_algebras' max_order.  Every
 annotation of the package resolves to a name its module binds.  One handle
 per structure: no function takes a structure together with the context it
 already holds, an extension is its embedding alone, and no function returns
-an extension in a tuple beside a piece of it."""
+an extension in a tuple beside a piece of it.  The argument parser is built
+once, when cli is imported."""
 
 import ast
 import importlib
@@ -294,3 +295,49 @@ def test_scan_finds_class_fields():
 
 def test_an_extension_is_its_embedding():
     assert class_fields((PACKAGE / "lattice.py").read_text(), "Extension") == ["embed"]
+
+
+def parser_builds(sources: dict[str, str]) -> list[str]:
+    """module.scope: callee for each call of _build_parser or of an
+    ArgumentParser in the sources (module name -> source); the scope is the
+    innermost enclosing function or lambda, or <module>."""
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Lambda):
+                inner = "<lambda>"
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in ("_build_parser", "ArgumentParser"):
+                    found.append(f"{module}.{scope}: {name}")
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_parser_builds():
+    sources = {
+        "cli": ("import argparse\n"
+                "def _build_parser():\n    return argparse.ArgumentParser(prog='x')\n"
+                "_PARSER = _build_parser()\n"
+                "def main(argv):\n    return _build_parser().parse_args(argv)\n"),
+        "other": ("from argparse import ArgumentParser\n"
+                  "LATER = lambda: ArgumentParser()\n"
+                  "class C:\n    def m(self):\n        return ArgumentParser()\n"),
+    }
+    assert parser_builds(sources) == [
+        "cli.<module>: _build_parser", "cli._build_parser: ArgumentParser",
+        "cli.main: _build_parser", "other.<lambda>: ArgumentParser", "other.m: ArgumentParser"]
+
+
+def test_the_parser_is_built_once_at_import():
+    # a parser built per call cost 1.5 ms of every cli.main call
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert parser_builds(sources) == ["cli.<module>: _build_parser", "cli._build_parser: ArgumentParser"]

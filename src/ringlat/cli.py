@@ -63,6 +63,26 @@ def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing
     return lt.Extension(hom)
 
 
+def _named_parts(base: dsl.BuildResult, tops: Optional[list[rg.FiniteRing]],
+                 embed: str) -> Sequence[rg.FiniteRing]:
+    """The base factors of --embed diagonal or first-factor for
+    _product_extension, checked against tops, the factor rings of the top
+    (None when the top is not a product)."""
+    if embed == "diagonal":
+        if tops is None or not all(rg.same_tables(f, base.ring) for f in tops):
+            raise PreconditionError("the diagonal embedding needs a product top expression "
+                                    "with every factor equal to the base ring")
+        return (base.ring,)
+    if tops is None:
+        raise PreconditionError("no compatible identity: the first-factor embedding "
+                                "needs a product top expression")
+    parts = base.factors or (base.ring,)
+    if len(tops) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in (*parts, *tops)):
+        raise PreconditionError("no compatible identity: the first-factor embedding "
+                                "needs equal factors and at least as many on top")
+    return parts
+
+
 def _prime_extension(base: rg.FiniteRing, top: rg.FiniteRing) -> lt.Extension:
     try:
         return lt.Extension(rg.prime_hom(base, top))
@@ -71,7 +91,8 @@ def _prime_extension(base: rg.FiniteRing, top: rg.FiniteRing) -> lt.Extension:
                                 "explicit:<map>")
 
 
-def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt.Extension:
+def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
+                      lattice: bool = False) -> lt.Extension:
     """Build both rings and an injective unital map between them.
 
     Without --embed: a top expression built over the base by quotient or
@@ -79,14 +100,16 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt
     the base uses the diagonal; a base generated by 1 uses repeated addition
     of 1.  Anything else needs an explicit table.  The factors of a product
     top are built, and checked against the embedding asked for, before their
-    product is taken.
+    product is taken.  With lattice set, a top whose order its expression
+    fixes (dsl.exact_order) is refused over the lattice bound before it is
+    built; only the factors that --embed diagonal or first-factor is checked
+    against are built first.
     """
     base_ast = dsl.parse(base_text)
     top_ast = dsl.parse(top_text)
     base = dsl.build(base_ast)
-    if embed is not None and embed.startswith("explicit:"):
-        return _explicit_extension(base, dsl.build(top_ast), embed)
-    if embed not in (None, "diagonal", "first-factor"):
+    explicit = embed is not None and embed.startswith("explicit:")
+    if not explicit and embed not in (None, "diagonal", "first-factor"):
         raise PreconditionError(f"unknown embedding {embed!r}; use diagonal, "
                                 "first-factor or explicit:<map>")
     chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
@@ -97,21 +120,22 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt
             homs.append(hom)
         hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
         return lt.Extension(hom)
-    tops = [dsl.build(f).ring for f in top_ast.factors] if isinstance(top_ast, dsl.ProductE) else None
-    if embed == "first-factor":
-        if tops is None:
-            raise PreconditionError("no compatible identity: the first-factor embedding "
-                                    "needs a product top expression")
-        parts = base.factors or (base.ring,)
-        if len(tops) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in (*parts, *tops)):
-            raise PreconditionError("no compatible identity: the first-factor embedding "
-                                    "needs equal factors and at least as many on top")
+    product_top = isinstance(top_ast, dsl.ProductE)
+    tops = parts = None
+    if embed in ("diagonal", "first-factor"):
+        # checked against the factors before the bound: a malformed request is bad input
+        tops = [dsl.build(f).ring for f in top_ast.factors] if product_top else None
+        parts = _named_parts(base, tops, embed)
+    if lattice and (order := dsl.exact_order(top_ast)) is not None:
+        lt.check_lattice_order(order)
+    if explicit:
+        return _explicit_extension(base, dsl.build(top_ast), embed)
+    if product_top and tops is None:
+        tops = [dsl.build(f).ring for f in top_ast.factors]
+        if all(rg.same_tables(f, base.ring) for f in tops):
+            parts = (base.ring,)
+    if parts is not None:
         return _product_extension(base.ring, parts, tops)
-    if tops is not None and all(rg.same_tables(f, base.ring) for f in tops):
-        return _product_extension(base.ring, [base.ring], tops)
-    if embed == "diagonal":
-        raise PreconditionError("the diagonal embedding needs a product top expression "
-                                "with every factor equal to the base ring")
     return _prime_extension(base.ring, dsl.build(top_ast).ring if tops is None else rg.product(tops).ring)
 
 
@@ -119,7 +143,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str]) -> lt
 # commands
 
 def _cmd_lattice(args) -> int:
-    ext = resolve_extension(args.base, args.top, args.embed)
+    ext = resolve_extension(args.base, args.top, args.embed, lattice=True)
     report = lt.intermediate_algebras(ext)
     if args.dot:
         try:
@@ -132,7 +156,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    ext = resolve_extension(args.base, args.top, args.embed)
+    ext = resolve_extension(args.base, args.top, args.embed, lattice=True)
     report = lt.intermediate_algebras(ext)
     out = {
         "schema": 1,

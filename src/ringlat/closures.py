@@ -4,8 +4,7 @@ always the whole top and is not computed."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ def t_closure(ext: Extension) -> Subalgebra:
     return _fixpoint(ext, tclosed_candidates)
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     """The chain R in +R in tR in S."""
 
     base: Subalgebra
@@ -123,8 +121,7 @@ def canonical_decomposition(ext: Extension) -> CanonicalDecomposition:
     return dec
 
 
-@dataclass(frozen=True)
-class DiagonalFormulasReport:
+class DiagonalFormulasReport(NamedTuple):
     """Closed-form checks for a diagonal into a product of subintegral
     extensions of a local base."""
 

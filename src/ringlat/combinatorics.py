@@ -4,9 +4,8 @@ morphisms R^p -> R^n."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +21,7 @@ MATRIX_BOUND = 2_000_000
 EXAL_CHUNK = 1 << 21
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint nonempty blocks covering {1..n}, ordered by least element."""
 
     n: int
@@ -115,8 +113,7 @@ def partition_to_subalgebra(ext: Extension, part: Partition) -> Subalgebra:
 # ---------------------------------------------------------------------------
 # lambda matrices
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(NamedTuple):
     """n x p matrix over R with idempotent entries, orthogonal within each
     row, each row summing to 1."""
 
@@ -221,8 +218,7 @@ def lambda_of_hom(hom: RingHom, ring: FiniteRing, p: int, n: int) -> LambdaMatri
     return LambdaMatrix(ring, tuple(entries))
 
 
-@dataclass(frozen=True)
-class ExalClass:
+class ExalClass(NamedTuple):
     """Injective morphisms sharing one image subalgebra of R^n."""
 
     representative: LambdaMatrix
@@ -230,8 +226,7 @@ class ExalClass:
     size: int
 
 
-@dataclass(frozen=True)
-class ExalReport:
+class ExalReport(NamedTuple):
     ring: FiniteRing
     p: int
     n: int
@@ -292,8 +287,7 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
     return ExalReport(ring, p, n, classes, injective, total)
 
 
-@dataclass(frozen=True)
-class ExalBoundReport:
+class ExalBoundReport(NamedTuple):
     count: int
     stirling: int
     minimal_prime_count: int

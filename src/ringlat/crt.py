@@ -3,9 +3,8 @@ conductor formulas, minimality criteria and zero-conductor reduction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
@@ -35,8 +34,7 @@ from .rings import (
     subgroup_sum_mask,
 )
 
-@dataclass(frozen=True)
-class SeparatingFamily:
+class SeparatingFamily(NamedTuple):
     """Ideals I_1..I_n of R, none equal to R, with zero intersection.
 
     A family whose intersection is nonzero is normalized by passing to the
@@ -78,8 +76,7 @@ def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
                  for i in ideals)
 
 
-@dataclass(frozen=True)
-class CrtExtension:
+class CrtExtension(NamedTuple):
     """The extension R in prod(R/I_j) of a separating family."""
 
     family: SeparatingFamily
@@ -145,8 +142,7 @@ def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
     return maximal_pairs[0] if len(maximal_pairs) == 1 else None
 
 
-@dataclass(frozen=True)
-class Crt2Result:
+class Crt2Result(NamedTuple):
     minimal: bool  # R/(I+J) is a field
     predicted_count: int
 
@@ -179,8 +175,7 @@ def weak_crt_check(crt: CrtExtension) -> tuple[bool, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Zero-conductor form of a family: base R/sum(J_j), ideals the images of
     I_j + J_j, factors with I_j + J_j = R dropped."""
 
@@ -219,8 +214,7 @@ def reduce_to_zero_conductor(crt: CrtExtension) -> ReductionResult:
     return ReductionResult(reduced, False, dropped, qr.projection)
 
 
-@dataclass(frozen=True)
-class CrtSeminormalization:
+class CrtSeminormalization(NamedTuple):
     """T = R + M*prod for a zero-conductor family over a local ring, with the
     conductor identity (R:T) = (0:M)."""
 

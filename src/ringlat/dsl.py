@@ -25,14 +25,16 @@ no canonical image in a product."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .config import arith_limit
-from .errors import ParseError, PreconditionError, SizeLimitError
+from .errors import ParseError, PreconditionError, RinglatError, SizeLimitError
 from .ideals import ideal_generated
 from .modules import FiniteModule, idealize, module_from_cyclics
-from .rings import FiniteRing, RingHom, make_gf, make_zmod, poly_quotient, product, quotient
+from .rings import (FiniteRing, RingHom, gf_order, make_gf, make_zmod, poly_quotient, product, quotient,
+                    zmod_order)
 
 MAX_INPUT = 64 * 1024
 
@@ -40,13 +42,11 @@ MAX_INPUT = 64 * 1024
 # ---------------------------------------------------------------------------
 # syntax tree
 
-@dataclass(frozen=True)
-class IntF:
+class IntF(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class NameF:
+class NameF(NamedTuple):
     name: str
     exp: int = 1
 
@@ -54,48 +54,40 @@ class NameF:
 Factor = Union[IntF, NameF]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     sign: int  # +1 or -1
     factors: tuple[Factor, ...]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class ZModE:
+class ZModE(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class GFE:
+class GFE(NamedTuple):
     p: int
     k: int
 
 
-@dataclass(frozen=True)
-class ProductE:
+class ProductE(NamedTuple):
     factors: tuple["RingExpr", ...]
 
 
-@dataclass(frozen=True)
-class PolyQuotE:
+class PolyQuotE(NamedTuple):
     base: "RingExpr"
     var: str
     polys: tuple[Poly, ...]  # first is the monic modulus
 
 
-@dataclass(frozen=True)
-class QuotE:
+class QuotE(NamedTuple):
     base: "RingExpr"
     gens: tuple[Poly, ...]
 
 
-@dataclass(frozen=True)
-class IdealizeE:
+class IdealizeE(NamedTuple):
     base: "RingExpr"
     cyclics: tuple[tuple[Poly, ...], ...]
 
@@ -106,8 +98,7 @@ RingExpr = Union[ZModE, GFE, ProductE, PolyQuotE, QuotE, IdealizeE]
 # ---------------------------------------------------------------------------
 # tokenizer
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT, IDENT, or a literal symbol
     text: str
     line: int
@@ -455,6 +446,23 @@ def build(expr: RingExpr) -> BuildResult:
         base = build(expr.base)
         return build_step(base, expr)[0]
     raise PreconditionError(f"unknown expression node {expr!r}")
+
+
+def exact_order(expr: RingExpr) -> Optional[int]:
+    """The order of build(expr) when the expression alone fixes it: Z/n,
+    GF(p^k) and products of these, each factor one that build accepts.
+    None for any other expression."""
+    if isinstance(expr, ProductE):
+        orders = [exact_order(f) for f in expr.factors]
+        return None if None in orders else math.prod(orders)
+    try:
+        if isinstance(expr, ZModE):
+            return zmod_order(expr.n)
+        if isinstance(expr, GFE):
+            return gf_order(expr.p, expr.k)
+    except RinglatError:
+        pass
+    return None
 
 
 def suffix_chain(top: RingExpr, base: RingExpr) -> Optional[list[RingExpr]]:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -113,8 +112,7 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     return [Ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Primes and nilradical of a finite ring.  Every prime of a finite ring
     is maximal, and the nilradical is the Jacobson radical."""
 

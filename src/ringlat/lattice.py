@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Extension:
     """An injective unital embedding of one finite ring into another; the
     base and top are the embedding's source and target."""
@@ -85,7 +85,7 @@ def product_extension(parts: Sequence[Extension]) -> Extension:
     return Extension(pair_homs(base_pr.ring, top_pr, maps))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Subalgebra:
     """An intermediate subalgebra, as a sorted tuple of top-ring indices."""
 
@@ -117,8 +117,7 @@ class Subalgebra:
         return f"Subalgebra(order={self.order} of {self.extension!r})"
 
 
-@dataclass(frozen=True)
-class SubalgebraRealization:
+class SubalgebraRealization(NamedTuple):
     """A node re-indexed as a ring, with maps from the base and into the top."""
 
     ring: FiniteRing
@@ -225,6 +224,13 @@ class LatticeReport(Poset):
         return "\n".join(lines) + "\n"
 
 
+def check_lattice_order(order: int, bound: Optional[int] = None) -> None:
+    """Refuse the lattice of a top of this order when the order exceeds the
+    bound, lattice_limit() unless one is given."""
+    if order > (lattice_limit() if bound is None else bound):
+        raise SizeLimitError(f"lattice enumeration bound exceeded for order {order}")
+
+
 def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> LatticeReport:
     """All subalgebras between the image of the base and the top ring.
 
@@ -233,8 +239,7 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
     are sorted by size, then elements, so the image is node 0 and the top is
     the last node.  max_order replaces the lattice bound for this call only."""
     top = ext.top
-    if top.order > (lattice_limit() if max_order is None else max_order):
-        raise SizeLimitError(f"lattice enumeration bound exceeded for order {top.order}")
+    check_lattice_order(top.order, max_order)
     masks = enumerate_closed_subsets(top, ext.image)
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
     return LatticeReport(nodes, *poset_structure(masks), ext)
@@ -399,8 +404,7 @@ def _submodules_over_base_closed(ext: Extension) -> bool:
 # ---------------------------------------------------------------------------
 # minimal extensions
 
-@dataclass(frozen=True)
-class MinimalClassification:
+class MinimalClassification(NamedTuple):
     """Trichotomy result for a minimal extension."""
 
     kind: str  # inert | decomposed | ramified | not_minimal
@@ -480,8 +484,7 @@ def classify_minimal(report: LatticeReport) -> MinimalClassification:
 # ---------------------------------------------------------------------------
 # further structure
 
-@dataclass(frozen=True)
-class GilbertReport:
+class GilbertReport(NamedTuple):
     """Order-isomorphism J -> R + Jt between the ideals of R containing the
     conductor and the lattice nodes, for S = R + Rt."""
 
@@ -515,8 +518,7 @@ def gilbert_bijection(report: LatticeReport) -> GilbertReport:
     return GilbertReport(t_found, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class IrreducibleDecomposition:
+class IrreducibleDecomposition(NamedTuple):
     node: int
     meet_factors: tuple[int, ...]
     join_factors: tuple[int, ...]

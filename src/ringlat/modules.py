@@ -4,7 +4,7 @@ lattice/length/count identities relating them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .rings import (
     span_of_products,
 )
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteModule:
     """A finite module over a finite ring, as dense tables."""
 
@@ -98,8 +98,7 @@ def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike]) -> Finite
                         label)
 
 
-@dataclass(frozen=True)
-class QuotientModuleResult:
+class QuotientModuleResult(NamedTuple):
     module: FiniteModule
     projection: np.ndarray  # old index -> new index
 
@@ -214,8 +213,7 @@ def idealize(m: FiniteModule) -> Extension:
     return Extension(RingHom(ring, out, emb))
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """N -> R(+)N matching the submodules of M with the nodes of [R, R(+)M]."""
 
     lattice: SubmoduleLattice
@@ -255,8 +253,7 @@ def idealization_lattice_bijection(lat: SubmoduleLattice) -> BijectionReport:
     return BijectionReport(lat, report, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class IntervalReport:
+class IntervalReport(NamedTuple):
     """[R(+)N, R(+)M] against the statistics of M/N."""
 
     interval_length: int
@@ -280,8 +277,7 @@ def interval_length(bij: BijectionReport, i: int) -> IntervalReport:
     return IntervalReport(upper.length, upper.count, module_length(q), submodules(q).count)
 
 
-@dataclass(frozen=True)
-class UniserialReport:
+class UniserialReport(NamedTuple):
     """Chain structure {P^j e} of a cyclic module over a local ring."""
 
     passed: bool
@@ -322,8 +318,7 @@ def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
     return UniserialReport(passed, tuple(chain), lat.count, nu_rc, e, c)
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """nu of the componentwise module k^n over the ring k^n, against 2^n;
     lattice_count is the node count of [k^n, k^n(+)k^n], when that lattice
     is small enough to check."""

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def _as_table(a) -> Table:
     return t
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FiniteRing:
     """A finite commutative unital ring given by total add/mul tables."""
 
@@ -99,7 +99,7 @@ class FiniteRing:
         return f"FiniteRing({self.label}, order={self.order})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RingHom:
     """A unital ring homomorphism given by its full index table.
 
@@ -155,7 +155,7 @@ def compose(first: RingHom, then: RingHom) -> RingHom:
     return RingHom(first.source, then.target, then.map[first.map])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ideal:
     """A canonical subset closed under addition and absorbing multiplication."""
 
@@ -218,8 +218,7 @@ class Ideal:
         return "{" + ",".join(str(e) for e in self.elements[:6]) + (",..." if self.order > 6 else "") + "}"
 
 
-@dataclass(frozen=True)
-class SpirWitness:
+class SpirWitness(NamedTuple):
     """Least-index generator t of the maximal ideal and its nilpotency index."""
 
     generator: int
@@ -455,12 +454,19 @@ def mask_elements(mask: np.ndarray) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # constructors
 
-def make_zmod(n: int) -> FiniteRing:
-    """The ring Z/n."""
+def zmod_order(n: int) -> int:
+    """The order n of Z/n, after the checks make_zmod makes before it builds
+    anything."""
     if n < 2:
         raise PreconditionError(f"invalid order {n} for Z/n")
     if n > arith_limit():
         raise SizeLimitError(f"order {n} exceeds the arithmetic bound")
+    return n
+
+
+def make_zmod(n: int) -> FiniteRing:
+    """The ring Z/n."""
+    zmod_order(n)
     idx = np.arange(n)
     return FiniteRing(n, np.add.outer(idx, idx) % n, np.multiply.outer(idx, idx) % n, 0, 1, f"Z/{n}")
 
@@ -511,16 +517,9 @@ def find_irreducible(p: int, k: int) -> list[int]:
     raise InternalCheckError(f"no irreducible polynomial of degree {k} over Z/{p}")
 
 
-def make_gf(p: int, k: int = 1) -> FiniteRing:
-    """The field with p^k elements, built as Z/p[x]/(f) for the first monic
-    irreducible f found by exhaustive search, on the layout of poly_quotient:
-    the element sum c_i x^i has index sum c_i p^i.
-
-    add is the layout's, the sum of k copies of Z/p.  mul is read off the
-    logarithms to the least-index primitive element g: mul[a, b] =
-    exp[(log a + log b) mod (q - 1)] for nonzero a and b, and zero otherwise.
-    The powers exp[i] = g^i come from the layout's map a -> a * g, doubled:
-    exp[m:2m] = g^m * exp[:m]."""
+def gf_order(p: int, k: int) -> int:
+    """The order p^k of GF(p^k), after the checks make_gf makes before it
+    builds anything."""
     limit = arith_limit()
     # bound p and k before the primality test and before forming p**k
     if p > limit:
@@ -534,6 +533,20 @@ def make_gf(p: int, k: int = 1) -> FiniteRing:
     q = p**k
     if q > limit:
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
+    return q
+
+
+def make_gf(p: int, k: int = 1) -> FiniteRing:
+    """The field with p^k elements, built as Z/p[x]/(f) for the first monic
+    irreducible f found by exhaustive search, on the layout of poly_quotient:
+    the element sum c_i x^i has index sum c_i p^i.
+
+    add is the layout's, the sum of k copies of Z/p.  mul is read off the
+    logarithms to the least-index primitive element g: mul[a, b] =
+    exp[(log a + log b) mod (q - 1)] for nonzero a and b, and zero otherwise.
+    The powers exp[i] = g^i come from the layout's map a -> a * g, doubled:
+    exp[m:2m] = g^m * exp[:m]."""
+    q = gf_order(p, k)
     zp = make_zmod(p)
     if k == 1:
         return FiniteRing(p, zp.add, zp.mul, 0, 1, f"GF({p})")
@@ -631,8 +644,7 @@ def pair_homs(source: FiniteRing, pr: ProductResult, maps: Sequence[np.ndarray])
     return RingHom(source, pr.ring, product_index(pr.orders, maps))
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     ring: FiniteRing
     projection: RingHom
 
@@ -672,8 +684,7 @@ def quotient(ring: FiniteRing, ideal) -> QuotientResult:
     return QuotientResult(q, RingHom(ring, q, proj))
 
 
-@dataclass(frozen=True)
-class PolyQuotientResult:
+class PolyQuotientResult(NamedTuple):
     """R[x]/(monic, relations); to_quotient need not be injective."""
 
     ring: FiniteRing
@@ -681,8 +692,7 @@ class PolyQuotientResult:
     var_index: int
 
 
-@dataclass(frozen=True)
-class _PolyLayout:
+class _PolyLayout(NamedTuple):
     """R[x]/(f), deg f = d, as the free R-module on 1, x, ..., x^(d-1): the
     product of d copies of R (product_components) whose least significant
     component is the constant term, so sum c_i x^i has index sum c_i n^i.
@@ -912,8 +922,7 @@ def prime_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     return RingHom(source, target, emb)
 
 
-@dataclass(frozen=True)
-class LocalDecomposition:
+class LocalDecomposition(NamedTuple):
     """Local factors eR for the primitive idempotents e, with projections and
     an isomorphism witness onto their product."""
 

@@ -11,9 +11,8 @@ names the error.  Any other exception propagates."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,8 +32,7 @@ _LATTICE_CHECK_ORDER = 256
 _CERTIFICATE_ORDER = 64
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

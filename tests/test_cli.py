@@ -1,6 +1,7 @@
 import argparse
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,6 +220,56 @@ def test_exit_code_first_factor_needs_product(capsys):
 def test_exit_code_malformed_before_oversize(capsys, argv):
     code, out, _ = run(capsys, argv)
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["lattice", "Z/2", "GF(2^12)"], 4096),
+    (["classify", "Z/2", "GF(2^12)"], 4096),
+    (["lattice", "Z/2", "Z/2 x GF(2^12)"], 8192),  # no factor is built either
+])
+def test_lattice_bound_refuses_a_field_before_building_it(capsys, monkeypatch, argv, order):
+    def refuse(*args):
+        raise AssertionError("GF(2^12) was built")
+
+    monkeypatch.setattr(rg, "make_gf", refuse)
+    monkeypatch.setattr(dsl, "make_gf", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"size limit: lattice enumeration bound exceeded for order {order}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "Z/4", "Z/4096"],  # no embedding to infer: exited 2 after building Z/4096
+    ["lattice", "Z/2", "Z/2 x (Z/4 x Z/128)"],
+    ["classify", "Z/2", "Z/64 x Z/128"],  # beyond the arithmetic bound too
+])
+def test_lattice_bound_refuses_an_exact_order_top_before_building_it(capsys, monkeypatch, argv):
+    real_zmod, real_product = rg.make_zmod, rg.product
+
+    def small_zmod(n):
+        assert n <= 128, f"Z/{n} was built"
+        return real_zmod(n)
+
+    def small_product(factors):
+        order = math.prod(f.order for f in factors)
+        assert order <= 512, f"a product of order {order} was built"
+        return real_product(factors)
+
+    monkeypatch.setattr(dsl, "make_zmod", small_zmod)
+    for module in (dsl, rg):
+        monkeypatch.setattr(module, "product", small_product)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("size limit: lattice enumeration bound exceeded for order ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["closures", "Z/2", "Z/2 x GF(2^9)"],  # closures enumerate no lattice
+    ["lattice", "Z/2", "Z/2[t]/(t^10, t)"],  # the expression does not fix the order
+])
+def test_no_early_refusal_without_a_lattice_of_a_fixed_order(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["schema"] == 1
 
 
 def test_product_embeddings_map_component_k_to_base_component_min_k_p():

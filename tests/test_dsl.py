@@ -31,6 +31,8 @@ def test_round_trip_on_corpus(text):
     printed = dsl.print_expr(tree)
     assert printed == text
     assert dsl.parse(printed) == tree
+    # a NamedTuple equals any tuple of equal values; repr names every class
+    assert repr(dsl.parse(printed)) == repr(tree)
 
 
 _names = st.sampled_from(["t", "u", "s", "y"])
@@ -63,6 +65,18 @@ def _extend(children):
 @settings(max_examples=150, deadline=None)
 def test_round_trip_on_random_trees(tree):
     assert dsl.parse(dsl.print_expr(tree)) == tree
+    assert repr(dsl.parse(dsl.print_expr(tree))) == repr(tree)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("Z/4096", 4096), ("GF(2^12)", 4096), ("Z/2 x (GF(3) x Z/4)", 24), ("Z/64 x Z/128", 8192),
+    # build refuses these, and the refusal is left to it
+    ("Z/1", None), ("Z/5000", None), ("GF(6^2)", None), ("GF(2^13)", None), ("Z/1 x Z/4096", None),
+    # suffix constructions: the order is known only once the ring is built
+    ("Z/2[t]/(t^12, t)", None), ("Z/4/(2)", None), ("idealize(Z/2, ())", None), ("Z/2 x Z/4/(2)", None),
+])
+def test_exact_order(text, order):
+    assert dsl.exact_order(dsl.parse(text)) == order
 
 
 def test_build_quotient_collapses(z4):

@@ -7,7 +7,8 @@ annotation of the package resolves to a name its module binds.  One handle
 per structure: no function takes a structure together with the context it
 already holds, an extension is its embedding alone, and no function returns
 an extension in a tuple beside a piece of it.  The argument parser is built
-once, when cli is imported."""
+once, when cli is imported.  A value record is an immutable NamedTuple, and
+a frozen dataclass is an object with identity (eq=False)."""
 
 import ast
 import importlib
@@ -341,3 +342,66 @@ def test_the_parser_is_built_once_at_import():
     # a parser built per call cost 1.5 ms of every cli.main call
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert parser_builds(sources) == ["cli.<module>: _build_parser", "cli._build_parser: ArgumentParser"]
+
+
+def frozen_value_dataclasses(source: str) -> list[str]:
+    """The classes of source declared @dataclass(frozen=True) without
+    eq=False: frozen records that compare by value."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for d in node.decorator_list:
+            fn = getattr(d, "func", None)
+            if getattr(fn, "id", getattr(fn, "attr", None)) != "dataclass":
+                continue
+            kw = {k.arg: getattr(k.value, "value", None) for k in d.keywords}
+            if kw.get("frozen") is True and kw.get("eq", True) is not False:
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_scan_finds_a_frozen_value_dataclass():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Value:\n    x: int\n"
+              "@dataclasses.dataclass(frozen=True, repr=False)\nclass Also:\n    x: int\n"
+              "@dataclass(frozen=True, eq=False)\nclass Identity:\n    x: int\n"
+              "@dataclass\nclass Mutable:\n    x: int\n")
+    assert frozen_value_dataclasses(source) == ["Also", "Value"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_value_records_are_named_tuples(module):
+    # each frozen dataclass ran exec on 5-6 generated methods at import, about
+    # 1.2 ms a class against 0.12 ms for a NamedTuple
+    assert frozen_value_dataclasses((PACKAGE / module).read_text()) == []
+
+
+def value_records() -> list[type]:
+    """The NamedTuple classes the modules of the package define."""
+    found = []
+    for name in sorted(p.stem for p in PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"ringlat.{name}")
+        found += [obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+RECORDS = value_records()
+
+
+def test_value_records_are_found():
+    names = {f"{c.__module__}.{c.__name__}" for c in RECORDS}
+    assert {"ringlat.dsl.IntF", "ringlat.rings._PolyLayout", "ringlat.verify.CheckResult"} <= names
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_a_value_record_is_immutable(cls):
+    # as frozen=True guaranteed: no field can be set and no attribute added
+    record = cls(*[None] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    with pytest.raises(AttributeError):
+        record.added = 1

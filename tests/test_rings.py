@@ -443,6 +443,38 @@ def test_hom_validation(z4, f2):
         rg.RingHom(z4, z4, np.array([0, 2, 0, 2]))  # does not preserve one
 
 
+def _valid_homs():
+    z3, z4 = rg.make_zmod(3), rg.make_zmod(4)
+    pr = rg.product([z4, rg.make_gf(2)])
+    return {
+        "Z/4 in Z/4[t]/(t^2)": rg.poly_quotient(z4, [0, 0, 1], var="t").to_quotient,
+        "diagonal Z/3 in Z/3^3": rg.pair_homs(z3, rg.product([z3] * 3), [np.arange(3)] * 3),
+        "Z/4 x F2 onto Z/4": rg.RingHom(pr.ring, z4, pr.components[0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_valid_homs()))
+def test_hom_validation_rejects_every_one_entry_change(name):
+    # a table changed at one x other than 0 and 1 breaks phi(1) + phi(x - 1) =
+    # phi(x), so any validation, all-pairs or on generators, must refuse it
+    hom = _valid_homs()[name]
+    source, target = hom.source, hom.target
+    assert rg.RingHom(source, target, hom.map.copy()).map.tolist() == hom.map.tolist()
+    changed = 0
+    for x in range(source.order):
+        if x in (source.zero, source.one):
+            continue
+        for y in range(target.order):
+            if y == hom.map[x]:
+                continue
+            table = hom.map.copy()
+            table[x] = y
+            with pytest.raises(PreconditionError):
+                rg.RingHom(source, target, table)
+            changed += 1
+    assert changed == (source.order - 2) * (target.order - 1)
+
+
 def test_compose_and_identity(z4):
     ident = rg.identity_hom(z4)
     sq = rg.product([z4, z4])

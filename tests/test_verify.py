@@ -63,7 +63,9 @@ def test_ringlat_error_is_a_failed_check(monkeypatch):
 
     monkeypatch.setattr(vf, "_bell_lattices", refuse)
     result = vf.criterion_01_bell_counts()
-    assert result == vf.CheckResult("bell_counts_for_field_powers", False, "SizeLimitError: x")
+    expected = vf.CheckResult("bell_counts_for_field_powers", False, "SizeLimitError: x")
+    # a NamedTuple equals any tuple of equal values; repr also names the class
+    assert result == expected and repr(result) == repr(expected)
 
 
 def test_other_errors_propagate(monkeypatch):
@@ -90,9 +92,12 @@ def test_decorator_registers_in_definition_order(monkeypatch):
     assert vf.SUITES == {"t1": [check_first, check_second]}
     assert check_first.__name__ == "check_first"
     assert check_first.__doc__ == "Docstring kept."
-    assert check_first() == vf.CheckResult("first_check", True, "one")
-    assert check_first().passed is True
-    assert check_second() == vf.CheckResult("second_check", False, "empty")
+    first, second = check_first(), check_second()
+    assert first == vf.CheckResult("first_check", True, "one")
+    assert repr(first) == repr(vf.CheckResult("first_check", True, "one"))
+    assert first.passed is True
+    assert second == vf.CheckResult("second_check", False, "empty")
+    assert repr(second) == repr(vf.CheckResult("second_check", False, "empty"))
 
 
 def test_unknown_suite_message():

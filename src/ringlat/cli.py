@@ -100,18 +100,21 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     the base uses the diagonal; a base generated by 1 uses repeated addition
     of 1.  Anything else needs an explicit table.  The factors of a product
     top are built, and checked against the embedding asked for, before their
-    product is taken.  With lattice set, a top whose order its expression
-    fixes (dsl.exact_order) is refused over the lattice bound before it is
-    built; only the factors that --embed diagonal or first-factor is checked
-    against are built first.
+    product is taken.  With lattice set, a base or top whose order its
+    expression fixes (dsl.exact_order) is refused over the lattice bound
+    before it is built (a base over the bound forces a top over it); only
+    the factors that --embed diagonal or first-factor is checked against
+    are built before the top's check.
     """
     base_ast = dsl.parse(base_text)
     top_ast = dsl.parse(top_text)
-    base = dsl.build(base_ast)
     explicit = embed is not None and embed.startswith("explicit:")
     if not explicit and embed not in (None, "diagonal", "first-factor"):
         raise PreconditionError(f"unknown embedding {embed!r}; use diagonal, "
                                 "first-factor or explicit:<map>")
+    if lattice and (order := dsl.exact_order(base_ast)) is not None:
+        lt.check_lattice_order(order)
+    base = dsl.build(base_ast)
     chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
     if chain is not None:
         built, homs = base, []

@@ -25,7 +25,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingHom,
-    extend_closure_mask,
+    adjoin_all,
     is_local,
     mask_elements,
     pair_homs,
@@ -36,19 +36,19 @@ from .rings import (
 
 
 def _fixpoint(ext: Extension, candidates: Callable[[FiniteRing, np.ndarray], np.ndarray]) -> Subalgebra:
-    """Adjoin every candidate of a round at once and take the subring
-    closure, until a round finds none.
+    """Adjoin the candidates of a round one at a time (adjoin_all), until a
+    round finds none.
 
     A candidate b of T is still a candidate of every larger subring that
     misses b, so every adjunction order stops at the same subring: the
     least one above R without candidates."""
     top = ext.top
-    mask = ext.image_mask.copy()
+    mask = ext.image_mask
     while True:
         new = candidates(top, mask)
         if not new.size:
             return Subalgebra(ext, mask_elements(mask))
-        mask = extend_closure_mask(top.order, mask, new, internal=(top.add, top.mul))
+        mask = adjoin_all(top, mask, new)
 
 
 def seminormalization(ext: Extension) -> Subalgebra:

@@ -11,13 +11,13 @@ from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .rings import (
     FiniteRing,
     Ideal,
-    closure_mask,
     distinct,
     enumerate_submodules,
     mask_elements,
     primitive_idempotents,
     span_of_products,
     subgroup_sum_mask,
+    sum_of_orbits,
 )
 
 IdealLike = Union[Ideal, Sequence[int]]
@@ -37,7 +37,7 @@ def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    mask = closure_mask(ring.order, list(gens) + [ring.zero], internal=(ring.add,), absorbing=(ring.mul,))
+    mask = sum_of_orbits(ring.add, ring.mul, ring.zero, gens)
     return Ideal(ring, mask_elements(mask))
 
 

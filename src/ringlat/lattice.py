@@ -17,11 +17,11 @@ from .rings import (
     RingHom,
     _is_prime,
     adjoin,
+    adjoin_all,
     cosets,
     distinct,
     enumerate_closed_subsets,
     enumerate_submodules,
-    extend_closure_mask,
     is_field,
     is_local,
     mask_elements,
@@ -563,9 +563,7 @@ def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDe
         if np.array_equal(cur_mask, target):
             break
         if report.nodes[i].mask[~cur_mask].any():
-            cur_mask = extend_closure_mask(
-                top.order, cur_mask, np.flatnonzero(report.nodes[i].mask), internal=(top.add, top.mul)
-            )
+            cur_mask = adjoin_all(top, cur_mask, np.flatnonzero(report.nodes[i].mask))
             join_used.append(i)
     if not np.array_equal(cur_mask, target):
         raise InternalCheckError("join of irreducibles below the node is not the node")

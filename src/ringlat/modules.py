@@ -23,7 +23,6 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingHom,
-    closure_mask,
     cosets,
     distinct,
     enumerate_submodules,
@@ -35,6 +34,7 @@ from .rings import (
     product_index,
     quotient,
     span_of_products,
+    sum_of_orbits,
 )
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -117,9 +117,7 @@ def quotient_module(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult
 
 def submodule_closure(m: FiniteModule, seed: Sequence[int]) -> tuple[int, ...]:
     """Smallest submodule containing the seed."""
-    return mask_elements(
-        closure_mask(m.order, list(seed) + [m.zero], internal=(m.add,), absorbing=(m.action,))
-    )
+    return mask_elements(sum_of_orbits(m.add, m.action, m.zero, seed))
 
 
 @dataclass(frozen=True, eq=False)

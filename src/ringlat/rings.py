@@ -226,52 +226,15 @@ class SpirWitness(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# closure engine
+# closure engine: every ideal, submodule, span and subring closure is a sum
+# of additive subgroups, built coset by coset (_add_cosets); the pair
+# closure (extend_closure_mask) is kept only as the oracle that checks it
 
-# Table entries gathered at once by the closure kernel: 64 KiB of int32,
-# below glibc's default mmap threshold (128 KiB), so each round's temporaries
-# reuse heap memory instead of mapping and faulting in fresh pages.
+# Table entries gathered at once by _add_cosets, the submodule join and the
+# pair closure: 64 KiB of int32, below glibc's default mmap threshold
+# (128 KiB), so each round's temporaries reuse heap memory instead of mapping
+# and faulting in fresh pages.
 _GATHER_ENTRIES = 1 << 14
-
-
-def _close_rows(mask: np.ndarray, hit: np.ndarray, internal: Sequence[Table],
-                absorbing: Sequence[Table]) -> None:
-    """Close every row of the C-contiguous B x order boolean array mask, in
-    place, after adding the True cells of hit (same shape, used as scratch).
-
-    Each row is closed on its own: internal tables are applied to pairs of
-    the row's members (the operations must be commutative), absorbing tables
-    to (anything, member) pairs.  A round takes the new cells of all rows as
-    one frontier (one flatnonzero over the batch), gathers the table rows
-    t[frontier], keeps a product only where the frontier cell's own row holds
-    the other member, and scatters it into hit at the flat int32 index
-    row * order + product; the hits outside the mask are the next frontier.
-    The frontier is taken in blocks, so every temporary of a round stays
-    within _GATHER_ENTRIES entries.
-    """
-    order = mask.shape[1]
-    flat_mask = mask.reshape(-1)
-    flat_hit = hit.reshape(-1)
-    while True:
-        frontier = np.flatnonzero(flat_hit & ~flat_mask)
-        flat_mask[frontier] = True
-        if not frontier.size or not (internal or absorbing):
-            return
-        rows, cols = np.divmod(frontier, order)
-        base = (frontier - cols).astype(np.int32)
-        flat_hit[:] = False
-        for t in internal:
-            step = max(1, _GATHER_ENTRIES // order)
-            for i in range(0, frontier.size, step):
-                block = slice(i, i + step)
-                prods = t[cols[block]]
-                prods += base[block, None]
-                flat_hit[prods[mask[rows[block]]]] = True
-        for t in absorbing:
-            step = max(1, _GATHER_ENTRIES // len(t))
-            for i in range(0, frontier.size, step):
-                block = slice(i, i + step)
-                flat_hit[base[None, block] + t[:, cols[block]]] = True
 
 
 def extend_closure_mask(
@@ -282,19 +245,31 @@ def extend_closure_mask(
     absorbing: Sequence[Table] = (),
 ) -> np.ndarray:
     """Close base_mask (already closed, or None) plus new_indices under the
-    given operations: the one-row call of _close_rows.
+    given operations, by the pair closure: the oracle of the sumset kernel.
 
-    In a finite additive group closure under + alone yields the generated
-    subgroup, so no explicit negation table is needed.
+    Each round applies the internal tables to the pairs (new member, member)
+    (the operations must be commutative) and the absorbing tables to the
+    pairs (anything, new member), until a round adds nothing.  In a finite
+    additive group closure under + alone yields the generated subgroup, so
+    no explicit negation table is needed.
     """
-    mask = np.zeros((1, order), dtype=bool)
-    if base_mask is not None:
-        mask[0] = base_mask
-    hit = np.zeros((1, order), dtype=bool)
-    hit[0, new_indices if isinstance(new_indices, np.ndarray)
-        else np.fromiter(new_indices, dtype=np.intp)] = True
-    _close_rows(mask, hit, internal, absorbing)
-    return mask[0]
+    mask = np.zeros(order, dtype=bool) if base_mask is None else base_mask.copy()
+    new = new_indices if isinstance(new_indices, np.ndarray) else np.fromiter(new_indices, dtype=np.intp)
+    hit = np.zeros(order, dtype=bool)
+    hit[new] = True
+    while (frontier := np.flatnonzero(hit & ~mask)).size:
+        mask[frontier] = True
+        hit[:] = False
+        members = np.flatnonzero(mask)
+        for t in internal:
+            step = max(1, _GATHER_ENTRIES // members.size)
+            for i in range(0, frontier.size, step):
+                hit[t[np.ix_(frontier[i:i + step], members)]] = True
+        for t in absorbing:
+            step = max(1, _GATHER_ENTRIES // len(t))
+            for i in range(0, frontier.size, step):
+                hit[t[:, frontier[i:i + step]]] = True
+    return mask
 
 
 def closure_mask(
@@ -363,6 +338,16 @@ def adjoin(ring: FiniteRing, base_mask: np.ndarray, s: int) -> np.ndarray:
     return a
 
 
+def adjoin_all(ring: FiniteRing, base_mask: np.ndarray, elements: Iterable[int]) -> np.ndarray:
+    """The mask of the least subring containing the subring B (given by its
+    mask) and elements: B[x][y]..., adjoining one element at a time and
+    skipping those already in."""
+    for x in elements:
+        if not base_mask[x]:
+            base_mask = adjoin(ring, base_mask, x)
+    return base_mask
+
+
 def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.ndarray]:
     """All subrings of ring that contain seed, sorted by (size, elements).
 
@@ -376,9 +361,7 @@ def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.n
     """
     first = np.zeros(ring.order, dtype=bool)
     first[ring.multiples_of_one] = True
-    for x in seed:
-        if not first[x]:
-            first = adjoin(ring, first, x)
+    first = adjoin_all(ring, first, seed)
     _, reps = cosets(ring.add, np.flatnonzero(first))
     atoms = ((s, adjoin(ring, first, s)) for s in reps if not first[s])
     return _join_closure(first, ring.add, atoms,
@@ -430,12 +413,26 @@ def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) 
     return _add_cosets(ring.add, a_mask, np.flatnonzero(b_mask))
 
 
+def sum_of_orbits(add: Table, action: Table, zero: int, gens: Iterable[int]) -> np.ndarray:
+    """Mask of the sum of the additive subgroups action[:, g], g in gens
+    (group law add), folded coset by coset (_add_cosets); {zero} when gens is
+    empty.  With a ring's multiplication or a module's action (ring x module)
+    the columns are the orbits Rg, and the sum is the ideal or submodule that
+    gens generate."""
+    out = np.zeros(len(add), dtype=bool)
+    out[zero] = True
+    for g in gens:
+        out = _add_cosets(add, out, action[:, g])
+    return out
+
+
 def span_of_products(add: Table, mul: Table, zero: int, a, b) -> np.ndarray:
     """Mask of the additive subgroup (group law add) generated by the products
     mul[x, y], x in a, y in b; mul is a ring's multiplication or a module's
-    action (ring x module)."""
-    prods = mul[np.ix_(a, b)].ravel()
-    return closure_mask(len(add), np.append(prods, zero), internal=(add,))
+    action (ring x module).  a must be an additive subgroup of the ring: then
+    each a*y is a subgroup, and the span is their sum."""
+    prods = mul[np.ix_(a, b)]
+    return sum_of_orbits(add, prods, zero, range(prods.shape[1]))
 
 
 def distinct(values, size: int) -> np.ndarray:
@@ -793,7 +790,7 @@ def poly_quotient(
         rel_elems.append(int(layout.horner(embed.map[rel])))
     if not rel_elems or all(e == free.zero for e in rel_elems):
         return PolyQuotientResult(free, embed, x_index)
-    imask = closure_mask(q, rel_elems + [free.zero], internal=(free.add,), absorbing=(free.mul,))
+    imask = sum_of_orbits(free.add, free.mul, free.zero, rel_elems)
     if imask.all():
         raise PreconditionError("trivial quotient: relations generate the unit ideal")
     qr = quotient(free, mask_elements(imask))

@@ -238,6 +238,25 @@ def test_lattice_bound_refuses_a_field_before_building_it(capsys, monkeypatch, a
 
 
 @pytest.mark.parametrize("argv", [
+    # each exited 3 after building the order-4096 base (0.8-1.6 s, 223-415 MB)
+    ["lattice", "Z/4096", "Z/4096"],
+    ["classify", "GF(2^12)", "GF(2^12) x Z/2"],
+    ["lattice", "GF(2^12)", "GF(2^12)"],
+    # the factors cannot be checked against a base that is not built: exited 2
+    ["lattice", "Z/4096", "Z/4096 x Z/2", "--embed", "diagonal"],
+])
+def test_lattice_bound_refuses_an_exact_order_base_before_building_it(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the base was built")
+
+    for module in (dsl, rg):
+        monkeypatch.setattr(module, "make_zmod", refuse)
+        monkeypatch.setattr(module, "make_gf", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", "size limit: lattice enumeration bound exceeded for order 4096\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["lattice", "Z/4", "Z/4096"],  # no embedding to infer: exited 2 after building Z/4096
     ["lattice", "Z/2", "Z/2 x (Z/4 x Z/128)"],
     ["classify", "Z/2", "Z/64 x Z/128"],  # beyond the arithmetic bound too

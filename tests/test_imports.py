@@ -8,7 +8,9 @@ per structure: no function takes a structure together with the context it
 already holds, an extension is its embedding alone, and no function returns
 an extension in a tuple beside a piece of it.  The argument parser is built
 once, when cli is imported.  A value record is an immutable NamedTuple, and
-a frozen dataclass is an object with identity (eq=False)."""
+a frozen dataclass is an object with identity (eq=False).  The pair closure
+is the oracle: only verify.lattice_certificate reads it, so it never checks
+itself."""
 
 import ast
 import importlib
@@ -405,3 +407,52 @@ def test_a_value_record_is_immutable(cls):
             setattr(record, field, 1)
     with pytest.raises(AttributeError):
         record.added = 1
+
+
+ORACLE = ("closure_mask", "extend_closure_mask")
+
+
+def oracle_reads(sources: dict[str, str]) -> list[str]:
+    """module.scope: name for each read of an ORACLE function in the sources
+    (module name -> source), as a name, an attribute or an import, outside
+    the oracle's own definitions; the scope is the innermost enclosing
+    function, or <module>."""
+    found = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name in ORACLE:
+                    continue
+                inner = child.name
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                found.append((module, scope, child.id))
+            elif isinstance(child, ast.Attribute):
+                found.append((module, scope, child.attr))
+            elif isinstance(child, ast.ImportFrom):
+                found.extend((module, scope, a.name) for a in child.names)
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return sorted(f"{m}.{scope}: {name}" for m, scope, name in found if name in ORACLE)
+
+
+def test_scan_finds_oracle_reads():
+    sources = {
+        "rings": ("def extend_closure_mask(order):\n    return order\n"
+                  "def closure_mask(order):\n    return extend_closure_mask(order)\n"),
+        "ideals": "from .rings import closure_mask\ndef f(n):\n    return closure_mask(n)\n",
+        "verify": "from . import rings as rg\ndef check(n):\n    return rg.extend_closure_mask(n)\n",
+        "other": "closure_mask = None\nclosure = 3\ndef g():\n    return closure\n",
+    }
+    assert oracle_reads(sources) == [
+        "ideals.<module>: closure_mask", "ideals.f: closure_mask", "verify.check: extend_closure_mask"]
+
+
+def test_only_the_lattice_certificate_reads_the_oracle():
+    # the pair closure checks the sumset kernel, so no production path may use it
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert oracle_reads(sources) == [
+        "verify.lattice_certificate: closure_mask", "verify.lattice_certificate: extend_closure_mask"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlat import ideals as il
 from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat.errors import InternalCheckError, PreconditionError, SizeLimitError
@@ -381,6 +382,8 @@ def test_subring_enumeration_matches_brute_force(make):
 
 @_CLOSURE_SYSTEMS
 def test_close_rows_closes_each_row_as_if_alone(system):
+    # each row, a closed start with its new cells, goes through the one-row
+    # pair closure on its own and must reach the brute-force closure
     order, seed, internal, absorbing = system()
     rng = np.random.default_rng(order)
 
@@ -391,13 +394,56 @@ def test_close_rows_closes_each_row_as_if_alone(system):
     # closed starts of every kind: empty, the system's own, one random generator
     starts = [[], seed] + [[int(rng.integers(order))] for _ in range(4)]
     news = [rng.choice(order, size=int(rng.integers(1, 4)), replace=False) for _ in starts]
-    mask = np.array([closure(s) for s in starts])
-    hit = np.zeros_like(mask)
-    for row, cells in enumerate(news):
-        hit[row, cells] = True
-    rg._close_rows(mask, hit, internal, absorbing)
-    want = [closure(list(s) + cells.tolist()) for s, cells in zip(starts, news)]
-    assert [rg.mask_elements(m) for m in mask] == [rg.mask_elements(m) for m in want]
+    for start, cells in zip(starts, news):
+        base = closure(start)
+        kept = base.copy()
+        got = rg.extend_closure_mask(order, base, cells, internal, absorbing)
+        assert rg.mask_elements(got) == rg.mask_elements(closure(list(start) + cells.tolist()))
+        assert np.array_equal(base, kept)
+
+
+def _orbit_table(order, seed, internal, absorbing):
+    """The table whose columns are the orbits of a closure system: a module's
+    action, a ring's multiplication, or for a bare additive group the
+    multiples k*x, k < order (the action of Z/order)."""
+    if absorbing:
+        return absorbing[0]
+    if len(internal) > 1:
+        return internal[1]
+    multiples = np.zeros((order, order), dtype=np.int32)
+    multiples[0] = seed[0]
+    for k in range(1, order):
+        multiples[k] = internal[0][multiples[k - 1], np.arange(order)]
+    return multiples
+
+
+def _generator_sets(order):
+    return [[], *([x] for x in range(order)), *([x, y] for x in range(order) for y in range(x + 1, order))]
+
+
+@_CLOSURE_SYSTEMS
+def test_sums_of_orbits_and_spans_match_the_pair_closure(system):
+    order, seed, internal, absorbing = system()
+    add, zero = internal[0], seed[0]
+    action = _orbit_table(order, seed, internal, absorbing)
+    # the annihilator of x is an ideal of the acting ring, so an additive
+    # subgroup that span_of_products accepts; that of zero is the whole ring
+    annihilators = {tuple(np.flatnonzero(action[:, x] == zero)) for x in range(order)}
+    for gens in _generator_sets(order):
+        want = rg.closure_mask(order, [*gens, zero], (add,), (action,))
+        assert rg.mask_elements(rg.sum_of_orbits(add, action, zero, gens)) == rg.mask_elements(want)
+        for a in annihilators:
+            prods = action[np.ix_(a, gens)].ravel()
+            want = rg.closure_mask(order, [*prods, zero], (add,))
+            assert rg.mask_elements(rg.span_of_products(add, action, zero, a, gens)) == rg.mask_elements(want)
+
+
+@pytest.mark.parametrize("make", _SUBALGEBRA_RINGS, ids=_SUBALGEBRA_IDS)
+def test_generated_ideals_match_the_pair_closure(make):
+    ring = make()
+    for gens in _generator_sets(ring.order):
+        want = rg.closure_mask(ring.order, [*gens, ring.zero], (ring.add,), (ring.mul,))
+        assert il.ideal_generated(ring, gens).elements == rg.mask_elements(want)
 
 
 @pytest.mark.parametrize("module", [

@@ -115,14 +115,6 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     if lattice and (order := dsl.exact_order(base_ast)) is not None:
         lt.check_lattice_order(order)
     base = dsl.build(base_ast)
-    chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
-    if chain is not None:
-        built, homs = base, []
-        for step in chain:
-            built, hom = dsl.build_step(built, step)
-            homs.append(hom)
-        hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
-        return lt.Extension(hom)
     product_top = isinstance(top_ast, dsl.ProductE)
     tops = parts = None
     if embed in ("diagonal", "first-factor"):
@@ -131,6 +123,14 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
         parts = _named_parts(base, tops, embed)
     if lattice and (order := dsl.exact_order(top_ast)) is not None:
         lt.check_lattice_order(order)
+    chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
+    if chain is not None:
+        built, homs = base, []
+        for step in chain:
+            built, hom = dsl.build_step(built, step)
+            homs.append(hom)
+        hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
+        return lt.Extension(hom)
     if explicit:
         return _explicit_extension(base, dsl.build(top_ast), embed)
     if product_top and tops is None:

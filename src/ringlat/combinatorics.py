@@ -12,7 +12,7 @@ import numpy as np
 from .config import arith_limit
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
-from .rings import (FiniteRing, RingHom, idempotents, local_decomposition, mask_elements, product,
+from .rings import (FiniteRing, RingHom, idempotents, mask_elements, product,
                     product_components, product_index)
 
 PARTITION_BOUND = 12
@@ -298,7 +298,7 @@ class ExalBoundReport(NamedTuple):
 def exal_bound_check(rep: ExalReport) -> ExalBoundReport:
     """|Exal| against S(n,p)^(number of minimal primes); equality demanded
     for connected rings."""
-    m = len(local_decomposition(rep.ring).factors)
+    m = len(rep.ring.primitive_idempotents)
     s = stirling2(rep.n, rep.p)
     bound = s ** m
     if rep.count > bound:

@@ -10,13 +10,14 @@ from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
 from .ideals import (
     IdealLike,
-    all_ideals,
     coerce_ideal,
     colon,
     conductor,
     ideal_generated,
     ideal_intersection,
     ideal_sum,
+    quotient_ideal_count,
+    spectrum,
     zero_ideal,
 )
 from .lattice import Extension, Subalgebra, lower_extension
@@ -25,7 +26,6 @@ from .rings import (
     Ideal,
     QuotientResult,
     RingHom,
-    is_field,
     is_local,
     mask_elements,
     pair_homs,
@@ -116,12 +116,6 @@ def conductor_by_formula(crt: CrtExtension) -> Ideal:
     return direct
 
 
-def _is_maximal(ring: FiniteRing, ideal: Ideal) -> bool:
-    if ideal.is_whole:
-        return False
-    return is_field(quotient(ring, ideal).ring)
-
-
 def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
     """Minimality of R in prod(R/I_j) for n > 2: exactly one pair of ideals
     with maximal sum, every other pair comaximal.  Returns that pair, 0-based,
@@ -129,13 +123,14 @@ def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
     fam = crt.family
     if fam.n <= 2:
         raise PreconditionError("pair families need the two-ideal test (is_minimal_crt2)")
+    primes = spectrum(fam.ring).primes
     maximal_pairs = []
     for j in range(fam.n):
         for k in range(j + 1, fam.n):
             s = ideal_sum(fam.ideals[j], fam.ideals[k])
             if s.is_whole:
                 continue
-            if _is_maximal(fam.ring, s):
+            if s in primes:
                 maximal_pairs.append((j, k))
             else:
                 return None
@@ -155,10 +150,7 @@ def is_minimal_crt2(crt: CrtExtension) -> Crt2Result:
     if fam.n != 2:
         raise PreconditionError("two-ideal test needs exactly two ideals")
     s = ideal_sum(fam.ideals[0], fam.ideals[1])
-    if s.is_whole:
-        return Crt2Result(False, 1)
-    q = quotient(fam.ring, s).ring
-    return Crt2Result(is_field(q), len(all_ideals(q)))
+    return Crt2Result(s in spectrum(fam.ring).primes, quotient_ideal_count(s))
 
 
 def weak_crt_check(crt: CrtExtension) -> tuple[bool, ...]:

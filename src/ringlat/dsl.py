@@ -450,11 +450,21 @@ def build(expr: RingExpr) -> BuildResult:
 
 def exact_order(expr: RingExpr) -> Optional[int]:
     """The order of build(expr) when the expression alone fixes it: Z/n,
-    GF(p^k) and products of these, each factor one that build accepts.
-    None for any other expression."""
+    GF(p^k), products of these, and R[t]/(f) over such an R with f alone, a
+    bare t^d plus terms of lower degree in t only: free of rank d, so |R|^d,
+    for d up to the arithmetic bound's bit length.  None for any other."""
     if isinstance(expr, ProductE):
         orders = [exact_order(f) for f in expr.factors]
         return None if None in orders else math.prod(orders)
+    if isinstance(expr, PolyQuotE):
+        base, terms = exact_order(expr.base), expr.polys[0].terms
+        degrees = [sum(f.exp for f in t.factors if isinstance(f, NameF)) for t in terms]
+        d = max(degrees)
+        if (base is not None and len(expr.polys) == 1 and degrees.count(d) == 1
+                and Term(1, (NameF(expr.var, d),)) in terms and 1 <= d <= arith_limit().bit_length()
+                and {f.name for t in terms for f in t.factors if isinstance(f, NameF)} == {expr.var}):
+            return base**d
+        return None
     try:
         if isinstance(expr, ZModE):
             return zmod_order(expr.n)

@@ -14,7 +14,6 @@ from .rings import (
     distinct,
     enumerate_submodules,
     mask_elements,
-    primitive_idempotents,
     span_of_products,
     subgroup_sum_mask,
     sum_of_orbits,
@@ -112,6 +111,16 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     return [Ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
 
 
+def quotient_ideal_count(ideal: Ideal) -> int:
+    """The number of ideals of R/I, read in R: by the correspondence theorem,
+    the ideals of R that contain I.  Bounded as all_ideals(R/I) is."""
+    ring = ideal.ring
+    order = ring.order // ideal.order
+    if order > lattice_limit():
+        raise SizeLimitError(f"ideal enumeration bound exceeded for order {order}")
+    return len(enumerate_submodules(ring.add, ring.mul, ring.zero, ideal.mask))
+
+
 class SpectrumReport(NamedTuple):
     """Primes and nilradical of a finite ring.  Every prime of a finite ring
     is maximal, and the nilradical is the Jacobson radical."""
@@ -122,17 +131,9 @@ class SpectrumReport(NamedTuple):
 
 
 def spectrum(ring: FiniteRing) -> SpectrumReport:
-    """Primes and nilradical, from structure.
-
-    A finite ring is Artinian, so it is the product of the local rings eR
-    over its primitive idempotents e (Atiyah-Macdonald, Thm 8.7).  Every
-    prime is therefore maximal, the one over e is {x : e*x nilpotent}, and
-    the Jacobson radical equals the nilradical.  No ideal is enumerated.
-    Primes are ordered by cardinality, then by element tuple."""
-    nil = ring.nilpotents
-    primes = [Ideal(ring, mask_elements(nil[ring.mul[e]])) for e in primitive_idempotents(ring)]
-    primes.sort(key=lambda i: (i.order, i.elements))
-    return SpectrumReport(ring, tuple(primes), Ideal(ring, mask_elements(nil)))
+    """Primes and nilradical, read from the ring's cached prime_elements."""
+    primes = tuple(Ideal(ring, p) for p in ring.prime_elements)
+    return SpectrumReport(ring, primes, Ideal(ring, mask_elements(ring.nilpotents)))
 
 
 def conductor(ext) -> Ideal:

@@ -22,12 +22,10 @@ from .rings import (
     distinct,
     enumerate_closed_subsets,
     enumerate_submodules,
-    is_field,
     is_local,
     mask_elements,
     pair_homs,
     product,
-    quotient,
     span_of_products,
     subgroup_sum_mask,
     subset_ring,
@@ -424,7 +422,7 @@ def classify_minimal(report: LatticeReport) -> MinimalClassification:
     ext = report.extension
     base, top = ext.base, ext.top
     m = conductor(ext)
-    if not is_field(quotient(base, m).ring):
+    if m not in spectrum(base).primes:
         raise InternalCheckError("classification failure: conductor of a minimal extension is not maximal")
     q_r = base.order // m.order
     m_top_elems = tuple(sorted(int(i) for i in ext.embed.map[np.asarray(m.elements, dtype=np.intp)]))

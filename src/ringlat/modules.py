@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import arith_limit, lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
-from .ideals import IdealLike, all_ideals, annihilator, coerce_ideal
+from .ideals import IdealLike, annihilator, coerce_ideal, quotient_ideal_count
 from .lattice import (
     Extension,
     LatticeReport,
@@ -296,10 +296,7 @@ def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
         raise NotApplicableError("module is not cyclic")
     c_elems = [r for r in range(ring.order) if m.action[r, e] == m.zero]
     c = Ideal.from_indices(ring, c_elems)
-    if c.is_whole:
-        nu_rc = 1
-    else:
-        nu_rc = len(all_ideals(quotient(ring, c).ring))
+    nu_rc = quotient_ideal_count(c)
     p_idx = np.asarray(p.elements, dtype=np.intp)
     chain = []
     cur = tuple(range(m.order))

@@ -66,6 +66,24 @@ class FiniteRing:
         return y == self.zero
 
     @cached_property
+    def primitive_idempotents(self) -> tuple[int, ...]:
+        """The nonzero idempotents e with e*f != f for every other nonzero
+        idempotent f, in index order; one per local factor eR."""
+        idem = np.array([e for e in idempotents(self) if e != self.zero], dtype=np.intp)
+        # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
+        below = self.mul[np.ix_(idem, idem)] == idem[None, :]
+        return tuple(int(e) for e in idem[below.sum(axis=1) == 1])
+
+    @cached_property
+    def prime_elements(self) -> tuple[tuple[int, ...], ...]:
+        """The primes, sorted by (order, elements): R is the product of its
+        local factors eR (Atiyah-Macdonald, Thm 8.7), so the prime over e is
+        {x : e*x nilpotent}.  Tuples, as a cached Ideal would hold its ring."""
+        nil = self.nilpotents
+        primes = (mask_elements(nil[self.mul[e]]) for e in self.primitive_idempotents)
+        return tuple(sorted(primes, key=lambda p: (len(p), p)))
+
+    @cached_property
     def multiples_of_one(self) -> np.ndarray:
         """k * 1 at position k, for k below the additive order of one."""
         out = [self.zero]
@@ -368,10 +386,12 @@ def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.n
                          lambda cur, gens: [adjoin(ring, cur, s) for s in gens])
 
 
-def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarray]:
+def enumerate_submodules(add: Table, action: Table, zero: int,
+                         bottom: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """All submodules of the module with tables add and action (ring x
     module), sorted by (size, elements): the sumset join closure of the
-    orbits Rx = action[:, x], which are already submodules."""
+    orbits Rx = action[:, x], which are already submodules.  Given the mask
+    of a submodule bottom, only those that contain it."""
     order = len(add)
     orbits = np.zeros((order, order), dtype=bool)
     orbits[np.arange(order)[:, None], action.T] = True
@@ -388,7 +408,7 @@ def enumerate_submodules(add: Table, action: Table, zero: int) -> list[np.ndarra
         return out
 
     # the orbit of zero is {zero}
-    return _join_closure(orbits[zero], add, enumerate(orbits), join)
+    return _join_closure(orbits[zero] if bottom is None else bottom, add, enumerate(orbits), join)
 
 
 def _add_cosets(add: Table, a_mask: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -829,15 +849,6 @@ def idempotents(ring: FiniteRing) -> list[int]:
     return list(mask_elements(ring.mul.diagonal() == np.arange(ring.order)))
 
 
-def primitive_idempotents(ring: FiniteRing) -> list[int]:
-    """The nonzero idempotents e with e*f != f for every other nonzero
-    idempotent f, in index order; one per local factor eR."""
-    idem = np.array([e for e in idempotents(ring) if e != ring.zero], dtype=np.intp)
-    # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
-    below = ring.mul[np.ix_(idem, idem)] == idem[None, :]
-    return [int(e) for e in idem[below.sum(axis=1) == 1]]
-
-
 def is_connected(ring: FiniteRing) -> bool:
     """True when 0 and 1 are the only idempotents."""
     return len(idempotents(ring)) == 2
@@ -848,12 +859,9 @@ def is_field(ring: FiniteRing) -> bool:
 
 
 def is_local(ring: FiniteRing) -> Optional[Ideal]:
-    """The maximal ideal when the non-units form one, else None."""
-    nu = np.flatnonzero(~ring.units)
-    closed = ring.units[ring.add[np.ix_(nu, nu)]]
-    if closed.any():
-        return None
-    return Ideal(ring, tuple(int(i) for i in nu))
+    """The maximal ideal when R has one prime, else None."""
+    primes = ring.prime_elements
+    return Ideal(ring, primes[0]) if len(primes) == 1 else None
 
 
 def nilpotency_index(ring: FiniteRing) -> int:
@@ -873,22 +881,14 @@ def nilpotency_index(ring: FiniteRing) -> int:
 
 def is_spir(ring: FiniteRing) -> Optional[SpirWitness]:
     """Witness that R is a special principal ideal ring: local, not a field,
-    maximal ideal M = Rt with t^p = 0 for minimal p.  Fields are excluded."""
+    maximal ideal M = Rt (Rt lies in M, so it is M when as large) with t^p = 0
+    for minimal p, the nilpotency index of M, as M^p = Rt^p."""
     m = is_local(ring)
-    if m is None or is_field(ring):
+    if m is None or m.is_zero:
         return None
     for t in m.elements:
-        col = np.zeros(ring.order, dtype=bool)
-        col[ring.mul[:, t]] = True
-        if np.array_equal(col, m.mask):
-            p = 1
-            x = t
-            while x != ring.zero:
-                x = int(ring.mul[x, t])
-                p += 1
-                if p > ring.order + 1:
-                    return None
-            return SpirWitness(t, p)
+        if len(distinct(ring.mul[:, t], ring.order)) == m.order:
+            return SpirWitness(t, nilpotency_index(ring))
     return None
 
 
@@ -929,7 +929,7 @@ class LocalDecomposition(NamedTuple):
 
 
 def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    atoms = primitive_idempotents(ring)
+    atoms = ring.primitive_idempotents
     for a, b in itertools.combinations(atoms, 2):
         if ring.mul[a, b] != ring.zero:
             raise InternalCheckError("primitive idempotents are not orthogonal")

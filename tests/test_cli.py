@@ -237,6 +237,23 @@ def test_lattice_bound_refuses_a_field_before_building_it(capsys, monkeypatch, a
     assert (code, out, err) == (3, "", f"size limit: lattice enumeration bound exceeded for order {order}\n")
 
 
+@pytest.mark.parametrize("argv, order", [
+    # a top built over the base by suffixes was built in full (0.8 s, 223 MB)
+    (["lattice", "Z/2", "Z/2[t]/(t^12)"], 4096),
+    (["classify", "Z/2", "Z/2[t]/(t^12)"], 4096),
+    (["lattice", "Z/4", "Z/4[t]/(t^6 + 2*t + 1)"], 4096),
+    (["lattice", "Z/2", "Z/2[t]/(t^13)"], 8192),  # gave the arithmetic-bound line
+])
+def test_lattice_bound_refuses_a_polynomial_top_before_building_it(capsys, monkeypatch, argv, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the polynomial quotient was built")
+
+    for module in (dsl, rg):
+        monkeypatch.setattr(module, "poly_quotient", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"size limit: lattice enumeration bound exceeded for order {order}\n")
+
+
 @pytest.mark.parametrize("argv", [
     # each exited 3 after building the order-4096 base (0.8-1.6 s, 223-415 MB)
     ["lattice", "Z/4096", "Z/4096"],

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,9 +77,46 @@ def test_round_trip_on_random_trees(tree):
     ("Z/1", None), ("Z/5000", None), ("GF(6^2)", None), ("GF(2^13)", None), ("Z/1 x Z/4096", None),
     # suffix constructions: the order is known only once the ring is built
     ("Z/2[t]/(t^12, t)", None), ("Z/4/(2)", None), ("idealize(Z/2, ())", None), ("Z/2 x Z/4/(2)", None),
+    # R[t]/(f) with the modulus alone is free of rank deg f over R
+    ("Z/2[t]/(t^12)", 4096), ("Z/2[t]/(t^13)", 8192), ("Z/4[t]/(t^3+2*t-1)", 64), ("Z/2[t]/(t)", 2),
+    ("(Z/3 x GF(2^2))[t]/(t^2+t)", 144), ("(Z/2[t]/(t^2))[x]/(x^3+1)", 64), ("Z/9[t]/(t^2 + 3)", 81),
+    ("Z/2[t]/(t^2 + t^3)", 8),
+    # the rule is exact or silent: built as before, and refused there if at all
+    ("Z/2[t]/(t^14)", None), ("Z/2[t]/(t^99999999999)", None), ("Z/1[t]/(t^2)", None),
+    ("Z/2[t]/(2*t^3)", None), ("Z/2[t]/(-t^3)", None), ("Z/2[t]/(t*t^2)", None), ("Z/2[t]/(1)", None),
+    ("Z/2[t]/(t^3 + t^3)", None), ("Z/2[t]/(t^3 + t*t^2)", None), ("Z/4/(2)[t]/(t^2)", None),
+    ("(Z/2[t]/(t^2))[x]/(x^2 + t)", None), ("Z/2[t]/(t^2 + x)", None),
 ])
 def test_exact_order(text, order):
     assert dsl.exact_order(dsl.parse(text)) == order
+
+
+def _workload_ring_expressions():
+    """Every ring expression the benchmark's three workloads pass to the CLI."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    queries = workloads.mix_pool() + workloads.queries("structure-mid") + workloads.queries("lattice-large")
+    exprs = set()
+    for q in queries:
+        if q[0] in ("lattice", "classify", "closures"):
+            exprs.update(q[1:3])
+        elif q[0] in ("crt", "idealize"):
+            exprs.add(q[1])
+        elif q[:2] == ["count", "exal"]:
+            exprs.add(q[2])
+    return sorted(exprs)
+
+
+def test_exact_order_is_the_built_order_on_the_workload_rings():
+    exact = 0
+    for text in _workload_ring_expressions():
+        order = dsl.exact_order(dsl.parse(text))
+        if order is not None:
+            exact += 1
+            assert order == dsl.build_text(text).ring.order, text
+    assert exact >= 70
 
 
 def test_build_quotient_collapses(z4):

@@ -75,6 +75,28 @@ def _spectrum_by_enumeration(ring):
     return tuple(primes), tuple(maximals), rg.Ideal(ring, rg.mask_elements(jac))
 
 
+def _is_local_by_non_units(ring):
+    """Reference: the non-units, when they are closed under addition."""
+    nu = np.flatnonzero(~ring.units)
+    if ring.units[ring.add[np.ix_(nu, nu)]].any():
+        return None
+    return rg.Ideal(ring, tuple(int(i) for i in nu))
+
+
+def _is_spir_by_powers(ring):
+    """Reference: the least t with Rt = M, and the least p with t^p = 0."""
+    m = _is_local_by_non_units(ring)
+    if m is None or rg.is_field(ring):
+        return None
+    for t in m.elements:
+        if np.array_equal(np.isin(np.arange(ring.order), ring.mul[:, t]), m.mask):
+            p, x = 1, t
+            while x != ring.zero:
+                x, p = int(ring.mul[x, t]), p + 1
+            return rg.SpirWitness(t, p)
+    return None
+
+
 SPECTRUM_RINGS = [f"Z/{n}" for n in range(2, 65)] + [
     "Z/2 x Z/2", "Z/4 x Z/2", "Z/6 x Z/4", "GF(2^2) x Z/9", "Z/2 x Z/3 x Z/2",
     "Z/4 x Z/2 x Z/3", "Z/2[t]/(t^2) x GF(2^2)", "Z/3 x Z/2[t]/(t^2) x Z/2",
@@ -94,6 +116,19 @@ def test_spectrum_matches_ideal_enumeration(text):
     assert spec.nilradical == jacobson
     nil = np.logical_and.reduce([p.mask for p in primes])
     assert spec.nilradical == rg.Ideal(ring, rg.mask_elements(nil))
+    # maximality is membership in the spectrum, and the ideal count of R/I
+    # is the number of ideals of R over I (the correspondence theorem)
+    for ideal in il.all_ideals(ring):
+        if ideal.is_whole:
+            assert ideal not in spec.primes and il.quotient_ideal_count(ideal) == 1
+            continue
+        q = rg.quotient(ring, ideal).ring
+        assert (ideal in spec.primes) == rg.is_field(q)
+        assert il.quotient_ideal_count(ideal) == len(il.all_ideals(q))
+    # locality, the factor count and the SPIR index, read from the same cache
+    assert rg.is_local(ring) == _is_local_by_non_units(ring)
+    assert len(ring.primitive_idempotents) == len(rg.local_decomposition(ring).factors)
+    assert rg.is_spir(ring) == _is_spir_by_powers(ring)
 
 
 def test_ideal_validation(z12, z4):

@@ -10,7 +10,8 @@ an extension in a tuple beside a piece of it.  The argument parser is built
 once, when cli is imported.  A value record is an immutable NamedTuple, and
 a frozen dataclass is an object with identity (eq=False).  The pair closure
 is the oracle: only verify.lattice_certificate reads it, so it never checks
-itself."""
+itself.  Maximality is membership in the spectrum: only verify tests
+whether a quotient is a field."""
 
 import ast
 import importlib
@@ -456,3 +457,47 @@ def test_only_the_lattice_certificate_reads_the_oracle():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert oracle_reads(sources) == [
         "verify.lattice_certificate: closure_mask", "verify.lattice_certificate: extend_closure_mask"]
+
+
+def quotient_field_tests(sources: dict[str, str]) -> list[str]:
+    """module.function for each function with an is_field call whose argument
+    holds a quotient(...) call, or a name the function binds to an expression
+    holding one."""
+
+    def name_of(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    def holds(node, names):
+        return any((isinstance(n, ast.Call) and name_of(n) == "quotient")
+                   or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
+
+    found = set()
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            bound = {t.id for n in nodes if isinstance(n, ast.Assign) and holds(n.value, ())
+                     for target in n.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            if any(isinstance(n, ast.Call) and name_of(n) == "is_field" and any(holds(a, bound) for a in n.args)
+                   for n in nodes):
+                found.add(f"{module}.{fn.name}")
+    return sorted(found)
+
+
+def test_scan_finds_a_field_test_of_a_quotient():
+    sources = {
+        "crt": ("def direct(ring, i):\n    return is_field(quotient(ring, i).ring)\n"
+                "def bound(ring, i):\n    q = quotient(ring, i).ring\n    return is_field(q)\n"
+                "def spectral(ring, i):\n    return i in spectrum(ring).primes\n"),
+        "verify": "def oracle(ring, i):\n    return rg.is_field(rg.quotient(ring, i).ring)\n",
+        "other": "def plain(ring):\n    q = ring\n    return is_field(q) and quotient(ring, ())\n",
+    }
+    assert quotient_field_tests(sources) == ["crt.bound", "crt.direct", "verify.oracle"]
+
+
+def test_maximality_is_read_from_the_spectrum():
+    # an ideal is maximal when it is a prime of the ring's cached spectrum;
+    # only verify keeps the quotient-is-a-field test, as its oracle
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert quotient_field_tests(sources) == ["verify.criterion_04_trichotomy"]

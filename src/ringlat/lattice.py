@@ -16,8 +16,8 @@ from .rings import (
     FiniteRing,
     RingHom,
     _is_prime,
-    adjoin,
     adjoin_all,
+    adjoin_rows,
     cosets,
     distinct,
     enumerate_closed_subsets,
@@ -597,9 +597,11 @@ def is_pointwise_minimal(report: LatticeReport) -> bool:
     top = report.extension.top
     base_mask = report.nodes[0].mask
     covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers[0]}
-    # R[t + r] = R[t] for r in R, so one t per coset of R
+    # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batched adjunction
     _, reps = cosets(top.add, np.flatnonzero(base_mask))
-    return all(adjoin(top, base_mask, t).tobytes() in covers for t in reps if not base_mask[t])
+    reps = reps[~base_mask[reps]]
+    joined = adjoin_rows(top, np.broadcast_to(base_mask, (reps.size, top.order)), reps)
+    return all(m.tobytes() in covers for m in joined)
 
 
 def predicate_battery(report: LatticeReport) -> dict:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -245,14 +244,25 @@ class SpirWitness(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # closure engine: every ideal, submodule, span and subring closure is a sum
-# of additive subgroups, built coset by coset (_add_cosets); the pair
+# of additive subgroups, built coset by coset (_add_cosets, one closure;
+# _add_cosets_rows, every join of a lattice level at once); the pair
 # closure (extend_closure_mask) is kept only as the oracle that checks it
 
-# Table entries gathered at once by _add_cosets, the submodule join and the
-# pair closure: 64 KiB of int32, below glibc's default mmap threshold
-# (128 KiB), so each round's temporaries reuse heap memory instead of mapping
-# and faulting in fresh pages.
+# Table entries gathered at once by _add_cosets and the pair closure, and in
+# one round of the batched kernel (_add_cosets_rows), whose blocks
+# (_gather_blocks: its cosets, the products of adjoin_rows, the coset
+# leaders of a lattice level) take a quarter of it each: 64 KiB of int32,
+# below glibc's default mmap threshold (128 KiB), so each round's
+# temporaries reuse heap memory instead of mapping and faulting in fresh
+# pages.
 _GATHER_ENTRIES = 1 << 14
+
+# Mask entries (rows x order) of one chunk of a join-closure level: the
+# coset leaders of that many node entries, then the joins of that many
+# (node, leader) row entries, each in one batched call.  It bounds the
+# stacks and index arrays a level holds at once, however many joins the
+# level has.
+_LEVEL_ENTRIES = 1 << 15
 
 
 def extend_closure_mask(
@@ -300,40 +310,103 @@ def closure_mask(
     return extend_closure_mask(order, None, seed, internal, absorbing)
 
 
-def _join_closure(first: np.ndarray, add: Table, atoms: Iterable[tuple[int, np.ndarray]],
-                  join: Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]) -> list[np.ndarray]:
-    """The join closure over first of the distinct atoms, each given with an
-    element s that generates it over first; sorted by (size, elements).
+def _gather_blocks(table: Table, xs: np.ndarray, members: np.ndarray, starts: np.ndarray,
+                   counts: np.ndarray):
+    """The entries table[xs[i], members[starts[i] + j]], j < counts[i], of
+    every pair i in order, in blocks of a quarter of _GATHER_ENTRIES entries
+    (one at least), as each entry also takes a few 8-byte indices; each
+    block is (the pair of each entry, the entries).  A block may end inside
+    a pair, and the next one goes on from there."""
+    ends = counts.cumsum()
+    shift = starts + counts - ends
+    total = int(ends[-1]) if ends.size else 0
+    step = max(1, _GATHER_ENTRIES // 4)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        if hi - lo == total:  # one block of whole pairs
+            pair = np.repeat(np.arange(counts.size), counts)
+        else:
+            # the pairs p0..p1-1 meet the block, the first and last maybe in part
+            p0, p1 = ends.searchsorted(lo, side="right"), ends.searchsorted(hi - 1, side="right") + 1
+            taken = np.minimum(ends[p0:p1], hi) - np.maximum(ends[p0:p1] - counts[p0:p1], lo)
+            pair = np.repeat(np.arange(p0, p1), taken)
+        yield pair, table[xs[pair], members[np.arange(lo, hi) + shift[pair]]]
+
+
+def _cells(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """stack.nonzero() of a 2-D mask, by one scan of the flat mask, which
+    numpy does several times faster."""
+    return np.divmod(stack.ravel().nonzero()[0], stack.shape[1])
+
+
+def _row_members(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members of each row of a mask stack, as one flat array in row
+    order, with where each row starts in it and how many it has."""
+    rows, members = _cells(stack)
+    counts = np.bincount(rows, minlength=len(stack))
+    return members, counts.cumsum() - counts, counts
+
+
+def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the mask stack, an additive subgroup (group law add),
+    the least element of each of its cosets that holds an element of gens
+    outside it: (row, element) pairs in increasing order."""
+    order = stack.shape[1]
+    node, gen = _cells(~stack[:, gens])
+    if not node.size:
+        return node, gen
+    members, starts, counts = _row_members(stack)
+    least = np.full(node.size, order, dtype=np.intp)
+    for pair, sums in _gather_blocks(add, gens[gen], members, starts[node], counts[node]):
+        # a block may start inside a pair, so fold each run's minimum into least
+        heads = np.concatenate(([0], (pair[1:] != pair[:-1]).nonzero()[0] + 1))
+        runs = pair[heads]
+        least[runs] = np.minimum(least[runs], np.minimum.reduceat(sums, heads))
+    return np.divmod(distinct(node * order + least, len(stack) * order), order)
+
+
+def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.ndarray,
+                  join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+    """The join closure over first of the atoms (rows of a mask stack, each
+    holding first), each given with the element of gens that generates it
+    over first; sorted by (size, elements).
 
     Every node is an additive subgroup (add is the group law) that contains
     first, so its join with the atom of s is the closed set generated by the
-    node and s, which depends only on the coset of s.  A FIFO worklist joins
-    each node at once with one atom per coset among the atoms not inside it:
-    join(node, gens) gets those atoms' generators and returns the joins.
-    """
-    gens, seen = [], set()
-    for s, atom in atoms:
-        key = atom.tobytes()
-        if key not in seen:
-            seen.add(key)
-            gens.append(s)
-    gens = np.array(gens, dtype=np.intp)
+    node and s, which depends only on the coset of s; the least element of
+    the coset generates it too (_coset_leaders).  The closure grows one BFS
+    level at a time from the distinct atoms, and join(stack, s) returns, row
+    by row, the joins of the nodes stack[r] with the atoms of s[r]: one call
+    joins every node of the level with every such coset leader, in chunks of
+    _LEVEL_ENTRIES mask entries."""
+    step = max(1, _LEVEL_ENTRIES // len(first))
     nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
-    queue = deque([first])
-    while queue:
-        cur = queue.popleft()
-        outside = np.flatnonzero(~cur[gens])
-        if not outside.size:
-            continue
-        # the least element of each generator's coset of cur
-        least = add[gens[outside, None], np.flatnonzero(cur)].min(axis=1)
-        _, pick = np.unique(least, return_index=True)
-        for new in join(cur, gens[outside[pick]]):
-            key = new.tobytes()
-            if key not in nodes:
-                nodes[key] = new
-                queue.append(new)
+    rows, level = _new_rows(nodes, atoms)
+    gens = gens[rows]
+    while len(level):
+        found = [level[:0]]
+        for lo in range(0, len(level), step):
+            chunk = level[lo:lo + step]
+            node, s = _coset_leaders(add, chunk, gens)
+            for i in range(0, node.size, step):
+                found.append(_new_rows(nodes, join(chunk[node[i:i + step]], s[i:i + step]))[1])
+        level = np.concatenate(found)
     return sorted(nodes.values(), key=lambda m: (int(m.sum()), mask_elements(m)))
+
+
+def _new_rows(nodes: dict[bytes, np.ndarray], stack: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The first row of each distinct mask of stack that is not yet a node
+    (nodes holds masks by tobytes), and a copy of those rows, each added to
+    nodes."""
+    fresh: dict[bytes, int] = {}
+    for r, m in enumerate(stack):
+        key = m.tobytes()
+        if key not in nodes:
+            fresh.setdefault(key, r)
+    rows = list(fresh.values())
+    new = stack[rows]
+    nodes.update(zip(fresh, new))
+    return rows, new
 
 
 def adjoin(ring: FiniteRing, base_mask: np.ndarray, s: int) -> np.ndarray:
@@ -356,6 +429,26 @@ def adjoin(ring: FiniteRing, base_mask: np.ndarray, s: int) -> np.ndarray:
     return a
 
 
+def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row by row, the masks of B_r[s_r] (adjoin) for the subrings B_r given
+    by the rows of the mask stack bases and the elements s_r of s.  All rows
+    grow together: one batched sumset (_add_cosets_rows) per power p_r =
+    s_r^i, over the rows whose power is not yet inside."""
+    members, starts, counts = _row_members(bases)
+    out = bases.copy()
+    p = np.array(s, dtype=np.intp)
+    live = np.flatnonzero(~out[np.arange(len(out)), p])
+    while live.size:
+        # the subgroups B_r p_r, gathered from the commutative mul table
+        prods = np.zeros((live.size, ring.order), dtype=bool)
+        for pair, xs in _gather_blocks(ring.mul, p[live], members, starts[live], counts[live]):
+            prods[pair, xs] = True
+        out[live] = _add_cosets_rows(ring.add, out[live], prods)
+        p[live] = power = ring.mul[p[live], s[live]]
+        live = live[~out[live, power]]
+    return out
+
+
 def adjoin_all(ring: FiniteRing, base_mask: np.ndarray, elements: Iterable[int]) -> np.ndarray:
     """The mask of the least subring containing the subring B (given by its
     mask) and elements: B[x][y]..., adjoining one element at a time and
@@ -373,17 +466,18 @@ def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.n
     the elements of seed adjoined one at a time.  Every subring above first
     is the join of the atoms first[s] of its elements, so the subrings are
     the join closure (_join_closure) of the atoms, and the join of a node
-    with the atom of s is node[s] (adjoin).  As first[s] = first[s + r] for
-    r in first, one atom is computed per coset of first, at its least
-    element.
+    with the atom of s is node[s] (adjoin_rows).  As first[s] = first[s + r]
+    for r in first, one atom is computed per coset of first, at its least
+    element, all in one batched adjunction.
     """
     first = np.zeros(ring.order, dtype=bool)
     first[ring.multiples_of_one] = True
     first = adjoin_all(ring, first, seed)
     _, reps = cosets(ring.add, np.flatnonzero(first))
-    atoms = ((s, adjoin(ring, first, s)) for s in reps if not first[s])
-    return _join_closure(first, ring.add, atoms,
-                         lambda cur, gens: [adjoin(ring, cur, s) for s in gens])
+    reps = reps[~first[reps]]
+    atoms = adjoin_rows(ring, np.broadcast_to(first, (reps.size, ring.order)), reps)
+    return _join_closure(first, ring.add, reps, atoms,
+                         lambda stack, s: adjoin_rows(ring, stack, s))
 
 
 def enumerate_submodules(add: Table, action: Table, zero: int,
@@ -395,20 +489,15 @@ def enumerate_submodules(add: Table, action: Table, zero: int,
     order = len(add)
     orbits = np.zeros((order, order), dtype=bool)
     orbits[np.arange(order)[:, None], action.T] = True
-    step = max(1, _GATHER_ENTRIES // order)
-
-    def join(cur: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        # cur is a subgroup, so cur + Rx is cur and its sums with Rx outside cur
-        out = np.repeat(cur[None], len(gens), axis=0)
-        rows, cols = np.nonzero(orbits[gens] & ~cur)
-        cur_idx = np.flatnonzero(cur)
-        for i in range(0, cols.size, step):
-            block = slice(i, i + step)
-            out[rows[block, None], add[cols[block]][:, cur_idx]] = True
-        return out
-
-    # the orbit of zero is {zero}
-    return _join_closure(orbits[zero] if bottom is None else bottom, add, enumerate(orbits), join)
+    # the orbit of zero is {zero}, inside every orbit
+    first, gens, atoms = orbits[zero], np.arange(order), orbits
+    if bottom is not None:
+        # the atoms over bottom are its sums with the distinct orbits
+        rows, distinct_orbits = _new_rows({}, orbits)
+        gens = np.array(rows, dtype=np.intp)
+        first = bottom
+        atoms = _add_cosets_rows(add, np.broadcast_to(bottom, distinct_orbits.shape), distinct_orbits)
+    return _join_closure(first, add, gens, atoms, lambda stack, s: _add_cosets_rows(add, stack, orbits[s]))
 
 
 def _add_cosets(add: Table, a_mask: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -425,6 +514,38 @@ def _add_cosets(add: Table, a_mask: np.ndarray, xs: np.ndarray) -> np.ndarray:
         out[add[xs[:step, None], a_idx]] = True
         xs = xs[step:]
         xs = xs[~out[xs]]
+    return out
+
+
+def _add_cosets_rows(add: Table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row by row, _add_cosets for the additive subgroups A_r (the rows of
+    the mask stack a) and the elements of X_r (the rows of the mask stack
+    x), all rows at once.  Each round takes, for each row, the least
+    elements of X_r outside what the row covers so far, as many whole
+    cosets as the row's share of _GATHER_ENTRIES allows (one at least), and
+    gathers their cosets for all rows together in blocks (_gather_blocks).
+    So a row alone does the work _add_cosets does, and later rounds skip
+    the elements that earlier ones covered."""
+    members, starts, counts = _row_members(a)
+    out = a.copy()
+    xr, xc = _cells(x & ~a)
+    while xr.size:
+        take_all = counts[xr].sum() <= _GATHER_ENTRIES
+        rows, xs = xr, xc
+        if not take_all:
+            # xr is sorted, so an element's rank in its row is its distance
+            # from the row's first pending element
+            pending = np.bincount(xr, minlength=len(a))
+            rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
+            share = _GATHER_ENTRIES // np.count_nonzero(pending)
+            pick = rank < np.maximum(1, share // counts[xr])
+            rows, xs = xr[pick], xc[pick]
+        for pair, sums in _gather_blocks(add, xs, members, starts[rows], counts[rows]):
+            out[rows[pair], sums] = True
+        if take_all:
+            break  # x + A_r holds x, so nothing is left pending
+        pending = ~out[xr, xc]
+        xr, xc = xr[pending], xc[pending]
     return out
 
 

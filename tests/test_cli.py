@@ -1,5 +1,6 @@
 import argparse
 import errno
+import importlib.util
 import json
 import math
 import os
@@ -411,14 +412,17 @@ def test_idealize_reports_the_submodule_bound_first(capsys):
     assert "submodule enumeration bound exceeded for order 1024" in err
 
 
-@pytest.mark.parametrize("argv", [
+_ONE_QUERY_PER_SUBCOMMAND = [
     ["lattice", "Z/2", "Z/2 x Z/2 x Z/2"],
     ["classify", "Z/2", "GF(2^2)"],
     ["closures", "Z/4", "Z/4 x Z/4"],
     ["crt", "Z/12", "--ideals", "(4);(3)"],
     ["idealize", "Z/4", "--module", "(2)"],
     ["count", "exal", "Z/4", "2", "3"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_QUERY_PER_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_query_leaves_numpy_ma_unimported(argv):
     # a plain np.unique imports numpy.ma on its first call, about 14 ms of a process
     code = ("import contextlib, io, sys\nfrom ringlat import cli\n"
@@ -428,6 +432,24 @@ def test_query_leaves_numpy_ma_unimported(argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+def test_lattice_workload_leaves_numpy_ma_unimported():
+    # the benchmark's lattice-large queries and one query per subcommand, one
+    # after another in one fresh interpreter, as a benchmark pass runs them
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    queries = workloads.queries("lattice-large") + _ONE_QUERY_PER_SUBCOMMAND
+    code = ("import contextlib, io, json, sys\nfrom ringlat import cli\ncodes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n        codes.append(cli.main(argv))\n"
+            "print(set(codes), 'numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(queries)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert out.stdout.split() == ["{0}", "False"], out.stderr
 
 
 def run_any(capsys, argv):

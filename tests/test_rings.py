@@ -438,6 +438,199 @@ def test_sums_of_orbits_and_spans_match_the_pair_closure(system):
             assert rg.mask_elements(rg.span_of_products(add, action, zero, a, gens)) == rg.mask_elements(want)
 
 
+_GATHER_SIZES = pytest.mark.parametrize("gather", [None, 1, 7], ids=["default", "gather1", "gather7"])
+
+
+def _stack(masks):
+    return np.array(masks, dtype=bool).reshape(len(masks), -1)
+
+
+@_CLOSURE_SYSTEMS
+@_GATHER_SIZES
+def test_batched_submodule_join_matches_the_one_row_path(system, gather, monkeypatch):
+    # one call joins every submodule A (of the orbit action) with every
+    # orbit Rg: rows of different bases and sizes, blocks that split inside
+    # a row (7 or 1 entries) and between rows
+    order, seed, internal, absorbing = system()
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    add, zero = internal[0], seed[0]
+    action = _orbit_table(order, seed, internal, absorbing)
+    subs = _brute_force_closed_subsets(order, [zero], (add,), (action,))
+    rows = [(a, g) for a in subs for g in range(order)]
+    assert len({int(a.sum()) for a, _ in rows}) > 1
+    orbits = _stack([np.isin(np.arange(order), action[:, g]) for _, g in rows])
+    got = rg._add_cosets_rows(add, _stack([a for a, _ in rows]), orbits)
+    for (a, g), row in zip(rows, got):
+        elements = [*np.flatnonzero(a), g]
+        assert rg.mask_elements(row) == rg.mask_elements(rg.sum_of_orbits(add, action, zero, elements))
+        want = rg.closure_mask(order, elements, (add,), (action,))
+        assert rg.mask_elements(row) == rg.mask_elements(want)
+
+
+_ADJUNCTION_RINGS = [
+    *_SUBALGEBRA_RINGS,
+    lambda: rg.product([rg.make_zmod(3)] * 2).ring,
+    lambda: rg.product([rg.make_gf(2, 2), rg.make_gf(2)]).ring,
+    lambda: rg.product([rg.poly_quotient(rg.make_gf(2), [0, 0, 1], var="t").ring, rg.make_gf(2)]).ring,
+]
+_ADJUNCTION_IDS = [*_SUBALGEBRA_IDS, "Z3^2", "GF4xZ2", "Z2[t]/(t^2)xZ2"]
+
+
+@pytest.mark.parametrize("make", _ADJUNCTION_RINGS, ids=_ADJUNCTION_IDS)
+@_GATHER_SIZES
+def test_batched_adjunction_matches_the_one_row_path(make, gather, monkeypatch):
+    # one call adjoins every element to every subring: rows of different
+    # bases and sizes, some s already inside their base
+    ring = make()
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    order, seed, internal, _ = _subalgebra_system(ring)
+    subrings = _brute_force_closed_subsets(order, seed, internal)
+    bases = [b for b in subrings for _ in range(order)]
+    s = np.tile(np.arange(order), len(subrings))
+    assert len({int(b.sum()) for b in bases}) == len({int(b.sum()) for b in subrings})
+    got = rg.adjoin_rows(ring, _stack(bases), s)
+    for b, x, row in zip(bases, s, got):
+        assert rg.mask_elements(row) == rg.mask_elements(rg.adjoin(ring, b, int(x)))
+        want = rg.closure_mask(order, [*np.flatnonzero(b), x], internal)
+        assert rg.mask_elements(row) == rg.mask_elements(want)
+
+
+class _CountingTable(np.ndarray):
+    """A table that counts the entries read from it by indexing."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        _CountingTable.reads += np.size(out)
+        return out
+
+
+@_CLOSURE_SYSTEMS
+@_GATHER_SIZES
+def test_a_row_alone_does_the_work_of_add_cosets(system, gather, monkeypatch):
+    # a one-row call reads exactly the table entries _add_cosets reads for
+    # the same subgroup and the same elements in increasing order: the same
+    # cosets per round, and the same skipping of covered elements
+    order, seed, internal, absorbing = system()
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    add, zero = internal[0], seed[0]
+    table = add.view(_CountingTable)
+    for a in _brute_force_closed_subsets(order, [zero], (add,)):
+        for bits in range(1, 1 << order, 7):
+            x = np.array([bits >> i & 1 for i in range(order)], dtype=bool)
+            _CountingTable.reads = 0
+            one = rg._add_cosets(table, a, np.flatnonzero(x))
+            reads = _CountingTable.reads
+            _CountingTable.reads = 0
+            row = rg._add_cosets_rows(table, a[None], x[None])
+            assert rg.mask_elements(row[0]) == rg.mask_elements(one)
+            assert _CountingTable.reads == reads
+
+
+def test_subalgebra_closure_batches_the_joins_of_each_level(monkeypatch):
+    # (Z/2)^6: 203 subalgebras reached by several hundred joins (one per node
+    # and coset outside it); every element is idempotent, so each adjunction
+    # has one power step, and the kernel runs once for the atoms and once
+    # per BFS level, never more often than the lattice is long plus one
+    from ringlat.lattice import Poset, poset_structure
+
+    ring = rg.product([rg.make_gf(2)] * 6).ring
+    assert all(ring.mul[x, x] == x for x in range(ring.order))
+    kernel, inside, calls = rg._add_cosets_rows, [False], []
+
+    def counted(add, a, x):
+        calls.append(len(a))
+        return kernel(add, a, x)
+
+    def closure(*args):
+        inside[0] = True
+        try:
+            return join_closure(*args)
+        finally:
+            inside[0] = False
+
+    def one_row(name, fn):
+        def guarded(*args):
+            assert not inside[0], f"{name} called inside _join_closure"
+            return fn(*args)
+        return guarded
+
+    join_closure = rg._join_closure
+    monkeypatch.setattr(rg, "_add_cosets_rows", counted)
+    monkeypatch.setattr(rg, "_join_closure", closure)
+    monkeypatch.setattr(rg, "adjoin", one_row("adjoin", rg.adjoin))
+    monkeypatch.setattr(rg, "_add_cosets", one_row("_add_cosets", rg._add_cosets))
+    masks = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
+    lat = Poset(tuple(masks), *poset_structure(masks))
+    assert lat.count == 203
+    assert len(calls) <= lat.length + 1
+    assert sum(calls) > 5 * len(calls)
+
+
+_RELABELED_SUBALGEBRAS = {
+    "(Z/2)^5": lambda: rg.product([rg.make_gf(2)] * 5).ring,
+    "GF(2^6)": lambda: rg.make_gf(2, 6),
+    "Z/4[t]/(t^3)": lambda: rg.poly_quotient(rg.make_zmod(4), [0, 0, 0, 1], var="t").ring,
+    "Z/2[t]/(t^3) x Z/2[t]/(t^2)": lambda: rg.product([
+        rg.poly_quotient(rg.make_gf(2), [0, 0, 0, 1], var="t").ring,
+        rg.poly_quotient(rg.make_gf(2), [0, 0, 1], var="t").ring]).ring,
+    "GF(2^2)^3": lambda: rg.product([rg.make_gf(2, 2)] * 3).ring,
+    "Z/9[t]/(t^2)": lambda: rg.poly_quotient(rg.make_zmod(9), [0, 0, 1], var="t").ring,
+    "Z/4 x Z/4 x Z/4": lambda: rg.product([rg.make_zmod(4)] * 3).ring,
+}
+
+
+@pytest.mark.parametrize("entries", [1, 50])
+@pytest.mark.parametrize("name", ["(Z/2)^5", "Z/4[t]/(t^3)", "Z/2[t]/(t^3) x Z/2[t]/(t^2)"])
+def test_level_chunks_do_not_change_the_closure(name, entries, monkeypatch):
+    # a level split into chunks of one node or row, or of a few, joins the
+    # same pairs: the same subrings and ideals in the same order
+    ring = _RELABELED_SUBALGEBRAS[name]()
+    subrings = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
+    ideals = rg.enumerate_submodules(ring.add, ring.mul, ring.zero)
+    monkeypatch.setattr(rg, "_LEVEL_ENTRIES", entries)
+    assert [rg.mask_elements(m) for m in rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])] == \
+        [rg.mask_elements(m) for m in subrings]
+    assert [rg.mask_elements(m) for m in rg.enumerate_submodules(ring.add, ring.mul, ring.zero)] == \
+        [rg.mask_elements(m) for m in ideals]
+
+
+def _relabeling(order):
+    return np.random.default_rng(order).permutation(order)
+
+
+def _same_lattice_through(perm, masks, relabeled_masks):
+    from ringlat.lattice import Poset, poset_structure
+
+    mapped = {frozenset(perm[np.flatnonzero(m)].tolist()) for m in masks}
+    assert {frozenset(np.flatnonzero(m).tolist()) for m in relabeled_masks} == mapped
+    before = Poset(tuple(masks), *poset_structure(masks))
+    after = Poset(tuple(relabeled_masks), *poset_structure(relabeled_masks))
+    assert (after.count, after.length, after.chain_lengths) == \
+        (before.count, before.length, before.chain_lengths)
+
+
+@pytest.mark.parametrize("name", list(_RELABELED_SUBALGEBRAS))
+def test_subalgebra_lattice_is_invariant_under_relabeling(name):
+    ring = _RELABELED_SUBALGEBRAS[name]()
+    perm = _relabeling(ring.order)
+    other = _relabeled(ring, perm)
+    _same_lattice_through(perm, rg.enumerate_closed_subsets(ring, [ring.zero, ring.one]),
+                          rg.enumerate_closed_subsets(other, [other.zero, other.one]))
+
+
+def test_ideal_lattice_is_invariant_under_relabeling():
+    ring = rg.product([rg.make_zmod(8), rg.make_zmod(4)]).ring
+    perm = _relabeling(ring.order)
+    other = _relabeled(ring, perm)
+    _same_lattice_through(perm, rg.enumerate_submodules(ring.add, ring.mul, ring.zero),
+                          rg.enumerate_submodules(other.add, other.mul, other.zero))
+
+
 @pytest.mark.parametrize("make", _SUBALGEBRA_RINGS, ids=_SUBALGEBRA_IDS)
 def test_generated_ideals_match_the_pair_closure(make):
     ring = make()

@@ -35,7 +35,11 @@ from .rings import (
 )
 
 class SeparatingFamily(NamedTuple):
-    """Ideals I_1..I_n of R, none equal to R, with zero intersection.
+    """Ideals I_1..I_n of R, none equal to R, with zero intersection; their
+    complements J_j = intersect_{k!=j} I_k; and the ideal sums the CRT
+    formulas read, each distinct sum computed once: pair_sums[j][k] =
+    I_j + I_k (I_j when k = j), widened[j] = I_j + J_j and
+    complement_sum = sum(J_j).
 
     A family whose intersection is nonzero is normalized by passing to the
     quotient; `normalized` records that this happened."""
@@ -43,6 +47,9 @@ class SeparatingFamily(NamedTuple):
     ring: FiniteRing
     ideals: tuple[Ideal, ...]
     complements: tuple[Ideal, ...]
+    pair_sums: tuple[tuple[Ideal, ...], ...]
+    widened: tuple[Ideal, ...]
+    complement_sum: Ideal
     normalized: bool = False
 
     @property
@@ -63,11 +70,20 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
         qr = quotient(ring, inter)
         ring = qr.ring
         ids = _images(qr, ids)
-    comps = []
-    for j in range(len(ids)):
-        others = [ids[k] for k in range(len(ids)) if k != j]
-        comps.append(reduce(ideal_intersection, others))
-    return SeparatingFamily(ring, ids, tuple(comps), normalized)
+    comps = tuple(reduce(ideal_intersection, ids[:j] + ids[j + 1:]) for j in range(len(ids)))
+    # keyed by the summands' elements, as the same pair recurs: with two
+    # ideals J_1 = I_2 and J_2 = I_1, so every sum of the family is I_1 + I_2
+    sums: dict[frozenset, Ideal] = {}
+
+    def plus(a: Ideal, b: Ideal) -> Ideal:
+        key = frozenset((a.elements, b.elements))
+        if key not in sums:
+            sums[key] = ideal_sum(a, b)
+        return sums[key]
+
+    pair_sums = tuple(tuple(i if i is k else plus(i, k) for k in ids) for i in ids)
+    widened = tuple(plus(i, j) for i, j in zip(ids, comps))
+    return SeparatingFamily(ring, ids, comps, pair_sums, widened, reduce(plus, comps), normalized)
 
 
 def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
@@ -105,8 +121,8 @@ def conductor_by_formula(crt: CrtExtension) -> Ideal:
     """Conductor as sum(J_j), cross-checked against intersect(I_j + J_j) and
     the direct computation; any mismatch is an implementation bug."""
     fam = crt.family
-    by_sum = reduce(ideal_sum, fam.complements, zero_ideal(fam.ring))
-    by_meet = reduce(ideal_intersection, [ideal_sum(i, j) for i, j in zip(fam.ideals, fam.complements)])
+    by_sum = fam.complement_sum
+    by_meet = reduce(ideal_intersection, fam.widened)
     direct = crt.conductor
     if not (by_sum == by_meet == direct):
         raise InternalCheckError(
@@ -127,7 +143,7 @@ def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
     maximal_pairs = []
     for j in range(fam.n):
         for k in range(j + 1, fam.n):
-            s = ideal_sum(fam.ideals[j], fam.ideals[k])
+            s = fam.pair_sums[j][k]
             if s.is_whole:
                 continue
             if s in primes:
@@ -149,22 +165,15 @@ def is_minimal_crt2(crt: CrtExtension) -> Crt2Result:
     fam = crt.family
     if fam.n != 2:
         raise PreconditionError("two-ideal test needs exactly two ideals")
-    s = ideal_sum(fam.ideals[0], fam.ideals[1])
+    s = fam.pair_sums[0][1]
     return Crt2Result(s in spectrum(fam.ring).primes, quotient_ideal_count(s))
 
 
 def weak_crt_check(crt: CrtExtension) -> tuple[bool, ...]:
     """Per j: I_j + intersect_{k!=j} I_k = intersect_{k!=j} (I_j + I_k)."""
     fam = crt.family
-    out = []
-    for j in range(fam.n):
-        lhs = ideal_sum(fam.ideals[j], fam.complements[j])
-        rhs = reduce(
-            ideal_intersection,
-            [ideal_sum(fam.ideals[j], fam.ideals[k]) for k in range(fam.n) if k != j],
-        )
-        out.append(lhs == rhs)
-    return tuple(out)
+    return tuple(lhs == reduce(ideal_intersection, row[:j] + row[j + 1:])
+                 for j, (lhs, row) in enumerate(zip(fam.widened, fam.pair_sums)))
 
 
 class ReductionResult(NamedTuple):
@@ -179,14 +188,9 @@ class ReductionResult(NamedTuple):
 
 def reduce_to_zero_conductor(crt: CrtExtension) -> ReductionResult:
     fam = crt.family
-    c = reduce(ideal_sum, fam.complements, zero_ideal(fam.ring))
-    kept: list[int] = []
-    sums: list[Ideal] = []
-    for j in range(fam.n):
-        s = ideal_sum(fam.ideals[j], fam.complements[j])
-        if not s.is_whole:
-            kept.append(j)
-            sums.append(s)
+    c = fam.complement_sum
+    kept = [j for j in range(fam.n) if not fam.widened[j].is_whole]
+    sums = [fam.widened[j] for j in kept]
     if not kept:
         return ReductionResult(None, True, tuple(range(fam.n)), None)
     if len(kept) == 1:

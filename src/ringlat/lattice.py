@@ -15,9 +15,10 @@ from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spect
 from .rings import (
     FiniteRing,
     RingHom,
+    _LEVEL_ENTRIES,
+    _add_cosets_rows,
     _is_prime,
     adjoin_all,
-    adjoin_rows,
     cosets,
     distinct,
     enumerate_closed_subsets,
@@ -27,7 +28,6 @@ from .rings import (
     pair_homs,
     product,
     span_of_products,
-    subgroup_sum_mask,
     subset_ring,
 )
 
@@ -363,13 +363,19 @@ def is_quadratic(ext: Extension) -> bool:
 
 
 def is_delta(report: LatticeReport) -> bool:
-    """The node set is closed under pairwise module sums."""
+    """The node set is closed under pairwise module sums.  Each node is
+    summed with all later nodes, in batched calls of the sumset kernel of at
+    most _LEVEL_ENTRIES mask entries, up to the first sum that is not a
+    node."""
     top = report.extension.top
-    keys = {n.elements for n in report.nodes}
-    for i in range(report.count):
-        for j in range(i + 1, report.count):
-            s = subgroup_sum_mask(top, report.nodes[i].mask, report.nodes[j].mask)
-            if mask_elements(s) not in keys:
+    masks = np.array([n.mask for n in report.nodes])
+    keys = {m.tobytes() for m in masks}
+    step = max(1, _LEVEL_ENTRIES // top.order)
+    for i, node in enumerate(masks):
+        for lo in range(i + 1, len(masks), step):
+            later = masks[lo:lo + step]
+            sums = _add_cosets_rows(top.add, np.broadcast_to(node, later.shape), later)
+            if any(m.tobytes() not in keys for m in sums):
                 return False
     return True
 
@@ -593,15 +599,14 @@ def is_special_minimal_ramified(report: LatticeReport) -> bool:
 
 
 def is_pointwise_minimal(report: LatticeReport) -> bool:
-    """R[t] covers R for every t outside the image."""
-    top = report.extension.top
-    base_mask = report.nodes[0].mask
-    covers = {report.nodes[b].mask.tobytes() for b in report.upper_covers[0]}
-    # R[t + r] = R[t] for r in R, so one t per coset of R, all in one batched adjunction
-    _, reps = cosets(top.add, np.flatnonzero(base_mask))
-    reps = reps[~base_mask[reps]]
-    joined = adjoin_rows(top, np.broadcast_to(base_mask, (reps.size, top.order)), reps)
-    return all(m.tobytes() in covers for m in joined)
+    """R[t] covers R for every t outside the image.  t lies in an upper
+    cover C of R exactly when R[t] = C (R < R[t] <= C, and C covers R), so
+    this holds when node 0 and its upper covers together hold every
+    element."""
+    held = report.nodes[0].mask.copy()
+    for b in report.upper_covers[0]:
+        held |= report.nodes[b].mask
+    return bool(held.all())
 
 
 def predicate_battery(report: LatticeReport) -> dict:

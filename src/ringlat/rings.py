@@ -244,24 +244,24 @@ class SpirWitness(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # closure engine: every ideal, submodule, span and subring closure is a sum
-# of additive subgroups, built coset by coset (_add_cosets, one closure;
-# _add_cosets_rows, every join of a lattice level at once); the pair
-# closure (extend_closure_mask) is kept only as the oracle that checks it
+# of additive subgroups, built coset by coset by one sumset kernel
+# (_add_cosets_rows), whose rows are the joins of a lattice level or, one row
+# alone, a single closure; the pair closure (extend_closure_mask) is kept
+# only as the oracle that checks it
 
-# Table entries gathered at once by _add_cosets and the pair closure, and in
-# one round of the batched kernel (_add_cosets_rows), whose blocks
-# (_gather_blocks: its cosets, the products of adjoin_rows, the coset
-# leaders of a lattice level) take a quarter of it each: 64 KiB of int32,
-# below glibc's default mmap threshold (128 KiB), so each round's
-# temporaries reuse heap memory instead of mapping and faulting in fresh
-# pages.
+# Table entries gathered in one round of the sumset kernel and at once by the
+# pair closure.  Each gather of the kernel (_gather: its cosets, the products
+# of adjoin_rows, the coset leaders of a lattice level) takes a quarter of it
+# (one row at least): 64 KiB of int32, below glibc's default mmap threshold
+# (128 KiB), so each round's temporaries reuse heap memory instead of
+# mapping and faulting in fresh pages.
 _GATHER_ENTRIES = 1 << 14
 
-# Mask entries (rows x order) of one chunk of a join-closure level: the
-# coset leaders of that many node entries, then the joins of that many
-# (node, leader) row entries, each in one batched call.  It bounds the
-# stacks and index arrays a level holds at once, however many joins the
-# level has.
+# Mask entries (rows x order) of one batched kernel call: a chunk of a
+# join-closure level (the coset leaders of that many node entries, then the
+# joins of that many (node, leader) row entries) or of the sums of one node
+# with later ones (lattice.is_delta).  It bounds the stacks and index arrays
+# held at once, however many joins or sums there are.
 _LEVEL_ENTRIES = 1 << 15
 
 
@@ -310,41 +310,36 @@ def closure_mask(
     return extend_closure_mask(order, None, seed, internal, absorbing)
 
 
-def _gather_blocks(table: Table, xs: np.ndarray, members: np.ndarray, starts: np.ndarray,
-                   counts: np.ndarray):
-    """The entries table[xs[i], members[starts[i] + j]], j < counts[i], of
-    every pair i in order, in blocks of a quarter of _GATHER_ENTRIES entries
-    (one at least), as each entry also takes a few 8-byte indices; each
-    block is (the pair of each entry, the entries).  A block may end inside
-    a pair, and the next one goes on from there."""
-    ends = counts.cumsum()
-    shift = starts + counts - ends
-    total = int(ends[-1]) if ends.size else 0
-    step = max(1, _GATHER_ENTRIES // 4)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        if hi - lo == total:  # one block of whole pairs
-            pair = np.repeat(np.arange(counts.size), counts)
-        else:
-            # the pairs p0..p1-1 meet the block, the first and last maybe in part
-            p0, p1 = ends.searchsorted(lo, side="right"), ends.searchsorted(hi - 1, side="right") + 1
-            taken = np.minimum(ends[p0:p1], hi) - np.maximum(ends[p0:p1] - counts[p0:p1], lo)
-            pair = np.repeat(np.arange(p0, p1), taken)
-        yield pair, table[xs[pair], members[np.arange(lo, hi) + shift[pair]]]
-
-
 def _cells(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """stack.nonzero() of a 2-D mask, by one scan of the flat mask, which
     numpy does several times faster."""
     return np.divmod(stack.ravel().nonzero()[0], stack.shape[1])
 
 
-def _row_members(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The members of each row of a mask stack, as one flat array in row
-    order, with where each row starts in it and how many it has."""
+def _row_members(stack: np.ndarray) -> np.ndarray:
+    """The members of each row of a mask stack (none empty) in increasing
+    order, one row each, padded to the widest row with the row's least
+    member, which adds nothing to a sumset, a set of products or a
+    minimum."""
     rows, members = _cells(stack)
     counts = np.bincount(rows, minlength=len(stack))
-    return members, counts.cumsum() - counts, counts
+    width = counts.max(initial=0)
+    if members.size == width * len(stack):  # rows of one width need no padding
+        return members.reshape(len(stack), width)
+    starts = counts.cumsum() - counts
+    padded = np.repeat(members[starts], width).reshape(len(stack), width)
+    padded[rows, np.arange(rows.size) - starts[rows]] = members
+    return padded
+
+
+def _gather(table: Table, xs: np.ndarray, rows: np.ndarray, members: np.ndarray):
+    """The entries table[xs[i], members[rows[i]]] for every i, in blocks of a
+    quarter of _GATHER_ENTRIES entries (one i at least), as each entry also
+    takes a few 8-byte indices: (the slice of i, its entries) per block."""
+    step = max(1, _GATHER_ENTRIES // 4 // members.shape[1])
+    for lo in range(0, len(xs), step):
+        block = slice(lo, lo + step)
+        yield block, table[xs[block, None], members[rows[block]]]
 
 
 def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,15 +348,9 @@ def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.
     outside it: (row, element) pairs in increasing order."""
     order = stack.shape[1]
     node, gen = _cells(~stack[:, gens])
-    if not node.size:
-        return node, gen
-    members, starts, counts = _row_members(stack)
-    least = np.full(node.size, order, dtype=np.intp)
-    for pair, sums in _gather_blocks(add, gens[gen], members, starts[node], counts[node]):
-        # a block may start inside a pair, so fold each run's minimum into least
-        heads = np.concatenate(([0], (pair[1:] != pair[:-1]).nonzero()[0] + 1))
-        runs = pair[heads]
-        least[runs] = np.minimum(least[runs], np.minimum.reduceat(sums, heads))
+    least = np.empty(node.size, dtype=np.intp)
+    for block, sums in _gather(add, gens[gen], node, _row_members(stack)):
+        least[block] = sums.min(axis=1)
     return np.divmod(distinct(node * order + least, len(stack) * order), order)
 
 
@@ -409,40 +398,28 @@ def _new_rows(nodes: dict[bytes, np.ndarray], stack: np.ndarray) -> tuple[list[i
     return rows, new
 
 
-def adjoin(ring: FiniteRing, base_mask: np.ndarray, s: int) -> np.ndarray:
-    """The mask of B[s], the least subring containing the subring B (given
-    by its mask) and the element s.
+def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row by row, the masks of B_r[s_r], the least subring containing the
+    subring B_r (row r of the mask stack bases) and the element s_r of s.
 
     B[s] = B + Bs + Bs^2 + ..., and each Bs^i, the image of B under
     x -> x s^i, is an additive subgroup.  So a = B grows by one sumset
     a + Bp per power p = s^i, until the first power already in a.  Then a
     is a B-module that holds s^(i+1) and every lower power, so it is closed
     under multiplication by s: it is B[s].  a grows strictly at each step,
-    as it gains p, so the loop ends.  When s is in B, B[s] is base_mask
-    itself."""
-    b_idx = base_mask.nonzero()[0]
-    a = base_mask
-    p = int(s)
-    while not a[p]:
-        a = _add_cosets(ring.add, a, ring.mul[b_idx, p])
-        p = int(ring.mul[p, s])
-    return a
-
-
-def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row by row, the masks of B_r[s_r] (adjoin) for the subrings B_r given
-    by the rows of the mask stack bases and the elements s_r of s.  All rows
-    grow together: one batched sumset (_add_cosets_rows) per power p_r =
-    s_r^i, over the rows whose power is not yet inside."""
-    members, starts, counts = _row_members(bases)
+    as it gains p, so the loop ends.  When s is in B, B[s] is B itself.  All
+    rows grow together, one call of the sumset kernel (_add_cosets_rows) per
+    power over the rows whose power is not yet inside; one row is a single
+    adjunction."""
+    members = _row_members(bases)
     out = bases.copy()
     p = np.array(s, dtype=np.intp)
     live = np.flatnonzero(~out[np.arange(len(out)), p])
     while live.size:
         # the subgroups B_r p_r, gathered from the commutative mul table
         prods = np.zeros((live.size, ring.order), dtype=bool)
-        for pair, xs in _gather_blocks(ring.mul, p[live], members, starts[live], counts[live]):
-            prods[pair, xs] = True
+        for block, xs in _gather(ring.mul, p[live], live, members):
+            prods[np.arange(live.size)[block, None], xs] = True
         out[live] = _add_cosets_rows(ring.add, out[live], prods)
         p[live] = power = ring.mul[p[live], s[live]]
         live = live[~out[live, power]]
@@ -451,11 +428,11 @@ def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarra
 
 def adjoin_all(ring: FiniteRing, base_mask: np.ndarray, elements: Iterable[int]) -> np.ndarray:
     """The mask of the least subring containing the subring B (given by its
-    mask) and elements: B[x][y]..., adjoining one element at a time and
-    skipping those already in."""
+    mask) and elements: B[x][y]..., adjoining one element at a time (a
+    one-row adjoin_rows) and skipping those already in."""
     for x in elements:
         if not base_mask[x]:
-            base_mask = adjoin(ring, base_mask, x)
+            base_mask = adjoin_rows(ring, base_mask[None], np.array([x]))[0]
     return base_mask
 
 
@@ -500,71 +477,63 @@ def enumerate_submodules(add: Table, action: Table, zero: int,
     return _join_closure(first, add, gens, atoms, lambda stack, s: _add_cosets_rows(add, stack, orbits[s]))
 
 
-def _add_cosets(add: Table, a_mask: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The union of the additive subgroup A (its mask) and its cosets x + A
-    for the elements x of xs (group law add), as a new mask.  One coset is
-    one gathered row; the rows are taken in blocks, so that every gather
-    stays within _GATHER_ENTRIES entries, and each block skips the x that
-    earlier blocks already covered."""
-    a_idx = a_mask.nonzero()[0]
-    out = a_mask.copy()
-    step = max(1, _GATHER_ENTRIES // len(a_idx))
-    xs = xs[~out[xs]]
-    while xs.size:
-        out[add[xs[:step, None], a_idx]] = True
-        xs = xs[step:]
-        xs = xs[~out[xs]]
-    return out
-
-
 def _add_cosets_rows(add: Table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row by row, _add_cosets for the additive subgroups A_r (the rows of
-    the mask stack a) and the elements of X_r (the rows of the mask stack
-    x), all rows at once.  Each round takes, for each row, the least
-    elements of X_r outside what the row covers so far, as many whole
-    cosets as the row's share of _GATHER_ENTRIES allows (one at least), and
-    gathers their cosets for all rows together in blocks (_gather_blocks).
-    So a row alone does the work _add_cosets does, and later rounds skip
-    the elements that earlier ones covered."""
-    members, starts, counts = _row_members(a)
+    """The sumset kernel: row by row, the union of the additive subgroup A_r
+    (row r of the mask stack a, group law add) and its cosets y + A_r for
+    the elements y of X_r (row r of the mask stack x), as a new mask stack.
+
+    Each round takes, for each row, the least elements of X_r outside what
+    the row covers so far, as many whole cosets as the row's share of
+    _GATHER_ENTRIES allows (one at least; all of them, with no filter pass
+    after, when they fit one round), and gathers their cosets for all rows
+    together (_gather), each as wide as the widest A_r.  Later rounds skip
+    the elements that earlier ones covered, as y + A_r = z + A_r for y in
+    z + A_r.  A call with nothing pending returns before it reads the
+    members of A_r."""
     out = a.copy()
     xr, xc = _cells(x & ~a)
+    if not xr.size:
+        return out
+    members = _row_members(a)
+    width = members.shape[1]
     while xr.size:
-        take_all = counts[xr].sum() <= _GATHER_ENTRIES
+        take_all = xr.size * width <= _GATHER_ENTRIES
         rows, xs = xr, xc
         if not take_all:
             # xr is sorted, so an element's rank in its row is its distance
             # from the row's first pending element
             pending = np.bincount(xr, minlength=len(a))
             rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
-            share = _GATHER_ENTRIES // np.count_nonzero(pending)
-            pick = rank < np.maximum(1, share // counts[xr])
+            pick = rank < max(1, _GATHER_ENTRIES // np.count_nonzero(pending) // width)
             rows, xs = xr[pick], xc[pick]
-        for pair, sums in _gather_blocks(add, xs, members, starts[rows], counts[rows]):
-            out[rows[pair], sums] = True
+        for block, sums in _gather(add, xs, rows, members):
+            out[rows[block, None], sums] = True
         if take_all:
-            break  # x + A_r holds x, so nothing is left pending
+            break  # y + A_r holds y, so nothing is left pending
         pending = ~out[xr, xc]
         xr, xc = xr[pending], xc[pending]
     return out
 
 
 def subgroup_sum_mask(ring: FiniteRing, a_mask: np.ndarray, b_mask: np.ndarray) -> np.ndarray:
-    """Elementwise sumset of two additive subgroups (already a subgroup)."""
-    return _add_cosets(ring.add, a_mask, np.flatnonzero(b_mask))
+    """Elementwise sumset of two additive subgroups (already a subgroup), by
+    a one-row call of the sumset kernel."""
+    return _add_cosets_rows(ring.add, a_mask[None], b_mask[None])[0]
 
 
 def sum_of_orbits(add: Table, action: Table, zero: int, gens: Iterable[int]) -> np.ndarray:
     """Mask of the sum of the additive subgroups action[:, g], g in gens
-    (group law add), folded coset by coset (_add_cosets); {zero} when gens is
-    empty.  With a ring's multiplication or a module's action (ring x module)
-    the columns are the orbits Rg, and the sum is the ideal or submodule that
-    gens generate."""
-    out = np.zeros(len(add), dtype=bool)
-    out[zero] = True
+    (group law add), folded one orbit at a time by one-row calls of the
+    sumset kernel; {zero} when gens is empty.  With a ring's multiplication
+    or a module's action (ring x module) the columns are the orbits Rg, and
+    the sum is the ideal or submodule that gens generate."""
+    out = np.zeros((1, len(add)), dtype=bool)
+    out[0, zero] = True
     for g in gens:
-        out = _add_cosets(add, out, action[:, g])
-    return out
+        orbit = np.zeros_like(out)
+        orbit[0, action[:, g]] = True
+        out = _add_cosets_rows(add, out, orbit)
+    return out[0]
 
 
 def span_of_products(add: Table, mul: Table, zero: int, a, b) -> np.ndarray:

@@ -434,14 +434,19 @@ def test_query_leaves_numpy_ma_unimported(argv):
     assert out.stdout.split() == ["0", "False"], out.stderr
 
 
-def test_lattice_workload_leaves_numpy_ma_unimported():
-    # the benchmark's lattice-large queries and one query per subcommand, one
-    # after another in one fresh interpreter, as a benchmark pass runs them
+def _workloads():
+    """bench/workloads.py, which is not a package module."""
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    queries = workloads.queries("lattice-large") + _ONE_QUERY_PER_SUBCOMMAND
+    return workloads
+
+
+def test_lattice_workload_leaves_numpy_ma_unimported():
+    # the benchmark's lattice-large queries and one query per subcommand, one
+    # after another in one fresh interpreter, as a benchmark pass runs them
+    queries = _workloads().queries("lattice-large") + _ONE_QUERY_PER_SUBCOMMAND
     code = ("import contextlib, io, json, sys\nfrom ringlat import cli\ncodes = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n        codes.append(cli.main(argv))\n"
@@ -538,3 +543,25 @@ def test_lattice_dot_to_an_unwritable_path(capsys, tmp_path, where):
     code, out, err = run(capsys, ["lattice", "Z/2", "Z/2 x Z/2", "--dot", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: cannot write DOT file {path}: {os.strerror(errno_code)}\n"
+
+
+def test_a_crt_query_computes_each_ideal_sum_once(capsys, monkeypatch):
+    # every crt query of the benchmark's query pool: the conductor formulas,
+    # the weak CRT check, the minimality test and the reduction read the sums
+    # of one family, so no two sums in one query share a ring and summands
+    from ringlat import crt as cr
+
+    ideal_sum, summands = cr.ideal_sum, []
+
+    def counted(a, b):
+        summands.append((a.ring, frozenset((a.elements, b.elements))))
+        return ideal_sum(a, b)
+
+    monkeypatch.setattr(cr, "ideal_sum", counted)
+    queries = [q for q in _workloads().mix_pool() if q[0] == "crt"]
+    assert len(queries) > 50
+    for argv in queries:
+        summands.clear()
+        assert run(capsys, argv)[0] == 0
+        keys = [(id(ring), key) for ring, key in summands]
+        assert summands and len(set(keys)) == len(keys), argv

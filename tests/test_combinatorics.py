@@ -42,6 +42,18 @@ def test_partition_bound():
         cb.partitions(cb.PARTITION_BOUND + 1)
 
 
+def test_partitions_past_the_matrix_bound_build_no_record(monkeypatch):
+    # Bell(12) = 4,213,597 records would take about 2 GB; Bell(11) = 678,570
+    # is inside MATRIX_BOUND and is still enumerated
+    built = []
+    monkeypatch.setattr(cb, "_rgs_to_partition", lambda n, s: built.append(n))
+    with pytest.raises(SizeLimitError, match="4213597"):
+        cb.partitions(12)
+    assert built == []
+    assert cb.bell(12) == 4213597 > cb.MATRIX_BOUND
+    assert len(cb.partitions(11)) == 678570 == len(built)
+
+
 def test_partitions_are_distinct_and_block_sorted():
     parts = cb.partitions(4)
     assert len({str(p) for p in parts}) == 15

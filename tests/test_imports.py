@@ -11,7 +11,8 @@ once, when cli is imported.  A value record is an immutable NamedTuple, and
 a frozen dataclass is an object with identity (eq=False).  The pair closure
 is the oracle: only verify.lattice_certificate reads it, so it never checks
 itself.  Maximality is membership in the spectrum: only verify tests
-whether a quotient is a field."""
+whether a quotient is a field.  One kernel per job: no module defines both a
+function f and its batched twin f_rows."""
 
 import ast
 import importlib
@@ -501,3 +502,35 @@ def test_maximality_is_read_from_the_spectrum():
     # only verify keeps the quotient-is-a-field test, as its oracle
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert quotient_field_tests(sources) == ["verify.criterion_04_trichotomy"]
+
+
+def row_twins(sources: dict[str, str]) -> list[str]:
+    """module: f, f_rows for each function f that a module (name -> source)
+    defines next to a function f_rows, a one-row path kept beside its batched
+    kernel."""
+    found = []
+    for module, source in sources.items():
+        names = {n.name for n in ast.walk(ast.parse(source))
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        found += [f"{module}: {n[:-len('_rows')]}, {n}" for n in names
+                  if n.endswith("_rows") and n[:-len("_rows")] in names]
+    return sorted(found)
+
+
+def test_scan_finds_row_twins():
+    sources = {
+        "rings": ("def adjoin(r, b, s):\n    return b\n"
+                  "def adjoin_rows(r, b, s):\n    return b\n"
+                  "def _add_cosets(a, x):\n    return a\n"
+                  "def _add_cosets_rows(a, x):\n    return a\n"
+                  "def span_rows(a):\n    return a\n"),
+        "lattice": "from .rings import adjoin_rows\ndef adjoin(r):\n    return adjoin_rows(r)\n",
+        "other": "class C:\n    def f(self):\n        pass\n    def f_rows(self):\n        pass\n",
+    }
+    assert row_twins(sources) == ["other: f, f_rows", "rings: _add_cosets, _add_cosets_rows",
+                                  "rings: adjoin, adjoin_rows"]
+
+
+def test_one_kernel_per_job():
+    # single closures are one-row calls of the batched kernels
+    assert row_twins({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -390,7 +392,7 @@ def test_adjoin_matches_the_pair_closure(base, top):
     for node in lt.intermediate_algebras(ext).nodes:
         for s in np.flatnonzero(~node.mask):
             want = rg.extend_closure_mask(ring.order, node.mask, [s], (ring.add, ring.mul))
-            assert rg.mask_elements(rg.adjoin(ring, node.mask, s)) == rg.mask_elements(want)
+            assert rg.mask_elements(rg.adjoin_all(ring, node.mask, [s])) == rg.mask_elements(want)
 
 
 @pytest.mark.parametrize("base, top", _ADJOIN_CASES)
@@ -404,6 +406,77 @@ def test_lattice_is_invariant_under_relabeling(base, top):
     assert sorted(to_new) == list(range(moved.count))
     assert moved.chain_lengths == rep.chain_lengths
     assert sorted((to_new[a], to_new[b]) for a, b in rep.hasse_edges) == sorted(moved.hasse_edges)
+
+
+def _pairwise_delta(rep):
+    """is_delta by its definition: the pair closure under + of every two
+    nodes is a node."""
+    top = rep.extension.top
+    nodes = {n.elements for n in rep.nodes}
+    return all(rg.mask_elements(rg.closure_mask(top.order, [*a.elements, *b.elements], (top.add,))) in nodes
+               for a, b in itertools.combinations(rep.nodes, 2))
+
+
+def _pairwise_pointwise_minimal(rep):
+    """is_pointwise_minimal by its definition: R[t], by the pair closure, is
+    an upper cover of R for every t outside R."""
+    top = rep.extension.top
+    base = rep.nodes[0].mask
+    covers = {rep.nodes[b].elements for a, b in rep.hasse_edges if a == 0}
+    return all(rg.mask_elements(rg.extend_closure_mask(top.order, base, [t], (top.add, top.mul))) in covers
+               for t in range(top.order) if not base[t])
+
+
+_PREDICATE_CORPUS = [*_ZOO, *(f"{base} < {top}" for base, top in _ADJOIN_CASES), "Z/4 = Z/4"]
+
+
+@pytest.fixture(scope="module")
+def predicate_lattices(extension_zoo):
+    """Each extension of the corpus by name, built once, with its lattice and
+    those of a relabeled copy."""
+    from ringlat.cli import resolve_extension
+
+    def build(name):
+        if name in _ZOO:
+            ext = extension_zoo(name)
+        elif " = " in name:
+            ext = lt.Extension(rg.identity_hom(rg.make_zmod(4)))
+        else:
+            ext = resolve_extension(*name.split(" < "), None)
+        perm = np.random.default_rng(ext.top.order).permutation(ext.top.order).astype(np.int32)
+        return lt.intermediate_algebras(ext), lt.intermediate_algebras(_relabel(ext, perm))
+
+    return {name: build(name) for name in _PREDICATE_CORPUS}
+
+
+@pytest.mark.parametrize("name", _PREDICATE_CORPUS)
+def test_sum_and_cover_predicates_match_their_pairwise_definitions(predicate_lattices, name, monkeypatch):
+    # is_delta sums each node with the later ones in batched calls, in one
+    # call or one row a call; is_pointwise_minimal reads the upper covers of
+    # node 0; both must agree with the pair closure on a relabeled copy too
+    reps = predicate_lattices[name]
+    want = [(_pairwise_delta(rep), _pairwise_pointwise_minimal(rep)) for rep in reps]
+    kernel, rows = lt._add_cosets_rows, []
+
+    def counted(add, a, x):
+        rows.append(len(a))
+        return kernel(add, a, x)
+
+    monkeypatch.setattr(lt, "_add_cosets_rows", counted)
+    for entries in (None, 1):
+        if entries is not None:
+            monkeypatch.setattr(lt, "_LEVEL_ENTRIES", entries)
+        for rep, (delta, pointwise) in zip(reps, want):
+            rows.clear()
+            assert (lt.is_delta(rep), lt.is_pointwise_minimal(rep)) == (delta, pointwise)
+            # a lattice that is Delta has every pair summed, once
+            assert not delta or sum(rows) == rep.count * (rep.count - 1) // 2
+
+
+def test_the_predicate_corpus_takes_both_values(predicate_lattices):
+    answers = [(lt.is_delta(rep), lt.is_pointwise_minimal(rep)) for rep, _ in predicate_lattices.values()]
+    assert {d for d, _ in answers} == {True, False} and {p for _, p in answers} == {True, False}
+    assert predicate_lattices["Z/4 = Z/4"][0].count == 1
 
 
 @pytest.mark.parametrize("name", _ZOO)

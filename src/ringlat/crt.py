@@ -37,9 +37,11 @@ from .rings import (
 class SeparatingFamily(NamedTuple):
     """Ideals I_1..I_n of R, none equal to R, with zero intersection; their
     complements J_j = intersect_{k!=j} I_k; and the ideal sums the CRT
-    formulas read, each distinct sum computed once: pair_sums[j][k] =
-    I_j + I_k (I_j when k = j), widened[j] = I_j + J_j and
-    complement_sum = sum(J_j).
+    formulas read: pair_sums[j][k] = I_j + I_k (I_j when k = j), widened[j] =
+    I_j + J_j and complement_sum = sum(J_j).  Each sum is computed on its
+    first read and each distinct sum once, as sums holds them by summands:
+    the same pair recurs, as with two ideals J_1 = I_2 and J_2 = I_1, so
+    every sum of the family is I_1 + I_2.
 
     A family whose intersection is nonzero is normalized by passing to the
     quotient; `normalized` records that this happened."""
@@ -47,14 +49,30 @@ class SeparatingFamily(NamedTuple):
     ring: FiniteRing
     ideals: tuple[Ideal, ...]
     complements: tuple[Ideal, ...]
-    pair_sums: tuple[tuple[Ideal, ...], ...]
-    widened: tuple[Ideal, ...]
-    complement_sum: Ideal
+    sums: dict[frozenset, Ideal]
     normalized: bool = False
 
     @property
     def n(self) -> int:
         return len(self.ideals)
+
+    def _plus(self, a: Ideal, b: Ideal) -> Ideal:
+        key = frozenset((a.elements, b.elements))
+        if key not in self.sums:
+            self.sums[key] = ideal_sum(a, b)
+        return self.sums[key]
+
+    @property
+    def pair_sums(self) -> tuple[tuple[Ideal, ...], ...]:
+        return tuple(tuple(i if i is k else self._plus(i, k) for k in self.ideals) for i in self.ideals)
+
+    @property
+    def widened(self) -> tuple[Ideal, ...]:
+        return tuple(self._plus(i, j) for i, j in zip(self.ideals, self.complements))
+
+    @property
+    def complement_sum(self) -> Ideal:
+        return reduce(self._plus, self.complements)
 
 
 def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFamily:
@@ -71,19 +89,7 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
         ring = qr.ring
         ids = _images(qr, ids)
     comps = tuple(reduce(ideal_intersection, ids[:j] + ids[j + 1:]) for j in range(len(ids)))
-    # keyed by the summands' elements, as the same pair recurs: with two
-    # ideals J_1 = I_2 and J_2 = I_1, so every sum of the family is I_1 + I_2
-    sums: dict[frozenset, Ideal] = {}
-
-    def plus(a: Ideal, b: Ideal) -> Ideal:
-        key = frozenset((a.elements, b.elements))
-        if key not in sums:
-            sums[key] = ideal_sum(a, b)
-        return sums[key]
-
-    pair_sums = tuple(tuple(i if i is k else plus(i, k) for k in ids) for i in ids)
-    widened = tuple(plus(i, j) for i, j in zip(ids, comps))
-    return SeparatingFamily(ring, ids, comps, pair_sums, widened, reduce(plus, comps), normalized)
+    return SeparatingFamily(ring, ids, comps, {}, normalized)
 
 
 def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:

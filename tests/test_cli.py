@@ -548,20 +548,34 @@ def test_lattice_dot_to_an_unwritable_path(capsys, tmp_path, where):
 def test_a_crt_query_computes_each_ideal_sum_once(capsys, monkeypatch):
     # every crt query of the benchmark's query pool: the conductor formulas,
     # the weak CRT check, the minimality test and the reduction read the sums
-    # of one family, so no two sums in one query share a ring and summands
+    # of the queried family, so no two sums in one query share a ring and
+    # summands, and no sum is computed on another ring, such as the base of
+    # the reduced family, whose sums nobody reads
     from ringlat import crt as cr
 
     ideal_sum, summands = cr.ideal_sum, []
+    make_crt, families = cr.make_crt, []
 
     def counted(a, b):
         summands.append((a.ring, frozenset((a.elements, b.elements))))
         return ideal_sum(a, b)
 
+    def recorded(ring, ideals):
+        crt = make_crt(ring, ideals)
+        families.append(crt.family)
+        return crt
+
     monkeypatch.setattr(cr, "ideal_sum", counted)
+    monkeypatch.setattr(cr, "make_crt", recorded)
     queries = [q for q in _workloads().mix_pool() if q[0] == "crt"]
     assert len(queries) > 50
+    reduced = 0
     for argv in queries:
         summands.clear()
+        families.clear()
         assert run(capsys, argv)[0] == 0
         keys = [(id(ring), key) for ring, key in summands]
         assert summands and len(set(keys)) == len(keys), argv
+        assert {ring for ring, _ in keys} == {id(families[0].ring)}, argv
+        reduced += len(families) > 1
+    assert reduced > 10  # queries that build a reduced family

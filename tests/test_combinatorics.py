@@ -168,7 +168,7 @@ def _exal_ring(label):
 @lru_cache(maxsize=None)
 def _exal_oracle(label, p, n):
     """Oracle for enumerate_exal: one RingHom R^p -> R^n per lambda-matrix,
-    validated on all pairs of the product rings, then is_injective, then its
+    validated as every RingHom is, then is_injective, then its
     image by distinct; classes sorted by image, each represented by its
     first matrix.  Also gives the matrices and whether each is injective."""
     ring = _exal_ring(label)

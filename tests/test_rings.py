@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -713,6 +716,198 @@ def test_hom_validation_rejects_every_one_entry_change(name):
                 rg.RingHom(source, target, table)
             changed += 1
     assert changed == (source.order - 2) * (target.order - 1)
+
+
+def _all_pairs_verdict(source, target, table):
+    """The reference for RingHom validation, the all-pairs check it made
+    before it checked generators only: None when table is a hom, else the
+    message of the first check that fails, in blocks of rows of the source."""
+    m = np.asarray(table)
+    if m.shape != (source.order,):
+        return "hom table has wrong length"
+    if m.min(initial=0) < 0 or m.max(initial=0) >= target.order:
+        return "hom table maps outside the target"
+    if int(m[source.zero]) != target.zero:
+        return "hom does not preserve zero"
+    if int(m[source.one]) != target.one:
+        return "hom does not preserve one"
+    n = source.order
+    chunk = max(1, (1 << 21) // max(n, 1))
+    for lo in range(0, n, chunk):
+        rows = np.arange(lo, min(lo + chunk, n))
+        img = m[rows]
+        if not np.array_equal(target.add[np.ix_(img, m)], m[source.add[rows]]):
+            return "hom is not additive"
+        if not np.array_equal(target.mul[np.ix_(img, m)], m[source.mul[rows]]):
+            return "hom is not multiplicative"
+    return None
+
+
+def _verdict(source, target, table):
+    try:
+        rg.RingHom(source, target, table)
+    except PreconditionError as e:
+        return str(e)
+    return None
+
+
+_ZOO_NAMES = ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization", "crt-Z12"]
+
+
+def _valid_hom_corpus(extension_zoo):
+    """(source, target, table) of valid homs: the zoo's embeddings, the
+    inclusions and base maps of their realized nodes, quotient projections
+    of the tops, product projections and diagonals, prime_hom and
+    composites."""
+    from ringlat import lattice as lt
+
+    homs = []
+    for name in _ZOO_NAMES:
+        ext = extension_zoo(name)
+        homs.append(ext.embed)
+        for node in lt.intermediate_algebras(ext).nodes:
+            real = lt.realize(node)
+            homs += [real.include, real.from_base]
+        for ideal in il.all_ideals(ext.top):
+            if not ideal.is_whole:
+                proj = rg.quotient(ext.top, ideal).projection
+                homs += [proj, rg.compose(ext.embed, proj)]
+        if ext.top.order <= 16:
+            pair = rg.product([ext.top, ext.top])
+            homs.append(rg.pair_homs(ext.base, pair, [ext.embed.map] * 2))
+            homs += [rg.RingHom(pair.ring, ext.top, c) for c in pair.components]
+    f2, z3, z4 = rg.make_gf(2), rg.make_zmod(3), rg.make_zmod(4)
+    pr = rg.product([z4, rg.make_gf(3), f2])
+    homs += [rg.RingHom(pr.ring, f, c) for f, c in zip(pr.factors, pr.components)]
+    homs.append(rg.pair_homs(z3, rg.product([z3] * 3), [np.arange(3)] * 3))
+    homs += [rg.prime_hom(f2, rg.make_gf(2, 4)), rg.prime_hom(z4, rg.product([z4, f2]).ring)]
+    return [(h.source, h.target, h.map) for h in homs]
+
+
+def _relabeled_hom(source, target, table, seed):
+    """The same hom between seeded relabelings of its source and target."""
+    rng = np.random.default_rng(seed)
+    ps, pt = rng.permutation(source.order), rng.permutation(target.order)
+    out = np.empty(source.order, dtype=np.int32)
+    out[ps] = pt[table]
+    return _relabeled(source, ps), _relabeled(target, pt), out
+
+
+def _f2_linear_unital_maps(rng, count):
+    """Unital maps F2^4 -> F2^4 that are F2-linear, from random images of
+    the coordinate idempotents summing to one: additive, mostly not
+    multiplicative."""
+    pr = rg.product([rg.make_gf(2)] * 4)
+    ring = pr.ring
+    basis = [int(rg.product_index([2] * 4, np.eye(4, dtype=int)[i])) for i in range(4)]
+    maps = []
+    for _ in range(count):
+        imgs = list(rng.integers(0, ring.order, 3))
+        imgs.append(int(ring.minus(ring.one, int(ring.add[ring.add[imgs[0], imgs[1]], imgs[2]]))))
+        table = np.zeros(ring.order, dtype=np.int32)
+        for x in range(ring.order):
+            for i, e in enumerate(basis):
+                if ring.mul[x, e] == e:
+                    table[x] = ring.add[table[x], imgs[i]]
+        maps.append((ring, ring, table))
+    return maps
+
+
+def test_generator_check_accepts_exactly_what_all_pairs_accepts(extension_zoo):
+    # valid homs and their relabelings, each with one-entry changes at six
+    # seeded places (test_hom_validation_rejects_every_one_entry_change makes
+    # every change to a few) and with random maps that fix zero and one;
+    # F2-linear unital maps; a short and an out-of-range table: the same
+    # verdict and message everywhere
+    rng = np.random.default_rng(2024)
+    valid = _valid_hom_corpus(extension_zoo)
+    valid += [_relabeled_hom(*hom, seed) for seed, hom in enumerate(valid)]
+    cases = list(_f2_linear_unital_maps(rng, 40))
+    for source, target, table in valid:
+        cases.append((source, target, table))
+        for x in rng.choice(source.order, min(6, source.order), replace=False):
+            changed = table.copy()
+            changed[x] = (table[x] + rng.integers(1, target.order)) % target.order
+            cases.append((source, target, changed))
+        for _ in range(2):
+            noise = rng.integers(0, target.order, source.order).astype(np.int32)
+            noise[[source.zero, source.one]] = target.zero, target.one
+            cases.append((source, target, noise))
+    source, target, table = valid[0]
+    cases += [(source, target, table[:-1]), (source, target, table + target.order)]
+    seen = set()
+    for source, target, table in cases:
+        want = _all_pairs_verdict(source, target, table)
+        assert _verdict(source, target, table) == want, (source, target, table.tolist())
+        seen.add(want)
+    assert seen == {None, "hom table has wrong length", "hom table maps outside the target",
+                    "hom does not preserve zero", "hom does not preserve one",
+                    "hom is not additive", "hom is not multiplicative"}
+
+
+def _zoo_rings(extension_zoo):
+    rings = [rg.make_zmod(12), rg.make_gf(3, 2), rg.product([rg.make_zmod(4), rg.make_gf(3)]).ring]
+    for name in _ZOO_NAMES:
+        ext = extension_zoo(name)
+        rings += [ext.base, ext.top]
+    return rings
+
+
+def test_additive_generators_are_least_outside_and_span_the_group(extension_zoo):
+    rings = _zoo_rings(extension_zoo)
+    rings += [_relabeled(r, _relabeling(r.order)) for r in rings]
+    for ring in rings:
+        gens = ring.additive_generators
+        assert len(gens) <= math.log2(ring.order)
+        for i, g in enumerate(gens):
+            span = rg.closure_mask(ring.order, [ring.zero, *gens[:i]], (ring.add,))
+            assert g == np.flatnonzero(~span)[0], ring  # the least element outside
+        assert rg.closure_mask(ring.order, [ring.zero, *gens], (ring.add,)).all(), ring
+
+
+def test_hom_validation_reads_n_entries_per_generator_of_each_table():
+    # Z/2[t]/(t^12), order 4096 and twelve generators: the identity hom reads
+    # 4 n |G| table entries, against 4 n^2 for all pairs
+    ring = rg.poly_quotient(rg.make_gf(2), [0] * 12 + [1], var="t").ring
+    gens = ring.additive_generators
+    assert ring.order == 4096 and len(gens) == 12
+    for name in ("add", "mul"):
+        object.__setattr__(ring, name, getattr(ring, name).view(_CountingTable))
+    _CountingTable.reads = 0
+    rg.identity_hom(ring)
+    assert _CountingTable.reads <= 4 * ring.order * len(gens)
+
+
+def _kronecker_broadcast(prev, t):
+    """The product table as one 4-D broadcast, the reference for _kronecker."""
+    n = len(prev) * len(t)
+    return (prev[:, None, :, None] * len(t) + t[None, :, None, :]).reshape(n, n)
+
+
+def _tables(m, k):
+    rng = np.random.default_rng(m * 7919 + k)
+    return (rng.integers(0, m, (m, m)).astype(np.int32), rng.integers(0, k, (k, k)).astype(np.int32))
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (2, 2), (120, 15), (64, 64), (2048, 2), (2, 2048)])
+def test_kronecker_matches_the_broadcast_formula(m, k):
+    prev, t = _tables(m, k)
+    got = rg._kronecker(prev, t)
+    assert got.dtype == np.int32 and np.array_equal(got, _kronecker_broadcast(prev, t))
+
+
+@pytest.mark.parametrize("m, k", [(2048, 2), (2, 2048)])
+def test_kronecker_peak_memory_is_no_higher_than_the_broadcast_formula(m, k):
+    # both shapes are within the default bound: (Z/2)^12 and Z/2 x GF(2^11)
+    prev, t = _tables(m, k)
+    peaks = []
+    for build in (_kronecker_broadcast, rg._kronecker):
+        build(prev, t)  # the first call may fill numpy's caches
+        tracemalloc.start()
+        build(prev, t)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_compose_and_identity(z4):

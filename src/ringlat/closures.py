@@ -93,7 +93,7 @@ class CanonicalDecomposition(NamedTuple):
         base, plus, tcl, top = (real[n.elements] for n in nodes)
 
         def segment(lower: SubalgebraRealization, upper: SubalgebraRealization) -> Extension:
-            emb = np.searchsorted(upper.include.map, lower.include.map).astype(np.int32)
+            emb = np.searchsorted(upper.include.map, lower.include.map)
             return Extension(RingHom(lower.ring, upper.ring, emb))
 
         return {"R<+R": segment(base, plus), "+R<tR": segment(plus, tcl),

@@ -128,7 +128,7 @@ def realize(sub: Subalgebra) -> SubalgebraRealization:
     top = ext.top
     elems = np.asarray(sub.elements, dtype=np.intp)
     ring, lookup = subset_ring(top, elems, top.one, f"{top.label}|{len(elems)}")
-    include = RingHom(ring, top, elems.astype(np.int32))
+    include = RingHom(ring, top, elems)
     from_base = RingHom(ext.base, ring, lookup[ext.embed.map])
     return SubalgebraRealization(ring, include, from_base)
 

@@ -20,6 +20,7 @@ from .lattice import (
     upper_extension,
 )
 from .rings import (
+    ELEMENT,
     FiniteRing,
     Ideal,
     RingHom,
@@ -35,11 +36,15 @@ from .rings import (
     quotient,
     span_of_products,
     sum_of_orbits,
+    _as_table,
+    _kronecker,
+    _table_by_rows,
 )
 
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteModule:
-    """A finite module over a finite ring, as dense tables."""
+    """A finite module over a finite ring, as dense tables, read-only
+    ELEMENT arrays like a ring's (rings._as_table)."""
 
     ring: FiniteRing
     order: int
@@ -47,6 +52,10 @@ class FiniteModule:
     zero: int
     action: np.ndarray  # ring.order x order
     label: str = "M"
+
+    def __post_init__(self):
+        object.__setattr__(self, "add", _as_table(self.add))
+        object.__setattr__(self, "action", _as_table(self.action))
 
     def __repr__(self):
         return f"FiniteModule({self.label}, order={self.order} over {self.ring.label})"
@@ -84,8 +93,8 @@ def module_from_ring(ring: FiniteRing) -> FiniteModule:
 def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike]) -> FiniteModule:
     """Direct sum of cyclic modules R/I_j with componentwise action."""
     if not ideals:
-        return FiniteModule(ring, 1, np.zeros((1, 1), dtype=np.int32), 0,
-                            np.zeros((ring.order, 1), dtype=np.int32), "0")
+        return FiniteModule(ring, 1, np.zeros((1, 1), dtype=ELEMENT), 0,
+                            np.zeros((ring.order, 1), dtype=ELEMENT), "0")
     ids = [coerce_ideal(ring, s) for s in ideals]
     # the zero summands R/R drop out
     live = [quotient(ring, i) for i in ids if not i.is_whole]
@@ -194,16 +203,22 @@ def is_faithful(m: FiniteModule) -> bool:
 
 def idealize(m: FiniteModule) -> Extension:
     """R in R(+)M, the ring on pairs (r, m) with (r,m)(s,n) = (rs, rn+sm),
-    laid out as the product R x M."""
+    laid out as the product R x M: add is the Kronecker sum of the tables of
+    R and M (rings._kronecker), and mul is built in row blocks, each entry
+    rs |M| + (rn + sm) below n, exact in ELEMENT."""
     ring = m.ring
     n = ring.order * m.order
     if n > arith_limit():
         raise SizeLimitError(f"idealization order {n} exceeds bound")
     orders = (ring.order, m.order)
     r, x = product_components(orders, np.arange(n))
-    add = product_index(orders, (ring.add[r[:, None], r[None, :]], m.add[x[:, None], x[None, :]]))
-    mixed = m.add[m.action[r[:, None], x[None, :]], m.action[r[None, :], x[:, None]]]
-    mul = product_index(orders, (ring.mul[r[:, None], r[None, :]], mixed))
+    add = _kronecker(ring.add, m.add)
+
+    def mul_rows(a):
+        ra, xa = r[a, None], x[a, None]
+        return ring.mul[ra, r] * m.order + m.add[m.action[ra, x], m.action[r, xa]]
+
+    mul = _table_by_rows(n, mul_rows)
     zero = product_index(orders, (ring.zero, m.zero))
     one = product_index(orders, (ring.one, m.zero))
     out = FiniteRing(n, add, mul, int(zero), int(one), f"{ring.label}(+){m.label}")

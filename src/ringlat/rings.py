@@ -22,11 +22,43 @@ from .errors import InternalCheckError, PreconditionError, SizeLimitError
 
 Table = np.ndarray
 
+# The one dtype of element indices: every table, hom map, lookup and
+# projection holds indices below the order, and config.arith_limit never
+# exceeds config.ORDER_CEILING = 2^15, so every index fits.  Arithmetic on
+# entries that could pass 2^15 - 1 is done wider (product_index, make_zmod,
+# make_gf, _coset_leaders).
+ELEMENT = np.int16
+_ELEMENT_MIN, _ELEMENT_MAX = int(np.iinfo(ELEMENT).min), int(np.iinfo(ELEMENT).max)
+
+# Entries computed at once when a table is built through wider arithmetic
+# (_table_by_rows): an int64 block of 8 MiB, an eighth of an order-4096
+# table pair.
+_BUILD_ENTRIES = 1 << 20
+
 
 def _as_table(a) -> Table:
-    t = np.ascontiguousarray(np.asarray(a, dtype=np.int32))
+    """a as a read-only, C-contiguous ELEMENT array.  Every constructor
+    builds its tables in ELEMENT, so they pass through uncopied; any other
+    array is checked to fit first, as a narrowing cast would wrap."""
+    t = np.asarray(a)
+    if t.dtype != ELEMENT:
+        if t.size and (t.min() < _ELEMENT_MIN or t.max() > _ELEMENT_MAX):
+            raise SizeLimitError(f"table entries exceed the element ceiling {_ELEMENT_MAX + 1}")
+        t = t.astype(ELEMENT)
+    t = np.ascontiguousarray(t)
     t.setflags(write=False)
     return t
+
+
+def _table_by_rows(n: int, rows_of: Callable[[np.ndarray], np.ndarray]) -> Table:
+    """The n x n ELEMENT table whose rows a are rows_of(a), for blocks of
+    consecutive row indices a of about _BUILD_ENTRIES entries, so that
+    arithmetic wider than ELEMENT never spans the whole table."""
+    out = np.empty((n, n), dtype=ELEMENT)
+    step = max(1, _BUILD_ENTRIES // n)
+    for lo in range(0, n, step):
+        out[lo:lo + step] = rows_of(np.arange(lo, min(lo + step, n)))
+    return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -46,11 +78,9 @@ class FiniteRing:
 
     @cached_property
     def neg(self) -> np.ndarray:
-        """neg[x] is the additive inverse of x."""
-        i, j = np.nonzero(self.add == self.zero)
-        out = np.empty(self.order, dtype=np.int32)
-        out[i] = j
-        return out
+        """neg[x] is the additive inverse of x: -x = (-1) x, so neg is the
+        row of mul at -1, the one element m with 1 + m = 0 (2n reads)."""
+        return self.mul[int((self.add[self.one] == self.zero).argmax())]
 
     @cached_property
     def units(self) -> np.ndarray:
@@ -109,7 +139,7 @@ class FiniteRing:
         out = [self.zero]
         while (nxt := int(self.add[out[-1], self.one])) != self.zero:
             out.append(nxt)
-        return np.array(out, dtype=np.int32)
+        return np.array(out, dtype=ELEMENT)
 
     def plus(self, a: int, b: int) -> int:
         return int(self.add[a, b])
@@ -157,13 +187,14 @@ class RingHom:
     map: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.map, dtype=np.int32))
-        m.setflags(write=False)
-        object.__setattr__(self, "map", m)
+        m = np.asarray(self.map)
         if m.shape != (self.source.order,):
             raise PreconditionError("hom table has wrong length")
+        # checked before the narrowing to ELEMENT, which would wrap
         if m.min(initial=0) < 0 or m.max(initial=0) >= self.target.order:
             raise PreconditionError("hom table maps outside the target")
+        m = _as_table(m.astype(ELEMENT, copy=False))
+        object.__setattr__(self, "map", m)
         if int(m[self.source.zero]) != self.target.zero:
             raise PreconditionError("hom does not preserve zero")
         if int(m[self.source.one]) != self.target.one:
@@ -278,9 +309,10 @@ class SpirWitness(NamedTuple):
 # Table entries gathered in one round of the sumset kernel and at once by the
 # pair closure.  Each gather of the kernel (_gather: its cosets, the products
 # of adjoin_rows, the coset leaders of a lattice level) takes a quarter of it
-# (one row at least): 64 KiB of int32, below glibc's default mmap threshold
-# (128 KiB), so each round's temporaries reuse heap memory instead of
-# mapping and faulting in fresh pages.
+# (one row at least): 32 KiB of ELEMENT entries beside 32 KiB of intp
+# indices, below glibc's default mmap threshold (128 KiB), so each round's
+# temporaries reuse heap memory instead of mapping and faulting in fresh
+# pages.
 _GATHER_ENTRIES = 1 << 14
 
 # Mask entries (rows x order) of one batched kernel call: a chunk of a
@@ -374,6 +406,7 @@ def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.
     outside it: (row, element) pairs in increasing order."""
     order = stack.shape[1]
     node, gen = _cells(~stack[:, gens])
+    # intp, so the keys node * order + least below len(stack) * order are exact
     least = np.empty(node.size, dtype=np.intp)
     for block, sums in _gather(add, gens[gen], node, _row_members(stack)):
         least[block] = sums.min(axis=1)
@@ -599,10 +632,17 @@ def zmod_order(n: int) -> int:
 
 
 def make_zmod(n: int) -> FiniteRing:
-    """The ring Z/n."""
+    """The ring Z/n.  Row a of add is 0, ..., n - 1 rotated left by a, a
+    window of that sequence written twice, so add is copied, not computed;
+    mul is (a b) mod n in int64 row blocks (_table_by_rows), as a b reaches
+    (n - 1)^2."""
     zmod_order(n)
-    idx = np.arange(n)
-    return FiniteRing(n, np.add.outer(idx, idx) % n, np.multiply.outer(idx, idx) % n, 0, 1, f"Z/{n}")
+    twice = np.concatenate((np.arange(n, dtype=ELEMENT),) * 2)
+    # the view whose row a is twice[a:a + n]
+    add = np.ndarray((n, n), ELEMENT, twice, strides=(twice.itemsize,) * 2).copy()
+    wide = np.arange(n, dtype=np.int64)
+    mul = _table_by_rows(n, lambda a: np.multiply.outer(a, wide) % n)
+    return FiniteRing(n, add, mul, 0, 1, f"Z/{n}")
 
 
 def _is_prime(n: int) -> bool:
@@ -679,14 +719,16 @@ def make_gf(p: int, k: int = 1) -> FiniteRing:
     logarithms to the least-index primitive element g: mul[a, b] =
     exp[(log a + log b) mod (q - 1)] for nonzero a and b, and zero otherwise.
     The powers exp[i] = g^i come from the layout's map a -> a * g, doubled:
-    exp[m:2m] = g^m * exp[:m]."""
+    exp[m:2m] = g^m * exp[:m].  mul is gathered in row blocks from exp
+    written twice, at log a + log b < 2 (q - 1), an intp index that needs no
+    reduction."""
     q = gf_order(p, k)
     zp = make_zmod(p)
     if k == 1:
         return FiniteRing(p, zp.add, zp.mul, 0, 1, f"GF({p})")
     layout = _poly_layout(zp, find_irreducible(p, k))
     for g in range(2, q):
-        exp, step = np.array([layout.one], dtype=np.int32), layout.times(g)
+        exp, step = np.array([layout.one], dtype=ELEMENT), layout.times(g)
         while len(exp) < q - 1:
             exp = np.concatenate((exp, step[exp]))
             step = step[step]
@@ -695,11 +737,10 @@ def make_gf(p: int, k: int = 1) -> FiniteRing:
             break
     else:
         raise InternalCheckError(f"no primitive element in GF({q})")
-    log = np.zeros(q, dtype=np.int32)
-    log[exp] = np.arange(q - 1, dtype=np.int32)
-    exponents = np.add.outer(log, log)
-    exponents %= q - 1
-    mul = exp[exponents]
+    log = np.zeros(q, dtype=np.intp)
+    log[exp] = np.arange(q - 1)
+    twice = np.concatenate((exp, exp))
+    mul = _table_by_rows(q, lambda a: twice[log[a, None] + log])
     mul[0, :] = mul[:, 0] = 0
     return FiniteRing(q, layout.add, mul, 0, 1, f"GF({q})")
 
@@ -717,7 +758,8 @@ def product_components(orders: Sequence[int], x):
 
 def product_index(orders: Sequence[int], parts):
     """The element with the given components (indices or broadcastable index
-    arrays); inverse of product_components."""
+    arrays); inverse of product_components.  Accumulated in int64, so exact
+    whatever the dtype of the parts."""
     x = np.int64(0)
     for o, c in zip(orders, parts):
         x = x * o + c
@@ -748,10 +790,11 @@ def _kronecker(prev: Table, t: Table) -> Table:
     the columns, slab a is slab 0 plus row a of prev*k with each entry
     repeated k times, and slab 0 gains its own row last.  The repeated rows
     are built a block of about _GATHER_ENTRIES entries at a time, so the
-    table is the only large allocation."""
+    table is the only large allocation.  prev * k is at most n - k, below
+    n, the product's order, so it is exact in ELEMENT."""
     m, k = len(prev), len(t)
     n = m * k
-    out = np.empty((m, k, n), dtype=np.int32)
+    out = np.empty((m, k, n), dtype=ELEMENT)
     out[0].reshape(k, m, k)[...] = t[:, None, :]
     step = max(1, _GATHER_ENTRIES // n)
     for lo in range(1, m, step):
@@ -771,8 +814,7 @@ def product(factors: Sequence[FiniteRing]) -> ProductResult:
     total = math.prod(orders)
     if total > arith_limit():
         raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
-    comps = tuple(_as_table(c) for c in product_components(orders, np.arange(total)))
-    # every entry is below total <= arith_limit, so int32 is exact
+    comps = tuple(_as_table(c.astype(ELEMENT)) for c in product_components(orders, np.arange(total)))
     add, mul = factors[0].add, factors[0].mul
     for r in factors[1:]:
         add = _kronecker(add, r.add)
@@ -815,7 +857,7 @@ def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
     element of each coset in increasing order."""
     least = add[:, sub].min(axis=1)
     reps = distinct(least, len(add))
-    return np.searchsorted(reps, least).astype(np.int32), reps
+    return np.searchsorted(reps, least).astype(ELEMENT), reps
 
 
 def quotient(ring: FiniteRing, ideal) -> QuotientResult:
@@ -873,7 +915,7 @@ class _PolyLayout(NamedTuple):
         time.  After step i, out[a, c] = a * c for every c of degree <= i, the
         coefficient of x^i its most significant digit."""
         q = len(self.add)
-        out = np.full((q, 1), self.zero, dtype=np.int32)
+        out = np.full((q, 1), self.zero, dtype=ELEMENT)
         xa = np.arange(q)
         for _ in range(self.degree):
             # scale.T[xa][a, c] = c * (x^i a)
@@ -889,6 +931,7 @@ def _poly_layout(ring: FiniteRing, monic: Sequence[int]) -> _PolyLayout:
     add, scale = ring.add, ring.mul
     for _ in range(d - 1):
         add = _kronecker(add, ring.add)
+        # scale * n + mul is below n^(i+1) <= q, exact in ELEMENT
         scale = (scale[:, :, None] * n + ring.mul[:, None, :]).reshape(n, -1)
     q = len(add)
     # x * a: shift the coefficients of a up, then fold x^d = -(f_0 + ... + f_{d-1} x^(d-1)) back in
@@ -1030,8 +1073,8 @@ def subset_ring(ring: FiniteRing, elems: np.ndarray, one: int,
     The whole ring keeps its indices, so it shares the ring's tables."""
     if len(elems) == ring.order:
         return (FiniteRing(ring.order, ring.add, ring.mul, ring.zero, int(one), label),
-                np.arange(ring.order, dtype=np.int32))
-    lookup = np.full(ring.order, -1, dtype=np.int32)
+                np.arange(ring.order, dtype=ELEMENT))
+    lookup = np.full(ring.order, -1, dtype=ELEMENT)
     lookup[elems] = np.arange(len(elems))
     add = lookup[ring.add[np.ix_(elems, elems)]]
     mul = lookup[ring.mul[np.ix_(elems, elems)]]
@@ -1045,7 +1088,7 @@ def prime_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     src, tgt = source.multiples_of_one, target.multiples_of_one
     if len(src) != source.order:
         raise PreconditionError("the base is not generated by 1")
-    emb = np.empty(source.order, dtype=np.int32)
+    emb = np.empty(source.order, dtype=ELEMENT)
     emb[src] = tgt[np.arange(len(src)) % len(tgt)]
     return RingHom(source, target, emb)
 
@@ -1196,7 +1239,7 @@ def is_isomorphic(a: FiniteRing, b: FiniteRing) -> Optional[np.ndarray]:
                 bvals.append(int(b.mul[bvals[entry[1]], bvals[entry[2]]]))
         if len(set(bvals)) != b.order:
             return None
-        out = np.empty(a.order, dtype=np.int32)
+        out = np.empty(a.order, dtype=ELEMENT)
         out[elems] = bvals
         try:
             RingHom(a, b, out)

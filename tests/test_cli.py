@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from ringlat import cli, dsl
@@ -188,6 +189,13 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, ["lattice", "Z/2[t]/(t@)", "Z/4"])
     assert code == 2
     assert "unexpected character" in err
+
+
+@pytest.mark.parametrize("image", [str(3 + (1 << 16)), str(3 + (1 << 32))])
+def test_an_explicit_image_is_range_checked_before_it_is_narrowed(capsys, image):
+    # 2^16 + 3 and 2^32 + 3 wrap to 3 in int16 and int32, a valid image of one
+    code, out, err = run(capsys, ["lattice", "Z/2", "Z/2 x Z/2", "--embed", f"explicit:0,{image}"])
+    assert (code, out, err) == (2, "", "error: hom table maps outside the target\n")
 
 
 def test_exit_code_bad_explicit_length(capsys):
@@ -432,6 +440,47 @@ def test_query_leaves_numpy_ma_unimported(argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+# Runs one CLI query under an address-space budget of 512 MiB of data, so
+# that any attempt to build a table of the refused order (an order-40000
+# table is 3 GB) raises MemoryError instead of passing for a refusal; the
+# budget is checked to bite first.
+_BUDGETED_QUERY = """
+import resource, sys
+import numpy as np
+from ringlat import cli
+resource.setrlimit(resource.RLIMIT_DATA, (512 << 20, 512 << 20))
+try:
+    np.empty(40000 * 40000, dtype=np.int16)
+except MemoryError:
+    pass
+else:
+    sys.exit("the allocation budget does not hold")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("top", ["Z/40000", "Z/200 x Z/200", "GF(2^16)"])
+def test_an_order_above_the_int16_ceiling_is_refused_before_any_table(top):
+    # element indices are int16, so RINGLAT_MAX_ORDER cannot lift the bound past 2^15
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "RINGLAT_MAX_ORDER": "100000"}
+    out = subprocess.run([sys.executable, "-c", _BUDGETED_QUERY, "closures", "Z/2", top],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == "" and out.stderr.startswith("size limit: ") and "bound" in out.stderr
+
+
+def test_the_order_ceiling_is_the_element_dtype(monkeypatch):
+    from ringlat import config
+
+    assert config.ORDER_CEILING == np.iinfo(rg.ELEMENT).max + 1 == 1 << 15
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", "100000")
+    assert config.arith_limit() == config.ORDER_CEILING
+    assert config.lattice_limit() == 100000
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", "20000")
+    assert config.arith_limit() == 20000
 
 
 def _workloads():

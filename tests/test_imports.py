@@ -12,7 +12,8 @@ a frozen dataclass is an object with identity (eq=False).  The pair closure
 is the oracle: only verify.lattice_certificate reads it, so it never checks
 itself.  Maximality is membership in the spectrum: only verify tests
 whether a quotient is a field.  One kernel per job: no module defines both a
-function f and its batched twin f_rows."""
+function f and its batched twin f_rows.  One element dtype: no module names
+np.int32, as element arrays use rings.ELEMENT and counters int64."""
 
 import ast
 import importlib
@@ -534,3 +535,30 @@ def test_scan_finds_row_twins():
 def test_one_kernel_per_job():
     # single closures are one-row calls of the batched kernels
     assert row_twins({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def int32_names(sources: dict[str, str]) -> list[str]:
+    """module: line for each attribute int32 (np.int32, numpy.int32) and each
+    dtype string "int32" in the sources (module name -> source)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr == "int32") or (
+                    isinstance(node, ast.Constant) and node.value == "int32"):
+                found.append(f"{module}: {node.lineno}")
+    return sorted(found)
+
+
+def test_scan_finds_int32():
+    sources = {
+        "rings": ("import numpy as np\nELEMENT = np.int16\n"
+                  "def f(n):\n    return np.zeros(n, dtype=np.int32)\n"),
+        "modules": "import numpy\nx = numpy.int32(3)\ny = numpy.zeros(2, dtype='int32')\n",
+        "other": "import numpy as np\ncount = np.zeros(2, dtype=np.int64)\nint32 = 'name'\n",
+    }
+    assert int32_names(sources) == ["modules: 2", "modules: 3", "rings: 4"]
+
+
+def test_one_element_dtype():
+    # tables, maps and lookups hold rings.ELEMENT; counters and keys stay int64/intp
+    assert int32_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

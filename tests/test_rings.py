@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlat import ideals as il
+from ringlat import lattice as lt
 from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat.errors import InternalCheckError, PreconditionError, SizeLimitError
@@ -105,7 +106,7 @@ def test_product_layout_matches_oracle(source, factors, brute_force_product_tabl
             assert want[table[x, y]] == tuple(int(getattr(r, name)[a, b])
                                               for r, a, b in zip(rings, want[x], want[y]))
     add, mul = brute_force_product_tables(rings)
-    assert pr.ring.add.dtype == pr.ring.mul.dtype == np.int32
+    assert pr.ring.add.dtype == pr.ring.mul.dtype == rg.ELEMENT == np.int16
     assert np.array_equal(pr.ring.add, add) and np.array_equal(pr.ring.mul, mul)
     # grouping the first two factors into one ring keeps every element's index
     if len(rings) > 2:
@@ -893,7 +894,7 @@ def _tables(m, k):
 def test_kronecker_matches_the_broadcast_formula(m, k):
     prev, t = _tables(m, k)
     got = rg._kronecker(prev, t)
-    assert got.dtype == np.int32 and np.array_equal(got, _kronecker_broadcast(prev, t))
+    assert got.dtype == rg.ELEMENT == np.int16 and np.array_equal(got, _kronecker_broadcast(prev, t))
 
 
 @pytest.mark.parametrize("m, k", [(2048, 2), (2, 2048)])
@@ -917,3 +918,173 @@ def test_compose_and_identity(z4):
     assert np.array_equal(rg.compose(ident, diagonal).map, diagonal.map)
     for c in sq.components:  # either projection undoes the diagonal
         assert np.array_equal(rg.compose(diagonal, rg.RingHom(sq.ring, z4, c)).map, ident.map)
+
+
+def _neg_by_scan(ring):
+    """The additive inverses by a scan of the whole add table for its
+    zeros: the reference for FiniteRing.neg."""
+    i, j = np.nonzero(ring.add == ring.zero)
+    out = np.empty(ring.order, dtype=np.int64)
+    out[i] = j
+    return out
+
+
+def _check_neg(ring, seed):
+    assert np.array_equal(ring.neg, _neg_by_scan(ring)), ring
+    perm = np.random.default_rng(seed).permutation(ring.order).astype(rg.ELEMENT)
+    moved = _relabeled(ring, perm)
+    assert np.array_equal(moved.neg, _neg_by_scan(moved)), ring
+    # relabeling carries the inverses over: -perm[x] = perm[-x]
+    assert np.array_equal(moved.neg[perm], perm[ring.neg]), ring
+
+
+def test_neg_is_the_row_of_minus_one_on_the_zoo(extension_zoo):
+    for seed, ring in enumerate(_zoo_rings(extension_zoo)):
+        _check_neg(ring, seed)
+
+
+def _clmul(a, b, bits):
+    """The carry-less product of the bit vectors a and b (int64 arrays of
+    the given width): the product of polynomials over F2."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(bits):
+        out ^= ((a >> i) & 1) * (b << i)
+    return out
+
+
+def _gf2_reduce(x, monic):
+    """x (a polynomial over F2 as bits, degree below 2k - 1) modulo monic,
+    a little-endian coefficient list of degree k."""
+    k = len(monic) - 1
+    f = sum(c << i for i, c in enumerate(monic))
+    for top in range(2 * k - 2, k - 1, -1):
+        x = np.where((x >> top) & 1, x ^ (f << (top - k)), x)
+    return x
+
+
+def _digits_op(op, a, b):
+    """Componentwise op of Z/64 x Z/64, the first factor most significant."""
+    return op(a // 64, b // 64) % 64 * 64 + op(a % 64, b % 64) % 64
+
+
+# order-4096 rings with their add and mul by int64 formulas on element
+# indices a, b: every index below 4096 reaches the narrow tables
+_ORDER_4096 = {
+    "Z/4096": (lambda: rg.make_zmod(4096),
+               lambda a, b: ((a + b) % 4096, a * b % 4096)),
+    "GF(2^12)": (lambda: rg.make_gf(2, 12),
+                 lambda a, b: (a ^ b, _gf2_reduce(_clmul(a, b, 12), rg.find_irreducible(2, 12)))),
+    "(Z/2)^12": (lambda: rg.product([rg.make_zmod(2)] * 12).ring,
+                 lambda a, b: (a ^ b, a & b)),
+    "Z/2[t]/(t^12)": (lambda: rg.poly_quotient(rg.make_zmod(2), [0] * 12 + [1], var="t").ring,
+                      lambda a, b: (a ^ b, _clmul(a, b, 12) & 4095)),
+    "Z/64 x Z/64": (lambda: rg.product([rg.make_zmod(64)] * 2).ring,
+                    lambda a, b: (_digits_op(np.add, a, b), _digits_op(np.multiply, a, b))),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORDER_4096))
+def test_order_4096_tables_match_the_int64_formulas(name):
+    build, formulas = _ORDER_4096[name]
+    ring = build()
+    assert ring.order == 4096
+    rows = np.concatenate(([0, 1, 4095], np.random.default_rng(4096).choice(4096, 13, replace=False)))
+    add, mul = formulas(rows[:, None].astype(np.int64), np.arange(4096, dtype=np.int64)[None, :])
+    assert np.array_equal(ring.add[rows], add) and np.array_equal(ring.mul[rows], mul)
+    # commutative tables: the same rows read as columns
+    assert np.array_equal(ring.add[:, rows].T, add) and np.array_equal(ring.mul[:, rows].T, mul)
+    _check_neg(ring, 4096)
+
+
+def test_order_4096_idealization_neg_is_the_row_of_minus_one():
+    # Z/64 (+) (Z/8 (+) Z/8), of order 64 * 64
+    ring = md.idealize(md.module_from_cyclics(rg.make_zmod(64), [[8], [8]])).top
+    assert ring.order == 4096
+    _check_neg(ring, 1)
+
+
+def test_make_zmod_peak_memory_is_near_its_two_tables():
+    rg.make_zmod(4096)  # the first call may fill numpy's caches
+    tracemalloc.start()
+    ring = rg.make_zmod(4096)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tables = ring.add.nbytes + ring.mul.nbytes
+    assert tables == 2 * 4096 * 4096 * 2
+    assert peak <= 1.5 * tables
+
+
+def _diagonal_of_z4_squared():
+    square = rg.product([rg.make_zmod(4), rg.make_zmod(4)]).ring
+    return rg.subset_ring(square, np.array([0, 5, 10, 15]), 5, "diagonal")[0]
+
+
+# one small output of each constructor of rings and modules
+_CONSTRUCTORS = {
+    "make_zmod": lambda: rg.make_zmod(12),
+    "make_gf": lambda: rg.make_gf(3, 2),
+    "make_gf prime": lambda: rg.make_gf(5),
+    "product": lambda: rg.product([rg.make_zmod(4), rg.make_gf(2, 2), rg.make_zmod(3)]).ring,
+    "quotient": lambda: rg.quotient(rg.make_zmod(12), [0, 4, 8]).ring,
+    "poly_quotient": lambda: rg.poly_quotient(rg.make_zmod(4), [0, 0, 0, 1], var="t").ring,
+    "poly_quotient with relations": lambda: rg.poly_quotient(
+        rg.make_zmod(4), [0, 0, 0, 1], relations=[[0, 0, 2]], var="t").ring,
+    "subset_ring": _diagonal_of_z4_squared,
+    "realize": lambda: lt.realize(
+        lt.intermediate_algebras(lt.power_extension(rg.make_zmod(4), 2)).nodes[1]).ring,
+    "idealize": lambda: md.idealize(md.module_from_cyclics(rg.make_zmod(4), [[2], []])).top,
+    "module_from_cyclics": lambda: md.module_from_cyclics(rg.make_zmod(12), [[4], [6]]),
+    "module_from_cyclics zero": lambda: md.module_from_cyclics(rg.make_zmod(12), []),
+    "quotient_module": lambda: md.quotient_module(
+        md.module_from_cyclics(rg.make_zmod(12), [[4], [6]]), [0, 3]).module,
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTORS))
+def test_every_constructor_builds_narrow_read_only_tables(name, monkeypatch):
+    converted, as_table = [], rg._as_table
+
+    def watched(a):
+        t = np.asarray(a)
+        if t.ndim == 2 and t.dtype != rg.ELEMENT:
+            converted.append(t.dtype)
+        return as_table(a)
+
+    monkeypatch.setattr(rg, "_as_table", watched)
+    monkeypatch.setattr(md, "_as_table", watched)
+    made = _CONSTRUCTORS[name]()
+    assert converted == []  # built in ELEMENT, not converted on the way in
+    monkeypatch.undo()
+    if isinstance(made, md.FiniteModule):
+        tables = (made.add, made.action)
+    else:
+        moved = _relabeled(made, _relabeling(made.order))
+        tables = (made.add, made.mul, moved.add, moved.mul)
+    for t in tables:
+        assert t.dtype == rg.ELEMENT == np.int16
+        assert t.flags.c_contiguous and not t.flags.writeable
+
+
+def test_element_arrays_use_the_one_dtype(extension_zoo):
+    z12 = rg.make_zmod(12)
+    pr = rg.product([rg.make_zmod(4), rg.make_gf(3)])
+    qr = rg.quotient(z12, [0, 4, 8])
+    pq = rg.poly_quotient(rg.make_zmod(4), [0, 0, 1], relations=[[0, 2]], var="t")
+    real = lt.realize(lt.intermediate_algebras(extension_zoo("F2-in-F16")).nodes[1])
+    square = pr.ring
+    _, lookup = rg.subset_ring(square, np.arange(square.order), square.one, "whole")
+    arrays = [z12.neg, z12.multiples_of_one, rg.cosets(z12.add, [0, 6])[0], lookup,
+              qr.projection.map, pq.to_quotient.map, real.include.map, real.from_base.map,
+              rg.prime_hom(rg.make_zmod(2), rg.make_gf(2, 3)).map, rg.identity_hom(z12).map,
+              *pr.components, extension_zoo("idealization").embed.map]
+    for a in arrays:
+        assert a.dtype == rg.ELEMENT
+
+
+def test_narrowing_refuses_what_would_wrap():
+    # int16 holds indices below 2^15: a wider entry is refused, never wrapped
+    with pytest.raises(SizeLimitError):
+        rg.FiniteRing(2, np.array([[0, 1], [1, 1 << 16]]), np.array([[0, 0], [0, 1]]), 0, 1, "wide")
+    z4 = rg.make_zmod(4)
+    with pytest.raises(PreconditionError, match="maps outside the target"):
+        rg.RingHom(z4, z4, np.array([0, 1 + (1 << 16), 2, 3]))

@@ -15,6 +15,7 @@ from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spect
 from .rings import (
     FiniteRing,
     RingHom,
+    _GATHER_ENTRIES,
     _LEVEL_ENTRIES,
     _add_cosets_rows,
     _is_prime,
@@ -171,6 +172,42 @@ class Poset:
         """lower_covers[i]: the nodes node i covers, in edge order."""
         return _group_covers(self.count, [(b, a) for a, b in self.hasse_edges])
 
+    @cached_property
+    def _heights(self) -> tuple[int, ...]:
+        """_heights[i]: the length of a longest cover path from node i to the
+        top.  Covers point to higher indices, so one pass from the top down
+        finds every node's height after those of its covers."""
+        heights = [0] * self.count
+        for i in range(self.count - 2, -1, -1):
+            heights[i] = 1 + max(heights[j] for j in self.upper_covers[i])
+        return tuple(heights)
+
+    def above(self, i: int) -> UpSet:
+        """The interval [node i, top] read off this poset: the up-set of node
+        i, by one walk over upper_covers, and the longest cover path from
+        node i to the top, which is the length of the interval."""
+        seen = [False] * self.count
+        seen[i] = True
+        stack = [i]
+        while stack:
+            for j in self.upper_covers[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        return UpSet(tuple(j for j in range(i, self.count) if seen[j]), self._heights[i])
+
+
+class UpSet(NamedTuple):
+    """The nodes above a node, itself included, in index order, and the
+    length of a longest cover path from it to the top."""
+
+    nodes: tuple[int, ...]
+    length: int
+
+    @property
+    def count(self) -> int:
+        return len(self.nodes)
+
 
 def _group_covers(count: int, edges) -> tuple[tuple[int, ...], ...]:
     """The heads of the edges (tail, head), grouped by tail."""
@@ -322,14 +359,26 @@ def seminormal_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
 
 def tclosed_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
     """The b outside the subring T (given by its mask) admitting r in T with
-    b^2 - rb and b^3 - rb^2 in T, tested on all pairs (r, b) at once."""
+    b^2 - rb and b^3 - rb^2 in T, in increasing order.  As r runs over T so
+    does -r, so the test is u = b^2 + rb in T and then bu = b^3 + rb^2 in T.
+    The pairs (r, b) are tested in blocks of about _GATHER_ENTRIES entries,
+    a run of r in T against every b not yet admitted, and a b leaves the test
+    at the first block holding an r that works for it."""
     inside = np.flatnonzero(mask)
-    outside = np.flatnonzero(~mask)
-    sq = top.mul.diagonal()[outside]
-    cube = top.mul[sq, outside]
-    c1 = mask[top.add[sq, top.neg[top.mul[np.ix_(inside, outside)]]]]
-    c2 = mask[top.add[cube, top.neg[top.mul[np.ix_(inside, sq)]]]]
-    return outside[(c1 & c2).any(axis=0)]
+    b = np.flatnonzero(~mask)
+    sq = top.mul.diagonal()[b]
+    admitted = np.zeros(top.order, dtype=bool)
+    lo = 0
+    while lo < inside.size and b.size:
+        r = inside[lo:lo + max(1, _GATHER_ENTRIES // b.size)]
+        lo += r.size
+        u = top.add[sq, top.mul[np.ix_(r, b)]]
+        row, col = np.nonzero(mask[u])
+        hit = np.zeros(b.size, dtype=bool)
+        hit[col[mask[top.mul[u[row, col], b[col]]]]] = True
+        admitted[b[hit]] = True
+        b, sq = b[~hit], sq[~hit]
+    return np.flatnonzero(admitted)
 
 
 def is_seminormal(ext: Extension) -> bool:

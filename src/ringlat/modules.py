@@ -17,7 +17,6 @@ from .lattice import (
     Poset,
     intermediate_algebras,
     poset_structure,
-    upper_extension,
 )
 from .rings import (
     ELEMENT,
@@ -281,11 +280,13 @@ class IntervalReport(NamedTuple):
 
 
 def interval_length(bij: BijectionReport, i: int) -> IntervalReport:
-    """Compare the interval above R(+)N in [R, R(+)M], for the submodule N
-    of index i, with L(M/N) and nu(M/N)."""
+    """Compare the interval [R(+)N, R(+)M], for the submodule N of index i,
+    with L(M/N) and nu(M/N).  The interval is read off bij.report, the
+    lattice [R, R(+)M] already built, at the node of R(+)N (Poset.above);
+    M/N, its length and its submodules are computed on their own."""
     if not 0 <= i < len(bij.pairs):
         raise PreconditionError(f"no lattice node is matched with submodule {i}")
-    upper = intermediate_algebras(upper_extension(bij.report.nodes[bij.pairs[i][1]]))
+    upper = bij.report.above(bij.pairs[i][1])
     q = quotient_module(bij.lattice.module, bij.lattice.nodes[i]).module
     return IntervalReport(upper.length, upper.count, module_length(q), submodules(q).count)
 

@@ -306,13 +306,13 @@ class SpirWitness(NamedTuple):
 # alone, a single closure; the pair closure (extend_closure_mask) is kept
 # only as the oracle that checks it
 
-# Table entries gathered in one round of the sumset kernel and at once by the
-# pair closure.  Each gather of the kernel (_gather: its cosets, the products
-# of adjoin_rows, the coset leaders of a lattice level) takes a quarter of it
-# (one row at least): 32 KiB of ELEMENT entries beside 32 KiB of intp
-# indices, below glibc's default mmap threshold (128 KiB), so each round's
-# temporaries reuse heap memory instead of mapping and faulting in fresh
-# pages.
+# Table entries gathered in one round of the sumset kernel, at once by the
+# pair closure and in one block of lattice.tclosed_candidates.  Each gather
+# of the kernel (_gather: its cosets, the products of adjoin_rows, the coset
+# leaders of a lattice level) takes a quarter of it (one row at least):
+# 32 KiB of ELEMENT entries beside 32 KiB of intp indices, below glibc's
+# default mmap threshold (128 KiB), so each round's temporaries reuse heap
+# memory instead of mapping and faulting in fresh pages.
 _GATHER_ENTRIES = 1 << 14
 
 # Mask entries (rows x order) of one batched kernel call: a chunk of a

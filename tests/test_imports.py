@@ -11,7 +11,9 @@ once, when cli is imported.  A value record is an immutable NamedTuple, and
 a frozen dataclass is an object with identity (eq=False).  The pair closure
 is the oracle: only verify.lattice_certificate reads it, so it never checks
 itself.  Maximality is membership in the spectrum: only verify tests
-whether a quotient is a field.  One kernel per job: no module defines both a
+whether a quotient is a field.  An interval above a node is read off the
+lattice that holds it: no module enumerates the lattice of an
+upper_extension.  One kernel per job: no module defines both a
 function f and its batched twin f_rows.  One element dtype: no module names
 np.int32, as element arrays use rings.ELEMENT and counters int64."""
 
@@ -461,16 +463,16 @@ def test_only_the_lattice_certificate_reads_the_oracle():
         "verify.lattice_certificate: closure_mask", "verify.lattice_certificate: extend_closure_mask"]
 
 
-def quotient_field_tests(sources: dict[str, str]) -> list[str]:
-    """module.function for each function with an is_field call whose argument
-    holds a quotient(...) call, or a name the function binds to an expression
-    holding one."""
+def nested_calls(sources: dict[str, str], outer: str, inner: str) -> list[str]:
+    """module.function for each function with an outer(...) call whose
+    argument holds an inner(...) call, or a name the function binds to an
+    expression holding one."""
 
     def name_of(call):
         return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
     def holds(node, names):
-        return any((isinstance(n, ast.Call) and name_of(n) == "quotient")
+        return any((isinstance(n, ast.Call) and name_of(n) == inner)
                    or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
 
     found = set()
@@ -481,7 +483,7 @@ def quotient_field_tests(sources: dict[str, str]) -> list[str]:
             nodes = list(ast.walk(fn))
             bound = {t.id for n in nodes if isinstance(n, ast.Assign) and holds(n.value, ())
                      for target in n.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
-            if any(isinstance(n, ast.Call) and name_of(n) == "is_field" and any(holds(a, bound) for a in n.args)
+            if any(isinstance(n, ast.Call) and name_of(n) == outer and any(holds(a, bound) for a in n.args)
                    for n in nodes):
                 found.add(f"{module}.{fn.name}")
     return sorted(found)
@@ -495,14 +497,36 @@ def test_scan_finds_a_field_test_of_a_quotient():
         "verify": "def oracle(ring, i):\n    return rg.is_field(rg.quotient(ring, i).ring)\n",
         "other": "def plain(ring):\n    q = ring\n    return is_field(q) and quotient(ring, ())\n",
     }
-    assert quotient_field_tests(sources) == ["crt.bound", "crt.direct", "verify.oracle"]
+    assert nested_calls(sources, "is_field", "quotient") == ["crt.bound", "crt.direct", "verify.oracle"]
 
 
 def test_maximality_is_read_from_the_spectrum():
     # an ideal is maximal when it is a prime of the ring's cached spectrum;
     # only verify keeps the quotient-is-a-field test, as its oracle
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    assert quotient_field_tests(sources) == ["verify.criterion_04_trichotomy"]
+    assert nested_calls(sources, "is_field", "quotient") == ["verify.criterion_04_trichotomy"]
+
+
+def test_scan_finds_an_interval_enumerated_again():
+    sources = {
+        "modules": ("def direct(bij, i):\n"
+                    "    return intermediate_algebras(upper_extension(bij.report.nodes[i]))\n"
+                    "def bound(rep, i):\n    up = lt.upper_extension(rep.nodes[i])\n"
+                    "    return lt.intermediate_algebras(up).count\n"
+                    "def read(rep, i):\n    return rep.above(i).count\n"),
+        "other": ("def lower(rep, i):\n    return intermediate_algebras(lower_extension(rep.nodes[i]))\n"
+                  "def apart(rep, i):\n    upper_extension(rep.nodes[i])\n"
+                  "    return intermediate_algebras(rep.extension)\n"),
+    }
+    assert nested_calls(sources, "intermediate_algebras", "upper_extension") == [
+        "modules.bound", "modules.direct"]
+
+
+def test_an_interval_is_read_off_the_lattice_it_lies_in():
+    # the lattice above a node of a LatticeReport is the node's up-set
+    # (Poset.above), so no module enumerates it a second time
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert nested_calls(sources, "intermediate_algebras", "upper_extension") == []
 
 
 def row_twins(sources: dict[str, str]) -> list[str]:

@@ -473,6 +473,75 @@ def test_sum_and_cover_predicates_match_their_pairwise_definitions(predicate_lat
             assert not delta or sum(rows) == rep.count * (rep.count - 1) // 2
 
 
+def _tclosed_all_pairs(top, mask):
+    """The b outside T with some r in T such that b^2 - rb and b^3 - rb^2
+    lie in T, every pair (r, b) of T x (S minus T) gathered at once: the
+    reference for the blocked test of lt.tclosed_candidates."""
+    inside = np.flatnonzero(mask)
+    outside = np.flatnonzero(~mask)
+    sq = top.mul.diagonal()[outside]
+    cube = top.mul[sq, outside]
+    c1 = mask[top.add[sq, top.neg[top.mul[np.ix_(inside, outside)]]]]
+    c2 = mask[top.add[cube, top.neg[top.mul[np.ix_(inside, sq)]]]]
+    return outside[(c1 & c2).any(axis=0)]
+
+
+@pytest.mark.parametrize("name", _PREDICATE_CORPUS)
+def test_tclosed_candidates_match_the_all_pairs_test(predicate_lattices, name, monkeypatch):
+    # every node of each lattice and of its relabeled copy as T: in one
+    # block, and in blocks of one r, or of a few entries, so that a b that
+    # passes leaves while the others meet every r
+    reps = predicate_lattices[name]
+    want = [[_tclosed_all_pairs(rep.extension.top, node.mask) for node in rep.nodes] for rep in reps]
+    for entries in (None, 1, 7):
+        if entries is not None:
+            monkeypatch.setattr(lt, "_GATHER_ENTRIES", entries)
+        for rep, expected in zip(reps, want):
+            for node, b in zip(rep.nodes, expected):
+                got = lt.tclosed_candidates(rep.extension.top, node.mask)
+                assert got.tolist() == b.tolist()
+
+
+def test_the_tclosed_corpus_admits_some_and_not_others(predicate_lattices):
+    sizes = {lt.tclosed_candidates(rep.extension.top, node.mask).size > 0
+             for rep, _ in predicate_lattices.values() for node in rep.nodes if not node.is_top}
+    assert sizes == {True, False}
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_tclosed_candidates_carry_over_under_relabeling(extension_zoo, name, monkeypatch):
+    ext = extension_zoo(name)
+    perm = np.random.default_rng(ext.top.order + 1).permutation(ext.top.order)
+    moved = _relabel(ext, perm)
+    for entries in (None, 5):
+        if entries is not None:
+            monkeypatch.setattr(lt, "_GATHER_ENTRIES", entries)
+        for node in lt.intermediate_algebras(ext).nodes:
+            moved_mask = np.zeros(ext.top.order, dtype=bool)
+            moved_mask[perm[node.mask]] = True
+            got = lt.tclosed_candidates(moved.top, moved_mask)
+            assert sorted(perm[lt.tclosed_candidates(ext.top, node.mask)].tolist()) == got.tolist()
+
+
+def test_tclosed_candidates_of_the_largest_closures_query(monkeypatch):
+    # t_closure(Z/2 in Z/2[t]/(t^8)) tests a T of order 128 against 128 b,
+    # as many pairs as _GATHER_ENTRIES: the one block of the largest
+    # closures query the benchmark runs
+    from ringlat.cli import resolve_extension
+
+    seen = []
+
+    def checked(top, mask):
+        got = lt.tclosed_candidates(top, mask)
+        assert got.tolist() == _tclosed_all_pairs(top, mask).tolist()
+        seen.append(int(mask.sum()) * int((~mask).sum()))
+        return got
+
+    monkeypatch.setattr(cl, "tclosed_candidates", checked)
+    cl.t_closure(resolve_extension("Z/2", "Z/2[t]/(t^8)", None))
+    assert max(seen) == lt._GATHER_ENTRIES
+
+
 def test_the_predicate_corpus_takes_both_values(predicate_lattices):
     answers = [(lt.is_delta(rep), lt.is_pointwise_minimal(rep)) for rep, _ in predicate_lattices.values()]
     assert {d for d, _ in answers} == {True, False} and {p for _, p in answers} == {True, False}

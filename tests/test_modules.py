@@ -4,6 +4,7 @@ import pytest
 from ringlat import lattice as lt
 from ringlat import modules as md
 from ringlat import rings as rg
+from ringlat import verify as vf
 from ringlat.errors import (InternalCheckError, NotApplicableError,
                             PreconditionError)
 
@@ -246,6 +247,69 @@ def test_interval_matches_quotient(z8):
     assert iv.interval_count == iv.quotient_count
     with pytest.raises(PreconditionError, match="submodule 4"):
         md.interval_length(bij, bij.nu)
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_interval_read_off_the_report_matches_a_second_enumeration(k):
+    # the up-set of R(+)N in bij.report is the lattice [R(+)N, R(+)M] built
+    # again from the node realized as a ring: the same nodes, so the same
+    # count, and the same length
+    label, bij = vf._idealizations()[k]
+    for i, (_, node) in enumerate(bij.pairs):
+        upper = bij.report.above(node)
+        again = lt.intermediate_algebras(lt.upper_extension(bij.report.nodes[node]))
+        assert [bij.report.nodes[j].elements for j in upper.nodes] == [n.elements for n in again.nodes]
+        assert (upper.count, upper.length) == (again.count, again.length)
+        iv = md.interval_length(bij, i)
+        assert (iv.interval_count, iv.interval_length) == (again.count, again.length), label
+
+
+def test_the_interval_corpus_has_72_cases():
+    corpus = vf._idealizations()
+    assert len(corpus) == 17
+    assert sum(len(bij.pairs) for _, bij in corpus) == sum(bij.nu for _, bij in corpus) == 72
+
+
+def test_intervals_of_a_chain(z8):
+    # Z/8 over itself: 0 < (4) < (2) < Z/8, and [R, R(+)M] is a chain of 4
+    bij = md.idealization_lattice_bijection(md.submodules(md.module_from_ring(z8)))
+    assert [len(n) for n in bij.lattice.nodes] == [1, 2, 4, 8]
+    for i in range(4):
+        assert md.interval_length(bij, i) == md.IntervalReport(3 - i, 4 - i, 3 - i, 4 - i)
+        assert bij.report.above(bij.pairs[i][1]) == lt.UpSet(tuple(range(bij.pairs[i][1], 4)), 3 - i)
+
+
+def test_intervals_of_the_plane_over_f2(f2):
+    # F2^2: 0, three lines, the plane; above a line sit the line and the plane
+    bij = md.idealization_lattice_bijection(md.submodules(md.module_from_cyclics(f2, [[0], [0]])))
+    assert bij.report.count == 5
+    rows = [md.interval_length(bij, i) for i in range(5)]
+    assert rows == [md.IntervalReport(2, 5, 2, 5)] + [md.IntervalReport(1, 2, 1, 2)] * 3 + [
+        md.IntervalReport(0, 1, 0, 1)]
+    assert [bij.report.above(i) for i in range(5)] == [
+        lt.UpSet((0, 1, 2, 3, 4), 2), lt.UpSet((1, 4), 1), lt.UpSet((2, 4), 1), lt.UpSet((3, 4), 1),
+        lt.UpSet((4,), 0)]
+
+
+def _relabeled_module(m, perm):
+    """The same module with each element x renamed perm[x]."""
+    inv = np.argsort(perm)
+    return md.FiniteModule(m.ring, m.order, perm[m.add[np.ix_(inv, inv)]], int(perm[m.zero]),
+                           perm[m.action[:, inv]], m.label)
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_interval_reports_are_invariant_under_relabeling(k):
+    label, bij = vf._idealizations()[k]
+    m = bij.lattice.module
+    perm = np.random.default_rng(k).permutation(m.order)
+    moved = _relabeled_module(m, perm)
+    md.check_module(moved)
+    bij2 = md.idealization_lattice_bijection(md.submodules(moved))
+    assert bij2.ok
+    for i, sub in enumerate(bij.lattice.nodes):
+        j = bij2.lattice.nodes.index(tuple(sorted(int(perm[x]) for x in sub)))
+        assert md.interval_length(bij2, j) == md.interval_length(bij, i), label
 
 
 def test_uniserial_structure_chain(z4):

@@ -210,19 +210,6 @@ def homal_to_hom(mat: LambdaMatrix, source: FiniteRing, target: FiniteRing) -> R
     return RingHom(source, target, product_index([r.order] * n, comp))
 
 
-def lambda_of_hom(hom: RingHom, ring: FiniteRing, p: int, n: int) -> LambdaMatrix:
-    """Read the matrix back off a morphism: a_{i,j} = component i of
-    phi(f_j)."""
-    entries = []
-    cols = []
-    for j in range(p):
-        f_j = product_index([ring.order] * p, [ring.one if k == j else ring.zero for k in range(p)])
-        cols.append([int(c) for c in product_components([ring.order] * n, int(hom.map[f_j]))])
-    for i in range(n):
-        entries.append(tuple(cols[j][i] for j in range(p)))
-    return LambdaMatrix(ring, tuple(entries))
-
-
 class ExalClass(NamedTuple):
     """Injective morphisms sharing one image subalgebra of R^n."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,9 +21,7 @@ from .rings import (
     _is_prime,
     adjoin_all,
     cosets,
-    distinct,
     enumerate_closed_subsets,
-    enumerate_submodules,
     is_local,
     mask_elements,
     pair_homs,
@@ -391,67 +389,58 @@ def is_tclosed(ext: Extension) -> bool:
     return not tclosed_candidates(ext.top, ext.image_mask).size
 
 
-def _span(top: FiniteRing, img: np.ndarray, coeffs: np.ndarray, t: int) -> np.ndarray:
-    """The elements of R + Jt, for R and J given by their top indices img and
-    coeffs."""
-    n = top.order
-    return distinct(top.add[np.ix_(img, distinct(top.mul[coeffs, t], n))], n)
+def _span_stack(ext: Extension) -> tuple[np.ndarray, np.ndarray]:
+    """One row per coset t + R, at its least element t: the representatives
+    t, increasing, and the mask stack of the spans R + Rt, by one
+    sumset-kernel call.  R + R(t + r) = R + Rt for r in R."""
+    top = ext.top
+    img = np.asarray(ext.image, dtype=np.intp)
+    _, reps = cosets(top.add, img)
+    multiples = np.zeros((reps.size, top.order), dtype=bool)
+    multiples[np.arange(reps.size)[:, None], top.mul[np.ix_(reps, img)]] = True
+    spans = _add_cosets_rows(top.add, np.broadcast_to(ext.image_mask, multiples.shape), multiples)
+    return reps, spans
 
 
 def is_quadratic(ext: Extension) -> bool:
-    """Every module span R + Rt is multiplicatively closed."""
-    top = ext.top
-    img = np.asarray(ext.image, dtype=np.intp)
-    for t in range(top.order):
-        span = _span(top, img, img, t)
-        smask = np.zeros(top.order, dtype=bool)
-        smask[span] = True
-        if not smask[top.mul[np.ix_(span, span)]].all():
-            return False
-    return True
+    """Every module span R + Rt is multiplicatively closed: t^2 lies in
+    R + Rt, as (a + bt)(c + dt) = ac + (ad + bc)t + bd t^2."""
+    reps, spans = _span_stack(ext)
+    return bool(spans[np.arange(reps.size), ext.top.mul[reps, reps]].all())
+
+
+def _sums_with_later(add: np.ndarray, stack: np.ndarray,
+                     skip: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Each row i of the mask stack of additive subgroups (group law add)
+    summed with the rows from i + skip on, in batched calls of the sumset
+    kernel of at most _LEVEL_ENTRIES mask entries: (i, lo, the sums with
+    rows lo, lo + 1, ...) per call."""
+    step = max(1, _LEVEL_ENTRIES // stack.shape[1])
+    for i, row in enumerate(stack):
+        for lo in range(i + skip, len(stack), step):
+            later = stack[lo:lo + step]
+            yield i, lo, _add_cosets_rows(add, np.broadcast_to(row, later.shape), later)
 
 
 def is_delta(report: LatticeReport) -> bool:
-    """The node set is closed under pairwise module sums.  Each node is
-    summed with all later nodes, in batched calls of the sumset kernel of at
-    most _LEVEL_ENTRIES mask entries, up to the first sum that is not a
-    node."""
-    top = report.extension.top
+    """The node set is closed under pairwise module sums: each node summed
+    with all later nodes, up to the first sum that is not a node."""
     masks = np.array([n.mask for n in report.nodes])
     keys = {m.tobytes() for m in masks}
-    step = max(1, _LEVEL_ENTRIES // top.order)
-    for i, node in enumerate(masks):
-        for lo in range(i + 1, len(masks), step):
-            later = masks[lo:lo + step]
-            sums = _add_cosets_rows(top.add, np.broadcast_to(node, later.shape), later)
-            if any(m.tobytes() not in keys for m in sums):
-                return False
-    return True
+    sums = _sums_with_later(report.extension.top.add, masks, 1)
+    return all(m.tobytes() in keys for _, _, block in sums for m in block)
 
 
 def is_delta0(ext: Extension) -> bool:
-    """Every base-submodule of S containing R is multiplicatively closed.
-
-    Each span R + Rt is such a submodule, so Delta0 implies quadratic and a
-    failed is_quadratic answers False exactly."""
-    return is_quadratic(ext) and _submodules_over_base_closed(ext)
-
-
-def _submodules_over_base_closed(ext: Extension) -> bool:
-    """Delta0 for a quadratic extension: the submodules containing R, which
-    correspond to the submodules of the quotient module S/R, are enumerated,
-    pulled back and tested."""
+    """Every base-submodule of S containing R is multiplicatively closed:
+    tu lies in R + Rt + Ru, the least one holding t and u, for all t, u.
+    That depends only on the cosets of t and u, so they run over the rows of
+    the span stack, row t summed with the rows u from t on (t = u is the
+    quadratic test), up to the first tu missing."""
     top = ext.top
-    coset_of, reps = cosets(top.add, np.asarray(ext.image, dtype=np.intp))
-    add = coset_of[top.add[np.ix_(reps, reps)]]
-    action = coset_of[top.mul[np.ix_(ext.embed.map, reps)]]
-    subs = enumerate_submodules(add, action, coset_of[top.zero])
-    for sm in subs:
-        pull = sm[coset_of]
-        idx = np.flatnonzero(pull)
-        if not pull[top.mul[np.ix_(idx, idx)]].all():
-            return False
-    return True
+    reps, spans = _span_stack(ext)
+    return all(sums[np.arange(len(sums)), top.mul[reps[i], reps[lo:lo + len(sums)]]].all()
+               for i, lo, sums in _sums_with_later(top.add, spans, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +535,26 @@ class GilbertReport(NamedTuple):
 
 
 def gilbert_bijection(report: LatticeReport) -> GilbertReport:
+    """S = R + Rt for t the least such element, the representative of the
+    first full row of the span stack; each ideal J of R holding the conductor
+    goes to the node R + Jt (one sumset-kernel call for all J)."""
     ext = report.extension
     top = ext.top
-    img = np.asarray(ext.image, dtype=np.intp)
-    t_found = next((t for t in range(top.order) if len(_span(top, img, img, t)) == top.order), None)
-    if t_found is None:
+    reps, spans = _span_stack(ext)
+    full = np.flatnonzero(spans.all(axis=1))
+    if not full.size:
         raise NotApplicableError("extension is not of the form R + Rt")
+    t = int(reps[full[0]])
     cond = conductor(ext)
+    ideals = [j for j in all_ideals(ext.base) if contains(j, cond)]
+    multiples = np.zeros((len(ideals), top.order), dtype=bool)
+    for row, j in zip(multiples, ideals):
+        row[top.mul[ext.embed.map[list(j.elements)], t]] = True
+    spans_of = _add_cosets_rows(top.add, np.broadcast_to(ext.image_mask, multiples.shape), multiples)
     pairs = []
     seen = set()
-    for j in all_ideals(ext.base):
-        if not contains(j, cond):
-            continue
-        j_top = ext.embed.map[np.asarray(j.elements, dtype=np.intp)]
-        idx = report.node_index(_span(top, img, j_top, t_found))
+    for j, span in zip(ideals, spans_of):
+        idx = report.node_index(mask_elements(span))
         if idx is None:
             raise InternalCheckError("R + Jt is not a lattice node")
         if idx in seen:
@@ -568,7 +563,7 @@ def gilbert_bijection(report: LatticeReport) -> GilbertReport:
         pairs.append((j, idx))
     if len(pairs) != report.count:
         raise InternalCheckError("ideal correspondence is not onto the lattice")
-    return GilbertReport(t_found, tuple(pairs))
+    return GilbertReport(t, tuple(pairs))
 
 
 class IrreducibleDecomposition(NamedTuple):
@@ -672,6 +667,6 @@ def predicate_battery(report: LatticeReport) -> dict:
         "t_closed": is_tclosed(ext),
         "quadratic": quadratic,
         "delta": is_delta(report),
-        "delta0": quadratic and _submodules_over_base_closed(ext),
+        "delta0": quadratic and is_delta0(ext),
         "pointwise_minimal": is_pointwise_minimal(report),
     }

@@ -34,7 +34,6 @@ from .rings import (
     product_index,
     quotient,
     span_of_products,
-    sum_of_orbits,
     _as_table,
     _kronecker,
     _table_by_rows,
@@ -121,11 +120,6 @@ def quotient_module(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult
     action = coset_of[m.action[:, reps]]
     mod = FiniteModule(m.ring, len(reps), add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub_idx)}")
     return QuotientModuleResult(mod, coset_of)
-
-
-def submodule_closure(m: FiniteModule, seed: Sequence[int]) -> tuple[int, ...]:
-    """Smallest submodule containing the seed."""
-    return mask_elements(sum_of_orbits(m.add, m.action, m.zero, seed))
 
 
 @dataclass(frozen=True, eq=False)

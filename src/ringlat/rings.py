@@ -317,9 +317,10 @@ _GATHER_ENTRIES = 1 << 14
 
 # Mask entries (rows x order) of one batched kernel call: a chunk of a
 # join-closure level (the coset leaders of that many node entries, then the
-# joins of that many (node, leader) row entries) or of the sums of one node
-# with later ones (lattice.is_delta).  It bounds the stacks and index arrays
-# held at once, however many joins or sums there are.
+# joins of that many (node, leader) row entries), of the sums of one node
+# with later ones (lattice.is_delta) or of one span R + Rt with later Ru
+# (lattice.is_delta0).  It bounds the stacks and index arrays held at once,
+# however many joins or sums there are.
 _LEVEL_ENTRIES = 1 << 15
 
 

@@ -102,12 +102,22 @@ def test_homal_enumeration_size(z4):
         assert h.map.shape == (16,)
 
 
+def _lambda_of_hom(hom, ring, p, n):
+    """Read the matrix back off a morphism R^p -> R^n: a_{i,j} = component i
+    of phi(f_j)."""
+    cols = []
+    for j in range(p):
+        f_j = rg.product_index([ring.order] * p, [ring.one if k == j else ring.zero for k in range(p)])
+        cols.append([int(c) for c in rg.product_components([ring.order] * n, int(hom.map[f_j]))])
+    return cb.LambdaMatrix(ring, tuple(tuple(cols[j][i] for j in range(p)) for i in range(n)))
+
+
 def test_lambda_round_trip(z4):
     source = rg.product([z4, z4]).ring
     target = rg.product([z4, z4, z4]).ring
     for mat in cb.enumerate_homal(z4, 2, 3):
         hom = cb.homal_to_hom(mat, source, target)
-        back = cb.lambda_of_hom(hom, z4, 2, 3)
+        back = _lambda_of_hom(hom, z4, 2, 3)
         assert back.entries == mat.entries
 
 

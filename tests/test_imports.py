@@ -13,9 +13,11 @@ is the oracle: only verify.lattice_certificate reads it, so it never checks
 itself.  Maximality is membership in the spectrum: only verify tests
 whether a quotient is a field.  An interval above a node is read off the
 lattice that holds it: no module enumerates the lattice of an
-upper_extension.  One kernel per job: no module defines both a
-function f and its batched twin f_rows.  One element dtype: no module names
-np.int32, as element arrays use rings.ELEMENT and counters int64."""
+upper_extension.  Delta0 reads the spans R + Rt: no module builds a quotient
+module from cosets to enumerate its submodules.  One kernel per job: no
+module defines both a function f and its batched twin f_rows.  One element
+dtype: no module names np.int32, as element arrays use rings.ELEMENT and
+counters int64."""
 
 import ast
 import importlib
@@ -527,6 +529,25 @@ def test_an_interval_is_read_off_the_lattice_it_lies_in():
     # (Poset.above), so no module enumerates it a second time
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert nested_calls(sources, "intermediate_algebras", "upper_extension") == []
+
+
+def test_scan_finds_a_quotient_module_enumerated():
+    sources = {
+        "lattice": ("def direct(ext):\n    return enumerate_submodules(*cosets(ext.top.add, ext.image))\n"
+                    "def bound(ext, add, action):\n    coset_of, reps = rg.cosets(ext.top.add, ext.image)\n"
+                    "    return rg.enumerate_submodules(add, action, coset_of[ext.top.zero])\n"
+                    "def stack(ext, a):\n    _, reps = cosets(ext.top.add, ext.image)\n"
+                    "    return _add_cosets_rows(ext.top.add, a, reps)\n"),
+        "ideals": "def ideals(ring):\n    return enumerate_submodules(ring.add, ring.mul, ring.zero)\n",
+    }
+    assert nested_calls(sources, "enumerate_submodules", "cosets") == ["lattice.bound", "lattice.direct"]
+
+
+def test_no_quotient_module_is_enumerated():
+    # Delta0 holds when tu lies in R + Rt + Ru for all t, u, read off the
+    # span stack R + Rt; the submodules of S/R are not enumerated
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert nested_calls(sources, "enumerate_submodules", "cosets") == []
 
 
 def row_twins(sources: dict[str, str]) -> list[str]:

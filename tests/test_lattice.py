@@ -7,9 +7,10 @@ from ringlat import closures as cl
 from ringlat import lattice as lt
 from ringlat import modules as md
 from ringlat import rings as rg
-from ringlat.errors import (NotApplicableError, PreconditionError,
-                            SizeLimitError)
-from ringlat.ideals import all_ideals
+from ringlat import verify as vf
+from ringlat.errors import (InternalCheckError, NotApplicableError,
+                            PreconditionError, RinglatError, SizeLimitError)
+from ringlat.ideals import all_ideals, conductor, contains
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +330,78 @@ def _delta0_by_enumeration(ext):
     return True
 
 
+def _span(top, img, coeffs, t):
+    """The elements of R + Jt, for R and J given by their top indices img and
+    coeffs, gathered as all of R x Jt."""
+    n = top.order
+    return rg.distinct(top.add[np.ix_(img, rg.distinct(top.mul[coeffs, t], n))], n)
+
+
+def _quadratic_by_spans(ext):
+    """Reference: for every t of the top, one at a time, every product of two
+    elements of R + Rt lies in R + Rt."""
+    top = ext.top
+    img = np.asarray(ext.image, dtype=np.intp)
+    for t in range(top.order):
+        span = _span(top, img, img, t)
+        smask = np.zeros(top.order, dtype=bool)
+        smask[span] = True
+        if not smask[top.mul[np.ix_(span, span)]].all():
+            return False
+    return True
+
+
+def _gilbert_by_search(report):
+    """Reference: the least t of the top with R + Rt = S, by a loop over the
+    top, and each ideal J of R containing the conductor with the node
+    R + Jt."""
+    ext = report.extension
+    top = ext.top
+    img = np.asarray(ext.image, dtype=np.intp)
+    t_found = next((t for t in range(top.order) if len(_span(top, img, img, t)) == top.order), None)
+    if t_found is None:
+        raise NotApplicableError("extension is not of the form R + Rt")
+    cond = conductor(ext)
+    pairs = []
+    seen = set()
+    for j in all_ideals(ext.base):
+        if not contains(j, cond):
+            continue
+        j_top = ext.embed.map[np.asarray(j.elements, dtype=np.intp)]
+        idx = report.node_index(_span(top, img, j_top, t_found))
+        if idx is None:
+            raise InternalCheckError("R + Jt is not a lattice node")
+        if idx in seen:
+            raise InternalCheckError("ideal correspondence is not injective")
+        seen.add(idx)
+        pairs.append((j, idx))
+    if len(pairs) != report.count:
+        raise InternalCheckError("ideal correspondence is not onto the lattice")
+    return lt.GilbertReport(t_found, tuple(pairs))
+
+
+def _gilbert_outcome(gilbert, report):
+    """(t, pairs as (ideal elements, node)) of a Gilbert bijection, or the
+    type and message of the error it raises."""
+    try:
+        gb = gilbert(report)
+    except RinglatError as e:
+        return type(e).__name__, str(e)
+    return gb.t, tuple((j.elements, i) for j, i in gb.pairs)
+
+
+def _span_answers(report):
+    """The answers of the span-stack readers on the extension of report,
+    after asserting that each equals its reference."""
+    ext = report.extension
+    quadratic, delta0 = lt.is_quadratic(ext), lt.is_delta0(ext)
+    gilbert = _gilbert_outcome(lt.gilbert_bijection, report)
+    assert quadratic is _quadratic_by_spans(ext)
+    assert delta0 is _delta0_by_enumeration(ext)
+    assert gilbert == _gilbert_outcome(_gilbert_by_search, report)
+    return quadratic, delta0, isinstance(gilbert[0], int)
+
+
 @pytest.mark.parametrize("base, top, quadratic, delta0", [
     ("Z/2", "Z/2 x Z/2 x Z/2", True, True),
     ("Z/2", "Z/2 x Z/2 x Z/2 x Z/2", True, False),
@@ -347,12 +420,11 @@ def test_delta0_matches_submodule_enumeration(base, top, quadratic, delta0, brut
     from ringlat.cli import resolve_extension
 
     ext = resolve_extension(base, top, None)
-    assert lt.is_quadratic(ext) is quadratic
-    assert _delta0_by_enumeration(ext) is delta0
-    assert lt.is_delta0(ext) is delta0
-    battery = lt.predicate_battery(lt.intermediate_algebras(ext))
+    rep = lt.intermediate_algebras(ext)
+    assert _span_answers(rep)[:2] == (quadratic, delta0)
+    battery = lt.predicate_battery(rep)
     assert (battery["quadratic"], battery["delta0"]) == (quadratic, delta0)
-    # the coset step that turns S into the base-module S/R
+    # the coset step whose least elements index the rows of the span stack
     classes = brute_force_cosets(ext.top.add, ext.image)
     coset_of, reps = rg.cosets(ext.top.add, np.asarray(ext.image))
     assert list(reps) == [min(c) for c in classes]
@@ -546,6 +618,37 @@ def test_the_predicate_corpus_takes_both_values(predicate_lattices):
     answers = [(lt.is_delta(rep), lt.is_pointwise_minimal(rep)) for rep, _ in predicate_lattices.values()]
     assert {d for d, _ in answers} == {True, False} and {p for _, p in answers} == {True, False}
     assert predicate_lattices["Z/4 = Z/4"][0].count == 1
+
+
+@pytest.mark.parametrize("name", _PREDICATE_CORPUS)
+def test_span_stack_readers_match_their_references(predicate_lattices, name, monkeypatch):
+    # the zoo and the adjunction cases, each with a relabeled copy; Delta0
+    # again with one row a kernel call
+    reps = predicate_lattices[name]
+    answers = [_span_answers(rep) for rep in reps]
+    monkeypatch.setattr(lt, "_LEVEL_ENTRIES", 1)
+    assert [lt.is_delta0(rep.extension) for rep in reps] == [delta0 for _, delta0, _ in answers]
+
+
+_VERIFY_CORPORA = {
+    "trichotomy": lambda: [rep for _, rep in vf._trichotomy_corpus()],
+    "random": lambda: [rep for _, _, rep in vf._random_lattices()],
+    "spir": lambda: [rep for _, rep, _ in vf._spir_lattices()],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(_VERIFY_CORPORA))
+def test_span_stack_readers_match_their_references_on_the_verify_corpora(corpus):
+    for rep in _VERIFY_CORPORA[corpus]():
+        _span_answers(rep)
+
+
+def test_the_span_corpus_takes_both_values(predicate_lattices):
+    reports = [rep for pair in predicate_lattices.values() for rep in pair]
+    reports += [rep for corpus in _VERIFY_CORPORA.values() for rep in corpus()]
+    answers = [(lt.is_quadratic(rep.extension), lt.is_delta0(rep.extension),
+                isinstance(_gilbert_outcome(lt.gilbert_bijection, rep)[0], int)) for rep in reports]
+    assert [set(a) for a in zip(*answers)] == [{True, False}] * 3
 
 
 @pytest.mark.parametrize("name", _ZOO)

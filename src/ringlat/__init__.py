@@ -12,10 +12,9 @@ from .errors import (InternalCheckError, NotApplicableError, ParseError,
                      PreconditionError, RinglatError, SizeLimitError)
 from .rings import (FiniteRing, Ideal, ProductResult, QuotientResult,
                     RingHom, check_ring_axioms, compose, identity_hom,
-                    idempotents, is_connected, is_field, is_isomorphic,
-                    is_local, is_spir, local_decomposition, make_gf, make_zmod,
-                    nilpotency_index, poly_quotient, product, quotient,
-                    same_tables)
+                    idempotents, is_field, is_local, is_spir, make_gf,
+                    make_zmod, nilpotency_index, poly_quotient, product,
+                    quotient, same_tables)
 from .ideals import (all_ideals, annihilator, colon, conductor, ideal_generated,
                      ideal_intersection, ideal_power, ideal_product, ideal_sum,
                      principal_ideal, spectrum, unit_ideal, zero_ideal)

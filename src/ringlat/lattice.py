@@ -654,9 +654,13 @@ def is_pointwise_minimal(report: LatticeReport) -> bool:
 
 
 def predicate_battery(report: LatticeReport) -> dict:
-    """All boolean extension predicates at once (CLI support)."""
+    """All boolean extension predicates at once (CLI support).  Delta0 is
+    read as quadratic and Delta: each R + Rt and each sum T + U of rings
+    over R is an R-submodule holding R, so Delta0 gives both; conversely
+    every such submodule M is the sum of the rings R + Rt, t in M, and under
+    Delta each partial sum is a ring."""
     ext = report.extension
-    quadratic = is_quadratic(ext)
+    quadratic, delta = is_quadratic(ext), is_delta(report)
     return {
         # every element of a finite ring has a repeating power sequence,
         # and x^i = x^j is a monic relation
@@ -666,7 +670,7 @@ def predicate_battery(report: LatticeReport) -> dict:
         "seminormal": is_seminormal(ext),
         "t_closed": is_tclosed(ext),
         "quadratic": quadratic,
-        "delta": is_delta(report),
-        "delta0": quadratic and is_delta0(ext),
+        "delta": delta,
+        "delta0": quadratic and delta,
         "pointwise_minimal": is_pointwise_minimal(report),
     }

@@ -9,7 +9,6 @@ tables that satisfy the ring axioms is the all-pairs check (RingHom).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -210,9 +209,6 @@ class RingHom:
     @cached_property
     def is_injective(self) -> bool:
         return len(distinct(self.map, self.target.order)) == self.source.order
-
-    def apply(self, index: int) -> int:
-        return int(self.map[index])
 
     def __repr__(self):
         return f"RingHom({self.source.label} -> {self.target.label})"
@@ -871,9 +867,13 @@ def quotient(ring: FiniteRing, ideal) -> QuotientResult:
     mul = proj[ring.mul[np.ix_(reps, reps)]]
     zero = int(proj[ring.zero])
     one = int(proj[ring.one])
-    gens = "{" + ",".join(str(int(i)) for i in idx[:4]) + (",..." if len(idx) > 4 else "") + "}"
-    q = FiniteRing(len(reps), add, mul, zero, one, f"{ring.label}/{gens}")
+    q = FiniteRing(len(reps), add, mul, zero, one, _quotient_label(ring.label, idx))
     return QuotientResult(q, RingHom(ring, q, proj))
+
+
+def _quotient_label(label: str, idx: np.ndarray) -> str:
+    """label/{i,j,...}, naming the ideal of sorted indices idx by its first four."""
+    return f"{label}/{{" + ",".join(str(int(i)) for i in idx[:4]) + (",..." if len(idx) > 4 else "") + "}"
 
 
 class PolyQuotientResult(NamedTuple):
@@ -911,16 +911,16 @@ class _PolyLayout(NamedTuple):
         """The map a -> a * b = sum_i (b_i a) x^i."""
         return self.horner(self.scale[product_components([len(self.scale)] * self.degree, b)[::-1]])
 
-    def mul(self) -> Table:
-        """The mul table: a * b = sum_i b_i (x^i a), one coefficient of b at a
-        time.  After step i, out[a, c] = a * c for every c of degree <= i, the
-        coefficient of x^i its most significant digit."""
-        q = len(self.add)
-        out = np.full((q, 1), self.zero, dtype=ELEMENT)
-        xa = np.arange(q)
+    def mul(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of the mul table at the elements rows: a * b = sum_i b_i
+        (x^i a), one coefficient of b at a time.  After step i, out[r, c] =
+        rows[r] * c for every c of degree <= i, the coefficient of x^i its
+        most significant digit."""
+        out = np.full((len(rows), 1), self.zero, dtype=ELEMENT)
+        xa = rows
         for _ in range(self.degree):
-            # scale.T[xa][a, c] = c * (x^i a)
-            out = self.add[self.scale.T[xa][:, :, None], out[:, None, :]].reshape(q, -1)
+            # scale.T[xa][r, c] = c * (x^i rows[r])
+            out = self.add[self.scale.T[xa][:, :, None], out[:, None, :]].reshape(len(rows), -1)
             xa = self.times_x[xa]
         return out
 
@@ -956,8 +956,13 @@ def poly_quotient(
     degree d >= 1 and leading coefficient one.  R[x]/(monic) is built on
     _poly_layout: the element sum c_i x^i of the free R-module on 1, x, ...,
     x^(d-1) has index sum c_i n^i, R embeds as the constants c * 1 and x is
-    x * 1.  Relations are evaluated by Horner with the map a -> x * a, and
-    the ideal they generate is divided out by quotient.
+    x * 1.  Relations are evaluated by Horner with the map a -> x * a.
+
+    The ideal I the relations r generate is the R-span of the shifts x^i r,
+    i < d: that span lies in I, and it is closed under x, as x * x^(d-1) r
+    = -sum_i f_i x^i r, so it is an ideal.  The quotient is divided on the
+    layout: its elements are the least elements of the cosets of I, and
+    only their rows of the mul table are computed.
     """
     monic = [int(c) for c in monic]
     if len(monic) < 2:
@@ -973,23 +978,33 @@ def poly_quotient(
     layout = _poly_layout(ring, monic)
     mstr = _poly_label(ring, monic, var)
     label = f"{ring.label}[{var}]/({mstr}" + ("" if not relations else ",...") + ")"
-    free = FiniteRing(q, layout.add, layout.mul(), layout.zero, layout.one, label)
-    embed = RingHom(ring, free, layout.scale[:, layout.one])
+    constants = layout.scale[:, layout.one]
     x_index = int(layout.times_x[layout.one])
 
-    rel_elems = []
+    shifts = []
     for rel in relations:
         rel = [int(c) for c in rel]
         if any(c < 0 or c >= ring.order for c in rel):
             raise PreconditionError("polynomial coefficient out of range")
-        rel_elems.append(int(layout.horner(embed.map[rel])))
-    if not rel_elems or all(e == free.zero for e in rel_elems):
-        return PolyQuotientResult(free, embed, x_index)
-    imask = sum_of_orbits(free.add, free.mul, free.zero, rel_elems)
+        r = layout.horner(constants[rel])
+        for _ in range(layout.degree):
+            shifts.append(int(r))
+            r = layout.times_x[r]
+    if all(s == layout.zero for s in shifts):
+        free = FiniteRing(q, layout.add, _table_by_rows(q, layout.mul), layout.zero, layout.one, label)
+        return PolyQuotientResult(free, RingHom(ring, free, constants), x_index)
+    imask = sum_of_orbits(layout.add, layout.scale, layout.zero, shifts)
+    if not imask[layout.times_x[imask]].all():
+        raise InternalCheckError("the span of the relation shifts is not closed under x")
     if imask.all():
         raise PreconditionError("trivial quotient: relations generate the unit ideal")
-    qr = quotient(free, mask_elements(imask))
-    return PolyQuotientResult(qr.ring, compose(embed, qr.projection), qr.projection.apply(x_index))
+    idx = np.flatnonzero(imask)
+    proj, reps = cosets(layout.add, idx)
+    add = proj[layout.add[np.ix_(reps, reps)]]
+    mul = _table_by_rows(len(reps), lambda a: proj[layout.mul(reps[a])[:, reps]])
+    quo = FiniteRing(len(reps), add, mul, int(proj[layout.zero]), int(proj[layout.one]),
+                     _quotient_label(label, idx))
+    return PolyQuotientResult(quo, RingHom(ring, quo, proj[constants]), int(proj[x_index]))
 
 
 def _poly_label(ring: FiniteRing, coeffs: Sequence[int], var: str) -> str:
@@ -1022,11 +1037,6 @@ def same_tables(a: FiniteRing, b: FiniteRing) -> bool:
 def idempotents(ring: FiniteRing) -> list[int]:
     """The indices e with e*e = e, in index order."""
     return list(mask_elements(ring.mul.diagonal() == np.arange(ring.order)))
-
-
-def is_connected(ring: FiniteRing) -> bool:
-    """True when 0 and 1 are the only idempotents."""
-    return len(idempotents(ring)) == 2
 
 
 def is_field(ring: FiniteRing) -> bool:
@@ -1094,36 +1104,6 @@ def prime_hom(source: FiniteRing, target: FiniteRing) -> RingHom:
     return RingHom(source, target, emb)
 
 
-class LocalDecomposition(NamedTuple):
-    """Local factors eR for the primitive idempotents e, with projections and
-    an isomorphism witness onto their product."""
-
-    factors: tuple[tuple[FiniteRing, RingHom], ...]
-    product: FiniteRing
-    iso: RingHom
-
-
-def local_decomposition(ring: FiniteRing) -> LocalDecomposition:
-    atoms = ring.primitive_idempotents
-    for a, b in itertools.combinations(atoms, 2):
-        if ring.mul[a, b] != ring.zero:
-            raise InternalCheckError("primitive idempotents are not orthogonal")
-    s = ring.zero
-    for a in atoms:
-        s = int(ring.add[s, a])
-    if s != ring.one:
-        raise InternalCheckError("primitive idempotents do not sum to one")
-    factors = []
-    for e in atoms:
-        fring, lookup = subset_ring(ring, distinct(ring.mul[e], ring.order), e, f"{ring.label}.e{e}")
-        factors.append((fring, RingHom(ring, fring, lookup[ring.mul[e]])))
-    prod = product([f for f, _ in factors])
-    iso = pair_homs(ring, prod, [proj.map for _, proj in factors])
-    if not iso.is_injective or prod.ring.order != ring.order:
-        raise InternalCheckError("local decomposition is not an isomorphism")
-    return LocalDecomposition(tuple(factors), prod.ring, iso)
-
-
 # ---------------------------------------------------------------------------
 # verification helpers
 
@@ -1154,104 +1134,3 @@ def check_ring_axioms(ring: FiniteRing) -> None:
         rhs = add[x[:, :, None], x[:, None, :]]
         if not np.array_equal(lhs, rhs):
             raise InternalCheckError("multiplication does not distribute")
-
-
-def _element_signature(ring: FiniteRing) -> list[tuple]:
-    sig = []
-    for x in range(ring.order):
-        k, y = 1, x
-        while y != ring.zero:
-            y = int(ring.add[y, x])
-            k += 1
-        powers = []
-        seen = {}
-        z = x
-        while z not in seen:
-            seen[z] = len(seen)
-            z = int(ring.mul[z, x])
-            if len(seen) > ring.order:
-                break
-        sig.append((k, int(ring.mul[x, x] == x), bool(ring.nilpotents[x]), len(seen), bool(ring.units[x])))
-    return sig
-
-
-def _generating_log(ring: FiniteRing):
-    elems: list[int] = []
-    pos: dict[int, int] = {}
-    log: list[tuple] = []
-    gens: list[int] = []
-
-    def absorb(x: int, entry: tuple):
-        if x not in pos:
-            pos[x] = len(elems)
-            elems.append(x)
-            log.append(entry)
-
-    absorb(ring.zero, ("zero",))
-    absorb(ring.one, ("one",))
-    while len(elems) < ring.order:
-        grew = True
-        while grew:
-            grew = False
-            size = len(elems)
-            for i in range(size):
-                for j in range(i, len(elems)):
-                    a, b = elems[i], elems[j]
-                    before = len(elems)
-                    absorb(int(ring.add[a, b]), ("add", i, j))
-                    absorb(int(ring.mul[a, b]), ("mul", i, j))
-                    if len(elems) != before:
-                        grew = True
-        if len(elems) < ring.order:
-            g = min(x for x in range(ring.order) if x not in pos)
-            gens.append(g)
-            absorb(g, ("gen", len(gens) - 1))
-    return elems, log, gens
-
-
-def is_isomorphic(a: FiniteRing, b: FiniteRing) -> Optional[np.ndarray]:
-    """Search for a ring isomorphism a -> b; returns the index map or None.
-
-    Test oracle: backtracking over images of a small generating set, with
-    element-invariant pruning; a bijective candidate is a RingHom or is
-    refused by its validation.  Not intended to be fast on large rings.
-    """
-    if a.order != b.order:
-        return None
-    sig_a, sig_b = _element_signature(a), _element_signature(b)
-    if sorted(sig_a) != sorted(sig_b):
-        return None
-    elems, log, gens = _generating_log(a)
-    candidates = [[y for y in range(b.order) if sig_b[y] == sig_a[g]] for g in gens]
-
-    def replay(images: list[int]) -> Optional[np.ndarray]:
-        bvals: list[int] = []
-        for entry in log:
-            kind = entry[0]
-            if kind == "zero":
-                bvals.append(b.zero)
-            elif kind == "one":
-                bvals.append(b.one)
-            elif kind == "gen":
-                bvals.append(images[entry[1]])
-            elif kind == "add":
-                bvals.append(int(b.add[bvals[entry[1]], bvals[entry[2]]]))
-            else:
-                bvals.append(int(b.mul[bvals[entry[1]], bvals[entry[2]]]))
-        if len(set(bvals)) != b.order:
-            return None
-        out = np.empty(a.order, dtype=ELEMENT)
-        out[elems] = bvals
-        try:
-            RingHom(a, b, out)
-        except PreconditionError:
-            return None
-        return out
-
-    for images in itertools.product(*candidates):
-        if len(set(images)) != len(images):
-            continue
-        out = replay(list(images))
-        if out is not None:
-            return out
-    return None

@@ -1,4 +1,6 @@
+import itertools
 from collections import Counter
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from ringlat import crt as cr
 from ringlat import lattice as lt
 from ringlat import modules as md
 from ringlat import rings as rg
+from ringlat.errors import InternalCheckError, PreconditionError
 
 
 @pytest.fixture(scope="session")
@@ -160,6 +163,158 @@ def brute_force_gf_tables():
     Z/p[x]/(f), f = rg.find_irreducible(p, k), from the polynomial-quotient
     oracle."""
     return lambda p, k: _poly_oracle(rg.make_zmod(p), rg.find_irreducible(p, k))[:2]
+
+
+def _is_connected(ring):
+    return len(rg.idempotents(ring)) == 2
+
+
+@pytest.fixture(scope="session")
+def is_connected():
+    """Oracle for connectedness: True when 0 and 1 are the only idempotents."""
+    return _is_connected
+
+
+class LocalDecomposition(NamedTuple):
+    """Local factors eR for the primitive idempotents e, with projections and
+    an isomorphism witness onto their product."""
+
+    factors: tuple[tuple[rg.FiniteRing, rg.RingHom], ...]
+    product: rg.FiniteRing
+    iso: rg.RingHom
+
+
+def _local_decomposition(ring):
+    atoms = ring.primitive_idempotents
+    for a, b in itertools.combinations(atoms, 2):
+        if ring.mul[a, b] != ring.zero:
+            raise InternalCheckError("primitive idempotents are not orthogonal")
+    s = ring.zero
+    for a in atoms:
+        s = int(ring.add[s, a])
+    if s != ring.one:
+        raise InternalCheckError("primitive idempotents do not sum to one")
+    factors = []
+    for e in atoms:
+        fring, lookup = rg.subset_ring(ring, rg.distinct(ring.mul[e], ring.order), e, f"{ring.label}.e{e}")
+        factors.append((fring, rg.RingHom(ring, fring, lookup[ring.mul[e]])))
+    prod = rg.product([f for f, _ in factors])
+    iso = rg.pair_homs(ring, prod, [proj.map for _, proj in factors])
+    if not iso.is_injective or prod.ring.order != ring.order:
+        raise InternalCheckError("local decomposition is not an isomorphism")
+    return LocalDecomposition(tuple(factors), prod.ring, iso)
+
+
+@pytest.fixture(scope="session")
+def local_decomposition():
+    """Oracle for the local structure: the ring as the product of its local
+    factors eR, one per primitive idempotent e, with the projections and a
+    validated isomorphism onto the product (a LocalDecomposition)."""
+    return _local_decomposition
+
+
+def _element_signature(ring):
+    sig = []
+    for x in range(ring.order):
+        k, y = 1, x
+        while y != ring.zero:
+            y = int(ring.add[y, x])
+            k += 1
+        seen = {}
+        z = x
+        while z not in seen:
+            seen[z] = len(seen)
+            z = int(ring.mul[z, x])
+            if len(seen) > ring.order:
+                break
+        sig.append((k, int(ring.mul[x, x] == x), bool(ring.nilpotents[x]), len(seen), bool(ring.units[x])))
+    return sig
+
+
+def _generating_log(ring):
+    elems: list[int] = []
+    pos: dict[int, int] = {}
+    log: list[tuple] = []
+    gens: list[int] = []
+
+    def absorb(x: int, entry: tuple):
+        if x not in pos:
+            pos[x] = len(elems)
+            elems.append(x)
+            log.append(entry)
+
+    absorb(ring.zero, ("zero",))
+    absorb(ring.one, ("one",))
+    while len(elems) < ring.order:
+        grew = True
+        while grew:
+            grew = False
+            size = len(elems)
+            for i in range(size):
+                for j in range(i, len(elems)):
+                    a, b = elems[i], elems[j]
+                    before = len(elems)
+                    absorb(int(ring.add[a, b]), ("add", i, j))
+                    absorb(int(ring.mul[a, b]), ("mul", i, j))
+                    if len(elems) != before:
+                        grew = True
+        if len(elems) < ring.order:
+            g = min(x for x in range(ring.order) if x not in pos)
+            gens.append(g)
+            absorb(g, ("gen", len(gens) - 1))
+    return elems, log, gens
+
+
+def _is_isomorphic(a, b) -> Optional[np.ndarray]:
+    if a.order != b.order:
+        return None
+    sig_a, sig_b = _element_signature(a), _element_signature(b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    elems, log, gens = _generating_log(a)
+    candidates = [[y for y in range(b.order) if sig_b[y] == sig_a[g]] for g in gens]
+
+    def replay(images: list[int]) -> Optional[np.ndarray]:
+        bvals: list[int] = []
+        for entry in log:
+            kind = entry[0]
+            if kind == "zero":
+                bvals.append(b.zero)
+            elif kind == "one":
+                bvals.append(b.one)
+            elif kind == "gen":
+                bvals.append(images[entry[1]])
+            elif kind == "add":
+                bvals.append(int(b.add[bvals[entry[1]], bvals[entry[2]]]))
+            else:
+                bvals.append(int(b.mul[bvals[entry[1]], bvals[entry[2]]]))
+        if len(set(bvals)) != b.order:
+            return None
+        out = np.empty(a.order, dtype=rg.ELEMENT)
+        out[elems] = bvals
+        try:
+            rg.RingHom(a, b, out)
+        except PreconditionError:
+            return None
+        return out
+
+    for images in itertools.product(*candidates):
+        if len(set(images)) != len(images):
+            continue
+        out = replay(list(images))
+        if out is not None:
+            return out
+    return None
+
+
+@pytest.fixture(scope="session")
+def is_isomorphic():
+    """Oracle for isomorphism: search for a ring isomorphism a -> b and
+    return its index map, or None.  Backtracking over images of a small
+    generating set, with element-invariant pruning; a bijective candidate
+    is a RingHom or is refused by its validation.  Not intended to be fast
+    on large rings."""
+    return _is_isomorphic
 
 
 def _over_quotient(ring, relation):

@@ -17,7 +17,8 @@ upper_extension.  Delta0 reads the spans R + Rt: no module builds a quotient
 module from cosets to enumerate its submodules.  One kernel per job: no
 module defines both a function f and its batched twin f_rows.  One element
 dtype: no module names np.int32, as element arrays use rings.ELEMENT and
-counters int64."""
+counters int64.  A polynomial quotient divides on its layout:
+rings.poly_quotient calls neither quotient nor compose."""
 
 import ast
 import importlib
@@ -607,3 +608,31 @@ def test_scan_finds_int32():
 def test_one_element_dtype():
     # tables, maps and lookups hold rings.ELEMENT; counters and keys stay int64/intp
     assert int32_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def called_names(source: str, function: str) -> list[str]:
+    """The names, plain or as an attribute, that the top-level function
+    called function of source calls, in order of appearance."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == function:
+            found += [getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                      for n in ast.walk(fn) if isinstance(n, ast.Call)]
+    return sorted(found)
+
+
+def test_scan_finds_calls_in_a_function():
+    source = ("def poly_quotient(ring, monic):\n    free = FiniteRing(ring)\n"
+              "    qr = rg.quotient(free, _quotient_label(monic))\n    return compose(qr, qr)\n"
+              "def quotient(ring, ideal):\n    return cosets(ring, ideal)\n")
+    assert called_names(source, "poly_quotient") == ["FiniteRing", "_quotient_label", "compose", "quotient"]
+    assert called_names(source, "quotient") == ["cosets"]
+    assert called_names(source, "product") == []
+
+
+def test_a_polynomial_quotient_divides_on_its_layout():
+    # the relation ideal is the R-span of the shifts x^i r, and the quotient's
+    # tables are gathered on the layout: no free ring is divided by quotient
+    # and no hom into it is composed
+    called = called_names((PACKAGE / "rings.py").read_text(), "poly_quotient")
+    assert "sum_of_orbits" in called and not {"quotient", "compose"} & set(called)

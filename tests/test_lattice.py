@@ -651,6 +651,20 @@ def test_the_span_corpus_takes_both_values(predicate_lattices):
     assert [set(a) for a in zip(*answers)] == [{True, False}] * 3
 
 
+def test_the_battery_reads_delta0_as_quadratic_and_delta(predicate_lattices, monkeypatch):
+    # Delta0 iff quadratic and Delta, so the battery reads it off the two
+    # answers it already holds and never calls is_delta0
+    reports = [rep for pair in predicate_lattices.values() for rep in pair]
+    want = [lt.is_delta0(rep.extension) for rep in reports]
+
+    def refuse(ext):
+        raise AssertionError("the battery called is_delta0")
+
+    monkeypatch.setattr(lt, "is_delta0", refuse)
+    assert [lt.predicate_battery(rep)["delta0"] for rep in reports] == want
+    assert set(want) == {True, False}
+
+
 @pytest.mark.parametrize("name", _ZOO)
 def test_pointwise_minimal_matches_every_element(extension_zoo, name):
     ext = extension_zoo(name)

@@ -14,6 +14,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,39 @@ from .errors import (InternalCheckError, PreconditionError, RinglatError,
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), where newline is the line break and indent
+    of obj's own level.
+
+    CPython encodes with C code only when indent is None, so the indented
+    output is written here: strs (by json's own escaping function), ints,
+    bools and None as json writes them, a list or tuple and a dict with str
+    keys level by level, a list of ints in one join, and any other value (a
+    float, a subclass of any of these types) by json.dumps with indent=2,
+    re-indented to its level."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
+    if kind is dict and all(type(k) is str for k in obj):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    return json.dumps(obj, indent=2).replace("\n", newline)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from .config import lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
 from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spectrum
 from .rings import (
+    ClosedSets,
     FiniteRing,
     RingHom,
     _GATHER_ENTRIES,
@@ -273,9 +274,39 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
     the last node.  max_order replaces the lattice bound for this call only."""
     top = ext.top
     check_lattice_order(top.order, max_order)
-    masks = enumerate_closed_subsets(top, ext.image)
-    nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in masks)
-    return LatticeReport(nodes, *poset_structure(masks), ext)
+    closed = enumerate_closed_subsets(top, ext.image)
+    nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in closed)
+    return LatticeReport(nodes, *cover_structure(closed), ext)
+
+
+def cover_structure(
+    closed: ClosedSets,
+) -> tuple[tuple[tuple[int, int], ...], dict[int, int], tuple[int, ...]]:
+    """The Hasse edges the closure found, how many maximal chains have each
+    length, and a longest chain, as poset_structure gives them.
+
+    One pass over the edges in row-major order: the lower covers of a node
+    have smaller indices, so its chain counts are complete before its own
+    row starts, and the longest chain steps down from each node to its
+    lowest-index lower cover of greatest depth."""
+    edges = closed.hasse_edges
+    n = len(closed)
+    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
+    pred, depth_of_pred = [0] * n, [-1] * n
+    row = -1
+    for i, j in edges:
+        if i != row:
+            row, below = i, counts[i]
+            depth = max(below)
+        above = counts[j]
+        for k, c in below.items():
+            above[k + 1] = above.get(k + 1, 0) + c
+        if depth > depth_of_pred[j]:
+            pred[j], depth_of_pred[j] = i, depth
+    chain = [n - 1]
+    while chain[-1]:
+        chain.append(pred[chain[-1]])
+    return edges, counts[-1], tuple(reversed(chain))
 
 
 def poset_structure(
@@ -283,7 +314,9 @@ def poset_structure(
 ) -> tuple[tuple[tuple[int, int], ...], dict[int, int], tuple[int, ...]]:
     """Hasse edges in row-major order, how many maximal chains have each
     length, and a longest chain, for distinct subsets listed by size and
-    ordered by inclusion, with the least subset first and the greatest last.
+    ordered by inclusion, with the least subset first and the greatest last:
+    the oracle of cover_structure, independent of how the subsets were
+    found.
 
     The edges are the transitive reduction of the inclusion order (Aho,
     Garey, Ullman 1972): walking the strict supersets of a node in index

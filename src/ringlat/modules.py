@@ -15,8 +15,8 @@ from .lattice import (
     Extension,
     LatticeReport,
     Poset,
+    cover_structure,
     intermediate_algebras,
-    poset_structure,
 )
 from .rings import (
     ELEMENT,
@@ -148,8 +148,8 @@ def submodules(m: FiniteModule) -> SubmoduleLattice:
     the last node."""
     if m.order > lattice_limit():
         raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
-    masks = enumerate_submodules(m.add, m.action, m.zero)
-    return SubmoduleLattice(tuple(mask_elements(mk) for mk in masks), *poset_structure(masks), m)
+    closed = enumerate_submodules(m.add, m.action, m.zero)
+    return SubmoduleLattice(tuple(mask_elements(mk) for mk in closed), *cover_structure(closed), m)
 
 
 def jordan_holder_check(lat: SubmoduleLattice) -> bool:

@@ -315,8 +315,9 @@ _GATHER_ENTRIES = 1 << 14
 # join-closure level (the coset leaders of that many node entries, then the
 # joins of that many (node, leader) row entries), of the sums of one node
 # with later ones (lattice.is_delta) or of one span R + Rt with later Ru
-# (lattice.is_delta0).  It bounds the stacks and index arrays held at once,
-# however many joins or sums there are.
+# (lattice.is_delta0), or of one block of the cover test (ClosedSets.hasse_edges:
+# a join and the leader marks of its node per row).  It bounds the stacks and
+# index arrays held at once, however many joins or sums there are.
 _LEVEL_ENTRIES = 1 << 15
 
 
@@ -411,7 +412,7 @@ def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.
 
 
 def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.ndarray,
-                  join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> list[np.ndarray]:
+                  join: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> ClosedSets:
     """The join closure over first of the atoms (rows of a mask stack, each
     holding first), each given with the element of gens that generates it
     over first; sorted by (size, elements).
@@ -423,35 +424,93 @@ def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.nda
     level at a time from the distinct atoms, and join(stack, s) returns, row
     by row, the joins of the nodes stack[r] with the atoms of s[r]: one call
     joins every node of the level with every such coset leader, in chunks of
-    _LEVEL_ENTRIES mask entries."""
+    _LEVEL_ENTRIES mask entries.  Each join is kept as (node id, coset
+    leader, join id), the ids counting the nodes in the order found from 0
+    for first, and the atoms as the joins of first, one per distinct atom:
+    ClosedSets reads the Hasse covers off them."""
     step = max(1, _LEVEL_ENTRIES // len(first))
-    nodes: dict[bytes, np.ndarray] = {first.tobytes(): first}
-    rows, level = _new_rows(nodes, atoms)
+    nodes = {first.tobytes(): 0}
+    ids, rows, level = _node_ids(nodes, atoms)
     gens = gens[rows]
+    joins = [(np.zeros(rows.size, dtype=np.intp), gens, ids[rows])]
+    found = [first[None], level]
+    start = 1  # the id of the level's first node
     while len(level):
-        found = [level[:0]]
+        fresh = [level[:0]]
         for lo in range(0, len(level), step):
             chunk = level[lo:lo + step]
             node, s = _coset_leaders(add, chunk, gens)
             for i in range(0, node.size, step):
-                found.append(_new_rows(nodes, join(chunk[node[i:i + step]], s[i:i + step]))[1])
-        level = np.concatenate(found)
-    return sorted(nodes.values(), key=lambda m: (int(m.sum()), mask_elements(m)))
+                ids, _, new = _node_ids(nodes, join(chunk[node[i:i + step]], s[i:i + step]))
+                joins.append((start + lo + node[i:i + step], s[i:i + step], ids))
+                fresh.append(new)
+        start += len(level)
+        level = np.concatenate(fresh)
+        found.append(level)
+    # sets of one size compare by their least differing element, which lies
+    # in the lesser one: ascending size, then descending mask bytes
+    keys = list(nodes)
+    order = sorted(range(len(keys)), key=lambda i: (-keys[i].count(1), keys[i]), reverse=True)
+    return ClosedSets(np.concatenate(found), order, joins)
 
 
-def _new_rows(nodes: dict[bytes, np.ndarray], stack: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The first row of each distinct mask of stack that is not yet a node
-    (nodes holds masks by tobytes), and a copy of those rows, each added to
-    nodes."""
-    fresh: dict[bytes, int] = {}
-    for r, m in enumerate(stack):
-        key = m.tobytes()
-        if key not in nodes:
-            fresh.setdefault(key, r)
-    rows = list(fresh.values())
-    new = stack[rows]
-    nodes.update(zip(fresh, new))
-    return rows, new
+def _node_ids(nodes: dict[bytes, int], stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The id of each row of the mask stack in nodes (mask bytes -> id),
+    where each mask not yet a node is added with the next id: (the ids, the
+    first row of each new mask in id order, a copy of those rows)."""
+    before, width = len(nodes), stack.shape[1]
+    flat = stack.tobytes()
+    ids, rows = [], []
+    for r, k in enumerate(range(0, len(flat), width)):
+        i = nodes.setdefault(flat[k:k + width], len(nodes))
+        if i == before + len(rows):
+            rows.append(r)
+        ids.append(i)
+    return np.array(ids, dtype=np.intp), np.array(rows, dtype=np.intp), stack[rows]
+
+
+class ClosedSets(list):
+    """The nodes of a join closure, as masks sorted by (size, elements), and
+    the Hasse edges between them, read off the joins that found them."""
+
+    def __init__(self, masks: np.ndarray, order: list[int], joins: list[tuple[np.ndarray, ...]]):
+        """masks: row i is the mask of node id i; order: the node ids in
+        sorted order; joins: the (node ids, coset leaders, join ids) of
+        _join_closure."""
+        self._masks = masks[order]
+        super().__init__(self._masks)
+        self._order, self._joins = order, joins
+
+    @cached_property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """The covers (i, j), node i inside node j with no node between, in
+        row-major order.
+
+        Each join y = x v s of a node x with a coset leader s lies above x,
+        and x v s' lies inside y exactly when s' does.  So y covers x iff
+        the leader of no other join of x lies in y.  Every cover y of x is
+        such a join: y holds some atom outside x, whose generator's coset
+        leader s gives x < x v s <= y, so x v s = y.  The joins of a node
+        are tested against one another once all of them exist: one leader
+        per distinct (node, join) pair is marked in a mask per node, and
+        each pair counts the marks of its node inside its join, its own
+        included, in blocks of _LEVEL_ENTRIES mask entries."""
+        n, order = self._masks.shape
+        rank = np.empty(n, dtype=np.intp)
+        rank[self._order] = np.arange(n)
+        x, s, y = (np.concatenate(part) for part in zip(*self._joins))
+        # the distinct (node, join) pairs in sorted node indices, row-major
+        pair, at = np.unique(rank[x] * n + rank[y], return_index=True)
+        x, y = np.divmod(pair, n)
+        leaders = np.zeros_like(self._masks)
+        leaders[x, s[at]] = True
+        hits = np.empty(pair.size, dtype=np.intp)
+        step = max(1, _LEVEL_ENTRIES // order)
+        for lo in range(0, pair.size, step):
+            block = slice(lo, lo + step)
+            hits[block] = (self._masks[y[block]] & leaders[x[block]]).sum(axis=1)
+        cover = hits == 1
+        return tuple(zip(x[cover].tolist(), y[cover].tolist()))
 
 
 def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -492,8 +551,9 @@ def adjoin_all(ring: FiniteRing, base_mask: np.ndarray, elements: Iterable[int])
     return base_mask
 
 
-def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.ndarray]:
-    """All subrings of ring that contain seed, sorted by (size, elements).
+def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> ClosedSets:
+    """All subrings of ring that contain seed, sorted by (size, elements),
+    with their Hasse edges.
 
     The least one, first, is the prime subring (the multiples of one) with
     the elements of seed adjoined one at a time.  Every subring above first
@@ -514,11 +574,12 @@ def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> list[np.n
 
 
 def enumerate_submodules(add: Table, action: Table, zero: int,
-                         bottom: Optional[np.ndarray] = None) -> list[np.ndarray]:
+                         bottom: Optional[np.ndarray] = None) -> ClosedSets:
     """All submodules of the module with tables add and action (ring x
-    module), sorted by (size, elements): the sumset join closure of the
-    orbits Rx = action[:, x], which are already submodules.  Given the mask
-    of a submodule bottom, only those that contain it."""
+    module), sorted by (size, elements), with their Hasse edges: the sumset
+    join closure of the orbits Rx = action[:, x], which are already
+    submodules.  Given the mask of a submodule bottom, only those that
+    contain it."""
     order = len(add)
     orbits = np.zeros((order, order), dtype=bool)
     orbits[np.arange(order)[:, None], action.T] = True
@@ -526,8 +587,7 @@ def enumerate_submodules(add: Table, action: Table, zero: int,
     first, gens, atoms = orbits[zero], np.arange(order), orbits
     if bottom is not None:
         # the atoms over bottom are its sums with the distinct orbits
-        rows, distinct_orbits = _new_rows({}, orbits)
-        gens = np.array(rows, dtype=np.intp)
+        _, gens, distinct_orbits = _node_ids({}, orbits)
         first = bottom
         atoms = _add_cosets_rows(add, np.broadcast_to(bottom, distinct_orbits.shape), distinct_orbits)
     return _join_closure(first, add, gens, atoms, lambda stack, s: _add_cosets_rows(add, stack, orbits[s]))

@@ -616,6 +616,22 @@ def check_lattice_certificate() -> tuple[bool, str]:
     return not bad, "; ".join(bad) or f"nodes = subalgebras on {count} lattices"
 
 
+@_check("s2", "hasse_edges_are_the_covers")
+def check_hasse_edges() -> tuple[bool, str]:
+    """The Hasse edges read off the join closure, and the chains counted
+    over them, are poset_structure's, which finds the covers from the
+    inclusion order of the nodes alone."""
+    cases = [(label, rep, [node.mask for node in rep.nodes]) for label, rep in _trichotomy_corpus()
+             if rep.extension.top.order <= _LATTICE_CHECK_ORDER]
+    for label, bij in _idealizations():
+        elements = np.arange(bij.lattice.module.order)
+        cases.append((f"submodules {label}", bij.lattice, [np.isin(elements, n) for n in bij.lattice.nodes]))
+        cases.append((f"idealize {label}", bij.report, [node.mask for node in bij.report.nodes]))
+    bad = [label for label, lat, masks in cases
+           if lt.poset_structure(masks) != (lat.hasse_edges, lat.chain_lengths, lat.maximal_chain)]
+    return not bad, "; ".join(bad) or f"covers = the transitive reduction on {len(cases)} lattices"
+
+
 @_check("s3", "single_generator_ideal_correspondence")
 def check_gilbert_correspondence() -> tuple[bool, str]:
     bad = []

@@ -63,14 +63,15 @@ def brute_force_cosets():
 def brute_force_hasse():
     """Oracle for Hasse diagrams: the pairs (i, j), in row-major order, with
     subset i strictly inside subset j and no subset strictly between them,
-    from dense inclusion counts."""
+    from dense inclusion counts.  The counts are products of 0/1 matrices in
+    float64 (a BLAS call), exact as every count is far below 2^53."""
     def hasse(masks):
         n = len(masks)
-        mat = np.stack(masks).astype(np.int64)
+        mat = np.stack(masks).astype(np.float64)
         # missing[i, j]: how many elements of subset i lie outside subset j
         missing = mat @ (1 - mat.T)
         proper = (missing == 0) & ~np.eye(n, dtype=bool)
-        between = (proper.astype(np.int64) @ proper.astype(np.int64)) > 0
+        between = (proper.astype(np.float64) @ proper.astype(np.float64)) > 0
         return [(int(a), int(b)) for a, b in np.argwhere(proper & ~between)]
     return hasse
 

@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlat import cli, dsl
 from ringlat import modules as md
@@ -628,3 +630,59 @@ def test_a_crt_query_computes_each_ideal_sum_once(capsys, monkeypatch):
         assert {ring for ring, _ in keys} == {id(families[0].ring)}, argv
         reduced += len(families) > 1
     assert reduced > 10  # queries that build a reduced family
+
+
+# Every value json.dumps(indent=2) writes: strs over all of Unicode (lone
+# surrogates, quotes, backslashes and control characters included), ints of
+# any size and sign, bools, None and floats; lists, tuples and dicts, empty
+# ones included, with str keys and, through json.dumps, int keys.
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\t\r", "é ü 漢 \U0001F600", "\u2028\u2029", "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(1 << 80), 1 << 80)
+            | st.floats() | _TEXT)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+def test_the_writer_is_json_dumps_with_indent_2(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_the_writer_on_fixed_values():
+    for obj in ({}, [], (), [[]], {"a": {}}, [1, True, None, -5, 1 << 70], {"x": (1, 2), "y": [False]},
+                {1: [2], "b": None}, [1.5, float("inf"), float("nan")], "\u00e9\"\\\x01"):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+    with pytest.raises(TypeError):
+        cli._dumps({"n": [np.int64(3)]})
+
+
+# The JSON queries run above, and every query of the benchmark's workloads.
+_QUERY_ZOO = [argv for argv in _ONE_QUERY_PER_SUBCOMMAND if argv[0] != "count"] + [
+    ["lattice", "Z/4", "Z/4 x Z/4"],
+    ["lattice", "Z/2", "Z/2 x Z/2", "--embed", "explicit:0,3"],
+    ["lattice", "Z/2", "GF(2^1)"],
+    ["classify", "Z/2", "Z/2"],
+    ["classify", "GF(2)", "GF(2^2)"],
+    ["closures", "Z/2", "Z/2 x Z/2"],
+    ["idealize", "Z/4", "--module", "(2) + ()"],
+    ["verify", "--suite", "s4"],
+]
+
+
+def test_the_writer_on_every_query_of_the_zoo(capsys):
+    workloads = _workloads()
+    queries = _QUERY_ZOO + workloads.LATTICE_LARGE + workloads.STRUCTURE_MID + workloads.mix_pool()
+    written = 0
+    for argv in queries:
+        code, out, _ = run(capsys, argv)
+        if argv[0] == "count" or code != 0:
+            continue
+        # a JSON document read back and written by json.dumps gives its text
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        written += 1
+    assert written > 300

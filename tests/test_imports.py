@@ -10,7 +10,8 @@ an extension in a tuple beside a piece of it.  The argument parser is built
 once, when cli is imported.  A value record is an immutable NamedTuple, and
 a frozen dataclass is an object with identity (eq=False).  The pair closure
 is the oracle: only verify.lattice_certificate reads it, so it never checks
-itself.  Maximality is membership in the spectrum: only verify tests
+itself; likewise only verify reads poset_structure, the oracle of the Hasse
+edges the join closure finds.  Maximality is membership in the spectrum: only verify tests
 whether a quotient is a field.  An interval above a node is read off the
 lattice that holds it: no module enumerates the lattice of an
 upper_extension.  Delta0 reads the spans R + Rt: no module builds a quotient
@@ -420,18 +421,18 @@ def test_a_value_record_is_immutable(cls):
 ORACLE = ("closure_mask", "extend_closure_mask")
 
 
-def oracle_reads(sources: dict[str, str]) -> list[str]:
-    """module.scope: name for each read of an ORACLE function in the sources
-    (module name -> source), as a name, an attribute or an import, outside
-    the oracle's own definitions; the scope is the innermost enclosing
-    function, or <module>."""
+def oracle_reads(sources: dict[str, str], oracle: tuple[str, ...] = ORACLE) -> list[str]:
+    """module.scope: name for each read of an oracle function (ORACLE
+    unless given) in the sources (module name -> source), as a name, an
+    attribute or an import, outside the oracle's own definitions; the scope
+    is the innermost enclosing function, or <module>."""
     found = []
 
     def visit(module, node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if child.name in ORACLE:
+                if child.name in oracle:
                     continue
                 inner = child.name
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
@@ -444,7 +445,7 @@ def oracle_reads(sources: dict[str, str]) -> list[str]:
 
     for module, source in sources.items():
         visit(module, ast.parse(source), "<module>")
-    return sorted(f"{m}.{scope}: {name}" for m, scope, name in found if name in ORACLE)
+    return sorted(f"{m}.{scope}: {name}" for m, scope, name in found if name in oracle)
 
 
 def test_scan_finds_oracle_reads():
@@ -464,6 +465,26 @@ def test_only_the_lattice_certificate_reads_the_oracle():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert oracle_reads(sources) == [
         "verify.lattice_certificate: closure_mask", "verify.lattice_certificate: extend_closure_mask"]
+
+
+def test_scan_finds_poset_oracle_calls():
+    sources = {
+        "lattice": ("def poset_structure(masks):\n    return masks\n"
+                    "def report(masks):\n    return poset_structure(masks)\n"),
+        "modules": "from . import lattice as lt\ndef lat(m):\n    return lt.poset_structure(m)\n",
+        "verify": "from .lattice import poset_structure\ndef check(m):\n    return poset_structure(m)\n",
+    }
+    assert oracle_reads(sources, ("poset_structure",)) == [
+        "lattice.report: poset_structure", "modules.lat: poset_structure",
+        "verify.<module>: poset_structure", "verify.check: poset_structure"]
+
+
+def test_only_verify_reads_the_poset_oracle():
+    # the Hasse edges come from the join closure (rings.ClosedSets), and
+    # poset_structure, which finds them from the inclusion order, checks them
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [r for r in oracle_reads(sources, ("poset_structure",)) if not r.startswith("verify.")] == []
+    assert "verify.check_hasse_edges: poset_structure" in oracle_reads(sources, ("poset_structure",))
 
 
 def nested_calls(sources: dict[str, str], outer: str, inner: str) -> list[str]:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ringlat import cli
 from ringlat import closures as cl
 from ringlat import lattice as lt
 from ringlat import modules as md
@@ -65,13 +66,58 @@ def _assert_poset_matches_oracle(masks, structure, brute_force_hasse, brute_forc
     assert (chain_lengths, chain) == brute_force_chains(edges, 0, len(masks) - 1)
 
 
+def _assert_covers_match_the_oracles(lat, masks, brute_force_hasse, brute_force_chains):
+    """The Hasse edges a lattice read off its join closure, and the chains
+    counted over them, are poset_structure's (the order of the chain counts
+    included) and the brute-force oracles'."""
+    structure = (lat.hasse_edges, lat.chain_lengths, lat.maximal_chain)
+    want = lt.poset_structure(masks)
+    assert structure == want
+    assert list(structure[1].items()) == list(want[1].items())
+    _assert_poset_matches_oracle(masks, structure, brute_force_hasse, brute_force_chains)
+
+
 @pytest.mark.parametrize("name", _ZOO)
 def test_lattice_poset_matches_oracle(extension_zoo, name, brute_force_hasse, brute_force_chains):
     rep = lt.intermediate_algebras(extension_zoo(name))
-    structure = (rep.hasse_edges, rep.chain_lengths, rep.maximal_chain)
-    _assert_poset_matches_oracle([n.mask for n in rep.nodes], structure, brute_force_hasse,
-                                 brute_force_chains)
+    _assert_covers_match_the_oracles(rep, [n.mask for n in rep.nodes], brute_force_hasse,
+                                     brute_force_chains)
     assert rep.length == max(rep.chain_lengths) == len(rep.maximal_chain) - 1
+
+
+# The five lattice-large benchmark tops, (Z/2)^7, two one-node lattices (the
+# second is the lattice of `classify Z/2 Z/2`), one whose maximal chains have
+# lengths 2 and 3, and Z/4 < Z/4[t]/(t^4), where a level chunk holds 128 join
+# rows, so that one node's joins span chunks.
+_COVER_CASES = {
+    "(Z/2)^6": ("Z/2", " x ".join(["Z/2"] * 6)),
+    "GF(2^2)^3": ("GF(2^2)", "GF(2^2) x GF(2^2) x GF(2^2)"),
+    "(Z/16)^2": ("Z/16", "Z/16 x Z/16"),
+    "GF(2^8)": ("Z/2", "GF(2^8)"),
+    "Z/2[t]/(t^6)": ("Z/2", "Z/2[t]/(t^6)"),
+    "(Z/2)^7": ("Z/2", " x ".join(["Z/2"] * 7)),
+    "GF(2^1)": ("Z/2", "GF(2^1)"),
+    "Z/2": ("Z/2", "Z/2"),
+    "GF(2^2)^2": ("Z/2", "GF(2^2) x GF(2^2)"),
+    "Z/4[t]/(t^4)": ("Z/4", "Z/4[t]/(t^4)"),
+}
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["default", "one-entry-chunks"])
+@pytest.mark.parametrize("name", list(_COVER_CASES))
+def test_covers_of_the_closure_match_the_oracles(name, entries, monkeypatch, brute_force_hasse,
+                                                 brute_force_chains):
+    # with one mask entry per chunk, each join row and each cover test is a
+    # kernel call of its own, so the joins of one node span many chunks
+    if entries:
+        monkeypatch.setattr(rg, "_LEVEL_ENTRIES", entries)
+    rep = lt.intermediate_algebras(cli.resolve_extension(*_COVER_CASES[name], None))
+    _assert_covers_match_the_oracles(rep, [n.mask for n in rep.nodes], brute_force_hasse,
+                                     brute_force_chains)
+    if name in ("GF(2^1)", "Z/2"):
+        assert (rep.count, rep.hasse_edges, rep.chain_lengths, rep.maximal_chain) == (1, (), {0: 1}, (0,))
+    if name == "GF(2^2)^2":
+        assert rep.chain_lengths == {2: 2, 3: 2}
 
 
 @pytest.mark.parametrize("build", [
@@ -641,6 +687,24 @@ _VERIFY_CORPORA = {
 def test_span_stack_readers_match_their_references_on_the_verify_corpora(corpus):
     for rep in _VERIFY_CORPORA[corpus]():
         _span_answers(rep)
+
+
+@pytest.mark.parametrize("corpus", sorted(_VERIFY_CORPORA))
+def test_covers_match_the_oracles_on_the_verify_corpora(corpus, brute_force_hasse, brute_force_chains):
+    for rep in _VERIFY_CORPORA[corpus]():
+        _assert_covers_match_the_oracles(rep, [n.mask for n in rep.nodes], brute_force_hasse,
+                                         brute_force_chains)
+
+
+def test_covers_match_the_oracles_on_the_idealization_corpus(brute_force_hasse, brute_force_chains):
+    # both lattices of each pair: the submodules of M, and [R, R(+)M]
+    for _, bij in vf._idealizations():
+        sub = bij.lattice
+        _assert_covers_match_the_oracles(sub, [np.isin(np.arange(sub.module.order), n) for n in sub.nodes],
+                                         brute_force_hasse, brute_force_chains)
+        _assert_covers_match_the_oracles(bij.report, [n.mask for n in bij.report.nodes],
+                                         brute_force_hasse, brute_force_chains)
+    assert vf.check_hasse_edges().passed
 
 
 def test_the_span_corpus_takes_both_values(predicate_lattices):

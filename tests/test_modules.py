@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ringlat import ideals as il
 from ringlat import lattice as lt
 from ringlat import modules as md
 from ringlat import rings as rg
@@ -115,6 +116,42 @@ def test_uniserial_means_every_two_submodules_compare(name):
     lat = md.submodules(_MODULES[name]())
     sets = [set(n) for n in lat.nodes]
     assert md.is_uniserial(lat) is all(a <= b or b <= a for a in sets for b in sets)
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["default", "one-entry-chunks"])
+@pytest.mark.parametrize("name", sorted(_MODULES))
+def test_submodule_covers_match_the_oracles(name, entries, monkeypatch, brute_force_hasse,
+                                            brute_force_chains):
+    if entries:
+        monkeypatch.setattr(rg, "_LEVEL_ENTRIES", entries)
+    mod = _MODULES[name]()
+    lat = md.submodules(mod)
+    masks = [np.isin(np.arange(mod.order), n) for n in lat.nodes]
+    assert (lat.hasse_edges, lat.chain_lengths, lat.maximal_chain) == lt.poset_structure(masks)
+    assert list(lat.hasse_edges) == brute_force_hasse(masks)
+    assert (lat.chain_lengths, lat.maximal_chain) == brute_force_chains(lat.hasse_edges, 0, lat.count - 1)
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["default", "one-entry-chunks"])
+@pytest.mark.parametrize("build", [
+    lambda: rg.product([rg.make_zmod(8), rg.make_zmod(4)]).ring,
+    lambda: rg.product([rg.make_gf(2)] * 4).ring,
+    lambda: rg.poly_quotient(rg.make_zmod(4), [0, 0, 0, 1], var="t").ring,
+], ids=["Z8xZ4", "F2^4", "Z4[t]/(t^3)"])
+def test_covers_over_a_bottom_match_the_oracles(build, entries, monkeypatch, brute_force_hasse,
+                                                brute_force_chains):
+    # the ideals over each ideal I (the bottom= path), a lattice of its own
+    if entries:
+        monkeypatch.setattr(rg, "_LEVEL_ENTRIES", entries)
+    ring = build()
+    for ideal in il.all_ideals(ring):
+        closed = rg.enumerate_submodules(ring.add, ring.mul, ring.zero, ideal.mask)
+        masks = list(closed)
+        assert masks[0].tobytes() == ideal.mask.tobytes()
+        structure = lt.cover_structure(closed)
+        assert structure == lt.poset_structure(masks)
+        assert list(structure[0]) == brute_force_hasse(masks)
+        assert structure[1:] == brute_force_chains(structure[0], 0, len(masks) - 1)
 
 
 @pytest.mark.parametrize("name", sorted(_MODULES))

@@ -764,10 +764,13 @@ def test_level_chunks_do_not_change_the_closure(name, entries, monkeypatch):
     subrings = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
     ideals = rg.enumerate_submodules(ring.add, ring.mul, ring.zero)
     monkeypatch.setattr(rg, "_LEVEL_ENTRIES", entries)
-    assert [rg.mask_elements(m) for m in rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])] == \
-        [rg.mask_elements(m) for m in subrings]
-    assert [rg.mask_elements(m) for m in rg.enumerate_submodules(ring.add, ring.mul, ring.zero)] == \
-        [rg.mask_elements(m) for m in ideals]
+    chunked_subrings = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
+    chunked_ideals = rg.enumerate_submodules(ring.add, ring.mul, ring.zero)
+    assert [rg.mask_elements(m) for m in chunked_subrings] == [rg.mask_elements(m) for m in subrings]
+    assert [rg.mask_elements(m) for m in chunked_ideals] == [rg.mask_elements(m) for m in ideals]
+    # and the same covers, tested once all joins of a node exist
+    assert chunked_subrings.hasse_edges == subrings.hasse_edges
+    assert chunked_ideals.hasse_edges == ideals.hasse_edges
 
 
 def _relabeling(order):
@@ -783,6 +786,11 @@ def _same_lattice_through(perm, masks, relabeled_masks):
     after = Poset(tuple(relabeled_masks), *poset_structure(relabeled_masks))
     assert (after.count, after.length, after.chain_lengths) == \
         (before.count, before.length, before.chain_lengths)
+    # the covers read off each closure carry over node for node
+    index = {frozenset(np.flatnonzero(m).tolist()): i for i, m in enumerate(relabeled_masks)}
+    image = [index[frozenset(perm[np.flatnonzero(m)].tolist())] for m in masks]
+    assert {(image[a], image[b]) for a, b in masks.hasse_edges} == set(relabeled_masks.hasse_edges)
+    assert (masks.hasse_edges, relabeled_masks.hasse_edges) == (before.hasse_edges, after.hasse_edges)
 
 
 @pytest.mark.parametrize("name", list(_RELABELED_SUBALGEBRAS))

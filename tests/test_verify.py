@@ -19,7 +19,8 @@ from ringlat.errors import PreconditionError, SizeLimitError
 SUITE_ORDER = {
     "s2": ["criterion_01_bell_counts", "criterion_04_trichotomy", "criterion_08_closure_oracles",
            "criterion_09_special_ramified", "check_product_length_additivity",
-           "check_partition_bijection", "check_canonical_chain", "check_lattice_certificate"],
+           "check_partition_bijection", "check_canonical_chain", "check_lattice_certificate",
+           "check_hasse_edges"],
     "s3": ["criterion_02_spir_counts", "criterion_05_conductor_formula",
            "criterion_06_crt_minimality", "check_crt_reduction_poset", "check_crt_infra_integral",
            "check_crt2_count_prediction", "check_gilbert_correspondence"],
@@ -45,7 +46,7 @@ def test_suites_keep_their_checks_in_order():
 def test_every_check_is_in_exactly_one_suite():
     registered = [fn for fns in vf.SUITES.values() for fn in fns]
     checks = module_checks()
-    assert len(checks) == 21
+    assert len(checks) == 22
     assert sorted(fn.__name__ for fn in registered) == sorted(checks)
     for fn in registered:
         assert checks[fn.__name__] is fn

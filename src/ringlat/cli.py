@@ -14,6 +14,7 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
@@ -42,8 +43,9 @@ def _dumps(obj, newline: str = "\n") -> str:
     CPython encodes with C code only when indent is None, so the indented
     output is written here: strs (by json's own escaping function), ints,
     bools and None as json writes them, a list or tuple and a dict with str
-    keys level by level, a list of ints in one join, and any other value (a
-    float, a subclass of any of these types) by json.dumps with indent=2,
+    keys level by level, a list of ints in one join, a list of non-empty
+    rows (lists or tuples) of ints in one join per row, and any other value
+    (a float, a subclass of any of these types) by json.dumps with indent=2,
     re-indented to its level."""
     kind = type(obj)
     if kind is str:
@@ -56,8 +58,12 @@ def _dumps(obj, newline: str = "\n") -> str:
         return "null"
     inner = newline + "  "
     if kind is list or kind is tuple:
-        if all(type(v) is int for v in obj):
+        kinds = set(map(type, obj))
+        if kinds <= {int}:
             items = map(int.__repr__, obj)
+        elif kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            row = "," + inner + "  "
+            items = ["[" + row[1:] + row.join(map(int.__repr__, v)) + inner + "]" for v in obj]
         else:
             items = [_dumps(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"

@@ -27,10 +27,6 @@ class Partition(NamedTuple):
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
     def __str__(self):
         return "/".join(",".join(str(i) for i in b) for b in self.blocks)
 
@@ -132,21 +128,6 @@ class LambdaMatrix(NamedTuple):
     @property
     def p(self) -> int:
         return len(self.entries[0])
-
-    def validate(self) -> None:
-        r = self.ring
-        for row in self.entries:
-            for j, a in enumerate(row):
-                if r.mul[a, a] != a:
-                    raise PreconditionError("matrix entry is not idempotent")
-                for k in range(j + 1, len(row)):
-                    if r.mul[a, row[k]] != r.zero:
-                        raise PreconditionError("row entries are not orthogonal")
-            total = r.zero
-            for a in row:
-                total = int(r.add[total, a])
-            if total != r.one:
-                raise PreconditionError("row does not sum to 1")
 
 
 def _orthogonal_rows(ring: FiniteRing, p: int) -> list[tuple[int, ...]]:

@@ -111,10 +111,12 @@ class CrtExtension(NamedTuple):
 
 
 def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
-    """Quotients, their product, and the componentwise embedding."""
+    """Quotients, their product, and the componentwise embedding.  A family
+    may list an ideal more than once; each distinct quotient is built once."""
     fam = make_family(ring, ideals)
     base = fam.ring
-    qs = [quotient(base, i) for i in fam.ideals]
+    distinct_quotients = {i: quotient(base, i) for i in dict.fromkeys(fam.ideals)}
+    qs = [distinct_quotients[i] for i in fam.ideals]
     pr = product([q.ring for q in qs])
     hom = pair_homs(base, pr, [q.projection.map for q in qs])
     if not hom.is_injective:

@@ -100,14 +100,6 @@ class Subalgebra:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def is_base(self) -> bool:
-        return self.elements == self.extension.image
-
-    @property
-    def is_top(self) -> bool:
-        return self.order == self.extension.top.order
-
     def __contains__(self, index: int) -> bool:
         return bool(self.mask[index])
 

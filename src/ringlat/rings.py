@@ -25,7 +25,7 @@ Table = np.ndarray
 # projection holds indices below the order, and config.arith_limit never
 # exceeds config.ORDER_CEILING = 2^15, so every index fits.  Arithmetic on
 # entries that could pass 2^15 - 1 is done wider (product_index, make_zmod,
-# make_gf, _coset_leaders).
+# make_gf).
 ELEMENT = np.int16
 _ELEMENT_MIN, _ELEMENT_MAX = int(np.iinfo(ELEMENT).min), int(np.iinfo(ELEMENT).max)
 
@@ -145,9 +145,6 @@ class FiniteRing:
 
     def times(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
-
-    def minus(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
 
     def power(self, a: int, k: int) -> int:
         """a^k by square-and-multiply; a^0 is one."""
@@ -302,14 +299,16 @@ class SpirWitness(NamedTuple):
 # alone, a single closure; the pair closure (extend_closure_mask) is kept
 # only as the oracle that checks it
 
-# Table entries gathered in one round of the sumset kernel, at once by the
-# pair closure and in one block of lattice.tclosed_candidates.  Each gather
-# of the kernel (_gather: its cosets, the products of adjoin_rows, the coset
-# leaders of a lattice level) takes a quarter of it (one row at least):
-# 32 KiB of ELEMENT entries beside 32 KiB of intp indices, below glibc's
-# default mmap threshold (128 KiB), so each round's temporaries reuse heap
-# memory instead of mapping and faulting in fresh pages.
-_GATHER_ENTRIES = 1 << 14
+# Table entries gathered in one round of the sumset kernel and of the coset
+# labeller (_round_picks: each row's least pending elements, as many whole
+# cosets as its share allows), at once by the pair closure and in one block
+# of lattice.tclosed_candidates.  Each gather of those rounds (_gather: the
+# cosets of the kernel and of the labeller, the products of adjoin_rows)
+# takes a quarter of it (one row at least): 16 KiB of ELEMENT entries beside
+# 64 KiB of intp indices, below glibc's default mmap threshold (128 KiB), so
+# each round's temporaries reuse heap memory instead of mapping and faulting
+# in fresh pages.
+_GATHER_ENTRIES = 1 << 15
 
 # Mask entries (rows x order) of one batched kernel call: a chunk of a
 # join-closure level (the coset leaders of that many node entries, then the
@@ -318,7 +317,7 @@ _GATHER_ENTRIES = 1 << 14
 # (lattice.is_delta0), or of one block of the cover test (ClosedSets.hasse_edges:
 # a join and the leader marks of its node per row).  It bounds the stacks and
 # index arrays held at once, however many joins or sums there are.
-_LEVEL_ENTRIES = 1 << 15
+_LEVEL_ENTRIES = 1 << 17
 
 
 def extend_closure_mask(
@@ -377,6 +376,8 @@ def _row_members(stack: np.ndarray) -> np.ndarray:
     order, one row each, padded to the widest row with the row's least
     member, which adds nothing to a sumset, a set of products or a
     minimum."""
+    if len(stack) == 1:
+        return np.flatnonzero(stack)[None]
     rows, members = _cells(stack)
     counts = np.bincount(rows, minlength=len(stack))
     width = counts.max(initial=0)
@@ -391,24 +392,68 @@ def _row_members(stack: np.ndarray) -> np.ndarray:
 def _gather(table: Table, xs: np.ndarray, rows: np.ndarray, members: np.ndarray):
     """The entries table[xs[i], members[rows[i]]] for every i, in blocks of a
     quarter of _GATHER_ENTRIES entries (one i at least), as each entry also
-    takes a few 8-byte indices: (the slice of i, its entries) per block."""
+    takes a few 8-byte indices: (the slice of i, its entries) per block.
+    Members of one row are broadcast, not copied per i."""
     step = max(1, _GATHER_ENTRIES // 4 // members.shape[1])
     for lo in range(0, len(xs), step):
         block = slice(lo, lo + step)
-        yield block, table[xs[block, None], members[rows[block]]]
+        cols = members if len(members) == 1 else members[rows[block]]
+        yield block, table[xs[block, None], cols]
 
 
-def _coset_leaders(add: Table, stack: np.ndarray, gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of the mask stack, an additive subgroup (group law add),
-    the least element of each of its cosets that holds an element of gens
-    outside it: (row, element) pairs in increasing order."""
-    order = stack.shape[1]
-    node, gen = _cells(~stack[:, gens])
-    # intp, so the keys node * order + least below len(stack) * order are exact
-    least = np.empty(node.size, dtype=np.intp)
-    for block, sums in _gather(add, gens[gen], node, _row_members(stack)):
-        least[block] = sums.min(axis=1)
-    return np.divmod(distinct(node * order + least, len(stack) * order), order)
+def _round_picks(xr: np.ndarray, xc: np.ndarray, rows: int, width: int):
+    """One round of the kernels over the pending (row, element) pairs xr, xc
+    (sorted, as _cells gives them) of a stack of that many rows whose
+    subgroups are width wide: for each row, its least pending elements, as
+    many whole cosets as the row's share of _GATHER_ENTRIES allows (one at
+    least; all of them, the round then being the last, when they fit one
+    round): (their rows, the elements, whether the round takes all)."""
+    if xr.size * width <= _GATHER_ENTRIES:
+        return xr, xc, True
+    # xr is sorted, so an element's rank in its row is its distance from the
+    # row's first pending element
+    pending = np.bincount(xr, minlength=rows)
+    rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
+    pick = rank < max(1, _GATHER_ENTRIES // np.count_nonzero(pending) // width)
+    return xr[pick], xc[pick], False
+
+
+def _coset_labels(add: Table, a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coset labeller: row by row, for the additive subgroup A_r (row r
+    of the mask stack a, group law add), the leader of each coset y + A_r
+    that meets X_r (row r of the mask stack x), its least element.  Returns
+    the mask stack of the leaders, and the stack of labels: the leader of
+    the coset of each element of X_r, and -1 elsewhere.
+
+    Each round picks, for each row, the least elements of X_r outside the
+    cosets labelled so far (_round_picks, the rounds of the sumset kernel),
+    gathers their cosets for all rows together (_gather), and labels each
+    pick with its coset's minimum; picks that share a coset label it alike.
+    A round that leaves elements pending labels the whole cosets, so that
+    later rounds skip them: each coset is gathered through few of its
+    elements, not through every element of X_r in it."""
+    labels = np.full(a.shape, -1, dtype=ELEMENT)
+    leaders = np.zeros(a.shape, dtype=bool)
+    xr, xc = _cells(x)
+    whole = False  # whether a round labelled whole cosets
+    if xr.size:
+        members = _row_members(a)
+    while xr.size:
+        rows, xs, take_all = _round_picks(xr, xc, len(a), members.shape[1])
+        for block, sums in _gather(add, xs, rows, members):
+            r, least = rows[block], sums.min(axis=1)
+            if not take_all:
+                labels[r[:, None], sums] = least[:, None]
+            labels[r, xs[block]] = least
+            leaders[r, least] = True
+        if take_all:
+            break  # every pending element is a pick
+        whole = True
+        pending = labels[xr, xc] < 0
+        xr, xc = xr[pending], xc[pending]
+    if whole:
+        labels[~x] = -1
+    return leaders, labels
 
 
 def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.ndarray,
@@ -420,18 +465,23 @@ def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.nda
     Every node is an additive subgroup (add is the group law) that contains
     first, so its join with the atom of s is the closed set generated by the
     node and s, which depends only on the coset of s; the least element of
-    the coset generates it too (_coset_leaders).  The closure grows one BFS
-    level at a time from the distinct atoms, and join(stack, s) returns, row
-    by row, the joins of the nodes stack[r] with the atoms of s[r]: one call
-    joins every node of the level with every such coset leader, in chunks of
-    _LEVEL_ENTRIES mask entries.  Each join is kept as (node id, coset
-    leader, join id), the ids counting the nodes in the order found from 0
-    for first, and the atoms as the joins of first, one per distinct atom:
-    ClosedSets reads the Hasse covers off them."""
+    the coset generates it too, and the coset labeller finds it for each
+    coset that holds a generator outside the node (_coset_labels).  The
+    closure grows one BFS level at a time from the distinct atoms, and
+    join(stack, s) returns, row by row, the joins of the nodes stack[r] with
+    the atoms of s[r]: one call joins every node of the level with every
+    such coset leader, in chunks of _LEVEL_ENTRIES mask entries.  Each join
+    is kept as (node id, coset leader, join id), the ids counting the nodes
+    in the order found from 0 for first, and the atoms as the joins of
+    first, one per distinct atom: ClosedSets reads the Hasse covers off
+    them."""
     step = max(1, _LEVEL_ENTRIES // len(first))
-    nodes = {first.tobytes(): 0}
+    nodes: dict[bytes, int] = {}
+    _node_ids(nodes, first[None])
     ids, rows, level = _node_ids(nodes, atoms)
     gens = gens[rows]
+    outside = np.zeros(len(first), dtype=bool)
+    outside[gens] = True
     joins = [(np.zeros(rows.size, dtype=np.intp), gens, ids[rows])]
     found = [first[None], level]
     start = 1  # the id of the level's first node
@@ -439,7 +489,7 @@ def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.nda
         fresh = [level[:0]]
         for lo in range(0, len(level), step):
             chunk = level[lo:lo + step]
-            node, s = _coset_leaders(add, chunk, gens)
+            node, s = _cells(_coset_labels(add, chunk, outside & ~chunk)[0])
             for i in range(0, node.size, step):
                 ids, _, new = _node_ids(nodes, join(chunk[node[i:i + step]], s[i:i + step]))
                 joins.append((start + lo + node[i:i + step], s[i:i + step], ids))
@@ -448,21 +498,28 @@ def _join_closure(first: np.ndarray, add: Table, gens: np.ndarray, atoms: np.nda
         level = np.concatenate(fresh)
         found.append(level)
     # sets of one size compare by their least differing element, which lies
-    # in the lesser one: ascending size, then descending mask bytes
+    # in the lesser one: ascending size (the popcount of the key), then
+    # descending keys (_node_ids)
     keys = list(nodes)
-    order = sorted(range(len(keys)), key=lambda i: (-keys[i].count(1), keys[i]), reverse=True)
+    sizes = [int.from_bytes(k, "big").bit_count() for k in keys]
+    order = sorted(range(len(keys)), key=lambda i: (-sizes[i], keys[i]), reverse=True)
     return ClosedSets(np.concatenate(found), order, joins)
 
 
 def _node_ids(nodes: dict[bytes, int], stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The id of each row of the mask stack in nodes (mask bytes -> id),
-    where each mask not yet a node is added with the next id: (the ids, the
-    first row of each new mask in id order, a copy of those rows)."""
-    before, width = len(nodes), stack.shape[1]
-    flat = stack.tobytes()
+    """The id of each row of the mask stack in nodes (key -> id), where each
+    mask not yet a node is added with the next id: (the ids, the first row
+    of each new mask in id order, a copy of those rows).
+
+    A key is the row packed a bit per element, first element first
+    (np.packbits), an eighth of the mask bytes to hash, read as a numpy
+    bytes item, which drops trailing zero bytes: keys of rows of one width
+    stay distinct, hold the same bits, and compare as their rows do."""
+    packed = np.packbits(stack, axis=1)
+    before = len(nodes)
     ids, rows = [], []
-    for r, k in enumerate(range(0, len(flat), width)):
-        i = nodes.setdefault(flat[k:k + width], len(nodes))
+    for r, key in enumerate(packed.view(f"S{packed.shape[1]}").ravel().tolist()):
+        i = nodes.setdefault(key, len(nodes))
         if i == before + len(rows):
             rows.append(r)
         ids.append(i)
@@ -530,12 +587,14 @@ def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarra
     out = bases.copy()
     p = np.array(s, dtype=np.intp)
     live = np.flatnonzero(~out[np.arange(len(out)), p])
+    grown = members  # the members of out, until the first sumset grows it
     while live.size:
         # the subgroups B_r p_r, gathered from the commutative mul table
         prods = np.zeros((live.size, ring.order), dtype=bool)
         for block, xs in _gather(ring.mul, p[live], live, members):
             prods[np.arange(live.size)[block, None], xs] = True
-        out[live] = _add_cosets_rows(ring.add, out[live], prods)
+        out[live] = _add_cosets_rows(ring.add, out[live], prods, None if grown is None else grown[live])
+        grown = None
         p[live] = power = ring.mul[p[live], s[live]]
         live = live[~out[live, power]]
     return out
@@ -593,35 +652,27 @@ def enumerate_submodules(add: Table, action: Table, zero: int,
     return _join_closure(first, add, gens, atoms, lambda stack, s: _add_cosets_rows(add, stack, orbits[s]))
 
 
-def _add_cosets_rows(add: Table, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _add_cosets_rows(add: Table, a: np.ndarray, x: np.ndarray,
+                     members: Optional[np.ndarray] = None) -> np.ndarray:
     """The sumset kernel: row by row, the union of the additive subgroup A_r
     (row r of the mask stack a, group law add) and its cosets y + A_r for
     the elements y of X_r (row r of the mask stack x), as a new mask stack.
 
     Each round takes, for each row, the least elements of X_r outside what
-    the row covers so far, as many whole cosets as the row's share of
-    _GATHER_ENTRIES allows (one at least; all of them, with no filter pass
+    the row covers so far (_round_picks; all of them, with no filter pass
     after, when they fit one round), and gathers their cosets for all rows
     together (_gather), each as wide as the widest A_r.  Later rounds skip
     the elements that earlier ones covered, as y + A_r = z + A_r for y in
     z + A_r.  A call with nothing pending returns before it reads the
-    members of A_r."""
+    members of A_r; a caller that holds them (_row_members(a)) passes them."""
     out = a.copy()
     xr, xc = _cells(x & ~a)
     if not xr.size:
         return out
-    members = _row_members(a)
-    width = members.shape[1]
+    if members is None:
+        members = _row_members(a)
     while xr.size:
-        take_all = xr.size * width <= _GATHER_ENTRIES
-        rows, xs = xr, xc
-        if not take_all:
-            # xr is sorted, so an element's rank in its row is its distance
-            # from the row's first pending element
-            pending = np.bincount(xr, minlength=len(a))
-            rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
-            pick = rank < max(1, _GATHER_ENTRIES // np.count_nonzero(pending) // width)
-            rows, xs = xr[pick], xc[pick]
+        rows, xs, take_all = _round_picks(xr, xc, len(a), members.shape[1])
         for block, sums in _gather(add, xs, rows, members):
             out[rows[block, None], sums] = True
         if take_all:
@@ -911,10 +962,13 @@ def _ideal_indices(ring: FiniteRing, ideal) -> np.ndarray:
 def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
     """Cosets x + N of the additive subgroup N (its element indices) of the
     group with table add: the coset number of every element, and the least
-    element of each coset in increasing order."""
-    least = add[:, sub].min(axis=1)
-    reps = distinct(least, len(add))
-    return np.searchsorted(reps, least).astype(ELEMENT), reps
+    element of each coset in increasing order, by a one-row call of the
+    coset labeller with every element pending."""
+    mask = np.zeros((1, len(add)), dtype=bool)
+    mask[0, sub] = True
+    leaders, labels = _coset_labels(add, mask, np.ones_like(mask))
+    reps = np.flatnonzero(leaders)
+    return np.searchsorted(reps, labels[0]).astype(ELEMENT), reps
 
 
 def quotient(ring: FiniteRing, ideal) -> QuotientResult:

@@ -59,6 +59,42 @@ def brute_force_cosets():
     return cosets
 
 
+def _full_gather_cosets(add, sub):
+    least = add[:, sub].min(axis=1)
+    reps = np.unique(least)
+    return np.searchsorted(reps, least).astype(rg.ELEMENT), reps
+
+
+@pytest.fixture(scope="session")
+def full_gather_cosets():
+    """Oracle for rings.cosets: the cosets x + N of the additive subgroup N
+    (its element indices), by gathering the whole block add[:, N] and taking
+    each row's minimum.  Gives the coset number of every element and the
+    least element of each coset, in increasing order."""
+    return _full_gather_cosets
+
+
+def _full_gather_coset_leaders(add, stack, gens):
+    pairs = set()
+    for r, row in enumerate(stack):
+        outside = [int(g) for g in gens if not row[g]]
+        if outside:
+            least = add[np.ix_(outside, np.flatnonzero(row))].min(axis=1)
+            pairs.update((r, int(v)) for v in least)
+    rows, leaders = zip(*sorted(pairs)) if pairs else ((), ())
+    return np.array(rows, dtype=np.intp), np.array(leaders, dtype=np.intp)
+
+
+@pytest.fixture(scope="session")
+def full_gather_coset_leaders():
+    """Oracle for the coset leaders of a join-closure level: for each row of
+    the mask stack (an additive subgroup A, group law add), the least
+    element of each coset g + A with g an element of gens outside A, by
+    gathering the whole coset of every such g and taking its minimum.
+    Gives the (row, leader) pairs in increasing order."""
+    return _full_gather_coset_leaders
+
+
 @pytest.fixture(scope="session")
 def brute_force_hasse():
     """Oracle for Hasse diagrams: the pairs (i, j), in row-major order, with

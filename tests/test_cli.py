@@ -661,6 +661,47 @@ def test_the_writer_on_fixed_values():
         cli._dumps({"n": [np.int64(3)]})
 
 
+# Lists of rows of ints, which the writer joins a row at a time, beside
+# the values that must not take that path: bools in a row, empty rows, rows
+# next to other values in one list, and rows nested a level deeper.
+_INTS = st.integers() | st.integers(-(1 << 80), 1 << 80)
+_ROW = st.lists(_INTS, min_size=1, max_size=4)
+_ROWS = st.recursive(
+    _ROW | _ROW.map(tuple) | st.lists(_INTS | st.booleans(), max_size=4),
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.lists(inner | _INTS | st.none(), max_size=6)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ROWS)
+def test_the_writer_on_rows_is_json_dumps_with_indent_2(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
+class _Int(int):
+    pass
+
+
+def test_the_writer_on_fixed_rows():
+    for obj in ([[0, 1], [1, 2]], [(0, 1), (1, 2)], ((5,), [6, 7]), [[1, True]], [[False]], [[_Int(3), 4]],
+                [(_Int(3),)], [[1], []], [[], [1]], [()], [[1], 2], [[1], "a"], [[1], None], [[1], {}],
+                [[[1, 2]], [[3]]], [[[1]]], [[1 << 70, -(1 << 70)], [-1, 0]], [[1.5]],
+                {"nodes": [(0,), (0, 1)], "hasse_edges": [[0, 1]], "chains": {"2": [[0, 1, 2]]}}):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2), obj
+
+
+@pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization",
+                                  "crt-Z12"])
+def test_the_writer_on_the_lattice_and_closures_of_the_zoo(extension_zoo, name):
+    from ringlat import closures as cl
+    from ringlat import lattice as lt
+
+    ext = extension_zoo(name)
+    for obj in (lt.intermediate_algebras(ext).to_json(), cl.canonical_decomposition(ext).to_json()):
+        assert cli._dumps(obj) == json.dumps(obj, indent=2)
+
+
 # The JSON queries run above, and every query of the benchmark's workloads.
 _QUERY_ZOO = [argv for argv in _ONE_QUERY_PER_SUBCOMMAND if argv[0] != "count"] + [
     ["lattice", "Z/4", "Z/4 x Z/4"],

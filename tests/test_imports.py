@@ -16,9 +16,10 @@ whether a quotient is a field.  An interval above a node is read off the
 lattice that holds it: no module enumerates the lattice of an
 upper_extension.  Delta0 reads the spans R + Rt: no module builds a quotient
 module from cosets to enumerate its submodules.  One kernel per job: no
-module defines both a function f and its batched twin f_rows.  One element
-dtype: no module names np.int32, as element arrays use rings.ELEMENT and
-counters int64.  A polynomial quotient divides on its layout:
+module defines both a function f and its batched twin f_rows, and coset
+minima come from the one coset labeller, not from a full gather of the add
+table.  One element dtype: no module names np.int32, as element arrays use
+rings.ELEMENT and counters int64.  A polynomial quotient divides on its layout:
 rings.poly_quotient calls neither quotient nor compose."""
 
 import ast
@@ -602,6 +603,55 @@ def test_scan_finds_row_twins():
 def test_one_kernel_per_job():
     # single closures are one-row calls of the batched kernels
     assert row_twins({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def full_gather_minima(sources: dict[str, str], labeller: str = "_coset_labels") -> list[str]:
+    """module.scope for each .min(axis=1) taken on a subscript of an add
+    table (add[...], ring.add[...]) in the sources (module name -> source),
+    outside the function labeller: a coset minimum found by gathering whole
+    cosets.  The scope is the innermost enclosing function, or <module>."""
+    found = []
+
+    def is_add_subscript(node):
+        return isinstance(node, ast.Subscript) and (
+            getattr(node.value, "id", None) == "add" or getattr(node.value, "attr", None) == "add")
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == labeller:
+                    continue
+                inner = child.name
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "min" and is_add_subscript(child.func.value)
+                  and any(k.arg == "axis" and getattr(k.value, "value", None) == 1 for k in child.keywords)):
+                found.append(f"{module}.{scope}")
+            visit(module, child, inner)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_full_gather_minima():
+    sources = {
+        "rings": ("def cosets(add, sub):\n    least = add[:, sub].min(axis=1)\n    return least\n"
+                  "def _coset_labels(add, a, x):\n    return add[x][:, a].min(axis=1)\n"
+                  "def leaders(ring, gens, members):\n"
+                  "    return ring.add[gens[:, None], members].min(axis=1)\n"),
+        "lattice": ("def span(top, img):\n    lo = top.add[:, img].min(axis=0)\n"
+                    "    return top.mul[:, img].min(axis=1), lo, top.add[:, img].max(axis=1)\n"),
+        "modules": "least = add[:, sub].min(axis=1)\n",
+    }
+    assert full_gather_minima(sources) == ["modules.<module>", "rings.cosets", "rings.leaders"]
+
+
+def test_coset_minima_come_from_the_labeller():
+    # cosets and the coset leaders of a lattice level are labelled by one
+    # mechanism (rings._coset_labels), which gathers few cosets per coset;
+    # no module takes each row's minimum of a whole block of the add table
+    assert full_gather_minima({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
 
 
 def int32_names(sources: dict[str, str]) -> list[str]:

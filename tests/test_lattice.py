@@ -14,6 +14,16 @@ from ringlat.errors import (InternalCheckError, NotApplicableError,
 from ringlat.ideals import all_ideals, conductor, contains
 
 
+def _is_base(node):
+    """The node is the image of the base."""
+    return node.elements == node.extension.image
+
+
+def _is_top(node):
+    """The node is the whole top ring."""
+    return node.order == node.extension.top.order
+
+
 @pytest.fixture(scope="module")
 def f2_cube():
     f2 = rg.make_gf(2)
@@ -38,7 +48,7 @@ def test_field_cube_lattice(f2_cube):
     assert rep.count == 5
     assert rep.length == 2
     assert len(rep.nodes[0].elements) == 2
-    assert rep.nodes[-1].is_top
+    assert _is_top(rep.nodes[-1])
     assert rep.chain_lengths == {2: 3}  # graded: every maximal chain has two covers
 
 
@@ -183,7 +193,7 @@ def test_max_order_overrides_the_env_bound_for_one_lattice(monkeypatch):
 @pytest.mark.parametrize("name", _ZOO)
 def test_bottom_is_node_zero_and_top_the_last_node(extension_zoo, name):
     rep = lt.intermediate_algebras(extension_zoo(name))
-    assert rep.nodes[0].is_base and rep.nodes[-1].is_top
+    assert _is_base(rep.nodes[0]) and _is_top(rep.nodes[-1])
     data = rep.to_json()
     assert (data["bottom"], data["top_node"]) == (0, rep.count - 1)
     assert rep.maximal_chain[0] == 0 and rep.maximal_chain[-1] == rep.count - 1
@@ -622,7 +632,7 @@ def test_tclosed_candidates_match_the_all_pairs_test(predicate_lattices, name, m
 
 def test_the_tclosed_corpus_admits_some_and_not_others(predicate_lattices):
     sizes = {lt.tclosed_candidates(rep.extension.top, node.mask).size > 0
-             for rep, _ in predicate_lattices.values() for node in rep.nodes if not node.is_top}
+             for rep, _ in predicate_lattices.values() for node in rep.nodes if not _is_top(node)}
     assert sizes == {True, False}
 
 
@@ -643,8 +653,8 @@ def test_tclosed_candidates_carry_over_under_relabeling(extension_zoo, name, mon
 
 def test_tclosed_candidates_of_the_largest_closures_query(monkeypatch):
     # t_closure(Z/2 in Z/2[t]/(t^8)) tests a T of order 128 against 128 b,
-    # as many pairs as _GATHER_ENTRIES: the one block of the largest
-    # closures query the benchmark runs
+    # 16,384 pairs in one block of _GATHER_ENTRIES: the largest closures
+    # query the benchmark runs
     from ringlat.cli import resolve_extension
 
     seen = []
@@ -657,7 +667,7 @@ def test_tclosed_candidates_of_the_largest_closures_query(monkeypatch):
 
     monkeypatch.setattr(cl, "tclosed_candidates", checked)
     cl.t_closure(resolve_extension("Z/2", "Z/2[t]/(t^8)", None))
-    assert max(seen) == lt._GATHER_ENTRIES
+    assert max(seen) == 128 * 128 <= lt._GATHER_ENTRIES
 
 
 def test_the_predicate_corpus_takes_both_values(predicate_lattices):

@@ -13,12 +13,17 @@ from ringlat import rings as rg
 from ringlat.errors import InternalCheckError, PreconditionError, RinglatError, SizeLimitError
 
 
+def _minus(ring, a, b):
+    """a - b in ring: a plus the additive inverse of b."""
+    return int(ring.add[a, ring.neg[b]])
+
+
 def test_zmod_basics(z12):
     assert z12.order == 12
     assert z12.zero == 0 and z12.one == 1
     assert z12.plus(7, 8) == 3
     assert z12.times(7, 8) == 8
-    assert z12.minus(3, 7) == 8
+    assert _minus(z12, 3, 7) == 8
     assert z12.power(5, 3) == 5
     assert sorted(np.flatnonzero(z12.units)) == [1, 5, 7, 11]
     assert sorted(np.flatnonzero(z12.nilpotents)) == [0, 6]
@@ -730,9 +735,9 @@ def test_subalgebra_closure_batches_the_joins_of_each_level(monkeypatch):
     assert all(ring.mul[x, x] == x for x in range(ring.order))
     kernel, calls = rg._add_cosets_rows, []
 
-    def counted(add, a, x):
+    def counted(add, a, x, *members):
         calls.append(len(a))
-        return kernel(add, a, x)
+        return kernel(add, a, x, *members)
 
     monkeypatch.setattr(rg, "_add_cosets_rows", counted)
     masks = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
@@ -808,6 +813,145 @@ def test_ideal_lattice_is_invariant_under_relabeling():
     other = _relabeled(ring, perm)
     _same_lattice_through(perm, rg.enumerate_submodules(ring.add, ring.mul, ring.zero),
                           rg.enumerate_submodules(other.add, other.mul, other.zero))
+
+
+def _subgroup_stack(ring):
+    """The additive groups of every ideal and every subring of ring, as one
+    mask stack of rows of many sizes."""
+    return np.concatenate([rg.enumerate_submodules(ring.add, ring.mul, ring.zero)._masks,
+                           rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])._masks])
+
+
+def _brute_force_labels(add, a, x):
+    """Row by row, for each element y of X_r (row r of the mask stack x) the
+    least element of its coset y + A_r (A_r row r of the mask stack a); -1
+    at the other elements."""
+    labels = np.full(a.shape, -1, dtype=np.int64)
+    for r in range(len(a)):
+        members = np.flatnonzero(a[r])
+        for y in np.flatnonzero(x[r]):
+            labels[r, y] = add[y, members].min()
+    return labels
+
+
+@_GATHER_SIZES
+def test_cosets_match_the_full_gather_oracle(extension_zoo, gather, full_gather_cosets, monkeypatch):
+    # every ideal and subring of each ring of the zoo and of a seeded
+    # relabeling of it, whose least elements lie elsewhere; with one or seven
+    # entries per round, cosets are labelled over many rounds
+    cases = []
+    for ring in _zoo_rings(extension_zoo):
+        for r in (ring, _relabeled(ring, _relabeling(ring.order))):
+            cases += [(r.add, np.flatnonzero(sub)) for sub in _subgroup_stack(r)]
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    for add, sub in cases:
+        (coset_of, reps), (want_of, want_reps) = rg.cosets(add, sub), full_gather_cosets(add, sub)
+        assert coset_of.dtype == rg.ELEMENT
+        assert np.array_equal(coset_of, want_of) and np.array_equal(reps, want_reps)
+    assert len(cases) > 400
+
+
+@pytest.mark.parametrize("name", ["(Z/2)^5", "Z/4 x Z/4 x Z/4", "Z/9[t]/(t^2)", "GF(2^2)^3"])
+@_GATHER_SIZES
+def test_the_labeller_labels_each_coset_that_meets_x_by_its_least_element(name, gather, monkeypatch):
+    # rows of every size, each with a random X: each element of X is
+    # labelled by the least element of its coset, which need not lie in X,
+    # and those least elements are the leaders
+    ring = _RELABELED_SUBALGEBRAS[name]()
+    a = _subgroup_stack(ring)
+    rng = np.random.default_rng(len(a))
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    for density in (0.05, 0.5, 1.0):
+        x = rng.random(a.shape) < density
+        leaders, labels = rg._coset_labels(ring.add, a, x)
+        want = _brute_force_labels(ring.add, a, x)
+        assert np.array_equal(labels, want)
+        want_leaders = np.zeros(a.shape, dtype=bool)
+        want_leaders[np.nonzero(want >= 0)[0], want[want >= 0]] = True
+        assert np.array_equal(leaders, want_leaders)
+
+
+def _join_records(closed):
+    return [tuple(part.tolist() for part in record) for record in closed._joins]
+
+
+def _full_gather_labeller(full_gather_coset_leaders):
+    """_coset_labels with its leaders from the full-gather oracle: the join
+    closure passes as X_r the generators outside row r, so the generators
+    are the union of the rows of X.  The labels, which cosets reads, come
+    from _brute_force_labels."""
+    def labels(add, a, x):
+        leaders = np.zeros(a.shape, dtype=bool)
+        leaders[full_gather_coset_leaders(add, a, np.flatnonzero(x.any(axis=0)))] = True
+        return leaders, _brute_force_labels(add, a, x)
+    return labels
+
+
+@pytest.mark.parametrize("name", list(_RELABELED_SUBALGEBRAS))
+def test_join_records_match_the_full_gather_leaders(name, full_gather_coset_leaders, monkeypatch):
+    # the labeller finds the very leaders the full gather does, the least
+    # element of each coset that holds a generator outside the node, and with
+    # them the same (node, leader, join) records: on the ring and on a seeded
+    # relabeling, whose least elements lie elsewhere, and over many rounds
+    ring = _RELABELED_SUBALGEBRAS[name]()
+
+    def closures():
+        out = []
+        for r in (ring, _relabeled(ring, _relabeling(ring.order))):
+            out += [rg.enumerate_closed_subsets(r, [r.zero, r.one]), rg.enumerate_submodules(r.add, r.mul, r.zero)]
+        return out
+
+    got = closures()
+    monkeypatch.setattr(rg, "_GATHER_ENTRIES", 7)
+    many_rounds = closures()
+    monkeypatch.undo()
+    monkeypatch.setattr(rg, "_coset_labels", _full_gather_labeller(full_gather_coset_leaders))
+    want = closures()
+    for closed in (got, many_rounds):
+        for a, b in zip(closed, want):
+            assert _join_records(a) == _join_records(b)
+            assert np.array_equal(a._masks, b._masks) and a.hasse_edges == b.hasse_edges
+
+
+@pytest.mark.parametrize("gather", [None, 7])
+def test_join_records_over_a_bottom_match_the_full_gather_leaders(gather, full_gather_coset_leaders,
+                                                                   monkeypatch):
+    # over a bottom the generators are the first element of each distinct
+    # orbit, which need not be least in its coset; the leaders are still
+    # each coset's least element, so the records, the nodes and the covers
+    # match
+    rings = [rg.product([rg.make_zmod(8), rg.make_zmod(4)]).ring, rg.product([rg.make_gf(2)] * 4).ring,
+             rg.poly_quotient(rg.make_zmod(4), [0, 0, 0, 1], var="t").ring]
+    cases = [(ring, bottom) for ring in rings
+             for bottom in rg.enumerate_submodules(ring.add, ring.mul, ring.zero)]
+    if gather is not None:
+        monkeypatch.setattr(rg, "_GATHER_ENTRIES", gather)
+    got = [rg.enumerate_submodules(ring.add, ring.mul, ring.zero, bottom) for ring, bottom in cases]
+    monkeypatch.setattr(rg, "_coset_labels", _full_gather_labeller(full_gather_coset_leaders))
+    want = [rg.enumerate_submodules(ring.add, ring.mul, ring.zero, bottom) for ring, bottom in cases]
+    for a, b in zip(got, want):
+        assert _join_records(a) == _join_records(b)
+        assert np.array_equal(a._masks, b._masks) and a.hasse_edges == b.hasse_edges
+    assert len(cases) > 40
+
+
+def test_a_relation_quotient_reads_a_small_multiple_of_its_layout(monkeypatch):
+    # Z/2[t]/(t^12, t): the ideal (t) holds 2,048 of the layout's 4,096
+    # elements, and its two cosets are labelled from the cosets of the few
+    # least elements, not from the whole block add[:, (t)] of 8.4 M entries
+    layout_of = rg._poly_layout
+
+    def counted(ring, monic):
+        layout = layout_of(ring, monic)
+        return layout._replace(add=layout.add.view(_CountingTable))
+
+    monkeypatch.setattr(rg, "_poly_layout", counted)
+    monkeypatch.setattr(_CountingTable, "reads", 0)
+    quo = rg.poly_quotient(rg.make_zmod(2), [0] * 12 + [1], [[0, 1]])
+    assert quo.ring.order == 2
+    assert 0 < _CountingTable.reads <= 16 * 4096
 
 
 @pytest.mark.parametrize("make", _SUBALGEBRA_RINGS, ids=_SUBALGEBRA_IDS)
@@ -978,7 +1122,7 @@ def _f2_linear_unital_maps(rng, count):
     maps = []
     for _ in range(count):
         imgs = list(rng.integers(0, ring.order, 3))
-        imgs.append(int(ring.minus(ring.one, int(ring.add[ring.add[imgs[0], imgs[1]], imgs[2]]))))
+        imgs.append(_minus(ring, ring.one, int(ring.add[ring.add[imgs[0], imgs[1]], imgs[2]])))
         table = np.zeros(ring.order, dtype=np.int32)
         for x in range(ring.order):
             for i, e in enumerate(basis):

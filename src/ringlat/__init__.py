@@ -37,7 +37,8 @@ from .crt import (CrtExtension, SeparatingFamily, conductor_by_formula,
 from .modules import (FiniteModule, check_module, componentwise_census,
                       idealization_lattice_bijection,
                       idealize, interval_length, is_cyclic, is_faithful,
-                      is_uniserial, jordan_holder_check, module_from_cyclics,
+                      is_uniserial, jordan_holder_check, length_and_count,
+                      module_from_cyclics,
                       module_from_ring, module_length, quotient_module,
                       submodules, uniserial_structure_check)
 from .combinatorics import (LambdaMatrix, Partition, bell, enumerate_exal,

@@ -26,6 +26,7 @@ from .rings import (
     Ideal,
     QuotientResult,
     RingHom,
+    identity_hom,
     is_local,
     mask_elements,
     pair_homs,
@@ -149,9 +150,10 @@ def is_minimal_crt(crt: CrtExtension) -> Optional[tuple[int, int]]:
         raise PreconditionError("pair families need the two-ideal test (is_minimal_crt2)")
     primes = spectrum(fam.ring).primes
     maximal_pairs = []
+    pair_sums = fam.pair_sums
     for j in range(fam.n):
         for k in range(j + 1, fam.n):
-            s = fam.pair_sums[j][k]
+            s = pair_sums[j][k]
             if s.is_whole:
                 continue
             if s in primes:
@@ -195,10 +197,17 @@ class ReductionResult(NamedTuple):
 
 
 def reduce_to_zero_conductor(crt: CrtExtension) -> ReductionResult:
+    """The zero-conductor form of crt; crt itself, over the identity, when
+    its conductor sum(J_j) is already zero."""
     fam = crt.family
     c = fam.complement_sum
-    kept = [j for j in range(fam.n) if not fam.widened[j].is_whole]
-    sums = [fam.widened[j] for j in kept]
+    if c.is_zero:
+        if not crt.conductor.is_zero:
+            raise InternalCheckError("reduced family has nonzero conductor")
+        return ReductionResult(crt, False, (), identity_hom(fam.ring))
+    widened = fam.widened
+    kept = [j for j in range(fam.n) if not widened[j].is_whole]
+    sums = [widened[j] for j in kept]
     if not kept:
         return ReductionResult(None, True, tuple(range(fam.n)), None)
     if len(kept) == 1:

@@ -19,6 +19,7 @@ from .lattice import (
     intermediate_algebras,
 )
 from .rings import (
+    ClosedSets,
     ELEMENT,
     FiniteRing,
     Ideal,
@@ -89,13 +90,15 @@ def module_from_ring(ring: FiniteRing) -> FiniteModule:
 
 
 def module_from_cyclics(ring: FiniteRing, ideals: Sequence[IdealLike]) -> FiniteModule:
-    """Direct sum of cyclic modules R/I_j with componentwise action."""
+    """Direct sum of cyclic modules R/I_j with componentwise action; each
+    distinct quotient is built once."""
     if not ideals:
         return FiniteModule(ring, 1, np.zeros((1, 1), dtype=ELEMENT), 0,
                             np.zeros((ring.order, 1), dtype=ELEMENT), "0")
-    ids = [coerce_ideal(ring, s) for s in ideals]
     # the zero summands R/R drop out
-    live = [quotient(ring, i) for i in ids if not i.is_whole]
+    ids = [i for i in (coerce_ideal(ring, s) for s in ideals) if not i.is_whole]
+    distinct_quotients = {i: quotient(ring, i) for i in dict.fromkeys(ids)}
+    live = [distinct_quotients[i] for i in ids]
     if not live:
         return module_from_cyclics(ring, [])
     pr = product([q.ring for q in live])
@@ -142,13 +145,18 @@ class SubmoduleLattice(Poset):
         }
 
 
+def _closed_submodules(m: FiniteModule) -> ClosedSets:
+    """The submodule masks of m, after the lattice bound is checked."""
+    if m.order > lattice_limit():
+        raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
+    return enumerate_submodules(m.add, m.action, m.zero)
+
+
 def submodules(m: FiniteModule) -> SubmoduleLattice:
     """All submodules, as the sumset join closure of the cyclic submodules,
     sorted by size, then elements: the zero submodule is node 0 and M is
     the last node."""
-    if m.order > lattice_limit():
-        raise SizeLimitError(f"submodule enumeration bound exceeded for order {m.order}")
-    closed = enumerate_submodules(m.add, m.action, m.zero)
+    closed = _closed_submodules(m)
     return SubmoduleLattice(tuple(mask_elements(mk) for mk in closed), *cover_structure(closed), m)
 
 
@@ -157,27 +165,50 @@ def jordan_holder_check(lat: SubmoduleLattice) -> bool:
     return len(lat.chain_lengths) == 1
 
 
+def _orbit_sizes(m: FiniteModule) -> np.ndarray:
+    """|Rx| for every element x, in one pass over the action table: column x
+    is the orbit Rx, sorted along the ring axis and its distinct entries
+    counted."""
+    cols = np.sort(m.action, axis=0)
+    return 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
+
+
 def module_length(m: FiniteModule) -> int:
     """Composition-series length: repeatedly quotient by a minimal nonzero
     cyclic submodule."""
     cur = m
     length = 0
     while cur.order > 1:
-        # the cyclic submodules are the orbits Rx; the first smallest nonzero one
-        best = min((distinct(cur.action[:, x], cur.order) for x in range(cur.order) if x != cur.zero),
-                   key=len)
-        cur = quotient_module(cur, best).module
+        # the cyclic submodules are the orbits Rx; the first smallest nonzero
+        # one (the orbit of zero is {zero}; every other holds zero and x)
+        sizes = _orbit_sizes(cur)
+        sizes[cur.zero] = cur.order + 1
+        x = int(np.argmin(sizes))
+        cur = quotient_module(cur, distinct(cur.action[:, x], cur.order)).module
         length += 1
     return length
 
 
 def is_cyclic(m: FiniteModule) -> Optional[int]:
-    """A generator index, if M = Rx for some x.  The orbit Rx is already a
-    submodule, so no closure pass is needed."""
-    for x in range(m.order):
-        if len(distinct(m.action[:, x], m.order)) == m.order:
-            return x
-    return None
+    """The first generator index, if M = Rx for some x.  The orbit Rx is
+    already a submodule, so no closure pass is needed."""
+    full = np.flatnonzero(_orbit_sizes(m) == m.order)
+    return int(full[0]) if full.size else None
+
+
+class LengthAndCount(NamedTuple):
+    """L(M) and nu(M), the number of submodules of M."""
+
+    length: int
+    nu: int
+
+
+def length_and_count(m: FiniteModule) -> LengthAndCount:
+    """L(M) by module_length and nu(M) as the number of closed sets the
+    submodule enumeration finds, with no poset built over them.  The
+    lattice bound is checked first."""
+    nu = len(_closed_submodules(m))
+    return LengthAndCount(module_length(m), nu)
 
 
 def is_uniserial(lat: SubmoduleLattice) -> bool:
@@ -277,12 +308,12 @@ def interval_length(bij: BijectionReport, i: int) -> IntervalReport:
     """Compare the interval [R(+)N, R(+)M], for the submodule N of index i,
     with L(M/N) and nu(M/N).  The interval is read off bij.report, the
     lattice [R, R(+)M] already built, at the node of R(+)N (Poset.above);
-    M/N, its length and its submodules are computed on their own."""
+    L(M/N) and nu(M/N) come from length_and_count on the tables of M/N."""
     if not 0 <= i < len(bij.pairs):
         raise PreconditionError(f"no lattice node is matched with submodule {i}")
     upper = bij.report.above(bij.pairs[i][1])
     q = quotient_module(bij.lattice.module, bij.lattice.nodes[i]).module
-    return IntervalReport(upper.length, upper.count, module_length(q), submodules(q).count)
+    return IntervalReport(upper.length, upper.count, *length_and_count(q))
 
 
 class UniserialReport(NamedTuple):

@@ -95,6 +95,35 @@ def full_gather_coset_leaders():
     return _full_gather_coset_leaders
 
 
+def _scanned_orbit_sizes(m):
+    return [len(rg.distinct(m.action[:, x], m.order)) for x in range(m.order)]
+
+
+@pytest.fixture(scope="session")
+def scanned_orbit_sizes():
+    """Oracle for modules._orbit_sizes: |Rx| for every element x of the
+    module m, one distinct scan of the action column per element."""
+    return _scanned_orbit_sizes
+
+
+def _scanned_module_length(m):
+    cur, length = m, 0
+    while cur.order > 1:
+        best = min((rg.distinct(cur.action[:, x], cur.order) for x in range(cur.order) if x != cur.zero),
+                   key=len)
+        cur = md.quotient_module(cur, best).module
+        length += 1
+    return length
+
+
+@pytest.fixture(scope="session")
+def scanned_module_length():
+    """Reference for modules.module_length: the composition steps quotient by
+    the first smallest nonzero orbit Rx, the orbits found by one distinct
+    scan per element at every step."""
+    return _scanned_module_length
+
+
 @pytest.fixture(scope="session")
 def brute_force_hasse():
     """Oracle for Hasse diagrams: the pairs (i, j), in row-major order, with

@@ -95,6 +95,31 @@ def test_reduction_drops_comaximal_factor(z12):
     assert red.projection is not None
 
 
+@pytest.mark.parametrize("n, gens", [(10, [[2], [2]]), (8, [[0], [0]]), (12, [[0], [0], [0]])])
+def test_a_zero_conductor_family_is_its_own_reduction(n, gens):
+    crt = cr.make_crt(rg.make_zmod(n), gens)
+    assert crt.conductor.is_zero
+    red = cr.reduce_to_zero_conductor(crt)
+    assert red.crt is crt
+    assert red.dropped == ()
+    assert not red.crt_isomorphism
+    base = crt.family.ring
+    assert red.projection.source is red.projection.target is base
+    assert red.projection.map.tolist() == list(range(base.order))
+
+
+def test_minimality_and_reduction_read_each_sum_table_once(z12, monkeypatch):
+    crt = cr.make_crt(z12, [[2], [4], [6]])
+    calls = []
+    orig = cr.SeparatingFamily._plus
+    monkeypatch.setattr(cr.SeparatingFamily, "_plus", lambda fam, a, b: calls.append(1) or orig(fam, a, b))
+    cr.is_minimal_crt(crt)
+    assert len(calls) == 6  # the pair sums off the diagonal, read once
+    calls.clear()
+    cr.reduce_to_zero_conductor(crt)
+    assert len(calls) == 2 + 3  # the complement sum, then widened read once
+
+
 def test_seminormalization_of_crt(z8):
     crt = cr.make_crt(z8, [[0], [0]])
     res = cr.seminormalization_of_crt(crt)

@@ -20,7 +20,9 @@ module defines both a function f and its batched twin f_rows, and coset
 minima come from the one coset labeller, not from a full gather of the add
 table.  One element dtype: no module names np.int32, as element arrays use
 rings.ELEMENT and counters int64.  A polynomial quotient divides on its layout:
-rings.poly_quotient calls neither quotient nor compose."""
+rings.poly_quotient calls neither quotient nor compose.  A submodule count is
+a count of closed sets: no function reads .count off a submodules(...) call,
+which builds the whole poset."""
 
 import ast
 import importlib
@@ -707,3 +709,33 @@ def test_a_polynomial_quotient_divides_on_its_layout():
     # and no hom into it is composed
     called = called_names((PACKAGE / "rings.py").read_text(), "poly_quotient")
     assert "sum_of_orbits" in called and not {"quotient", "compose"} & set(called)
+
+
+def counts_off_submodules(sources: dict[str, str]) -> list[str]:
+    """module.function for each function of the sources (module name ->
+    source) that reads .count directly off a submodules(...) call."""
+    found = set()
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "count" and isinstance(n.value, ast.Call)
+                    and (getattr(n.value.func, "id", None) or getattr(n.value.func, "attr", None)) == "submodules"
+                    for n in ast.walk(fn)):
+                found.add(f"{module}.{fn.name}")
+    return sorted(found)
+
+
+def test_scan_finds_counts_off_submodules():
+    sources = {
+        "modules": "def interval(bij, q):\n    return IntervalReport(1, 2, submodules(q).count)\n",
+        "verify": "def check(m):\n    return md.submodules(m).count == 4\n",
+        "other": ("def kept(m):\n    lat = submodules(m)\n    return lat.count, submodules(m).length\n"
+                  "def counted(m):\n    return len(enumerate_submodules(m.add, m.action, m.zero))\n"),
+    }
+    assert counts_off_submodules(sources) == ["modules.interval", "verify.check"]
+
+
+def test_a_submodule_count_builds_no_poset():
+    # nu(M/N) is the number of closed sets the enumeration finds
+    # (modules.length_and_count); a lattice built only to be counted is waste
+    assert counts_off_submodules({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

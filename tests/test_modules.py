@@ -7,7 +7,7 @@ from ringlat import modules as md
 from ringlat import rings as rg
 from ringlat import verify as vf
 from ringlat.errors import (InternalCheckError, NotApplicableError,
-                            PreconditionError)
+                            PreconditionError, SizeLimitError)
 
 
 def test_module_from_ring_passes_check(z8):
@@ -34,6 +34,16 @@ def test_cyclic_sum_construction(z4):
     assert trivial.order == 1
     dropped = md.module_from_cyclics(z4, [[1], [0]])  # the unit summand vanishes
     assert dropped.order == 4
+
+
+def test_cyclic_sums_build_each_quotient_once(z4, monkeypatch):
+    built = []
+    orig = md.quotient
+    monkeypatch.setattr(md, "quotient", lambda ring, ideal: built.append(ideal) or orig(ring, ideal))
+    mod = md.module_from_cyclics(z4, [[0], [2], [0], [2], [1]])
+    assert len(built) == 2
+    assert mod.order == 4 * 2 * 4 * 2
+    md.check_module(mod)
 
 
 @pytest.mark.parametrize("build,count,length", [
@@ -352,6 +362,51 @@ def test_interval_reports_are_invariant_under_relabeling(k):
     for i, sub in enumerate(bij.lattice.nodes):
         j = bij2.lattice.nodes.index(tuple(sorted(int(perm[x]) for x in sub)))
         assert md.interval_length(bij2, j) == md.interval_length(bij, i), label
+
+
+def _corpus_quotients():
+    """(label, key, M/N) for the 72 intervals of the idealization corpus, each
+    quotient with the key verify groups it by."""
+    return [(label, *vf._keyed_quotient(bij.lattice.module, sub))
+            for label, bij in vf._idealizations() for sub in bij.lattice.nodes]
+
+
+def test_the_corpus_has_29_distinct_quotients():
+    cases = _corpus_quotients()
+    assert len(cases) == 72
+    assert len({key for _, key, _ in cases}) == 29
+
+
+def test_grouped_quotient_sides_match_the_scanned_path(scanned_module_length):
+    # each distinct M/N is measured once; every quotient of its group has the
+    # composition length of the per-element scan and its lattice's count and
+    # length
+    sides = {}
+    for label, key, q in _corpus_quotients():
+        side = sides.setdefault(key, md.length_and_count(q))
+        lat = md.submodules(q)
+        assert side == (scanned_module_length(q), lat.count) == (lat.length, lat.count), label
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_orbit_sizes_match_the_per_element_scan(k, scanned_orbit_sizes, scanned_module_length):
+    # on the module, a seeded relabeling of it and each quotient M/N: the same
+    # orbit sizes, so the same first generator and the same first smallest
+    # nonzero orbit
+    label, bij = vf._idealizations()[k]
+    m = bij.lattice.module
+    moved = _relabeled_module(m, np.random.default_rng(k).permutation(m.order))
+    for mod in [m, moved, *(md.quotient_module(m, sub).module for sub in bij.lattice.nodes)]:
+        sizes = scanned_orbit_sizes(mod)
+        assert md._orbit_sizes(mod).tolist() == sizes, label
+        assert md.is_cyclic(mod) == next((x for x, n in enumerate(sizes) if n == mod.order), None), label
+        assert md.module_length(mod) == scanned_module_length(mod), label
+
+
+def test_length_and_count_keeps_the_lattice_bound(monkeypatch, z8):
+    monkeypatch.setenv("RINGLAT_MAX_ORDER", "4")
+    with pytest.raises(SizeLimitError, match="submodule enumeration bound"):
+        md.length_and_count(md.module_from_ring(z8))
 
 
 def test_uniserial_structure_chain(z4):

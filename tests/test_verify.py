@@ -138,6 +138,15 @@ def test_s5_builds_each_idealization_once(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_s5_measures_each_distinct_quotient_once(monkeypatch):
+    fresh_corpora()
+    keyed = count_calls(monkeypatch, vf, "_keyed_quotient")
+    measured = count_calls(monkeypatch, md, "length_and_count")
+    assert vf.criterion_07_idealization().passed
+    # every one of the 72 intervals is compared, against 29 distinct M/N
+    assert (len(keyed), len(measured)) == (72, 29)
+
+
 def test_s3_enumerates_each_extension_once(monkeypatch):
     fresh_corpora()
     calls = count_calls(monkeypatch, lt, "intermediate_algebras")

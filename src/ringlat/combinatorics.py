@@ -12,7 +12,7 @@ import numpy as np
 from .config import arith_limit
 from .errors import InternalCheckError, PreconditionError, SizeLimitError
 from .lattice import Extension, Subalgebra
-from .rings import (FiniteRing, RingHom, idempotents, mask_elements, product,
+from .rings import (ELEMENT, FiniteRing, RingHom, idempotents, mask_elements, product,
                     product_components, product_index)
 
 PARTITION_BOUND = 12
@@ -77,6 +77,9 @@ def bell(n: int) -> int:
 
 
 def stirling2(n: int, p: int) -> int:
+    """S(n, p), the partitions of {1..n} into p blocks; n is checked against
+    the partition bounds first, whatever p is."""
+    _check_bound(n)
     if p < 0 or p > n:
         return 0
     return int((_growth_strings(n).max(axis=1) == p - 1).sum())
@@ -240,12 +243,14 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
     radix = [len(rows)] * n  # matrix k has rows product_components(radix, k)
     total = len(rows) ** n
     per = max(1, EXAL_CHUNK // source.order)
-    images = np.zeros((0, source.order), dtype=np.int64)
+    images = np.zeros((0, source.order), dtype=ELEMENT)
     firsts = sizes = np.zeros(0, dtype=np.int64)
     injective = 0
     for lo in range(0, total, per):
         index = np.arange(lo, min(lo + per, total))
-        maps = product_index([ring.order] * n, (comps[c] for c in product_components(radix, index)))
+        parts = (comps[c] for c in product_components(radix, index))
+        # indices of R^n, whose order is within the arithmetic bound
+        maps = product_index([ring.order] * n, parts).astype(ELEMENT)
         maps.sort(axis=1)
         keep = np.flatnonzero((maps[:, 1:] != maps[:, :-1]).all(axis=1))
         injective += len(keep)

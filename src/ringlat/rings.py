@@ -140,12 +140,6 @@ class FiniteRing:
             out.append(nxt)
         return np.array(out, dtype=ELEMENT)
 
-    def plus(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
-
-    def times(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
     def power(self, a: int, k: int) -> int:
         """a^k by square-and-multiply; a^0 is one."""
         out = self.one
@@ -155,9 +149,6 @@ class FiniteRing:
             a = int(self.mul[a, a])
             k >>= 1
         return out
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self):
         return f"FiniteRing({self.label}, order={self.order})"
@@ -297,17 +288,19 @@ class SpirWitness(NamedTuple):
 # of additive subgroups, built coset by coset by one sumset kernel
 # (_add_cosets_rows), whose rows are the joins of a lattice level or, one row
 # alone, a single closure; the pair closure (extend_closure_mask) is kept
-# only as the oracle that checks it
+# only as the oracle that checks it.  The sumset kernel and the coset
+# labeller (_coset_labels) run one round loop (_coset_rounds) and differ
+# only in what they write per block
 
-# Table entries gathered in one round of the sumset kernel and of the coset
-# labeller (_round_picks: each row's least pending elements, as many whole
-# cosets as its share allows), at once by the pair closure and in one block
-# of lattice.tclosed_candidates.  Each gather of those rounds (_gather: the
-# cosets of the kernel and of the labeller, the products of adjoin_rows)
-# takes a quarter of it (one row at least): 16 KiB of ELEMENT entries beside
-# 64 KiB of intp indices, below glibc's default mmap threshold (128 KiB), so
-# each round's temporaries reuse heap memory instead of mapping and faulting
-# in fresh pages.
+# Table entries gathered in one round of the coset kernels (_coset_rounds:
+# each row's least pending elements, as many whole cosets as its share
+# allows), at once by the pair closure and in one block of
+# lattice.tclosed_candidates.  Each gather of those rounds (_gather: the
+# cosets of the kernels, the products of adjoin_rows) takes a quarter of it
+# (one row at least): 16 KiB of ELEMENT entries beside 64 KiB of intp
+# indices, below glibc's default mmap threshold (128 KiB), so each round's
+# temporaries reuse heap memory instead of mapping and faulting in fresh
+# pages.
 _GATHER_ENTRIES = 1 << 15
 
 # Mask entries (rows x order) of one batched kernel call: a chunk of a
@@ -401,21 +394,40 @@ def _gather(table: Table, xs: np.ndarray, rows: np.ndarray, members: np.ndarray)
         yield block, table[xs[block, None], cols]
 
 
-def _round_picks(xr: np.ndarray, xc: np.ndarray, rows: int, width: int):
-    """One round of the kernels over the pending (row, element) pairs xr, xc
-    (sorted, as _cells gives them) of a stack of that many rows whose
-    subgroups are width wide: for each row, its least pending elements, as
-    many whole cosets as the row's share of _GATHER_ENTRIES allows (one at
-    least; all of them, the round then being the last, when they fit one
-    round): (their rows, the elements, whether the round takes all)."""
-    if xr.size * width <= _GATHER_ENTRIES:
-        return xr, xc, True
-    # xr is sorted, so an element's rank in its row is its distance from the
-    # row's first pending element
-    pending = np.bincount(xr, minlength=rows)
-    rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
-    pick = rank < max(1, _GATHER_ENTRIES // np.count_nonzero(pending) // width)
-    return xr[pick], xc[pick], False
+def _coset_rounds(add: Table, a: np.ndarray, x: np.ndarray,
+                  covered: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                  members: Optional[np.ndarray] = None):
+    """The rounds of both coset kernels over the cells (r, y) of the mask
+    stack x, for the additive subgroups A_r (rows of the mask stack a, group
+    law add; members holds them as _row_members(a) does, read only when a
+    cell is pending).  Each round picks, for each row, its least pending
+    cells, as many whole cosets as the row's share of _GATHER_ENTRIES allows
+    (one at least; all of them, the round then being the last, when they
+    fit one round), and gathers their cosets y + A_r for all rows together
+    (_gather), each as wide as the widest A_r: (the rows, the picks y, their
+    cosets, whether the round is the last) per block.  After a round that
+    is not the last, a cell stays pending unless covered(rows, ys), called
+    once the caller has written the round's blocks, holds for it."""
+    xr, xc = _cells(x)
+    if xr.size and members is None:
+        members = _row_members(a)
+    while xr.size:
+        width = members.shape[1]
+        last = xr.size * width <= _GATHER_ENTRIES
+        rows, xs = xr, xc
+        if not last:
+            # xr is sorted, so a cell's rank in its row is its distance from
+            # the row's first pending cell
+            pending = np.bincount(xr, minlength=len(a))
+            rank = np.arange(xr.size) - np.repeat(pending.cumsum() - pending, pending)
+            pick = rank < max(1, _GATHER_ENTRIES // np.count_nonzero(pending) // width)
+            rows, xs = xr[pick], xc[pick]
+        for block, cosets in _gather(add, xs, rows, members):
+            yield rows[block], xs[block], cosets, last
+        if last:
+            return
+        pending = ~covered(xr, xc)
+        xr, xc = xr[pending], xc[pending]
 
 
 def _coset_labels(add: Table, a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,32 +437,22 @@ def _coset_labels(add: Table, a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray,
     the mask stack of the leaders, and the stack of labels: the leader of
     the coset of each element of X_r, and -1 elsewhere.
 
-    Each round picks, for each row, the least elements of X_r outside the
-    cosets labelled so far (_round_picks, the rounds of the sumset kernel),
-    gathers their cosets for all rows together (_gather), and labels each
-    pick with its coset's minimum; picks that share a coset label it alike.
-    A round that leaves elements pending labels the whole cosets, so that
-    later rounds skip them: each coset is gathered through few of its
-    elements, not through every element of X_r in it."""
+    Each round of _coset_rounds labels its picks, the least elements of X_r
+    outside the cosets labelled so far, with their cosets' minima; picks
+    that share a coset label it alike.  A round that leaves elements
+    pending labels the whole cosets, so that later rounds skip them: each
+    coset is gathered through few of its elements, not through every
+    element of X_r in it."""
     labels = np.full(a.shape, -1, dtype=ELEMENT)
     leaders = np.zeros(a.shape, dtype=bool)
-    xr, xc = _cells(x)
     whole = False  # whether a round labelled whole cosets
-    if xr.size:
-        members = _row_members(a)
-    while xr.size:
-        rows, xs, take_all = _round_picks(xr, xc, len(a), members.shape[1])
-        for block, sums in _gather(add, xs, rows, members):
-            r, least = rows[block], sums.min(axis=1)
-            if not take_all:
-                labels[r[:, None], sums] = least[:, None]
-            labels[r, xs[block]] = least
-            leaders[r, least] = True
-        if take_all:
-            break  # every pending element is a pick
-        whole = True
-        pending = labels[xr, xc] < 0
-        xr, xc = xr[pending], xc[pending]
+    for r, xs, sums, last in _coset_rounds(add, a, x, lambda rows, ys: labels[rows, ys] >= 0):
+        least = sums.min(axis=1)
+        if not last:
+            labels[r[:, None], sums] = least[:, None]
+            whole = True
+        labels[r, xs] = least
+        leaders[r, least] = True
     if whole:
         labels[~x] = -1
     return leaders, labels
@@ -658,27 +660,14 @@ def _add_cosets_rows(add: Table, a: np.ndarray, x: np.ndarray,
     (row r of the mask stack a, group law add) and its cosets y + A_r for
     the elements y of X_r (row r of the mask stack x), as a new mask stack.
 
-    Each round takes, for each row, the least elements of X_r outside what
-    the row covers so far (_round_picks; all of them, with no filter pass
-    after, when they fit one round), and gathers their cosets for all rows
-    together (_gather), each as wide as the widest A_r.  Later rounds skip
+    Each round of _coset_rounds marks the cosets of its picks, the least
+    elements of X_r outside what the row covers so far; later rounds skip
     the elements that earlier ones covered, as y + A_r = z + A_r for y in
     z + A_r.  A call with nothing pending returns before it reads the
     members of A_r; a caller that holds them (_row_members(a)) passes them."""
     out = a.copy()
-    xr, xc = _cells(x & ~a)
-    if not xr.size:
-        return out
-    if members is None:
-        members = _row_members(a)
-    while xr.size:
-        rows, xs, take_all = _round_picks(xr, xc, len(a), members.shape[1])
-        for block, sums in _gather(add, xs, rows, members):
-            out[rows[block, None], sums] = True
-        if take_all:
-            break  # y + A_r holds y, so nothing is left pending
-        pending = ~out[xr, xc]
-        xr, xc = xr[pending], xc[pending]
+    for r, _, sums, _ in _coset_rounds(add, a, x & ~a, lambda rows, ys: out[rows, ys], members):
+        out[r[:, None], sums] = True
     return out
 
 

@@ -85,6 +85,24 @@ def test_count_at_the_partition_bound(capsys):
     assert run(capsys, ["count", "stirling", "12", "5"])[1].strip() == "1379400"
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["bell", "0"], 2), (["stirling", "0", "0"], 2), (["stirling", "0", "1"], 2),
+    (["stirling", "-3", "-5"], 2), (["stirling", "1", "0"], 0),
+    (["bell", "13"], 3), (["stirling", "13", "5"], 3), (["stirling", "13", "14"], 3),
+    (["stirling", "13", "-1"], 3), (["stirling", "12", "13"], 0),
+])
+def test_count_stirling_checks_n_before_p(capsys, argv, code):
+    # every n < 1 is refused (exit 2) and every n > 12 is over the bound
+    # (exit 3), whatever p is, as for bell
+    got, out, err = run(capsys, ["count", *argv])
+    assert got == code
+    if code == 0:
+        assert out.strip() == "0"
+    else:
+        assert not out
+        assert ("nonempty" if code == 2 else "bound") in err
+
+
 def test_lattice_diagonal(capsys):
     code, doc = run_json(capsys, ["lattice", "Z/4", "Z/4 x Z/4", "--embed", "diagonal"])
     assert code == 0

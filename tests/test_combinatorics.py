@@ -226,7 +226,7 @@ def _columns_join_to_one(mat):
     for j in range(mat.p):
         outside = r.one
         for row in mat.entries:
-            outside = r.times(outside, _minus(r, r.one, row[j]))
+            outside = int(r.mul[outside, _minus(r, r.one, row[j])])
         if outside != r.zero:
             return False
     return True

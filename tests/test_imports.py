@@ -18,7 +18,8 @@ upper_extension.  Delta0 reads the spans R + Rt: no module builds a quotient
 module from cosets to enumerate its submodules.  One kernel per job: no
 module defines both a function f and its batched twin f_rows, and coset
 minima come from the one coset labeller, not from a full gather of the add
-table.  One element dtype: no module names np.int32, as element arrays use
+table; and one round loop: only rings._coset_rounds both finds pending
+cells (_cells) and gathers their cosets (_gather).  One element dtype: no module names np.int32, as element arrays use
 rings.ELEMENT and counters int64.  A polynomial quotient divides on its layout:
 rings.poly_quotient calls neither quotient nor compose.  A submodule count is
 a count of closed sets: no function reads .count off a submodules(...) call,
@@ -654,6 +655,45 @@ def test_coset_minima_come_from_the_labeller():
     # mechanism (rings._coset_labels), which gathers few cosets per coset;
     # no module takes each row's minimum of a whole block of the add table
     assert full_gather_minima({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def round_loops(sources: dict[str, str], rounds: str = "_coset_rounds") -> list[str]:
+    """module.function for each function of the sources (module name ->
+    source), other than the function rounds, that calls both _cells and
+    _gather, plainly or as an attribute: a round loop of its own."""
+    found = set()
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name != rounds:
+                called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                          for n in ast.walk(fn) if isinstance(n, ast.Call)}
+                if {"_cells", "_gather"} <= called:
+                    found.add(f"{module}.{fn.name}")
+    return sorted(found)
+
+
+def test_scan_finds_round_loops():
+    # the two loops the kernels kept before they shared their rounds
+    sources = {
+        "rings": ("def _coset_rounds(add, a, x, covered):\n    xr, xc = _cells(x)\n"
+                  "    yield from _gather(add, xc, xr, a)\n"
+                  "def _coset_labels(add, a, x):\n    xr, xc = _cells(x)\n"
+                  "    for block, sums in _gather(add, xc, xr, a):\n        pass\n"
+                  "def _add_cosets_rows(add, a, x, members=None):\n    xr, xc = _cells(x & ~a)\n"
+                  "    while xr.size:\n        for block, sums in _gather(add, xc, xr, members):\n"
+                  "            pass\n"
+                  "def adjoin_rows(ring, bases, s):\n    members = _row_members(bases)\n"
+                  "    return list(_gather(ring.mul, s, s, members))\n"),
+        "lattice": ("def tclosed(top, stack):\n    rows, cols = rg._cells(stack)\n"
+                    "    return list(rg._gather(top.add, cols, rows, stack))\n"),
+    }
+    assert round_loops(sources) == ["lattice.tclosed", "rings._add_cosets_rows", "rings._coset_labels"]
+
+
+def test_one_round_loop():
+    # the sumset kernel and the coset labeller consume the rounds of
+    # rings._coset_rounds and differ only in what they write per block
+    assert round_loops({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
 
 
 def int32_names(sources: dict[str, str]) -> list[str]:

@@ -21,8 +21,8 @@ def _minus(ring, a, b):
 def test_zmod_basics(z12):
     assert z12.order == 12
     assert z12.zero == 0 and z12.one == 1
-    assert z12.plus(7, 8) == 3
-    assert z12.times(7, 8) == 8
+    assert z12.add[7, 8] == 3
+    assert z12.mul[7, 8] == 8
     assert _minus(z12, 3, 7) == 8
     assert z12.power(5, 3) == 5
     assert sorted(np.flatnonzero(z12.units)) == [1, 5, 7, 11]

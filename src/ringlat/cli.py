@@ -102,24 +102,31 @@ def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing
     return lt.Extension(hom)
 
 
-def _named_parts(base: dsl.BuildResult, tops: Optional[list[rg.FiniteRing]],
-                 embed: str) -> Sequence[rg.FiniteRing]:
-    """The base factors of --embed diagonal or first-factor for
-    _product_extension, checked against tops, the factor rings of the top
-    (None when the top is not a product)."""
+def _named_parts(base: dsl.BuildResult, top_ast: dsl.RingExpr,
+                 embed: str) -> tuple[Sequence[rg.FiniteRing], tuple[rg.FiniteRing, ...]]:
+    """The base factors and the top factors of --embed diagonal or
+    first-factor for _product_extension.  Every top factor must equal the
+    first base factor, so a factor whose expression fixes another order
+    (dsl.exact_order) is refused before any top factor is built: a
+    malformed request is bad input before the top's size is checked."""
+    factors = top_ast.factors if isinstance(top_ast, dsl.ProductE) else ()
     if embed == "diagonal":
-        if tops is None or not all(rg.same_tables(f, base.ring) for f in tops):
-            raise PreconditionError("the diagonal embedding needs a product top expression "
+        parts, why = (base.ring,), ("the diagonal embedding needs a product top expression "
                                     "with every factor equal to the base ring")
-        return (base.ring,)
-    if tops is None:
+    elif not factors:
         raise PreconditionError("no compatible identity: the first-factor embedding "
                                 "needs a product top expression")
-    parts = base.factors or (base.ring,)
-    if len(tops) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in (*parts, *tops)):
-        raise PreconditionError("no compatible identity: the first-factor embedding "
-                                "needs equal factors and at least as many on top")
-    return parts
+    else:
+        parts, why = base.factors or (base.ring,), ("no compatible identity: the first-factor "
+                                                    "embedding needs equal factors and at least "
+                                                    "as many on top")
+    if (len(factors) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in parts)
+            or any(dsl.exact_order(f) not in (None, parts[0].order) for f in factors)):
+        raise PreconditionError(why)
+    tops = dsl.build_factors(top_ast)
+    if not all(rg.same_tables(f, parts[0]) for f in tops):
+        raise PreconditionError(why)
+    return parts, tops
 
 
 def _prime_extension(base: rg.FiniteRing, top: rg.FiniteRing) -> lt.Extension:
@@ -138,12 +145,14 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     idealization suffixes uses the construction maps; a product of copies of
     the base uses the diagonal; a base generated by 1 uses repeated addition
     of 1.  Anything else needs an explicit table.  The factors of a product
-    top are built, and checked against the embedding asked for, before their
-    product is taken.  With lattice set, a base or top whose order its
-    expression fixes (dsl.exact_order) is refused over the lattice bound
-    before it is built (a base over the bound forces a top over it); only
-    the factors that --embed diagonal or first-factor is checked against
-    are built before the top's check.
+    top are built by dsl.build_factors, which refuses a product over the
+    arithmetic bound before the factor that passes it is built, and checked
+    against the embedding asked for before their product is taken.  With
+    lattice set, a base or top whose order its expression fixes
+    (dsl.exact_order) is refused over the lattice bound before it is built
+    (a base over the bound forces a top over it); only the factors that
+    --embed diagonal or first-factor is checked against are built before
+    the top's check.
     """
     base_ast = dsl.parse(base_text)
     top_ast = dsl.parse(top_text)
@@ -157,9 +166,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     product_top = isinstance(top_ast, dsl.ProductE)
     tops = parts = None
     if embed in ("diagonal", "first-factor"):
-        # checked against the factors before the bound: a malformed request is bad input
-        tops = [dsl.build(f).ring for f in top_ast.factors] if product_top else None
-        parts = _named_parts(base, tops, embed)
+        parts, tops = _named_parts(base, top_ast, embed)
     if lattice and (order := dsl.exact_order(top_ast)) is not None:
         lt.check_lattice_order(order)
     chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
@@ -173,7 +180,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     if explicit:
         return _explicit_extension(base, dsl.build(top_ast), embed)
     if product_top and tops is None:
-        tops = [dsl.build(f).ring for f in top_ast.factors]
+        tops = dsl.build_factors(top_ast)
         if all(rg.same_tables(f, base.ring) for f in tops):
             parts = (base.ring,)
     if parts is not None:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
-from .config import arith_limit
+from .config import ORDER_CEILING, arith_limit
 from .errors import ParseError, PreconditionError, RinglatError, SizeLimitError
 from .ideals import ideal_generated
 from .modules import FiniteModule, idealize, module_from_cyclics
@@ -37,6 +37,10 @@ from .rings import (FiniteRing, RingHom, gf_order, make_gf, make_zmod, poly_quot
                     zmod_order)
 
 MAX_INPUT = 64 * 1024
+# How deep an expression may nest: its groups and idealizes, which the parser
+# recurses into, and the levels of its syntax tree (products, suffixes and
+# idealizes), which build, exact_order, == and print_expr recurse into.
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # the groups and idealizes being parsed
+        self.height = 0  # the height of the syntax tree parsed last
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -190,14 +196,22 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column)
 
+    def nested(self, level: int) -> int:
+        if level > MAX_NESTING:
+            self.fail(f"expression nested deeper than {MAX_NESTING} levels")
+        return level
+
     # expr := term { "x" term }
     def expr(self) -> RingExpr:
         parts = [self.term()]
+        height = self.height
         while self.peek().kind == "IDENT" and self.peek().text == "x":
             self.next()
             parts.append(self.term())
+            height = max(height, self.height)
         if len(parts) == 1:
             return parts[0]
+        self.height = self.nested(height + 1)
         return ProductE(tuple(parts))
 
     # term := atom { suffix }
@@ -206,6 +220,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok.kind == "[":
+                self.height = self.nested(self.height + 1)
                 self.next()
                 var = self.expect("IDENT").text
                 self.expect("]")
@@ -215,6 +230,7 @@ class _Parser:
                 self.expect(")")
                 node = PolyQuotE(node, var, polys)
             elif tok.kind == "/":
+                self.height = self.nested(self.height + 1)
                 self.next()
                 self.expect("(")
                 gens = self.separated(self.poly, ",")
@@ -225,10 +241,13 @@ class _Parser:
 
     def atom(self) -> RingExpr:
         tok = self.peek()
+        self.height = 0
         if tok.kind == "(":
+            self.open = self.nested(self.open + 1)
             self.next()
             inner = self.expr()
             self.expect(")")
+            self.open -= 1
             return inner
         if tok.kind == "IDENT" and tok.text == "Z":
             self.next()
@@ -246,12 +265,15 @@ class _Parser:
             self.expect(")")
             return GFE(p, k)
         if tok.kind == "IDENT" and tok.text == "idealize":
+            self.open = self.nested(self.open + 1)
             self.next()
             self.expect("(")
             base = self.expr()
+            self.height = self.nested(self.height + 1)
             self.expect(",")
             cyclics = self.separated(self.cyclic, "+")
             self.expect(")")
+            self.open -= 1
             return IdealizeE(base, cyclics)
         self.fail(f"expected a ring expression, found {tok.text or 'end of input'!r}")
 
@@ -439,7 +461,7 @@ def build(expr: RingExpr) -> BuildResult:
     if isinstance(expr, GFE):
         return BuildResult(make_gf(expr.p, expr.k))
     if isinstance(expr, ProductE):
-        factors = tuple(build(f).ring for f in expr.factors)
+        factors = build_factors(expr)
         # names have no canonical product image
         return BuildResult(product(factors).ring, factors=factors)
     if isinstance(expr, (PolyQuotE, QuotE, IdealizeE)):
@@ -448,22 +470,47 @@ def build(expr: RingExpr) -> BuildResult:
     raise PreconditionError(f"unknown expression node {expr!r}")
 
 
+def build_factors(expr: ProductE) -> tuple[FiniteRing, ...]:
+    """The factor rings of a product expression, built in order.  Before
+    each factor is built, the product of the orders known so far, the built
+    factors' and the exact orders of the rest (2 where the expression does
+    not fix one, as every ring has two elements or more), is checked against
+    the arithmetic bound; product() checks the last factor's order."""
+    least = [exact_order(f) or 2 for f in expr.factors]
+    factors = []
+    for i, f in enumerate(expr.factors):
+        if math.prod(least) > arith_limit():
+            raise SizeLimitError("product order exceeds the arithmetic bound")
+        factors.append(build(f).ring)
+        least[i] = factors[-1].order
+    return tuple(factors)
+
+
 def exact_order(expr: RingExpr) -> Optional[int]:
     """The order of build(expr) when the expression alone fixes it: Z/n,
     GF(p^k), products of these, and R[t]/(f) over such an R with f alone, a
     bare t^d plus terms of lower degree in t only: free of rank d, so |R|^d,
-    for d up to the arithmetic bound's bit length.  None for any other."""
+    for d up to the arithmetic bound's bit length.  None for any other, and
+    for an order past config.ORDER_CEILING, which no bound admits: build
+    refuses that ring, and the order is not formed, as a chain of suffixes
+    would square it at each step."""
     if isinstance(expr, ProductE):
-        orders = [exact_order(f) for f in expr.factors]
-        return None if None in orders else math.prod(orders)
+        order = 1
+        for f in expr.factors:
+            part = exact_order(f)
+            if part is None or order * part > ORDER_CEILING:
+                return None
+            order *= part
+        return order
     if isinstance(expr, PolyQuotE):
         base, terms = exact_order(expr.base), expr.polys[0].terms
         degrees = [sum(f.exp for f in t.factors if isinstance(f, NameF)) for t in terms]
         d = max(degrees)
         if (base is not None and len(expr.polys) == 1 and degrees.count(d) == 1
                 and Term(1, (NameF(expr.var, d),)) in terms and 1 <= d <= arith_limit().bit_length()
-                and {f.name for t in terms for f in t.factors if isinstance(f, NameF)} == {expr.var}):
-            return base**d
+                and {f.name for t in terms for f in t.factors if isinstance(f, NameF)} == {expr.var}
+                and (order := base**d) <= ORDER_CEILING):
+            return order
         return None
     try:
         if isinstance(expr, ZModE):

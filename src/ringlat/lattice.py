@@ -13,7 +13,6 @@ from .config import lattice_limit
 from .errors import InternalCheckError, NotApplicableError, PreconditionError, SizeLimitError
 from .ideals import Ideal, all_ideals, conductor, contains, ideal_product, spectrum
 from .rings import (
-    ClosedSets,
     FiniteRing,
     RingHom,
     _GATHER_ENTRIES,
@@ -138,12 +137,11 @@ def upper_extension(sub: Subalgebra) -> Extension:
 @dataclass(frozen=True, eq=False)
 class Poset:
     """Distinct subsets ordered by inclusion, listed by size, then elements:
-    node 0 is the bottom and the last node the top."""
+    node 0 is the bottom and the last node the top.  hasse_edges are the
+    covers (i, j), node i inside node j, in row-major order."""
 
     nodes: tuple
     hasse_edges: tuple[tuple[int, int], ...]
-    chain_lengths: dict[int, int]  # maximal-chain length -> how many chains have it
-    maximal_chain: tuple[int, ...]  # a longest bottom-to-top chain
 
     @property
     def count(self) -> int:
@@ -152,6 +150,40 @@ class Poset:
     @property
     def length(self) -> int:
         return max(self.chain_lengths)
+
+    @property
+    def chain_lengths(self) -> dict[int, int]:
+        """Maximal-chain length -> how many maximal chains have it."""
+        return self._chains[0]
+
+    @property
+    def maximal_chain(self) -> tuple[int, ...]:
+        """A longest bottom-to-top chain."""
+        return self._chains[1]
+
+    @cached_property
+    def _chains(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """One pass over the edges in row-major order: the lower covers of a
+        node have smaller indices, so its chain counts are complete before
+        its own row starts, and the longest chain steps down from each node
+        to its lowest-index lower cover of greatest depth."""
+        n = self.count
+        counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
+        pred, depth_of_pred = [0] * n, [-1] * n
+        row = -1
+        for i, j in self.hasse_edges:
+            if i != row:
+                row, below = i, counts[i]
+                depth = max(below)
+            above = counts[j]
+            for k, c in below.items():
+                above[k + 1] = above.get(k + 1, 0) + c
+            if depth > depth_of_pred[j]:
+                pred[j], depth_of_pred[j] = i, depth
+        chain = [n - 1]
+        while chain[-1]:
+            chain.append(pred[chain[-1]])
+        return counts[-1], tuple(reversed(chain))
 
     @cached_property
     def upper_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -268,82 +300,32 @@ def intermediate_algebras(ext: Extension, max_order: Optional[int] = None) -> La
     check_lattice_order(top.order, max_order)
     closed = enumerate_closed_subsets(top, ext.image)
     nodes = tuple(Subalgebra(ext, mask_elements(m)) for m in closed)
-    return LatticeReport(nodes, *cover_structure(closed), ext)
+    return LatticeReport(nodes, closed.hasse_edges, ext)
 
 
-def cover_structure(
-    closed: ClosedSets,
-) -> tuple[tuple[tuple[int, int], ...], dict[int, int], tuple[int, ...]]:
-    """The Hasse edges the closure found, how many maximal chains have each
-    length, and a longest chain, as poset_structure gives them.
-
-    One pass over the edges in row-major order: the lower covers of a node
-    have smaller indices, so its chain counts are complete before its own
-    row starts, and the longest chain steps down from each node to its
-    lowest-index lower cover of greatest depth."""
-    edges = closed.hasse_edges
-    n = len(closed)
-    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
-    pred, depth_of_pred = [0] * n, [-1] * n
-    row = -1
-    for i, j in edges:
-        if i != row:
-            row, below = i, counts[i]
-            depth = max(below)
-        above = counts[j]
-        for k, c in below.items():
-            above[k + 1] = above.get(k + 1, 0) + c
-        if depth > depth_of_pred[j]:
-            pred[j], depth_of_pred[j] = i, depth
-    chain = [n - 1]
-    while chain[-1]:
-        chain.append(pred[chain[-1]])
-    return edges, counts[-1], tuple(reversed(chain))
-
-
-def poset_structure(
-    masks: Sequence[np.ndarray],
-) -> tuple[tuple[tuple[int, int], ...], dict[int, int], tuple[int, ...]]:
-    """Hasse edges in row-major order, how many maximal chains have each
-    length, and a longest chain, for distinct subsets listed by size and
-    ordered by inclusion, with the least subset first and the greatest last:
-    the oracle of cover_structure, independent of how the subsets were
-    found.
+def poset_structure(masks: Sequence[np.ndarray]) -> tuple[tuple[int, int], ...]:
+    """The Hasse edges in row-major order of distinct subsets listed by size
+    and ordered by inclusion: the oracle of ClosedSets.hasse_edges,
+    independent of how the subsets were found.
 
     The edges are the transitive reduction of the inclusion order (Aho,
     Garey, Ullman 1972): walking the strict supersets of a node in index
     order, a superset is a cover unless it contains a cover found before
-    it.  The chains are counted in the same pass: the lower covers of a node
-    have smaller indices, so its counts are complete before its own row
-    starts.  The longest chain steps down from each node to its lowest-index
-    lower cover of greatest distance."""
+    it."""
     packed = np.packbits(np.stack(masks), axis=1)
     outside = ~packed
     # inc[i, j]: subset i lies inside subset j
     inc = np.stack([~(row & outside).any(axis=1) for row in packed])
-    n = len(packed)
-    counts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n - 1)]
-    pred, depth_of_pred = [0] * n, [-1] * n
     edges = []
-    for i in range(n):
-        below = counts[i]
-        depth = max(below)
+    for i in range(len(packed)):
         cand = inc[i].copy()
         cand[: i + 1] = False
         j = int(cand.argmax())
         while cand[j]:
             edges.append((i, j))
-            above = counts[j]
-            for k, c in below.items():
-                above[k + 1] = above.get(k + 1, 0) + c
-            if depth > depth_of_pred[j]:
-                pred[j], depth_of_pred[j] = i, depth
             cand &= ~inc[j]
             j = int(cand.argmax())
-    chain = [n - 1]
-    while chain[-1]:
-        chain.append(pred[chain[-1]])
-    return tuple(edges), counts[-1], tuple(reversed(chain))
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .lattice import (
     Extension,
     LatticeReport,
     Poset,
-    cover_structure,
     intermediate_algebras,
 )
 from .rings import (
@@ -157,7 +156,7 @@ def submodules(m: FiniteModule) -> SubmoduleLattice:
     sorted by size, then elements: the zero submodule is node 0 and M is
     the last node."""
     closed = _closed_submodules(m)
-    return SubmoduleLattice(tuple(mask_elements(mk) for mk in closed), *cover_structure(closed), m)
+    return SubmoduleLattice(tuple(mask_elements(mk) for mk in closed), closed.hasse_edges, m)
 
 
 def jordan_holder_check(lat: SubmoduleLattice) -> bool:

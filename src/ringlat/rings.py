@@ -1074,7 +1074,11 @@ def poly_quotient(
         raise PreconditionError("polynomial coefficient out of range")
     if monic[-1] != ring.one:
         raise PreconditionError("not monic: leading coefficient is not one")
-    q = ring.order**(len(monic) - 1)
+    d = len(monic) - 1
+    # bound d before forming |R|^d, as gf_order bounds k
+    if d > arith_limit().bit_length():
+        raise SizeLimitError(f"order {ring.order}^{d} exceeds the arithmetic bound")
+    q = ring.order**d
     if q > arith_limit():
         raise SizeLimitError(f"order {q} exceeds the arithmetic bound")
 

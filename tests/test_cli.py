@@ -492,6 +492,55 @@ def test_an_order_above_the_int16_ceiling_is_refused_before_any_table(top):
     assert out.stdout == "" and out.stderr.startswith("size limit: ") and "bound" in out.stderr
 
 
+_TOWER = "Z/2" + "[t]/(t^2)" * 1500  # Z/2[t]/(t^2)[t]/(t^2)...: each suffix squares the order
+_NESTED = "error: expression nested deeper than 100 levels"
+_PRODUCT = "size limit: product order exceeds the arithmetic bound"
+_CUBE = "Z/4096 x Z/4096 x Z/4096"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # the parser, build and exact_order recursed once per level: RecursionError, exit 1
+    (["closures", "Z/2", "(" * 400 + "Z/2" + ")" * 400], 2, _NESTED),
+    (["closures", "Z/2", "idealize(" * 400 + "Z/2" + ", ())" * 400], 2, _NESTED),
+    (["closures", "Z/3", _TOWER], 2, _NESTED),
+    (["lattice", "Z/2", _TOWER], 2, _NESTED),
+    (["lattice", "Z/2", "Z/2" + "/(0)" * 101], 2, _NESTED),
+    # exact_order formed |Z/2|^(2^14), too long to print: ValueError, exit 1
+    (["lattice", "Z/2", "Z/2" + "[t]/(t^2)" * 14], 3, "size limit: order 65536 exceeds the arithmetic bound"),
+    (["classify", "Z/2", "Z/2" + "[t]/(t^2)" * 29], 3, "size limit: order 65536 exceeds the arithmetic bound"),
+    (["lattice", "Z/2", " x ".join(["Z/4096"] * 1200)], 3, _PRODUCT),
+    # poly_quotient formed 4096^4096 for its message: ValueError, exit 1
+    (["closures", "Z/2", "Z/4096[t]/(t^4096)"], 3, "size limit: order 4096^4096 exceeds the arithmetic bound"),
+    # every factor was built before the product was refused: 239 MB, and
+    # killed for memory with 1,200 factors
+    (["closures", "Z/2", " x ".join(["Z/4096"] * 1200)], 3, _PRODUCT),
+    (["closures", "Z/2", _CUBE], 3, _PRODUCT),
+    (["crt", _CUBE, "--ideals", "(0);(1)"], 3, _PRODUCT),
+    (["idealize", _CUBE, "--module", "()"], 3, _PRODUCT),
+    (["count", "exal", _CUBE, "1", "1"], 3, _PRODUCT),
+], ids=["parens", "idealize", "closures-tower", "lattice-tower", "quotients", "tower-14", "tower-29",
+        "lattice-1200", "degree-4096", "closures-1200", "closures", "crt", "idealize-product", "exal"])
+def test_deep_or_huge_expressions_are_refused_in_one_line(argv, code, message):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _BUDGETED_QUERY, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (out.returncode, out.stdout) == (code, ""), out.stderr
+    assert out.stderr.splitlines() == [out.stderr.strip()] and out.stderr.startswith(message)
+
+
+def test_a_product_over_the_bound_builds_no_factor():
+    # one Z/4096 alone takes the peak past 100 MB; the parent's query took 239 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # VmHWM, as ru_maxrss keeps the high-water mark of the process that
+    # started the child across exec
+    code = ("import re, sys\nfrom ringlat import cli\ncode = cli.main(sys.argv[1:])\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n")
+    out = subprocess.run([sys.executable, "-c", code, "closures", "Z/2", _CUBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    code, peak_kib = map(int, out.stdout.split())
+    assert code == 3 and peak_kib < 60 * 1024
+
+
 def test_the_order_ceiling_is_the_element_dtype(monkeypatch):
     from ringlat import config
 

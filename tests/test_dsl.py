@@ -239,3 +239,48 @@ def test_build_step_returns_the_embedding():
     assert hom.source is base.ring
     assert hom.target is res.ring
     assert res.ring.power(res.names["t"], 2) == res.ring.zero
+
+
+@pytest.mark.parametrize("shape", [
+    lambda k: "(" * k + "Z/2" + ")" * k,
+    lambda k: "idealize(" * k + "Z/2" + ", ())" * k,
+    lambda k: "Z/2" + "/(0)" * k,
+    lambda k: "(" * (k - 1) + "Z/2" + " x Z/2)" * (k - 1) + " x Z/2",
+], ids=["groups", "idealizes", "suffixes", "products"])
+def test_nesting_is_bounded_by_max_nesting(shape):
+    # each shape nests k levels: the parser recursion, or the height of the tree
+    k = dsl.MAX_NESTING
+    assert dsl.parse(dsl.print_expr(dsl.parse(shape(k)))) == dsl.parse(shape(k))
+    with pytest.raises(ParseError, match=f"nested deeper than {k} levels"):
+        dsl.parse(shape(k + 1))
+
+
+@pytest.mark.parametrize("text", [
+    "Z/2" + "[t]/(t^2)" * 4, "Z/2" + "[t]/(t^2)" * 40, "Z/256 x Z/256", " x ".join(["Z/4096"] * 1200),
+    "Z/2[t]/(t^13) x Z/2[t]/(t^13)",
+])
+def test_exact_order_stops_past_the_order_ceiling(text):
+    # Z/2[t]/(t^2)[t]/(t^2)... squares the order per suffix; no bound admits
+    # an order past the ceiling, so the order is not formed
+    assert dsl.exact_order(dsl.parse(text)) is None
+    assert dsl.exact_order(dsl.parse("Z/2" + "[t]/(t^2)" * 3)) == 256
+
+
+def test_build_factors_refuses_before_the_factor_that_passes_the_bound(monkeypatch):
+    built = []
+    real = dsl.build
+
+    def counted(expr):
+        built.append(expr)
+        return real(expr)
+
+    monkeypatch.setattr(dsl, "build", counted)
+    # the exact orders refuse before any factor is built
+    with pytest.raises(SizeLimitError, match="product order exceeds the arithmetic bound"):
+        dsl.build_factors(dsl.parse("Z/4096 x Z/4096 x Z/4096"))
+    assert built == []
+    # an order the expression does not fix counts as 2 until the factor is built
+    with pytest.raises(SizeLimitError, match="product order exceeds the arithmetic bound"):
+        dsl.build_factors(dsl.parse("Z/64/(0) x Z/64/(0) x Z/2"))
+    assert built.count(dsl.parse("Z/64/(0)")) == 2 and dsl.parse("Z/2") not in built
+    assert [r.order for r in dsl.build_factors(dsl.parse("Z/4/(2) x Z/2048"))] == [2, 2048]

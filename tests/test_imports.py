@@ -313,6 +313,11 @@ def test_an_extension_is_its_embedding():
     assert class_fields((PACKAGE / "lattice.py").read_text(), "Extension") == ["embed"]
 
 
+def test_a_poset_is_its_nodes_and_covers():
+    # the chain data is a cached pass over the covers, not a stored field
+    assert class_fields((PACKAGE / "lattice.py").read_text(), "Poset") == ["nodes", "hasse_edges"]
+
+
 def parser_builds(sources: dict[str, str]) -> list[str]:
     """module.scope: callee for each call of _build_parser or of an
     ArgumentParser in the sources (module name -> source); the scope is the

@@ -59,32 +59,28 @@ def test_partition_lattice_chain_count(f2):
     assert (rep.chain_lengths, rep.length) == ({4: 180}, 4)
 
 
-def test_chain_lengths_of_a_pentagon():
+def test_chain_lengths_of_a_pentagon(brute_force_chains):
     # N5 on {a, b, c}: {} < {a} < {a,b,c} and {} < {b} < {b,c} < {a,b,c}
     sets = [(), (0,), (1,), (1, 2), (0, 1, 2)]
     masks = [np.isin(np.arange(3), s) for s in sets]
     edges = ((0, 1), (0, 2), (1, 4), (2, 3), (3, 4))
-    assert lt.poset_structure(masks) == (edges, {2: 1, 3: 1}, (0, 2, 3, 4))
+    assert lt.poset_structure(masks) == edges
+    pentagon = lt.Poset(tuple(sets), edges)
+    assert (pentagon.chain_lengths, pentagon.maximal_chain) == ({2: 1, 3: 1}, (0, 2, 3, 4))
+    assert (pentagon.chain_lengths, pentagon.maximal_chain) == brute_force_chains(edges, 0, 4)
+    assert pentagon.length == pentagon.above(0).length == 3
 
 
 _ZOO = ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16", "idealization", "crt-Z12"]
 
 
-def _assert_poset_matches_oracle(masks, structure, brute_force_hasse, brute_force_chains):
-    edges, chain_lengths, chain = structure
-    assert list(edges) == brute_force_hasse(masks)
-    assert (chain_lengths, chain) == brute_force_chains(edges, 0, len(masks) - 1)
-
-
 def _assert_covers_match_the_oracles(lat, masks, brute_force_hasse, brute_force_chains):
-    """The Hasse edges a lattice read off its join closure, and the chains
-    counted over them, are poset_structure's (the order of the chain counts
-    included) and the brute-force oracles'."""
-    structure = (lat.hasse_edges, lat.chain_lengths, lat.maximal_chain)
-    want = lt.poset_structure(masks)
-    assert structure == want
-    assert list(structure[1].items()) == list(want[1].items())
-    _assert_poset_matches_oracle(masks, structure, brute_force_hasse, brute_force_chains)
+    """The Hasse edges of a poset are poset_structure's and the brute-force
+    oracle's, and the chains its one pass counts over them are the
+    brute-force oracle's."""
+    assert lat.hasse_edges == lt.poset_structure(masks)
+    assert list(lat.hasse_edges) == brute_force_hasse(masks)
+    assert (lat.chain_lengths, lat.maximal_chain) == brute_force_chains(lat.hasse_edges, 0, lat.count - 1)
 
 
 @pytest.mark.parametrize("name", _ZOO)
@@ -93,6 +89,26 @@ def test_lattice_poset_matches_oracle(extension_zoo, name, brute_force_hasse, br
     _assert_covers_match_the_oracles(rep, [n.mask for n in rep.nodes], brute_force_hasse,
                                      brute_force_chains)
     assert rep.length == max(rep.chain_lengths) == len(rep.maximal_chain) - 1
+
+
+def test_readers_that_need_no_chains_leave_the_chain_pass_unrun(monkeypatch, capsys):
+    # the chain pass is a cached property: it runs on the first read of
+    # chain_lengths, maximal_chain or length, and only then
+    minimal = lt.intermediate_algebras(lt.power_extension(rg.make_gf(2), 2))
+    wide = lt.intermediate_algebras(lt.power_extension(rg.make_gf(2), 3))
+    for rep in (minimal, wide):
+        lt.predicate_battery(rep)
+    assert lt.classify_minimal(minimal).kind == "decomposed"
+    bij = md.idealization_lattice_bijection(md.submodules(md.module_from_ring(rg.make_zmod(4))))
+    assert bij.ok
+    for rep in (minimal, wide, bij.report):
+        assert not {"_chains", "chain_lengths", "maximal_chain"} & set(vars(rep))
+    assert wide.length == 2 and "_chains" in vars(wide)
+    # nor does the classify command run it
+    monkeypatch.setattr(lt.Poset, "_chains", property(lambda self: pytest.fail("chain pass ran")))
+    assert cli.main(["classify", "Z/2", "Z/2 x Z/2"]) == 0
+    assert cli.main(["classify", "Z/2", "Z/2 x Z/2 x Z/2"]) == 0
+    capsys.readouterr()
 
 
 # The five lattice-large benchmark tops, (Z/2)^7, two one-node lattices (the
@@ -136,7 +152,8 @@ def test_covers_of_the_closure_match_the_oracles(name, entries, monkeypatch, bru
 ], ids=["Z16xZ16", "F2^5"])
 def test_ideal_poset_matches_oracle(build, brute_force_hasse, brute_force_chains):
     masks = [i.mask for i in all_ideals(build())]
-    _assert_poset_matches_oracle(masks, lt.poset_structure(masks), brute_force_hasse, brute_force_chains)
+    _assert_covers_match_the_oracles(lt.Poset(tuple(masks), lt.poset_structure(masks)), masks,
+                                     brute_force_hasse, brute_force_chains)
 
 
 def test_lattice_respects_bound(f3):

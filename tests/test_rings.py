@@ -724,7 +724,8 @@ def test_a_row_alone_does_the_work_of_add_cosets(system, gather, monkeypatch):
             assert _CountingTable.reads == reads
 
 
-def test_subalgebra_closure_batches_the_joins_of_each_level(monkeypatch):
+def test_subalgebra_closure_batches_the_joins_of_each_level(monkeypatch, brute_force_hasse,
+                                                            brute_force_chains):
     # (Z/2)^6: 203 subalgebras reached by several hundred joins (one per node
     # and coset outside it); every element is idempotent, so each adjunction
     # has one power step, and the kernel runs once for the atoms and once
@@ -741,7 +742,12 @@ def test_subalgebra_closure_batches_the_joins_of_each_level(monkeypatch):
 
     monkeypatch.setattr(rg, "_add_cosets_rows", counted)
     masks = rg.enumerate_closed_subsets(ring, [ring.zero, ring.one])
-    lat = Poset(tuple(masks), *poset_structure(masks))
+    lat = Poset(tuple(masks), masks.hasse_edges)
+    assert lat.hasse_edges == poset_structure(masks)
+    assert list(lat.hasse_edges) == brute_force_hasse(masks)
+    # the partition lattice of 6 points: 6!5!/2^5 maximal chains (OEIS A006472)
+    assert (lat.chain_lengths, lat.maximal_chain) == brute_force_chains(lat.hasse_edges, 0, 202)
+    assert lat.chain_lengths == {5: 2700}
     assert lat.count == 203
     assert len(calls) <= lat.length + 1
     assert sum(calls) > 5 * len(calls)
@@ -782,37 +788,42 @@ def _relabeling(order):
     return np.random.default_rng(order).permutation(order)
 
 
-def _same_lattice_through(perm, masks, relabeled_masks):
+def _same_lattice_through(perm, masks, relabeled_masks, brute_force_hasse, brute_force_chains):
     from ringlat.lattice import Poset, poset_structure
 
     mapped = {frozenset(perm[np.flatnonzero(m)].tolist()) for m in masks}
     assert {frozenset(np.flatnonzero(m).tolist()) for m in relabeled_masks} == mapped
-    before = Poset(tuple(masks), *poset_structure(masks))
-    after = Poset(tuple(relabeled_masks), *poset_structure(relabeled_masks))
+    before = Poset(tuple(masks), masks.hasse_edges)
+    after = Poset(tuple(relabeled_masks), relabeled_masks.hasse_edges)
+    for lat in (before, after):
+        assert lat.hasse_edges == poset_structure(lat.nodes)
+        assert list(lat.hasse_edges) == brute_force_hasse(lat.nodes)
+        assert (lat.chain_lengths, lat.maximal_chain) == brute_force_chains(lat.hasse_edges, 0, lat.count - 1)
     assert (after.count, after.length, after.chain_lengths) == \
         (before.count, before.length, before.chain_lengths)
     # the covers read off each closure carry over node for node
     index = {frozenset(np.flatnonzero(m).tolist()): i for i, m in enumerate(relabeled_masks)}
     image = [index[frozenset(perm[np.flatnonzero(m)].tolist())] for m in masks]
     assert {(image[a], image[b]) for a, b in masks.hasse_edges} == set(relabeled_masks.hasse_edges)
-    assert (masks.hasse_edges, relabeled_masks.hasse_edges) == (before.hasse_edges, after.hasse_edges)
 
 
 @pytest.mark.parametrize("name", list(_RELABELED_SUBALGEBRAS))
-def test_subalgebra_lattice_is_invariant_under_relabeling(name):
+def test_subalgebra_lattice_is_invariant_under_relabeling(name, brute_force_hasse, brute_force_chains):
     ring = _RELABELED_SUBALGEBRAS[name]()
     perm = _relabeling(ring.order)
     other = _relabeled(ring, perm)
     _same_lattice_through(perm, rg.enumerate_closed_subsets(ring, [ring.zero, ring.one]),
-                          rg.enumerate_closed_subsets(other, [other.zero, other.one]))
+                          rg.enumerate_closed_subsets(other, [other.zero, other.one]),
+                          brute_force_hasse, brute_force_chains)
 
 
-def test_ideal_lattice_is_invariant_under_relabeling():
+def test_ideal_lattice_is_invariant_under_relabeling(brute_force_hasse, brute_force_chains):
     ring = rg.product([rg.make_zmod(8), rg.make_zmod(4)]).ring
     perm = _relabeling(ring.order)
     other = _relabeled(ring, perm)
     _same_lattice_through(perm, rg.enumerate_submodules(ring.add, ring.mul, ring.zero),
-                          rg.enumerate_submodules(other.add, other.mul, other.zero))
+                          rg.enumerate_submodules(other.add, other.mul, other.zero),
+                          brute_force_hasse, brute_force_chains)
 
 
 def _subgroup_stack(ring):

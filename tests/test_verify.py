@@ -178,3 +178,20 @@ def test_lattice_certificate_rejects_a_missing_or_foreign_node():
     foreign = lt.Subalgebra(ext, tuple(sorted((*ext.image, extra))))
     assert vf.lattice_certificate(dataclasses.replace(rep, nodes=rep.nodes + (foreign,))) \
         == f"node {rep.count} is not a subalgebra over the image"
+
+
+@pytest.mark.parametrize("chains", [
+    ({2: 1, 3: 1}, (0, 1, 4)),  # a path of covers, but not a longest one
+    ({2: 1, 3: 1}, (0, 2, 4)),  # (2, 4) is no cover
+    ({2: 1, 3: 1}, (0, 2, 3)),  # stops below the top
+    ({2: 1, 3: 1}, (1, 4)),  # starts above the bottom
+    ({2: 2}, (0, 2, 3, 4)),  # the counts miss the longest chain
+])
+def test_the_chain_check_rejects_wrong_chain_data(chains):
+    # the pentagon N5: {} < {a} < {a,b,c} and {} < {b} < {b,c} < {a,b,c}
+    sets = ((), (0,), (1,), (1, 2), (0, 1, 2))
+    edges = ((0, 1), (0, 2), (1, 4), (2, 3), (3, 4))
+    assert vf._is_longest_chain(lt.Poset(sets, edges))
+    wrong = lt.Poset(sets, edges)
+    vars(wrong)["_chains"] = chains
+    assert not vf._is_longest_chain(wrong)

@@ -32,6 +32,12 @@ from .errors import (InternalCheckError, PreconditionError, RinglatError,
                      SizeLimitError)
 
 
+# The C encoder of int rows, without json's circular check, whose dict of
+# every row's id raises the peak memory of a large lattice's output; rows
+# of ints cannot contain themselves.
+_ROW_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def _emit(obj: dict) -> None:
     print(_dumps(obj))
 
@@ -44,9 +50,9 @@ def _dumps(obj, newline: str = "\n") -> str:
     output is written here: strs (by json's own escaping function), ints,
     bools and None as json writes them, a list or tuple and a dict with str
     keys level by level, a list of ints in one join, a list of non-empty
-    rows (lists or tuples) of ints in one join per row, and any other value
-    (a float, a subclass of any of these types) by json.dumps with indent=2,
-    re-indented to its level."""
+    rows (lists or tuples) of ints by json's C encoder, its separators
+    replaced by line breaks, and any other value (a float, a subclass of any
+    of these types) by json.dumps with indent=2, re-indented to its level."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -62,8 +68,10 @@ def _dumps(obj, newline: str = "\n") -> str:
         if kinds <= {int}:
             items = map(int.__repr__, obj)
         elif kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-            row = "," + inner + "  "
-            items = ["[" + row[1:] + row.join(map(int.__repr__, v)) + inner + "]" for v in obj]
+            # "[[a, b], [c, d]]": the only ", " and "], [" are separators
+            rows = _ROW_ENCODER.encode(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + inner + "  ")
+            return ("[" + inner + "[" + inner + "  " + rows.replace(", ", "," + inner + "  ")
+                    + inner + "]" + newline + "]")
         else:
             items = [_dumps(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if obj else "[]"
@@ -102,13 +110,14 @@ def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing
     return lt.Extension(hom)
 
 
-def _named_parts(base: dsl.BuildResult, top_ast: dsl.RingExpr,
+def _named_parts(base: dsl.BuildResult, base_ast: dsl.RingExpr, top_ast: dsl.RingExpr,
                  embed: str) -> tuple[Sequence[rg.FiniteRing], tuple[rg.FiniteRing, ...]]:
     """The base factors and the top factors of --embed diagonal or
     first-factor for _product_extension.  Every top factor must equal the
     first base factor, so a factor whose expression fixes another order
     (dsl.exact_order) is refused before any top factor is built: a
-    malformed request is bad input before the top's size is checked."""
+    malformed request is bad input before the top's size is checked.  A
+    top factor spelled like the base is the base ring, not built again."""
     factors = top_ast.factors if isinstance(top_ast, dsl.ProductE) else ()
     if embed == "diagonal":
         parts, why = (base.ring,), ("the diagonal embedding needs a product top expression "
@@ -123,7 +132,7 @@ def _named_parts(base: dsl.BuildResult, top_ast: dsl.RingExpr,
     if (len(factors) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in parts)
             or any(dsl.exact_order(f) not in (None, parts[0].order) for f in factors)):
         raise PreconditionError(why)
-    tops = dsl.build_factors(top_ast)
+    tops = dsl.build_factors(top_ast, [(base_ast, base.ring)])
     if not all(rg.same_tables(f, parts[0]) for f in tops):
         raise PreconditionError(why)
     return parts, tops
@@ -145,8 +154,9 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     idealization suffixes uses the construction maps; a product of copies of
     the base uses the diagonal; a base generated by 1 uses repeated addition
     of 1.  Anything else needs an explicit table.  The factors of a product
-    top are built by dsl.build_factors, which refuses a product over the
-    arithmetic bound before the factor that passes it is built, and checked
+    top come from dsl.build_factors, which refuses a product over the
+    arithmetic bound before the factor that passes it is built and takes
+    the base ring for a factor spelled like the base; they are checked
     against the embedding asked for before their product is taken.  With
     lattice set, a base or top whose order its expression fixes
     (dsl.exact_order) is refused over the lattice bound before it is built
@@ -166,7 +176,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     product_top = isinstance(top_ast, dsl.ProductE)
     tops = parts = None
     if embed in ("diagonal", "first-factor"):
-        parts, tops = _named_parts(base, top_ast, embed)
+        parts, tops = _named_parts(base, base_ast, top_ast, embed)
     if lattice and (order := dsl.exact_order(top_ast)) is not None:
         lt.check_lattice_order(order)
     chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
@@ -180,7 +190,7 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     if explicit:
         return _explicit_extension(base, dsl.build(top_ast), embed)
     if product_top and tops is None:
-        tops = dsl.build_factors(top_ast)
+        tops = dsl.build_factors(top_ast, [(base_ast, base.ring)])
         if all(rg.same_tables(f, base.ring) for f in tops):
             parts = (base.ring,)
     if parts is not None:

@@ -215,13 +215,16 @@ class ExalReport(NamedTuple):
         return len(self.classes)
 
 
-def _group_images(images: np.ndarray, firsts: np.ndarray, sizes: np.ndarray):
-    """The distinct rows of images in sorted order, with the least first and
-    the total size of each; firsts must be increasing."""
-    uniq, pick, inverse = np.unique(images, axis=0, return_index=True, return_inverse=True)
-    total = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(total, inverse.reshape(-1), sizes)
-    return uniq, firsts[pick], total
+def _group_images(groups: dict[bytes, list[int]], images: np.ndarray, firsts: np.ndarray) -> None:
+    """Merge the rows of images (C-contiguous) into groups, which maps the
+    bytes of each distinct row to [its least first, its count]; firsts must
+    be increasing, and above those of earlier merges.  The chunk is grouped
+    alone, by one sort of its rows as byte strings, so no merge sorts again
+    what earlier ones grouped."""
+    keys, pick, counts = np.unique(images.view(f"V{images.shape[1] * images.itemsize}").ravel(),
+                                   return_index=True, return_counts=True)
+    for key, first, size in zip(keys.tolist(), firsts[pick].tolist(), counts.tolist()):
+        groups.setdefault(key, [first, 0])[1] += size
 
 
 def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
@@ -243,8 +246,7 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
     radix = [len(rows)] * n  # matrix k has rows product_components(radix, k)
     total = len(rows) ** n
     per = max(1, EXAL_CHUNK // source.order)
-    images = np.zeros((0, source.order), dtype=ELEMENT)
-    firsts = sizes = np.zeros(0, dtype=np.int64)
+    groups: dict[bytes, list[int]] = {}
     injective = 0
     for lo in range(0, total, per):
         index = np.arange(lo, min(lo + per, total))
@@ -252,15 +254,16 @@ def enumerate_exal(ring: FiniteRing, p: int, n: int) -> ExalReport:
         # indices of R^n, whose order is within the arithmetic bound
         maps = product_index([ring.order] * n, parts).astype(ELEMENT)
         maps.sort(axis=1)
-        keep = np.flatnonzero((maps[:, 1:] != maps[:, :-1]).all(axis=1))
+        keep = (maps[:, 1:] != maps[:, :-1]).all(axis=1).nonzero()[0]
         injective += len(keep)
-        images, firsts, sizes = _group_images(
-            np.concatenate([images, maps[keep]]), np.concatenate([firsts, index[keep]]),
-            np.concatenate([sizes, np.ones(len(keep), dtype=np.int64)]))
+        _group_images(groups, maps[keep], index[keep])
+    images = np.frombuffer(b"".join(groups), dtype=ELEMENT).reshape(len(groups), source.order)
+    found = list(groups.values())
+    # the classes in the order of their images, compared entry by entry
     classes = tuple(
-        ExalClass(LambdaMatrix(ring, tuple(rows[int(c)] for c in product_components(radix, first))),
-                  tuple(int(v) for v in image), int(size))
-        for image, first, size in zip(images, firsts, sizes)
+        ExalClass(LambdaMatrix(ring, tuple(rows[int(c)] for c in product_components(radix, found[i][0]))),
+                  tuple(images[i].tolist()), found[i][1])
+        for i in np.lexsort(images.T[::-1]).tolist()
     )
     return ExalReport(ring, p, n, classes, injective, total)
 

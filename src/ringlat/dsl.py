@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .config import ORDER_CEILING, arith_limit
 from .errors import ParseError, PreconditionError, RinglatError, SizeLimitError
@@ -470,18 +470,24 @@ def build(expr: RingExpr) -> BuildResult:
     raise PreconditionError(f"unknown expression node {expr!r}")
 
 
-def build_factors(expr: ProductE) -> tuple[FiniteRing, ...]:
-    """The factor rings of a product expression, built in order.  Before
-    each factor is built, the product of the orders known so far, the built
-    factors' and the exact orders of the rest (2 where the expression does
-    not fix one, as every ring has two elements or more), is checked against
-    the arithmetic bound; product() checks the last factor's order."""
+def build_factors(expr: ProductE,
+                  known: Sequence[tuple[RingExpr, FiniteRing]] = ()) -> tuple[FiniteRing, ...]:
+    """The factor rings of a product expression, in order.  Each distinct
+    factor expression is built once, and not at all when known pairs it
+    with its ring (such as the base of an extension).  Before each factor
+    is taken, the product of the orders known so far, the taken factors'
+    and the exact orders of the rest (2 where the expression does not fix
+    one, as every ring has two elements or more), is checked against the
+    arithmetic bound; product() checks the last factor's order."""
     least = [exact_order(f) or 2 for f in expr.factors]
+    rings = dict(known)
     factors = []
     for i, f in enumerate(expr.factors):
         if math.prod(least) > arith_limit():
             raise SizeLimitError("product order exceeds the arithmetic bound")
-        factors.append(build(f).ring)
+        if f not in rings:
+            rings[f] = build(f).ring
+        factors.append(rings[f])
         least[i] = factors[-1].order
     return tuple(factors)
 

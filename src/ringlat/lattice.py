@@ -359,7 +359,7 @@ def seminormal_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
     """The b outside the subring T (given by its mask) with b^2 and b^3 in T."""
     sq = top.mul.diagonal()
     cube = top.mul[sq, np.arange(top.order)]
-    return np.flatnonzero(mask[sq] & mask[cube] & ~mask)
+    return (mask[sq] & mask[cube] & ~mask).nonzero()[0]
 
 
 def tclosed_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
@@ -369,21 +369,21 @@ def tclosed_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:
     The pairs (r, b) are tested in blocks of about _GATHER_ENTRIES entries,
     a run of r in T against every b not yet admitted, and a b leaves the test
     at the first block holding an r that works for it."""
-    inside = np.flatnonzero(mask)
-    b = np.flatnonzero(~mask)
+    inside = mask.nonzero()[0]
+    b = (~mask).nonzero()[0]
     sq = top.mul.diagonal()[b]
     admitted = np.zeros(top.order, dtype=bool)
     lo = 0
     while lo < inside.size and b.size:
         r = inside[lo:lo + max(1, _GATHER_ENTRIES // b.size)]
         lo += r.size
-        u = top.add[sq, top.mul[np.ix_(r, b)]]
+        u = top.add[sq, top.mul[r[:, None], b]]
         row, col = np.nonzero(mask[u])
         hit = np.zeros(b.size, dtype=bool)
         hit[col[mask[top.mul[u[row, col], b[col]]]]] = True
         admitted[b[hit]] = True
         b, sq = b[~hit], sq[~hit]
-    return np.flatnonzero(admitted)
+    return admitted.nonzero()[0]
 
 
 def is_seminormal(ext: Extension) -> bool:
@@ -404,7 +404,7 @@ def _span_stack(ext: Extension) -> tuple[np.ndarray, np.ndarray]:
     img = np.asarray(ext.image, dtype=np.intp)
     _, reps = cosets(top.add, img)
     multiples = np.zeros((reps.size, top.order), dtype=bool)
-    multiples[np.arange(reps.size)[:, None], top.mul[np.ix_(reps, img)]] = True
+    multiples[np.arange(reps.size)[:, None], top.mul[reps[:, None], img]] = True
     spans = _add_cosets_rows(top.add, np.broadcast_to(ext.image_mask, multiples.shape), multiples)
     return reps, spans
 
@@ -548,7 +548,7 @@ def gilbert_bijection(report: LatticeReport) -> GilbertReport:
     ext = report.extension
     top = ext.top
     reps, spans = _span_stack(ext)
-    full = np.flatnonzero(spans.all(axis=1))
+    full = spans.all(axis=1).nonzero()[0]
     if not full.size:
         raise NotApplicableError("extension is not of the form R + Rt")
     t = int(reps[full[0]])
@@ -600,13 +600,13 @@ def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDe
     cur = np.ones(top.order, dtype=bool)
     meet_used = []
     for i in meet_cands:
-        if np.array_equal(cur, target):
+        if (cur == target).all():
             break
         nxt = cur & report.nodes[i].mask
-        if not np.array_equal(nxt, cur):
+        if not (nxt == cur).all():
             cur = nxt
             meet_used.append(i)
-    if not np.array_equal(cur, target):
+    if not (cur == target).all():
         raise InternalCheckError("meet of irreducibles above the node is not the node")
     join_cands = sorted(
         (i for i in join_irreducible_nodes(report) if bool((report.nodes[i].mask & ~target).sum() == 0)),
@@ -615,12 +615,12 @@ def irreducible_decomposition(report: LatticeReport, node: int) -> IrreducibleDe
     cur_mask = report.nodes[0].mask.copy()
     join_used = []
     for i in join_cands:
-        if np.array_equal(cur_mask, target):
+        if (cur_mask == target).all():
             break
         if report.nodes[i].mask[~cur_mask].any():
-            cur_mask = adjoin_all(top, cur_mask, np.flatnonzero(report.nodes[i].mask))
+            cur_mask = adjoin_all(top, cur_mask, report.nodes[i].mask.nonzero()[0])
             join_used.append(i)
-    if not np.array_equal(cur_mask, target):
+    if not (cur_mask == target).all():
         raise InternalCheckError("join of irreducibles below the node is not the node")
     return IrreducibleDecomposition(node, tuple(meet_used), tuple(join_used))
 

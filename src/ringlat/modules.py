@@ -75,7 +75,7 @@ def check_module(m: FiniteModule) -> None:
     if not (m.action[r.one] == idx).all():
         raise InternalCheckError("identity does not act as identity")
     for s in range(r.order):
-        if not (m.action[s][m.add] == m.add[np.ix_(m.action[s], m.action[s])]).all():
+        if not (m.action[s][m.add] == m.add[m.action[s][:, None], m.action[s]]).all():
             raise InternalCheckError("action does not distribute over module addition")
         if not (m.action[r.add[s]] == m.add[m.action[s][None, :], m.action]).all():
             raise InternalCheckError("action does not distribute over ring addition")
@@ -118,7 +118,7 @@ def quotient_module(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult
     if m.zero not in set(int(x) for x in sub_idx):
         raise PreconditionError("submodule must contain zero")
     coset_of, reps = cosets(m.add, sub_idx)
-    add = coset_of[m.add[np.ix_(reps, reps)]]
+    add = coset_of[m.add[reps[:, None], reps]]
     action = coset_of[m.action[:, reps]]
     mod = FiniteModule(m.ring, len(reps), add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub_idx)}")
     return QuotientModuleResult(mod, coset_of)
@@ -191,7 +191,7 @@ def module_length(m: FiniteModule) -> int:
 def is_cyclic(m: FiniteModule) -> Optional[int]:
     """The first generator index, if M = Rx for some x.  The orbit Rx is
     already a submodule, so no closure pass is needed."""
-    full = np.flatnonzero(_orbit_sizes(m) == m.order)
+    full = (_orbit_sizes(m) == m.order).nonzero()[0]
     return int(full[0]) if full.size else None
 
 

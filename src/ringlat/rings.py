@@ -100,7 +100,7 @@ class FiniteRing:
         idempotent f, in index order; one per local factor eR."""
         idem = np.array([e for e in idempotents(self) if e != self.zero], dtype=np.intp)
         # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
-        below = self.mul[np.ix_(idem, idem)] == idem[None, :]
+        below = self.mul[idem[:, None], idem] == idem[None, :]
         return tuple(int(e) for e in idem[below.sum(axis=1) == 1])
 
     @cached_property
@@ -174,24 +174,31 @@ class RingHom:
     map: np.ndarray
 
     def __post_init__(self):
+        source, target = self.source, self.target
         m = np.asarray(self.map)
-        if m.shape != (self.source.order,):
+        if m.shape != (source.order,):
             raise PreconditionError("hom table has wrong length")
-        # checked before the narrowing to ELEMENT, which would wrap
-        if m.min(initial=0) < 0 or m.max(initial=0) >= self.target.order:
+        if m.dtype == ELEMENT:
+            # a negative entry reads as 2^15 or more, at least any order
+            outside = m.view(np.uint16).max(initial=0) >= target.order
+        else:
+            # checked before the narrowing to ELEMENT, which would wrap
+            outside = m.min(initial=0) < 0 or m.max(initial=0) >= target.order
+            m = m.astype(ELEMENT)
+        if outside:
             raise PreconditionError("hom table maps outside the target")
-        m = _as_table(m.astype(ELEMENT, copy=False))
+        m = _as_table(m)
         object.__setattr__(self, "map", m)
-        if int(m[self.source.zero]) != self.target.zero:
+        if m.item(source.zero) != target.zero:
             raise PreconditionError("hom does not preserve zero")
-        if int(m[self.source.one]) != self.target.one:
+        if m.item(source.one) != target.one:
             raise PreconditionError("hom does not preserve one")
         # row g of each commutative table holds g + a (g a) for every a
-        gens = self.source.additive_generators
+        gens = source.additive_generators
         img = m[gens, None]
-        if not np.array_equal(self.target.add[img, m], m[self.source.add[gens]]):
+        if not (target.add[img, m] == m[source.add[gens]]).all():
             raise PreconditionError("hom is not additive")
-        if not np.array_equal(self.target.mul[img, m], m[self.source.mul[gens]]):
+        if not (target.mul[img, m] == m[source.mul[gens]]).all():
             raise PreconditionError("hom is not multiplicative")
 
     @cached_property
@@ -232,10 +239,11 @@ class Ideal:
         if not self.elements or self.ring.zero not in self.elements:
             return False
         idx = np.asarray(self.elements, dtype=np.intp)
-        if idx.min() < 0 or idx.max() >= self.ring.order:
+        # a negative index reads as 2^63 or more
+        if idx.view(np.uintp).max() >= self.ring.order:
             return False
         m = self.mask
-        return bool(m[self.ring.add[np.ix_(idx, idx)]].all() and m[self.ring.mul[:, idx]].all())
+        return bool(m[self.ring.add[idx[:, None], idx]].all() and m[self.ring.mul[:, idx]].all())
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -333,14 +341,14 @@ def extend_closure_mask(
     new = new_indices if isinstance(new_indices, np.ndarray) else np.fromiter(new_indices, dtype=np.intp)
     hit = np.zeros(order, dtype=bool)
     hit[new] = True
-    while (frontier := np.flatnonzero(hit & ~mask)).size:
+    while (frontier := (hit & ~mask).nonzero()[0]).size:
         mask[frontier] = True
         hit[:] = False
-        members = np.flatnonzero(mask)
+        members = mask.nonzero()[0]
         for t in internal:
             step = max(1, _GATHER_ENTRIES // members.size)
             for i in range(0, frontier.size, step):
-                hit[t[np.ix_(frontier[i:i + step], members)]] = True
+                hit[t[frontier[i:i + step, None], members]] = True
         for t in absorbing:
             step = max(1, _GATHER_ENTRIES // len(t))
             for i in range(0, frontier.size, step):
@@ -370,7 +378,7 @@ def _row_members(stack: np.ndarray) -> np.ndarray:
     member, which adds nothing to a sumset, a set of products or a
     minimum."""
     if len(stack) == 1:
-        return np.flatnonzero(stack)[None]
+        return stack.ravel().nonzero()[0][None]
     rows, members = _cells(stack)
     counts = np.bincount(rows, minlength=len(stack))
     width = counts.max(initial=0)
@@ -588,7 +596,7 @@ def adjoin_rows(ring: FiniteRing, bases: np.ndarray, s: np.ndarray) -> np.ndarra
     members = _row_members(bases)
     out = bases.copy()
     p = np.array(s, dtype=np.intp)
-    live = np.flatnonzero(~out[np.arange(len(out)), p])
+    live = (~out[np.arange(len(out)), p]).nonzero()[0]
     grown = members  # the members of out, until the first sumset grows it
     while live.size:
         # the subgroups B_r p_r, gathered from the commutative mul table
@@ -627,7 +635,7 @@ def enumerate_closed_subsets(ring: FiniteRing, seed: Iterable[int]) -> ClosedSet
     first = np.zeros(ring.order, dtype=bool)
     first[ring.multiples_of_one] = True
     first = adjoin_all(ring, first, seed)
-    _, reps = cosets(ring.add, np.flatnonzero(first))
+    _, reps = cosets(ring.add, first.nonzero()[0])
     reps = reps[~first[reps]]
     atoms = adjoin_rows(ring, np.broadcast_to(first, (reps.size, ring.order)), reps)
     return _join_closure(first, ring.add, reps, atoms,
@@ -697,7 +705,7 @@ def span_of_products(add: Table, mul: Table, zero: int, a, b) -> np.ndarray:
     mul[x, y], x in a, y in b; mul is a ring's multiplication or a module's
     action (ring x module).  a must be an additive subgroup of the ring: then
     each a*y is a subgroup, and the span is their sum."""
-    prods = mul[np.ix_(a, b)]
+    prods = mul[np.asarray(a, dtype=np.intp)[:, None], b]
     return sum_of_orbits(add, prods, zero, range(prods.shape[1]))
 
 
@@ -707,7 +715,7 @@ def distinct(values, size: int) -> np.ndarray:
     numpy.ma (about 14 ms) into every CLI process."""
     mask = np.zeros(size, dtype=bool)
     mask[values] = True
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def mask_elements(mask: np.ndarray) -> tuple[int, ...]:
@@ -956,7 +964,7 @@ def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros((1, len(add)), dtype=bool)
     mask[0, sub] = True
     leaders, labels = _coset_labels(add, mask, np.ones_like(mask))
-    reps = np.flatnonzero(leaders)
+    reps = leaders.ravel().nonzero()[0]
     return np.searchsorted(reps, labels[0]).astype(ELEMENT), reps
 
 
@@ -966,8 +974,8 @@ def quotient(ring: FiniteRing, ideal) -> QuotientResult:
     if len(idx) == ring.order:
         raise PreconditionError("trivial quotient by the whole ring")
     proj, reps = cosets(ring.add, idx)
-    add = proj[ring.add[np.ix_(reps, reps)]]
-    mul = proj[ring.mul[np.ix_(reps, reps)]]
+    add = proj[ring.add[reps[:, None], reps]]
+    mul = proj[ring.mul[reps[:, None], reps]]
     zero = int(proj[ring.zero])
     one = int(proj[ring.one])
     q = FiniteRing(len(reps), add, mul, zero, one, _quotient_label(ring.label, idx))
@@ -1105,9 +1113,9 @@ def poly_quotient(
         raise InternalCheckError("the span of the relation shifts is not closed under x")
     if imask.all():
         raise PreconditionError("trivial quotient: relations generate the unit ideal")
-    idx = np.flatnonzero(imask)
+    idx = imask.nonzero()[0]
     proj, reps = cosets(layout.add, idx)
-    add = proj[layout.add[np.ix_(reps, reps)]]
+    add = proj[layout.add[reps[:, None], reps]]
     mul = _table_by_rows(len(reps), lambda a: proj[layout.mul(reps[a])[:, reps]])
     quo = FiniteRing(len(reps), add, mul, int(proj[layout.zero]), int(proj[layout.one]),
                      _quotient_label(label, idx))
@@ -1132,12 +1140,12 @@ def _poly_label(ring: FiniteRing, coeffs: Sequence[int], var: str) -> str:
 # structure queries
 
 def same_tables(a: FiniteRing, b: FiniteRing) -> bool:
-    return (
+    return a is b or (
         a.order == b.order
         and a.zero == b.zero
         and a.one == b.one
-        and np.array_equal(a.add, b.add)
-        and np.array_equal(a.mul, b.mul)
+        and (a.add == b.add).all()
+        and (a.mul == b.mul).all()
     )
 
 
@@ -1164,7 +1172,7 @@ def nilpotency_index(ring: FiniteRing) -> int:
     cur = m.mask
     n = 1
     while cur.sum() > 1 or not cur[ring.zero]:
-        cur = span_of_products(ring.add, ring.mul, ring.zero, np.flatnonzero(cur), m.elements)
+        cur = span_of_products(ring.add, ring.mul, ring.zero, cur.nonzero()[0], m.elements)
         n += 1
         if n > ring.order + 1:
             raise InternalCheckError("maximal ideal is not nilpotent")
@@ -1194,8 +1202,8 @@ def subset_ring(ring: FiniteRing, elems: np.ndarray, one: int,
                 np.arange(ring.order, dtype=ELEMENT))
     lookup = np.full(ring.order, -1, dtype=ELEMENT)
     lookup[elems] = np.arange(len(elems))
-    add = lookup[ring.add[np.ix_(elems, elems)]]
-    mul = lookup[ring.mul[np.ix_(elems, elems)]]
+    add = lookup[ring.add[elems[:, None], elems]]
+    mul = lookup[ring.mul[elems[:, None], elems]]
     return FiniteRing(len(elems), add, mul, int(lookup[ring.zero]), int(lookup[one]), label), lookup
 
 
@@ -1220,11 +1228,11 @@ def check_ring_axioms(ring: FiniteRing) -> None:
     add, mul = ring.add, ring.mul
     if ring.zero == ring.one:
         raise InternalCheckError("one equals zero")
-    if not np.array_equal(add, add.T) or not np.array_equal(mul, mul.T):
+    if not ((add == add.T).all() and (mul == mul.T).all()):
         raise InternalCheckError("operation is not commutative")
-    if not np.array_equal(add[ring.zero], np.arange(n)):
+    if not (add[ring.zero] == np.arange(n)).all():
         raise InternalCheckError("zero is not an additive identity")
-    if not np.array_equal(mul[ring.one], np.arange(n)):
+    if not (mul[ring.one] == np.arange(n)).all():
         raise InternalCheckError("one is not a multiplicative identity")
     if not (add == ring.zero).any(axis=1).all():
         raise InternalCheckError("an element has no additive inverse")
@@ -1234,10 +1242,10 @@ def check_ring_axioms(ring: FiniteRing) -> None:
         for tab in (add, mul):
             lhs = tab[tab[rows]]
             rhs = tab[rows][:, tab]
-            if not np.array_equal(lhs, rhs):
+            if not (lhs == rhs).all():
                 raise InternalCheckError("operation is not associative")
         x = mul[rows]
         lhs = mul[rows][:, add]
         rhs = add[x[:, :, None], x[:, None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not (lhs == rhs).all():
             raise InternalCheckError("multiplication does not distribute")

@@ -610,11 +610,11 @@ def lattice_certificate(rep: lt.LatticeReport) -> str:
     if rg.closure_mask(top.order, ext.image, ops).tobytes() not in keys:
         return "the closure of the image is not a node"
     for i, node in enumerate(rep.nodes):
-        idx = np.flatnonzero(node.mask)
-        if not (node.mask[ext.embed.map].all() and node.mask[top.add[np.ix_(idx, idx)]].all()
-                and node.mask[top.mul[np.ix_(idx, idx)]].all()):
+        idx = node.mask.nonzero()[0]
+        if not (node.mask[ext.embed.map].all() and node.mask[top.add[idx[:, None], idx]].all()
+                and node.mask[top.mul[idx[:, None], idx]].all()):
             return f"node {i} is not a subalgebra over the image"
-        for s in np.flatnonzero(~node.mask):
+        for s in (~node.mask).nonzero()[0]:
             if rg.extend_closure_mask(top.order, node.mask, [s], ops).tobytes() not in keys:
                 return f"node {i} with element {s} closes to no node"
     return ""

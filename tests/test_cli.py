@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import importlib.util
 import json
 import math
@@ -264,6 +265,25 @@ def test_lattice_bound_refuses_a_field_before_building_it(capsys, monkeypatch, a
     monkeypatch.setattr(dsl, "make_gf", refuse)
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (3, "", f"size limit: lattice enumeration bound exceeded for order {order}\n")
+
+
+def test_a_product_of_copies_of_the_base_builds_one_field(capsys, monkeypatch):
+    # each factor spelled like the base is the base ring: one make_gf call,
+    # not four, and the output recorded for the benchmark query
+    argv = ["lattice", "GF(2^2)", "GF(2^2) x GF(2^2) x GF(2^2)"]
+    fields = []
+    real = rg.make_gf
+
+    def counted(p, k=1):
+        fields.append((p, k))
+        return real(p, k)
+
+    monkeypatch.setattr(rg, "make_gf", counted)
+    monkeypatch.setattr(dsl, "make_gf", counted)
+    code, out, _ = run(capsys, argv)
+    assert (code, fields) == (0, [(2, 2)])
+    expected = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == expected[json.dumps(argv)]["sha256"]
 
 
 @pytest.mark.parametrize("argv, order", [

@@ -279,8 +279,29 @@ def test_build_factors_refuses_before_the_factor_that_passes_the_bound(monkeypat
     with pytest.raises(SizeLimitError, match="product order exceeds the arithmetic bound"):
         dsl.build_factors(dsl.parse("Z/4096 x Z/4096 x Z/4096"))
     assert built == []
-    # an order the expression does not fix counts as 2 until the factor is built
+    # an order the expression does not fix counts as 2 until the factor is
+    # taken; the second Z/64/(0) is the first one's ring, not built again
     with pytest.raises(SizeLimitError, match="product order exceeds the arithmetic bound"):
         dsl.build_factors(dsl.parse("Z/64/(0) x Z/64/(0) x Z/2"))
-    assert built.count(dsl.parse("Z/64/(0)")) == 2 and dsl.parse("Z/2") not in built
+    assert built.count(dsl.parse("Z/64/(0)")) == 1 and dsl.parse("Z/2") not in built
     assert [r.order for r in dsl.build_factors(dsl.parse("Z/4/(2) x Z/2048"))] == [2, 2048]
+
+
+def test_build_factors_builds_each_distinct_factor_once(monkeypatch):
+    built = []
+    real = dsl.build
+
+    def counted(expr):
+        built.append(expr)
+        return real(expr)
+
+    monkeypatch.setattr(dsl, "build", counted)
+    z3 = dsl.parse("Z/3")
+    factors = dsl.build_factors(dsl.parse("Z/3 x Z/2 x Z/3 x (Z/2)"))
+    assert built == [z3, dsl.parse("Z/2")]
+    assert factors[0] is factors[2] and factors[1] is factors[3]
+    # a known expression is taken as given
+    base = rg.make_zmod(3)
+    built.clear()
+    factors = dsl.build_factors(dsl.parse("Z/3 x Z/3 x Z/9"), [(z3, base)])
+    assert built == [dsl.parse("Z/9")] and factors[:2] == (base, base)

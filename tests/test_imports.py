@@ -23,7 +23,9 @@ cells (_cells) and gathers their cosets (_gather).  One element dtype: no module
 rings.ELEMENT and counters int64.  A polynomial quotient divides on its layout:
 rings.poly_quotient calls neither quotient nor compose.  A submodule count is
 a count of closed sets: no function reads .count off a submodules(...) call,
-which builds the whole poset."""
+which builds the whole poset.  One ndarray call per gather, scan and check:
+no module calls np.ix_, np.flatnonzero or np.array_equal, whose Python
+wrappers every small query pays many times over."""
 
 import ast
 import importlib
@@ -784,3 +786,42 @@ def test_a_submodule_count_builds_no_poset():
     # nu(M/N) is the number of closed sets the enumeration finds
     # (modules.length_and_count); a lattice built only to be counted is waste
     assert counts_off_submodules({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+NUMPY_HELPERS = ("ix_", "flatnonzero", "array_equal")
+
+
+def numpy_helper_calls(sources: dict[str, str], helpers: tuple[str, ...] = NUMPY_HELPERS) -> list[str]:
+    """module: line for each use of a helper numpy writes in Python (np.ix_,
+    np.flatnonzero, np.array_equal, read off np or numpy) and each import of
+    one from numpy, in the sources (module name -> source)."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr in helpers
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                    and any(a.name in helpers for a in node.names)):
+                found.append(f"{module}: {node.lineno}")
+    return sorted(found)
+
+
+def test_scan_finds_python_level_numpy_helpers():
+    sources = {
+        "rings": ("import numpy as np\n"
+                  "def quotient(add, reps, proj):\n    return proj[add[np.ix_(reps, reps)]]\n"
+                  "def distinct(mask):\n    return np.flatnonzero(mask)\n"),
+        "lattice": "import numpy\nsame = numpy.array_equal\nfrom numpy import flatnonzero, zeros\n",
+        "other": ("import numpy as np\n"
+                  "def kept(t, a, b, mask, x, y):\n"
+                  "    return t[a[:, None], b], mask.nonzero()[0], (x == y).all(), rows.ix_\n"),
+    }
+    assert numpy_helper_calls(sources) == ["lattice: 2", "lattice: 3", "rings: 3", "rings: 5"]
+
+
+def test_no_python_level_numpy_helpers():
+    # np.ix_, np.flatnonzero and np.array_equal each run 2-5 us of Python
+    # around the one ndarray operation they stand for, which every small
+    # query pays many times over: t[a[:, None], b], mask.nonzero()[0] and
+    # (a == b).all() on arrays of one shape
+    assert numpy_helper_calls({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

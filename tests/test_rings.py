@@ -1016,6 +1016,38 @@ def test_hom_validation(z4, f2):
         rg.RingHom(z4, z4, np.array([0, 2, 0, 2]))  # does not preserve one
 
 
+@pytest.mark.parametrize("dtype", [rg.ELEMENT, np.int64])
+@pytest.mark.parametrize("table, message", [
+    ([0, 1, 2, -1], "hom table maps outside the target"),
+    ([0, 1, 2, -(1 << 15)], "hom table maps outside the target"),  # reads as 2^15 unsigned
+    ([0, 1, 2, 4], "hom table maps outside the target"),  # the target's order
+    ([1, 1, 2, 3], "hom does not preserve zero"),
+    ([0, 3, 2, 1], "hom does not preserve one"),  # x -> -x is additive
+    ([0, 1, 3, 3], "hom is not additive"),
+])
+def test_hom_validation_refuses_each_map_with_its_first_failing_check(dtype, table, message):
+    # the range check of an ELEMENT map is one max over its unsigned view;
+    # other dtypes are checked before they are narrowed
+    z4 = rg.make_zmod(4)
+    table = np.array(table, dtype=dtype)
+    assert _all_pairs_verdict(z4, z4, table) == message
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        rg.RingHom(z4, z4, table)
+
+
+def test_hom_validation_refuses_what_narrowing_would_wrap_and_a_map_that_only_adds():
+    z4, f4 = rg.make_zmod(4), rg.make_gf(2, 2)
+    # 2^15 + 3 wraps to a negative int16, 2^16 + 3 to 3
+    for image in ((1 << 15) + 3, (1 << 16) + 3):
+        with pytest.raises(PreconditionError, match="^hom table maps outside the target$"):
+            rg.RingHom(z4, z4, np.array([0, 1, 2, image], dtype=np.int64))
+    # in GF(4) = F2[x]/(x^2 + x + 1), x -> 0 is F2-linear and unital, but x^2 = x + 1 -> 1
+    table = np.array([0, 1, 0, 1])
+    assert _all_pairs_verdict(f4, f4, table) == "hom is not multiplicative"
+    with pytest.raises(PreconditionError, match="^hom is not multiplicative$"):
+        rg.RingHom(f4, f4, table)
+
+
 def _valid_homs():
     z3, z4 = rg.make_zmod(3), rg.make_zmod(4)
     pr = rg.product([z4, rg.make_gf(2)])

@@ -84,7 +84,7 @@ def _dumps(obj, newline: str = "\n") -> str:
 # ---------------------------------------------------------------------------
 # embedding resolution
 
-def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
+def _explicit_extension(base: dsl.BuildResult, top: rg.FiniteRing,
                         spec: str) -> lt.Extension:
     body = spec[len("explicit:"):]
     try:
@@ -95,7 +95,7 @@ def _explicit_extension(base: dsl.BuildResult, top: dsl.BuildResult,
     if len(entries) != base.ring.order:
         raise PreconditionError(f"explicit embedding lists {len(entries)} images for a "
                                 f"base of order {base.ring.order}")
-    return lt.Extension(rg.RingHom(base.ring, top.ring, np.asarray(entries)))
+    return lt.Extension(rg.RingHom(base.ring, top, np.asarray(entries)))
 
 
 def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing],
@@ -110,14 +110,16 @@ def _product_extension(base: rg.FiniteRing, base_factors: Sequence[rg.FiniteRing
     return lt.Extension(hom)
 
 
-def _named_parts(base: dsl.BuildResult, base_ast: dsl.RingExpr, top_ast: dsl.RingExpr,
+def _named_parts(base: dsl.BuildResult, built: Sequence[tuple[dsl.RingExpr, rg.FiniteRing]],
+                 top_ast: dsl.RingExpr,
                  embed: str) -> tuple[Sequence[rg.FiniteRing], tuple[rg.FiniteRing, ...]]:
     """The base factors and the top factors of --embed diagonal or
     first-factor for _product_extension.  Every top factor must equal the
     first base factor, so a factor whose expression fixes another order
     (dsl.exact_order) is refused before any top factor is built: a
     malformed request is bad input before the top's size is checked.  A
-    top factor spelled like the base is the base ring, not built again."""
+    top factor spelled like the base or a factor of it (built) is that
+    ring, not built again."""
     factors = top_ast.factors if isinstance(top_ast, dsl.ProductE) else ()
     if embed == "diagonal":
         parts, why = (base.ring,), ("the diagonal embedding needs a product top expression "
@@ -132,7 +134,7 @@ def _named_parts(base: dsl.BuildResult, base_ast: dsl.RingExpr, top_ast: dsl.Rin
     if (len(factors) < len(parts) or not all(rg.same_tables(f, parts[0]) for f in parts)
             or any(dsl.exact_order(f) not in (None, parts[0].order) for f in factors)):
         raise PreconditionError(why)
-    tops = dsl.build_factors(top_ast, [(base_ast, base.ring)])
+    tops = dsl.build_factors(top_ast, built)
     if not all(rg.same_tables(f, parts[0]) for f in tops):
         raise PreconditionError(why)
     return parts, tops
@@ -156,8 +158,9 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     of 1.  Anything else needs an explicit table.  The factors of a product
     top come from dsl.build_factors, which refuses a product over the
     arithmetic bound before the factor that passes it is built and takes
-    the base ring for a factor spelled like the base; they are checked
-    against the embedding asked for before their product is taken.  With
+    the base ring, or a product base's factor, for a factor spelled like it;
+    they are checked against the embedding asked for before their product
+    is taken.  With
     lattice set, a base or top whose order its expression fixes
     (dsl.exact_order) is refused over the lattice bound before it is built
     (a base over the bound forces a top over it); only the factors that
@@ -173,10 +176,12 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
     if lattice and (order := dsl.exact_order(base_ast)) is not None:
         lt.check_lattice_order(order)
     base = dsl.build(base_ast)
+    # the expressions built so far with their rings: the base and its factors
+    built = [(base_ast, base.ring), *zip(getattr(base_ast, "factors", ()), base.factors)]
     product_top = isinstance(top_ast, dsl.ProductE)
     tops = parts = None
     if embed in ("diagonal", "first-factor"):
-        parts, tops = _named_parts(base, base_ast, top_ast, embed)
+        parts, tops = _named_parts(base, built, top_ast, embed)
     if lattice and (order := dsl.exact_order(top_ast)) is not None:
         lt.check_lattice_order(order)
     chain = dsl.suffix_chain(top_ast, base_ast) if embed is None else None
@@ -187,15 +192,14 @@ def resolve_extension(base_text: str, top_text: str, embed: Optional[str], *,
             homs.append(hom)
         hom = functools.reduce(rg.compose, homs) if homs else rg.identity_hom(base.ring)
         return lt.Extension(hom)
-    if explicit:
-        return _explicit_extension(base, dsl.build(top_ast), embed)
     if product_top and tops is None:
-        tops = dsl.build_factors(top_ast, [(base_ast, base.ring)])
-        if all(rg.same_tables(f, base.ring) for f in tops):
+        tops = dsl.build_factors(top_ast, built)
+        if not explicit and all(rg.same_tables(f, base.ring) for f in tops):
             parts = (base.ring,)
     if parts is not None:
         return _product_extension(base.ring, parts, tops)
-    return _prime_extension(base.ring, dsl.build(top_ast).ring if tops is None else rg.product(tops).ring)
+    top = dsl.build(top_ast).ring if tops is None else rg.product(tops).ring
+    return _explicit_extension(base, top, embed) if explicit else _prime_extension(base.ring, top)
 
 
 # ---------------------------------------------------------------------------

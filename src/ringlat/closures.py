@@ -12,19 +12,15 @@ from .errors import InternalCheckError, PreconditionError
 from .lattice import (
     Extension,
     Subalgebra,
-    SubalgebraRealization,
-    is_infra_integral,
-    is_seminormal,
+    interval_is_infra_integral,
+    interval_is_subintegral,
     is_subintegral,
-    is_tclosed,
-    realize,
     seminormal_candidates,
     tclosed_candidates,
 )
 from .rings import (
     FiniteRing,
     Ideal,
-    RingHom,
     adjoin_all,
     is_local,
     mask_elements,
@@ -82,41 +78,26 @@ class CanonicalDecomposition(NamedTuple):
             "top": list(self.top.elements),
         }
 
-    def segments(self) -> dict[str, Extension]:
-        """The extensions R in +R, +R in tR, +R in S and tR in S, on one
-        realization per distinct node (each copies its node's tables; tR = S
-        is common).  An inclusion lists its node's elements in increasing
-        order, so a lower node's element embeds at its rank in the upper one."""
-        nodes = (self.base, self.seminormalization, self.tclosure, self.top)
-        distinct = {n.elements: n for n in nodes}
-        real = {elems: realize(n) for elems, n in distinct.items()}
-        base, plus, tcl, top = (real[n.elements] for n in nodes)
-
-        def segment(lower: SubalgebraRealization, upper: SubalgebraRealization) -> Extension:
-            emb = np.searchsorted(upper.include.map, lower.include.map)
-            return Extension(RingHom(lower.ring, upper.ring, emb))
-
-        return {"R<+R": segment(base, plus), "+R<tR": segment(plus, tcl),
-                "+R<S": segment(plus, top), "tR<S": segment(tcl, top)}
-
 
 def canonical_decomposition(ext: Extension) -> CanonicalDecomposition:
-    """Both closures, with every chain invariant asserted."""
+    """Both closures, with every chain invariant asserted on the top's tables
+    and the node masks: no node is realized as a ring."""
     plus = seminormalization(ext)
     tcl = t_closure(ext)
     dec = CanonicalDecomposition(Subalgebra(ext, ext.image), plus, tcl,
                                  Subalgebra(ext, tuple(range(ext.top.order))))
     if not (set(dec.base.elements) <= set(plus.elements) <= set(tcl.elements)):
         raise InternalCheckError("canonical chain is not nested")
-    seg = dec.segments()
-    if not is_subintegral(seg["R<+R"]):
+    if not interval_is_subintegral(ext, ext.image_mask, plus.mask):
         raise InternalCheckError("R in +R is not subintegral")
-    if plus.elements != tcl.elements and not (is_seminormal(seg["+R<tR"])
-                                              and is_infra_integral(seg["+R<tR"])):
+    # the seminormal candidates of +R in tR are those of +R in S that lie in tR
+    semi = seminormal_candidates(ext.top, plus.mask)
+    if plus.elements != tcl.elements and (tcl.mask[semi].any()
+                                          or not interval_is_infra_integral(ext, plus.mask, tcl.mask)):
         raise InternalCheckError("+R in tR is not seminormal infra-integral")
-    if not is_seminormal(seg["+R<S"]):
+    if semi.size:
         raise InternalCheckError("+R in S is not seminormal")
-    if not is_tclosed(seg["tR<S"]):
+    if tclosed_candidates(ext.top, tcl.mask).size:
         raise InternalCheckError("tR in S is not t-closed")
     return dec
 

@@ -27,6 +27,7 @@ from .rings import (
     pair_homs,
     product,
     span_of_products,
+    subring_primes,
     subset_ring,
 )
 
@@ -331,28 +332,41 @@ def poset_structure(masks: Sequence[np.ndarray]) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # extension predicates
 
-def _prime_pullbacks(ext: Extension) -> list[tuple[Ideal, np.ndarray]]:
-    """Each prime of the top with the mask of its contraction to the base."""
-    return [(q, q.mask[ext.embed.map]) for q in spectrum(ext.top).primes]
+def _contractions(ext: Extension, lower: np.ndarray, upper: np.ndarray) -> Optional[list[tuple[int, ...]]]:
+    """The contraction q & L to the node L (mask lower) of each prime q of
+    the node U (mask upper) of the top, or None at the first q where
+    |U/q| != |L/(q & L)|.  A whole top's primes are cached."""
+    top, n_low, n_up = ext.top, int(lower.sum()), int(upper.sum())
+    pulls = []
+    for p in top.prime_elements if upper.all() else subring_primes(top, upper):
+        q = np.array(p, dtype=np.intp)
+        pulls.append(tuple(q[lower[q]].tolist()))
+        if n_up // q.size != n_low // len(pulls[-1]):
+            return None
+    return pulls
 
 
-def _residues_trivial(ext: Extension, pulls) -> bool:
-    return all(ext.top.order // q.order == ext.base.order // int(pull.sum()) for q, pull in pulls)
+def interval_is_infra_integral(ext: Extension, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """L in U (subrings of the top, by mask): trivial residue field extensions."""
+    return _contractions(ext, lower, upper) is not None
+
+
+def interval_is_subintegral(ext: Extension, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """L in U is infra-integral with a bijective spectral map: the
+    contractions of U's primes are distinct and are L's own primes."""
+    pulls = _contractions(ext, lower, upper)
+    return (pulls is not None and len(set(pulls)) == len(pulls)
+            and set(pulls) == set(subring_primes(ext.top, lower)))
 
 
 def is_infra_integral(ext: Extension) -> bool:
     """Residue field extensions are trivial at every prime of the top."""
-    return _residues_trivial(ext, _prime_pullbacks(ext))
+    return interval_is_infra_integral(ext, ext.image_mask, np.ones(ext.top.order, dtype=bool))
 
 
 def is_subintegral(ext: Extension) -> bool:
     """Infra-integral with a bijective spectral map."""
-    pulls = _prime_pullbacks(ext)
-    if not _residues_trivial(ext, pulls):
-        return False
-    base_primes = {p.elements for p in spectrum(ext.base).primes}
-    seen = {mask_elements(pull) for _, pull in pulls}
-    return len(seen) == len(pulls) and seen == base_primes
+    return interval_is_subintegral(ext, ext.image_mask, np.ones(ext.top.order, dtype=bool))
 
 
 def seminormal_candidates(top: FiniteRing, mask: np.ndarray) -> np.ndarray:

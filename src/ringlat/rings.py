@@ -98,19 +98,13 @@ class FiniteRing:
     def primitive_idempotents(self) -> tuple[int, ...]:
         """The nonzero idempotents e with e*f != f for every other nonzero
         idempotent f, in index order; one per local factor eR."""
-        idem = np.array([e for e in idempotents(self) if e != self.zero], dtype=np.intp)
-        # below[i, j]: idempotent j lies under idempotent i (e_i * e_j == e_j)
-        below = self.mul[idem[:, None], idem] == idem[None, :]
-        return tuple(int(e) for e in idem[below.sum(axis=1) == 1])
+        return _primitive_idempotents(self, np.ones(self.order, dtype=bool))
 
     @cached_property
     def prime_elements(self) -> tuple[tuple[int, ...], ...]:
-        """The primes, sorted by (order, elements): R is the product of its
-        local factors eR (Atiyah-Macdonald, Thm 8.7), so the prime over e is
-        {x : e*x nilpotent}.  Tuples, as a cached Ideal would hold its ring."""
-        nil = self.nilpotents
-        primes = (mask_elements(nil[self.mul[e]]) for e in self.primitive_idempotents)
-        return tuple(sorted(primes, key=lambda p: (len(p), p)))
+        """The primes, sorted by (order, elements): subring_primes of the
+        whole ring.  Tuples, as a cached Ideal would hold its ring."""
+        return subring_primes(self, np.ones(self.order, dtype=bool))
 
     @cached_property
     def additive_generators(self) -> np.ndarray:
@@ -1152,6 +1146,25 @@ def same_tables(a: FiniteRing, b: FiniteRing) -> bool:
 def idempotents(ring: FiniteRing) -> list[int]:
     """The indices e with e*e = e, in index order."""
     return list(mask_elements(ring.mul.diagonal() == np.arange(ring.order)))
+
+
+def _primitive_idempotents(ring: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
+    """The primitive idempotents of the subring T of ring given by its mask:
+    the idempotents of ring in T with no other nonzero one f under (e*f == f)."""
+    idem = np.array(idempotents(ring), dtype=np.intp)
+    idem = idem[mask[idem] & (idem != ring.zero)]
+    below = ring.mul[idem[:, None], idem] == idem[None, :]
+    return tuple(int(e) for e in idem[below.sum(axis=1) == 1])
+
+
+def subring_primes(ring: FiniteRing, mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The primes of the subring T of ring given by its mask, sorted by
+    (order, elements), off ring's tables: T is the product of its local
+    factors eT (Atiyah-Macdonald, Thm 8.7), so the prime over a primitive
+    idempotent e of T is {x in T : e*x nilpotent}."""
+    nil = ring.nilpotents
+    primes = (mask_elements(nil[ring.mul[e]] & mask) for e in _primitive_idempotents(ring, mask))
+    return tuple(sorted(primes, key=lambda p: (len(p), p)))
 
 
 def is_field(ring: FiniteRing) -> bool:

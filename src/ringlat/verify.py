@@ -402,11 +402,11 @@ def criterion_08_closure_oracles() -> tuple[bool, str]:
     checked = 0
     for label, rep in _trichotomy_corpus():
         checked += 1
-        plus = cl.seminormalization(rep.extension)
-        tcl = cl.t_closure(rep.extension)
-        lowers = [lt.lower_extension(node) for node in rep.nodes]
-        sub_nodes = [node for node, low in zip(rep.nodes, lowers) if lt.is_subintegral(low)]
-        infra_nodes = [node for node, low in zip(rep.nodes, lowers) if lt.is_infra_integral(low)]
+        ext, image = rep.extension, rep.extension.image_mask
+        plus = cl.seminormalization(ext)
+        tcl = cl.t_closure(ext)
+        sub_nodes = [node for node in rep.nodes if lt.interval_is_subintegral(ext, image, node.mask)]
+        infra_nodes = [node for node in rep.nodes if lt.interval_is_infra_integral(ext, image, node.mask)]
         best_sub = max(sub_nodes, key=lambda s: s.order)
         best_infra = max(infra_nodes, key=lambda s: s.order)
         if plus.elements != best_sub.elements:

@@ -279,6 +279,38 @@ def local_decomposition():
     return _local_decomposition
 
 
+def _segment(lower, upper):
+    """The extension L in U of two realized nodes L <= U of one lattice: an
+    inclusion lists its node's elements in increasing order, so an element
+    of L embeds at its rank in U."""
+    emb = np.searchsorted(upper.include.map, lower.include.map)
+    return lt.Extension(rg.RingHom(lower.ring, upper.ring, emb))
+
+
+@pytest.fixture(scope="session")
+def realized_interval():
+    """Oracle for the interval predicates: the interval between two nodes
+    L <= U of one lattice as an Extension of freshly realized rings."""
+    return lambda lower, upper: _segment(lt.realize(lower), lt.realize(upper))
+
+
+def _chain_segments(dec):
+    nodes = (dec.base, dec.seminormalization, dec.tclosure, dec.top)
+    distinct = {n.elements: n for n in nodes}
+    real = {elems: lt.realize(n) for elems, n in distinct.items()}
+    base, plus, tcl, top = (real[n.elements] for n in nodes)
+    return {"R<+R": _segment(base, plus), "+R<tR": _segment(plus, tcl),
+            "+R<S": _segment(plus, top), "tR<S": _segment(tcl, top)}
+
+
+@pytest.fixture(scope="session")
+def chain_segments():
+    """Oracle for the chain checks of closures.canonical_decomposition: the
+    extensions R in +R, +R in tR, +R in S and tR in S of a decomposition,
+    on one realization per distinct node (tR = S is common)."""
+    return _chain_segments
+
+
 def _element_signature(ring):
     sig = []
     for x in range(ring.order):

@@ -286,6 +286,72 @@ def test_a_product_of_copies_of_the_base_builds_one_field(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == expected[json.dumps(argv)]["sha256"]
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # the top of an explicit embedding is built knowing the base
+    (["lattice", "Z/4", "Z/4 x Z/4", "--embed", "explicit:0,5,10,15"],
+     "c0efe8ffdcb17044fdae4cd2b05aacb7932095c8fadfb6182615c461d3ecbd54"),
+    # the top factors of --embed first-factor know a product base's factors
+    (["lattice", "Z/2 x Z/2", "Z/2 x Z/2 x Z/2", "--embed", "first-factor"],
+     "f02f3bc10c48036499b296c7f4b1484da44b6b485398c1e88992504a96cf9a92"),
+], ids=["explicit", "first-factor"])
+def test_a_ring_the_base_built_is_not_built_again(capsys, monkeypatch, argv, digest):
+    built = []
+    real = rg.make_zmod
+
+    def counted(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(rg, "make_zmod", counted)
+    monkeypatch.setattr(dsl, "make_zmod", counted)
+    code, out, _ = run(capsys, argv)
+    assert (code, len(built), hashlib.sha256(out.encode()).hexdigest()) == (0, 1, digest)
+
+
+def _closures_queries():
+    """Every closures query of the three benchmark workloads, any seed."""
+    workloads = _workloads()
+    return [q for q in workloads.LATTICE_LARGE + workloads.STRUCTURE_MID + workloads.mix_pool()
+            if q[0] == "closures"]
+
+
+def test_closures_queries_match_their_recorded_digests(capsys):
+    expected = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    queries = _closures_queries()
+    assert len(queries) > 60
+    for argv in queries:
+        code, out, _ = run(capsys, argv)
+        want = expected[json.dumps(argv)]
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["exit"], want["sha256"]), argv
+
+
+def test_closures_builds_no_ring_or_hom_past_the_extension(capsys, monkeypatch):
+    # the chain invariants are checked on the top's tables and the node
+    # masks: once the extension is resolved, no ring or hom is constructed
+    resolved, late = [], []
+    real_resolve = cli.resolve_extension
+
+    def resolve(*args, **kwargs):
+        ext = real_resolve(*args, **kwargs)
+        resolved.append(ext)
+        return ext
+
+    for cls in (rg.FiniteRing, rg.RingHom):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            if resolved:
+                late.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(cli, "resolve_extension", resolve)
+    for argv in _closures_queries():
+        resolved.clear()
+        assert run(capsys, argv)[0] == 0 and len(resolved) == 1, argv
+        assert late == [], argv
+
+
 @pytest.mark.parametrize("argv, order", [
     # a top built over the base by suffixes was built in full (0.8 s, 223 MB)
     (["lattice", "Z/2", "Z/2[t]/(t^12)"], 4096),

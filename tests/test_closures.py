@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from ringlat import closures as cl
 from ringlat import lattice as lt
 from ringlat import rings as rg
-from ringlat.errors import PreconditionError
+from ringlat.cli import resolve_extension
+from ringlat.errors import InternalCheckError, PreconditionError
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +45,9 @@ def test_closures_are_the_largest_lattice_nodes(extension_zoo, name):
 
 @pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16",
                                   "idealization", "crt-Z12"])
-def test_segments_match_realizing_each_from_scratch(extension_zoo, name):
+def test_segments_match_realizing_each_from_scratch(extension_zoo, chain_segments, name):
     dec = cl.canonical_decomposition(extension_zoo(name))
-    seg = dec.segments()
+    seg = chain_segments(dec)
     ends = {"R<+R": (dec.base, dec.seminormalization), "+R<tR": (dec.seminormalization, dec.tclosure),
             "+R<S": (dec.seminormalization, dec.top), "tR<S": (dec.tclosure, dec.top)}
     assert seg.keys() == ends.keys()
@@ -121,3 +124,50 @@ def test_diagonal_formulas_need_subintegral_factors(f2, f4):
     inert = lt.Extension(rg.RingHom(f2, f4, np.array([f4.zero, f4.one])))
     with pytest.raises(PreconditionError):
         cl.verify_diagonal_formulas([inert, inert])
+
+
+def _realized_verdict(dec, chain_segments):
+    """The first chain invariant that fails on the realized segments, by the
+    message canonical_decomposition raises for it, or None."""
+    seg = chain_segments(dec)
+    if not lt.is_subintegral(seg["R<+R"]):
+        return "R in +R is not subintegral"
+    if dec.seminormalization.elements != dec.tclosure.elements and not (
+            lt.is_seminormal(seg["+R<tR"]) and lt.is_infra_integral(seg["+R<tR"])):
+        return "+R in tR is not seminormal infra-integral"
+    if not lt.is_seminormal(seg["+R<S"]):
+        return "+R in S is not seminormal"
+    if not lt.is_tclosed(seg["tR<S"]):
+        return "tR in S is not t-closed"
+    return None
+
+
+@pytest.mark.parametrize("name", ["F2-in-F2^4", "mixed-product", "Z4[u]/(u^2)", "F2-in-F16",
+                                  "idealization", "crt-Z12"])
+def test_the_chain_holds_on_the_realized_segments(extension_zoo, chain_segments, name):
+    assert _realized_verdict(cl.canonical_decomposition(extension_zoo(name)), chain_segments) is None
+
+
+@pytest.mark.parametrize("top, wrong, message", [
+    # Z/2 in Z/2 x Z/2 is infra-integral with two primes over one: +R taken as S
+    ("Z/2 x Z/2", {"seminormalization": "top"}, "R in +R is not subintegral"),
+    # Z/2 in GF(2^2) is seminormal and t-closed: tR taken as S is not infra-integral
+    ("GF(2^2)", {"t_closure": "top"}, "+R in tR is not seminormal infra-integral"),
+    # Z/2 in Z/2[t]/(t^2) is subintegral: +R taken as R is not seminormal in tR = S
+    ("Z/2[t]/(t^2)", {"seminormalization": "base"}, "+R in tR is not seminormal infra-integral"),
+    # Z/2 in Z/2[t]/(t^2) is subintegral: +R = tR taken as R
+    ("Z/2[t]/(t^2)", {"seminormalization": "base", "t_closure": "base"}, "+R in S is not seminormal"),
+    # +R = R in Z/2 x Z/2, whose t-closure is S: tR taken as R
+    ("Z/2 x Z/2", {"t_closure": "base"}, "tR in S is not t-closed"),
+])
+def test_a_wrong_chain_fails_its_check(monkeypatch, chain_segments, top, wrong, message):
+    # each of the four checks still runs: a chain with one wrong node raises
+    # its message, the first that the realized segments fail as well
+    ext = resolve_extension("Z/2", top, None)
+    nodes = {"base": lt.Subalgebra(ext, ext.image), "top": lt.Subalgebra(ext, tuple(range(ext.top.order)))}
+    for closure, node in wrong.items():
+        monkeypatch.setattr(cl, closure, lambda e, node=node: nodes[node])
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        cl.canonical_decomposition(ext)
+    dec = cl.CanonicalDecomposition(nodes["base"], cl.seminormalization(ext), cl.t_closure(ext), nodes["top"])
+    assert _realized_verdict(dec, chain_segments) == message

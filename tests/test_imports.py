@@ -25,7 +25,9 @@ rings.poly_quotient calls neither quotient nor compose.  A submodule count is
 a count of closed sets: no function reads .count off a submodules(...) call,
 which builds the whole poset.  One ndarray call per gather, scan and check:
 no module calls np.ix_, np.flatnonzero or np.array_equal, whose Python
-wrappers every small query pays many times over."""
+wrappers every small query pays many times over.  The canonical chain is
+checked on the top's tables: closures builds no ring (realize, subset_ring)
+and no hom (RingHom) for a node."""
 
 import ast
 import importlib
@@ -825,3 +827,32 @@ def test_no_python_level_numpy_helpers():
     # query pays many times over: t[a[:, None], b], mask.nonzero()[0] and
     # (a == b).all() on arrays of one shape
     assert numpy_helper_calls({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+NODE_BUILDERS = ("realize", "subset_ring", "RingHom", "lower_extension", "upper_extension")
+
+
+def builder_calls(source: str, builders: tuple[str, ...] = NODE_BUILDERS) -> list[str]:
+    """name: line for each call of a builder, plain or as an attribute, in
+    source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in builders:
+                found.append(f"{name}: {node.lineno}")
+    return sorted(found)
+
+
+def test_scan_finds_builder_calls():
+    source = ("def segments(dec):\n    real = lt.realize(dec.top)\n"
+              "    ring, lookup = subset_ring(real.ring, elems, one, 'x')\n"
+              "    return Extension(RingHom(ring, real.ring, lookup))\n"
+              "def kept(ext, mask):\n    realize = RingHom\n    return interval_is_subintegral(ext, mask, mask)\n")
+    assert builder_calls(source) == ["RingHom: 4", "realize: 2", "subset_ring: 3"]
+
+
+def test_the_chain_is_checked_on_the_tops_tables():
+    # the four chain invariants read the top's tables and the node masks;
+    # the realized segments are the tests' oracle (conftest.chain_segments)
+    assert builder_calls((PACKAGE / "closures.py").read_text()) == []

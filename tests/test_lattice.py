@@ -773,3 +773,50 @@ def test_spectral_predicates_past_the_lattice_bound():
     ext = lt.power_extension(rg.make_zmod(27), 2)
     assert lt.is_infra_integral(ext) is True
     assert lt.is_subintegral(ext) is False
+
+
+def _spectral_oracle(ext):
+    """(infra-integral, subintegral) of ext read off the primes of its own
+    base and top rings: the residue fields |S/q| = |R/(q & R)| at every prime
+    q of S, and the contractions distinct and equal to R's primes."""
+    top, base = ext.top, ext.base
+    pulls = []
+    for q in top.prime_elements:
+        held = np.zeros(top.order, dtype=bool)
+        held[list(q)] = True
+        pulls.append((len(q), rg.mask_elements(held[ext.embed.map])))
+    infra = all(top.order // size == base.order // len(pull) for size, pull in pulls)
+    seen = {pull for _, pull in pulls}
+    return infra, infra and len(seen) == len(pulls) and seen == set(base.prime_elements)
+
+
+def _zoo_and_relabeled(ext):
+    perm = np.random.default_rng(ext.top.order + 2).permutation(ext.top.order)
+    return ext, _relabel(ext, perm)
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_interval_predicates_match_the_realized_interval(extension_zoo, realized_interval, name):
+    # every pair L <= U of nodes, on the zoo top and on a relabeled copy
+    verdicts = set()
+    for ext in _zoo_and_relabeled(extension_zoo(name)):
+        nodes = lt.intermediate_algebras(ext).nodes
+        for low, up in itertools.product(nodes, nodes):
+            if not (low.mask <= up.mask).all():
+                continue
+            real = realized_interval(low, up)
+            got = (lt.interval_is_infra_integral(ext, low.mask, up.mask),
+                   lt.interval_is_subintegral(ext, low.mask, up.mask))
+            assert got == (lt.is_infra_integral(real), lt.is_subintegral(real)) == _spectral_oracle(real)
+            verdicts.add(got)
+    if name == "mixed-product":
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("name", _ZOO)
+def test_subring_primes_are_the_realized_primes(extension_zoo, name):
+    for ext in _zoo_and_relabeled(extension_zoo(name)):
+        for node in lt.intermediate_algebras(ext).nodes:
+            real = lt.realize(node)
+            back = tuple(tuple(real.include.map[list(p)].tolist()) for p in real.ring.prime_elements)
+            assert rg.subring_primes(ext.top, node.mask) == back

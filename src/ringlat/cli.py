@@ -261,7 +261,7 @@ def _cmd_crt(args) -> int:
         "ring": base.ring.label,
         "normalized": fam.normalized,
         "base_order": fam.ring.order,
-        "top_order": crt.extension.top.order,
+        "top_order": crt.top_order,
         "quotient_orders": [fam.ring.order // i.order for i in fam.ideals],
         "conductor": list(cr.conductor_by_formula(crt).elements),
         "weak_agreement": list(cr.weak_crt_check(crt)),

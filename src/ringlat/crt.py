@@ -3,8 +3,12 @@ conductor formulas, minimality criteria and zero-conductor reduction."""
 
 from __future__ import annotations
 
-from functools import reduce
+import math
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .closures import seminormalization
 from .errors import InternalCheckError, PreconditionError
@@ -16,6 +20,7 @@ from .ideals import (
     ideal_generated,
     ideal_intersection,
     ideal_sum,
+    product_conductor,
     quotient_ideal_count,
     spectrum,
     zero_ideal,
@@ -31,6 +36,8 @@ from .rings import (
     mask_elements,
     pair_homs,
     product,
+    product_index,
+    product_order,
     quotient,
     subgroup_sum_mask,
 )
@@ -99,31 +106,50 @@ def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
                  for i in ideals)
 
 
-class CrtExtension(NamedTuple):
-    """The extension R in prod(R/I_j) of a separating family."""
+@dataclass(frozen=True, eq=False)
+class CrtExtension:
+    """The extension R in prod(R/I_j) of a separating family, kept as its
+    layout: the quotients R/I_j and the projections R -> R/I_j that are the
+    components of the embedding.  The conductor is read off the quotients'
+    tables; the top's tables and the embedding, a RingHom validated like any
+    other, are built on the first read of extension."""
 
     family: SeparatingFamily
-    extension: Extension
+    factors: tuple[FiniteRing, ...]
+    projections: tuple[np.ndarray, ...]
     conductor: Ideal
 
     @property
+    def top_order(self) -> int:
+        return math.prod(f.order for f in self.factors)
+
+    @cached_property
+    def extension(self) -> Extension:
+        pr = product(self.factors)
+        return Extension(pair_homs(self.family.ring, pr, self.projections))
+
+    @property
     def is_isomorphism(self) -> bool:
-        return self.extension.top.order == self.family.ring.order
+        return self.top_order == self.family.ring.order
 
 
 def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
-    """Quotients, their product, and the componentwise embedding.  A family
-    may list an ideal more than once; each distinct quotient is built once."""
+    """Quotients and the componentwise embedding into their product, whose
+    order is bounded before anything of it is read.  A family may list an
+    ideal more than once; each distinct quotient is built once."""
     fam = make_family(ring, ideals)
     base = fam.ring
     distinct_quotients = {i: quotient(base, i) for i in dict.fromkeys(fam.ideals)}
     qs = [distinct_quotients[i] for i in fam.ideals]
-    pr = product([q.ring for q in qs])
-    hom = pair_homs(base, pr, [q.projection.map for q in qs])
-    if not hom.is_injective:
+    factors = tuple(q.ring for q in qs)
+    projections = tuple(q.projection.map for q in qs)
+    orders = [f.order for f in factors]
+    image_mask = np.zeros(product_order(orders), dtype=bool)
+    image_mask[product_index(orders, projections)] = True
+    if image_mask.sum() != base.order:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
-    ext = Extension(hom)
-    return CrtExtension(fam, ext, conductor(ext))
+    cond = product_conductor(base, factors, projections, image_mask)
+    return CrtExtension(fam, factors, projections, cond)
 
 
 def conductor_by_formula(crt: CrtExtension) -> Ideal:

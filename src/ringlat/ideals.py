@@ -14,6 +14,8 @@ from .rings import (
     distinct,
     enumerate_submodules,
     mask_elements,
+    product_index,
+    product_table_rows,
     span_of_products,
     subgroup_sum_mask,
     sum_of_orbits,
@@ -138,12 +140,26 @@ def spectrum(ring: FiniteRing) -> SpectrumReport:
 
 def conductor(ext) -> Ideal:
     """(R : S) = {r in R : r*S lies in the image of R}; the largest ideal of
-    S contained in R."""
-    base, top, embed = ext.base, ext.top, ext.embed
-    rows = top.mul[embed.map]
-    inside = ext.image_mask[rows].all(axis=1)
-    cond = Ideal(base, mask_elements(inside))
-    cond_in_top = tuple(sorted(int(i) for i in embed.map[list(cond.elements)]))
-    if not Ideal(top, cond_in_top)._is_valid():
+    S contained in R: product_conductor with S the product of itself alone."""
+    return product_conductor(ext.base, (ext.top,), (ext.embed.map,), ext.image_mask)
+
+
+def product_conductor(base: FiniteRing, factors: Sequence[FiniteRing],
+                      parts: Sequence[np.ndarray], image_mask: np.ndarray) -> Ideal:
+    """(R : S) for R embedded in S, the product of the factors, by the
+    injective hom whose i-th component is parts[i] and whose image is
+    image_mask: every r whose row of S's mul table lies in the image, read
+    off the factors' tables (rings.product_table_rows), so S's own tables are
+    never needed.  Raises InternalCheckError unless the image of the
+    conductor is an ideal of S: it holds zero, and S's add rows at it
+    (columns at it) and mul rows at it lie in it."""
+    muls = [f.mul for f in factors]
+    inside = np.concatenate([image_mask[rows].all(axis=1) for rows in product_table_rows(muls, parts)])
+    at = [p[inside] for p in parts]
+    held = np.zeros_like(image_mask)
+    held[product_index([f.order for f in factors], at)] = True
+    if not (inside[base.zero]
+            and all(held[rows].all() for rows in product_table_rows([f.add for f in factors], at, at))
+            and all(held[rows].all() for rows in product_table_rows(muls, at))):
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
-    return cond
+    return Ideal(base, mask_elements(inside))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,8 @@ _ELEMENT_MIN, _ELEMENT_MAX = int(np.iinfo(ELEMENT).min), int(np.iinfo(ELEMENT).m
 
 # Entries computed at once when a table is built through wider arithmetic
 # (_table_by_rows): an int64 block of 8 MiB, an eighth of an order-4096
-# table pair.
+# table pair; and in one block of a product's rows read off its factors
+# (product_table_rows), 2 MiB of ELEMENT.
 _BUILD_ENTRIES = 1 << 20
 
 
@@ -93,6 +94,12 @@ class FiniteRing:
         for _ in range(self.order.bit_length() + 1):
             y = self.mul[y, y]
         return y == self.zero
+
+    @cached_property
+    def idempotent_indices(self) -> np.ndarray:
+        """The indices e with e*e = e, in index order: one scan of the mul
+        table's diagonal per ring."""
+        return (self.mul.diagonal() == np.arange(self.order)).nonzero()[0]
 
     @cached_property
     def primitive_idempotents(self) -> tuple[int, ...]:
@@ -902,6 +909,41 @@ def _kronecker(prev: Table, t: Table) -> Table:
     return out.reshape(n, n)
 
 
+def product_order(orders: Sequence[int]) -> int:
+    """The order of a product of rings with the given orders; SizeLimitError
+    past the arithmetic bound, before anything of the product is built."""
+    total = math.prod(orders)
+    if total > arith_limit():
+        raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
+    return total
+
+
+def product_table_rows(tables: Sequence[Table], rows: Sequence[np.ndarray],
+                       cols: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
+    """Rows of the table of a product, read off its factors' tables: entry
+    (i, c) is the product-layout element whose j-th component is
+    tables[j][rows[j][i], cols[j][c]], with every element of the product in
+    index order as the columns when cols is None.  Yielded in ELEMENT, in
+    blocks of consecutive rows of about _BUILD_ENTRIES entries, so that no
+    temporary spans the whole strip.  Every partial sum of the mixed-radix
+    digits is an index below the product's order, so ELEMENT holds it."""
+    orders = [len(t) for t in tables]
+    width = math.prod(orders) if cols is None else len(cols[0])
+    count = len(rows[0])
+    step = max(1, _BUILD_ENTRIES // max(width, 1))
+    for lo in range(0, count, step):
+        out = None
+        for j, (t, r) in enumerate(zip(tables, rows)):
+            part = t[r[lo:lo + step]] if cols is None else t[r[lo:lo + step, None], cols[j]]
+            weight = math.prod(orders[j + 1:])
+            if weight > 1:
+                part *= weight
+            if cols is None:
+                part = part.reshape((len(part),) + tuple(o if i == j else 1 for i, o in enumerate(orders)))
+            out = part if out is None else out + part
+        yield out.reshape(len(out), width)
+
+
 def product(factors: Sequence[FiniteRing]) -> ProductResult:
     """Direct product with componentwise operations, laid out as in
     product_components.  That is the Kronecker layout of _kronecker, so each
@@ -910,9 +952,7 @@ def product(factors: Sequence[FiniteRing]) -> ProductResult:
     if not factors:
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
-    total = math.prod(orders)
-    if total > arith_limit():
-        raise SizeLimitError(f"product order {total} exceeds the arithmetic bound")
+    total = product_order(orders)
     comps = tuple(_as_table(c.astype(ELEMENT)) for c in product_components(orders, np.arange(total)))
     add, mul = factors[0].add, factors[0].mul
     for r in factors[1:]:
@@ -1145,13 +1185,13 @@ def same_tables(a: FiniteRing, b: FiniteRing) -> bool:
 
 def idempotents(ring: FiniteRing) -> list[int]:
     """The indices e with e*e = e, in index order."""
-    return list(mask_elements(ring.mul.diagonal() == np.arange(ring.order)))
+    return ring.idempotent_indices.tolist()
 
 
 def _primitive_idempotents(ring: FiniteRing, mask: np.ndarray) -> tuple[int, ...]:
     """The primitive idempotents of the subring T of ring given by its mask:
     the idempotents of ring in T with no other nonzero one f under (e*f == f)."""
-    idem = np.array(idempotents(ring), dtype=np.intp)
+    idem = ring.idempotent_indices
     idem = idem[mask[idem] & (idem != ring.zero)]
     below = ring.mul[idem[:, None], idem] == idem[None, :]
     return tuple(int(e) for e in idem[below.sum(axis=1) == 1])

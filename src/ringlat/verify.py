@@ -207,7 +207,7 @@ def _random_families() -> list[tuple[str, cr.CrtExtension]]:
 def _random_lattices() -> list[tuple[str, cr.CrtExtension, lt.LatticeReport]]:
     """The random families small enough to check against their lattice."""
     return [(label, crt, lt.intermediate_algebras(crt.extension)) for label, crt in _random_families()
-            if crt.extension.top.order <= _LATTICE_CHECK_ORDER]
+            if crt.top_order <= _LATTICE_CHECK_ORDER]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +539,7 @@ def check_crt_reduction_poset() -> tuple[bool, str]:
             if orig.count != 1:
                 bad.append(f"{label}: flagged isomorphism but {orig.count} nodes")
             continue
-        if red.crt.extension.top.order > _LATTICE_CHECK_ORDER:
+        if red.crt.top_order > _LATTICE_CHECK_ORDER:
             continue
         done += 1
         # a family whose conductor is already zero is its own reduction

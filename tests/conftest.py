@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -180,6 +181,23 @@ def brute_force_product_tables():
                 out += t[np.ix_(c, c)]
         return add, mul
     return tables
+
+
+@pytest.fixture
+def idempotent_scans(monkeypatch):
+    """The rings whose idempotents are scanned off the mul table's diagonal,
+    one entry per scan: FiniteRing.idempotent_indices, counted."""
+    scans = []
+    scan = rg.FiniteRing.idempotent_indices.func
+
+    def counted(ring):
+        scans.append(ring)
+        return scan(ring)
+
+    prop = cached_property(counted)
+    prop.__set_name__(rg.FiniteRing, "idempotent_indices")
+    monkeypatch.setattr(rg.FiniteRing, "idempotent_indices", prop)
+    return scans
 
 
 def _poly_oracle(ring, monic):

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlat import cli, dsl
+from ringlat import crt as cr
+from ringlat import ideals as il
 from ringlat import modules as md
 from ringlat import rings as rg
 
@@ -148,6 +150,34 @@ def test_crt_three_ideals(capsys):
     assert doc["minimal"] == {"minimal": True, "witness_pair": [1, 2]}
     assert doc["reduction"]["dropped_factors"] == [0]
     assert doc["reduction"]["base_order"] == 3
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} was called")
+    return refuse
+
+
+def test_a_crt_query_builds_no_product_table(capsys, monkeypatch):
+    # the conductor, its ideal check and the injectivity check read the
+    # quotients' tables; the top's tables are built only for crt.extension
+    argv = ["crt", "Z/60", "--ideals", "(12);(10);(15)"]
+    monkeypatch.setattr(rg, "_kronecker", _refuse("_kronecker"))
+    code, out, _ = run(capsys, argv)
+    expected = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    want = expected[json.dumps(argv)]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["exit"], want["sha256"])
+    assert json.loads(out)["top_order"] == 1800
+
+
+def test_a_crt_top_past_the_bound_is_refused_before_anything_is_read(capsys, monkeypatch):
+    # Z/72 x Z/90 has order 6480: refused before the embedding or a row of
+    # the top is computed
+    monkeypatch.setattr(rg, "_kronecker", _refuse("_kronecker"))
+    monkeypatch.setattr(cr, "product_index", _refuse("product_index"))
+    monkeypatch.setattr(il, "product_table_rows", _refuse("product_table_rows"))
+    code, out, err = run(capsys, ["crt", "Z/360", "--ideals", "(72);(90)"])
+    assert (code, out, err) == (3, "", "size limit: product order 6480 exceeds the arithmetic bound\n")
 
 
 def test_crt_two_ideals(capsys):
@@ -755,8 +785,6 @@ def test_a_crt_query_computes_each_ideal_sum_once(capsys, monkeypatch):
     # of the queried family, so no two sums in one query share a ring and
     # summands, and no sum is computed on another ring, such as the base of
     # the reduced family, whose sums nobody reads
-    from ringlat import crt as cr
-
     ideal_sum, summands = cr.ideal_sum, []
     make_crt, families = cr.make_crt, []
 

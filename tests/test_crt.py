@@ -1,3 +1,7 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
 from ringlat import crt as cr
@@ -137,3 +141,102 @@ def test_crt_extension_is_infra_integral(z12):
     crt = cr.make_crt(z12, [[4], [3], [3]])
     assert lt.is_infra_integral(crt.extension)
     assert lt.is_delta0(crt.extension)
+
+
+def _families():
+    """Derandomized separating families: 2-4 ideals, drawn with repeats, over
+    Z/n (n <= 72) and three field products, with tops small enough to
+    realize; a family with a nonzero intersection is normalized."""
+    draw = random.Random(37)
+    f2, f3, f4 = rg.make_gf(2), rg.make_gf(3), rg.make_gf(2, 2)
+    bases = [(f"Z/{n}", rg.make_zmod(n)) for n in (6, 8, 12, 18, 24, 30, 36, 45, 60, 72)]
+    bases += [("F2xF4", rg.product([f2, f4]).ring), ("F3xF3", rg.product([f3, f3]).ring),
+              ("F2xF2xF3", rg.product([f2, f2, f3]).ring)]
+    out = []
+    for label, ring in bases:
+        ideals = [i for i in il.all_ideals(ring) if not i.is_whole]
+        kept = 0
+        while kept < 3:
+            fam = [draw.choice(ideals) for _ in range(draw.choice((2, 3, 4)))]
+            if math.prod(ring.order // i.order for i in fam) <= 1024:
+                out.append((f"{label}:{'|'.join(str(i.order) for i in fam)}", ring, fam))
+                kept += 1
+    return out
+
+
+FAMILIES = _families()
+
+
+def test_the_families_cover_each_kind():
+    fams = [fam for _, _, fam in FAMILIES]
+    assert {len(fam) for fam in fams} == {2, 3, 4}
+    assert any(len(set(fam)) < len(fam) for fam in fams)
+    made = [cr.make_crt(ring, fam) for _, ring, fam in FAMILIES]
+    assert any(crt.family.normalized for crt in made) and not all(crt.family.normalized for crt in made)
+    assert any(crt.conductor.is_zero for crt in made) and any(crt.is_isomorphism for crt in made)
+
+
+def _conductor_on_the_top(ext):
+    """Oracle: the r whose row of the realized top's mul table lies in the image."""
+    top, emb = ext.top, ext.embed.map
+    image = np.zeros(top.order, dtype=bool)
+    image[emb] = True
+    return tuple(int(r) for r in range(ext.base.order) if image[top.mul[emb[r]]].all())
+
+
+@pytest.mark.parametrize("label, ring, fam", FAMILIES, ids=[label for label, _, _ in FAMILIES])
+def test_the_conductor_off_the_factors_is_the_conductor_on_the_top(label, ring, fam):
+    crt = cr.make_crt(ring, fam)
+    ext = crt.extension
+    assert ext.top.order == crt.top_order
+    assert crt.conductor == il.conductor(ext)
+    assert crt.conductor.elements == _conductor_on_the_top(ext)
+    assert cr.conductor_by_formula(crt) == crt.conductor
+
+
+@pytest.mark.parametrize("label, ring, fam", FAMILIES[::4], ids=[label for label, _, _ in FAMILIES[::4]])
+def test_the_conductor_is_carried_by_a_relabeling_of_the_base(label, ring, fam):
+    perm = np.random.default_rng(sum(map(ord, label))).permutation(ring.order)
+    inv = np.argsort(perm)
+    other = rg.FiniteRing(ring.order, perm[ring.add[inv[:, None], inv]], perm[ring.mul[inv[:, None], inv]],
+                          int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}^pi")
+    crt = cr.make_crt(ring, fam)
+    moved = cr.make_crt(other, [perm[list(i.elements)].tolist() for i in fam])
+    assert (moved.top_order, moved.is_isomorphism, moved.family.normalized, moved.conductor.order) == (
+        crt.top_order, crt.is_isomorphism, crt.family.normalized, crt.conductor.order)
+    if not crt.family.normalized:
+        assert moved.conductor.elements == tuple(sorted(perm[list(crt.conductor.elements)].tolist()))
+
+
+@pytest.mark.parametrize("label, ring, fam", FAMILIES[1::5], ids=[label for label, _, _ in FAMILIES[1::5]])
+def test_the_realized_extension_is_the_eager_product_and_pair_hom(label, ring, fam,
+                                                                  brute_force_product_tables):
+    crt = cr.make_crt(ring, fam)
+    ext = crt.extension
+    assert crt.extension is ext
+    add, mul = brute_force_product_tables(crt.factors)
+    assert (ext.top.add == add).all() and (ext.top.mul == mul).all()
+    orders = [f.order for f in crt.factors]
+    assert (ext.embed.map == np.ravel_multi_index(crt.projections, orders)).all()
+    assert ext.base is crt.family.ring
+    assert all((p == rg.quotient(crt.family.ring, i).projection.map).all()
+               for p, i in zip(crt.projections, crt.family.ideals))
+
+
+def test_a_realized_extension_validates_its_pair_hom(z12, monkeypatch):
+    crt = cr.make_crt(z12, [[4], [3], [3]])
+    made = []
+    real = rg.RingHom.__post_init__
+    monkeypatch.setattr(rg.RingHom, "__post_init__", lambda hom: made.append(hom) or real(hom))
+    ext = crt.extension
+    assert made == [ext.embed]
+
+
+def test_a_crt_extension_is_an_immutable_identity_object(z12):
+    # no field can be set and no attribute added, and two makes of one
+    # family are two objects
+    crt = cr.make_crt(z12, [[4], [3], [3]])
+    for field in ("family", "factors", "projections", "conductor", "added"):
+        with pytest.raises(AttributeError):
+            setattr(crt, field, None)
+    assert crt == crt and crt != cr.make_crt(z12, [[4], [3], [3]])

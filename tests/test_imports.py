@@ -27,7 +27,9 @@ which builds the whole poset.  One ndarray call per gather, scan and check:
 no module calls np.ix_, np.flatnonzero or np.array_equal, whose Python
 wrappers every small query pays many times over.  The canonical chain is
 checked on the top's tables: closures builds no ring (realize, subset_ring)
-and no hom (RingHom) for a node."""
+and no hom (RingHom) for a node.  A CRT top is read off its factors: crt
+builds a product (product, pair_homs) only where CrtExtension.extension
+realizes it."""
 
 import ast
 import importlib
@@ -856,3 +858,42 @@ def test_the_chain_is_checked_on_the_tops_tables():
     # the four chain invariants read the top's tables and the node masks;
     # the realized segments are the tests' oracle (conftest.chain_segments)
     assert builder_calls((PACKAGE / "closures.py").read_text()) == []
+
+
+PRODUCT_BUILDERS = ("product", "pair_homs")
+
+
+def calls_outside(source: str, allowed: str, names: tuple[str, ...] = PRODUCT_BUILDERS) -> list[str]:
+    """scope: name for each call of one of names, plain or as an attribute,
+    in source, whose innermost enclosing function is not named allowed; the
+    scope is that function, or <module>."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in names and scope != allowed:
+                    found.append(f"{scope}: {name}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_product_builds_outside_the_realizer():
+    source = ("class CrtExtension:\n    @cached_property\n    def extension(self):\n"
+              "        pr = product(self.factors)\n        return Extension(pair_homs(self.base, pr, self.maps))\n"
+              "def make_crt(ring, ideals):\n    pr = rg.product(qs)\n"
+              "    def inner():\n        return pair_homs(ring, pr, maps)\n"
+              "    return product_order(orders), product_index(orders, maps)\n"
+              "TOP = product([ring])\n")
+    assert calls_outside(source, "extension") == ["<module>: product", "inner: pair_homs", "make_crt: product"]
+
+
+def test_a_crt_top_is_read_off_its_factors():
+    # make_crt reads the conductor, its ideal check and the injectivity off
+    # the quotients' tables; the top's tables are built only when
+    # CrtExtension.extension is read
+    assert calls_outside((PACKAGE / "crt.py").read_text(), "extension") == []

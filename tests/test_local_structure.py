@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ringlat
+from ringlat import cli
 from ringlat import combinatorics as cb
 from ringlat import crt as cr
 from ringlat import dsl
@@ -68,18 +69,30 @@ def test_the_corpus_covers_each_kind_of_ring(is_connected):
     assert sum(not is_connected(r) for r in rings) >= 2
 
 
-def test_repeated_queries_scan_the_idempotents_once(monkeypatch):
-    scans = []
-    real = rg.idempotents
-    monkeypatch.setattr(rg, "idempotents", lambda ring: scans.append(ring) or real(ring))
+def test_repeated_queries_scan_the_idempotents_once(idempotent_scans):
     for text in ("Z/12", "Z/8"):
         ring = dsl.build_text(text).ring
         for _ in range(3):
             il.spectrum(ring)
             rg.is_local(ring)
             rg.is_spir(ring)
-        assert scans == [ring]
-        scans.clear()
+            assert rg.idempotents(ring) == ring.idempotent_indices.tolist()
+        assert idempotent_scans == [ring]
+        idempotent_scans.clear()
+
+
+@pytest.mark.parametrize("argv", [["closures", "Z/2", "Z/2[t]/(t^4)"],
+                                  ["closures", "Z/4", "Z/4 x Z/4 x Z/2[t]/(t^2)"]])
+def test_a_closures_query_scans_each_ring_once(idempotent_scans, capsys, monkeypatch, argv):
+    # subring_primes reads the top's idempotents once per node of the chain,
+    # and each read is the one cached scan of its ring
+    reads, real = [], rg._primitive_idempotents
+    monkeypatch.setattr(rg, "_primitive_idempotents", lambda ring, mask: reads.append(ring) or real(ring, mask))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rings = [id(r) for r in idempotent_scans]
+    assert rings and len(set(rings)) == len(rings)
+    assert len(reads) > len(rings)
 
 
 def _answers():

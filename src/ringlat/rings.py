@@ -30,9 +30,9 @@ ELEMENT = np.int16
 _ELEMENT_MIN, _ELEMENT_MAX = int(np.iinfo(ELEMENT).min), int(np.iinfo(ELEMENT).max)
 
 # Entries computed at once when a table is built through wider arithmetic
-# (_table_by_rows): an int64 block of 8 MiB, an eighth of an order-4096
-# table pair; and in one block of a product's rows read off its factors
-# (product_table_rows), 2 MiB of ELEMENT.
+# (_table_by_rows) or when a product's rows are read off its factors
+# (product_table_rows): an int64 block of 8 MiB, an eighth of an order-4096
+# table pair.
 _BUILD_ENTRIES = 1 << 20
 
 
@@ -921,27 +921,24 @@ def product_order(orders: Sequence[int]) -> int:
 def product_table_rows(tables: Sequence[Table], rows: Sequence[np.ndarray],
                        cols: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
     """Rows of the table of a product, read off its factors' tables: entry
-    (i, c) is the product-layout element whose j-th component is
-    tables[j][rows[j][i], cols[j][c]], with every element of the product in
-    index order as the columns when cols is None.  Yielded in ELEMENT, in
-    blocks of consecutive rows of about _BUILD_ENTRIES entries, so that no
-    temporary spans the whole strip.  Every partial sum of the mixed-radix
-    digits is an index below the product's order, so ELEMENT holds it."""
+    (i, c) is the product_index of the components tables[j][rows[j][i],
+    cols[j][c]], with every element of the product in index order as the
+    columns when cols is None.  Yielded in ELEMENT, which holds every index
+    below the product's order, in blocks of consecutive rows of about
+    _BUILD_ENTRIES entries, so that the int64 index never spans the whole
+    strip."""
     orders = [len(t) for t in tables]
     width = math.prod(orders) if cols is None else len(cols[0])
-    count = len(rows[0])
     step = max(1, _BUILD_ENTRIES // max(width, 1))
-    for lo in range(0, count, step):
-        out = None
-        for j, (t, r) in enumerate(zip(tables, rows)):
-            part = t[r[lo:lo + step]] if cols is None else t[r[lo:lo + step, None], cols[j]]
-            weight = math.prod(orders[j + 1:])
-            if weight > 1:
-                part *= weight
-            if cols is None:
-                part = part.reshape((len(part),) + tuple(o if i == j else 1 for i, o in enumerate(orders)))
-            out = part if out is None else out + part
-        yield out.reshape(len(out), width)
+    for lo in range(0, len(rows[0]), step):
+        block = slice(lo, lo + step)
+        if cols is None:
+            # component j varies along axis j + 1, as in the product's layout
+            parts = [t[r[block]].reshape((-1,) + tuple(o if i == j else 1 for i, o in enumerate(orders)))
+                     for j, (t, r) in enumerate(zip(tables, rows))]
+        else:
+            parts = [t[r[block, None], c] for t, r, c in zip(tables, rows, cols)]
+        yield product_index(orders, parts).reshape(-1, width).astype(ELEMENT)
 
 
 def product(factors: Sequence[FiniteRing]) -> ProductResult:

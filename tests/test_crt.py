@@ -194,6 +194,26 @@ def test_the_conductor_off_the_factors_is_the_conductor_on_the_top(label, ring, 
     assert cr.conductor_by_formula(crt) == crt.conductor
 
 
+@pytest.mark.parametrize("label, ring, fam", FAMILIES, ids=[label for label, _, _ in FAMILIES])
+def test_the_conductor_read_in_small_blocks_is_the_conductor_on_the_top(label, ring, fam, monkeypatch):
+    # blocks of at most 16 entries: the top's mul rows at R come in several
+    # pieces unless they fit in one, and must join into the same conductor
+    monkeypatch.setattr(rg, "_BUILD_ENTRIES", 16)
+    pieces, real = [], rg.product_table_rows
+
+    def counted(*args):
+        blocks = list(real(*args))
+        pieces.append(len(blocks))
+        return iter(blocks)
+
+    monkeypatch.setattr(il, "product_table_rows", counted)
+    crt = cr.make_crt(ring, fam)
+    assert pieces[0] > 1 or crt.family.ring.order * crt.top_order <= 16
+    ext = crt.extension
+    assert crt.conductor == il.conductor(ext)
+    assert crt.conductor.elements == _conductor_on_the_top(ext)
+
+
 @pytest.mark.parametrize("label, ring, fam", FAMILIES[::4], ids=[label for label, _, _ in FAMILIES[::4]])
 def test_the_conductor_is_carried_by_a_relabeling_of_the_base(label, ring, fam):
     perm = np.random.default_rng(sum(map(ord, label))).permutation(ring.order)

@@ -69,7 +69,10 @@ def test_the_corpus_covers_each_kind_of_ring(is_connected):
     assert sum(not is_connected(r) for r in rings) >= 2
 
 
-def test_repeated_queries_scan_the_idempotents_once(idempotent_scans):
+def test_repeated_queries_scan_the_idempotents_once(idempotent_scans, monkeypatch):
+    # the primes are computed once per ring, off the one cached diagonal scan
+    reads, real = [], rg._primitive_idempotents
+    monkeypatch.setattr(rg, "_primitive_idempotents", lambda ring, mask: reads.append(ring) or real(ring, mask))
     for text in ("Z/12", "Z/8"):
         ring = dsl.build_text(text).ring
         for _ in range(3):
@@ -78,7 +81,9 @@ def test_repeated_queries_scan_the_idempotents_once(idempotent_scans):
             rg.is_spir(ring)
             assert rg.idempotents(ring) == ring.idempotent_indices.tolist()
         assert idempotent_scans == [ring]
+        assert reads == [ring]
         idempotent_scans.clear()
+        reads.clear()
 
 
 @pytest.mark.parametrize("argv", [["closures", "Z/2", "Z/2[t]/(t^4)"],
@@ -90,9 +95,8 @@ def test_a_closures_query_scans_each_ring_once(idempotent_scans, capsys, monkeyp
     monkeypatch.setattr(rg, "_primitive_idempotents", lambda ring, mask: reads.append(ring) or real(ring, mask))
     assert cli.main(argv) == 0
     capsys.readouterr()
-    rings = [id(r) for r in idempotent_scans]
-    assert rings and len(set(rings)) == len(rings)
-    assert len(reads) > len(rings)
+    assert reads and all(sum(s is r for s in idempotent_scans) == 1 for r in reads)
+    assert len(reads) > len({id(r) for r in reads})
 
 
 def _answers():

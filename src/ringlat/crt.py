@@ -148,7 +148,10 @@ def make_crt(ring: FiniteRing, ideals: Sequence[IdealLike]) -> CrtExtension:
     image_mask[product_index(orders, projections)] = True
     if image_mask.sum() != base.order:
         raise InternalCheckError("zero-intersection family gave a non-injective embedding")
-    cond = product_conductor(base, factors, projections, image_mask)
+    # each projection is onto, so it maps the base's additive generators
+    # onto generators of its factor
+    gens = tuple(p[base.additive_generators] for p in projections)
+    cond = product_conductor(base, factors, projections, gens, image_mask)
     return CrtExtension(fam, factors, projections, cond)
 
 

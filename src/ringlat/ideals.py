@@ -141,25 +141,41 @@ def spectrum(ring: FiniteRing) -> SpectrumReport:
 def conductor(ext) -> Ideal:
     """(R : S) = {r in R : r*S lies in the image of R}; the largest ideal of
     S contained in R: product_conductor with S the product of itself alone."""
-    return product_conductor(ext.base, (ext.top,), (ext.embed.map,), ext.image_mask)
+    top = ext.top
+    return product_conductor(ext.base, (top,), (ext.embed.map,), (top.additive_generators,), ext.image_mask)
 
 
-def product_conductor(base: FiniteRing, factors: Sequence[FiniteRing],
-                      parts: Sequence[np.ndarray], image_mask: np.ndarray) -> Ideal:
+def product_conductor(base: FiniteRing, factors: Sequence[FiniteRing], parts: Sequence[np.ndarray],
+                      gens: Sequence[np.ndarray], image_mask: np.ndarray) -> Ideal:
     """(R : S) for R embedded in S, the product of the factors, by the
     injective hom whose i-th component is parts[i] and whose image is
-    image_mask: every r whose row of S's mul table lies in the image, read
-    off the factors' tables (rings.product_table_rows), so S's own tables are
-    never needed.  Raises InternalCheckError unless the image of the
-    conductor is an ideal of S: it holds zero, and S's add rows at it
-    (columns at it) and mul rows at it lie in it."""
+    image_mask; gens[i] generates the additive group of factors[i].
+
+    The s with r*s in the image form a subgroup of S, so r lies in (R : S)
+    when r*g does for each generator g of S: the elements with one nonzero
+    component, taken from gens (_generator_columns).  Those columns of S's
+    mul table are read at every r off the factors' tables
+    (rings.product_table_rows), so S's own tables are never needed.  Raises
+    InternalCheckError unless the image of the conductor is an ideal of S: it
+    holds zero, S's add rows at it (columns at it) lie in it, and so, by the
+    same argument, do its mul rows at the generators."""
+    cols = _generator_columns(factors, gens)
     muls = [f.mul for f in factors]
-    inside = np.concatenate([image_mask[rows].all(axis=1) for rows in product_table_rows(muls, parts)])
+    inside = np.concatenate([image_mask[rows].all(axis=1) for rows in product_table_rows(muls, parts, cols)])
     at = [p[inside] for p in parts]
     held = np.zeros_like(image_mask)
     held[product_index([f.order for f in factors], at)] = True
     if not (inside[base.zero]
             and all(held[rows].all() for rows in product_table_rows([f.add for f in factors], at, at))
-            and all(held[rows].all() for rows in product_table_rows(muls, at))):
+            and all(held[rows].all() for rows in product_table_rows(muls, at, cols))):
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
     return Ideal(base, mask_elements(inside))
+
+
+def _generator_columns(factors: Sequence[FiniteRing], gens: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Generators of the additive group of the product of the factors, as
+    their components: for each i and each g of gens[i], the element whose
+    i-th component is g and whose other components are zero."""
+    owner = np.repeat(np.arange(len(factors)), [len(g) for g in gens])
+    flat = np.concatenate(gens)
+    return [np.where(owner == i, flat, f.zero) for i, f in enumerate(factors)]

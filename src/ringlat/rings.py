@@ -243,8 +243,12 @@ class Ideal:
         # a negative index reads as 2^63 or more
         if idx.view(np.uintp).max() >= self.ring.order:
             return False
-        m = self.mask
-        return bool(m[self.ring.add[idx[:, None], idx]].all() and m[self.ring.mul[:, idx]].all())
+        m, ring = self.mask, self.ring
+        # once the elements are closed under +, so are the r with r*I inside
+        # I, by distributivity: absorption holds when it holds for the
+        # additive generators of the ring
+        gens = ring.additive_generators
+        return bool(m[ring.add[idx[:, None], idx]].all() and m[ring.mul[gens[:, None], idx]].all())
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -874,16 +878,20 @@ def product_index(orders: Sequence[int], parts):
 
 @dataclass(frozen=True, eq=False)
 class ProductResult:
-    """A finite product ring; components[i][x] is the i-th component of the
-    element x."""
+    """A finite product ring and its factors."""
 
     ring: FiniteRing
     factors: tuple[FiniteRing, ...]
-    components: tuple[np.ndarray, ...]
 
     @property
     def orders(self) -> list[int]:
         return [f.order for f in self.factors]
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """components[i][x] is the i-th component of the element x, built on
+        the first read."""
+        return tuple(_as_table(c.astype(ELEMENT)) for c in product_components(self.orders, np.arange(self.ring.order)))
 
 
 def _kronecker(prev: Table, t: Table) -> Table:
@@ -919,26 +927,18 @@ def product_order(orders: Sequence[int]) -> int:
 
 
 def product_table_rows(tables: Sequence[Table], rows: Sequence[np.ndarray],
-                       cols: Optional[Sequence[np.ndarray]] = None) -> Iterator[np.ndarray]:
-    """Rows of the table of a product, read off its factors' tables: entry
-    (i, c) is the product_index of the components tables[j][rows[j][i],
-    cols[j][c]], with every element of the product in index order as the
-    columns when cols is None.  Yielded in ELEMENT, which holds every index
-    below the product's order, in blocks of consecutive rows of about
+                       cols: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Rows of the table of a product at the given columns, read off its
+    factors' tables: entry (i, c) is the product_index of the components
+    tables[j][rows[j][i], cols[j][c]].  Yielded in ELEMENT, which holds every
+    index below the product's order, in blocks of consecutive rows of about
     _BUILD_ENTRIES entries, so that the int64 index never spans the whole
     strip."""
     orders = [len(t) for t in tables]
-    width = math.prod(orders) if cols is None else len(cols[0])
-    step = max(1, _BUILD_ENTRIES // max(width, 1))
+    step = max(1, _BUILD_ENTRIES // max(len(cols[0]), 1))
     for lo in range(0, len(rows[0]), step):
         block = slice(lo, lo + step)
-        if cols is None:
-            # component j varies along axis j + 1, as in the product's layout
-            parts = [t[r[block]].reshape((-1,) + tuple(o if i == j else 1 for i, o in enumerate(orders)))
-                     for j, (t, r) in enumerate(zip(tables, rows))]
-        else:
-            parts = [t[r[block, None], c] for t, r, c in zip(tables, rows, cols)]
-        yield product_index(orders, parts).reshape(-1, width).astype(ELEMENT)
+        yield product_index(orders, [t[r[block, None], c] for t, r, c in zip(tables, rows, cols)]).astype(ELEMENT)
 
 
 def product(factors: Sequence[FiniteRing]) -> ProductResult:
@@ -950,7 +950,6 @@ def product(factors: Sequence[FiniteRing]) -> ProductResult:
         raise PreconditionError("product of no rings")
     orders = [r.order for r in factors]
     total = product_order(orders)
-    comps = tuple(_as_table(c.astype(ELEMENT)) for c in product_components(orders, np.arange(total)))
     add, mul = factors[0].add, factors[0].mul
     for r in factors[1:]:
         add = _kronecker(add, r.add)
@@ -958,7 +957,7 @@ def product(factors: Sequence[FiniteRing]) -> ProductResult:
     zero = int(product_index(orders, [r.zero for r in factors]))
     one = int(product_index(orders, [r.one for r in factors]))
     label = " x ".join(f"({r.label})" if " x " in r.label else r.label for r in factors)
-    return ProductResult(FiniteRing(total, add, mul, zero, one, label), tuple(factors), comps)
+    return ProductResult(FiniteRing(total, add, mul, zero, one, label), tuple(factors))
 
 
 def pair_homs(source: FiniteRing, pr: ProductResult, maps: Sequence[np.ndarray]) -> RingHom:

@@ -170,6 +170,36 @@ def test_a_crt_query_builds_no_product_table(capsys, monkeypatch):
     assert json.loads(out)["top_order"] == 1800
 
 
+@pytest.mark.parametrize("argv, generators", [
+    (["crt", "Z/60", "--ideals", "(12);(10);(15)"], 3),
+    (["crt", "Z/72", "--ideals", "(8);(12);(18)"], 3),
+    (["classify", "Z/2", "GF(2^2)"], 2),
+], ids=["crt Z/60", "crt Z/72", "classify F4 over F2"])
+def test_the_conductor_reads_the_tops_generator_columns(capsys, monkeypatch, argv, generators):
+    # r is in the conductor when r g lies in R for each additive generator g
+    # of the top: one column per generator of each factor (Z/60 and its
+    # quotients are cyclic, 1 and 2 generate F4), never one per element.
+    # The strip whose columns are its rows is the add check of the image.
+    strips, real = [], rg.product_table_rows
+
+    def recorded(tables, rows, cols=None):
+        # a strip without columns would read every element of the top
+        top_order = math.prod(len(t) for t in tables)
+        if cols is None:
+            strips.append((top_order, top_order, False))
+            return real(tables, rows)
+        add_check = all(len(r) == len(c) and (r == c).all() for r, c in zip(rows, cols))
+        strips.append((top_order, len(cols[0]), add_check))
+        return real(tables, rows, cols)
+
+    monkeypatch.setattr(il, "product_table_rows", recorded)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    membership = [width for _, width, add_check in strips if not add_check]
+    assert membership and set(membership) == {generators}
+    assert all(width < top_order for top_order, width, _ in strips)
+
+
 def test_a_crt_top_past_the_bound_is_refused_before_anything_is_read(capsys, monkeypatch):
     # Z/72 x Z/90 has order 6480: refused before the embedding or a row of
     # the top is computed

@@ -196,22 +196,47 @@ def test_the_conductor_off_the_factors_is_the_conductor_on_the_top(label, ring, 
 
 @pytest.mark.parametrize("label, ring, fam", FAMILIES, ids=[label for label, _, _ in FAMILIES])
 def test_the_conductor_read_in_small_blocks_is_the_conductor_on_the_top(label, ring, fam, monkeypatch):
-    # blocks of at most 16 entries: the top's mul rows at R come in several
-    # pieces unless they fit in one, and must join into the same conductor
-    monkeypatch.setattr(rg, "_BUILD_ENTRIES", 16)
-    pieces, real = [], rg.product_table_rows
+    # blocks of at most 4 entries: the strip of R's rows at the top's
+    # generator columns comes in several pieces unless it fits in one, and
+    # the pieces must join into the same conductor
+    monkeypatch.setattr(rg, "_BUILD_ENTRIES", 4)
+    pieces, widths, real = [], [], rg.product_table_rows
 
-    def counted(*args):
-        blocks = list(real(*args))
+    def counted(tables, rows, cols):
+        blocks = list(real(tables, rows, cols))
         pieces.append(len(blocks))
+        widths.append(len(cols[0]))
         return iter(blocks)
 
     monkeypatch.setattr(il, "product_table_rows", counted)
     crt = cr.make_crt(ring, fam)
-    assert pieces[0] > 1 or crt.family.ring.order * crt.top_order <= 16
+    assert pieces[0] > 1 or crt.family.ring.order * widths[0] <= 4
     ext = crt.extension
     assert crt.conductor == il.conductor(ext)
     assert crt.conductor.elements == _conductor_on_the_top(ext)
+
+
+def test_a_missing_generator_is_caught(monkeypatch):
+    # R maps onto each factor, so S = (the other factors) + R and the columns
+    # of any one factor are redundant: dropping a single column changes no
+    # conductor.  Dropping one generator of the base drops its image in every
+    # factor, and then some family's conductor is no longer the conductor on
+    # the top
+    made = [(cr.make_crt(ring, fam), ring, fam) for _, ring, fam in FAMILIES]
+    oracles = [_conductor_on_the_top(crt.extension) for crt, _, _ in made]
+    f4_over_f2 = lt.Extension(rg.prime_hom(rg.make_gf(2), rg.make_gf(2, 2)))
+    assert il.conductor(f4_over_f2).elements == _conductor_on_the_top(f4_over_f2) == (0,)
+    real = il._generator_columns
+    with monkeypatch.context() as patch:
+        patch.setattr(il, "_generator_columns", lambda factors, gens: [c[:-1] for c in real(factors, gens)])
+        assert [cr.make_crt(ring, fam).conductor.elements for _, ring, fam in made] == oracles
+    all_generators = rg.FiniteRing.additive_generators.func
+    monkeypatch.setattr(rg.FiniteRing, "additive_generators", property(lambda ring: all_generators(ring)[:-1]))
+    assert [cr.make_crt(ring, fam).conductor.elements for _, ring, fam in made] != oracles
+    # over a top that is not a product of quotients of R, one missing
+    # generator shows: F4 over F2 has conductor 0, and without the generator
+    # 2 of F4 it reads as F2
+    assert il.conductor(f4_over_f2).elements == (0, 1)
 
 
 @pytest.mark.parametrize("label, ring, fam", FAMILIES[::4], ids=[label for label, _, _ in FAMILIES[::4]])

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -138,6 +139,43 @@ def test_ideal_validation(z12, z4):
     crossed = il.principal_ideal(z4, 2)
     with pytest.raises(PreconditionError):
         il.ideal_sum(crossed, il.principal_ideal(z12, 2))
+
+
+def _relabeled(ring, seed):
+    """ring with its elements renamed by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(ring.order)
+    inv = np.argsort(perm)
+    return rg.FiniteRing(ring.order, perm[ring.add[inv[:, None], inv]], perm[ring.mul[inv[:, None], inv]],
+                         int(perm[ring.zero]), int(perm[ring.one]), f"{ring.label}^pi")
+
+
+def _small_rings():
+    f2 = rg.make_gf(2)
+    return [*(rg.make_zmod(n) for n in range(2, 9)), rg.make_gf(2, 2),
+            rg.poly_quotient(f2, [0, 0, 1], var="t").ring, rg.poly_quotient(f2, [0, 0, 0, 1], var="t").ring,
+            rg.product([f2, f2]).ring, rg.product([f2, f2, f2]).ring, rg.product([f2, rg.make_zmod(4)]).ring]
+
+
+@pytest.mark.parametrize("seed", [None, 38])
+def test_the_ideal_check_on_the_generators_is_the_full_scan(seed, ideal_by_full_scan):
+    # every subset holding zero of every ring of order <= 8, as built and
+    # relabeled: absorption read on the additive generators decides as the
+    # full scan of the mul table does, on additive subgroups that are not
+    # ideals too
+    non_absorbing = 0
+    for ring in _small_rings():
+        if seed is not None:
+            ring = _relabeled(ring, seed + ring.order)
+        others = [x for x in range(ring.order) if x != ring.zero]
+        for k in range(len(others) + 1):
+            for rest in itertools.combinations(others, k):
+                ideal = rg.Ideal(ring, tuple(sorted((ring.zero, *rest))))
+                assert ideal._is_valid() == ideal_by_full_scan(ideal), (ring, ideal.elements)
+                idx = np.asarray(ideal.elements)
+                non_absorbing += bool(ideal.mask[ring.add[idx[:, None], idx]].all()) and not ideal._is_valid()
+    assert non_absorbing
+    # {0, 1} of F4 is a subgroup but no ideal
+    assert not rg.Ideal(rg.make_gf(2, 2), (0, 1))._is_valid()
 
 
 def test_coerce_ideal(z12, z4):

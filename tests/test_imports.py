@@ -29,7 +29,9 @@ wrappers every small query pays many times over.  The canonical chain is
 checked on the top's tables: closures builds no ring (realize, subset_ring)
 and no hom (RingHom) for a node.  A CRT top is read off its factors: crt
 builds a product (product, pair_homs) only where CrtExtension.extension
-realizes it."""
+realizes it.  An additive check reads generators: ideals.product_conductor and
+Ideal._is_valid read no table at a whole-axis slice and pass
+product_table_rows its columns."""
 
 import ast
 import importlib
@@ -897,3 +899,56 @@ def test_a_crt_top_is_read_off_its_factors():
     # the quotients' tables; the top's tables are built only when
     # CrtExtension.extension is read
     assert calls_outside((PACKAGE / "crt.py").read_text(), "extension") == []
+
+
+ADDITIVE_CHECKS = (("ideals", "product_conductor"), ("rings", "_is_valid"))
+
+
+def whole_axis_reads(sources: dict[str, str], checks: tuple[tuple[str, str], ...] = ADDITIVE_CHECKS) -> list[str]:
+    """module.function: line for each read, inside one of the functions that
+    checks names as (module, function), methods included, of a table (add[...],
+    ring.mul[...]) at a whole-axis slice, and each call of product_table_rows
+    without its columns, in the sources (module name -> source)."""
+    found = []
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (module, fn.name) not in checks:
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Subscript) and (
+                        getattr(node.value, "id", None) or getattr(node.value, "attr", None)) in ("add", "mul"):
+                    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+                    whole = any(isinstance(i, ast.Slice) and i.lower is i.upper is i.step is None for i in index)
+                elif isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "product_table_rows":
+                    whole = len(node.args) < 3 and not any(k.arg == "cols" for k in node.keywords)
+                else:
+                    continue
+                if whole:
+                    found.append(f"{module}.{fn.name}: {node.lineno}")
+    return sorted(found)
+
+
+def test_scan_finds_whole_axis_reads():
+    # the two checks as they read every element of the ring or the top
+    sources = {
+        "ideals": ("def product_conductor(base, factors, parts, image_mask):\n"
+                   "    inside = [image_mask[r] for r in product_table_rows(muls, parts)]\n"
+                   "    ok = [held[r] for r in rg.product_table_rows(adds, at, at)]\n"
+                   "    return product_table_rows(muls, at, cols=cols), top.mul[:, x[:, None]]\n"
+                   "def colon(a, b):\n    return ring.mul[:, bi]\n"),
+        "rings": ("class Ideal:\n    def _is_valid(self):\n        m, ring = self.mask, self.ring\n"
+                  "        return m[ring.add[idx[:, None], idx]].all() and m[self.ring.mul[:, idx]].all()\n"
+                  "    def mask(self):\n        return mul[:]\n"
+                  "def _is_valid(ring, idx, gens):\n"
+                  "    return ring.mul[gens[:, None], idx], mul[1:, idx], add[idx, :]\n"),
+    }
+    assert whole_axis_reads(sources) == ["ideals.product_conductor: 2", "ideals.product_conductor: 4",
+                                         "rings._is_valid: 4", "rings._is_valid: 8"]
+
+
+def test_additive_checks_read_generators():
+    # a subgroup holds every sum of what it holds, so the conductor and the
+    # absorption of an ideal are decided on the columns of the additive
+    # generators of the top or the ring, not on all of its elements
+    assert whole_axis_reads({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []

@@ -17,6 +17,7 @@ from .rings import (
     product_index,
     product_table_rows,
     span_of_products,
+    subgroup_generators,
     subgroup_sum_mask,
     sum_of_orbits,
 )
@@ -79,17 +80,22 @@ def ideal_power(a: Ideal, e: int) -> Ideal:
 
 
 def colon(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) = elements r with r*b inside a."""
+    """(a : b) = elements r with r*b inside a, read on the mul columns at
+    b's additive generators (subgroup_generators)."""
     _same_ring(a, b)
     ring = a.ring
-    bi = np.asarray(b.elements, dtype=np.intp)
-    good = a.mask[ring.mul[:, bi]].all(axis=1)
+    gens = subgroup_generators(ring.add, ring.zero, b.mask)
+    if gens is None:
+        raise PreconditionError("subset is not an ideal")
+    good = a.mask[ring.mul[:, gens]].all(axis=1)
     return Ideal(ring, mask_elements(good))
 
 
 def annihilator(module) -> Ideal:
-    """(0 : M), an ideal of the module's ring, read off its action table."""
-    good = (module.action == module.zero).all(axis=1)
+    """(0 : M), an ideal of the module's ring, read off the action columns
+    at M's additive generators (subgroup_generators of all of M)."""
+    gens = subgroup_generators(module.add, module.zero, np.ones(module.order, dtype=bool))
+    good = (module.action[:, gens] == module.zero).all(axis=1)
     return Ideal(module.ring, mask_elements(good))
 
 
@@ -156,17 +162,19 @@ def product_conductor(base: FiniteRing, factors: Sequence[FiniteRing], parts: Se
     component, taken from gens (_generator_columns).  Those columns of S's
     mul table are read at every r off the factors' tables
     (rings.product_table_rows), so S's own tables are never needed.  Raises
-    InternalCheckError unless the image of the conductor is an ideal of S: it
-    holds zero, S's add rows at it (columns at it) lie in it, and so, by the
-    same argument, do its mul rows at the generators."""
+    InternalCheckError unless the image of the conductor C is an ideal of S:
+    C is a subgroup of R (subgroup_generators), S's add rows at the image
+    hold it at the images of C's generators, and, by the same argument, its
+    mul rows at S's generators."""
     cols = _generator_columns(factors, gens)
     muls = [f.mul for f in factors]
     inside = np.concatenate([image_mask[rows].all(axis=1) for rows in product_table_rows(muls, parts, cols)])
+    sub = subgroup_generators(base.add, base.zero, inside)
     at = [p[inside] for p in parts]
     held = np.zeros_like(image_mask)
     held[product_index([f.order for f in factors], at)] = True
-    if not (inside[base.zero]
-            and all(held[rows].all() for rows in product_table_rows([f.add for f in factors], at, at))
+    if not (sub is not None
+            and all(held[r].all() for r in product_table_rows([f.add for f in factors], at, [p[sub] for p in parts]))
             and all(held[rows].all() for rows in product_table_rows(muls, at, cols))):
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
     return Ideal(base, mask_elements(inside))

@@ -27,6 +27,7 @@ from .rings import (
     distinct,
     enumerate_submodules,
     is_local,
+    is_submodule,
     mask_elements,
     pair_homs,
     product,
@@ -113,14 +114,20 @@ class QuotientModuleResult(NamedTuple):
 
 
 def quotient_module(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult:
-    """M/N with least-index coset representatives."""
-    sub_idx = np.asarray(sorted(int(x) for x in sub), dtype=np.intp)
-    if m.zero not in set(int(x) for x in sub_idx):
-        raise PreconditionError("submodule must contain zero")
-    coset_of, reps = cosets(m.add, sub_idx)
+    """M/N with least-index coset representatives; PreconditionError unless
+    N is a submodule of M (rings.is_submodule)."""
+    if not is_submodule(m.ring, m.add, m.action, m.zero, sub):
+        raise PreconditionError("subset is not a submodule")
+    return _divide(m, sub)
+
+
+def _divide(m: FiniteModule, sub: Sequence[int]) -> QuotientModuleResult:
+    """M/N for the indices sub of a submodule N, unchecked: quotient_module's
+    division, for an N that is one by construction (an orbit Rx, a node)."""
+    coset_of, reps = cosets(m.add, sub)
     add = coset_of[m.add[reps[:, None], reps]]
     action = coset_of[m.action[:, reps]]
-    mod = FiniteModule(m.ring, len(reps), add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub_idx)}")
+    mod = FiniteModule(m.ring, len(reps), add, int(coset_of[m.zero]), action, f"{m.label}/{len(sub)}")
     return QuotientModuleResult(mod, coset_of)
 
 
@@ -183,7 +190,7 @@ def module_length(m: FiniteModule) -> int:
         sizes = _orbit_sizes(cur)
         sizes[cur.zero] = cur.order + 1
         x = int(np.argmin(sizes))
-        cur = quotient_module(cur, distinct(cur.action[:, x], cur.order)).module
+        cur = _divide(cur, distinct(cur.action[:, x], cur.order)).module
         length += 1
     return length
 
@@ -311,7 +318,7 @@ def interval_length(bij: BijectionReport, i: int) -> IntervalReport:
     if not 0 <= i < len(bij.pairs):
         raise PreconditionError(f"no lattice node is matched with submodule {i}")
     upper = bij.report.above(bij.pairs[i][1])
-    q = quotient_module(bij.lattice.module, bij.lattice.nodes[i]).module
+    q = _divide(bij.lattice.module, bij.lattice.nodes[i]).module
     return IntervalReport(upper.length, upper.count, *length_and_count(q))
 
 

@@ -61,6 +61,47 @@ def _table_by_rows(n: int, rows_of: Callable[[np.ndarray], np.ndarray]) -> Table
     return out
 
 
+def subgroup_generators(add: Table, zero: int, mask: np.ndarray) -> Optional[np.ndarray]:
+    """Generators of the subgroup (group law add) that the set X = mask
+    generates, each the least element of X outside the span of the earlier
+    ones, so at most log2 |X| of them; None when that span leaves X, that is
+    when X is not a subgroup (it misses zero or a sum of its elements).
+
+    The span S grows by g as S + {0, c} for c = g, 2g, 4g, ..., which after
+    j steps is S + {0, g, ..., (2^j - 1) g}, until the first c already
+    inside: then the span plus g lies inside it, so it is the whole S + <g>.
+
+    Every test of closure under + reads these generators, not all of X: the
+    y with Y + y inside a set Y form a subgroup, and so, when Y is a
+    subgroup, do the y with r y in Y (by distributivity), so each holds X
+    once it holds the generators."""
+    span = np.zeros(len(add), dtype=bool)
+    span[zero] = True
+    gens = []
+    # the first element of X outside the span, while there is one
+    while (rest := mask > span)[c := int(rest.argmax())]:
+        gens.append(c)
+        while not span[c]:
+            span[add[span.nonzero()[0], c]] = True
+            c = int(add[c, c])
+    return None if (span > mask).any() else np.array(gens, dtype=np.intp)
+
+
+def is_submodule(ring: FiniteRing, add: Table, action: Table, zero: int, elements: Sequence[int]) -> bool:
+    """Whether the indices elements are those of a submodule N of the module
+    with group law add and action (ring x module), an ideal on the ring's
+    own tables: a subgroup (subgroup_generators) whose r with r*N inside it,
+    closed under + by distributivity, hold the ring's additive generators."""
+    idx = np.asarray(elements, dtype=np.intp)
+    # a negative index reads as 2^63 or more
+    if idx.view(np.uintp).max(initial=0) >= len(add):
+        return False
+    mask = np.zeros(len(add), dtype=bool)
+    mask[idx] = True
+    return (subgroup_generators(add, zero, mask) is not None
+            and bool(mask[action[ring.additive_generators[:, None], idx]].all()))
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class FiniteRing:
     """A finite commutative unital ring given by total add/mul tables."""
@@ -116,22 +157,8 @@ class FiniteRing:
     @cached_property
     def additive_generators(self) -> np.ndarray:
         """Generators of the additive group, each the least element outside
-        the span of the earlier ones, so at most log2(order) of them.
-
-        The span S grows by g as S + {0, c} for c = g, 2g, 4g, ..., which
-        after j steps is S + {0, g, ..., (2^j - 1) g}, until the first c
-        already inside: then the span plus g lies inside it, so it is the
-        whole S + <g>."""
-        span = np.zeros(self.order, dtype=bool)
-        span[self.zero] = True
-        gens = []
-        while not span.all():
-            c = int(span.argmin())
-            gens.append(c)
-            while not span[c]:
-                span[self.add[span.nonzero()[0], c]] = True
-                c = int(self.add[c, c])
-        return np.array(gens, dtype=np.intp)
+        the span of the earlier ones: subgroup_generators of the whole ring."""
+        return subgroup_generators(self.add, self.zero, np.ones(self.order, dtype=bool))
 
     @cached_property
     def multiples_of_one(self) -> np.ndarray:
@@ -237,18 +264,8 @@ class Ideal:
         return ideal
 
     def _is_valid(self) -> bool:
-        if not self.elements or self.ring.zero not in self.elements:
-            return False
-        idx = np.asarray(self.elements, dtype=np.intp)
-        # a negative index reads as 2^63 or more
-        if idx.view(np.uintp).max() >= self.ring.order:
-            return False
-        m, ring = self.mask, self.ring
-        # once the elements are closed under +, so are the r with r*I inside
-        # I, by distributivity: absorption holds when it holds for the
-        # additive generators of the ring
-        gens = ring.additive_generators
-        return bool(m[ring.add[idx[:, None], idx]].all() and m[ring.mul[gens[:, None], idx]].all())
+        ring = self.ring
+        return is_submodule(ring, ring.add, ring.mul, ring.zero, self.elements)
 
     @cached_property
     def mask(self) -> np.ndarray:

@@ -364,7 +364,7 @@ def criterion_06_crt_minimality() -> tuple[bool, str]:
 def _keyed_quotient(m: md.FiniteModule, sub: tuple[int, ...]) -> tuple[tuple, md.FiniteModule]:
     """M/N and a key of its ring and exact tables: L(M/N) and nu(M/N) depend
     on the tables alone, so quotients with equal keys share them."""
-    q = md.quotient_module(m, sub).module
+    q = md._divide(m, sub).module
     return (m.ring, q.zero, q.add.tobytes(), q.action.tobytes()), q
 
 

@@ -198,6 +198,46 @@ def ideal_by_full_scan():
     return _ideal_by_full_scan
 
 
+def _submodule_by_full_scan(m, elements):
+    mask = np.zeros(m.order, dtype=bool)
+    mask[list(elements)] = True
+    idx = mask.nonzero()[0]
+    return bool(mask[m.zero] and mask[m.add[idx[:, None], idx]].all() and mask[m.action[:, idx]].all())
+
+
+@pytest.fixture(scope="session")
+def submodule_by_full_scan():
+    """Oracle for modules.quotient_module's check: the elements of the module
+    m hold zero, every sum of two of them and every product of one of them
+    with any element of the ring, a full scan of the action table's columns
+    at them."""
+    return _submodule_by_full_scan
+
+
+def _colon_by_full_scan(a, b):
+    ring = a.ring
+    good = a.mask[ring.mul[:, np.asarray(b.elements, dtype=np.intp)]].all(axis=1)
+    return rg.Ideal(ring, rg.mask_elements(good))
+
+
+def _annihilator_by_full_scan(m):
+    return rg.Ideal(m.ring, rg.mask_elements((m.action == m.zero).all(axis=1)))
+
+
+@pytest.fixture(scope="session")
+def colon_by_full_scan():
+    """Oracle for ideals.colon: the r with r*y in a for every element y of b,
+    read off the mul table's columns at all of b."""
+    return _colon_by_full_scan
+
+
+@pytest.fixture(scope="session")
+def annihilator_by_full_scan():
+    """Oracle for ideals.annihilator: the r whose row of the whole action
+    table is zero."""
+    return _annihilator_by_full_scan
+
+
 @pytest.fixture
 def idempotent_scans(monkeypatch):
     """The rings whose idempotents are scanned off the mul table's diagonal,

@@ -173,31 +173,43 @@ def test_a_crt_query_builds_no_product_table(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, generators", [
     (["crt", "Z/60", "--ideals", "(12);(10);(15)"], 3),
     (["crt", "Z/72", "--ideals", "(8);(12);(18)"], 3),
+    (["crt", "Z/60", "--ideals", "(4);(3);(5)"], 3),
     (["classify", "Z/2", "GF(2^2)"], 2),
-], ids=["crt Z/60", "crt Z/72", "classify F4 over F2"])
+], ids=["crt Z/60", "crt Z/72", "crt Z/60 isomorphism", "classify F4 over F2"])
 def test_the_conductor_reads_the_tops_generator_columns(capsys, monkeypatch, argv, generators):
-    # r is in the conductor when r g lies in R for each additive generator g
-    # of the top: one column per generator of each factor (Z/60 and its
-    # quotients are cyclic, 1 and 2 generate F4), never one per element.
-    # The strip whose columns are its rows is the add check of the image.
-    strips, real = [], rg.product_table_rows
+    # r is in the conductor C when r g lies in R for each additive generator
+    # g of the top: one column per generator of each factor (Z/60 and its
+    # quotients are cyclic, 1 and 2 generate F4), never one per element.  The
+    # image of C is closed under + when its sums with the images of C's own
+    # generators stay in it: |C| x (generator count) entries, not |C|^2.
+    # Each strip is classified by the tables it reads, the factors' add or mul
+    strips, factors_of, conductors = [], [], []
+    real_rows, real_conductor = rg.product_table_rows, il.product_conductor
 
     def recorded(tables, rows, cols=None):
         # a strip without columns would read every element of the top
         top_order = math.prod(len(t) for t in tables)
-        if cols is None:
-            strips.append((top_order, top_order, False))
-            return real(tables, rows)
-        add_check = all(len(r) == len(c) and (r == c).all() for r, c in zip(rows, cols))
-        strips.append((top_order, len(cols[0]), add_check))
-        return real(tables, rows, cols)
+        kind = next(k for k in ("add", "mul")
+                    if all(t is getattr(f, k) for t, f in zip(tables, factors_of[-1])))
+        strips.append((kind, top_order, top_order if cols is None else len(cols[0])))
+        return real_rows(tables, rows) if cols is None else real_rows(tables, rows, cols)
+
+    def conductor(base, factors, *args):
+        factors_of.append(factors)
+        conductors.append(real_conductor(base, factors, *args))
+        return conductors[-1]
 
     monkeypatch.setattr(il, "product_table_rows", recorded)
+    monkeypatch.setattr(il, "product_conductor", conductor)
+    monkeypatch.setattr(cr, "product_conductor", conductor)
     code, _, _ = run(capsys, argv)
-    assert code == 0
-    membership = [width for _, width, add_check in strips if not add_check]
+    assert code == 0 and conductors
+    membership = [width for kind, _, width in strips if kind == "mul"]
     assert membership and set(membership) == {generators}
-    assert all(width < top_order for top_order, width, _ in strips)
+    assert all(width < top_order for _, top_order, width in strips)
+    adds = [width for kind, _, width in strips if kind == "add"]
+    assert len(adds) == len(conductors) and all(width < c.order for width, c in zip(adds, conductors))
+    assert adds == [len(rg.subgroup_generators(c.ring.add, c.ring.zero, c.mask)) for c in conductors]
 
 
 def test_a_crt_top_past_the_bound_is_refused_before_anything_is_read(capsys, monkeypatch):

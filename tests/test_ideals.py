@@ -156,6 +156,14 @@ def _small_rings():
             rg.product([f2, f2]).ring, rg.product([f2, f2, f2]).ring, rg.product([f2, rg.make_zmod(4)]).ring]
 
 
+def _zero_subsets(ring):
+    """Every subset of the ring's elements that holds zero, sorted."""
+    others = [x for x in range(ring.order) if x != ring.zero]
+    for k in range(len(others) + 1):
+        for rest in itertools.combinations(others, k):
+            yield tuple(sorted((ring.zero, *rest)))
+
+
 @pytest.mark.parametrize("seed", [None, 38])
 def test_the_ideal_check_on_the_generators_is_the_full_scan(seed, ideal_by_full_scan):
     # every subset holding zero of every ring of order <= 8, as built and
@@ -166,14 +174,40 @@ def test_the_ideal_check_on_the_generators_is_the_full_scan(seed, ideal_by_full_
     for ring in _small_rings():
         if seed is not None:
             ring = _relabeled(ring, seed + ring.order)
-        others = [x for x in range(ring.order) if x != ring.zero]
-        for k in range(len(others) + 1):
-            for rest in itertools.combinations(others, k):
-                ideal = rg.Ideal(ring, tuple(sorted((ring.zero, *rest))))
-                assert ideal._is_valid() == ideal_by_full_scan(ideal), (ring, ideal.elements)
-                idx = np.asarray(ideal.elements)
-                non_absorbing += bool(ideal.mask[ring.add[idx[:, None], idx]].all()) and not ideal._is_valid()
+        for elements in _zero_subsets(ring):
+            ideal = rg.Ideal(ring, elements)
+            assert ideal._is_valid() == ideal_by_full_scan(ideal), (ring, ideal.elements)
+            idx = np.asarray(ideal.elements)
+            non_absorbing += bool(ideal.mask[ring.add[idx[:, None], idx]].all()) and not ideal._is_valid()
     assert non_absorbing
+
+
+@pytest.mark.parametrize("seed", [None, 38])
+def test_the_subgroup_walk_is_the_all_pairs_closure(seed):
+    # the same corpus: the walk refuses exactly the sets that a sum of two of
+    # their elements leaves, and otherwise returns generators of the set,
+    # each its least element outside the span of the earlier ones
+    for ring in _small_rings():
+        if seed is not None:
+            ring = _relabeled(ring, seed + ring.order)
+        for elements in _zero_subsets(ring):
+            mask = np.zeros(ring.order, dtype=bool)
+            mask[list(elements)] = True
+            idx = np.asarray(elements)
+            gens = rg.subgroup_generators(ring.add, ring.zero, mask)
+            assert (gens is not None) == bool(mask[ring.add[idx[:, None], idx]].all()), (ring, elements)
+            if gens is None:
+                continue
+            assert len(gens) <= math.log2(len(elements))
+            for i, g in enumerate(gens):
+                span = rg.closure_mask(ring.order, [ring.zero, *gens[:i]], (ring.add,))
+                assert g == (mask & ~span).nonzero()[0][0], (ring, elements)
+            assert (rg.closure_mask(ring.order, [ring.zero, *gens], (ring.add,)) == mask).all()
+        # without zero, no set is a subgroup
+        no_zero = np.ones(ring.order, dtype=bool)
+        no_zero[ring.zero] = False
+        assert rg.subgroup_generators(ring.add, ring.zero, no_zero) is None
+        assert rg.subgroup_generators(ring.add, ring.zero, np.zeros(ring.order, dtype=bool)) is None
     # {0, 1} of F4 is a subgroup but no ideal
     assert not rg.Ideal(rg.make_gf(2, 2), (0, 1))._is_valid()
 
@@ -217,6 +251,35 @@ def test_annihilator(z4):
     mod = module_from_cyclics(z4, [[2]])
     ann = il.annihilator(mod)
     assert sorted(ann.elements) == [0, 2]
+
+
+@pytest.mark.parametrize("seed", [None, 40])
+def test_colon_on_every_ideal_pair_is_the_full_scan(seed, colon_by_full_scan):
+    for ring in [*_small_rings(), rg.make_zmod(12)]:
+        if seed is not None:
+            ring = _relabeled(ring, seed + ring.order)
+        ideals = il.all_ideals(ring)
+        for a, b in itertools.product(ideals, repeat=2):
+            assert il.colon(a, b) == colon_by_full_scan(a, b), (ring, a, b)
+
+
+def test_colon_refuses_a_second_set_that_is_not_an_ideal(z12):
+    with pytest.raises(PreconditionError, match="subset is not an ideal"):
+        il.colon(il.unit_ideal(z12), rg.Ideal(z12, (0, 1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: md.module_from_cyclics(rg.make_zmod(12), []),
+    lambda: md.module_from_ring(rg.make_zmod(8)),
+    lambda: md.module_from_ring(rg.poly_quotient(rg.make_gf(2), [0, 0, 1], var="t").ring),
+    lambda: md.module_from_cyclics(rg.make_zmod(12), [[4], [6]]),
+    lambda: md.module_from_cyclics(rg.make_zmod(4), [[0], [2]]),
+    lambda: md.module_from_cyclics(rg.make_gf(2, 2), [[0], [0]]),
+    lambda: md.quotient_module(md.module_from_cyclics(rg.make_zmod(12), [[4], [6]]), [0, 3]).module,
+], ids=["zero module", "Z/8", "F2[t]/(t^2)", "Z/4 + Z/6 over Z/12", "Z/4 + Z/2", "F4^2", "a quotient"])
+def test_the_annihilator_is_the_full_scan(build, annihilator_by_full_scan):
+    m = build()
+    assert il.annihilator(m) == annihilator_by_full_scan(m)
 
 
 def test_colon_contains(z12):

@@ -29,9 +29,11 @@ wrappers every small query pays many times over.  The canonical chain is
 checked on the top's tables: closures builds no ring (realize, subset_ring)
 and no hom (RingHom) for a node.  A CRT top is read off its factors: crt
 builds a product (product, pair_homs) only where CrtExtension.extension
-realizes it.  An additive check reads generators: ideals.product_conductor and
-Ideal._is_valid read no table at a whole-axis slice and pass
-product_table_rows its columns."""
+realizes it.  An additive check reads generators: ideals.product_conductor,
+Ideal._is_valid and rings.is_submodule read no table at a whole-axis slice or
+at all pairs of one index, and pass product_table_rows columns other than its
+rows; colon reads no element list of its second ideal and annihilator
+compares no whole action table."""
 
 import ast
 import importlib
@@ -901,50 +903,82 @@ def test_a_crt_top_is_read_off_its_factors():
     assert calls_outside((PACKAGE / "crt.py").read_text(), "extension") == []
 
 
-ADDITIVE_CHECKS = (("ideals", "product_conductor"), ("rings", "_is_valid"))
+ADDITIVE_CHECKS = (("ideals", "product_conductor"), ("rings", "_is_valid"), ("rings", "is_submodule"))
+GENERATOR_READERS = (("ideals", "colon"), ("ideals", "annihilator"))
 
 
-def whole_axis_reads(sources: dict[str, str], checks: tuple[tuple[str, str], ...] = ADDITIVE_CHECKS) -> list[str]:
-    """module.function: line for each read, inside one of the functions that
-    checks names as (module, function), methods included, of a table (add[...],
-    ring.mul[...]) at a whole-axis slice, and each call of product_table_rows
-    without its columns, in the sources (module name -> source)."""
+def _name(node) -> Optional[str]:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _reads_every_element(module: str, function: str, node) -> bool:
+    """Whether node, inside module.function, decides a closure on all of a
+    set, not on its generators.  In the additive checks: a table (add[...],
+    ring.mul[...]) read at a whole-axis slice or at all pairs of one index
+    (t[idx[:, None], idx]), or product_table_rows called without its
+    columns or with its rows as columns.  In colon: a read of b.elements, all
+    of the second ideal.  In annihilator: a compare of the whole action
+    table."""
+    if (module, function) in ADDITIVE_CHECKS:
+        if isinstance(node, ast.Subscript) and _name(node.value) in ("add", "mul"):
+            index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            if any(isinstance(i, ast.Slice) and i.lower is i.upper is i.step is None for i in index):
+                return True
+            return (len(index) == 2 and isinstance(index[0], ast.Subscript)
+                    and ast.dump(index[0].value) == ast.dump(index[1]))
+        if isinstance(node, ast.Call) and _name(node.func) == "product_table_rows":
+            args = node.args + [k.value for k in node.keywords if k.arg == "cols"]
+            return len(args) < 3 or ast.dump(args[1]) == ast.dump(args[2])
+        return False
+    if function == "colon":
+        return isinstance(node, ast.Attribute) and node.attr == "elements" and _name(node.value) == "b"
+    return isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Attribute) and x.attr == "action" for x in [node.left, *node.comparators])
+
+
+def whole_axis_reads(sources: dict[str, str]) -> list[str]:
+    """module.function: line for each node that _reads_every_element, inside
+    one of the ADDITIVE_CHECKS or GENERATOR_READERS, methods included, in
+    the sources (module name -> source)."""
     found = []
     for module, source in sources.items():
         for fn in ast.walk(ast.parse(source)):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or (module, fn.name) not in checks:
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Subscript) and (
-                        getattr(node.value, "id", None) or getattr(node.value, "attr", None)) in ("add", "mul"):
-                    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
-                    whole = any(isinstance(i, ast.Slice) and i.lower is i.upper is i.step is None for i in index)
-                elif isinstance(node, ast.Call) and (
-                        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "product_table_rows":
-                    whole = len(node.args) < 3 and not any(k.arg == "cols" for k in node.keywords)
-                else:
-                    continue
-                if whole:
-                    found.append(f"{module}.{fn.name}: {node.lineno}")
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (module, fn.name) in ADDITIVE_CHECKS + GENERATOR_READERS):
+                found += [f"{module}.{fn.name}: {node.lineno}" for node in ast.walk(fn)
+                          if _reads_every_element(module, fn.name, node)]
     return sorted(found)
 
 
 def test_scan_finds_whole_axis_reads():
-    # the two checks as they read every element of the ring or the top
+    # the checks as they read every element of the ring, the top or a set:
+    # product_conductor's add strip, _is_valid's sums, colon's columns and
+    # annihilator's compare are written as they were before each read
+    # generators
     sources = {
         "ideals": ("def product_conductor(base, factors, parts, image_mask):\n"
                    "    inside = [image_mask[r] for r in product_table_rows(muls, parts)]\n"
                    "    ok = [held[r] for r in rg.product_table_rows(adds, at, at)]\n"
                    "    return product_table_rows(muls, at, cols=cols), top.mul[:, x[:, None]]\n"
-                   "def colon(a, b):\n    return ring.mul[:, bi]\n"),
+                   "def colon(a, b):\n    bi = np.asarray(b.elements, dtype=np.intp)\n"
+                   "    return a.mask[ring.mul[:, bi]].all(axis=1), a.elements\n"
+                   "def annihilator(module):\n    good = (module.action == module.zero).all(axis=1)\n"
+                   "    return module.action[:, gens] == module.zero, mul[idx[:, None], idx]\n"
+                   "def later(factors, at, sub):\n"
+                   "    return product_table_rows([f.add for f in factors], at, cols=at), b.elements\n"),
         "rings": ("class Ideal:\n    def _is_valid(self):\n        m, ring = self.mask, self.ring\n"
                   "        return m[ring.add[idx[:, None], idx]].all() and m[self.ring.mul[:, idx]].all()\n"
                   "    def mask(self):\n        return mul[:]\n"
                   "def _is_valid(ring, idx, gens):\n"
-                  "    return ring.mul[gens[:, None], idx], mul[1:, idx], add[idx, :]\n"),
+                  "    return ring.mul[gens[:, None], idx], mul[1:, idx], add[idx, :]\n"
+                  "def is_submodule(ring, add, action, mask):\n"
+                  "    return add[m[:, None], m], action[gens[:, None], m], product_table_rows(t, m, cols=m)\n"),
     }
-    assert whole_axis_reads(sources) == ["ideals.product_conductor: 2", "ideals.product_conductor: 4",
-                                         "rings._is_valid: 4", "rings._is_valid: 8"]
+    assert whole_axis_reads(sources) == [
+        "ideals.annihilator: 9", "ideals.colon: 6", "ideals.product_conductor: 2",
+        "ideals.product_conductor: 3", "ideals.product_conductor: 4",
+        "rings._is_valid: 4", "rings._is_valid: 4", "rings._is_valid: 8", "rings.is_submodule: 10",
+        "rings.is_submodule: 10"]
 
 
 def test_additive_checks_read_generators():

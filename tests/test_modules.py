@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,34 @@ def test_quotient_module(z8):
     out = md.quotient_module(mod, sub)
     assert out.module.order == 4
     md.check_module(out.module)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: md.module_from_ring(rg.make_zmod(4)),
+    lambda: md.module_from_ring(rg.make_zmod(6)),
+    lambda: md.module_from_ring(rg.poly_quotient(rg.make_gf(2), [0, 0, 1], var="t").ring),
+    lambda: md.module_from_cyclics(rg.make_zmod(4), [[0], [2]]),
+], ids=["Z/4", "Z/6", "F2[t]/(t^2)", "Z/4 + Z/2"])
+def test_quotient_module_refuses_exactly_the_subsets_that_are_not_submodules(build, submodule_by_full_scan):
+    # every subset holding zero: {0, 1} of Z/4 is no subgroup, and its
+    # "quotient" would fail check_module; every accepted quotient is a module
+    m = build()
+    others = [x for x in range(m.order) if x != m.zero]
+    refused = 0
+    for k in range(len(others) + 1):
+        for rest in itertools.combinations(others, k):
+            sub = [m.zero, *rest]
+            if submodule_by_full_scan(m, sub):
+                md.check_module(md.quotient_module(m, sub).module)
+            else:
+                with pytest.raises(PreconditionError, match="subset is not a submodule"):
+                    md.quotient_module(m, sub)
+                refused += 1
+    assert refused
+    # no zero, an index past the module, a negative index
+    for sub in ([x for x in range(m.order) if x != m.zero], [m.zero, m.order], [m.zero, -1]):
+        with pytest.raises(PreconditionError, match="subset is not a submodule"):
+            md.quotient_module(m, sub)
 
 
 def _direct_sum_oracle(ring, gens):

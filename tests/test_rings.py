@@ -1227,6 +1227,65 @@ def test_additive_generators_are_least_outside_and_span_the_group(extension_zoo)
         assert rg.closure_mask(ring.order, [ring.zero, *gens], (ring.add,)).all(), ring
 
 
+def _generators_by_doubling(ring):
+    """The additive generators as FiniteRing.additive_generators computed
+    them before the walk took a set: the least element outside the span, and
+    the span grown by its doublings."""
+    span = np.zeros(ring.order, dtype=bool)
+    span[ring.zero] = True
+    gens = []
+    while not span.all():
+        c = int(span.argmin())
+        gens.append(c)
+        while not span[c]:
+            span[ring.add[span.nonzero()[0], c]] = True
+            c = int(ring.add[c, c])
+    return np.array(gens, dtype=np.intp)
+
+
+class _RecordingTable(np.ndarray):
+    """A table that records each index it is read at."""
+
+    indices = []
+
+    def __getitem__(self, index):
+        _RecordingTable.indices.append(index)
+        return super().__getitem__(index)
+
+
+def test_the_whole_ring_walk_is_the_doubling_walk_and_is_read_in_its_order(extension_zoo, monkeypatch):
+    # additive_generators is subgroup_generators of the whole ring, with the
+    # values and order of the walk it replaced; the hom check reads the
+    # source's rows, and the conductor the top's columns, in that order
+    rings = _zoo_rings(extension_zoo)
+    rings += [_relabeled(r, _relabeling(r.order)) for r in rings]
+    for ring in rings:
+        want = _generators_by_doubling(ring)
+        assert ring.additive_generators.tolist() == want.tolist(), ring
+        whole = np.ones(ring.order, dtype=bool)
+        assert rg.subgroup_generators(ring.add, ring.zero, whole).tolist() == want.tolist(), ring
+        source = rg.FiniteRing(ring.order, ring.add, ring.mul, ring.zero, ring.one, ring.label)
+        object.__setattr__(source, "add", ring.add.view(_RecordingTable))
+        _RecordingTable.indices = []
+        rg.RingHom(source, ring, np.arange(ring.order))
+        # add[gens] is the only read of the source's add table at one index
+        # array; the walk reads it at (span, c) pairs
+        rows = [i for i in _RecordingTable.indices if isinstance(i, np.ndarray)]
+        assert [r.tolist() for r in rows] == [want.tolist()], ring
+    columns, real = [], il._generator_columns
+
+    def recorded(factors, gens):
+        columns.append([g.tolist() for g in gens])
+        return real(factors, gens)
+
+    monkeypatch.setattr(il, "_generator_columns", recorded)
+    for name in _ZOO_NAMES:
+        ext = extension_zoo(name)
+        columns.clear()
+        il.conductor(ext)
+        assert columns == [[_generators_by_doubling(ext.top).tolist()]], name
+
+
 def test_hom_validation_reads_n_entries_per_generator_of_each_table():
     # Z/2[t]/(t^12), order 4096 and twelve generators: the identity hom reads
     # 4 n |G| table entries, against 4 n^2 for all pairs

@@ -40,6 +40,7 @@ from .rings import (
     product_order,
     quotient,
     subgroup_sum_mask,
+    _closed_ideal,
 )
 
 class SeparatingFamily(NamedTuple):
@@ -102,7 +103,7 @@ def make_family(ring: FiniteRing, ideals: Sequence[IdealLike]) -> SeparatingFami
 
 def _images(qr: QuotientResult, ideals: Sequence[Ideal]) -> tuple[Ideal, ...]:
     """The images of ideals of R in the quotient R/I."""
-    return tuple(Ideal(qr.ring, tuple(sorted(set(qr.projection.map[list(i.elements)].tolist()))))
+    return tuple(_closed_ideal(qr.ring, tuple(sorted(set(qr.projection.map[list(i.elements)].tolist()))))
                  for i in ideals)
 
 

@@ -20,27 +20,28 @@ from .rings import (
     subgroup_generators,
     subgroup_sum_mask,
     sum_of_orbits,
+    _closed_ideal,
 )
 
 IdealLike = Union[Ideal, Sequence[int]]
 
 
 def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, (ring.zero,))
+    return _closed_ideal(ring, (ring.zero,))
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, tuple(range(ring.order)))
+    return _closed_ideal(ring, tuple(range(ring.order)))
 
 
 def principal_ideal(ring: FiniteRing, x: int) -> Ideal:
     # Rx is already closed under addition: r1 x + r2 x = (r1 + r2) x
-    return Ideal(ring, tuple(int(i) for i in distinct(ring.mul[:, x], ring.order)))
+    return _closed_ideal(ring, tuple(int(i) for i in distinct(ring.mul[:, x], ring.order)))
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     mask = sum_of_orbits(ring.add, ring.mul, ring.zero, gens)
-    return Ideal(ring, mask_elements(mask))
+    return _closed_ideal(ring, mask_elements(mask))
 
 
 def coerce_ideal(ring: FiniteRing, spec: IdealLike) -> Ideal:
@@ -54,12 +55,12 @@ def coerce_ideal(ring: FiniteRing, spec: IdealLike) -> Ideal:
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     _same_ring(a, b)
-    return Ideal(a.ring, mask_elements(subgroup_sum_mask(a.ring, a.mask, b.mask)))
+    return _closed_ideal(a.ring, mask_elements(subgroup_sum_mask(a.ring, a.mask, b.mask)))
 
 
 def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
     _same_ring(a, b)
-    return Ideal(a.ring, mask_elements(a.mask & b.mask))
+    return _closed_ideal(a.ring, mask_elements(a.mask & b.mask))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -67,7 +68,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     _same_ring(a, b)
     ring = a.ring
     span = span_of_products(ring.add, ring.mul, ring.zero, a.elements, b.elements)
-    return Ideal(ring, mask_elements(span))
+    return _closed_ideal(ring, mask_elements(span))
 
 
 def ideal_power(a: Ideal, e: int) -> Ideal:
@@ -85,10 +86,8 @@ def colon(a: Ideal, b: Ideal) -> Ideal:
     _same_ring(a, b)
     ring = a.ring
     gens = subgroup_generators(ring.add, ring.zero, b.mask)
-    if gens is None:
-        raise PreconditionError("subset is not an ideal")
     good = a.mask[ring.mul[:, gens]].all(axis=1)
-    return Ideal(ring, mask_elements(good))
+    return _closed_ideal(ring, mask_elements(good))
 
 
 def annihilator(module) -> Ideal:
@@ -96,7 +95,7 @@ def annihilator(module) -> Ideal:
     at M's additive generators (subgroup_generators of all of M)."""
     gens = subgroup_generators(module.add, module.zero, np.ones(module.order, dtype=bool))
     good = (module.action[:, gens] == module.zero).all(axis=1)
-    return Ideal(module.ring, mask_elements(good))
+    return _closed_ideal(module.ring, mask_elements(good))
 
 
 def contains(outer: Ideal, inner: Ideal) -> bool:
@@ -116,7 +115,7 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     """
     if ring.order > lattice_limit():
         raise SizeLimitError(f"ideal enumeration bound exceeded for order {ring.order}")
-    return [Ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
+    return [_closed_ideal(ring, mask_elements(m)) for m in enumerate_submodules(ring.add, ring.mul, ring.zero)]
 
 
 def quotient_ideal_count(ideal: Ideal) -> int:
@@ -140,8 +139,8 @@ class SpectrumReport(NamedTuple):
 
 def spectrum(ring: FiniteRing) -> SpectrumReport:
     """Primes and nilradical, read from the ring's cached prime_elements."""
-    primes = tuple(Ideal(ring, p) for p in ring.prime_elements)
-    return SpectrumReport(ring, primes, Ideal(ring, mask_elements(ring.nilpotents)))
+    primes = tuple(_closed_ideal(ring, p) for p in ring.prime_elements)
+    return SpectrumReport(ring, primes, _closed_ideal(ring, mask_elements(ring.nilpotents)))
 
 
 def conductor(ext) -> Ideal:
@@ -163,21 +162,17 @@ def product_conductor(base: FiniteRing, factors: Sequence[FiniteRing], parts: Se
     mul table are read at every r off the factors' tables
     (rings.product_table_rows), so S's own tables are never needed.  Raises
     InternalCheckError unless the image of the conductor C is an ideal of S:
-    C is a subgroup of R (subgroup_generators), S's add rows at the image
-    hold it at the images of C's generators, and, by the same argument, its
-    mul rows at S's generators."""
+    C is a subgroup of R, so its image is one of S (the hom is additive),
+    and it absorbs on generator pairs (subgroup_generators)."""
     cols = _generator_columns(factors, gens)
     muls = [f.mul for f in factors]
     inside = np.concatenate([image_mask[rows].all(axis=1) for rows in product_table_rows(muls, parts, cols)])
     sub = subgroup_generators(base.add, base.zero, inside)
-    at = [p[inside] for p in parts]
     held = np.zeros_like(image_mask)
-    held[product_index([f.order for f in factors], at)] = True
-    if not (sub is not None
-            and all(held[r].all() for r in product_table_rows([f.add for f in factors], at, [p[sub] for p in parts]))
-            and all(held[rows].all() for rows in product_table_rows(muls, at, cols))):
+    held[product_index([f.order for f in factors], [p[inside] for p in parts])] = True
+    if sub is None or not all(held[rows].all() for rows in product_table_rows(muls, [p[sub] for p in parts], cols)):
         raise InternalCheckError("conductor image is not an ideal of the extension ring")
-    return Ideal(base, mask_elements(inside))
+    return _closed_ideal(base, mask_elements(inside))
 
 
 def _generator_columns(factors: Sequence[FiniteRing], gens: Sequence[np.ndarray]) -> list[np.ndarray]:

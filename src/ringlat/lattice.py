@@ -18,6 +18,7 @@ from .rings import (
     _GATHER_ENTRIES,
     _LEVEL_ENTRIES,
     _add_cosets_rows,
+    _closed_ideal,
     _is_prime,
     adjoin_all,
     cosets,
@@ -491,7 +492,7 @@ def classify_minimal(report: LatticeReport) -> MinimalClassification:
         raise InternalCheckError("classification failure: conductor of a minimal extension is not maximal")
     q_r = base.order // m.order
     m_top_elems = tuple(sorted(int(i) for i in ext.embed.map[np.asarray(m.elements, dtype=np.intp)]))
-    m_top = Ideal(top, m_top_elems)
+    m_top = _closed_ideal(top, m_top_elems)
     # every prime of a finite ring is maximal
     over = [q for q in spectrum(top).primes if contains(q, m_top)]
 

@@ -334,27 +334,22 @@ class UniserialReport(NamedTuple):
 
 
 def uniserial_structure_check(m: FiniteModule) -> UniserialReport:
-    ring = m.ring
-    p = is_local(ring)
+    p = is_local(m.ring)
     if p is None:
         raise PreconditionError("uniserial structure needs a local ring")
     e = is_cyclic(m)
     if e is None:
         raise NotApplicableError("module is not cyclic")
-    c_elems = [r for r in range(ring.order) if m.action[r, e] == m.zero]
-    c = Ideal.from_indices(ring, c_elems)
+    # m is cyclic, so (0 : m) is (0 : e)
+    c = annihilator(m)
     nu_rc = quotient_ideal_count(c)
     p_idx = np.asarray(p.elements, dtype=np.intp)
-    chain = []
-    cur = tuple(range(m.order))
-    while True:
-        chain.append(tuple(sorted(cur)))
-        if cur == (m.zero,) or len(cur) == 1:
-            break
-        nxt = mask_elements(span_of_products(m.add, m.action, m.zero, p_idx, cur))
-        if nxt == tuple(sorted(cur)):
+    chain = [tuple(range(m.order))]
+    while len(chain[-1]) > 1:
+        nxt = mask_elements(span_of_products(m.add, m.action, m.zero, p_idx, chain[-1]))
+        if nxt == chain[-1]:
             raise InternalCheckError("powers of the maximal ideal fail to shrink a cyclic module")
-        cur = nxt
+        chain.append(nxt)
     lat = submodules(m)
     passed = set(lat.nodes) == set(chain) and lat.count == nu_rc
     return UniserialReport(passed, tuple(chain), lat.count, nu_rc, e, c)

@@ -74,7 +74,9 @@ def subgroup_generators(add: Table, zero: int, mask: np.ndarray) -> Optional[np.
     Every test of closure under + reads these generators, not all of X: the
     y with Y + y inside a set Y form a subgroup, and so, when Y is a
     subgroup, do the y with r y in Y (by distributivity), so each holds X
-    once it holds the generators."""
+    once it holds the generators.  The action is biadditive, so, on both
+    sides, a subgroup N absorbs (R N inside N) iff g h lies in N for g among
+    R's generators and h among N's: absorption on generator pairs."""
     span = np.zeros(len(add), dtype=bool)
     span[zero] = True
     gens = []
@@ -90,16 +92,16 @@ def subgroup_generators(add: Table, zero: int, mask: np.ndarray) -> Optional[np.
 def is_submodule(ring: FiniteRing, add: Table, action: Table, zero: int, elements: Sequence[int]) -> bool:
     """Whether the indices elements are those of a submodule N of the module
     with group law add and action (ring x module), an ideal on the ring's
-    own tables: a subgroup (subgroup_generators) whose r with r*N inside it,
-    closed under + by distributivity, hold the ring's additive generators."""
+    own tables: a subgroup that absorbs on generator pairs, |G_R| x |G_N|
+    entries (subgroup_generators)."""
     idx = np.asarray(elements, dtype=np.intp)
     # a negative index reads as 2^63 or more
     if idx.view(np.uintp).max(initial=0) >= len(add):
         return False
     mask = np.zeros(len(add), dtype=bool)
     mask[idx] = True
-    return (subgroup_generators(add, zero, mask) is not None
-            and bool(mask[action[ring.additive_generators[:, None], idx]].all()))
+    gens = subgroup_generators(add, zero, mask)
+    return gens is not None and bool(mask[action[ring.additive_generators[:, None], gens]].all())
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -250,22 +252,22 @@ def compose(first: RingHom, then: RingHom) -> RingHom:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Ideal:
-    """A canonical subset closed under addition and absorbing multiplication."""
+    """An ideal, as the strictly increasing tuple of its indices (ints): the
+    constructor raises PreconditionError for any other tuple (is_submodule),
+    and the closures build through the unchecked _closed_ideal."""
 
     ring: FiniteRing
     elements: tuple[int, ...]
 
+    def __post_init__(self):
+        ring, elems = self.ring, self.elements
+        if not (type(elems) is tuple and all(type(e) is int for e in elems) and elems == tuple(sorted(set(elems)))
+                and is_submodule(ring, ring.add, ring.mul, ring.zero, elems)):
+            raise PreconditionError("subset is not an ideal")
+
     @staticmethod
     def from_indices(ring: FiniteRing, indices: Iterable[int]) -> "Ideal":
-        elems = tuple(sorted(set(int(i) for i in indices)))
-        ideal = Ideal(ring, elems)
-        if not ideal._is_valid():
-            raise PreconditionError("subset is not an ideal")
-        return ideal
-
-    def _is_valid(self) -> bool:
-        ring = self.ring
-        return is_submodule(ring, ring.add, ring.mul, ring.zero, self.elements)
+        return Ideal(ring, tuple(sorted(set(int(i) for i in indices))))
 
     @cached_property
     def mask(self) -> np.ndarray:
@@ -304,6 +306,14 @@ class Ideal:
         if self.is_zero:
             return "(0)"
         return "{" + ",".join(str(e) for e in self.elements[:6]) + (",..." if self.order > 6 else "") + "}"
+
+
+def _closed_ideal(ring: FiniteRing, elements: tuple[int, ...]) -> Ideal:
+    """The Ideal of ring at these sorted indices, unchecked: for an ideal by
+    construction (a closure, a prime, an image under a surjective hom)."""
+    ideal = object.__new__(Ideal)
+    ideal.__dict__.update(ring=ring, elements=elements)
+    return ideal
 
 
 class SpirWitness(NamedTuple):
@@ -993,14 +1003,11 @@ class QuotientResult(NamedTuple):
 
 
 def _ideal_indices(ring: FiniteRing, ideal) -> np.ndarray:
-    if isinstance(ideal, Ideal):
-        if ideal.ring is not ring and not same_tables(ideal.ring, ring):
-            raise PreconditionError("ideal belongs to a different ring")
-        if not ideal._is_valid():
-            raise PreconditionError("subset is not an ideal")
-        return np.asarray(ideal.elements, dtype=np.intp)
-    checked = Ideal.from_indices(ring, ideal)
-    return np.asarray(checked.elements, dtype=np.intp)
+    if not isinstance(ideal, Ideal):
+        ideal = Ideal.from_indices(ring, ideal)
+    elif ideal.ring is not ring and not same_tables(ideal.ring, ring):
+        raise PreconditionError("ideal belongs to a different ring")
+    return np.asarray(ideal.elements, dtype=np.intp)
 
 
 def cosets(add: Table, sub) -> tuple[np.ndarray, np.ndarray]:
@@ -1227,7 +1234,7 @@ def is_field(ring: FiniteRing) -> bool:
 def is_local(ring: FiniteRing) -> Optional[Ideal]:
     """The maximal ideal when R has one prime, else None."""
     primes = ring.prime_elements
-    return Ideal(ring, primes[0]) if len(primes) == 1 else None
+    return _closed_ideal(ring, primes[0]) if len(primes) == 1 else None
 
 
 def nilpotency_index(ring: FiniteRing) -> int:

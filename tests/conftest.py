@@ -183,18 +183,19 @@ def brute_force_product_tables():
     return tables
 
 
-def _ideal_by_full_scan(ideal):
-    m = ideal.mask
-    idx = np.asarray(ideal.elements, dtype=np.intp)
-    return bool(m[ideal.ring.add[idx[:, None], idx]].all() and m[ideal.ring.mul[:, idx]].all())
+def _ideal_by_full_scan(ring, elements):
+    m = np.zeros(ring.order, dtype=bool)
+    m[list(elements)] = True
+    idx = np.asarray(elements, dtype=np.intp)
+    return bool(m[ring.add[idx[:, None], idx]].all() and m[ring.mul[:, idx]].all())
 
 
 @pytest.fixture(scope="session")
 def ideal_by_full_scan():
-    """Oracle for Ideal._is_valid on a subset that holds zero: closed under
-    every sum of two of its elements, and absorbing every product of one of
-    its elements with any element of the ring, a full scan of the mul table's
-    columns at it."""
+    """Oracle for the Ideal constructor's check on the sorted elements of a
+    subset of the ring that holds zero: closed under every sum of two of its
+    elements, and absorbing every product of one of its elements with any
+    element of the ring, a full scan of the mul table's columns at it."""
     return _ideal_by_full_scan
 
 

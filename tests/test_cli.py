@@ -180,9 +180,10 @@ def test_the_conductor_reads_the_tops_generator_columns(capsys, monkeypatch, arg
     # r is in the conductor C when r g lies in R for each additive generator
     # g of the top: one column per generator of each factor (Z/60 and its
     # quotients are cyclic, 1 and 2 generate F4), never one per element.  The
-    # image of C is closed under + when its sums with the images of C's own
-    # generators stay in it: |C| x (generator count) entries, not |C|^2.
-    # Each strip is classified by the tables it reads, the factors' add or mul
+    # image of C is a subgroup once C is, as the embedding is additive, so no
+    # add strip is read; it absorbs when the mul rows at the images of C's
+    # generators hold it at the top's generators.  Each strip is classified
+    # by the tables it reads, the factors' add or mul
     strips, factors_of, conductors = [], [], []
     real_rows, real_conductor = rg.product_table_rows, il.product_conductor
 
@@ -191,7 +192,7 @@ def test_the_conductor_reads_the_tops_generator_columns(capsys, monkeypatch, arg
         top_order = math.prod(len(t) for t in tables)
         kind = next(k for k in ("add", "mul")
                     if all(t is getattr(f, k) for t, f in zip(tables, factors_of[-1])))
-        strips.append((kind, top_order, top_order if cols is None else len(cols[0])))
+        strips.append((kind, top_order, top_order if cols is None else len(cols[0]), len(rows[0])))
         return real_rows(tables, rows) if cols is None else real_rows(tables, rows, cols)
 
     def conductor(base, factors, *args):
@@ -204,12 +205,15 @@ def test_the_conductor_reads_the_tops_generator_columns(capsys, monkeypatch, arg
     monkeypatch.setattr(cr, "product_conductor", conductor)
     code, _, _ = run(capsys, argv)
     assert code == 0 and conductors
-    membership = [width for kind, _, width in strips if kind == "mul"]
+    membership = [width for kind, _, width, _ in strips if kind == "mul"]
     assert membership and set(membership) == {generators}
-    assert all(width < top_order for _, top_order, width in strips)
-    adds = [width for kind, _, width in strips if kind == "add"]
-    assert len(adds) == len(conductors) and all(width < c.order for width, c in zip(adds, conductors))
-    assert adds == [len(rg.subgroup_generators(c.ring.add, c.ring.zero, c.mask)) for c in conductors]
+    assert all(width < top_order for _, top_order, width, _ in strips)
+    adds = [width for kind, _, width, _ in strips if kind == "add"]
+    assert adds == []
+    # each conductor reads a strip at every element of R, then one at the
+    # images of C's generators, not at all of C
+    absorbing = [rows for kind, _, _, rows in strips if kind == "mul"][1::2]
+    assert absorbing == [len(rg.subgroup_generators(c.ring.add, c.ring.zero, c.mask)) for c in conductors]
 
 
 def test_a_crt_top_past_the_bound_is_refused_before_anything_is_read(capsys, monkeypatch):

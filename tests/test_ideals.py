@@ -167,19 +167,84 @@ def _zero_subsets(ring):
 @pytest.mark.parametrize("seed", [None, 38])
 def test_the_ideal_check_on_the_generators_is_the_full_scan(seed, ideal_by_full_scan):
     # every subset holding zero of every ring of order <= 8, as built and
-    # relabeled: absorption read on the additive generators decides as the
-    # full scan of the mul table does, on additive subgroups that are not
-    # ideals too
+    # relabeled: the constructor, which reads absorption on generator pairs,
+    # refuses exactly the subsets that the full scan of the mul table
+    # refuses, additive subgroups that are not ideals too
     non_absorbing = 0
     for ring in _small_rings():
         if seed is not None:
             ring = _relabeled(ring, seed + ring.order)
         for elements in _zero_subsets(ring):
-            ideal = rg.Ideal(ring, elements)
-            assert ideal._is_valid() == ideal_by_full_scan(ideal), (ring, ideal.elements)
-            idx = np.asarray(ideal.elements)
-            non_absorbing += bool(ideal.mask[ring.add[idx[:, None], idx]].all()) and not ideal._is_valid()
+            is_ideal = ideal_by_full_scan(ring, elements)
+            if is_ideal:
+                assert rg.Ideal(ring, elements).elements == elements
+            else:
+                with pytest.raises(PreconditionError, match="subset is not an ideal"):
+                    rg.Ideal(ring, elements)
+            mask = np.zeros(ring.order, dtype=bool)
+            mask[list(elements)] = True
+            idx = np.asarray(elements)
+            non_absorbing += bool(mask[ring.add[idx[:, None], idx]].all()) and not is_ideal
     assert non_absorbing
+
+
+@pytest.mark.parametrize("elements", [(6, 0), (0, 0, 6), (0, -6), (0, 1), [0, 6], (0.0, 6.5), (False, 6)],
+                         ids=["unsorted", "repeated", "negative", "no ideal", "a list", "floats", "a bool"])
+def test_the_constructor_refuses_a_tuple_that_is_not_a_canonical_ideal(z12, elements):
+    # each of these built an Ideal once: (6, 0) was unequal to (0, 6) and not
+    # among all_ideals, (0, 0, 6) had order 3, (0, -6) was labeled {0,-6},
+    # ideal_sum of (0, 1) with zero gave (0, 1), over which
+    # quotient_ideal_count counted 5 ideals, and (0.0, 6.5) had no mask
+    with pytest.raises(PreconditionError, match="subset is not an ideal"):
+        rg.Ideal(z12, elements)
+    assert rg.Ideal(z12, (0, 6)) == il.principal_ideal(z12, 6) and rg.Ideal(z12, (0, 6)) in il.all_ideals(z12)
+
+
+@pytest.mark.parametrize("seed", [None, 41])
+def test_a_subgroup_that_does_not_absorb_is_refused_at_every_boundary(seed):
+    # every additive subgroup that is not an ideal, of every ring of order
+    # <= 8: it passes the walk, so only absorption on generator pairs refuses
+    # it, in the constructor, in quotient on raw indices and, as a submodule
+    # of R over itself, in quotient_module
+    refused = 0
+    for ring in _small_rings():
+        if seed is not None:
+            ring = _relabeled(ring, seed + ring.order)
+        ideals = {i.elements for i in il.all_ideals(ring)}
+        module = md.module_from_ring(ring)
+        for elements in _zero_subsets(ring):
+            mask = np.zeros(ring.order, dtype=bool)
+            mask[list(elements)] = True
+            if elements in ideals or rg.subgroup_generators(ring.add, ring.zero, mask) is None:
+                continue
+            with pytest.raises(PreconditionError, match="subset is not an ideal"):
+                rg.Ideal(ring, elements)
+            with pytest.raises(PreconditionError, match="subset is not an ideal"):
+                rg.quotient(ring, list(elements))
+            with pytest.raises(PreconditionError, match="subset is not a submodule"):
+                md.quotient_module(module, elements)
+            refused += 1
+    assert refused
+
+
+def test_an_ideal_built_by_a_closure_is_not_checked_again(monkeypatch):
+    # the closures build through the unchecked constructor, and quotient
+    # trusts an Ideal: neither calls is_submodule
+    rings = _small_rings()
+
+    def refuse(*args):
+        raise AssertionError("is_submodule called")
+
+    monkeypatch.setattr(rg, "is_submodule", refuse)
+    for ring in rings:
+        ideals = il.all_ideals(ring)
+        for i in ideals:
+            if not i.is_whole:
+                rg.quotient(ring, i)
+        il.colon(ideals[0], ideals[-1])
+        il.spectrum(ring)
+    with pytest.raises(AssertionError, match="is_submodule called"):
+        rg.quotient(rings[0], [0])
 
 
 @pytest.mark.parametrize("seed", [None, 38])
@@ -209,7 +274,8 @@ def test_the_subgroup_walk_is_the_all_pairs_closure(seed):
         assert rg.subgroup_generators(ring.add, ring.zero, no_zero) is None
         assert rg.subgroup_generators(ring.add, ring.zero, np.zeros(ring.order, dtype=bool)) is None
     # {0, 1} of F4 is a subgroup but no ideal
-    assert not rg.Ideal(rg.make_gf(2, 2), (0, 1))._is_valid()
+    with pytest.raises(PreconditionError, match="subset is not an ideal"):
+        rg.Ideal(rg.make_gf(2, 2), (0, 1))
 
 
 def test_coerce_ideal(z12, z4):
@@ -241,6 +307,19 @@ def test_conductor_refuses_an_image_that_is_not_an_ideal(f2):
     # {0, 1} of F2^2 is not an ideal
     forged = SimpleNamespace(base=ext.base, top=ext.top, embed=ext.embed,
                              image_mask=np.ones(ext.top.order, dtype=bool))
+    with pytest.raises(InternalCheckError, match="not an ideal"):
+        il.conductor(forged)
+
+
+def test_conductor_refuses_an_image_that_misses_zero(f2):
+    from ringlat.lattice import power_extension
+
+    ext = power_extension(f2, 2)
+    # without the add strip, the walk alone refuses a conductor that is no
+    # subgroup: an image mask without zero leaves zero out of it
+    image_mask = ext.image_mask.copy()
+    image_mask[ext.top.zero] = False
+    forged = SimpleNamespace(base=ext.base, top=ext.top, embed=ext.embed, image_mask=image_mask)
     with pytest.raises(InternalCheckError, match="not an ideal"):
         il.conductor(forged)
 

@@ -30,10 +30,14 @@ checked on the top's tables: closures builds no ring (realize, subset_ring)
 and no hom (RingHom) for a node.  A CRT top is read off its factors: crt
 builds a product (product, pair_homs) only where CrtExtension.extension
 realizes it.  An additive check reads generators: ideals.product_conductor,
-Ideal._is_valid and rings.is_submodule read no table at a whole-axis slice or
-at all pairs of one index, and pass product_table_rows columns other than its
-rows; colon reads no element list of its second ideal and annihilator
-compares no whole action table."""
+the constructors' checks of rings (Ideal.__post_init__) and
+rings.is_submodule read no table at a whole-axis slice or at all pairs of one
+index, and pass product_table_rows columns other than its rows; colon reads
+no element list of its second ideal and annihilator compares no whole action
+table.  An Ideal is checked once, at the boundary: only the Ideal constructor
+and modules.quotient_module call is_submodule, so quotient trusts an Ideal,
+and only the closures on a fixed list build one through the unchecked
+rings._closed_ideal."""
 
 import ast
 import importlib
@@ -903,7 +907,7 @@ def test_a_crt_top_is_read_off_its_factors():
     assert calls_outside((PACKAGE / "crt.py").read_text(), "extension") == []
 
 
-ADDITIVE_CHECKS = (("ideals", "product_conductor"), ("rings", "_is_valid"), ("rings", "is_submodule"))
+ADDITIVE_CHECKS = (("ideals", "product_conductor"), ("rings", "__post_init__"), ("rings", "is_submodule"))
 GENERATOR_READERS = (("ideals", "colon"), ("ideals", "annihilator"))
 
 
@@ -952,9 +956,9 @@ def whole_axis_reads(sources: dict[str, str]) -> list[str]:
 
 def test_scan_finds_whole_axis_reads():
     # the checks as they read every element of the ring, the top or a set:
-    # product_conductor's add strip, _is_valid's sums, colon's columns and
-    # annihilator's compare are written as they were before each read
-    # generators
+    # product_conductor's add strip, the sums of the Ideal check, colon's
+    # columns and annihilator's compare are written as they were before each
+    # read generators
     sources = {
         "ideals": ("def product_conductor(base, factors, parts, image_mask):\n"
                    "    inside = [image_mask[r] for r in product_table_rows(muls, parts)]\n"
@@ -966,18 +970,18 @@ def test_scan_finds_whole_axis_reads():
                    "    return module.action[:, gens] == module.zero, mul[idx[:, None], idx]\n"
                    "def later(factors, at, sub):\n"
                    "    return product_table_rows([f.add for f in factors], at, cols=at), b.elements\n"),
-        "rings": ("class Ideal:\n    def _is_valid(self):\n        m, ring = self.mask, self.ring\n"
+        "rings": ("class Ideal:\n    def __post_init__(self):\n        m, ring = self.mask, self.ring\n"
                   "        return m[ring.add[idx[:, None], idx]].all() and m[self.ring.mul[:, idx]].all()\n"
                   "    def mask(self):\n        return mul[:]\n"
-                  "def _is_valid(ring, idx, gens):\n"
-                  "    return ring.mul[gens[:, None], idx], mul[1:, idx], add[idx, :]\n"
+                  "class RingHom:\n"
+                  "    def __post_init__(self): return ring.mul[gens[:, None], idx], mul[1:, idx], add[idx, :]\n"
                   "def is_submodule(ring, add, action, mask):\n"
                   "    return add[m[:, None], m], action[gens[:, None], m], product_table_rows(t, m, cols=m)\n"),
     }
     assert whole_axis_reads(sources) == [
         "ideals.annihilator: 9", "ideals.colon: 6", "ideals.product_conductor: 2",
         "ideals.product_conductor: 3", "ideals.product_conductor: 4",
-        "rings._is_valid: 4", "rings._is_valid: 4", "rings._is_valid: 8", "rings.is_submodule: 10",
+        "rings.__post_init__: 4", "rings.__post_init__: 4", "rings.__post_init__: 8", "rings.is_submodule: 10",
         "rings.is_submodule: 10"]
 
 
@@ -986,3 +990,56 @@ def test_additive_checks_read_generators():
     # absorption of an ideal are decided on the columns of the additive
     # generators of the top or the ring, not on all of its elements
     assert whole_axis_reads({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def callers(sources: dict[str, str], name: str) -> list[str]:
+    """module.function for each top-level function or method (as
+    Class.method) of the sources (module name -> source) that calls name,
+    plain or as an attribute, itself or in a function nested in it, and
+    module.<module> for a call outside every function."""
+    found = set()
+
+    def visit(module, node, scope, cls):
+        for child in ast.iter_child_nodes(node):
+            inner, inner_cls = scope, None
+            if isinstance(child, ast.ClassDef) and scope == "<module>":
+                inner_cls = child.name
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and scope == "<module>":
+                inner = f"{cls}.{child.name}" if cls else child.name
+            elif isinstance(child, ast.Call) and _name(child.func) == name:
+                found.add(f"{module}.{scope}")
+            visit(module, child, inner, inner_cls)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>", None)
+    return sorted(found)
+
+
+def test_scan_finds_callers():
+    sources = {
+        "rings": ("class Ideal:\n    def __post_init__(self):\n        is_submodule(self.ring, self.elements)\n"
+                  "def _ideal_indices(ring, ideal):\n    if isinstance(ideal, Ideal):\n"
+                  "        ideal = Ideal(ring, ideal.elements)\n    return rg.is_submodule(ring, ideal)\n"
+                  "def quotient(ring, ideal):\n    def check(i):\n        return is_submodule(ring, i)\n"
+                  "    return check(ideal), is_submodule\n"),
+        "crt": ("ZERO = _closed_ideal(RING, (0,))\n"
+                "def images(q, ideals):\n    return [rg._closed_ideal(q, i) for i in ideals]\n"),
+    }
+    assert callers(sources, "is_submodule") == ["rings.Ideal.__post_init__", "rings._ideal_indices", "rings.quotient"]
+    assert callers(sources, "_closed_ideal") == ["crt.<module>", "crt.images"]
+
+
+# the closures whose results are ideals by construction
+UNCHECKED_IDEAL_BUILDERS = [
+    "crt._images", "ideals.all_ideals", "ideals.annihilator", "ideals.colon", "ideals.ideal_generated",
+    "ideals.ideal_intersection", "ideals.ideal_product", "ideals.ideal_sum", "ideals.principal_ideal",
+    "ideals.product_conductor", "ideals.spectrum", "ideals.unit_ideal", "ideals.zero_ideal",
+    "lattice.classify_minimal", "rings.is_local"]
+
+
+def test_an_ideal_is_checked_once_at_the_boundary():
+    # is_submodule decides a set handed in from outside; quotient and
+    # _ideal_indices trust an Ideal, which only the closures build unchecked
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert callers(sources, "is_submodule") == ["modules.quotient_module", "rings.Ideal.__post_init__"]
+    assert callers(sources, "_closed_ideal") == UNCHECKED_IDEAL_BUILDERS
